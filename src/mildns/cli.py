@@ -11,8 +11,7 @@ Commands:
   when possible).
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure
-(divergence or non-convergence), 4 I/O error. MILDNS_THREADS caps the
-worker count of internal corpus loops.
+(divergence or non-convergence), 4 I/O error.
 """
 from __future__ import annotations
 
@@ -126,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mildns",
         description="numerical laboratory for mild Navier-Stokes solutions",
-        epilog="MILDNS_THREADS caps internal parallelism.",
     )
     parser.add_argument("--version", action="version", version=f"mildns {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")

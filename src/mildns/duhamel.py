@@ -29,18 +29,7 @@ from scipy.special import gamma as gamma_fn, roots_jacobi, roots_legendre
 from .errors import ConfigError, DataError
 from .lattice import SPECTRAL, VectorField, to_physical
 from .multipliers import _project_div_spectral
-from .norms import (
-    ExponentBook,
-    NormReport,
-    Trajectory,
-    kato_norm,
-    lebesgue_norm,
-    n_norm,
-    sobolev_norm,
-)
-
-GRADED_GAUSS = "graded-gauss"
-SPLIT_JACOBI = "split-jacobi"
+from .norms import ExponentBook, NormReport, Trajectory, kato_norm, n_norm
 
 
 @dataclass(frozen=True)
@@ -55,7 +44,6 @@ class QuadratureSpec:
     node_count: int = 32
     gamma: float = 0.0
     theta: float = 0.0
-    rule: str = GRADED_GAUSS
 
     def __post_init__(self):
         if self.node_count < 8:
@@ -68,11 +56,9 @@ class QuadratureSpec:
                     f"quadrature exponent {name} = {value} is not < 1; "
                     "the endpoint singularity would not be integrable"
                 )
-        if self.rule not in (GRADED_GAUSS, SPLIT_JACOBI):
-            raise ConfigError(f"unknown quadrature rule {self.rule!r}")
 
     def doubled(self):
-        return QuadratureSpec(2 * self.node_count, self.gamma, self.theta, self.rule)
+        return QuadratureSpec(2 * self.node_count, self.gamma, self.theta)
 
 
 def volterra_nodes(spec: QuadratureSpec, t: float):
@@ -88,8 +74,6 @@ def volterra_nodes(spec: QuadratureSpec, t: float):
     """
     if not (t > 0):
         raise ConfigError(f"quadrature interval needs t > 0, got {t}")
-    if spec.rule != GRADED_GAUSS:
-        raise ConfigError("volterra_nodes applies the graded Gauss-Legendre rule")
     m = spec.node_count // 2
     x, w = roots_legendre(m)
     sigma = 0.5 * (x + 1.0)
@@ -340,18 +324,7 @@ def bilinear_estimate_report(u_traj: Trajectory, v_traj: Trajectory, book: Expon
     def measured_ratio(spec: QuadratureSpec):
         b_traj = bilinear_trajectory(u_traj, v_traj, spec)
         out_report = _output_report(b_traj, book, target, q_tilde_out)
-        if target == TARGET_SOBOLEV:
-            weighted = np.array([sobolev_norm(f, book.s, book.p) for f in b_traj.fields])
-        else:
-            qt = book.q_tilde if target == TARGET_KATO else q_tilde_out
-            alpha_out = d * (1.0 / q - 1.0 / qt)
-            weighted = np.array(
-                [
-                    t ** (alpha_out / 2.0) * lebesgue_norm(f, qt)
-                    for t, f in zip(b_traj.times, b_traj.fields)
-                ]
-            )
-        return out_report.value, weighted
+        return out_report.value, out_report.values
 
     output_norm, weighted = measured_ratio(quad)
     ratio = output_norm / (prefactor * norm_u * norm_v)

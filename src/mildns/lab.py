@@ -30,12 +30,14 @@ from .duhamel import (
 )
 from .errors import ConfigError, DivergenceError
 from .lattice import TWO_PI, DatumSpec, VectorField, make_lattice, realize_datum
-from .multipliers import heat_flow, kernel_profile
+from .multipliers import kernel_profile
 from .norms import (
+    besov_grid,
     besov_norm_heat,
     decay_exponent_fit,
-    dyadic_grid,
+    heat_sup,
     heat_trajectory,
+    kato_norm,
     lebesgue_norm,
     quadratic_mesh,
     sobolev_embedding_check,
@@ -260,9 +262,8 @@ def _run_heat_decay(cfg):
     expected_slope = -(d / 2.0) * (1.0 / q - 1.0 / qt)
     columns = ["t", "measured_norm", "closed_form", "rel_err"]
     rows = []
-    measured = np.empty(count)
+    measured = heat_sup(u0, t_grid, 0.0, qt).values
     for j, t in enumerate(t_grid):
-        measured[j] = lebesgue_norm(heat_flow(u0, float(t)), qt)
         sigma = cfg["width"] + t
         closed = (
             cfg["amplitude"]
@@ -308,12 +309,9 @@ def _run_besov_equiv(cfg):
     )
     report_scaled = besov_norm_heat(rescaled, s_b, q)
 
-    grid = dyadic_grid(lat.box_len**2 / 100.0, lat.spacing**2)
+    grid = besov_grid(lat)
     columns = ["t", "weighted_value"]
-    rows = [
-        [float(t), float(t**beta * lebesgue_norm(heat_flow(u0, float(t)), q))]
-        for t in grid
-    ]
+    rows = [[float(t), float(v)] for t, v in zip(grid, report.values)]
     summary = {
         "besov_value": report.value,
         "closed_form": float(closed),
@@ -364,6 +362,10 @@ def _run_embedding(cfg):
 
 
 def _run_bilinear(cfg):
+    if not (isinstance(cfg["pairs"], int) and cfg["pairs"] >= 1):
+        raise ConfigError(f"pairs must be an integer >= 1, got {cfg['pairs']!r}")
+    if not cfg["horizons"]:
+        raise ConfigError("horizons must list at least one horizon")
     book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
     lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
     gamma_for = {TARGET_KATO: book.gamma_kato, TARGET_SOBOLEV: book.gamma_sobolev}
@@ -506,7 +508,6 @@ def _tg_closed_form_error(solution, u0) -> float:
     """Max relative L2 node error against the decaying Taylor-Green flow."""
     lat = u0.lattice
     spec_data = np.fft.fftn(u0.data, axes=tuple(range(1, 1 + lat.d)))
-    rate = None
     # infer the harmonic from the datum's dominant mode magnitude
     mags = np.abs(spec_data)
     idx = np.unravel_index(int(np.argmax(mags)), mags.shape)
@@ -536,13 +537,13 @@ def _run_solve(cfg):
         override_smallness=cfg["override_smallness"],
     )
     columns = ["t", "kato_weighted_norm", "divergence_defect"]
-    rows = []
-    alpha = book.alpha
-    for j, (t, field) in enumerate(
-        zip(solution.trajectory.times, solution.trajectory.fields)
-    ):
-        weighted = float(t) ** (alpha / 2.0) * lebesgue_norm(field, book.q_tilde)
-        rows.append([float(t), weighted, float(solution.divergence_defects[j])])
+    kato = kato_norm(solution.trajectory, book.q, book.q_tilde)
+    rows = [
+        [float(t), float(v), float(defect)]
+        for t, v, defect in zip(
+            solution.trajectory.times, kato.values, solution.divergence_defects
+        )
+    ]
     summary = {
         "iterations": solution.trace.iterations,
         "converged": solution.trace.converged,
@@ -669,6 +670,10 @@ def _run_powerlaw(cfg):
             f"got {s_b:g}"
         )
     levels = [float(e) for e in cfg["r_inner_levels"]]
+    if len(levels) < 2:
+        raise ConfigError(
+            f"r_inner_levels needs at least two levels for the tail change, got {len(levels)}"
+        )
     if sorted(levels, reverse=True) != levels:
         raise ConfigError("r_inner_levels must be strictly decreasing")
     columns = ["r_inner", "lebesgue_norm", "lebesgue_increment", "besov_value", "besov_argmax_t"]

@@ -129,9 +129,6 @@ def make_lattice(d: int, n: int, box_len: float) -> Lattice:
     return Lattice(d, n, box_len)
 
 
-_RANK_TO_NCOMP = {0: lambda d: 1, 1: lambda d: d, 2: lambda d: d * d}
-
-
 class Field:
     """A scalar, vector, or rank-2 tensor field on a lattice.
 

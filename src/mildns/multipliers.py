@@ -52,6 +52,22 @@ def _safe_ksq_deriv(lattice: Lattice) -> np.ndarray:
     return np.where(ksq == 0.0, 1.0, ksq)
 
 
+def _divergence_spectral(tensor_coeff: np.ndarray, lat: Lattice) -> np.ndarray:
+    """Vector coefficients sum_j i k_j T_ij of div T, as a new array."""
+    out = np.empty((lat.d,) + lat.spatial_shape, dtype=np.complex128)
+    for i in range(lat.d):
+        out[i] = sum(1j * lat.k_deriv[j] * tensor_coeff[i, j] for j in range(lat.d))
+    return out
+
+
+def _leray_inplace(coeff: np.ndarray, lat: Lattice) -> np.ndarray:
+    """Overwrite vector coefficients c with c - k (k . c) / |k|^2 and return them."""
+    k_dot_c = sum(lat.k_deriv[i] * coeff[i] for i in range(lat.d)) / _safe_ksq_deriv(lat)
+    for i in range(lat.d):
+        coeff[i] -= lat.k_deriv[i] * k_dot_c
+    return coeff
+
+
 def _fractional_multiplier(lattice: Lattice, s: float) -> np.ndarray:
     if s == 0:
         return np.ones(lattice.spatial_shape)
@@ -101,13 +117,7 @@ def leray_project(field: VectorField) -> VectorField:
     if field.rank != 1:
         raise ConfigError("leray_project expects a vector field")
     lat = field.lattice
-    spectral = to_spectral(field)
-    c = spectral.data
-    ksq = _safe_ksq_deriv(lat)
-    k_dot_c = sum(lat.k_deriv[i] * c[i] for i in range(lat.d)) / ksq
-    out = np.empty_like(c)
-    for i in range(lat.d):
-        out[i] = c[i] - lat.k_deriv[i] * k_dot_c
+    out = _leray_inplace(to_spectral(field).data.copy(), lat)
     projected = VectorField(lat, out, SPECTRAL)
     return to_physical(projected) if field.representation == PHYSICAL else projected
 
@@ -118,12 +128,7 @@ def divergence_of_tensor(field: TensorField) -> VectorField:
     if field.rank != 2:
         raise ConfigError("divergence_of_tensor expects a rank-2 tensor field")
     lat = field.lattice
-    spectral = to_spectral(field)
-    c = spectral.data
-    out = np.empty((lat.d,) + lat.spatial_shape, dtype=np.complex128)
-    for i in range(lat.d):
-        out[i] = sum(1j * lat.k_deriv[j] * c[i, j] for j in range(lat.d))
-    result = VectorField(lat, out, SPECTRAL)
+    result = VectorField(lat, _divergence_spectral(to_spectral(field).data, lat), SPECTRAL)
     return to_physical(result) if field.representation == PHYSICAL else result
 
 
@@ -141,14 +146,7 @@ def divergence_defect(field: VectorField) -> float:
 
 def _project_div_spectral(tensor_coeff: np.ndarray, lat: Lattice) -> np.ndarray:
     """Spectral coefficients of P div(T) from tensor coefficients."""
-    w = np.empty((lat.d,) + lat.spatial_shape, dtype=np.complex128)
-    for i in range(lat.d):
-        w[i] = sum(1j * lat.k_deriv[j] * tensor_coeff[i, j] for j in range(lat.d))
-    ksq = _safe_ksq_deriv(lat)
-    k_dot_w = sum(lat.k_deriv[i] * w[i] for i in range(lat.d)) / ksq
-    for i in range(lat.d):
-        w[i] -= lat.k_deriv[i] * k_dot_w
-    return w
+    return _leray_inplace(_divergence_spectral(tensor_coeff, lat), lat)
 
 
 def composite_apply(field: TensorField, s: float, t: float) -> VectorField:

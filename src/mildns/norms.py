@@ -10,11 +10,19 @@ Time-dependent objects live on a Trajectory: fields at strictly increasing
 positive times. Sup-in-time norms are evaluated on the trajectory mesh;
 heat-characterized norms use a dyadic time grid with four points per
 octave, capped by the lattice validity window t <= box_len^2 / 100.
+
+Every sup-in-time quantity -- the Kato and Sobolev sup norms, the heat
+characterization of the Besov norm, the smallness forms, the
+integrability ladder, the fluctuation table and the per-node table rows --
+is computed by exactly two primitives: weighted_values, which returns
+t^w * norm(f(t)) at each node of any sequence of fields, and heat_flows,
+which transforms a datum once and yields exp(t Lap) u0 one field at a
+time. heat_sup is their composition with the Lebesgue norm.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, field as dc_field, replace
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -198,15 +206,22 @@ def quadratic_mesh(horizon: float, nodes: int) -> np.ndarray:
     return horizon * (j / nodes) ** 2
 
 
+def heat_flows(u0: Field, times):
+    """Yield exp(t Lap) u0 as a physical field for each t in times.
+
+    u0 is transformed once; each flow is built only when the consumer asks
+    for it, so a sup over many times holds one flowed field, not all.
+    """
+    lat = u0.lattice
+    spectral = to_spectral(u0)
+    for t in times:
+        yield to_physical(type(u0)(lat, spectral.data * np.exp(-lat.ksq * t), SPECTRAL))
+
+
 def heat_trajectory(u0: VectorField, times) -> Trajectory:
     """Trajectory of the free heat evolution of a datum."""
     times = np.asarray(times, dtype=float)
-    spectral = to_spectral(u0)
-    fields = []
-    for t in times:
-        coeff = spectral.data * np.exp(-u0.lattice.ksq * t)
-        fields.append(to_physical(VectorField(u0.lattice, coeff, SPECTRAL)))
-    return Trajectory(u0.lattice, times, fields)
+    return Trajectory(u0.lattice, times, list(heat_flows(u0, times)))
 
 
 def dyadic_grid(t_max: float, t_min: float, per_octave: int = 4) -> np.ndarray:
@@ -227,6 +242,12 @@ def dyadic_grid(t_max: float, t_min: float, per_octave: int = 4) -> np.ndarray:
     return np.array(out[::-1])
 
 
+def besov_grid(lattice: Lattice) -> np.ndarray:
+    """Default heat grid of the Besov characterization: the dyadic grid from
+    the resolution floor spacing^2 up to the validity cap box_len^2 / 100."""
+    return dyadic_grid(lattice.box_len**2 / 100.0, lattice.spacing**2)
+
+
 # ---------------------------------------------------------------------------
 # Norm reports
 
@@ -238,6 +259,8 @@ class NormReport:
     value: float
     argmax_t: Optional[float] = None
     window_ok: bool = True
+    # per-node weighted values behind the sup; not part of the manifest form
+    values: Optional[np.ndarray] = dc_field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -278,41 +301,72 @@ def sobolev_norm(field: Field, s: float, p) -> float:
     return lebesgue_norm(fractional_laplacian(field, s), p)
 
 
-def besov_norm_heat(field: Field, s: float, q, t_grid=None) -> NormReport:
-    """Heat-flow characterization of the Besov norm with negative smoothness:
-    sup over the dyadic grid of t^(-s/2) * ||exp(t Lap) f||_q.
+def weighted_values(times, fields: Iterable[Field], weight: float,
+                    norm: Callable[[Field], float]) -> np.ndarray:
+    """t^weight * norm(f) for each (t, f) of times zipped with fields.
 
-    Only s < 0 is admissible (the characterization degenerates otherwise).
+    fields may be a generator (heat_flows). Each field goes straight from
+    next() into norm and nothing else keeps it, so a generator's previous
+    field is freed before it builds the next. weight = 0 gives the plain
+    norms.
+    """
+    fields = iter(fields)
+    return np.array([t**weight * norm(next(fields)) for t in times])
+
+
+def _sup_report(kind: str, exponents: dict, times, values: np.ndarray,
+                window_ok: bool) -> NormReport:
+    arg = int(np.argmax(values))
+    return NormReport(
+        kind=kind,
+        exponents=exponents,
+        value=float(values[arg]),
+        argmax_t=float(times[arg]),
+        window_ok=window_ok,
+        values=values,
+    )
+
+
+def heat_sup(u0: Field, t_grid, weight: float, q) -> NormReport:
+    """sup over t_grid of t^weight ||exp(t Lap) u0||_q, streaming the flows.
+
     window_ok records whether the grid stayed inside the lattice validity
     range [spacing^2, box_len^2 / 100].
+    """
+    lat = u0.lattice
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size == 0 or np.any(t_grid <= 0):
+        raise ConfigError("heat time grid must be non-empty and positive")
+    values = weighted_values(
+        t_grid, heat_flows(u0, t_grid), weight, lambda f: lebesgue_norm(f, q)
+    )
+    window_ok = bool(
+        t_grid[-1] <= lat.box_len**2 / 100.0 * (1 + 1e-9)
+        and t_grid[0] >= lat.spacing**2 * (1 - 1e-9)
+    )
+    exponents = {"weight": float(weight), "q": float(q)}
+    return _sup_report("heat-sup", exponents, t_grid, values, window_ok)
+
+
+def besov_norm_heat(field: Field, s: float, q, t_grid=None) -> NormReport:
+    """Heat-flow characterization of the Besov norm with negative smoothness:
+    sup over the dyadic grid (besov_grid by default) of
+    t^(-s/2) * ||exp(t Lap) f||_q.
+
+    Only s < 0 is admissible (the characterization degenerates otherwise).
     """
     if not (s < 0):
         raise ConfigError(
             f"heat characterization requires negative smoothness, got s = {s}"
         )
-    lat = field.lattice
     if t_grid is None:
-        t_grid = dyadic_grid(lat.box_len**2 / 100.0, lat.spacing**2)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0 or np.any(t_grid <= 0):
-        raise ConfigError("besov time grid must be non-empty and positive")
-    spectral = to_spectral(field)
-    values = np.empty(t_grid.size)
-    for idx, t in enumerate(t_grid):
-        flowed = type(field)(lat, spectral.data * np.exp(-lat.ksq * t), SPECTRAL)
-        values[idx] = t ** (-s / 2.0) * lebesgue_norm(flowed, q)
-    arg = int(np.argmax(values))
-    window_ok = bool(
-        t_grid[-1] <= lat.box_len**2 / 100.0 * (1 + 1e-9)
-        and t_grid[0] >= lat.spacing**2 * (1 - 1e-9)
-    )
-    return NormReport(
-        kind="besov-heat",
-        exponents={"s": float(s), "q": float(q)},
-        value=float(values[arg]),
-        argmax_t=float(t_grid[arg]),
-        window_ok=window_ok,
-    )
+        t_grid = besov_grid(field.lattice)
+    report = heat_sup(field, t_grid, -s / 2.0, q)
+    return replace(report, kind="besov-heat", exponents={"s": float(s), "q": float(q)})
+
+
+def _horizon_ok(traj: Trajectory) -> bool:
+    return bool(traj.horizon <= traj.lattice.box_len**2 / 100.0 * (1 + 1e-9))
 
 
 def kato_norm(traj: Trajectory, q, q_tilde) -> NormReport:
@@ -320,37 +374,19 @@ def kato_norm(traj: Trajectory, q, q_tilde) -> NormReport:
     alpha = d (1/q - 1/q_tilde). Requires q_tilde >= q."""
     if q_tilde < q:
         raise ConfigError(f"kato norm requires q_tilde >= q, got q={q}, q_tilde={q_tilde}")
-    d = traj.lattice.d
-    alpha = d * (1.0 / q - 1.0 / q_tilde)
-    values = np.array(
-        [
-            t ** (alpha / 2.0) * lebesgue_norm(f, q_tilde)
-            for t, f in zip(traj.times, traj.fields)
-        ]
+    alpha = traj.lattice.d * (1.0 / q - 1.0 / q_tilde)
+    values = weighted_values(
+        traj.times, traj.fields, alpha / 2.0, lambda f: lebesgue_norm(f, q_tilde)
     )
-    arg = int(np.argmax(values))
-    window_ok = bool(traj.horizon <= traj.lattice.box_len**2 / 100.0 * (1 + 1e-9))
-    return NormReport(
-        kind="kato-sup",
-        exponents={"q": float(q), "q_tilde": float(q_tilde), "alpha": alpha},
-        value=float(values[arg]),
-        argmax_t=float(traj.times[arg]),
-        window_ok=window_ok,
-    )
+    exponents = {"q": float(q), "q_tilde": float(q_tilde), "alpha": alpha}
+    return _sup_report("kato-sup", exponents, traj.times, values, _horizon_ok(traj))
 
 
 def n_norm(traj: Trajectory, s: float, p) -> NormReport:
     """sup over mesh nodes of the homogeneous Sobolev (s, p) norm."""
-    values = np.array([sobolev_norm(f, s, p) for f in traj.fields])
-    arg = int(np.argmax(values))
-    window_ok = bool(traj.horizon <= traj.lattice.box_len**2 / 100.0 * (1 + 1e-9))
-    return NormReport(
-        kind="sobolev-sup",
-        exponents={"s": float(s), "p": float(p)},
-        value=float(values[arg]),
-        argmax_t=float(traj.times[arg]),
-        window_ok=window_ok,
-    )
+    values = weighted_values(traj.times, traj.fields, 0.0, lambda f: sobolev_norm(f, s, p))
+    exponents = {"s": float(s), "p": float(p)}
+    return _sup_report("sobolev-sup", exponents, traj.times, values, _horizon_ok(traj))
 
 
 @dataclass
@@ -373,11 +409,8 @@ def vanishing_at_zero(traj: Trajectory, weight_exponent: float, r=2) -> Vanishin
             f"vanishing check needs >= 5 nodes below horizon/100, found {below}"
         )
     times = traj.times[:5]
-    values = np.array(
-        [
-            t**weight_exponent * lebesgue_norm(f, r)
-            for t, f in zip(times, traj.fields[:5])
-        ]
+    values = weighted_values(
+        times, traj.fields[:5], weight_exponent, lambda f: lebesgue_norm(f, r)
     )
     vanishing = bool(np.all(np.diff(values) > 0))
     return VanishingReport(times=times, values=values, vanishing=vanishing)

@@ -36,18 +36,20 @@ from .errors import (
     WindowError,
 )
 from .lattice import DatumSpec, VectorField, make_lattice, realize_datum, save_field
-from .multipliers import divergence_defect, heat_flow
+from .multipliers import divergence_defect
 from .norms import (
     ExponentBook,
     Trajectory,
-    besov_norm_heat,
+    besov_grid,
     dyadic_grid,
+    heat_sup,
     heat_trajectory,
     kato_norm,
     lebesgue_norm,
     n_norm,
     quadratic_mesh,
     sobolev_norm,
+    weighted_values,
 )
 from .runtime import canonical_json, sha256_hex
 
@@ -288,12 +290,16 @@ def smallness_lhs(
     """Evaluate one of the three smallness left-hand sides for datum u0
     over [0, horizon].
 
+    All three are the heat sup of t^(alpha/2) ||e^{t Lap} u0||_{q_tilde};
+    they differ only in grid, prefactor and threshold.
+
     * 'kato-window': horizon^horizon_exponent times the sup over the dyadic
-      grid below the horizon of t^(alpha/2) ||e^{t Lap} u0||_{q_tilde}.
+      grid below the horizon.
     * 'critical': the same sup with no horizon prefactor; requires a
       critical book (s = d/p - 1), where the quantity is scale-invariant.
-    * 'besov': horizon^horizon_exponent times the heat-characterized Besov
-      norm of smoothness -alpha and integrability q_tilde.
+    * 'besov': horizon^horizon_exponent times the sup over the Besov grid,
+      i.e. the heat-characterized Besov norm of smoothness -alpha and
+      integrability q_tilde.
 
     The threshold comes from the book's calibration: delta for the first
     two variants, sigma for the Besov one.
@@ -307,42 +313,24 @@ def smallness_lhs(
     if not (horizon > 0):
         raise ConfigError(f"horizon must be positive, got {horizon}")
 
-    prefactor = horizon**book.horizon_exponent
+    if variant == SMALLNESS_CRITICAL and not book.is_critical:
+        raise ConfigError(
+            "critical smallness variant requires s = d/p - 1; book has "
+            f"s = {book.s:g}, d/p - 1 = {book.d / book.p - 1.0:g}"
+        )
     if variant == SMALLNESS_BESOV:
-        report = besov_norm_heat(u0, -book.alpha, book.q_tilde)
-        lhs = prefactor * report.value
-        threshold = book.sigma
-        detail = {
-            "prefactor": prefactor,
-            "besov_value": report.value,
-            "argmax_t": report.argmax_t,
-            "smoothness": -book.alpha,
-        }
+        grid = besov_grid(u0.lattice)
     else:
-        if variant == SMALLNESS_CRITICAL and not book.is_critical:
-            raise ConfigError(
-                "critical smallness variant requires s = d/p - 1; book has "
-                f"s = {book.s:g}, d/p - 1 = {book.d / book.p - 1.0:g}"
-            )
         grid = _heat_window_grid(u0, horizon)
-        values = np.empty(grid.shape)
-        for j, t in enumerate(grid):
-            values[j] = t ** (book.alpha / 2.0) * lebesgue_norm(
-                heat_flow(u0, float(t)), book.q_tilde
-            )
-        sup = float(values.max())
-        arg = float(grid[int(values.argmax())])
-        if variant == SMALLNESS_KATO:
-            lhs = prefactor * sup
-        else:
-            lhs = sup
-        threshold = book.delta
-        detail = {
-            "prefactor": prefactor if variant == SMALLNESS_KATO else 1.0,
-            "sup_value": sup,
-            "argmax_t": arg,
-            "grid_points": int(grid.size),
-        }
+    report = heat_sup(u0, grid, book.alpha / 2.0, book.q_tilde)
+    prefactor = 1.0 if variant == SMALLNESS_CRITICAL else horizon**book.horizon_exponent
+    lhs = prefactor * report.value
+    threshold = book.sigma if variant == SMALLNESS_BESOV else book.delta
+    detail = {"prefactor": prefactor, "argmax_t": report.argmax_t}
+    if variant == SMALLNESS_BESOV:
+        detail.update(besov_value=report.value, smoothness=-book.alpha)
+    else:
+        detail.update(sup_value=report.value, grid_points=int(grid.size))
 
     satisfied = None if threshold is None else bool(lhs <= threshold)
     return SmallnessReport(
@@ -617,11 +605,11 @@ def solve_mild(
 
     defects = np.array([divergence_defect(f) for f in solution_traj.fields])
     head = min(5, len(solution_traj))
-    early = np.array(
-        [
-            sobolev_norm(solution_traj.fields[j] - y.fields[j], book.s, book.p)
-            for j in range(head)
-        ]
+    early = weighted_values(
+        mesh[:head],
+        (solution_traj.fields[j] - y.fields[j] for j in range(head)),
+        0.0,
+        lambda f: sobolev_norm(f, book.s, book.p),
     )
     early_ok = bool(np.all(np.diff(early) >= -1e-12 * max(1.0, early.max())))
     ball_ok = bool(trace.norms[-1] <= 0.5 / eta + trace.threshold)
@@ -694,11 +682,8 @@ def regularity_ladder(solution: MildSolution, r_list: Sequence[float]) -> Ladder
                 f"ladder exponent must exceed max(p, q) = {floor:g}, got {r:g}"
             )
         weight = (book.d / 2.0) * (1.0 / book.q - 1.0 / r)
-        values = np.array(
-            [
-                t**weight * lebesgue_norm(f, r)
-                for t, f in zip(traj.times, traj.fields)
-            ]
+        values = weighted_values(
+            traj.times, traj.fields, weight, lambda f: lebesgue_norm(f, r)
         )
         if not np.isfinite(values).all():
             raise DataError(f"non-finite ladder values at r = {r:g}")
@@ -745,9 +730,7 @@ def fluctuation_analysis(
         )
     floor = max(book.p, float(book.d)) / 2.0
     traj = solution.trajectory
-    fluctuations = [
-        traj.fields[j] - heat_flow(u0, float(t)) for j, t in enumerate(traj.times)
-    ]
+    fluctuation = traj - heat_trajectory(u0, traj.times)
     p_values, smooth, sups = [], [], []
     for p_tilde in p_tilde_list:
         p_tilde = float(p_tilde)
@@ -757,10 +740,10 @@ def fluctuation_analysis(
                 f"got {p_tilde:g}"
             )
         s_tilde = book.d / p_tilde - 1.0
-        values = np.array([sobolev_norm(w, s_tilde, p_tilde) for w in fluctuations])
-        if not np.isfinite(values).all():
+        report = n_norm(fluctuation, s_tilde, p_tilde)
+        if not np.isfinite(report.values).all():
             raise DataError(f"non-finite fluctuation values at p_tilde = {p_tilde:g}")
         p_values.append(p_tilde)
         smooth.append(s_tilde)
-        sups.append(float(values.max()))
+        sups.append(report.value)
     return FluctuationReport(p_values, smooth, sups)

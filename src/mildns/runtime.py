@@ -1,38 +1,10 @@
-"""Runtime helpers: worker pool sizing, deterministic formatting, hashing."""
+"""Runtime helpers: version, deterministic formatting, hashing."""
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 VERSION = "0.1.0"
-
-_THREADS_ENV = "MILDNS_THREADS"
-
-
-def worker_count() -> int:
-    """Worker cap for corpus loops. MILDNS_THREADS overrides the core count."""
-    raw = os.environ.get(_THREADS_ENV)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{_THREADS_ENV} must be an integer, got {raw!r}") from exc
-        if value < 1:
-            raise ValueError(f"{_THREADS_ENV} must be >= 1, got {value}")
-        return value
-    return os.cpu_count() or 1
-
-
-def parallel_map(fn, items):
-    """Map fn over items, preserving order, using at most worker_count() threads."""
-    items = list(items)
-    workers = min(worker_count(), len(items)) if items else 1
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def fmt_float(x) -> str:

@@ -153,6 +153,20 @@ class TestExitCodes:
         assert "numerical failure" in err
         assert "iterations 1" in err
 
+    @pytest.mark.parametrize(
+        "experiment, setting, key",
+        [
+            ("powerlaw", "r_inner_levels=[0.5]", "r_inner_levels"),
+            ("bilinear", "horizons=[]", "horizons"),
+            ("bilinear", "pairs=0", "pairs"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_the_key(self, experiment, setting, key, capsys):
+        assert main([experiment, "--set", setting]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
+        assert "Traceback" not in err
+
     def test_missing_config_file_exits_4(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert main(["beta-integral", "--config", str(missing)]) == 4

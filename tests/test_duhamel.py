@@ -36,13 +36,7 @@ from mildns import (
     realize_datum,
     volterra_nodes,
 )
-from mildns.duhamel import (
-    GRADED_GAUSS,
-    SPLIT_JACOBI,
-    TARGET_KATO,
-    TARGET_KATO_CROSS,
-    TARGET_SOBOLEV,
-)
+from mildns.duhamel import TARGET_KATO, TARGET_KATO_CROSS, TARGET_SOBOLEV
 
 
 def manufactured_integral(gamma, theta, t):
@@ -73,15 +67,11 @@ class TestQuadratureSpec:
         with pytest.raises(ConfigError, match="not < 1"):
             QuadratureSpec(node_count=16, **bad)
 
-    def test_unknown_rule(self):
-        with pytest.raises(ConfigError, match="unknown quadrature rule"):
-            QuadratureSpec(node_count=16, rule="trapezoid")
-
     def test_doubled(self):
         spec = QuadratureSpec(node_count=16, gamma=0.5, theta=0.25)
         twice = spec.doubled()
         assert twice.node_count == 32
-        assert (twice.gamma, twice.theta, twice.rule) == (0.5, 0.25, spec.rule)
+        assert (twice.gamma, twice.theta) == (0.5, 0.25)
 
 
 class TestVolterraNodes:

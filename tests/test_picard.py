@@ -32,13 +32,19 @@ from mildns import (
     VectorField,
     WindowError,
     abstract_fixed_point,
+    bilinear_estimate_report,
+    bilinear_trajectory,
     build_exponent_book,
     calibrate_thresholds,
     fluctuation_analysis,
+    heat_flow,
+    heat_trajectory,
     kato_norm,
+    lebesgue_norm,
     load_calibration,
     load_field,
     make_lattice,
+    quadratic_mesh,
     realize_datum,
     regularity_ladder,
     save_solution,
@@ -46,7 +52,13 @@ from mildns import (
     solve_mild,
 )
 from mildns.lattice import PHYSICAL
-from mildns.picard import SMALLNESS_BESOV, SMALLNESS_CRITICAL, SMALLNESS_KATO
+from mildns.norms import besov_grid, heat_sup
+from mildns.picard import (
+    SMALLNESS_BESOV,
+    SMALLNESS_CRITICAL,
+    SMALLNESS_KATO,
+    _heat_window_grid,
+)
 
 ROOT = (np.sqrt(2.0) - 1.0) / 2.0
 
@@ -177,6 +189,51 @@ class TestSmallness:
         assert small.satisfied is True
         big = smallness_lhs(divfree_datum(lat, seed=7, amplitude=500.0), 1.0, book2)
         assert big.satisfied is False
+
+
+class TestSharedSupPrimitives:
+    """The shared heat sup and weighted values reproduce the explicit
+    per-node loops they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("grid_name", ["window", "besov"])
+    def test_heat_sup_matches_the_explicit_loop(self, grid_name, divfree_datum):
+        lat = make_lattice(2, 16, 4.0 * np.pi)
+        book = build_exponent_book(2, 2.0, 0.0, 4.0)
+        u0 = divfree_datum(lat, seed=8)
+        if grid_name == "window":
+            grid = _heat_window_grid(u0, 1.0)
+            variant, key = SMALLNESS_KATO, "sup_value"
+        else:
+            grid = besov_grid(lat)
+            variant, key = SMALLNESS_BESOV, "besov_value"
+        w = book.alpha / 2.0
+        explicit = np.array(
+            [t**w * lebesgue_norm(heat_flow(u0, float(t)), book.q_tilde) for t in grid]
+        )
+        report = heat_sup(u0, grid, w, book.q_tilde)
+        npt.assert_array_equal(report.values, explicit)
+        assert report.value == explicit.max()
+        assert report.argmax_t == grid[int(np.argmax(explicit))]
+        assert smallness_lhs(u0, 1.0, book, variant).detail[key] == explicit.max()
+        assert "values" not in report.to_dict()
+
+    def test_bilinear_weighted_values_match_the_explicit_loop(self, divfree_datum):
+        lat = make_lattice(2, 16, 4.0 * np.pi)
+        book = build_exponent_book(2, 2.0, 0.0, 4.0)
+        mesh = quadratic_mesh(1.0, 6)
+        u = heat_trajectory(divfree_datum(lat, seed=9), mesh)
+        v = heat_trajectory(divfree_datum(lat, seed=10), mesh)
+        quad = fast_quad(book)
+        report = bilinear_estimate_report(u, v, book, quad=quad, refine=False)
+        b = bilinear_trajectory(u, v, quad)
+        explicit = np.array(
+            [
+                t ** (book.alpha / 2.0) * lebesgue_norm(f, book.q_tilde)
+                for t, f in zip(b.times, b.fields)
+            ]
+        )
+        npt.assert_array_equal(report.weighted_values, explicit)
+        assert report.output_norm == explicit.max()
 
 
 class TestCalibration:
