@@ -3,9 +3,16 @@ modules, each producing a deterministic CSV table plus a JSON manifest.
 
 Every experiment has a bundled default config (a flat JSON-compatible
 dict; nested dicts only for datum descriptions). run() overlays the
-user config onto the defaults, rejects unknown keys, validates and
-constructs every object before any heavy computation, and only writes
-output files after the experiment finished. Identical config and seed
+user config onto the defaults. Before any runner starts, the merge
+refuses, naming the key: a key the defaults lack; a datum section (a
+dict default or an item of a list of them) that is not an object, has
+no kind or has a key that is not a DatumSpec field; and an empty or
+non-list value where the default is a non-empty list. Ranges and
+cross-key conditions are checked by the runners and by the objects
+they build; the cheap ones (counts, heat-decay times, power-law
+levels) at the top of the runner, the rest where they are first used,
+so some fail only after calibration. Output files are only written
+after the experiment finished. Identical config and seed
 give byte-identical CSV output: floats are serialized at 17 significant
 digits and manifests carry no volatile fields (no timestamps, no paths
 that did not come from the config).
@@ -14,7 +21,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -117,20 +124,39 @@ class ResultTable:
 # Config plumbing
 
 
-def _merge_config(defaults: dict, overrides: dict, context: str) -> dict:
+_DATUM_KEYS = {f.name for f in dc_fields(DatumSpec)}
+
+
+def _merge_config(defaults: dict, overrides: dict, context: str, valid=None) -> dict:
+    valid = defaults if valid is None else valid
     merged = copy.deepcopy(defaults)
     for key, value in overrides.items():
-        if key in ("experiment", "out_dir"):
-            continue
-        if key not in defaults:
+        if key not in valid:
             raise ConfigError(
                 f"unknown config key {context}{key!r}; valid keys: "
-                f"{', '.join(sorted(defaults))}"
+                f"{', '.join(sorted(valid))}"
             )
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
-            merged[key] = _merge_config(defaults[key], value, f"{context}{key}.")
-        else:
-            merged[key] = copy.deepcopy(value)
+        default = defaults.get(key)
+        if isinstance(default, dict):
+            value = _datum_section(default, value, f"{context}{key}")
+        elif isinstance(default, list) and default:
+            if not (isinstance(value, list) and value):
+                raise ConfigError(
+                    f"config key {context}{key!r} must be a non-empty list, got {value!r}"
+                )
+            if isinstance(default[0], dict):
+                value = [_datum_section({}, v, f"{context}{key}[{i}]") for i, v in enumerate(value)]
+        merged[key] = copy.deepcopy(value)
+    return merged
+
+
+def _datum_section(defaults: dict, value, context: str) -> dict:
+    """Overlay one datum section; its keys are DatumSpec's fields."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key {context!r} must be a datum object, got {value!r}")
+    merged = _merge_config(defaults, value, f"{context}.", _DATUM_KEYS)
+    if "kind" not in merged:
+        raise ConfigError(f"config key {context!r} needs a datum 'kind'")
     return merged
 
 
@@ -154,18 +180,66 @@ def _scaled_datum(cfg: dict, lattice, book) -> VectorField:
     Kato-window smallness lhs equals scale_to_delta_fraction * delta
     (all smallness forms are homogeneous of degree one in the datum)."""
     spec = _datum_from_config(cfg["datum"])
+    u0 = realize_datum(spec, lattice)
     fraction = cfg.get("scale_to_delta_fraction")
     if fraction is None:
-        return realize_datum(spec, lattice)
+        return u0
     if not (fraction > 0):
         raise ConfigError(f"scale_to_delta_fraction must be positive, got {fraction}")
-    probe = realize_datum(spec, lattice)
-    lhs = smallness_lhs(probe, cfg["horizon"], book, SMALLNESS_KATO).lhs
+    lhs = smallness_lhs(u0, cfg["horizon"], book, SMALLNESS_KATO).lhs
     if lhs <= 0:
         raise ConfigError("cannot rescale a datum whose smallness lhs is zero")
     target = fraction * book.delta
-    scaled = DatumSpec(**{**cfg["datum"], "amplitude": spec.amplitude * target / lhs})
-    return realize_datum(scaled, lattice)
+    scaled = {**cfg["datum"], "amplitude": spec.amplitude * target / lhs}
+    return realize_datum(_datum_from_config(scaled), lattice)
+
+
+def _band_datum(seed: int, k_max=4, k_min=1) -> dict:
+    """Config section of a divergence-free random band-limited datum."""
+    return dict(kind="random_band", seed=seed, k_min=k_min, k_max=k_max, divergence_free=True)
+
+
+def _solve(cfg: dict, book, lat, mesh_nodes: int):
+    """Realize the configured datum and run the Picard construction on
+    mesh_nodes nodes; returns (u0, solution)."""
+    u0 = _scaled_datum(cfg, lat, book)
+    quad = QuadratureSpec(cfg["quad_nodes"], book.gamma_kato, book.alpha)
+    solution = solve_mild(
+        u0,
+        cfg["horizon"],
+        book,
+        mesh_nodes=mesh_nodes,
+        quad=quad,
+        tol=cfg["tol"],
+        max_iter=cfg["max_iter"],
+        override_smallness=cfg.get("override_smallness", False),
+    )
+    return u0, solution
+
+
+def _mesh_doubling(cfg: dict, analyse):
+    """Solve at mesh_nodes and 2 * mesh_nodes, apply analyse(solution, u0)
+    to each; return both reports, the relative change of each sup, the
+    shared summary and the calibration digest."""
+    book = _calibrated_book(cfg)
+    lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
+    reports, iterations = [], []
+    for mesh_nodes in (cfg["mesh_nodes"], 2 * cfg["mesh_nodes"]):
+        u0, solution = _solve(cfg, book, lat, mesh_nodes)
+        reports.append(analyse(solution, u0))
+        iterations.append(solution.trace.iterations)
+    coarse, fine = reports
+    changes = [
+        abs(b - a) / max(a, b) if max(a, b) > 0 else 0.0
+        for a, b in zip(coarse.sups, fine.sups)
+    ]
+    summary = {
+        "max_rel_change": max(changes),
+        "iterations_coarse": iterations[0],
+        "iterations_fine": iterations[1],
+        "all_finite": all(np.isfinite(coarse.sups)) and all(np.isfinite(fine.sups)),
+    }
+    return coarse, fine, changes, summary, book.calibration_digest
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +302,10 @@ def _run_kernel_decay(cfg):
 
 
 def _run_beta_integral(cfg):
+    if not (isinstance(cfg["grid_points"], int) and cfg["grid_points"] >= 1):
+        raise ConfigError(
+            f"grid_points must be an integer >= 1, got {cfg['grid_points']!r}"
+        )
     gammas = np.linspace(cfg["gamma_min"], cfg["gamma_max"], cfg["grid_points"])
     thetas = np.linspace(cfg["theta_min"], cfg["theta_max"], cfg["grid_points"])
     t = float(cfg["t"])
@@ -248,6 +326,12 @@ def _run_beta_integral(cfg):
 
 
 def _run_heat_decay(cfg):
+    if not (cfg["t_min"] > 0):
+        raise ConfigError(f"t_min must be positive, got {cfg['t_min']!r}")
+    if not (cfg["t_max"] > cfg["t_min"]):
+        raise ConfigError(f"t_max must exceed t_min, got {cfg['t_max']!r}")
+    if not (cfg["per_octave"] > 0):
+        raise ConfigError(f"per_octave must be positive, got {cfg['per_octave']!r}")
     lat = make_lattice(cfg["d"], cfg["resolution"], cfg["box_len"])
     if cfg["box_len"] ** 2 < 100.0 * cfg["t_max"]:
         raise ConfigError(
@@ -298,15 +382,7 @@ def _run_besov_equiv(cfg):
     )
     beta = -s_b / 2.0
     closed = (beta / (math.e * mode_sq)) ** beta * lebesgue_norm(u0, q)
-    rescaled = realize_datum(
-        DatumSpec(
-            kind="single_mode",
-            mode=spec.mode,
-            amplitude=cfg["amplitude"] * cfg["rescale"],
-            divergence_free=True,
-        ),
-        lat,
-    )
+    rescaled = realize_datum(replace(spec, amplitude=cfg["amplitude"] * cfg["rescale"]), lat)
     report_scaled = besov_norm_heat(rescaled, s_b, q)
 
     grid = besov_grid(lat)
@@ -364,8 +440,6 @@ def _run_embedding(cfg):
 def _run_bilinear(cfg):
     if not (isinstance(cfg["pairs"], int) and cfg["pairs"] >= 1):
         raise ConfigError(f"pairs must be an integer >= 1, got {cfg['pairs']!r}")
-    if not cfg["horizons"]:
-        raise ConfigError("horizons must list at least one horizon")
     book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
     lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
     gamma_for = {TARGET_KATO: book.gamma_kato, TARGET_SOBOLEV: book.gamma_sobolev}
@@ -375,29 +449,13 @@ def _run_bilinear(cfg):
             raise ConfigError(
                 f"unknown bilinear target {target!r}; valid: {sorted(gamma_for)}"
             )
+
+    def band(seed):
+        spec = _datum_from_config(_band_datum(seed, cfg["k_max"], cfg["k_min"]))
+        return realize_datum(spec, lat)
+
     pair_data = [
-        (
-            realize_datum(
-                DatumSpec(
-                    kind="random_band",
-                    seed=cfg["seed"] + 2 * i,
-                    k_min=cfg["k_min"],
-                    k_max=cfg["k_max"],
-                    divergence_free=True,
-                ),
-                lat,
-            ),
-            realize_datum(
-                DatumSpec(
-                    kind="random_band",
-                    seed=cfg["seed"] + 2 * i + 1,
-                    k_min=cfg["k_min"],
-                    k_max=cfg["k_max"],
-                    divergence_free=True,
-                ),
-                lat,
-            ),
-        )
+        (band(cfg["seed"] + 2 * i), band(cfg["seed"] + 2 * i + 1))
         for i in range(cfg["pairs"])
     ]
 
@@ -524,18 +582,7 @@ def _tg_closed_form_error(solution, u0) -> float:
 def _run_solve(cfg):
     book = _calibrated_book(cfg)
     lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
-    u0 = _scaled_datum(cfg, lat, book)
-    quad = QuadratureSpec(cfg["quad_nodes"], book.gamma_kato, book.alpha)
-    solution = solve_mild(
-        u0,
-        cfg["horizon"],
-        book,
-        mesh_nodes=cfg["mesh_nodes"],
-        quad=quad,
-        tol=cfg["tol"],
-        max_iter=cfg["max_iter"],
-        override_smallness=cfg["override_smallness"],
-    )
+    u0, solution = _solve(cfg, book, lat, cfg["mesh_nodes"])
     columns = ["t", "kato_weighted_norm", "divergence_defect"]
     kato = kato_norm(solution.trajectory, book.q, book.q_tilde)
     rows = [
@@ -566,69 +613,32 @@ def _run_solve(cfg):
     return columns, rows, summary, book.calibration_digest
 
 
-def _solve_for_analysis(cfg, book, lat, mesh_nodes):
-    u0 = _scaled_datum(cfg, lat, book)
-    quad = QuadratureSpec(cfg["quad_nodes"], book.gamma_kato, book.alpha)
-    solution = solve_mild(
-        u0,
-        cfg["horizon"],
-        book,
-        mesh_nodes=mesh_nodes,
-        quad=quad,
-        tol=cfg["tol"],
-        max_iter=cfg["max_iter"],
-    )
-    return u0, solution
-
-
 def _run_ladder(cfg):
-    book = _calibrated_book(cfg)
-    lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
-    _, coarse = _solve_for_analysis(cfg, book, lat, cfg["mesh_nodes"])
-    _, fine = _solve_for_analysis(cfg, book, lat, 2 * cfg["mesh_nodes"])
-    table_c = regularity_ladder(coarse, cfg["r_values"])
-    table_f = regularity_ladder(fine, cfg["r_values"])
+    coarse, fine, changes, summary, digest = _mesh_doubling(
+        cfg, lambda solution, _u0: regularity_ladder(solution, cfg["r_values"])
+    )
     columns = ["r", "weight", "sup_coarse", "sup_fine", "rel_change", "early_ok"]
-    rows = []
-    worst = 0.0
-    for i, r in enumerate(table_c.r_values):
-        a, b = table_c.sups[i], table_f.sups[i]
-        change = abs(b - a) / max(a, b) if max(a, b) > 0 else 0.0
-        worst = max(worst, change)
-        rows.append(
-            [float(r), table_c.weights[i], a, b, change, table_c.early_ok[i]]
+    rows = [
+        [float(r), weight, a, b, change, early]
+        for r, weight, a, b, change, early in zip(
+            coarse.r_values, coarse.weights, coarse.sups, fine.sups, changes, coarse.early_ok
         )
-    summary = {
-        "max_rel_change": worst,
-        "iterations_coarse": coarse.trace.iterations,
-        "iterations_fine": fine.trace.iterations,
-        "all_finite": all(np.isfinite(table_c.sups)) and all(np.isfinite(table_f.sups)),
-    }
-    return columns, rows, summary, book.calibration_digest
+    ]
+    return columns, rows, summary, digest
 
 
 def _run_fluctuation(cfg):
-    book = _calibrated_book(cfg)
-    lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
-    u0_c, coarse = _solve_for_analysis(cfg, book, lat, cfg["mesh_nodes"])
-    u0_f, fine = _solve_for_analysis(cfg, book, lat, 2 * cfg["mesh_nodes"])
-    table_c = fluctuation_analysis(coarse, u0_c, cfg["p_tilde_values"])
-    table_f = fluctuation_analysis(fine, u0_f, cfg["p_tilde_values"])
+    coarse, fine, changes, summary, digest = _mesh_doubling(
+        cfg, lambda solution, u0: fluctuation_analysis(solution, u0, cfg["p_tilde_values"])
+    )
     columns = ["p_tilde", "smoothness", "sup_coarse", "sup_fine", "rel_change"]
-    rows = []
-    worst = 0.0
-    for i, pt in enumerate(table_c.p_tilde_values):
-        a, b = table_c.sups[i], table_f.sups[i]
-        change = abs(b - a) / max(a, b) if max(a, b) > 0 else 0.0
-        worst = max(worst, change)
-        rows.append([float(pt), table_c.smoothness[i], a, b, change])
-    summary = {
-        "max_rel_change": worst,
-        "iterations_coarse": coarse.trace.iterations,
-        "iterations_fine": fine.trace.iterations,
-        "all_finite": all(np.isfinite(table_c.sups)) and all(np.isfinite(table_f.sups)),
-    }
-    return columns, rows, summary, book.calibration_digest
+    rows = [
+        [float(pt), smoothness, a, b, change]
+        for pt, smoothness, a, b, change in zip(
+            coarse.p_tilde_values, coarse.smoothness, coarse.sups, fine.sups, changes
+        )
+    ]
+    return columns, rows, summary, digest
 
 
 def _run_scaling(cfg):
@@ -758,6 +768,20 @@ class ExperimentDef:
 
 
 _BOOK_DEFAULTS = {"d": 2, "p": 2.0, "s": 0.0, "q_tilde": 4.0}
+_CALIBRATION_DEFAULTS = {"corpus_seed": 11, "calibration_path": None}
+# shared by the mesh-doubling experiments (ladder, fluctuation)
+_ANALYSIS_DEFAULTS = {
+    **_BOOK_DEFAULTS,
+    "n": 32,
+    "box_len": TWO_PI,
+    "horizon": 0.25,
+    "mesh_nodes": 16,
+    "quad_nodes": 16,
+    "tol": 1e-9,
+    "max_iter": 100,
+    "scale_to_delta_fraction": 0.5,
+    **_CALIBRATION_DEFAULTS,
+}
 
 EXPERIMENTS = {
     "kernel-decay": ExperimentDef(
@@ -863,18 +887,11 @@ EXPERIMENTS = {
             "n": 32,
             "box_len": TWO_PI,
             "horizon": 0.25,
-            "corpus_seed": 11,
-            "calibration_path": None,
+            **_CALIBRATION_DEFAULTS,
             "data": [
                 {"kind": "gaussian", "width": 0.1},
                 {"kind": "taylor_green"},
-                {
-                    "kind": "random_band",
-                    "seed": 5,
-                    "k_min": 1,
-                    "k_max": 4,
-                    "divergence_free": True,
-                },
+                _band_datum(5),
             ],
         },
         _run_smallness,
@@ -893,60 +910,19 @@ EXPERIMENTS = {
             "datum": {"kind": "taylor_green", "amplitude": 1.0, "mode": [2, 2]},
             "override_smallness": True,
             "scale_to_delta_fraction": None,
-            "corpus_seed": 11,
-            "calibration_path": None,
+            **_CALIBRATION_DEFAULTS,
             "save_fields": False,
         },
         _run_solve,
     ),
     "ladder": ExperimentDef(
         "weighted higher-integrability ladder of a converged solution",
-        {
-            **_BOOK_DEFAULTS,
-            "n": 32,
-            "box_len": TWO_PI,
-            "horizon": 0.25,
-            "mesh_nodes": 16,
-            "quad_nodes": 16,
-            "tol": 1e-9,
-            "max_iter": 100,
-            "datum": {
-                "kind": "random_band",
-                "seed": 41,
-                "k_min": 1,
-                "k_max": 4,
-                "divergence_free": True,
-            },
-            "scale_to_delta_fraction": 0.5,
-            "r_values": [4.0, 6.0, 8.0],
-            "corpus_seed": 11,
-            "calibration_path": None,
-        },
+        {**_ANALYSIS_DEFAULTS, "datum": _band_datum(41), "r_values": [4.0, 6.0, 8.0]},
         _run_ladder,
     ),
     "fluctuation": ExperimentDef(
         "heat-fluctuation norms of a critical solution",
-        {
-            **_BOOK_DEFAULTS,
-            "n": 32,
-            "box_len": TWO_PI,
-            "horizon": 0.25,
-            "mesh_nodes": 16,
-            "quad_nodes": 16,
-            "tol": 1e-9,
-            "max_iter": 100,
-            "datum": {
-                "kind": "random_band",
-                "seed": 43,
-                "k_min": 1,
-                "k_max": 4,
-                "divergence_free": True,
-            },
-            "scale_to_delta_fraction": 0.5,
-            "p_tilde_values": [2.0, 3.0],
-            "corpus_seed": 11,
-            "calibration_path": None,
-        },
+        {**_ANALYSIS_DEFAULTS, "datum": _band_datum(43), "p_tilde_values": [2.0, 3.0]},
         _run_fluctuation,
     ),
     "scaling": ExperimentDef(
@@ -957,13 +933,7 @@ EXPERIMENTS = {
             "box_len": TWO_PI,
             "horizon": 0.25,
             "lam": 2.0,
-            "datum": {
-                "kind": "random_band",
-                "seed": 47,
-                "k_min": 1,
-                "k_max": 8,
-                "divergence_free": True,
-            },
+            "datum": _band_datum(47, k_max=8),
         },
         _run_scaling,
     ),
@@ -1033,7 +1003,8 @@ def run(config: dict) -> ResultTable:
             f"unknown experiment {exp_id!r}; valid ids: {', '.join(sorted(EXPERIMENTS))}"
         )
     exp = EXPERIMENTS[exp_id]
-    cfg = _merge_config(exp.defaults, config, "")
+    overrides = {k: v for k, v in config.items() if k not in ("experiment", "out_dir")}
+    cfg = _merge_config(exp.defaults, overrides, "")
     cfg["experiment"] = exp_id
     out_dir = config.get("out_dir")
     if out_dir is not None:

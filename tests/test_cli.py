@@ -159,6 +159,19 @@ class TestExitCodes:
             ("powerlaw", "r_inner_levels=[0.5]", "r_inner_levels"),
             ("bilinear", "horizons=[]", "horizons"),
             ("bilinear", "pairs=0", "pairs"),
+            ("bilinear", "targets=[]", "targets"),
+            ("smallness", 'data=[{"kind":"gaussian","widht":0.1}]', "widht"),
+            ("smallness", 'data=[{"width":0.1}]', "data[0]"),
+            ("smallness", "data=[]", "data"),
+            ("solve", "datum=5", "datum"),
+            ("solve", "datum.mode=[]", "mode"),
+            ("ladder", "r_values=[]", "r_values"),
+            ("fluctuation", "p_tilde_values=[]", "p_tilde_values"),
+            ("kernel-decay", "s_values=[]", "s_values"),
+            ("heat-decay", "t_min=0", "t_min"),
+            ("heat-decay", "per_octave=0", "per_octave"),
+            ("heat-decay", "t_max=2", "t_max"),
+            ("beta-integral", "grid_points=0", "grid_points"),
         ],
     )
     def test_bad_value_exits_2_naming_the_key(self, experiment, setting, key, capsys):

@@ -105,6 +105,19 @@ class TestConfigMerging:
         assert table.summary["grid_points"] == 9
         assert len(table.rows) == 9
 
+    @pytest.mark.parametrize(
+        "exp_id, key",
+        [
+            (exp_id, key)
+            for exp_id in ALL_IDS
+            for key, value in default_config(exp_id).items()
+            if isinstance(value, list) and value
+        ],
+    )
+    def test_empty_list_is_refused_naming_the_key(self, exp_id, key):
+        with pytest.raises(ConfigError, match=f"'{key}' must be a non-empty list"):
+            run({"experiment": exp_id, key: []})
+
 
 @pytest.mark.parametrize("exp_id", ALL_IDS)
 def test_smoke_run(exp_id, calibration_file):
@@ -132,6 +145,21 @@ class TestKnownSummaries:
     def test_scaling_invariance_is_exact(self):
         table = run({"experiment": "scaling", "n": 32})
         assert table.summary["rel_difference"] < 1e-12
+
+    def test_solve_takes_a_random_band_datum(self, calibration_file):
+        cfg = smoke_config("solve", calibration_file)
+        cfg["datum"] = {
+            "kind": "random_band",
+            "seed": 1,
+            "k_min": 1,
+            "k_max": 4,
+            "divergence_free": True,
+        }
+        cfg["scale_to_delta_fraction"] = 0.5
+        table = run(cfg)
+        assert table.summary["converged"] is True
+        assert table.summary["smallness_satisfied"] is True
+        assert "closed_form_max_rel_err" not in table.summary
 
     def test_solve_reports_calibration_digest(self, calibration_file):
         table = run(smoke_config("solve", calibration_file))
