@@ -17,10 +17,23 @@ Gauss-Jacobi weights on each half, which integrates the pure algebraic
 endpoint factors to near machine precision for every admissible exponent
 pair; the graded Gauss-Legendre rule keeps an observed order well above
 the contracted 1.5 but is not spectrally accurate for fractional theta.
+
+Fused evaluation of B at one output time t: the Q node products
+u(tau_q) x v(tau_q) are formed from the interpolated factors in chunks of
+at most _CHUNK_BYTES (256 KB) of spectral coefficients, each chunk is
+transformed by one fftn over its spatial axes and contracted with the
+real kernel w_q exp(-|k|^2 gap_q), and P div and the inverse transform
+act once on the summed (d, d) coefficients. For B(u, u), the case of
+every Picard step, only the products i <= j are formed. The factors still
+come from one Trajectory.value_at call per factor and node, so the
+frozen value below the first mesh node and the exact-node shortcut are
+the trajectory's own. The sums are re-associated against a per-node
+projection, so B moves at round-off, not bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -61,6 +74,14 @@ class QuadratureSpec:
         return QuadratureSpec(2 * self.node_count, self.gamma, self.theta)
 
 
+@lru_cache(maxsize=None)
+def _legendre(m: int):
+    """Gauss-Legendre roots and weights on [-1, 1], read-only."""
+    x, w = roots_legendre(m)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def volterra_nodes(spec: QuadratureSpec, t: float):
     """Nodes, endpoint gaps, and weights for integral_0^t f(tau) d tau with
     f carrying tau^(-theta) and (t - tau)^(-gamma) endpoint behavior.
@@ -75,7 +96,7 @@ def volterra_nodes(spec: QuadratureSpec, t: float):
     if not (t > 0):
         raise ConfigError(f"quadrature interval needs t > 0, got {t}")
     m = spec.node_count // 2
-    x, w = roots_legendre(m)
+    x, w = _legendre(m)
     sigma = 0.5 * (x + 1.0)
     w_sigma = 0.5 * w
     c = 0.5 * t
@@ -144,6 +165,12 @@ def beta_integral(gamma: float, theta: float, t: float, method: str = "closed-fo
 # The bilinear term
 
 
+# Cap on the spectral coefficients of the node products transformed in one
+# batch. A larger cap only holds more at once: at d=2, n=32, M=Q=16 a
+# 32 MB cap raised a solve's peak memory by 1.7 MB and was no faster.
+_CHUNK_BYTES = 256 * 1024
+
+
 def _check_pair(u_traj: Trajectory, v_traj: Trajectory):
     if u_traj.lattice != v_traj.lattice or not np.array_equal(u_traj.times, v_traj.times):
         raise DataError("bilinear term requires trajectories on one lattice and mesh")
@@ -157,24 +184,52 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     data). Trajectory values at quadrature abscissae between nodes use the
     power-consistent two-point interpolation with exponent -theta/2 per
     factor (theta is the product's weight exponent).
+
+    P div and the inverse transform are linear, so they act once, on
+    sum_q w_q exp(-|k|^2 gap_q) F[u(tau_q) x v(tau_q)], not once per node.
+    The node products are transformed in chunks of at most _CHUNK_BYTES of
+    coefficients, one fftn per chunk. When u_traj is v_traj only the
+    products i <= j are formed; u_i * u_j == u_j * u_i in IEEE arithmetic,
+    so the shortcut is exact. value_at is still called for both factors at
+    every node: the interpolation (the frozen value below the first mesh
+    node, the exact-node shortcut) stays the trajectory's own, and the
+    call count is what span tracing of a solve expects.
     """
     _check_pair(u_traj, v_traj)
     u_traj.node_index(t)  # raises MeshError when t is off the mesh
     lat = u_traj.lattice
+    d = lat.d
     interp_power = -0.5 * quad.theta
     taus, gaps, weights = volterra_nodes(quad, t)
-    norm_factor = float(lat.n**lat.d)
 
-    acc = np.zeros((lat.d,) + lat.spatial_shape, dtype=np.complex128)
-    for tau, gap, weight in zip(taus, gaps, weights):
-        u_m = u_traj.value_at(tau, interp_power).data
-        v_m = v_traj.value_at(tau, interp_power).data
-        tensor = np.einsum("i...,j...->ij...", u_m, v_m)
-        coeff = np.fft.fftn(tensor, axes=tuple(range(2, 2 + lat.d))) / norm_factor
-        w = _project_div_spectral(coeff, lat)
-        w *= np.exp(-lat.ksq * gap)
-        acc += weight * w
-    return to_physical(VectorField(lat, acc, SPECTRAL))
+    if u_traj is v_traj:
+        rows, cols = np.triu_indices(d)
+    else:
+        rows, cols = np.indices((d, d)).reshape(2, -1)
+    pair_of = np.empty((d, d), dtype=int)  # tensor entry (i, j) -> product row
+    pair_of[cols, rows] = np.arange(rows.size)  # the mirror, when u is v
+    pair_of[rows, cols] = np.arange(rows.size)
+    node_bytes = rows.size * lat.n**d * np.dtype(np.complex128).itemsize
+    chunk = max(1, _CHUNK_BYTES // node_bytes)
+    spatial = tuple(range(2, 2 + d))
+    node_axis = (-1,) + (1,) * d
+
+    acc = np.zeros((rows.size,) + lat.spatial_shape, dtype=np.complex128)
+    for start in range(0, taus.size, chunk):
+        nodes = slice(start, start + chunk)
+        products = np.array([
+            u_traj.value_at(tau, interp_power).data[rows]
+            * v_traj.value_at(tau, interp_power).data[cols]
+            for tau in taus[nodes]
+        ])
+        coeff = np.fft.fftn(products, axes=spatial)
+        kernel = weights[nodes].reshape(node_axis) * np.exp(
+            -lat.ksq * gaps[nodes].reshape(node_axis))
+        coeff *= kernel[:, None]
+        acc += coeff.sum(axis=0)
+    acc /= float(lat.n**d)
+    w = _project_div_spectral(acc[pair_of], lat)
+    return to_physical(VectorField(lat, w, SPECTRAL))
 
 
 def bilinear_trajectory(u_traj: Trajectory, v_traj: Trajectory,

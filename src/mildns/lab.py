@@ -4,8 +4,9 @@ modules, each producing a deterministic CSV table plus a JSON manifest.
 Every experiment has a bundled default config (a flat JSON-compatible
 dict; nested dicts only for datum descriptions). run() overlays the
 user config onto the defaults. Before any runner starts, the merge
-refuses, naming the key: a key the defaults lack; a datum section (a
-dict default or an item of a list of them) that is not an object, has
+refuses, naming the key: a key the defaults lack; a value that is not a
+number (or is a boolean) where the default is a number; a datum section
+(a dict default or an item of a list of them) that is not an object, has
 no kind or has a key that is not a DatumSpec field; and an empty or
 non-list value where the default is a non-empty list. Ranges and
 cross-key conditions are checked by the runners and by the objects
@@ -137,6 +138,8 @@ def _merge_config(defaults: dict, overrides: dict, context: str, valid=None) -> 
                 f"{', '.join(sorted(valid))}"
             )
         default = defaults.get(key)
+        if _is_number(default) and not _is_number(value):
+            raise ConfigError(f"config key {context}{key!r} must be a number, got {value!r}")
         if isinstance(default, dict):
             value = _datum_section(default, value, f"{context}{key}")
         elif isinstance(default, list) and default:
@@ -148,6 +151,10 @@ def _merge_config(defaults: dict, overrides: dict, context: str, valid=None) -> 
                 value = [_datum_section({}, v, f"{context}{key}[{i}]") for i, v in enumerate(value)]
         merged[key] = copy.deepcopy(value)
     return merged
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _datum_section(defaults: dict, value, context: str) -> dict:
@@ -247,7 +254,21 @@ def _mesh_doubling(cfg: dict, analyse):
 
 
 def _run_kernel_decay(cfg):
-    radii = np.geomspace(cfg["radius_min"], cfg["radius_max"], cfg["radius_count"])
+    count = cfg["radius_count"]
+    if not (isinstance(count, int) and count >= 1):
+        raise ConfigError(f"radius_count must be an integer >= 1, got {count!r}")
+    if not (0 < cfg["radius_min"] < cfg["radius_max"]):
+        raise ConfigError(
+            "radius_min and radius_max must satisfy 0 < radius_min < radius_max, got "
+            f"{cfg['radius_min']!r} and {cfg['radius_max']!r}"
+        )
+    radii = np.geomspace(cfg["radius_min"], cfg["radius_max"], count)
+    in_tail = int(np.count_nonzero((radii >= cfg["tail_lo"]) & (radii <= cfg["tail_hi"])))
+    if in_tail < 2:
+        raise ConfigError(
+            f"radius_count={count} puts {in_tail} radii inside [tail_lo, tail_hi] = "
+            f"[{cfg['tail_lo']}, {cfg['tail_hi']}]; the tail slope needs at least two"
+        )
     factor_t = float(cfg["selfsim_factor"])
     if factor_t <= 1:
         raise ConfigError(f"selfsim_factor must exceed 1, got {factor_t}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,6 +53,8 @@ class Lattice:
         Leray projection) contract against these instead.
     ksq : |k|^2 on the full grid
     kmag : |k| on the full grid
+    safe_ksq_deriv : |k|^2 from k_deriv with zeros replaced by 1, built on
+        first use and read-only
     """
 
     def __init__(self, d: int, n: int, box_len: float):
@@ -82,6 +85,20 @@ class Lattice:
         self.kmag = np.sqrt(self.ksq)
         coords = self.spacing * np.arange(self.n)
         self.x_axes = [coords.reshape(ka.shape) for ka in self.k_axes]
+
+    @cached_property
+    def safe_ksq_deriv(self) -> np.ndarray:
+        """|k|^2 built from the derivative wavenumbers, with zeros replaced by 1.
+
+        Zeros occur exactly where every component of k_deriv vanishes (the
+        mean and the pure-Nyquist corners); there the numerators vanish too,
+        so the substitute value never leaks into a result. Lazy, so a
+        lattice that never projects does not hold it.
+        """
+        ksq = sum(kd**2 for kd in self.k_deriv)
+        safe = np.where(ksq == 0.0, 1.0, ksq)
+        safe.flags.writeable = False
+        return safe
 
     @property
     def spatial_shape(self):

@@ -41,17 +41,6 @@ def _apply_multiplier(field: Field, multiplier: np.ndarray) -> Field:
     return to_physical(out) if field.representation == PHYSICAL else out
 
 
-def _safe_ksq_deriv(lattice: Lattice) -> np.ndarray:
-    """|k|^2 built from the derivative wavenumbers, with zeros replaced by 1.
-
-    Zeros occur exactly where every component of k_deriv vanishes (the mean
-    and the pure-Nyquist corners); there the numerators vanish too, so the
-    substitute value never leaks into a result.
-    """
-    ksq = sum(kd**2 for kd in lattice.k_deriv)
-    return np.where(ksq == 0.0, 1.0, ksq)
-
-
 def _divergence_spectral(tensor_coeff: np.ndarray, lat: Lattice) -> np.ndarray:
     """Vector coefficients sum_j i k_j T_ij of div T, as a new array."""
     out = np.empty((lat.d,) + lat.spatial_shape, dtype=np.complex128)
@@ -62,7 +51,7 @@ def _divergence_spectral(tensor_coeff: np.ndarray, lat: Lattice) -> np.ndarray:
 
 def _leray_inplace(coeff: np.ndarray, lat: Lattice) -> np.ndarray:
     """Overwrite vector coefficients c with c - k (k . c) / |k|^2 and return them."""
-    k_dot_c = sum(lat.k_deriv[i] * coeff[i] for i in range(lat.d)) / _safe_ksq_deriv(lat)
+    k_dot_c = sum(lat.k_deriv[i] * coeff[i] for i in range(lat.d)) / lat.safe_ksq_deriv
     for i in range(lat.d):
         coeff[i] -= lat.k_deriv[i] * k_dot_c
     return coeff
@@ -246,7 +235,7 @@ def kernel_profile(
     lat = make_lattice(d, resolution, box_len)
 
     mult = _fractional_multiplier(lat, s) * np.exp(-lat.ksq * t)
-    ksq = _safe_ksq_deriv(lat)
+    ksq = lat.safe_ksq_deriv
     half = lat.n // 2
     ray = (slice(0, half),) + (0,) * (d - 1)
     ray_max = np.zeros(half)

@@ -172,6 +172,14 @@ class TestExitCodes:
             ("heat-decay", "per_octave=0", "per_octave"),
             ("heat-decay", "t_max=2", "t_max"),
             ("beta-integral", "grid_points=0", "grid_points"),
+            ("heat-decay", "t_min=abc", "t_min"),
+            ("bilinear", "pairs=true", "pairs"),
+            ("solve", "datum.amplitude=abc", "amplitude"),
+            ("kernel-decay", "radius_count=0", "radius_count"),
+            ("kernel-decay", "radius_count=-3", "radius_count"),
+            ("kernel-decay", "radius_count=2.5", "radius_count"),
+            ("kernel-decay", "radius_count=1", "radius_count"),
+            ("kernel-decay", "radius_min=0", "radius_min"),
         ],
     )
     def test_bad_value_exits_2_naming_the_key(self, experiment, setting, key, capsys):

@@ -11,6 +11,8 @@ below leave an order of magnitude of headroom.
 The bilinear term itself is checked against structure, not magnitude:
 Taylor-Green input annihilates it (the 2d nonlinearity is a pure
 gradient), its output is divergence-free, and it is linear in each slot.
+The fused evaluation is checked against the per-node loop it replaced
+(one projection per quadrature node), written out below.
 """
 
 import numpy as np
@@ -24,18 +26,26 @@ from mildns import (
     DatumSpec,
     MeshError,
     QuadratureSpec,
+    TensorField,
+    Trajectory,
+    VectorField,
     beta_integral,
     bilinear_B,
     bilinear_estimate_report,
     bilinear_trajectory,
     build_exponent_book,
     divergence_defect,
+    divergence_of_tensor,
     heat_trajectory,
+    leray_project,
     make_lattice,
     quadratic_mesh,
     realize_datum,
+    to_physical,
     volterra_nodes,
 )
+from mildns import duhamel
+from mildns.lattice import SPECTRAL
 from mildns.duhamel import TARGET_KATO, TARGET_KATO_CROSS, TARGET_SOBOLEV
 
 
@@ -202,6 +212,105 @@ class TestBilinearB:
         npt.assert_array_equal(traj.times, mesh)
         direct = bilinear_B(u, v, float(mesh[3]), quad)
         npt.assert_array_equal(traj.fields[3].data, direct.data)
+
+
+def per_node_B(u_traj, v_traj, t, quad):
+    """B(u, v)(t) with one transform and one P div per quadrature node."""
+    lat = u_traj.lattice
+    taus, gaps, weights = volterra_nodes(quad, t)
+    acc = np.zeros((lat.d,) + lat.spatial_shape, dtype=np.complex128)
+    for tau, gap, weight in zip(taus, gaps, weights):
+        u_m = u_traj.value_at(tau, -0.5 * quad.theta).data
+        v_m = v_traj.value_at(tau, -0.5 * quad.theta).data
+        tensor = np.einsum("i...,j...->ij...", u_m, v_m)
+        coeff = np.fft.fftn(tensor, axes=tuple(range(2, 2 + lat.d))) / lat.n**lat.d
+        w = leray_project(divergence_of_tensor(TensorField(lat, coeff, SPECTRAL))).data
+        acc += weight * (w * np.exp(-lat.ksq * gap))
+    return to_physical(VectorField(lat, acc, SPECTRAL)).data
+
+
+class TestFusedB:
+    """The fused evaluation against the per-node loop, to 1e-14 of max |B|."""
+
+    @staticmethod
+    def band_flows(d, n, mesh, seeds):
+        lat = make_lattice(d, n, 2.0 * np.pi)
+        return [
+            heat_trajectory(
+                realize_datum(DatumSpec(kind="random_band", seed=seed, k_min=1.0, k_max=3.0,
+                                        divergence_free=True), lat),
+                mesh,
+            )
+            for seed in seeds
+        ]
+
+    @staticmethod
+    def assert_matches_per_node(u, v, times, quad):
+        for t in times:
+            fused = bilinear_B(u, v, float(t), quad).data
+            reference = per_node_B(u, v, float(t), quad)
+            assert np.abs(fused - reference).max() <= 1e-14 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("d, n, p, s, q_tilde", [(2, 16, 2.0, 0.0, 4.0), (3, 8, 3.0, 0.0, 6.0)])
+    @pytest.mark.parametrize("same", [True, False], ids=["u=v", "u!=v"])
+    def test_matches_per_node_loop(self, d, n, p, s, q_tilde, same):
+        book = build_exponent_book(d=d, p=p, s=s, q_tilde=q_tilde)
+        quad = QuadratureSpec(node_count=16, gamma=book.gamma_kato, theta=book.alpha)
+        mesh = quadratic_mesh(0.5, 6)
+        u, v = self.band_flows(d, n, mesh, (3, 4))
+        # the first output time has every quadrature node below the first
+        # mesh node, where value_at returns the frozen first field
+        assert np.all(volterra_nodes(quad, mesh[0])[0] <= mesh[0])
+        self.assert_matches_per_node(u, u if same else v, mesh, quad)
+
+    def test_quadrature_nodes_on_mesh_nodes(self):
+        """A mesh built from quadrature nodes of its last time: some nodes
+        hit mesh nodes exactly, others lie within value_at's 1e-14
+        exact-node tolerance above one."""
+        book = build_exponent_book(d=2, p=2.0, s=0.0, q_tilde=4.0)
+        quad = QuadratureSpec(node_count=16, gamma=book.gamma_kato, theta=book.alpha)
+        horizon = 0.5
+        taus = volterra_nodes(quad, horizon)[0]
+        mesh = np.unique(np.concatenate([taus[::3], taus[1::3] * (1 - 4e-15), [horizon]]))
+        u, v = self.band_flows(2, 16, mesh, (5, 6))
+        self.assert_matches_per_node(u, v, mesh[-1:], quad)
+        self.assert_matches_per_node(u, u, mesh[-1:], quad)
+
+    def test_one_node_per_chunk(self):
+        """At d = 2, n = 64 one node's products fill the chunk cap."""
+        assert duhamel._CHUNK_BYTES // (3 * 64**2 * 16) == 1
+        book = build_exponent_book(d=2, p=2.0, s=0.0, q_tilde=4.0)
+        quad = QuadratureSpec(node_count=8, gamma=book.gamma_kato, theta=book.alpha)
+        mesh = quadratic_mesh(0.5, 4)
+        u, v = self.band_flows(2, 64, mesh, (7, 8))
+        self.assert_matches_per_node(u, u, mesh[-1:], quad)
+        self.assert_matches_per_node(u, v, mesh[-1:], quad)
+
+    def test_symmetric_shortcut_matches_full_tensor(self):
+        """B(u, u) forms only the products i <= j; B(u, copy of u) forms
+        all d^2."""
+        book = build_exponent_book(d=2, p=2.0, s=0.0, q_tilde=4.0)
+        quad = QuadratureSpec(node_count=16, gamma=book.gamma_kato, theta=book.alpha)
+        mesh = quadratic_mesh(0.5, 6)
+        (u,) = self.band_flows(2, 16, mesh, (9,))
+        twin = Trajectory(u.lattice, u.times, [f.copy() for f in u.fields])
+        for t in mesh:
+            short = bilinear_B(u, u, float(t), quad).data
+            full = bilinear_B(u, twin, float(t), quad).data
+            assert np.abs(short - full).max() <= 1e-14 * np.abs(full).max()
+
+
+class TestSafeKsqDeriv:
+    def test_lazy_and_read_only(self):
+        lat = make_lattice(2, 16, 2.0 * np.pi)
+        assert "safe_ksq_deriv" not in vars(lat)
+        safe = lat.safe_ksq_deriv
+        assert lat.safe_ksq_deriv is safe
+        assert not safe.flags.writeable
+        with pytest.raises(ValueError):
+            safe[1, 1] = 0.0
+        ksq = sum(kd**2 for kd in lat.k_deriv)
+        npt.assert_array_equal(safe, np.where(ksq == 0.0, 1.0, ksq))
 
 
 class TestEstimateReport:

@@ -1,0 +1,130 @@
+"""Scaling and lattice-symmetry oracle for the whole Picard solve.
+
+The Navier-Stokes scaling u_lam(x, t) = lam u(lam x, lam^2 t) maps
+solutions to solutions, and in a critical book (s = d/p - 1) it leaves
+every norm of the construction unchanged. With lam = 2 the rescaled
+problem lives on the box L/2 up to the horizon T/4, its samples are twice
+the original ones, and every lattice wavenumber, mesh time, quadrature
+node and heat factor moves by an exact power of two. Only the tau^(-theta/2)
+interpolation coordinate rounds differently, so the solve must give the
+same iteration count and ball test, and 2 u to round-off.
+
+A swap of two axes together with the matching velocity components, and a
+reflection x_i -> -x_i together with u_i -> -u_i, are symmetries of the
+equations and of the periodic lattice, so they too map the computed
+solution to the solution of the mapped datum.
+
+Successive differences are differences of nearly equal iterates, so their
+agreement is measured against the iterate norm, not against themselves:
+each difference may move by 1e-14 of the largest iterate norm, and each
+contraction ratio by what those moves allow. (The last differences of a
+solve are about 1e-9 of the iterate norm, so their ratios agree to about
+1e-8 of themselves; that is round-off, not a fault.)
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from mildns import (
+    DatumSpec,
+    QuadratureSpec,
+    VectorField,
+    build_exponent_book,
+    calibrate_thresholds,
+    make_lattice,
+    realize_datum,
+    smallness_lhs,
+    solve_mild,
+)
+from mildns.lattice import PHYSICAL
+from mildns.picard import CorpusSpec
+
+RTOL = 1e-14
+
+
+def calibrated(d, p, s, q_tilde, n):
+    book = build_exponent_book(d=d, p=p, s=s, q_tilde=q_tilde)
+    return calibrate_thresholds(book, CorpusSpec(d=d, n=n, mesh_nodes=4, quad_nodes=8))
+
+
+def small_datum(lat, book, horizon):
+    """A divergence-free band datum at half the Kato-window threshold."""
+    spec = DatumSpec(kind="random_band", seed=3, k_min=1, k_max=3, divergence_free=True)
+    u0 = realize_datum(spec, lat)
+    lhs = smallness_lhs(u0, horizon, book).lhs
+    return VectorField(lat, u0.data * (0.5 * book.delta / lhs), PHYSICAL)
+
+
+def solve(u0, horizon, book, mesh_nodes, quad_nodes):
+    quad = QuadratureSpec(quad_nodes, book.gamma_kato, book.alpha)
+    return solve_mild(u0, horizon, book, mesh_nodes=mesh_nodes, quad=quad)
+
+
+def assert_same_solve(mapped, reference, image):
+    """mapped solves the mapped datum; image maps reference's fields."""
+    a, b = reference.trace, mapped.trace
+    assert b.iterations == a.iterations
+    assert mapped.ball_ok == reference.ball_ok
+    for got, field in zip(mapped.trajectory.fields, reference.trajectory.fields):
+        want = image(field.data)
+        assert np.abs(got.data - want).max() <= RTOL * np.abs(want).max()
+    scale = max(a.norms)
+    diffs_a, diffs_b = np.array(a.diffs), np.array(b.diffs)
+    assert np.all(np.abs(diffs_b - diffs_a) <= RTOL * scale)
+    # r_k = diff_k / diff_{k-1}: a move of RTOL * scale in each difference
+    # moves r_k by at most this share of itself
+    ratio_tol = 2 * RTOL * scale * (1 / diffs_a[1:] + 1 / diffs_a[:-1])
+    ratios_a, ratios_b = np.array(a.ratios), np.array(b.ratios)
+    assert np.all(np.abs(ratios_b - ratios_a) <= ratio_tol * ratios_a)
+
+
+def swap01(data):
+    """Swap axes 0 and 1 and velocity components 0 and 1."""
+    order = [1, 0] + list(range(2, data.shape[0]))
+    return np.swapaxes(data[order], 1, 2)
+
+
+def reflect0(data):
+    """x_0 -> -x_0 on the periodic grid, with u_0 -> -u_0."""
+    out = np.roll(np.flip(data, axis=1), 1, axis=1)
+    out[0] *= -1.0
+    return out
+
+
+CRITICAL_BOOKS = [(2, 2.0, 0.0, 4.0), (2, 1.5, 1.0 / 3.0, 6.0)]
+
+
+@pytest.fixture(scope="module", params=CRITICAL_BOOKS, ids=["p2-s0", "p1.5-s1/3"])
+def d2_solve(request):
+    d, p, s, q_tilde = request.param
+    assert math.isclose(s, d / p - 1)
+    book = calibrated(d, p, s, q_tilde, n=16)
+    lat = make_lattice(2, 16, 2.0 * np.pi)
+    u0 = small_datum(lat, book, 0.25)
+    return book, u0, solve(u0, 0.25, book, mesh_nodes=8, quad_nodes=16)
+
+
+def test_dyadic_rescaling(d2_solve):
+    book, u0, reference = d2_solve
+    half = make_lattice(2, 16, np.pi)
+    mapped = solve(VectorField(half, 2.0 * u0.data, PHYSICAL), 0.0625, book, 8, 16)
+    np.testing.assert_array_equal(4.0 * mapped.trajectory.times, reference.trajectory.times)
+    assert_same_solve(mapped, reference, lambda data: 2.0 * data)
+
+
+@pytest.mark.parametrize("symmetry", [swap01, reflect0], ids=["swap", "reflect"])
+def test_lattice_symmetry(d2_solve, symmetry):
+    book, u0, reference = d2_solve
+    mapped = solve(VectorField(u0.lattice, symmetry(u0.data), PHYSICAL), 0.25, book, 8, 16)
+    assert_same_solve(mapped, reference, symmetry)
+
+
+def test_axis_swap_in_three_dimensions():
+    book = calibrated(3, 3.0, 0.0, 6.0, n=16)
+    lat = make_lattice(3, 16, 2.0 * np.pi)
+    u0 = small_datum(lat, book, 0.25)
+    reference = solve(u0, 0.25, book, mesh_nodes=4, quad_nodes=8)
+    mapped = solve(VectorField(lat, swap01(u0.data), PHYSICAL), 0.25, book, 4, 8)
+    assert_same_solve(mapped, reference, swap01)

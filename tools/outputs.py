@@ -1,0 +1,254 @@
+"""Write the outputs of every experiment, or compare two such output sets.
+
+    python3 tools/outputs.py run DIR [--src SRC]
+    python3 tools/outputs.py diff A B
+
+`run` writes, under DIR, the CSV and manifest of each of the 13
+experiments at default config (`mildns <id> --out DIR`), the saved smoke
+solution under DIR/smoke (`mildns solve --set n=16 --set mesh_nodes=8
+--set quad_nodes=8 --set save_fields=true --out DIR/smoke`), and
+timings.json with the wall time of each. SRC is the `src` directory whose
+mildns package is run; it defaults to the one beside this script, so the
+outputs of another checkout are written with `--src other/src`.
+
+`diff` labels each output file found under A or B (timings.json aside):
+
+* identical -- the bytes are equal;
+* round-off -- the files parse to the same structure: column names, row
+  counts, keys, list lengths, strings (hashes among them), integers and
+  booleans all match exactly, and every float pair (a, b) has
+  |a - b| <= 1e-12 * max(|a|, |b|) or |a - b| <= 1e-15;
+* changed -- anything else, a file on one side only among them.
+
+For each file that is not identical it prints the worst cell of every
+column that moved, and it lists every cell that passes only through the
+absolute floor. The exit status is 1 when some file is changed.
+
+CSV cells and JSON values are typed from their text: `true`/`false` are
+booleans, an integer literal is an integer (compared exactly when both
+cells are integers, since a float column prints an integral value as one),
+and any other number is a float. Saved fields (`*.field`) must have equal
+headers; their samples are compared as floats. The tolerances are the
+rtol of the frozen calibration constants and the floor under the
+Taylor-Green residual, which is 2.3e-17 absolute.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import io
+import json
+import math
+import re
+import struct
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+RTOL = 1e-12
+ATOL = 1e-15
+
+IDENTICAL, ROUND_OFF, CHANGED = "identical", "round-off", "changed"
+SMOKE_ARGS = ["--set", "n=16", "--set", "mesh_nodes=8", "--set", "quad_nodes=8",
+              "--set", "save_fields=true"]
+_INTEGER = re.compile(r"[+-]?\d+\Z")
+_FIELD_HEADER = struct.Struct("<iidii")  # mildns.lattice's saved-field header
+
+
+# ---------------------------------------------------------------------------
+# run
+
+
+def run(out_dir: Path, src: Path) -> dict:
+    """Write every experiment and the smoke solution; return the timings."""
+    sys.path.insert(0, str(src))
+    from mildns.cli import main
+    from mildns.lab import EXPERIMENTS
+
+    jobs = [(exp_id, [exp_id, "--out", str(out_dir)]) for exp_id in sorted(EXPERIMENTS)]
+    jobs.append(("smoke", ["solve", *SMOKE_ARGS, "--out", str(out_dir / "smoke")]))
+    timings = {}
+    for name, argv in jobs:
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        timings[name] = time.perf_counter() - start
+        if code != 0:
+            raise SystemExit(f"{' '.join(argv)} exited {code}")
+        print(f"{name:<18} {timings[name]:8.2f} s")
+    (out_dir / "timings.json").write_text(json.dumps(timings, indent=1, sort_keys=True) + "\n")
+    return timings
+
+
+# ---------------------------------------------------------------------------
+# diff
+
+
+class Mismatch(Exception):
+    """A difference that no tolerance forgives."""
+
+
+class FileDiff:
+    """Per-column worst float difference of one file pair, and the cells
+    that pass only through the absolute floor."""
+
+    def __init__(self):
+        self.worst = {}  # column -> (relative, absolute, where, a, b)
+        self.floor_only = []  # (where, a, b)
+
+    def floats(self, column: str, where: str, a: float, b: float) -> None:
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return
+        gap = abs(a - b)
+        scale = max(abs(a), abs(b))
+        rel = gap / scale if scale > 0 else math.inf
+        if not gap <= RTOL * scale:
+            if not gap <= ATOL:
+                raise Mismatch(f"{where}: {a!r} vs {b!r} (relative {rel:.3g})")
+            self.floor_only.append((where, a, b))
+        if column not in self.worst or rel > self.worst[column][0]:
+            self.worst[column] = (rel, gap, where, a, b)
+
+    def cells(self, column: str, where: str, a: str, b: str) -> None:
+        """Compare two cells given as text."""
+        if a == b:
+            return
+        if _INTEGER.match(a) and _INTEGER.match(b):
+            raise Mismatch(f"{where}: integer {a} vs {b}")
+        try:
+            x, y = float(a), float(b)
+        except ValueError:
+            raise Mismatch(f"{where}: {a!r} vs {b!r}") from None
+        self.floats(column, where, x, y)
+
+    def values(self, column: str, where: str, a, b) -> None:
+        """Compare two parsed JSON values, recursively."""
+        if isinstance(a, dict) and isinstance(b, dict):
+            if sorted(a) != sorted(b):
+                raise Mismatch(f"{where}: keys {sorted(a)} vs {sorted(b)}")
+            for key in a:
+                self.values(_join(column, key), _join(where, key), a[key], b[key])
+        elif isinstance(a, list) and isinstance(b, list):
+            if len(a) != len(b):
+                raise Mismatch(f"{where}: {len(a)} vs {len(b)} items")
+            for i, (x, y) in enumerate(zip(a, b)):
+                self.values(f"{column}[]", f"{where}[{i}]", x, y)
+        elif _is_float_pair(a, b):
+            self.floats(column, where, float(a), float(b))
+        elif type(a) is not type(b) or a != b:
+            raise Mismatch(f"{where}: {a!r} vs {b!r}")
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _is_float_pair(a, b) -> bool:
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    return number(a) and number(b) and (isinstance(a, float) or isinstance(b, float))
+
+
+def _diff_csv(a: bytes, b: bytes, out: FileDiff) -> None:
+    rows_a = list(csv.reader(a.decode().splitlines()))
+    rows_b = list(csv.reader(b.decode().splitlines()))
+    if rows_a[:1] != rows_b[:1]:
+        raise Mismatch(f"columns {rows_a[:1]} vs {rows_b[:1]}")
+    if len(rows_a) != len(rows_b):
+        raise Mismatch(f"{len(rows_a) - 1} vs {len(rows_b) - 1} rows")
+    columns = rows_a[0]
+    for r, (row_a, row_b) in enumerate(zip(rows_a[1:], rows_b[1:]), start=1):
+        if len(row_a) != len(columns) or len(row_b) != len(columns):
+            raise Mismatch(f"row {r}: width {len(row_a)} vs {len(row_b)}")
+        for column, x, y in zip(columns, row_a, row_b):
+            out.cells(column, f"row {r} {column}", x, y)
+
+
+def _diff_json(a: bytes, b: bytes, out: FileDiff) -> None:
+    out.values("", "", json.loads(a), json.loads(b))
+
+
+def _diff_field(a: bytes, b: bytes, out: FileDiff) -> None:
+    size = _FIELD_HEADER.size
+    if a[:size] != b[:size] or len(a) != len(b):
+        raise Mismatch("field headers or sizes differ")
+    xs = np.frombuffer(a, dtype="<f8", offset=size)
+    ys = np.frombuffer(b, dtype="<f8", offset=size)
+    for i in np.flatnonzero(xs != ys):
+        out.floats("samples", f"sample {i}", float(xs[i]), float(ys[i]))
+
+
+_PARSERS = {".csv": _diff_csv, ".json": _diff_json, ".field": _diff_field}
+
+
+def output_files(root: Path) -> set:
+    return {
+        p.relative_to(root).as_posix()
+        for p in root.rglob("*")
+        if p.is_file() and p.suffix in _PARSERS and p.name != "timings.json"
+    }
+
+
+def diff_file(a: Path, b: Path):
+    """(label, FileDiff or None, reason) for one file pair."""
+    if not a.is_file() or not b.is_file():
+        return CHANGED, None, "present on one side only"
+    blob_a, blob_b = a.read_bytes(), b.read_bytes()
+    if blob_a == blob_b:
+        return IDENTICAL, None, ""
+    out = FileDiff()
+    try:
+        _PARSERS[a.suffix](blob_a, blob_b, out)
+    except (Mismatch, ValueError) as exc:
+        return CHANGED, out, str(exc)
+    return ROUND_OFF, out, ""
+
+
+def diff(root_a: Path, root_b: Path) -> tuple:
+    """Compare two output directories; return (report text, counts)."""
+    lines, floor_lines = [], []
+    counts = {IDENTICAL: 0, ROUND_OFF: 0, CHANGED: 0}
+    for name in sorted(output_files(root_a) | output_files(root_b)):
+        label, result, reason = diff_file(root_a / name, root_b / name)
+        counts[label] += 1
+        lines.append(f"{label:<10} {name}" + (f"  ({reason})" if reason else ""))
+        if result is None:
+            continue
+        for column, (rel, gap, where, x, y) in sorted(result.worst.items()):
+            lines.append(f"    {column:<36} worst relative {rel:.2g}, "
+                         f"absolute {gap:.2g} at {where}: {x!r} vs {y!r}")
+        for where, x, y in result.floor_only:
+            floor_lines.append(f"    {name} {where}: {x!r} vs {y!r}")
+    lines.append(f"{counts[IDENTICAL]} identical, {counts[ROUND_OFF]} round-off, "
+                 f"{counts[CHANGED]} changed")
+    if floor_lines:
+        lines.append(f"cells within only the absolute floor {ATOL:g}:")
+        lines.extend(floor_lines)
+    return "\n".join(lines), counts
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    run_p = sub.add_parser("run", help="write every experiment's outputs and their times")
+    run_p.add_argument("dir", type=Path)
+    run_p.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+                       help="the src directory whose mildns package is run")
+    diff_p = sub.add_parser("diff", help="label each file of two output sets")
+    diff_p.add_argument("a", type=Path)
+    diff_p.add_argument("b", type=Path)
+    args = parser.parse_args(argv)
+    if args.command == "run":
+        run(args.dir, args.src)
+        return 0
+    report, counts = diff(args.a, args.b)
+    print(report)
+    return 1 if counts[CHANGED] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
