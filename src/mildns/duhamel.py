@@ -21,8 +21,8 @@ the contracted 1.5 but is not spectrally accurate for fractional theta.
 Fused evaluation of B at one output time t: the Q node products
 u(tau_q) x v(tau_q) are formed from the interpolated factors in chunks of
 at most _CHUNK_BYTES (256 KB) of spectral coefficients, each chunk is
-transformed by one fftn over its spatial axes and contracted with the
-real kernel w_q exp(-|k|^2 gap_q), and P div and the inverse transform
+transformed by one Lattice.forward call and contracted with the real
+kernel w_q exp(-|k|^2 gap_q), and P div and the inverse transform
 act once on the summed (d, d) coefficients. For B(u, u), the case of
 every Picard step, only the products i <= j are formed. The factors still
 come from one Trajectory.value_at call per factor and node, so the
@@ -188,7 +188,7 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     P div and the inverse transform are linear, so they act once, on
     sum_q w_q exp(-|k|^2 gap_q) F[u(tau_q) x v(tau_q)], not once per node.
     The node products are transformed in chunks of at most _CHUNK_BYTES of
-    coefficients, one fftn per chunk. When u_traj is v_traj only the
+    coefficients, one transform per chunk. When u_traj is v_traj only the
     products i <= j are formed; u_i * u_j == u_j * u_i in IEEE arithmetic,
     so the shortcut is exact. value_at is still called for both factors at
     every node: the interpolation (the frozen value below the first mesh
@@ -211,7 +211,6 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     pair_of[rows, cols] = np.arange(rows.size)
     node_bytes = rows.size * lat.n**d * np.dtype(np.complex128).itemsize
     chunk = max(1, _CHUNK_BYTES // node_bytes)
-    spatial = tuple(range(2, 2 + d))
     node_axis = (-1,) + (1,) * d
 
     acc = np.zeros((rows.size,) + lat.spatial_shape, dtype=np.complex128)
@@ -222,12 +221,11 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
             * v_traj.value_at(tau, interp_power).data[cols]
             for tau in taus[nodes]
         ])
-        coeff = np.fft.fftn(products, axes=spatial)
+        coeff = lat.forward(products)
         kernel = weights[nodes].reshape(node_axis) * np.exp(
             -lat.ksq * gaps[nodes].reshape(node_axis))
         coeff *= kernel[:, None]
         acc += coeff.sum(axis=0)
-    acc /= float(lat.n**d)
     w = _project_div_spectral(acc[pair_of], lat)
     return to_physical(VectorField(lat, w, SPECTRAL))
 

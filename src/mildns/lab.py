@@ -140,6 +140,10 @@ def _merge_config(defaults: dict, overrides: dict, context: str, valid=None) -> 
         default = defaults.get(key)
         if _is_number(default) and not _is_number(value):
             raise ConfigError(f"config key {context}{key!r} must be a number, got {value!r}")
+        if key in _SET_VALUE_RULES and value is not None:
+            accepts, kind = _SET_VALUE_RULES[key]
+            if not accepts(value):
+                raise ConfigError(f"config key {context}{key!r} must be {kind}, got {value!r}")
         if isinstance(default, dict):
             value = _datum_section(default, value, f"{context}{key}")
         elif isinstance(default, list) and default:
@@ -155,6 +159,14 @@ def _merge_config(defaults: dict, overrides: dict, context: str, valid=None) -> 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# What a set value of a key must be where no numeric default types it (the
+# default may be null), checked before any calibration.
+_SET_VALUE_RULES = {
+    "calibration_path": (lambda v: isinstance(v, str), "a path string"),
+    "scale_to_delta_fraction": (lambda v: _is_number(v) and v > 0, "a positive number"),
+}
 
 
 def _datum_section(defaults: dict, value, context: str) -> dict:
@@ -191,8 +203,6 @@ def _scaled_datum(cfg: dict, lattice, book) -> VectorField:
     fraction = cfg.get("scale_to_delta_fraction")
     if fraction is None:
         return u0
-    if not (fraction > 0):
-        raise ConfigError(f"scale_to_delta_fraction must be positive, got {fraction}")
     lhs = smallness_lhs(u0, cfg["horizon"], book, SMALLNESS_KATO).lhs
     if lhs <= 0:
         raise ConfigError("cannot rescale a datum whose smallness lhs is zero")
@@ -586,7 +596,7 @@ def _run_smallness(cfg):
 def _tg_closed_form_error(solution, u0) -> float:
     """Max relative L2 node error against the decaying Taylor-Green flow."""
     lat = u0.lattice
-    spec_data = np.fft.fftn(u0.data, axes=tuple(range(1, 1 + lat.d)))
+    spec_data = lat.forward(u0.data)
     # infer the harmonic from the datum's dominant mode magnitude
     mags = np.abs(spec_data)
     idx = np.unravel_index(int(np.argmax(mags)), mags.shape)

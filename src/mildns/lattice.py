@@ -49,7 +49,7 @@ class Lattice:
     k_deriv : like k_axes but with the self-paired Nyquist entry zeroed.
         fftfreq stores m = -n/2 at that index with no +n/2 partner, so any
         operator odd in k would map real fields to complex ones there.
-        Odd-order multipliers (Riesz, divergence, the k (k . ) part of the
+        Odd-order multipliers (the divergence, the k (k . ) part of the
         Leray projection) contract against these instead.
     ksq : |k|^2 on the full grid
     kmag : |k| on the full grid
@@ -103,6 +103,19 @@ class Lattice:
     @property
     def spatial_shape(self):
         return (self.n,) * self.d
+
+    def forward(self, a: np.ndarray) -> np.ndarray:
+        """Fourier-series coefficients fftn(a) / n^d over the trailing d axes.
+
+        Every transform in the package goes through this method and
+        inverse(). n is a power of two, so the 1/n^d scaling is exact.
+        """
+        return np.fft.fftn(a, axes=tuple(range(-self.d, 0)), norm="forward")
+
+    def inverse(self, c: np.ndarray) -> np.ndarray:
+        """Real samples of the coefficients c over the trailing d axes (the
+        imaginary residue, round-off for Hermitian c, is discarded)."""
+        return np.fft.ifftn(c, axes=tuple(range(-self.d, 0)), norm="forward").real
 
     @property
     def k_max_resolved(self) -> float:
@@ -187,11 +200,6 @@ class Field:
             comp = (lattice.d, lattice.d)
         return comp + lattice.spatial_shape
 
-    @property
-    def spatial_axes(self):
-        nd = self.data.ndim
-        return tuple(range(nd - self.lattice.d, nd))
-
     def copy(self):
         return type(self)(self.lattice, self.data.copy(), self.representation)
 
@@ -244,36 +252,14 @@ def to_spectral(field: Field) -> Field:
     """Forward transform to Fourier-series coefficients (identity if already spectral)."""
     if field.representation == SPECTRAL:
         return field
-    coeff = np.fft.fftn(field.data, axes=field.spatial_axes) / field.lattice.n**field.lattice.d
-    return type(field)(field.lattice, coeff, SPECTRAL)
+    return type(field)(field.lattice, field.lattice.forward(field.data), SPECTRAL)
 
 
 def to_physical(field: Field) -> Field:
-    """Inverse transform to real samples (identity if already physical).
-
-    The imaginary residue of the inverse transform is discarded; for
-    Hermitian-symmetric coefficient data it is at round-off level.
-    """
+    """Inverse transform to real samples (identity if already physical)."""
     if field.representation == PHYSICAL:
         return field
-    values = np.fft.ifftn(field.data, axes=field.spatial_axes) * field.lattice.n**field.lattice.d
-    return type(field)(field.lattice, values.real, PHYSICAL)
-
-
-def hermitian_defect(field: Field) -> float:
-    """Max |c(-k) - conj(c(k))| over the grid, relative to max |c|.
-
-    Zero (to round-off) exactly when the spectral data describes a real field.
-    """
-    spec = to_spectral(field)
-    c = spec.data
-    flipped = c
-    for axis in spec.spatial_axes:
-        flipped = np.roll(np.flip(flipped, axis=axis), 1, axis=axis)
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(flipped - np.conj(c))) / scale)
+    return type(field)(field.lattice, field.lattice.inverse(field.data), PHYSICAL)
 
 
 # ---------------------------------------------------------------------------

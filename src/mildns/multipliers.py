@@ -1,6 +1,6 @@
-"""Fourier multipliers: heat flow, fractional Laplacian, Riesz and Leray
-projections, tensor divergence, the fused dissipative-projection composite,
-and kernel profiling for the composite's convolution kernel.
+"""Fourier multipliers: heat flow, fractional Laplacian, Leray projection,
+the projected divergence P div of a tensor, and kernel profiling for the
+convolution kernel of |k|^s exp(-t |k|^2) P div.
 
 All multipliers act diagonally on the spectral representation. Operators
 homogeneous of nonzero degree annihilate the k = 0 mode; the heat flow and
@@ -11,7 +11,9 @@ matches the input representation.
 Operators odd in k contract against Lattice.k_deriv (Nyquist entries
 zeroed) so that real fields map to real fields and the discrete Leray
 projection is exactly idempotent and divergence free under the same
-discrete divergence.
+discrete divergence. _divergence_spectral and _leray_inplace are the one
+P div kernel: leray_project, the Duhamel term and kernel_profile all use
+them.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from .lattice import (
     SPECTRAL,
     Field,
     Lattice,
-    TensorField,
     TWO_PI,
     VectorField,
     make_lattice,
@@ -86,17 +87,6 @@ def fractional_laplacian(field: Field, s: float) -> Field:
     return _apply_multiplier(field, _fractional_multiplier(field.lattice, s))
 
 
-def riesz_transform(field: Field, axis: int) -> Field:
-    """Apply i k_axis / |k| componentwise, zero on the mean."""
-    lat = field.lattice
-    if not (0 <= axis < lat.d):
-        raise ConfigError(f"riesz axis must be in [0, {lat.d}), got {axis}")
-    kmag = lat.kmag.copy()
-    kmag[(0,) * lat.d] = 1.0
-    mult = 1j * lat.k_deriv[axis] / kmag
-    return _apply_multiplier(field, mult)
-
-
 def leray_project(field: VectorField) -> VectorField:
     """Project onto divergence-free fields: c_i -> c_i - k_i (k.c) / |k|^2.
 
@@ -111,22 +101,12 @@ def leray_project(field: VectorField) -> VectorField:
     return to_physical(projected) if field.representation == PHYSICAL else projected
 
 
-def divergence_of_tensor(field: TensorField) -> VectorField:
-    """Contract a rank-2 tensor with i k over its second index:
-    out_i = sum_j i k_j T_ij, the spectral form of (div T)_i = d_j T_ij."""
-    if field.rank != 2:
-        raise ConfigError("divergence_of_tensor expects a rank-2 tensor field")
-    lat = field.lattice
-    result = VectorField(lat, _divergence_spectral(to_spectral(field).data, lat), SPECTRAL)
-    return to_physical(result) if field.representation == PHYSICAL else result
-
-
 def divergence_defect(field: VectorField) -> float:
     """max |div u| over the grid relative to max |u| (both physical)."""
     lat = field.lattice
     spectral = to_spectral(field)
     div_coeff = sum(1j * lat.k_deriv[i] * spectral.data[i] for i in range(lat.d))
-    div_phys = np.fft.ifftn(div_coeff).real * lat.n**lat.d
+    div_phys = lat.inverse(div_coeff)
     scale = float(np.max(np.abs(to_physical(field).data)))
     if scale == 0.0:
         return 0.0
@@ -138,32 +118,13 @@ def _project_div_spectral(tensor_coeff: np.ndarray, lat: Lattice) -> np.ndarray:
     return _leray_inplace(_divergence_spectral(tensor_coeff, lat), lat)
 
 
-def composite_apply(field: TensorField, s: float, t: float) -> VectorField:
-    """Fused application of |k|^s exp(-|k|^2 t) P (i k . ) to a tensor field.
-
-    One multiplier pass; agrees with the composition of the individual
-    operators to round-off. Requires s > -1 (kernel integrability) and t > 0.
-    """
-    if not (s > -1):
-        raise ConfigError(f"composite requires s > -1, got {s}")
-    if not (t > 0):
-        raise ConfigError(f"composite requires t > 0, got {t}")
-    lat = field.lattice
-    spectral = to_spectral(field)
-    w = _project_div_spectral(spectral.data, lat)
-    mult = _fractional_multiplier(lat, s) * np.exp(-lat.ksq * t)
-    w *= mult
-    result = VectorField(lat, w, SPECTRAL)
-    return to_physical(result) if field.representation == PHYSICAL else result
-
-
 # ---------------------------------------------------------------------------
 # Kernel profiling
 
 
 @dataclass
 class KernelProfile:
-    """Radial profile of the composite operator's convolution kernel.
+    """Radial profile of the convolution kernel of |k|^s exp(-t |k|^2) P div.
 
     values[i] is the max over the d**3 kernel components of |K(x)| at
     |x| = radii[i] along the first coordinate axis; bound_ratio[i] is
@@ -235,20 +196,18 @@ def kernel_profile(
     lat = make_lattice(d, resolution, box_len)
 
     mult = _fractional_multiplier(lat, s) * np.exp(-lat.ksq * t)
-    ksq = lat.safe_ksq_deriv
     half = lat.n // 2
-    ray = (slice(0, half),) + (0,) * (d - 1)
+    ray = (slice(None), slice(0, half)) + (0,) * (d - 1)
     ray_max = np.zeros(half)
-    for i in range(d):
-        for ell in range(d):
-            # Leray entry P_{i ell}; delta term only on the diagonal
-            p_entry = -lat.k_deriv[i] * lat.k_deriv[ell] / ksq
-            if i == ell:
-                p_entry = p_entry + 1.0
-            for j in range(d):
-                symbol = mult * p_entry * (1j * lat.k_deriv[j])
-                component = np.fft.ifftn(symbol) * (lat.n**d / box_len**d)
-                ray_max = np.maximum(ray_max, np.abs(component[ray]))
+    unit = np.zeros((d, d) + lat.spatial_shape)
+    for ell in range(d):
+        for j in range(d):
+            # column (ell, j): the d kernel components P_{i ell} i k_j
+            unit[ell, j] = 1.0
+            symbol = _project_div_spectral(unit, lat) * mult
+            unit[ell, j] = 0.0
+            column = lat.inverse(symbol) / box_len**d
+            ray_max = np.maximum(ray_max, np.abs(column[ray]).max(axis=0))
     ray_r = lat.spacing * np.arange(half)
     values = np.interp(radii, ray_r, ray_max)
 

@@ -181,8 +181,8 @@ def abstract_fixed_point(
         raise ConfigError(f"bilinear constant eta must be positive and finite, got {eta}")
     if not (tol > 0):
         raise ConfigError(f"tolerance must be positive, got {tol}")
-    if max_iter < 1:
-        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ConfigError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
     norm_y = float(norm(y))
     threshold = tol * max(1.0, norm_y)

@@ -180,6 +180,10 @@ class TestExitCodes:
             ("kernel-decay", "radius_count=2.5", "radius_count"),
             ("kernel-decay", "radius_count=1", "radius_count"),
             ("kernel-decay", "radius_min=0", "radius_min"),
+            ("solve", "scale_to_delta_fraction=abc", "scale_to_delta_fraction"),
+            ("solve", "calibration_path=5", "calibration_path"),
+            ("fixed-point-demo", "max_iter=2.5", "max_iter"),
+            ("ladder", "max_iter=2.5", "max_iter"),
         ],
     )
     def test_bad_value_exits_2_naming_the_key(self, experiment, setting, key, capsys):

@@ -26,7 +26,6 @@ from mildns import (
     DatumSpec,
     MeshError,
     QuadratureSpec,
-    TensorField,
     Trajectory,
     VectorField,
     beta_integral,
@@ -35,9 +34,7 @@ from mildns import (
     bilinear_trajectory,
     build_exponent_book,
     divergence_defect,
-    divergence_of_tensor,
     heat_trajectory,
-    leray_project,
     make_lattice,
     quadratic_mesh,
     realize_datum,
@@ -215,8 +212,12 @@ class TestBilinearB:
 
 
 def per_node_B(u_traj, v_traj, t, quad):
-    """B(u, v)(t) with one transform and one P div per quadrature node."""
+    """B(u, v)(t) with one transform and one P div per quadrature node, the
+    P div written out: c_i = sum_j i k_j T_ij, then c - k (k . c) / |k|^2."""
     lat = u_traj.lattice
+    k = np.array(np.broadcast_arrays(*lat.k_deriv))
+    ksq = np.sum(k**2, axis=0)
+    ksq[ksq == 0.0] = 1.0  # mean and Nyquist corners, where k . c = 0
     taus, gaps, weights = volterra_nodes(quad, t)
     acc = np.zeros((lat.d,) + lat.spatial_shape, dtype=np.complex128)
     for tau, gap, weight in zip(taus, gaps, weights):
@@ -224,7 +225,8 @@ def per_node_B(u_traj, v_traj, t, quad):
         v_m = v_traj.value_at(tau, -0.5 * quad.theta).data
         tensor = np.einsum("i...,j...->ij...", u_m, v_m)
         coeff = np.fft.fftn(tensor, axes=tuple(range(2, 2 + lat.d))) / lat.n**lat.d
-        w = leray_project(divergence_of_tensor(TensorField(lat, coeff, SPECTRAL))).data
+        c = np.einsum("j...,ij...->i...", 1j * k, coeff)
+        w = c - k * (np.sum(k * c, axis=0) / ksq)
         acc += weight * (w * np.exp(-lat.ksq * gap))
     return to_physical(VectorField(lat, acc, SPECTRAL)).data
 

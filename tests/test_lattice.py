@@ -1,9 +1,13 @@
 """Lattice geometry, spectral transforms, datum builders, serialization."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import mildns
 from mildns import (
     ConfigError,
     DataError,
@@ -14,7 +18,6 @@ from mildns import (
     divergence_defect,
     field_from_bytes,
     field_to_bytes,
-    hermitian_defect,
     lebesgue_norm,
     load_field,
     make_lattice,
@@ -131,14 +134,68 @@ class TestTransforms:
         assert np.abs(rest).max() < 1e-14
 
     def test_hermitian_defect_vanishes_for_real_data(self, lat2, rng):
-        f = to_spectral(VectorField(lat2, rng.standard_normal((2, 16, 16)), PHYSICAL))
-        assert hermitian_defect(f) < 1e-14
+        """c(-k) = conj(c(k)) for the coefficients of real samples."""
+        c = to_spectral(VectorField(lat2, rng.standard_normal((2, 16, 16)), PHYSICAL)).data
+        flipped = np.roll(np.flip(c, axis=(1, 2)), 1, axis=(1, 2))
+        assert np.abs(flipped - np.conj(c)).max() < 1e-14 * np.abs(c).max()
 
-    def test_hermitian_defect_detects_asymmetry(self, lat2):
-        coeff = np.zeros((16, 16), dtype=complex)
-        coeff[1, 0] = 1.0  # no conjugate partner at (-1, 0)
-        f = ScalarField(lat2, coeff, SPECTRAL)
-        assert hermitian_defect(f) > 0.4
+    @pytest.mark.parametrize("shape, d, n", [((2, 32, 32), 2, 32), ((5, 3, 32, 32), 2, 32),
+                                             ((3, 16, 16, 16), 3, 16)])
+    def test_forward_and_inverse_are_the_scaled_dft(self, shape, d, n, rng):
+        """Lattice.forward is fftn / n^d and Lattice.inverse is the real part
+        of ifftn * n^d over the trailing d axes, bit for bit (n^d is a power
+        of two, so the scaling is exact), whatever the leading axes."""
+        lat = make_lattice(d, n, 2.0 * np.pi)
+        axes = tuple(range(len(shape) - d, len(shape)))
+        a = rng.standard_normal(shape)
+        c = lat.forward(a)
+        npt.assert_array_equal(c, np.fft.fftn(a, axes=axes) / n**d)
+        npt.assert_array_equal(lat.inverse(c), (np.fft.ifftn(c, axes=axes) * n**d).real)
+
+
+def transform_uses(source: str) -> list:
+    """Line numbers where source reaches numpy.fft or scipy.fft: an `fft`
+    attribute (np.fft.fftn, scipy.fft), or an import of or from either."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "fft":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(alias.name.split(".")[:2] in (["numpy", "fft"], ["scipy", "fft"])
+                   for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            parts = node.module.split(".")
+            if parts[:2] in (["numpy", "fft"], ["scipy", "fft"]) or (
+                    parts in (["numpy"], ["scipy"])
+                    and any(alias.name == "fft" for alias in node.names)):
+                lines.append(node.lineno)
+    return lines
+
+
+class TestTransformLayer:
+    def test_only_lattice_calls_a_transform_module(self):
+        """The Fourier convention lives in Lattice.forward / Lattice.inverse
+        (and fftfreq in Lattice): no other module of the package touches
+        numpy.fft or scipy.fft."""
+        package = Path(mildns.__file__).parent
+        offenders = {
+            path.name: transform_uses(path.read_text())
+            for path in sorted(package.glob("*.py")) if path.name != "lattice.py"
+        }
+        assert {name: lines for name, lines in offenders.items() if lines} == {}
+        assert transform_uses((package / "lattice.py").read_text())
+
+    @pytest.mark.parametrize("source", [
+        "import numpy as np\nnp.fft.fftn(a)",
+        "import numpy\nnumpy.fft.fftfreq(8)",
+        "import scipy.fft\n",
+        "from numpy.fft import ifftn\n",
+        "from scipy import fft\n",
+        "from numpy import fft as f\n",
+    ])
+    def test_scan_sees_every_spelling(self, source):
+        assert transform_uses(source)
 
 
 class TestDatumSpec:

@@ -1,6 +1,6 @@
-"""Fourier multiplier operators.
+"""Fourier multipliers and the one P div kernel.
 
-The composite operator gets a hand-derived single-mode oracle: for input
+The projected divergence gets a hand-derived single-mode oracle: for input
 T_00 = cos(k.x) with k = (1, 2) on the 2 pi box, the exact output of
 |k|^s exp(-t |k|^2) P (i k . ) at s = 1/2, t = 0.3 is
 
@@ -22,9 +22,7 @@ from mildns import (
     TensorField,
     VectorField,
     WindowError,
-    composite_apply,
     divergence_defect,
-    divergence_of_tensor,
     fractional_laplacian,
     heat_flow,
     kernel_profile,
@@ -32,11 +30,15 @@ from mildns import (
     leray_project,
     make_lattice,
     realize_datum,
-    riesz_transform,
     to_physical,
     to_spectral,
 )
 from mildns.lattice import PHYSICAL
+from mildns.multipliers import (
+    _divergence_spectral,
+    _fractional_multiplier,
+    _project_div_spectral,
+)
 
 
 def random_vector(lattice, seed):
@@ -104,28 +106,6 @@ class TestFractionalLaplacian:
         npt.assert_allclose(to_physical(ab).data, to_physical(direct).data, atol=1e-12)
 
 
-class TestRiesz:
-    def test_axis_validation(self, lat2, rng):
-        f = ScalarField(lat2, rng.standard_normal((16, 16)), PHYSICAL)
-        with pytest.raises(ConfigError, match="riesz axis"):
-            riesz_transform(f, 2)
-
-    def test_real_fields_stay_real(self, lat2, rng):
-        # the zeroed Nyquist entry keeps the odd symbol Hermitian
-        f = ScalarField(lat2, rng.standard_normal((16, 16)), PHYSICAL)
-        out = riesz_transform(f, 0)
-        assert out.representation == PHYSICAL
-        assert np.isrealobj(out.data)
-
-    def test_riesz_identity_on_band_limited_field(self, lat2, divfree_datum):
-        """sum_i R_i R_i = -identity away from the mean."""
-        u = divfree_datum(lat2, seed=8)
-        acc = np.zeros_like(u.data)
-        for axis in range(2):
-            acc += to_physical(riesz_transform(riesz_transform(u, axis), axis)).data
-        npt.assert_allclose(acc, -u.data, atol=1e-12)
-
-
 class TestLeray:
     def test_rank_validation(self, lat2, rng):
         f = ScalarField(lat2, rng.standard_normal((16, 16)), PHYSICAL)
@@ -165,21 +145,24 @@ class TestLeray:
         npt.assert_allclose(to_physical(leray_project(u)).data, data, atol=1e-14)
 
 
-class TestDivergence:
-    def test_rank_validation(self, lat2, rng):
-        u = VectorField(lat2, rng.standard_normal((2, 16, 16)), PHYSICAL)
-        with pytest.raises(ConfigError, match="rank-2"):
-            divergence_of_tensor(u)
+def physical_div(T, project=False):
+    """div T (or P div T) of a physical tensor field, as physical samples."""
+    lat = T.lattice
+    coeff = to_spectral(T).data
+    w = _project_div_spectral(coeff, lat) if project else _divergence_spectral(coeff, lat)
+    return lat.inverse(w)
 
+
+class TestDivergence:
     def test_hand_oracle(self, lat2):
         """T_00 = sin(x), T_01 = sin(y) gives (div T)_0 = cos(x) + cos(y)."""
         x, y = lat2.meshgrid()
         data = np.zeros((2, 2, 16, 16))
         data[0, 0] = np.sin(np.broadcast_to(x, (16, 16)))
         data[0, 1] = np.sin(np.broadcast_to(y, (16, 16)))
-        out = divergence_of_tensor(TensorField(lat2, data, PHYSICAL))
-        npt.assert_allclose(out.data[0], np.cos(x) + np.cos(y), atol=1e-13)
-        npt.assert_allclose(out.data[1], 0.0, atol=1e-14)
+        out = physical_div(TensorField(lat2, data, PHYSICAL))
+        npt.assert_allclose(out[0], np.cos(x) + np.cos(y), atol=1e-13)
+        npt.assert_allclose(out[1], 0.0, atol=1e-14)
 
     def test_defect_zero_field(self, lat2):
         u = VectorField(lat2, np.zeros((2, 16, 16)), PHYSICAL)
@@ -193,12 +176,23 @@ class TestDivergence:
 
 
 class TestComposite:
-    def test_validation(self, lat2, rng):
-        T = TensorField(lat2, rng.standard_normal((2, 2, 16, 16)), PHYSICAL)
+    """|k|^s exp(-t |k|^2) times the P div kernel, the symbol kernel_profile
+    inverts."""
+
+    @staticmethod
+    def composite(T, s, t):
+        lat = T.lattice
+        mult = _fractional_multiplier(lat, s) * np.exp(-lat.ksq * t)
+        w = _project_div_spectral(to_spectral(T).data, lat) * mult
+        return VectorField(lat, lat.inverse(w), PHYSICAL)
+
+    def test_validation(self):
+        """kernel_profile, the composite's one caller, refuses the boundary
+        s = -1 (kernel not integrable) and t = 0."""
         with pytest.raises(ConfigError, match="s > -1"):
-            composite_apply(T, -1.0, 0.1)
+            kernel_profile(-1.0, 2, radii=[1.0], resolution=128)
         with pytest.raises(ConfigError, match="t > 0"):
-            composite_apply(T, 0.0, 0.0)
+            kernel_profile(0.0, 2, radii=[1.0], resolution=128, t=0.0)
 
     def test_single_mode_oracle(self):
         lat = make_lattice(2, 16, 2.0 * np.pi)
@@ -206,7 +200,7 @@ class TestComposite:
         phase = x + 2 * y
         data = np.zeros((2, 2, 16, 16))
         data[0, 0] = np.cos(phase)
-        out = composite_apply(TensorField(lat, data, PHYSICAL), s=0.5, t=0.3)
+        out = self.composite(TensorField(lat, data, PHYSICAL), s=0.5, t=0.3)
         m = 5.0**0.25 * np.exp(-1.5)
         npt.assert_allclose(out.data[0], -0.8 * m * np.sin(phase), atol=1e-14)
         npt.assert_allclose(out.data[1], 0.4 * m * np.sin(phase), atol=1e-14)
@@ -214,17 +208,16 @@ class TestComposite:
     def test_matches_composition_of_parts(self, lat2, rng):
         T = TensorField(lat2, rng.standard_normal((2, 2, 16, 16)), PHYSICAL)
         s, t = 0.4, 0.2
-        fused = composite_apply(T, s, t)
-        composed = fractional_laplacian(
-            heat_flow(leray_project(divergence_of_tensor(T)), t), s
-        )
-        scale = np.abs(to_physical(fused).data).max()
-        defect = np.abs(to_physical(fused).data - to_physical(composed).data).max()
-        assert defect < 1e-12 * scale
+        fused = self.composite(T, s, t).data
+        div = VectorField(lat2, physical_div(T), PHYSICAL)
+        composed = to_physical(fractional_laplacian(heat_flow(leray_project(div), t), s)).data
+        assert np.abs(fused - composed).max() < 1e-12 * np.abs(fused).max()
 
     def test_output_divergence_free(self, lat2, rng):
         T = TensorField(lat2, rng.standard_normal((2, 2, 16, 16)), PHYSICAL)
-        assert divergence_defect(composite_apply(T, 0.0, 0.05)) < 1e-12
+        assert divergence_defect(self.composite(T, 0.0, 0.05)) < 1e-12
+        projected = VectorField(lat2, physical_div(T, project=True), PHYSICAL)
+        assert divergence_defect(projected) < 1e-12
 
 
 class TestKernelProfile:
