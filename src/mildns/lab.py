@@ -7,13 +7,16 @@ user config onto the defaults. Before any runner starts, the merge
 refuses, naming the key: a key the defaults lack; a value that is not a
 number (or is a boolean) where the default is a number; a datum section
 (a dict default or an item of a list of them) that is not an object, has
-no kind or has a key that is not a DatumSpec field; and an empty or
-non-list value where the default is a non-empty list. Ranges and
-cross-key conditions are checked by the runners and by the objects
-they build; the cheap ones (counts, heat-decay times, power-law
+no kind or has a key that is not a DatumSpec field; a datum field of
+the wrong type (numbers, an integer seed, a non-empty integer list for
+mode, a boolean divergence_free); a max_iter that is not an integer >= 1;
+and an empty or non-list value where the default is a non-empty list.
+Ranges and cross-key conditions are checked by the runners and by the
+objects they build; the cheap ones (counts, heat-decay times, power-law
 levels) at the top of the runner, the rest where they are first used,
 so some fail only after calibration. Output files are only written
-after the experiment finished. Identical config and seed
+after the experiment finished, each through a temporary file and
+os.replace, the CSV last. Identical config and seed
 give byte-identical CSV output: floats are serialized at 17 significant
 digits and manifests carry no volatile fields (no timestamps, no paths
 that did not come from the config).
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 from dataclasses import dataclass, field as dc_field, fields as dc_fields, replace
 from pathlib import Path
 from typing import Callable, Optional
@@ -66,7 +70,7 @@ from .picard import (
     smallness_lhs,
     solve_mild,
 )
-from .runtime import VERSION, canonical_json, fmt_float, sha256_hex
+from .runtime import VERSION, canonical_json, fmt_float, sha256_hex, stage_file
 
 # ---------------------------------------------------------------------------
 # Result tables
@@ -113,12 +117,21 @@ class ResultTable:
         }
 
     def write(self, out_dir) -> None:
+        """Write <id>.csv and its manifest <id>.json. Both go to temporary
+        files first; the manifest is put in place before the CSV, so a CSV
+        never stands without its manifest."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / f"{self.experiment_id}.csv").write_text(self.to_csv_text())
-        (out / f"{self.experiment_id}.json").write_text(
-            canonical_json(self.manifest()) + "\n"
-        )
+        csv_path = out / f"{self.experiment_id}.csv"
+        json_path = out / f"{self.experiment_id}.json"
+        csv_temp = stage_file(csv_path, self.to_csv_text())
+        try:
+            json_temp = stage_file(json_path, canonical_json(self.manifest()) + "\n")
+        except BaseException:
+            csv_temp.unlink()
+            raise
+        os.replace(json_temp, json_path)
+        os.replace(csv_temp, csv_path)
 
 
 # ---------------------------------------------------------------------------
@@ -128,31 +141,33 @@ class ResultTable:
 _DATUM_KEYS = {f.name for f in dc_fields(DatumSpec)}
 
 
-def _merge_config(defaults: dict, overrides: dict, context: str, valid=None) -> dict:
+def _merge_config(defaults: dict, overrides: dict, context: str, valid=None,
+                  rules=None) -> dict:
     valid = defaults if valid is None else valid
+    rules = _SET_VALUE_RULES if rules is None else rules
     merged = copy.deepcopy(defaults)
     for key, value in overrides.items():
+        name = f"{context}{key}"
         if key not in valid:
             raise ConfigError(
-                f"unknown config key {context}{key!r}; valid keys: "
-                f"{', '.join(sorted(valid))}"
+                f"unknown config key {name!r}; valid keys: {', '.join(sorted(valid))}"
             )
         default = defaults.get(key)
         if _is_number(default) and not _is_number(value):
-            raise ConfigError(f"config key {context}{key!r} must be a number, got {value!r}")
-        if key in _SET_VALUE_RULES and value is not None:
-            accepts, kind = _SET_VALUE_RULES[key]
+            raise ConfigError(f"config key {name!r} must be a number, got {value!r}")
+        if key in rules and value is not None:
+            accepts, kind = rules[key]
             if not accepts(value):
-                raise ConfigError(f"config key {context}{key!r} must be {kind}, got {value!r}")
+                raise ConfigError(f"config key {name!r} must be {kind}, got {value!r}")
         if isinstance(default, dict):
-            value = _datum_section(default, value, f"{context}{key}")
+            value = _datum_section(default, value, name)
         elif isinstance(default, list) and default:
             if not (isinstance(value, list) and value):
                 raise ConfigError(
-                    f"config key {context}{key!r} must be a non-empty list, got {value!r}"
+                    f"config key {name!r} must be a non-empty list, got {value!r}"
                 )
             if isinstance(default[0], dict):
-                value = [_datum_section({}, v, f"{context}{key}[{i}]") for i, v in enumerate(value)]
+                value = [_datum_section({}, v, f"{name}[{i}]") for i, v in enumerate(value)]
         merged[key] = copy.deepcopy(value)
     return merged
 
@@ -161,11 +176,28 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# What a set value of a key must be where no numeric default types it (the
-# default may be null), checked before any calibration.
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What a set value of a key must be beyond the numeric-default check: keys
+# whose default is null, which no numeric default types, and integer keys.
+# Checked before any calibration; a null value is left to the runner.
 _SET_VALUE_RULES = {
     "calibration_path": (lambda v: isinstance(v, str), "a path string"),
     "scale_to_delta_fraction": (lambda v: _is_number(v) and v > 0, "a positive number"),
+    "max_iter": (lambda v: _is_integer(v) and v >= 1, "an integer >= 1"),
+}
+
+# The same for the DatumSpec fields, which a datum section without defaults
+# (an item of a list of data) leaves untyped otherwise.
+_DATUM_VALUE_RULES = {
+    **{key: (_is_number, "a number")
+       for key in ("amplitude", "width", "decay", "r_inner", "r_outer", "k_min", "k_max")},
+    "seed": (_is_integer, "an integer"),
+    "mode": (lambda v: isinstance(v, list) and v and all(map(_is_integer, v)),
+             "a non-empty list of integers"),
+    "divergence_free": (lambda v: isinstance(v, bool), "a boolean"),
 }
 
 
@@ -173,7 +205,7 @@ def _datum_section(defaults: dict, value, context: str) -> dict:
     """Overlay one datum section; its keys are DatumSpec's fields."""
     if not isinstance(value, dict):
         raise ConfigError(f"config key {context!r} must be a datum object, got {value!r}")
-    merged = _merge_config(defaults, value, f"{context}.", _DATUM_KEYS)
+    merged = _merge_config(defaults, value, f"{context}.", _DATUM_KEYS, _DATUM_VALUE_RULES)
     if "kind" not in merged:
         raise ConfigError(f"config key {context!r} needs a datum 'kind'")
     return merged

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .runtime import write_atomic
 
 TWO_PI = 2.0 * np.pi
 
@@ -504,8 +505,7 @@ def field_from_bytes(blob: bytes) -> Field:
 
 
 def save_field(field: Field, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(field_to_bytes(field))
+    write_atomic(path, field_to_bytes(field))
 
 
 def load_field(path) -> Field:

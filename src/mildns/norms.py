@@ -18,6 +18,14 @@ is computed by exactly two primitives: weighted_values, which returns
 t^w * norm(f(t)) at each node of any sequence of fields, and heat_flows,
 which transforms a datum once and yields exp(t Lap) u0 one field at a
 time. heat_sup is their composition with the Lebesgue norm.
+
+Live components: a component row that is identically zero stays zero under
+the heat flow and adds exactly 0.0 to the l2 aggregate of a norm. So
+heat_flows transforms and flows only the rows of a datum that hold a
+nonzero sample (a subnormal one counts) and writes the flowed rows into a
+zero-filled array, and lebesgue_norm reduces only the live rows. Pocketfft
+transforms each row the same way alone or in a batch, so both give the
+same bits as the all-component path.
 """
 from __future__ import annotations
 
@@ -27,7 +35,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, MeshError
-from .lattice import PHYSICAL, SPECTRAL, Field, Lattice, VectorField, to_physical, to_spectral
+from .lattice import PHYSICAL, Field, Lattice, VectorField, to_physical
 from .multipliers import fractional_laplacian
 
 
@@ -209,13 +217,27 @@ def quadratic_mesh(horizon: float, nodes: int) -> np.ndarray:
 def heat_flows(u0: Field, times):
     """Yield exp(t Lap) u0 as a physical field for each t in times.
 
-    u0 is transformed once; each flow is built only when the consumer asks
-    for it, so a sup over many times holds one flowed field, not all.
+    Only the live components of u0 (rows with a nonzero sample) are
+    transformed, once; each flow multiplies their coefficients by
+    exp(-|k|^2 t), inverse-transforms them into a zero-filled array, and
+    is built only when the consumer asks for it, so a sup over many times
+    holds one flowed field, not all. An all-zero datum flows with no
+    transform at all.
     """
     lat = u0.lattice
-    spectral = to_spectral(u0)
+    rows = _component_view(u0)
+    live = _live_rows(rows)
+    every, some = bool(live.all()), bool(live.any())
+    coeffs = rows if every else rows[live]
+    if some and u0.representation == PHYSICAL:
+        coeffs = lat.forward(coeffs)
     for t in times:
-        yield to_physical(type(u0)(lat, spectral.data * np.exp(-lat.ksq * t), SPECTRAL))
+        flowed = lat.inverse(coeffs * np.exp(-lat.ksq * t)) if some else 0.0
+        if not every:
+            data = np.zeros(rows.shape)
+            data[live] = flowed
+            flowed = data
+        yield type(u0)(lat, flowed.reshape(u0.data.shape), PHYSICAL)
 
 
 def heat_trajectory(u0: VectorField, times) -> Trajectory:
@@ -278,21 +300,31 @@ def _component_view(field: Field) -> np.ndarray:
     return field.data.reshape((-1,) + spatial)
 
 
+def _live_rows(rows: np.ndarray) -> np.ndarray:
+    """Boolean mask of the component rows that hold a nonzero sample."""
+    return rows.reshape(len(rows), -1).any(axis=1)
+
+
 def lebesgue_norm(field: Field, r) -> float:
     """Lebesgue norm with Riemann cell weights; components aggregate in l2.
 
     r may be any value in [1, inf]; np.inf gives the grid sup norm.
+    Identically zero components are not reduced: their norm is exactly 0.
     """
     if not (r == np.inf or r >= 1):
         raise ConfigError(f"Lebesgue exponent must be in [1, inf], got {r}")
     phys = to_physical(field)
-    comps = _component_view(phys)
+    rows = _component_view(phys)
+    live = _live_rows(rows)
+    comps = rows if live.all() else rows[live]
     if r == np.inf:
-        per_comp = np.max(np.abs(comps), axis=tuple(range(1, comps.ndim)))
+        per_live = np.max(np.abs(comps), axis=tuple(range(1, comps.ndim)))
     else:
         weights = phys.lattice.cell_volume
         sums = np.sum(np.abs(comps) ** r, axis=tuple(range(1, comps.ndim))) * weights
-        per_comp = sums ** (1.0 / r)
+        per_live = sums ** (1.0 / r)
+    per_comp = np.zeros(len(rows))
+    per_comp[live] = per_live
     return float(np.sqrt(np.sum(per_comp**2)))
 
 

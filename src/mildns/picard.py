@@ -51,7 +51,7 @@ from .norms import (
     sobolev_norm,
     weighted_values,
 )
-from .runtime import canonical_json, sha256_hex
+from .runtime import canonical_json, sha256_hex, write_atomic
 
 # ---------------------------------------------------------------------------
 # Exponent bookkeeping
@@ -453,7 +453,7 @@ def calibrate_thresholds(
     digest = sha256_hex(canonical_json(payload))
     payload["digest"] = digest
     if path is not None:
-        Path(path).write_text(canonical_json(payload) + "\n")
+        write_atomic(path, canonical_json(payload) + "\n")
     return book.with_calibration(c_hat, delta, sigma, equiv, digest)
 
 
@@ -629,12 +629,16 @@ def solve_mild(
 
 
 def save_solution(solution: MildSolution, out_dir) -> None:
-    """Persist a solution as manifest.json plus one binary field per node."""
+    """Persist a solution as one binary field per node plus manifest.json.
+
+    Every file is replaced atomically and the manifest is written last, so
+    a manifest stands only beside a complete set of node files.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.json").write_text(canonical_json(solution.manifest()) + "\n")
     for j, field in enumerate(solution.trajectory.fields):
         save_field(field, out / f"node_{j:04d}.field")
+    write_atomic(out / "manifest.json", canonical_json(solution.manifest()) + "\n")
 
 
 # ---------------------------------------------------------------------------

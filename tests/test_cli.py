@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from mildns import lab
 from mildns.cli import main
 
 ALL_IDS = [
@@ -184,6 +185,8 @@ class TestExitCodes:
             ("solve", "calibration_path=5", "calibration_path"),
             ("fixed-point-demo", "max_iter=2.5", "max_iter"),
             ("ladder", "max_iter=2.5", "max_iter"),
+            ("smallness", 'data=[{"kind":"gaussian","width":"abc"}]', "data[0].width"),
+            ("smallness", 'data=[{"kind":"single_mode","mode":[1,"x"]}]', "data[0].mode"),
         ],
     )
     def test_bad_value_exits_2_naming_the_key(self, experiment, setting, key, capsys):
@@ -191,6 +194,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error") and key in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "2.5", "true"])
+    @pytest.mark.parametrize("experiment", ["solve", "ladder", "fluctuation"])
+    def test_max_iter_is_refused_before_calibration(self, experiment, value, monkeypatch,
+                                                     capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibration started before max_iter was checked")
+
+        monkeypatch.setattr(lab, "calibrate_thresholds", refuse)
+        assert main([experiment, "--set", f"max_iter={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "max_iter" in err
 
     def test_missing_config_file_exits_4(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

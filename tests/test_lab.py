@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mildns import ConfigError, default_config, list_experiments, run
+from mildns import lab
 
 ALL_IDS = [
     "besov-equiv",
@@ -194,6 +195,32 @@ class TestDeterminismAndOutput:
         with pytest.raises(ConfigError):
             run({"experiment": "powerlaw", "r_inner_levels": [0.25, 0.5], "out_dir": str(out)})
         assert not out.exists()
+
+    def test_failing_manifest_write_leaves_no_lone_csv(self, tmp_path, monkeypatch):
+        """The CSV and its manifest go to temporary files first; when the
+        second write fails, neither the new CSV nor a temporary file stays,
+        and an earlier pair in the directory is left as it was."""
+        out = tmp_path / "demo"
+        cfg = {"experiment": "fixed-point-demo", "out_dir": str(out)}
+        staged = lab.stage_file
+
+        def fail_on_manifest(path, data):
+            if str(path).endswith(".json"):
+                raise OSError("disk full")
+            return staged(path, data)
+
+        monkeypatch.setattr(lab, "stage_file", fail_on_manifest)
+        with pytest.raises(OSError, match="disk full"):
+            run(dict(cfg))
+        assert list(out.iterdir()) == []
+
+        monkeypatch.setattr(lab, "stage_file", staged)
+        run(dict(cfg))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        monkeypatch.setattr(lab, "stage_file", fail_on_manifest)
+        with pytest.raises(OSError, match="disk full"):
+            run({**cfg, "eta": 0.5})
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_config_echo_round_trips_through_manifest(self, tmp_path):
         out = tmp_path / "beta"

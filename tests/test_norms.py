@@ -19,6 +19,7 @@ from mildns import (
     ConfigError,
     DataError,
     DatumSpec,
+    Lattice,
     MeshError,
     ScalarField,
     Trajectory,
@@ -40,6 +41,7 @@ from mildns import (
     vanishing_at_zero,
 )
 from mildns.lattice import PHYSICAL
+from mildns.norms import besov_grid, heat_sup
 
 
 def cosine_moment(q: float) -> float:
@@ -197,6 +199,107 @@ class TestBesovHeat:
         assert ok.window_ok
         wide = besov_norm_heat(u, -0.5, 2.0, t_grid=[0.1, lat2.box_len**2])
         assert not wide.window_ok
+
+
+class TestLiveComponents:
+    """heat_flows transforms only the components that hold a nonzero
+    sample and lebesgue_norm reduces only those; both give the same bits as
+    sending every component through the transforms and the reduction."""
+
+    CASES = [
+        (2, 64, 8.0, dict(kind="power_law", decay=1.0, r_inner=0.25, r_outer=2.0)),
+        (3, 16, 2.0 * np.pi, dict(kind="gaussian", width=0.1)),
+        (3, 16, 2.0 * np.pi, dict(kind="single_mode", mode=(1, 2, 0))),
+        (3, 16, 2.0 * np.pi, dict(kind="taylor_green")),
+    ]
+
+    @staticmethod
+    def reference_flows(u0, times):
+        lat = u0.lattice
+        coeffs = lat.forward(u0.data)
+        return [lat.inverse(coeffs * np.exp(-lat.ksq * t)) for t in times]
+
+    @staticmethod
+    def reference_lebesgue(lat, data, r):
+        comps = data.reshape((-1,) + lat.spatial_shape)
+        axes = tuple(range(1, comps.ndim))
+        if r == np.inf:
+            per_comp = np.max(np.abs(comps), axis=axes)
+        else:
+            per_comp = (np.sum(np.abs(comps) ** r, axis=axes) * lat.cell_volume) ** (1.0 / r)
+        return float(np.sqrt(np.sum(per_comp**2)))
+
+    @staticmethod
+    def count_transforms(monkeypatch):
+        sizes = {"forward": [], "inverse": []}
+        for name in sizes:
+            original = getattr(Lattice, name)
+
+            def counted(self, a, _original=original, _sizes=sizes[name]):
+                _sizes.append(np.size(a))
+                return _original(self, a)
+
+            monkeypatch.setattr(Lattice, name, counted)
+        return sizes
+
+    @pytest.mark.parametrize("d, n, box_len, spec", CASES,
+                             ids=["power_law-2d", "gaussian-3d", "single_mode-3d",
+                                  "taylor_green-3d"])
+    def test_same_bits_as_every_component(self, d, n, box_len, spec):
+        lat = make_lattice(d, n, box_len)
+        u0 = realize_datum(DatumSpec(**spec), lat)
+        assert not np.all(u0.data.reshape(d, -1).any(axis=1))  # some component is zero
+        grid = besov_grid(lat)
+        flows = self.reference_flows(u0, grid)
+        for q in (2.0, 4.0, np.inf):
+            expected = np.array([t**0.25 * self.reference_lebesgue(lat, f, q)
+                                 for t, f in zip(grid, flows)])
+            report = besov_norm_heat(u0, -0.5, q)
+            assert np.array_equal(report.values, expected)
+            assert report.value == expected.max()
+            sup = heat_sup(u0, grid, 0.25, q)
+            assert np.array_equal(sup.values, expected) and sup.value == report.value
+            assert lebesgue_norm(u0, q) == self.reference_lebesgue(lat, u0.data, q)
+        traj = heat_trajectory(u0, grid)
+        for field, flow in zip(traj.fields, flows):
+            assert np.array_equal(field.data, flow)
+
+    def test_transforms_only_the_live_component(self, monkeypatch):
+        n = 64
+        lat = make_lattice(2, n, 8.0)
+        u0 = realize_datum(DatumSpec(kind="power_law", decay=1.0, r_inner=0.25,
+                                     r_outer=2.0), lat)
+        sizes = self.count_transforms(monkeypatch)
+        grid = besov_grid(lat)
+        besov_norm_heat(u0, -0.5, 4.0)
+        assert sizes["forward"] == [n**2]
+        assert sizes["inverse"] == [n**2] * grid.size
+
+    def test_zero_datum_needs_no_transform(self, lat2, monkeypatch):
+        def refuse(self, a):
+            raise AssertionError("transform of an all-zero datum")
+
+        monkeypatch.setattr(Lattice, "forward", refuse)
+        monkeypatch.setattr(Lattice, "inverse", refuse)
+        u0 = VectorField(lat2, np.zeros((2,) + lat2.spatial_shape), PHYSICAL)
+        report = heat_sup(u0, besov_grid(lat2), 0.25, 4.0)
+        assert report.value == 0.0 and not np.any(report.values)
+        assert lebesgue_norm(u0, 2.0) == 0.0
+        assert all(not np.any(f.data) for f in heat_trajectory(u0, [0.1, 0.2]).fields)
+
+    def test_subnormal_sample_is_live(self, lat2, monkeypatch):
+        data = np.zeros((2,) + lat2.spatial_shape)
+        data[1, 3, 5] = 5e-324
+        u0 = VectorField(lat2, data, PHYSICAL)
+        assert lebesgue_norm(u0, np.inf) == self.reference_lebesgue(lat2, data, np.inf)
+        grid = besov_grid(lat2)
+        flows = self.reference_flows(u0, grid)
+        sizes = self.count_transforms(monkeypatch)
+        traj = heat_trajectory(u0, grid)
+        assert sizes["forward"] == [lat2.n**2]
+        assert sizes["inverse"] == [lat2.n**2] * grid.size
+        for field, flow in zip(traj.fields, flows):
+            assert np.array_equal(field.data, flow)
 
 
 class TestTrajectory:

@@ -105,3 +105,16 @@ def test_file_on_one_side_is_changed(base, tmp_path):
     assert found["extra.csv"] == "changed"
     assert outputs.main(["diff", str(base), str(other)]) == 1
     assert outputs.main(["diff", str(base), str(base)]) == 0
+
+
+def test_wall_times_are_listed_without_changing_the_verdict(base, tmp_path):
+    other = write_set(tmp_path / "b")
+    (base / "timings.json").write_text(json.dumps({"exp": 2.0, "smoke": 1.0}))
+    (other / "timings.json").write_text(json.dumps({"exp": 1.0, "extra": 3.0}))
+    found, report = labels(base, other)
+    assert found == {"exp.csv": "identical", "exp.json": "identical"}
+    times = report.split("wall time (s)")[1].splitlines()[1:]
+    assert [line.split() for line in times] == [
+        ["exp", "2.00", "1.00", "0.50"], ["extra", "-", "3.00", "-"],
+        ["smoke", "1.00", "-", "-"]]
+    assert outputs.main(["diff", str(base), str(other)]) == 0

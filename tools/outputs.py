@@ -22,7 +22,9 @@ outputs of another checkout are written with `--src other/src`.
 
 For each file that is not identical it prints the worst cell of every
 column that moved, and it lists every cell that passes only through the
-absolute floor. The exit status is 1 when some file is changed.
+absolute floor. Last it prints each job's wall time on both sides, read
+from the two timings.json files, and their ratio B/A; the times take no
+part in the labels. The exit status is 1 when some file is changed.
 
 CSV cells and JSON values are typed from their text: `true`/`false` are
 booleans, an integer literal is an integer (compared exactly when both
@@ -228,7 +230,28 @@ def diff(root_a: Path, root_b: Path) -> tuple:
     if floor_lines:
         lines.append(f"cells within only the absolute floor {ATOL:g}:")
         lines.extend(floor_lines)
+    lines.extend(timing_lines(root_a, root_b))
     return "\n".join(lines), counts
+
+
+def timing_lines(root_a: Path, root_b: Path) -> list:
+    """Each job's wall time under A and B (timings.json) and the ratio B/A;
+    a job timed on one side only shows '-' for the other and the ratio."""
+    a, b = (json.loads((root / "timings.json").read_text())
+            if (root / "timings.json").is_file() else {} for root in (root_a, root_b))
+    names = sorted(set(a) | set(b))
+    if not names:
+        return []
+
+    def cell(x) -> str:
+        return f"{'-':>9}" if x is None else f"{x:9.2f}"
+
+    lines = [f"{'wall time (s)':<22}{'A':>9}{'B':>9}{'B/A':>9}"]
+    for name in names:
+        x, y = a.get(name), b.get(name)
+        ratio = y / x if x and y is not None else None
+        lines.append(f"    {name:<18}{cell(x)}{cell(y)}{cell(ratio)}")
+    return lines
 
 
 def main(argv=None) -> int:
