@@ -10,6 +10,13 @@ Conventions used throughout the package:
   of its spectral mass in c_0.
 * Plancherel with these weights: the physical L2 norm computed with cell
   weights (L/n)^d equals L^(d/2) times the l2 norm of the coefficients.
+* Spectral arrays hold the full grid of coefficients, but the inverse
+  transform reads only the non-negative half of the last spatial axis,
+  indices 0..n/2 (Lattice.half). That is exact for Hermitian coefficients,
+  c(-k) = conj(c(k)), which every caller passes: spectra of real samples,
+  times real even symbols (heat factor, |k|^s, the Leray projection) or
+  odd ones built on the Nyquist-zeroed k_deriv. The other half is their
+  complex conjugate and carries no information.
 * Component axes lead: scalars have shape (n,)*d, vector fields
   (d,) + (n,)*d, rank-2 tensor fields (d, d) + (n,)*d.
 """
@@ -56,6 +63,8 @@ class Lattice:
     kmag : |k| on the full grid
     safe_ksq_deriv : |k|^2 from k_deriv with zeros replaced by 1, built on
         first use and read-only
+    ksq_half : |k|^2 on the half of the grid that inverse() reads, a
+        read-only view of ksq built on first use
     """
 
     def __init__(self, d: int, n: int, box_len: float):
@@ -101,9 +110,23 @@ class Lattice:
         safe.flags.writeable = False
         return safe
 
+    @cached_property
+    def ksq_half(self) -> np.ndarray:
+        """|k|^2 on the half spectrum that inverse() reads, so a flow can
+        multiply only the coefficients that reach the samples. A read-only
+        view of ksq, built on first use."""
+        half = self.half(self.ksq)
+        half.flags.writeable = False
+        return half
+
     @property
     def spatial_shape(self):
         return (self.n,) * self.d
+
+    def half(self, c: np.ndarray) -> np.ndarray:
+        """View of the coefficients inverse() reads: indices 0..n/2 of the
+        last spatial axis. Slicing a half array again returns all of it."""
+        return c[..., : self.n // 2 + 1]
 
     def forward(self, a: np.ndarray) -> np.ndarray:
         """Fourier-series coefficients fftn(a) / n^d over the trailing d axes.
@@ -114,9 +137,16 @@ class Lattice:
         return np.fft.fftn(a, axes=tuple(range(-self.d, 0)), norm="forward")
 
     def inverse(self, c: np.ndarray) -> np.ndarray:
-        """Real samples of the coefficients c over the trailing d axes (the
-        imaginary residue, round-off for Hermitian c, is discarded)."""
-        return np.fft.ifftn(c, axes=tuple(range(-self.d, 0)), norm="forward").real
+        """Real samples of the Hermitian coefficients c over the trailing d axes.
+
+        A real inverse transform (irfftn) of half(c), the non-negative half
+        of the last spatial axis; the other half of a Hermitian array is the
+        conjugate of this one, so it is never read, and a full or a half
+        array gives the same bits. For coefficients that are not Hermitian
+        the result is not the real part of their inverse transform.
+        """
+        return np.fft.irfftn(self.half(c), s=self.spatial_shape,
+                             axes=tuple(range(-self.d, 0)), norm="forward")
 
     @property
     def k_max_resolved(self) -> float:

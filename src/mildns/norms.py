@@ -26,6 +26,12 @@ nonzero sample (a subnormal one counts) and writes the flowed rows into a
 zero-filled array, and lebesgue_norm reduces only the live rows. Pocketfft
 transforms each row the same way alone or in a batch, so both give the
 same bits as the all-component path.
+
+Half spectrum: the inverse transform reads only the non-negative half of
+the last spectral axis (Lattice.half), so heat_flows keeps only that half
+of the live coefficients and each flow multiplies it by exp(-|k|^2 t) on
+the half (Lattice.ksq_half). Products are elementwise, so the flows have
+the same bits as multiplying the full spectrum and inverting it.
 """
 from __future__ import annotations
 
@@ -218,11 +224,13 @@ def heat_flows(u0: Field, times):
     """Yield exp(t Lap) u0 as a physical field for each t in times.
 
     Only the live components of u0 (rows with a nonzero sample) are
-    transformed, once; each flow multiplies their coefficients by
-    exp(-|k|^2 t), inverse-transforms them into a zero-filled array, and
-    is built only when the consumer asks for it, so a sup over many times
-    holds one flowed field, not all. An all-zero datum flows with no
-    transform at all.
+    transformed, once, and only the half spectrum that Lattice.inverse reads
+    is kept, as a contiguous copy (so the full transform is freed and each
+    product runs over contiguous memory); each flow multiplies those
+    coefficients by exp(-|k|^2 t), inverse-transforms them into a
+    zero-filled array, and is built only when the consumer asks for it, so
+    a sup over many times holds one flowed field, not all. An all-zero
+    datum flows with no transform at all.
     """
     lat = u0.lattice
     rows = _component_view(u0)
@@ -231,8 +239,9 @@ def heat_flows(u0: Field, times):
     coeffs = rows if every else rows[live]
     if some and u0.representation == PHYSICAL:
         coeffs = lat.forward(coeffs)
+    coeffs = np.ascontiguousarray(lat.half(coeffs))
     for t in times:
-        flowed = lat.inverse(coeffs * np.exp(-lat.ksq * t)) if some else 0.0
+        flowed = lat.inverse(coeffs * np.exp(-lat.ksq_half * t)) if some else 0.0
         if not every:
             data = np.zeros(rows.shape)
             data[live] = flowed

@@ -12,7 +12,10 @@ same iteration count and ball test, and 2 u to round-off.
 A swap of two axes together with the matching velocity components, and a
 reflection x_i -> -x_i together with u_i -> -u_i, are symmetries of the
 equations and of the periodic lattice, so they too map the computed
-solution to the solution of the mapped datum.
+solution to the solution of the mapped datum. The reflection of the last
+axis also reverses the half spectrum that the inverse transform reads
+(k_{d-1} -> -k_{d-1} swaps that half with the conjugate one it skips), so
+it checks that reading only that half keeps the symmetry.
 
 Successive differences are differences of nearly equal iterates, so their
 agreement is measured against the iterate norm, not against themselves:
@@ -86,11 +89,21 @@ def swap01(data):
     return np.swapaxes(data[order], 1, 2)
 
 
-def reflect0(data):
-    """x_0 -> -x_0 on the periodic grid, with u_0 -> -u_0."""
-    out = np.roll(np.flip(data, axis=1), 1, axis=1)
-    out[0] *= -1.0
+def reflect(data, axis):
+    """x_axis -> -x_axis on the periodic grid, with u_axis -> -u_axis."""
+    out = np.roll(np.flip(data, axis=1 + axis), 1, axis=1 + axis)
+    out[axis] *= -1.0
     return out
+
+
+def reflect0(data):
+    return reflect(data, 0)
+
+
+def reflect_last(data):
+    """The reflection of the last spatial axis, the one the inverse
+    transform halves."""
+    return reflect(data, data.shape[0] - 1)
 
 
 CRITICAL_BOOKS = [(2, 2.0, 0.0, 4.0), (2, 1.5, 1.0 / 3.0, 6.0)]
@@ -114,17 +127,30 @@ def test_dyadic_rescaling(d2_solve):
     assert_same_solve(mapped, reference, lambda data: 2.0 * data)
 
 
-@pytest.mark.parametrize("symmetry", [swap01, reflect0], ids=["swap", "reflect"])
+@pytest.mark.parametrize("symmetry", [swap01, reflect0, reflect_last],
+                         ids=["swap", "reflect", "reflect-last"])
 def test_lattice_symmetry(d2_solve, symmetry):
     book, u0, reference = d2_solve
     mapped = solve(VectorField(u0.lattice, symmetry(u0.data), PHYSICAL), 0.25, book, 8, 16)
     assert_same_solve(mapped, reference, symmetry)
 
 
-def test_axis_swap_in_three_dimensions():
+@pytest.fixture(scope="module")
+def d3_solve():
     book = calibrated(3, 3.0, 0.0, 6.0, n=16)
     lat = make_lattice(3, 16, 2.0 * np.pi)
     u0 = small_datum(lat, book, 0.25)
-    reference = solve(u0, 0.25, book, mesh_nodes=4, quad_nodes=8)
-    mapped = solve(VectorField(lat, swap01(u0.data), PHYSICAL), 0.25, book, 4, 8)
+    return book, u0, solve(u0, 0.25, book, mesh_nodes=4, quad_nodes=8)
+
+
+def test_axis_swap_in_three_dimensions(d3_solve):
+    book, u0, reference = d3_solve
+    mapped = solve(VectorField(u0.lattice, swap01(u0.data), PHYSICAL), 0.25, book, 4, 8)
     assert_same_solve(mapped, reference, swap01)
+
+
+@pytest.mark.parametrize("symmetry", [reflect0, reflect_last], ids=["x0", "last"])
+def test_reflection_in_three_dimensions(d3_solve, symmetry):
+    book, u0, reference = d3_solve
+    mapped = solve(VectorField(u0.lattice, symmetry(u0.data), PHYSICAL), 0.25, book, 4, 8)
+    assert_same_solve(mapped, reference, symmetry)

@@ -12,13 +12,20 @@ from mildns import (
     ConfigError,
     DataError,
     DatumSpec,
+    QuadratureSpec,
     ScalarField,
     TensorField,
     VectorField,
+    bilinear_B,
     divergence_defect,
     field_from_bytes,
     field_to_bytes,
+    fractional_laplacian,
+    heat_flow,
+    heat_trajectory,
+    kernel_profile,
     lebesgue_norm,
+    leray_project,
     load_field,
     make_lattice,
     realize_datum,
@@ -26,7 +33,7 @@ from mildns import (
     to_physical,
     to_spectral,
 )
-from mildns.lattice import PHYSICAL, SPECTRAL
+from mildns.lattice import PHYSICAL, SPECTRAL, Lattice
 
 
 class TestLatticeConstruction:
@@ -142,15 +149,74 @@ class TestTransforms:
     @pytest.mark.parametrize("shape, d, n", [((2, 32, 32), 2, 32), ((5, 3, 32, 32), 2, 32),
                                              ((3, 16, 16, 16), 3, 16)])
     def test_forward_and_inverse_are_the_scaled_dft(self, shape, d, n, rng):
-        """Lattice.forward is fftn / n^d and Lattice.inverse is the real part
-        of ifftn * n^d over the trailing d axes, bit for bit (n^d is a power
-        of two, so the scaling is exact), whatever the leading axes."""
+        """Lattice.forward is fftn / n^d over the trailing d axes, and
+        Lattice.inverse is irfftn * n^d of the half spectrum (indices 0..n/2
+        of the last axis), bit for bit (n^d is a power of two, so the
+        scaling is exact), whatever the leading axes. A full and a half
+        array give the same bits, and for the Hermitian coefficients of real
+        samples the result is the real part of the complex inverse to
+        round-off."""
         lat = make_lattice(d, n, 2.0 * np.pi)
         axes = tuple(range(len(shape) - d, len(shape)))
         a = rng.standard_normal(shape)
         c = lat.forward(a)
         npt.assert_array_equal(c, np.fft.fftn(a, axes=axes) / n**d)
-        npt.assert_array_equal(lat.inverse(c), (np.fft.ifftn(c, axes=axes) * n**d).real)
+        half = c[..., : n // 2 + 1]
+        back = lat.inverse(c)
+        npt.assert_array_equal(back, np.fft.irfftn(half, s=(n,) * d, axes=axes) * n**d)
+        npt.assert_array_equal(lat.inverse(half.copy()), back)
+        complex_inverse = (np.fft.ifftn(c, axes=axes) * n**d).real
+        assert np.abs(back - complex_inverse).max() <= 1e-15 * np.abs(a).max()
+
+
+def complex_inverse(self, c):
+    """The complex inverse transform the half-spectrum one replaced: the
+    real part of ifftn over the whole spectrum."""
+    return np.fft.ifftn(c, axes=tuple(range(-self.d, 0)), norm="forward").real
+
+
+# Every call site of Lattice.inverse in the package, as a function of the
+# lattice, a datum u (a random real field, so every mode is live, the
+# Nyquist ones included) and a pair of its heat trajectories.
+INVERSE_CALL_SITES = {
+    "heat_flows": lambda lat, u, trajs: [
+        f.data for f in heat_trajectory(u, [0.01, 0.1, 0.5]).fields],
+    "heat_flow": lambda lat, u, trajs: heat_flow(u, 0.05).data,
+    "fractional_laplacian": lambda lat, u, trajs: fractional_laplacian(u, 0.5).data,
+    "leray_project": lambda lat, u, trajs: leray_project(u).data,
+    "divergence_defect": lambda lat, u, trajs: divergence_defect(u),
+    "bilinear_B": lambda lat, u, trajs: bilinear_B(
+        *trajs, float(trajs[0].times[-1]), QuadratureSpec(8, 0.5, 0.5)).data,
+    "kernel_profile": lambda lat, u, trajs: kernel_profile(
+        0.0, lat.d, np.linspace(0.25, 1.0, 6), resolution=32).values,
+    "random_band": lambda lat, u, trajs: realize_datum(
+        DatumSpec(kind="random_band", seed=4, k_min=1, k_max=3, divergence_free=True),
+        lat).data,
+}
+
+
+class TestHalfSpectrumCallSites:
+    """Each in-package caller of Lattice.inverse passes Hermitian
+    coefficients, so reading only their half spectrum gives what the complex
+    inverse of the full spectrum gave, to round-off. The reference runs the
+    same code with the full spectrum kept (Lattice.half the identity,
+    Lattice.ksq_half all of ksq) and the complex inverse."""
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("site", sorted(INVERSE_CALL_SITES))
+    def test_matches_the_complex_inverse(self, site, d, n, monkeypatch):
+        lat = make_lattice(d, n, 2.0 * np.pi)
+        rng = np.random.default_rng(7)
+        u = VectorField(lat, rng.standard_normal((d,) + lat.spatial_shape), PHYSICAL)
+        v = VectorField(lat, rng.standard_normal((d,) + lat.spatial_shape), PHYSICAL)
+        mesh = [0.01, 0.04, 0.09]
+        trajs = (heat_trajectory(u, mesh), heat_trajectory(v, mesh))
+        got = np.asarray(INVERSE_CALL_SITES[site](lat, u, trajs))
+        monkeypatch.setattr(Lattice, "inverse", complex_inverse)
+        monkeypatch.setattr(Lattice, "half", lambda self, c: c)
+        monkeypatch.setattr(Lattice, "ksq_half", property(lambda self: self.ksq))
+        want = np.asarray(INVERSE_CALL_SITES[site](lat, u, trajs))
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def transform_uses(source: str) -> list:

@@ -1,7 +1,7 @@
 """The output comparator (tools/outputs.py) on small synthetic output sets:
 one ulp reads as round-off; a 1e-9 relative move, a flipped boolean or a
 dropped row reads as changed; a move that passes only through the absolute
-floor is listed."""
+floor, the relative-quantity rule or the digest rule is listed."""
 import importlib.util
 import json
 from pathlib import Path
@@ -118,3 +118,77 @@ def test_wall_times_are_listed_without_changing_the_verdict(base, tmp_path):
         ["exp", "2.00", "1.00", "0.50"], ["extra", "-", "3.00", "-"],
         ["smoke", "1.00", "-", "-"]]
     assert outputs.main(["diff", str(base), str(other)]) == 0
+
+
+CALIBRATION = {"book": "d2-p2-s0-qt4", "c_hat": 0.10112210300082865, "delta": 2.4722,
+               "corpus": {"seed": 11, "pairs": 20}, "digest": "5bd0"}
+
+
+def with_calibration(root: Path, calibration: dict, manifest_digest: str) -> Path:
+    """An output set whose manifest carries manifest_digest, beside a
+    calibration file."""
+    manifest = {**MANIFEST, "provenance": {**MANIFEST["provenance"],
+                                           "calibration_digest": manifest_digest}}
+    write_set(root, manifest=manifest)
+    (root / "calibration.json").write_text(json.dumps(calibration, sort_keys=True))
+    return root
+
+
+@pytest.mark.parametrize("c_hat, manifest_digest, corpus_seed, label, calibration_label", [
+    (0.10112210300082868, "5c79", 11, "round-off", "round-off"),  # moved at round-off
+    (0.10112210300082868, "5c7a", 11, "changed", "round-off"),  # not B's digest
+    (0.10112210300082865 * (1 + 1e-9), "5c79", 11, "changed", "changed"),  # moved 1e-9
+    (0.10112210300082868, "5c79", 12, "changed", "changed"),  # another corpus
+], ids=["round-off", "foreign-digest", "1e-9", "corpus"])
+def test_digests_compare_through_their_constants(tmp_path, c_hat, manifest_digest,
+                                                 corpus_seed, label, calibration_label):
+    base = with_calibration(tmp_path / "a", CALIBRATION, "5bd0")
+    moved = {**CALIBRATION, "c_hat": c_hat, "digest": "5c79",
+             "corpus": {**CALIBRATION["corpus"], "seed": corpus_seed}}
+    found, report = labels(base, with_calibration(tmp_path / "b", moved, manifest_digest))
+    assert found["exp.json"] == label
+    assert found["calibration.json"] == calibration_label
+    if label == "round-off":
+        listed = report.split("calibration digest:")[1].split("wall time")[0]
+        assert "exp.json provenance.calibration_digest: '5bd0' vs '5c79'" in listed
+        assert "calibration.json digest" in listed
+
+
+def test_digest_without_calibration_files_is_changed(tmp_path):
+    base = with_calibration(tmp_path / "a", CALIBRATION, "5bd0")
+    other = with_calibration(tmp_path / "b", {**CALIBRATION, "digest": "5c79"}, "5c79")
+    (other / "calibration.json").unlink()
+    found, _ = labels(base, other)
+    assert found["exp.json"] == "changed"
+
+
+DEFECTS = "t,divergence_defect,residual\n0.5,1.23e-14,1.23e-14\n"
+
+
+@pytest.mark.parametrize("csv_text, label", [
+    (DEFECTS.replace(",1.23e-14,", ",1.44e-14,"), "round-off"),  # round-off of a zero
+    (DEFECTS.replace(",1.23e-14,", ",1.00123e-11,"), "changed"),  # 1e-11 absolute
+    (DEFECTS.replace(",1.23e-14\n", ",1.44e-14\n"), "changed"),  # unlisted column
+], ids=["defect", "1e-11", "unlisted"])
+def test_relative_quantities_compare_on_the_absolute_scale(tmp_path, csv_text, label):
+    base = write_set(tmp_path / "a", DEFECTS)
+    found, report = labels(base, write_set(tmp_path / "b", csv_text))
+    assert found["exp.csv"] == label
+    if label == "round-off":
+        listed = report.split("absolute:")[1]
+        assert "exp.csv row 1 divergence_defect: 1.23e-14 vs 1.44e-14" in listed
+
+
+def test_relative_quantity_is_the_last_json_key(tmp_path):
+    summary = {**MANIFEST["summary"], "s=0.slope_rel_err": 3e-4, "max_rel_change": 0.002}
+    moved = {**summary, "s=0.slope_rel_err": 3e-4 + 1.3e-15,
+             "max_rel_change": 0.002 + 5e-13}
+    base = write_set(tmp_path / "a", manifest={**MANIFEST, "summary": summary})
+    found, report = labels(base, write_set(tmp_path / "b",
+                                           manifest={**MANIFEST, "summary": moved}))
+    assert found["exp.json"] == "round-off"
+    listed = report.split("absolute:")[1]
+    assert "summary.s=0.slope_rel_err" in listed and "summary.max_rel_change" in listed
+    assert outputs.is_relative_quantity("trace.divergence_defects[]")
+    assert outputs.is_relative_quantity("summary.max_divergence_defect")
+    assert not outputs.is_relative_quantity("summary.rel_err_bound")

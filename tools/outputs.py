@@ -6,7 +6,8 @@
 `run` writes, under DIR, the CSV and manifest of each of the 13
 experiments at default config (`mildns <id> --out DIR`), the saved smoke
 solution under DIR/smoke (`mildns solve --set n=16 --set mesh_nodes=8
---set quad_nodes=8 --set save_fields=true --out DIR/smoke`), and
+--set quad_nodes=8 --set save_fields=true --out DIR/smoke`), the default
+calibration file DIR/calibration.json (`mildns calibrate --out DIR`), and
 timings.json with the wall time of each. SRC is the `src` directory whose
 mildns package is run; it defaults to the one beside this script, so the
 outputs of another checkout are written with `--src other/src`.
@@ -17,12 +18,32 @@ outputs of another checkout are written with `--src other/src`.
 * round-off -- the files parse to the same structure: column names, row
   counts, keys, list lengths, strings (hashes among them), integers and
   booleans all match exactly, and every float pair (a, b) has
-  |a - b| <= 1e-12 * max(|a|, |b|) or |a - b| <= 1e-15;
+  |a - b| <= 1e-12 * max(|a|, |b|) or |a - b| <= 1e-15; two rules below
+  widen this;
 * changed -- anything else, a file on one side only among them.
+
+Two rules compare a value through what it stands for:
+
+* Calibration digests. A digest is a hash of the calibration constants, so
+  a one-ulp move of c_hat changes every byte of it. A string pair (a, b)
+  passes when a is the `digest` of A/calibration.json, b that of
+  B/calibration.json, the two calibration files have identical `corpus`
+  sections and the rest of them, `digest` aside, is round-off by the
+  rules here.
+* Relative quantities: columns or keys named `*divergence_defect`,
+  `*divergence_defects`, `*rel_err` or `*rel_change` (the last key of a
+  JSON path, so `max_divergence_defect` is one). Each is a defect, an error
+  or the maximum of such, measured relative to the size of
+  its inputs, |x - y| / |y| or max |div u| / max |u|, so a round-off move
+  of 1e-12 relative in x and y moves it by about 1e-12 absolute, whatever
+  its own size; a defect that is itself round-off of an exact zero (about
+  1e-14) can move by a large share of itself. So these pass when
+  |a - b| <= 1e-12 absolute.
 
 For each file that is not identical it prints the worst cell of every
 column that moved, and it lists every cell that passes only through the
-absolute floor. Last it prints each job's wall time on both sides, read
+absolute floor, only through the relative-quantity rule or only through
+the digest rule. Last it prints each job's wall time on both sides, read
 from the two timings.json files, and their ratio B/A; the times take no
 part in the labels. The exit status is 1 when some file is changed.
 
@@ -39,6 +60,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import fnmatch
 import io
 import json
 import math
@@ -54,6 +76,13 @@ RTOL = 1e-12
 ATOL = 1e-15
 
 IDENTICAL, ROUND_OFF, CHANGED = "identical", "round-off", "changed"
+RELATIVE_QUANTITIES = ("*divergence_defect", "*divergence_defects", "*rel_err", "*rel_change")
+CALIBRATION = "calibration.json"
+RULES = {  # each widening rule, and the heading of the cells that pass only through it
+    "floor": f"cells within only the absolute floor {ATOL:g}:",
+    "relative": f"relative quantities within only {RTOL:g} absolute:",
+    "digest": "digests that pass only as their side's calibration digest:",
+}
 SMOKE_ARGS = ["--set", "n=16", "--set", "mesh_nodes=8", "--set", "quad_nodes=8",
               "--set", "save_fields=true"]
 _INTEGER = re.compile(r"[+-]?\d+\Z")
@@ -72,6 +101,7 @@ def run(out_dir: Path, src: Path) -> dict:
 
     jobs = [(exp_id, [exp_id, "--out", str(out_dir)]) for exp_id in sorted(EXPERIMENTS)]
     jobs.append(("smoke", ["solve", *SMOKE_ARGS, "--out", str(out_dir / "smoke")]))
+    jobs.append(("calibration", ["calibrate", "--out", str(out_dir)]))
     timings = {}
     for name, argv in jobs:
         start = time.perf_counter()
@@ -93,13 +123,23 @@ class Mismatch(Exception):
     """A difference that no tolerance forgives."""
 
 
+def is_relative_quantity(column: str) -> bool:
+    """True for a CSV column or JSON path whose last key names a relative
+    defect or error (RELATIVE_QUANTITIES)."""
+    key = column.replace("[]", "").rsplit(".", 1)[-1]
+    return any(fnmatch.fnmatchcase(key, pattern) for pattern in RELATIVE_QUANTITIES)
+
+
 class FileDiff:
     """Per-column worst float difference of one file pair, and the cells
-    that pass only through the absolute floor."""
+    that pass only through the absolute floor, the relative-quantity rule or
+    the digest rule. digests is the pair (digest of A, digest of B) of two
+    calibration files that the digest rule accepts, or None."""
 
-    def __init__(self):
+    def __init__(self, digests=None):
+        self.digests = digests
         self.worst = {}  # column -> (relative, absolute, where, a, b)
-        self.floor_only = []  # (where, a, b)
+        self.passed_only = {rule: [] for rule in RULES}  # rule -> [(where, a, b)]
 
     def floats(self, column: str, where: str, a: float, b: float) -> None:
         if a == b or (math.isnan(a) and math.isnan(b)):
@@ -108,9 +148,12 @@ class FileDiff:
         scale = max(abs(a), abs(b))
         rel = gap / scale if scale > 0 else math.inf
         if not gap <= RTOL * scale:
-            if not gap <= ATOL:
+            if gap <= ATOL:
+                self.passed_only["floor"].append((where, a, b))
+            elif gap <= RTOL and is_relative_quantity(column):
+                self.passed_only["relative"].append((where, a, b))
+            else:
                 raise Mismatch(f"{where}: {a!r} vs {b!r} (relative {rel:.3g})")
-            self.floor_only.append((where, a, b))
         if column not in self.worst or rel > self.worst[column][0]:
             self.worst[column] = (rel, gap, where, a, b)
 
@@ -140,6 +183,8 @@ class FileDiff:
                 self.values(f"{column}[]", f"{where}[{i}]", x, y)
         elif _is_float_pair(a, b):
             self.floats(column, where, float(a), float(b))
+        elif isinstance(a, str) and a != b and (a, b) == self.digests:
+            self.passed_only["digest"].append((where, a, b))
         elif type(a) is not type(b) or a != b:
             raise Mismatch(f"{where}: {a!r} vs {b!r}")
 
@@ -195,14 +240,33 @@ def output_files(root: Path) -> set:
     }
 
 
-def diff_file(a: Path, b: Path):
-    """(label, FileDiff or None, reason) for one file pair."""
+def calibration_digests(root_a: Path, root_b: Path):
+    """(digest of A, digest of B) when both calibration files exist, their
+    corpus sections are identical and the rest of them, digest aside, is
+    round-off; None otherwise, so that no digest pair passes."""
+    files = (root_a / CALIBRATION, root_b / CALIBRATION)
+    if not all(path.is_file() for path in files):
+        return None
+    try:
+        cal_a, cal_b = (json.loads(path.read_text()) for path in files)
+        digests = cal_a.pop("digest"), cal_b.pop("digest")
+        if cal_a.get("corpus") != cal_b.get("corpus"):
+            return None
+        FileDiff().values("", "", cal_a, cal_b)
+    except (Mismatch, ValueError, KeyError, AttributeError):
+        return None
+    return digests
+
+
+def diff_file(a: Path, b: Path, digests=None):
+    """(label, FileDiff or None, reason) for one file pair; digests as in
+    FileDiff."""
     if not a.is_file() or not b.is_file():
         return CHANGED, None, "present on one side only"
     blob_a, blob_b = a.read_bytes(), b.read_bytes()
     if blob_a == blob_b:
         return IDENTICAL, None, ""
-    out = FileDiff()
+    out = FileDiff(digests)
     try:
         _PARSERS[a.suffix](blob_a, blob_b, out)
     except (Mismatch, ValueError) as exc:
@@ -212,10 +276,12 @@ def diff_file(a: Path, b: Path):
 
 def diff(root_a: Path, root_b: Path) -> tuple:
     """Compare two output directories; return (report text, counts)."""
-    lines, floor_lines = [], []
+    lines = []
+    only = {rule: [] for rule in RULES}
+    digests = calibration_digests(root_a, root_b)
     counts = {IDENTICAL: 0, ROUND_OFF: 0, CHANGED: 0}
     for name in sorted(output_files(root_a) | output_files(root_b)):
-        label, result, reason = diff_file(root_a / name, root_b / name)
+        label, result, reason = diff_file(root_a / name, root_b / name, digests)
         counts[label] += 1
         lines.append(f"{label:<10} {name}" + (f"  ({reason})" if reason else ""))
         if result is None:
@@ -223,13 +289,14 @@ def diff(root_a: Path, root_b: Path) -> tuple:
         for column, (rel, gap, where, x, y) in sorted(result.worst.items()):
             lines.append(f"    {column:<36} worst relative {rel:.2g}, "
                          f"absolute {gap:.2g} at {where}: {x!r} vs {y!r}")
-        for where, x, y in result.floor_only:
-            floor_lines.append(f"    {name} {where}: {x!r} vs {y!r}")
+        for rule, cells in result.passed_only.items():
+            only[rule].extend(f"    {name} {where}: {x!r} vs {y!r}" for where, x, y in cells)
     lines.append(f"{counts[IDENTICAL]} identical, {counts[ROUND_OFF]} round-off, "
                  f"{counts[CHANGED]} changed")
-    if floor_lines:
-        lines.append(f"cells within only the absolute floor {ATOL:g}:")
-        lines.extend(floor_lines)
+    for rule, cells in only.items():
+        if cells:
+            lines.append(RULES[rule])
+            lines.extend(cells)
     lines.extend(timing_lines(root_a, root_b))
     return "\n".join(lines), counts
 
