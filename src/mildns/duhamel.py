@@ -20,15 +20,17 @@ the contracted 1.5 but is not spectrally accurate for fractional theta.
 
 Fused evaluation of B at one output time t: the Q node products
 u(tau_q) x v(tau_q) are formed from the interpolated factors in chunks of
-at most _CHUNK_BYTES (256 KB) of spectral coefficients, each chunk is
-transformed by one Lattice.forward call and contracted with the real
-kernel w_q exp(-|k|^2 gap_q), and P div and the inverse transform
-act once on the summed (d, d) coefficients. For B(u, u), the case of
-every Picard step, only the products i <= j are formed. The factors still
-come from one Trajectory.value_at call per factor and node, so the
-frozen value below the first mesh node and the exact-node shortcut are
-the trajectory's own. The sums are re-associated against a per-node
-projection, so B moves at round-off, not bit for bit.
+at most _CHUNK_BYTES (256 KB) of half-spectrum coefficients, each chunk is
+transformed by one Lattice.rforward call (the products are real, so only
+the half of the spectrum that Lattice.inverse reads is computed) and
+contracted with the real kernel w_q exp(-|k|^2 gap_q) on that half, and
+P div and the inverse transform act once on the summed (d, d) half
+coefficients. For B(u, u), the case of every Picard step, only the
+products i <= j are formed. The factors still come from one
+Trajectory.value_at call per factor and node, so the frozen value below
+the first mesh node and the exact-node shortcut are the trajectory's own.
+The sums are re-associated against a per-node projection, so B moves at
+round-off, not bit for bit.
 """
 from __future__ import annotations
 
@@ -40,7 +42,10 @@ import numpy as np
 from scipy.special import gamma as gamma_fn, roots_jacobi, roots_legendre
 
 from .errors import ConfigError, DataError
-from .lattice import SPECTRAL, VectorField, to_physical
+# to_physical is no longer called here, but it stays bound: the benchmark's
+# span tracer (bench/spans.py) patches it in every module that imports it,
+# and bench/tests/test_spans.py checks this module's binding.
+from .lattice import PHYSICAL, VectorField, to_physical  # noqa: F401
 from .multipliers import _project_div_spectral
 from .norms import ExponentBook, NormReport, Trajectory, kato_norm, n_norm
 
@@ -165,9 +170,10 @@ def beta_integral(gamma: float, theta: float, t: float, method: str = "closed-fo
 # The bilinear term
 
 
-# Cap on the spectral coefficients of the node products transformed in one
-# batch. A larger cap only holds more at once: at d=2, n=32, M=Q=16 a
-# 32 MB cap raised a solve's peak memory by 1.7 MB and was no faster.
+# Cap on the half-spectrum coefficients (Lattice.rforward) of the node
+# products transformed in one batch: 10 nodes of B(u, u) at d=2, n=32. A
+# larger cap only holds more at once: at d=2, n=32, M=Q=16 a 32 MB cap
+# raised a solve's peak memory by 1.7 MB and was no faster.
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -187,7 +193,9 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
 
     P div and the inverse transform are linear, so they act once, on
     sum_q w_q exp(-|k|^2 gap_q) F[u(tau_q) x v(tau_q)], not once per node.
-    The node products are transformed in chunks of at most _CHUNK_BYTES of
+    The products are real, so F is Lattice.rforward and every step runs on
+    the half spectrum that Lattice.inverse reads. The node products are
+    transformed in chunks of at most _CHUNK_BYTES of half-spectrum
     coefficients, one transform per chunk. When u_traj is v_traj only the
     products i <= j are formed; u_i * u_j == u_j * u_i in IEEE arithmetic,
     so the shortcut is exact. value_at is still called for both factors at
@@ -209,11 +217,12 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     pair_of = np.empty((d, d), dtype=int)  # tensor entry (i, j) -> product row
     pair_of[cols, rows] = np.arange(rows.size)  # the mirror, when u is v
     pair_of[rows, cols] = np.arange(rows.size)
-    node_bytes = rows.size * lat.n**d * np.dtype(np.complex128).itemsize
+    ksq = lat.ksq_half
+    node_bytes = rows.size * ksq.size * np.dtype(np.complex128).itemsize
     chunk = max(1, _CHUNK_BYTES // node_bytes)
     node_axis = (-1,) + (1,) * d
 
-    acc = np.zeros((rows.size,) + lat.spatial_shape, dtype=np.complex128)
+    acc = np.zeros((rows.size,) + ksq.shape, dtype=np.complex128)
     for start in range(0, taus.size, chunk):
         nodes = slice(start, start + chunk)
         products = np.array([
@@ -221,13 +230,13 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
             * v_traj.value_at(tau, interp_power).data[cols]
             for tau in taus[nodes]
         ])
-        coeff = lat.forward(products)
+        coeff = lat.rforward(products)
         kernel = weights[nodes].reshape(node_axis) * np.exp(
-            -lat.ksq * gaps[nodes].reshape(node_axis))
+            -ksq * gaps[nodes].reshape(node_axis))
         coeff *= kernel[:, None]
         acc += coeff.sum(axis=0)
     w = _project_div_spectral(acc[pair_of], lat)
-    return to_physical(VectorField(lat, w, SPECTRAL))
+    return VectorField(lat, lat.inverse(w), PHYSICAL)
 
 
 def bilinear_trajectory(u_traj: Trajectory, v_traj: Trajectory,

@@ -10,13 +10,20 @@ Conventions used throughout the package:
   of its spectral mass in c_0.
 * Plancherel with these weights: the physical L2 norm computed with cell
   weights (L/n)^d equals L^(d/2) times the l2 norm of the coefficients.
-* Spectral arrays hold the full grid of coefficients, but the inverse
+* Spectral fields hold the full grid of coefficients, but the inverse
   transform reads only the non-negative half of the last spatial axis,
   indices 0..n/2 (Lattice.half). That is exact for Hermitian coefficients,
   c(-k) = conj(c(k)), which every caller passes: spectra of real samples,
   times real even symbols (heat factor, |k|^s, the Leray projection) or
   odd ones built on the Nyquist-zeroed k_deriv. The other half is their
   complex conjugate and carries no information.
+* The half is a prefix of the FFT layout: fftfreq puts m = 0, 1, ..., n/2
+  first on every axis (the n/2 entry stored as -n/2), so a half array is
+  c[..., :n/2 + 1] of the full one, and an elementwise multiplier acts on
+  it through the same prefix of its own array, k[..., :c.shape[-1]].
+  Lattice.rforward yields such a half array straight from real samples;
+  the Duhamel term (duhamel.bilinear_B) is its one caller, and its half
+  arrays never become a spectral Field.
 * Component axes lead: scalars have shape (n,)*d, vector fields
   (d,) + (n,)*d, rank-2 tensor fields (d, d) + (n,)*d.
 """
@@ -63,8 +70,8 @@ class Lattice:
     kmag : |k| on the full grid
     safe_ksq_deriv : |k|^2 from k_deriv with zeros replaced by 1, built on
         first use and read-only
-    ksq_half : |k|^2 on the half of the grid that inverse() reads, a
-        read-only view of ksq built on first use
+    ksq_half : |k|^2 on the half of the grid that inverse() reads and
+        rforward() yields, a read-only view of ksq built on first use
     """
 
     def __init__(self, d: int, n: int, box_len: float):
@@ -131,10 +138,22 @@ class Lattice:
     def forward(self, a: np.ndarray) -> np.ndarray:
         """Fourier-series coefficients fftn(a) / n^d over the trailing d axes.
 
-        Every transform in the package goes through this method and
-        inverse(). n is a power of two, so the 1/n^d scaling is exact.
+        Every transform in the package goes through this method,
+        rforward() and inverse(). n is a power of two, so the 1/n^d scaling
+        is exact.
         """
         return np.fft.fftn(a, axes=tuple(range(-self.d, 0)), norm="forward")
+
+    def rforward(self, a: np.ndarray) -> np.ndarray:
+        """The half of forward(a) that inverse() reads, for real samples a:
+        rfftn(a) / n^d over the trailing d axes, indices 0..n/2 of the last.
+
+        It equals half(forward(a)) to round-off, not bit for bit, at half
+        the transform work. The result is a half array, not the layout of
+        a spectral Field; the Duhamel term transforms its real node
+        products with it.
+        """
+        return np.fft.rfftn(a, axes=tuple(range(-self.d, 0)), norm="forward")
 
     def inverse(self, c: np.ndarray) -> np.ndarray:
         """Real samples of the Hermitian coefficients c over the trailing d axes.

@@ -13,7 +13,11 @@ zeroed) so that real fields map to real fields and the discrete Leray
 projection is exactly idempotent and divergence free under the same
 discrete divergence. _divergence_spectral and _leray_inplace are the one
 P div kernel: leray_project, the Duhamel term and kernel_profile all use
-them.
+them. The kernel is elementwise, and it reads k_deriv and safe_ksq_deriv
+through their prefix k[..., :c.shape[-1]], so it takes the full spectrum
+(leray_project, kernel_profile) or its half (Lattice.half, the Duhamel
+term's Lattice.rforward coefficients) alike: on a half array it gives the
+half of what it gives on the full one, bit for bit.
 """
 from __future__ import annotations
 
@@ -44,17 +48,21 @@ def _apply_multiplier(field: Field, multiplier: np.ndarray) -> Field:
 
 def _divergence_spectral(tensor_coeff: np.ndarray, lat: Lattice) -> np.ndarray:
     """Vector coefficients sum_j i k_j T_ij of div T, as a new array."""
-    out = np.empty((lat.d,) + lat.spatial_shape, dtype=np.complex128)
+    m = tensor_coeff.shape[-1]
+    k = [kd[..., :m] for kd in lat.k_deriv]
+    out = np.empty(tensor_coeff.shape[1:], dtype=np.complex128)
     for i in range(lat.d):
-        out[i] = sum(1j * lat.k_deriv[j] * tensor_coeff[i, j] for j in range(lat.d))
+        out[i] = sum(1j * k[j] * tensor_coeff[i, j] for j in range(lat.d))
     return out
 
 
 def _leray_inplace(coeff: np.ndarray, lat: Lattice) -> np.ndarray:
     """Overwrite vector coefficients c with c - k (k . c) / |k|^2 and return them."""
-    k_dot_c = sum(lat.k_deriv[i] * coeff[i] for i in range(lat.d)) / lat.safe_ksq_deriv
+    m = coeff.shape[-1]
+    k = [kd[..., :m] for kd in lat.k_deriv]
+    k_dot_c = sum(k[i] * coeff[i] for i in range(lat.d)) / lat.safe_ksq_deriv[..., :m]
     for i in range(lat.d):
-        coeff[i] -= lat.k_deriv[i] * k_dot_c
+        coeff[i] -= k[i] * k_dot_c
     return coeff
 
 

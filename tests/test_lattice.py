@@ -155,7 +155,8 @@ class TestTransforms:
         scaling is exact), whatever the leading axes. A full and a half
         array give the same bits, and for the Hermitian coefficients of real
         samples the result is the real part of the complex inverse to
-        round-off."""
+        round-off. Lattice.rforward is rfftn / n^d, bit for bit, which is
+        that half of forward to round-off, and inverse undoes it."""
         lat = make_lattice(d, n, 2.0 * np.pi)
         axes = tuple(range(len(shape) - d, len(shape)))
         a = rng.standard_normal(shape)
@@ -167,6 +168,10 @@ class TestTransforms:
         npt.assert_array_equal(lat.inverse(half.copy()), back)
         complex_inverse = (np.fft.ifftn(c, axes=axes) * n**d).real
         assert np.abs(back - complex_inverse).max() <= 1e-15 * np.abs(a).max()
+        r = lat.rforward(a)
+        npt.assert_array_equal(r, np.fft.rfftn(a, axes=axes) / n**d)
+        assert np.abs(r - half).max() <= 1e-15 * np.abs(a).max()
+        assert np.abs(lat.inverse(r) - a).max() <= 1e-15 * np.abs(a).max()
 
 
 def complex_inverse(self, c):
@@ -187,6 +192,8 @@ INVERSE_CALL_SITES = {
     "divergence_defect": lambda lat, u, trajs: divergence_defect(u),
     "bilinear_B": lambda lat, u, trajs: bilinear_B(
         *trajs, float(trajs[0].times[-1]), QuadratureSpec(8, 0.5, 0.5)).data,
+    "bilinear_B(u, u)": lambda lat, u, trajs: bilinear_B(
+        trajs[0], trajs[0], float(trajs[0].times[-1]), QuadratureSpec(8, 0.5, 0.5)).data,
     "kernel_profile": lambda lat, u, trajs: kernel_profile(
         0.0, lat.d, np.linspace(0.25, 1.0, 6), resolution=32).values,
     "random_band": lambda lat, u, trajs: realize_datum(
@@ -200,7 +207,8 @@ class TestHalfSpectrumCallSites:
     coefficients, so reading only their half spectrum gives what the complex
     inverse of the full spectrum gave, to round-off. The reference runs the
     same code with the full spectrum kept (Lattice.half the identity,
-    Lattice.ksq_half all of ksq) and the complex inverse."""
+    Lattice.ksq_half all of ksq, Lattice.rforward the complex forward) and
+    the complex inverse."""
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)], ids=["2d", "3d"])
     @pytest.mark.parametrize("site", sorted(INVERSE_CALL_SITES))
@@ -215,6 +223,7 @@ class TestHalfSpectrumCallSites:
         monkeypatch.setattr(Lattice, "inverse", complex_inverse)
         monkeypatch.setattr(Lattice, "half", lambda self, c: c)
         monkeypatch.setattr(Lattice, "ksq_half", property(lambda self: self.ksq))
+        monkeypatch.setattr(Lattice, "rforward", Lattice.forward)
         want = np.asarray(INVERSE_CALL_SITES[site](lat, u, trajs))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -241,9 +250,9 @@ def transform_uses(source: str) -> list:
 
 class TestTransformLayer:
     def test_only_lattice_calls_a_transform_module(self):
-        """The Fourier convention lives in Lattice.forward / Lattice.inverse
-        (and fftfreq in Lattice): no other module of the package touches
-        numpy.fft or scipy.fft."""
+        """The Fourier convention lives in Lattice.forward, Lattice.rforward
+        and Lattice.inverse (and fftfreq in Lattice): no other module of the
+        package touches numpy.fft or scipy.fft."""
         package = Path(mildns.__file__).parent
         offenders = {
             path.name: transform_uses(path.read_text())

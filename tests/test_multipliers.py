@@ -164,6 +164,17 @@ class TestDivergence:
         npt.assert_allclose(out[0], np.cos(x) + np.cos(y), atol=1e-13)
         npt.assert_allclose(out[1], 0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)], ids=["2d", "3d"])
+    def test_kernel_on_the_half_spectrum_is_the_half_of_the_kernel(self, d, n):
+        """The P div kernel is elementwise and reads k through its prefix, so
+        on the half spectrum (the Duhamel term's layout) it gives the half
+        of its full-spectrum result, bit for bit."""
+        lat = make_lattice(d, n, 2.0 * np.pi)
+        rng = np.random.default_rng(5)
+        T = lat.forward(rng.standard_normal((d, d) + lat.spatial_shape))
+        npt.assert_array_equal(_project_div_spectral(lat.half(T), lat),
+                               lat.half(_project_div_spectral(T, lat)))
+
     def test_defect_zero_field(self, lat2):
         u = VectorField(lat2, np.zeros((2, 16, 16)), PHYSICAL)
         assert divergence_defect(u) == 0.0

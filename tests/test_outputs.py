@@ -1,7 +1,8 @@
 """The output comparator (tools/outputs.py) on small synthetic output sets:
 one ulp reads as round-off; a 1e-9 relative move, a flipped boolean or a
 dropped row reads as changed; a move that passes only through the absolute
-floor, the relative-quantity rule or the digest rule is listed."""
+floor (the worst of each file), the relative-quantity rule or the digest
+rule is listed."""
 import importlib.util
 import json
 from pathlib import Path
@@ -96,6 +97,24 @@ def test_sub_floor_move_is_listed(base, tmp_path):
     assert found["exp.json"] == "round-off"
     floor = report.split("absolute floor")[1]
     assert "exp.json summary.residual" in floor
+
+
+def test_floor_cells_collapse_to_one_line_per_file(tmp_path):
+    """Saved fields moved at round-off of their zeros: each file's floor-only
+    cells read as one line, the worst |a - b| and the count."""
+    header = outputs._FIELD_HEADER.pack(2, 4, 1.0, 1, 0)
+    zeros = np.zeros(16)
+    moved = zeros.copy()
+    moved[[2, 5, 11]] = [1e-17, -2.2e-16, 4e-17]
+    for root, samples in ((tmp_path / "a", zeros), (tmp_path / "b", moved)):
+        root.mkdir()
+        for name in ("node_0.field", "node_1.field"):
+            (root / name).write_bytes(header + samples.astype("<f8").tobytes())
+    found, report = labels(tmp_path / "a", tmp_path / "b")
+    assert found == {"node_0.field": "round-off", "node_1.field": "round-off"}
+    floor = report.split("absolute floor")[1].splitlines()[1:]
+    assert floor == [f"    {name} sample 5: 0.0 vs -2.2e-16, worst |a - b| 2.2e-16 of 3 cells"
+                     for name in ("node_0.field", "node_1.field")]
 
 
 def test_file_on_one_side_is_changed(base, tmp_path):

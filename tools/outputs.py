@@ -41,11 +41,14 @@ Two rules compare a value through what it stands for:
   |a - b| <= 1e-12 absolute.
 
 For each file that is not identical it prints the worst cell of every
-column that moved, and it lists every cell that passes only through the
-absolute floor, only through the relative-quantity rule or only through
-the digest rule. Last it prints each job's wall time on both sides, read
-from the two timings.json files, and their ratio B/A; the times take no
-part in the labels. The exit status is 1 when some file is changed.
+column that moved. Of the cells that pass only through the absolute floor
+it prints one line per file: the worst of them, by |a - b|, and their
+count (a saved field moved at round-off can have thousands, all of them
+about 1e-16). It lists every cell that passes only through the
+relative-quantity rule or only through the digest rule. Last it prints
+each job's wall time on both sides, read from the two timings.json files,
+and their ratio B/A; the times take no part in the labels. The exit
+status is 1 when some file is changed.
 
 CSV cells and JSON values are typed from their text: `true`/`false` are
 booleans, an integer literal is an integer (compared exactly when both
@@ -79,7 +82,7 @@ IDENTICAL, ROUND_OFF, CHANGED = "identical", "round-off", "changed"
 RELATIVE_QUANTITIES = ("*divergence_defect", "*divergence_defects", "*rel_err", "*rel_change")
 CALIBRATION = "calibration.json"
 RULES = {  # each widening rule, and the heading of the cells that pass only through it
-    "floor": f"cells within only the absolute floor {ATOL:g}:",
+    "floor": f"cells within only the absolute floor {ATOL:g}, the worst of each file:",
     "relative": f"relative quantities within only {RTOL:g} absolute:",
     "digest": "digests that pass only as their side's calibration digest:",
 }
@@ -290,7 +293,13 @@ def diff(root_a: Path, root_b: Path) -> tuple:
             lines.append(f"    {column:<36} worst relative {rel:.2g}, "
                          f"absolute {gap:.2g} at {where}: {x!r} vs {y!r}")
         for rule, cells in result.passed_only.items():
-            only[rule].extend(f"    {name} {where}: {x!r} vs {y!r}" for where, x, y in cells)
+            if rule == "floor" and cells:
+                where, x, y = max(cells, key=lambda cell: abs(cell[1] - cell[2]))
+                only[rule].append(f"    {name} {where}: {x!r} vs {y!r}, worst |a - b| "
+                                  f"{abs(x - y):.2g} of {len(cells)} cells")
+            else:
+                only[rule].extend(f"    {name} {where}: {x!r} vs {y!r}"
+                                  for where, x, y in cells)
     lines.append(f"{counts[IDENTICAL]} identical, {counts[ROUND_OFF]} round-off, "
                  f"{counts[CHANGED]} changed")
     for rule, cells in only.items():
