@@ -26,11 +26,11 @@ the half of the spectrum that Lattice.inverse reads is computed) and
 contracted with the real kernel w_q exp(-|k|^2 gap_q) on that half, and
 P div and the inverse transform act once on the summed (d, d) half
 coefficients. For B(u, u), the case of every Picard step, only the
-products i <= j are formed. The factors still come from one
-Trajectory.value_at call per factor and node, so the frozen value below
-the first mesh node and the exact-node shortcut are the trajectory's own.
-The sums are re-associated against a per-node projection, so B moves at
-round-off, not bit for bit.
+products i <= j are formed. The factors are array slices of the
+trajectories, one Trajectory.value_at call per factor and node, so the
+frozen value below the first mesh node and the exact-node shortcut are
+the trajectory's own. The sums are re-associated against a per-node
+projection, so B moves at round-off, not bit for bit.
 """
 from __future__ import annotations
 
@@ -199,9 +199,9 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     coefficients, one transform per chunk. When u_traj is v_traj only the
     products i <= j are formed; u_i * u_j == u_j * u_i in IEEE arithmetic,
     so the shortcut is exact. value_at is still called for both factors at
-    every node: the interpolation (the frozen value below the first mesh
-    node, the exact-node shortcut) stays the trajectory's own, and the
-    call count is what span tracing of a solve expects.
+    every node and returns array slices: the interpolation (the frozen
+    value below the first mesh node, the exact-node shortcut) stays the
+    trajectory's own, and the call count is what span tracing expects.
     """
     _check_pair(u_traj, v_traj)
     u_traj.node_index(t)  # raises MeshError when t is off the mesh
@@ -226,8 +226,8 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     for start in range(0, taus.size, chunk):
         nodes = slice(start, start + chunk)
         products = np.array([
-            u_traj.value_at(tau, interp_power).data[rows]
-            * v_traj.value_at(tau, interp_power).data[cols]
+            u_traj.value_at(tau, interp_power)[rows]
+            * v_traj.value_at(tau, interp_power)[cols]
             for tau in taus[nodes]
         ])
         coeff = lat.rforward(products)
@@ -243,8 +243,8 @@ def bilinear_trajectory(u_traj: Trajectory, v_traj: Trajectory,
                         quad: QuadratureSpec) -> Trajectory:
     """B(u, v) evaluated at every node of the shared mesh."""
     _check_pair(u_traj, v_traj)
-    fields = [bilinear_B(u_traj, v_traj, float(t), quad) for t in u_traj.times]
-    return Trajectory(u_traj.lattice, u_traj.times, fields)
+    data = np.array([bilinear_B(u_traj, v_traj, float(t), quad).data for t in u_traj.times])
+    return Trajectory(u_traj.lattice, u_traj.times, data)
 
 
 # ---------------------------------------------------------------------------

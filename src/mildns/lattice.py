@@ -250,9 +250,6 @@ class Field:
             comp = (lattice.d, lattice.d)
         return comp + lattice.spatial_shape
 
-    def copy(self):
-        return type(self)(self.lattice, self.data.copy(), self.representation)
-
     def _check_compatible(self, other):
         if not isinstance(other, Field) or type(other) is not type(self):
             raise DataError("field arithmetic requires matching field types")

@@ -6,8 +6,10 @@ convention used by the estimates this package measures. Negative-order
 Sobolev and Besov quantities rely on the homogeneous zero-mode convention
 (the mean carries no homogeneous information).
 
-Time-dependent objects live on a Trajectory: fields at strictly increasing
-positive times. Sup-in-time norms are evaluated on the trajectory mesh;
+Time-dependent objects live on a Trajectory: one float64 array of the
+physical samples at strictly increasing positive times, node first, so
+interpolation and trajectory arithmetic are array operations that build
+no field per node. Sup-in-time norms are evaluated on the trajectory mesh;
 heat-characterized norms use a dyadic time grid with four points per
 octave, capped by the lattice validity window t <= box_len^2 / 100.
 
@@ -112,7 +114,11 @@ class ExponentBook:
 
 
 class Trajectory:
-    """Vector fields sampled at strictly increasing positive times.
+    """Vector fields at strictly increasing positive times, held as one
+    float64 array data of shape (M, d, *spatial); fields are VectorField
+    views of its rows. The constructor keeps such an array uncopied or
+    stacks a list of vector fields (spectral ones as physical samples); it
+    scans the samples once and names the node of a non-finite one.
 
     Values between mesh nodes come from two-point interpolation that is
     exact for trajectories of the form c * t**interp_power + c' (linear
@@ -130,16 +136,28 @@ class Trajectory:
             raise MeshError("trajectory times must be positive")
         if not np.all(np.diff(times) > 0):
             raise MeshError("trajectory times must be strictly increasing")
-        if len(fields) != times.size:
+        if not isinstance(fields, np.ndarray):
+            if not all(isinstance(f, VectorField) and f.lattice == lattice for f in fields):
+                raise DataError("trajectories hold vector fields on the trajectory lattice")
+            fields = np.array([to_physical(f).data for f in fields])
+        if fields.shape[:1] != times.shape:
             raise MeshError(f"{len(fields)} fields for {times.size} time nodes")
-        for f in fields:
-            if not isinstance(f, VectorField):
-                raise DataError("trajectories hold vector fields")
-            if f.lattice != lattice:
-                raise DataError("trajectory fields must share the trajectory lattice")
+        if fields.shape[1:] != (lattice.d,) + lattice.spatial_shape:
+            raise DataError(f"trajectory data shape {fields.shape} does not fit the lattice")
+        if np.iscomplexobj(fields):
+            raise DataError("trajectory samples must be real-valued")
+        self.data = fields.astype(np.float64, copy=False)
+        finite = np.isfinite(self.data).reshape(times.size, -1).all(axis=1)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise DataError(f"non-finite samples at trajectory node {j}, t = {times[j]:g}")
         self.lattice = lattice
         self.times = times
-        self.fields = [to_physical(f) for f in fields]
+
+    @property
+    def fields(self) -> list:
+        """The nodes as physical VectorFields; each shares memory with data[j]."""
+        return [VectorField(self.lattice, f, PHYSICAL) for f in self.data]
 
     @property
     def horizon(self) -> float:
@@ -155,26 +173,26 @@ class Trajectory:
             raise MeshError(f"t={t!r} is not a node of the trajectory mesh")
         return idx
 
-    def value_at(self, tau: float, interp_power: float = 0.0) -> VectorField:
+    def value_at(self, tau: float, interp_power: float = 0.0) -> np.ndarray:
+        """Samples at time tau: a view of data[j] at (or frozen onto) node j."""
         times = self.times
         if tau > times[-1] * (1 + 1e-12):
             raise MeshError(f"tau={tau!r} lies beyond the trajectory horizon {times[-1]!r}")
         if tau <= times[0]:
-            return self.fields[0]
+            return self.data[0]
         if tau >= times[-1]:
-            return self.fields[-1]
+            return self.data[-1]
         hi = int(np.searchsorted(times, tau))
         lo = hi - 1
         t_lo, t_hi = times[lo], times[hi]
         if abs(tau - t_lo) <= 1e-14 * t_lo:
-            return self.fields[lo]
+            return self.data[lo]
         if interp_power != 0.0:
             phi = lambda t: t**interp_power
         else:
             phi = np.log
         lam = (phi(tau) - phi(t_lo)) / (phi(t_hi) - phi(t_lo))
-        data = (1.0 - lam) * self.fields[lo].data + lam * self.fields[hi].data
-        return VectorField(self.lattice, data, PHYSICAL)
+        return (1.0 - lam) * self.data[lo] + lam * self.data[hi]
 
     def _check_compatible(self, other):
         if not isinstance(other, Trajectory):
@@ -184,30 +202,18 @@ class Trajectory:
 
     def __add__(self, other):
         self._check_compatible(other)
-        fields = [
-            VectorField(self.lattice, a.data + b.data, PHYSICAL)
-            for a, b in zip(self.fields, other.fields)
-        ]
-        return Trajectory(self.lattice, self.times, fields)
+        return Trajectory(self.lattice, self.times, self.data + other.data)
 
     def __sub__(self, other):
         self._check_compatible(other)
-        fields = [
-            VectorField(self.lattice, a.data - b.data, PHYSICAL)
-            for a, b in zip(self.fields, other.fields)
-        ]
-        return Trajectory(self.lattice, self.times, fields)
+        return Trajectory(self.lattice, self.times, self.data - other.data)
 
     def __mul__(self, scalar):
         if not np.isscalar(scalar):
             return NotImplemented
-        fields = [VectorField(self.lattice, f.data * scalar, PHYSICAL) for f in self.fields]
-        return Trajectory(self.lattice, self.times, fields)
+        return Trajectory(self.lattice, self.times, self.data * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
 
 
 def quadratic_mesh(horizon: float, nodes: int) -> np.ndarray:
@@ -251,7 +257,6 @@ def heat_flows(u0: Field, times):
 
 def heat_trajectory(u0: VectorField, times) -> Trajectory:
     """Trajectory of the free heat evolution of a datum."""
-    times = np.asarray(times, dtype=float)
     return Trajectory(u0.lattice, times, list(heat_flows(u0, times)))
 
 

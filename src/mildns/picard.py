@@ -579,9 +579,7 @@ def solve_mild(
     y = heat_trajectory(u0, mesh)
     x0 = None
     if start == "zero":
-        x0 = Trajectory(
-            u0.lattice, mesh, [f * 0.0 for f in y.fields]
-        )
+        x0 = y * 0.0
     if quad is None:
         quad = QuadratureSpec(node_count=32, gamma=book.gamma_kato, theta=book.alpha)
     eta = book.c_hat * horizon**book.horizon_exponent
@@ -607,7 +605,7 @@ def solve_mild(
     head = min(5, len(solution_traj))
     early = weighted_values(
         mesh[:head],
-        (solution_traj.fields[j] - y.fields[j] for j in range(head)),
+        (solution_traj - y).fields[:head],
         0.0,
         lambda f: sobolev_norm(f, book.s, book.p),
     )

@@ -42,7 +42,7 @@ from mildns import (
     volterra_nodes,
 )
 from mildns import duhamel
-from mildns.lattice import SPECTRAL
+from mildns.lattice import SPECTRAL, Field
 from mildns.duhamel import TARGET_KATO, TARGET_KATO_CROSS, TARGET_SOBOLEV
 
 
@@ -221,8 +221,8 @@ def per_node_B(u_traj, v_traj, t, quad):
     taus, gaps, weights = volterra_nodes(quad, t)
     acc = np.zeros((lat.d,) + lat.spatial_shape, dtype=np.complex128)
     for tau, gap, weight in zip(taus, gaps, weights):
-        u_m = u_traj.value_at(tau, -0.5 * quad.theta).data
-        v_m = v_traj.value_at(tau, -0.5 * quad.theta).data
+        u_m = u_traj.value_at(tau, -0.5 * quad.theta)
+        v_m = v_traj.value_at(tau, -0.5 * quad.theta)
         tensor = np.einsum("i...,j...->ij...", u_m, v_m)
         coeff = np.fft.fftn(tensor, axes=tuple(range(2, 2 + lat.d))) / lat.n**lat.d
         c = np.einsum("j...,ij...->i...", 1j * k, coeff)
@@ -295,11 +295,29 @@ class TestFusedB:
         quad = QuadratureSpec(node_count=16, gamma=book.gamma_kato, theta=book.alpha)
         mesh = quadratic_mesh(0.5, 6)
         (u,) = self.band_flows(2, 16, mesh, (9,))
-        twin = Trajectory(u.lattice, u.times, [f.copy() for f in u.fields])
+        twin = Trajectory(u.lattice, u.times, u.data.copy())
         for t in mesh:
             short = bilinear_B(u, u, float(t), quad).data
             full = bilinear_B(u, twin, float(t), quad).data
             assert np.abs(short - full).max() <= 1e-14 * np.abs(full).max()
+
+    def test_one_field_per_output_time(self, monkeypatch):
+        """B over a trajectory builds at most one Field per output time: the
+        factors at the quadrature nodes are array slices, not fields."""
+        book = build_exponent_book(d=2, p=2.0, s=0.0, q_tilde=4.0)
+        quad = QuadratureSpec(node_count=16, gamma=book.gamma_kato, theta=book.alpha)
+        mesh = quadratic_mesh(0.5, 6)
+        (u,) = self.band_flows(2, 16, mesh, (11,))
+        inits = []
+        original = Field.__init__
+
+        def counting(self, *args, **kwargs):
+            inits.append(type(self))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Field, "__init__", counting)
+        bilinear_trajectory(u, u, quad)
+        assert len(inits) <= mesh.size
 
 
 class TestSafeKsqDeriv:

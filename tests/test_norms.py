@@ -316,6 +316,34 @@ class TestTrajectory:
         u3 = divfree_datum(lat3, seed=3)
         with pytest.raises(DataError, match="lattice"):
             Trajectory(lat2, [1.0], [u3])
+        with pytest.raises(DataError, match="shape"):
+            Trajectory(lat2, [1.0], u3.data[None])
+        u = divfree_datum(lat2, seed=3)
+        with pytest.raises(DataError, match="real"):
+            Trajectory(lat2, [1.0], u.data[None] + 0j)
+        data = np.array([u.data] * 3)
+        data[2, 1, 4, 5] = np.nan
+        with pytest.raises(DataError, match=r"node 2, t = 0\.4"):
+            Trajectory(lat2, [0.1, 0.2, 0.4], data)
+        with pytest.raises(DataError, match="node 0"):
+            heat_trajectory(u, [0.1, 0.2]) * np.inf
+
+    def test_one_array_backs_the_fields(self, lat2, divfree_datum):
+        """A list of physical or spectral fields, or an array, is stored as
+        one float64 (M, d, *spatial) array of physical samples; fields are
+        views of its rows."""
+        u = divfree_datum(lat2, seed=4)
+        times = [0.1, 0.2, 0.4]
+        stacked = np.array([u.data, 2.0 * u.data, 3.0 * u.data])
+        for given in ([u, 2.0 * u, 3.0 * u], [to_spectral(f) for f in (u, 2.0 * u, 3.0 * u)],
+                      stacked):
+            traj = Trajectory(lat2, times, given)
+            assert traj.data.dtype == np.float64
+            assert traj.data.shape == (3, 2) + lat2.spatial_shape
+            npt.assert_allclose(traj.data, stacked, rtol=0, atol=1e-14 * np.abs(stacked).max())
+            for j, f in enumerate(traj.fields):
+                assert f.representation == PHYSICAL
+                assert np.shares_memory(f.data, traj.data[j])
 
     def test_node_index(self, lat2, divfree_datum):
         traj = heat_trajectory(divfree_datum(lat2, seed=5), [0.1, 0.2, 0.4])
@@ -331,19 +359,19 @@ class TestTrajectory:
         w = -0.25
         traj = Trajectory(lat2, times, [(t**w) * u for t in times])
         got = traj.value_at(0.2, interp_power=w)
-        npt.assert_allclose(got.data, (0.2**w) * u.data, rtol=1e-12)
+        npt.assert_allclose(got, (0.2**w) * u.data, rtol=1e-12)
 
     def test_value_at_log_interpolation(self, lat2, divfree_datum):
         u = divfree_datum(lat2, seed=7)
         times = np.array([0.1, 0.4, 0.9])
         traj = Trajectory(lat2, times, [np.log(t) * u for t in times])
         got = traj.value_at(0.2)
-        npt.assert_allclose(got.data, np.log(0.2) * u.data, rtol=1e-12, atol=1e-14)
+        npt.assert_allclose(got, np.log(0.2) * u.data, rtol=1e-12, atol=1e-14)
 
     def test_value_at_clamps_below_first_node(self, lat2, divfree_datum):
         u = divfree_datum(lat2, seed=8)
         traj = heat_trajectory(u, [0.1, 0.2])
-        npt.assert_array_equal(traj.value_at(0.01).data, traj.fields[0].data)
+        npt.assert_array_equal(traj.value_at(0.01), traj.fields[0].data)
 
     def test_value_at_rejects_beyond_horizon(self, lat2, divfree_datum):
         traj = heat_trajectory(divfree_datum(lat2, seed=9), [0.1, 0.2])
