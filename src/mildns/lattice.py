@@ -271,9 +271,6 @@ class Field:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return type(self)(self.lattice, -self.data, self.representation)
-
     def __repr__(self):
         return (
             f"{type(self).__name__}({self.lattice!r}, representation={self.representation!r})"

@@ -16,24 +16,28 @@ octave, capped by the lattice validity window t <= box_len^2 / 100.
 Every sup-in-time quantity -- the Kato and Sobolev sup norms, the heat
 characterization of the Besov norm, the smallness forms, the
 integrability ladder, the fluctuation table and the per-node table rows --
-is computed by exactly two primitives: weighted_values, which returns
-t^w * norm(f(t)) at each node of any sequence of fields, and heat_flows,
-which transforms a datum once and yields exp(t Lap) u0 one field at a
-time. heat_sup is their composition with the Lebesgue norm.
+is t^w * norm(f(t)) maximized over nodes. Two generators feed the norms:
+weighted_values, which applies any norm to a sequence of fields, and
+heat_flows, which transforms a datum once and yields exp(t Lap) u0 one
+array of component rows at a time. One row reduction, _lebesgue_rows,
+computes every Lebesgue norm: lebesgue_norm on a field, heat_sup on the
+flowed rows and kato_norm on the rows of a trajectory node, so the last
+two build no field. At r = 4 it squares twice instead of calling pow.
 
 Live components: a component row that is identically zero stays zero under
 the heat flow and adds exactly 0.0 to the l2 aggregate of a norm. So
 heat_flows transforms and flows only the rows of a datum that hold a
-nonzero sample (a subnormal one counts) and writes the flowed rows into a
-zero-filled array, and lebesgue_norm reduces only the live rows. Pocketfft
-transforms each row the same way alone or in a batch, so both give the
-same bits as the all-component path.
+nonzero sample (a subnormal one counts) and yields only those, and
+lebesgue_norm reduces only the live rows of a field; heat_trajectory
+writes the flowed rows into one zero-filled (M, d, *spatial) array.
+Pocketfft transforms each row the same way alone or in a batch, so both
+give the same bits as the all-component path.
 
-Half spectrum: the inverse transform reads only the non-negative half of
-the last spectral axis (Lattice.half), so heat_flows keeps only that half
-of the live coefficients and each flow multiplies it by exp(-|k|^2 t) on
-the half (Lattice.ksq_half). Products are elementwise, so the flows have
-the same bits as multiplying the full spectrum and inverting it.
+Half spectrum: heat_flows takes a physical datum's coefficients from the
+real forward transform (Lattice.rforward), which computes only the
+non-negative half of the last spectral axis that the inverse transform
+reads, and each flow multiplies only that half by exp(-|k|^2 t)
+(Lattice.ksq_half).
 """
 from __future__ import annotations
 
@@ -42,7 +46,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, MeshError
+from .errors import ConfigError, DataError, MeshError, NumericalError
 from .lattice import PHYSICAL, Field, Lattice, VectorField, to_physical
 from .multipliers import fractional_laplacian
 
@@ -227,37 +231,42 @@ def quadratic_mesh(horizon: float, nodes: int) -> np.ndarray:
 
 
 def heat_flows(u0: Field, times):
-    """Yield exp(t Lap) u0 as a physical field for each t in times.
+    """The live component rows of u0 and their heat flows: (live, flows).
 
-    Only the live components of u0 (rows with a nonzero sample) are
-    transformed, once, and only the half spectrum that Lattice.inverse reads
-    is kept, as a contiguous copy (so the full transform is freed and each
-    product runs over contiguous memory); each flow multiplies those
-    coefficients by exp(-|k|^2 t), inverse-transforms them into a
-    zero-filled array, and is built only when the consumer asks for it, so
-    a sup over many times holds one flowed field, not all. An all-zero
+    live is the boolean mask of the component rows of u0 that hold a
+    nonzero sample (_live_rows); flows is a generator that yields, for each
+    t in times, the float64 array (live.sum(), *spatial) of those rows of
+    exp(t Lap) u0. A dead row stays zero under the flow, so it is neither
+    transformed nor yielded.
+
+    The live rows are transformed once, a physical datum by rforward, and
+    only the half spectrum that Lattice.inverse reads is kept, as a
+    contiguous array; each flow multiplies it by exp(-|k|^2 t) and
+    inverse-transforms it. Flows are built only when the consumer asks for
+    them, so a sup over many times holds one flow, not all. An all-zero
     datum flows with no transform at all.
     """
     lat = u0.lattice
     rows = _component_view(u0)
     live = _live_rows(rows)
-    every, some = bool(live.all()), bool(live.any())
-    coeffs = rows if every else rows[live]
-    if some and u0.representation == PHYSICAL:
-        coeffs = lat.forward(coeffs)
-    coeffs = np.ascontiguousarray(lat.half(coeffs))
-    for t in times:
-        flowed = lat.inverse(coeffs * np.exp(-lat.ksq_half * t)) if some else 0.0
-        if not every:
-            data = np.zeros(rows.shape)
-            data[live] = flowed
-            flowed = data
-        yield type(u0)(lat, flowed.reshape(u0.data.shape), PHYSICAL)
+    if not live.any():
+        return live, (np.zeros((0,) + lat.spatial_shape) for _ in times)
+    coeffs = rows if live.all() else rows[live]
+    if u0.representation == PHYSICAL:
+        coeffs = lat.rforward(coeffs)
+    else:
+        coeffs = np.ascontiguousarray(lat.half(coeffs))
+    return live, (lat.inverse(coeffs * np.exp(-lat.ksq_half * t)) for t in times)
 
 
 def heat_trajectory(u0: VectorField, times) -> Trajectory:
-    """Trajectory of the free heat evolution of a datum."""
-    return Trajectory(u0.lattice, times, list(heat_flows(u0, times)))
+    """Trajectory of the free heat evolution of a datum: the flows of
+    heat_flows written into one (M, d, *spatial) array."""
+    live, flows = heat_flows(u0, times)
+    data = np.zeros((len(times),) + u0.data.shape)
+    for node, rows in zip(data, flows):
+        node[live] = rows
+    return Trajectory(u0.lattice, times, data)
 
 
 def dyadic_grid(t_max: float, t_min: float, per_octave: int = 4) -> np.ndarray:
@@ -319,27 +328,40 @@ def _live_rows(rows: np.ndarray) -> np.ndarray:
     return rows.reshape(len(rows), -1).any(axis=1)
 
 
+def _lebesgue_rows(rows: np.ndarray, r, cell_volume: float) -> float:
+    """Lebesgue-r norms of the component rows of rows (component axis
+    first), aggregated in l2.
+
+    r = 4 squares twice instead of calling pow per sample; every other r
+    takes np.abs(x) ** r, and np.inf the grid sup. A row that is
+    identically zero has norm exactly 0.0, and numpy sums fewer than eight
+    terms in order, so for vector fields leaving a dead row out changes no
+    bits.
+    """
+    if not (r == np.inf or r >= 1):
+        raise ConfigError(f"Lebesgue exponent must be in [1, inf], got {r}")
+    axes = tuple(range(1, rows.ndim))
+    if r == np.inf:
+        per_row = np.max(np.abs(rows), axis=axes)
+    else:
+        if r == 4:
+            powers = rows * rows
+            powers *= powers
+        else:
+            powers = np.abs(rows) ** r
+        per_row = (np.sum(powers, axis=axes) * cell_volume) ** (1.0 / r)
+    return float(np.sqrt(np.sum(per_row**2)))
+
+
 def lebesgue_norm(field: Field, r) -> float:
     """Lebesgue norm with Riemann cell weights; components aggregate in l2.
 
     r may be any value in [1, inf]; np.inf gives the grid sup norm.
     Identically zero components are not reduced: their norm is exactly 0.
     """
-    if not (r == np.inf or r >= 1):
-        raise ConfigError(f"Lebesgue exponent must be in [1, inf], got {r}")
-    phys = to_physical(field)
-    rows = _component_view(phys)
+    rows = _component_view(to_physical(field))
     live = _live_rows(rows)
-    comps = rows if live.all() else rows[live]
-    if r == np.inf:
-        per_live = np.max(np.abs(comps), axis=tuple(range(1, comps.ndim)))
-    else:
-        weights = phys.lattice.cell_volume
-        sums = np.sum(np.abs(comps) ** r, axis=tuple(range(1, comps.ndim))) * weights
-        per_live = sums ** (1.0 / r)
-    per_comp = np.zeros(len(rows))
-    per_comp[live] = per_live
-    return float(np.sqrt(np.sum(per_comp**2)))
+    return _lebesgue_rows(rows if live.all() else rows[live], r, field.lattice.cell_volume)
 
 
 def sobolev_norm(field: Field, s: float, p) -> float:
@@ -351,10 +373,8 @@ def weighted_values(times, fields: Iterable[Field], weight: float,
                     norm: Callable[[Field], float]) -> np.ndarray:
     """t^weight * norm(f) for each (t, f) of times zipped with fields.
 
-    fields may be a generator (heat_flows). Each field goes straight from
-    next() into norm and nothing else keeps it, so a generator's previous
-    field is freed before it builds the next. weight = 0 gives the plain
-    norms.
+    fields may be a generator; each field goes straight from next() into
+    norm and nothing else keeps it. weight = 0 gives the plain norms.
     """
     fields = iter(fields)
     return np.array([t**weight * norm(next(fields)) for t in times])
@@ -374,18 +394,26 @@ def _sup_report(kind: str, exponents: dict, times, values: np.ndarray,
 
 
 def heat_sup(u0: Field, t_grid, weight: float, q) -> NormReport:
-    """sup over t_grid of t^weight ||exp(t Lap) u0||_q, streaming the flows.
+    """sup over t_grid of t^weight ||exp(t Lap) u0||_q, streaming the flowed
+    live rows of heat_flows into the row reduction.
 
-    window_ok records whether the grid stayed inside the lattice validity
-    range [spacing^2, box_len^2 / 100].
+    A weighted value that is not finite (a sample or a power that
+    overflowed) raises NumericalError naming t and q. window_ok records
+    whether the grid stayed inside the lattice validity range
+    [spacing^2, box_len^2 / 100].
     """
     lat = u0.lattice
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or np.any(t_grid <= 0):
         raise ConfigError("heat time grid must be non-empty and positive")
-    values = weighted_values(
-        t_grid, heat_flows(u0, t_grid), weight, lambda f: lebesgue_norm(f, q)
-    )
+    _, flows = heat_flows(u0, t_grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.array([t**weight * _lebesgue_rows(rows, q, lat.cell_volume)
+                           for t, rows in zip(t_grid, flows)])
+    finite = np.isfinite(values)
+    if not finite.all():
+        t = t_grid[int(np.argmin(finite))]
+        raise NumericalError(f"non-finite heat-sup value at t = {t:g}, q = {q:g}")
     window_ok = bool(
         t_grid[-1] <= lat.box_len**2 / 100.0 * (1 + 1e-9)
         and t_grid[0] >= lat.spacing**2 * (1 - 1e-9)
@@ -421,9 +449,9 @@ def kato_norm(traj: Trajectory, q, q_tilde) -> NormReport:
     if q_tilde < q:
         raise ConfigError(f"kato norm requires q_tilde >= q, got q={q}, q_tilde={q_tilde}")
     alpha = traj.lattice.d * (1.0 / q - 1.0 / q_tilde)
-    values = weighted_values(
-        traj.times, traj.fields, alpha / 2.0, lambda f: lebesgue_norm(f, q_tilde)
-    )
+    cell_volume = traj.lattice.cell_volume
+    values = np.array([t ** (alpha / 2.0) * _lebesgue_rows(node, q_tilde, cell_volume)
+                       for t, node in zip(traj.times, traj.data)])
     exponents = {"q": float(q), "q_tilde": float(q_tilde), "alpha": alpha}
     return _sup_report("kato-sup", exponents, traj.times, values, _horizon_ok(traj))
 

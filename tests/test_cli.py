@@ -5,6 +5,7 @@ without spawning subprocesses.
 """
 
 import json
+import warnings
 
 import pytest
 
@@ -153,6 +154,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "iterations 1" in err
+
+    def test_overflowed_heat_sup_exits_3(self, tmp_path, capsys):
+        # amplitude^4 overflows the L^4 sums: refused, not written as inf
+        args = ["heat-decay", "--set", "amplitude=1e100", "--set", "resolution=64",
+                "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure") and "q = 4" in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "experiment, setting, key",

@@ -21,6 +21,7 @@ from mildns import (
     DatumSpec,
     Lattice,
     MeshError,
+    NumericalError,
     ScalarField,
     Trajectory,
     VectorField,
@@ -40,7 +41,7 @@ from mildns import (
     to_spectral,
     vanishing_at_zero,
 )
-from mildns.lattice import PHYSICAL
+from mildns.lattice import PHYSICAL, Field
 from mildns.norms import besov_grid, heat_sup
 
 
@@ -212,12 +213,13 @@ class TestLiveComponents:
         (3, 16, 2.0 * np.pi, dict(kind="single_mode", mode=(1, 2, 0))),
         (3, 16, 2.0 * np.pi, dict(kind="taylor_green")),
     ]
+    IDS = ["power_law-2d", "gaussian-3d", "single_mode-3d", "taylor_green-3d"]
 
     @staticmethod
     def reference_flows(u0, times):
         lat = u0.lattice
-        coeffs = lat.forward(u0.data)
-        return [lat.inverse(coeffs * np.exp(-lat.ksq * t)) for t in times]
+        coeffs = lat.rforward(u0.data)
+        return [lat.inverse(coeffs * np.exp(-lat.ksq_half * t)) for t in times]
 
     @staticmethod
     def reference_lebesgue(lat, data, r):
@@ -226,12 +228,17 @@ class TestLiveComponents:
         if r == np.inf:
             per_comp = np.max(np.abs(comps), axis=axes)
         else:
-            per_comp = (np.sum(np.abs(comps) ** r, axis=axes) * lat.cell_volume) ** (1.0 / r)
+            if r == 4:
+                powers = comps * comps
+                powers *= powers
+            else:
+                powers = np.abs(comps) ** r
+            per_comp = (np.sum(powers, axis=axes) * lat.cell_volume) ** (1.0 / r)
         return float(np.sqrt(np.sum(per_comp**2)))
 
     @staticmethod
     def count_transforms(monkeypatch):
-        sizes = {"forward": [], "inverse": []}
+        sizes = {"forward": [], "rforward": [], "inverse": []}
         for name in sizes:
             original = getattr(Lattice, name)
 
@@ -242,16 +249,14 @@ class TestLiveComponents:
             monkeypatch.setattr(Lattice, name, counted)
         return sizes
 
-    @pytest.mark.parametrize("d, n, box_len, spec", CASES,
-                             ids=["power_law-2d", "gaussian-3d", "single_mode-3d",
-                                  "taylor_green-3d"])
+    @pytest.mark.parametrize("d, n, box_len, spec", CASES, ids=IDS)
     def test_same_bits_as_every_component(self, d, n, box_len, spec):
         lat = make_lattice(d, n, box_len)
         u0 = realize_datum(DatumSpec(**spec), lat)
         assert not np.all(u0.data.reshape(d, -1).any(axis=1))  # some component is zero
         grid = besov_grid(lat)
         flows = self.reference_flows(u0, grid)
-        for q in (2.0, 4.0, np.inf):
+        for q in (2.0, 3.0, 4.0, np.inf):
             expected = np.array([t**0.25 * self.reference_lebesgue(lat, f, q)
                                  for t, f in zip(grid, flows)])
             report = besov_norm_heat(u0, -0.5, q)
@@ -264,22 +269,68 @@ class TestLiveComponents:
         for field, flow in zip(traj.fields, flows):
             assert np.array_equal(field.data, flow)
 
+    @pytest.mark.parametrize("d, n, box_len, spec", CASES, ids=IDS)
+    def test_round_off_from_the_complex_transform_and_pow(self, d, n, box_len, spec):
+        """Against the arithmetic before the real forward transform and the
+        squared square: complex forward + half, np.abs(x) ** r, every
+        component."""
+        lat = make_lattice(d, n, box_len)
+        u0 = realize_datum(DatumSpec(**spec), lat)
+        grid = besov_grid(lat)
+        coeffs = lat.half(lat.forward(u0.data))
+        flows = [lat.inverse(coeffs * np.exp(-lat.ksq_half * t)) for t in grid]
+
+        def old_lebesgue(data, r):
+            comps = data.reshape((-1,) + lat.spatial_shape)
+            axes = tuple(range(1, comps.ndim))
+            if r == np.inf:
+                per_comp = np.max(np.abs(comps), axis=axes)
+            else:
+                per_comp = (np.sum(np.abs(comps) ** r, axis=axes) * lat.cell_volume) ** (1.0 / r)
+            return float(np.sqrt(np.sum(per_comp**2)))
+
+        traj = heat_trajectory(u0, grid)
+        npt.assert_allclose(traj.data, flows, rtol=0, atol=1e-13 * np.abs(flows).max())
+        for r in (2.0, 3.0, 4.0, np.inf):
+            old = np.array([t**0.25 * old_lebesgue(f, r) for t, f in zip(grid, flows)])
+            npt.assert_allclose(heat_sup(u0, grid, 0.25, r).values, old, rtol=1e-13)
+            npt.assert_allclose(besov_norm_heat(u0, -0.5, r).values, old, rtol=1e-13)
+            npt.assert_allclose(lebesgue_norm(u0, r), old_lebesgue(u0.data, r), rtol=1e-13)
+        q = 2.0
+        for q_tilde in (2.0, 3.0, 4.0, np.inf):
+            alpha = d * (1.0 / q - 1.0 / q_tilde)
+            old = [t ** (alpha / 2.0) * old_lebesgue(f, q_tilde) for t, f in zip(grid, flows)]
+            npt.assert_allclose(kato_norm(traj, q, q_tilde).values, old, rtol=1e-13)
+
     def test_transforms_only_the_live_component(self, monkeypatch):
+        """The heat sup of a physical datum makes one rforward of its live
+        row, one inverse per flow, and constructs no Field."""
         n = 64
         lat = make_lattice(2, n, 8.0)
         u0 = realize_datum(DatumSpec(kind="power_law", decay=1.0, r_inner=0.25,
                                      r_outer=2.0), lat)
         sizes = self.count_transforms(monkeypatch)
+        inits = []
+        original = Field.__init__
+
+        def counted(self, *args, **kwargs):
+            inits.append(type(self))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Field, "__init__", counted)
         grid = besov_grid(lat)
         besov_norm_heat(u0, -0.5, 4.0)
-        assert sizes["forward"] == [n**2]
+        assert sizes["forward"] == []
+        assert sizes["rforward"] == [n**2]
         assert sizes["inverse"] == [n * (n // 2 + 1)] * grid.size
+        assert inits == []
 
     def test_zero_datum_needs_no_transform(self, lat2, monkeypatch):
         def refuse(self, a):
             raise AssertionError("transform of an all-zero datum")
 
         monkeypatch.setattr(Lattice, "forward", refuse)
+        monkeypatch.setattr(Lattice, "rforward", refuse)
         monkeypatch.setattr(Lattice, "inverse", refuse)
         u0 = VectorField(lat2, np.zeros((2,) + lat2.spatial_shape), PHYSICAL)
         report = heat_sup(u0, besov_grid(lat2), 0.25, 4.0)
@@ -296,10 +347,19 @@ class TestLiveComponents:
         flows = self.reference_flows(u0, grid)
         sizes = self.count_transforms(monkeypatch)
         traj = heat_trajectory(u0, grid)
-        assert sizes["forward"] == [lat2.n**2]
+        assert sizes["rforward"] == [lat2.n**2]
         assert sizes["inverse"] == [lat2.n * (lat2.n // 2 + 1)] * grid.size
         for field, flow in zip(traj.fields, flows):
             assert np.array_equal(field.data, flow)
+
+
+class TestHeatSupOverflow:
+    def test_overflowed_value_is_refused(self, lat2):
+        u0 = realize_datum(DatumSpec(kind="gaussian", width=0.1, amplitude=1e100), lat2)
+        with pytest.raises(NumericalError, match=r"t = 0\.01, q = 4"):
+            heat_sup(u0, [0.01, 0.02], 0.0, 4.0)
+        # its squares do not overflow, so the L^2 sup of the same datum stands
+        assert np.isfinite(heat_sup(u0, [0.01, 0.02], 0.0, 2.0).value)
 
 
 class TestTrajectory:
