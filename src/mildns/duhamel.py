@@ -23,7 +23,8 @@ u(tau_q) x v(tau_q) are formed from the interpolated factors in chunks of
 at most _CHUNK_BYTES (256 KB) of half-spectrum coefficients, each chunk is
 transformed by one Lattice.rforward call (the products are real, so only
 the half of the spectrum that Lattice.inverse reads is computed) and
-contracted with the real kernel w_q exp(-|k|^2 gap_q) on that half, and
+contracted with the real kernel w_q exp(-|k|^2 gap_q) on that half (one
+Lattice.heat call per chunk, whose node axis runs over the gaps), and
 P div and the inverse transform act once on the summed (d, d) half
 coefficients. For B(u, u), the case of every Picard step, only the
 products i <= j are formed. The factors are array slices of the
@@ -217,12 +218,10 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     pair_of = np.empty((d, d), dtype=int)  # tensor entry (i, j) -> product row
     pair_of[cols, rows] = np.arange(rows.size)  # the mirror, when u is v
     pair_of[rows, cols] = np.arange(rows.size)
-    ksq = lat.ksq_half
-    node_bytes = rows.size * ksq.size * np.dtype(np.complex128).itemsize
-    chunk = max(1, _CHUNK_BYTES // node_bytes)
+    # one node's half-spectrum products take as many bytes as the sum
+    acc = np.zeros((rows.size,) + lat.half(lat.ksq).shape, dtype=np.complex128)
+    chunk = max(1, _CHUNK_BYTES // acc.nbytes)
     node_axis = (-1,) + (1,) * d
-
-    acc = np.zeros((rows.size,) + ksq.shape, dtype=np.complex128)
     for start in range(0, taus.size, chunk):
         nodes = slice(start, start + chunk)
         products = np.array([
@@ -231,8 +230,7 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
             for tau in taus[nodes]
         ])
         coeff = lat.rforward(products)
-        kernel = weights[nodes].reshape(node_axis) * np.exp(
-            -ksq * gaps[nodes].reshape(node_axis))
+        kernel = weights[nodes].reshape(node_axis) * lat.heat(gaps[nodes])
         coeff *= kernel[:, None]
         acc += coeff.sum(axis=0)
     w = _project_div_spectral(acc[pair_of], lat)

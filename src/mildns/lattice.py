@@ -70,8 +70,9 @@ class Lattice:
     kmag : |k| on the full grid
     safe_ksq_deriv : |k|^2 from k_deriv with zeros replaced by 1, built on
         first use and read-only
-    ksq_half : |k|^2 on the half of the grid that inverse() reads and
-        rforward() yields, a read-only view of ksq built on first use
+    heat(t, half=True) : the heat kernel exp(-|k|^2 t), as the product of
+        d one-axis factors, on the half of the grid that inverse() reads
+        and rforward() yields, or on the full grid
     """
 
     def __init__(self, d: int, n: int, box_len: float):
@@ -98,6 +99,7 @@ class Lattice:
             shape[axis] = self.n
             self.k_axes.append(k1.reshape(shape))
             self.k_deriv.append(k1_deriv.reshape(shape))
+        self._ksq_axis = k1**2
         self.ksq = sum(ka**2 for ka in self.k_axes)
         self.kmag = np.sqrt(self.ksq)
         coords = self.spacing * np.arange(self.n)
@@ -117,14 +119,30 @@ class Lattice:
         safe.flags.writeable = False
         return safe
 
-    @cached_property
-    def ksq_half(self) -> np.ndarray:
-        """|k|^2 on the half spectrum that inverse() reads, so a flow can
-        multiply only the coefficients that reach the samples. A read-only
-        view of ksq, built on first use."""
-        half = self.half(self.ksq)
-        half.flags.writeable = False
-        return half
+    def heat(self, t, half: bool = True) -> np.ndarray:
+        """The heat kernel exp(-|k|^2 t), on the half spectrum (half=True)
+        or on the full grid.
+
+        |k|^2 = sum_a k_a^2, so the kernel is the broadcast product of the d
+        one-axis factors exp(-t k_a^2). Every axis has the same wavenumbers,
+        so one exponential per mode m serves all of them, and the last
+        factor is sliced by half(). That is n exponentials per t instead of
+        one per coefficient. Each argument -t k_a^2 is rounded on its own,
+        so the product is within 2 eps (1 + |k|^2 t) relative of
+        np.exp(-ksq * t) where that is a normal float. t is a scalar or a
+        1-D array; an array gives a leading node axis, whose entries equal
+        the scalar calls bit for bit.
+        """
+        t = np.asarray(t, dtype=float)
+        factor = np.exp(np.multiply.outer(-t, self._ksq_axis))
+
+        def along(axis, f):
+            return f.reshape(t.shape + (1,) * axis + (-1,) + (1,) * (self.d - 1 - axis))
+
+        kernel = along(0, factor)
+        for axis in range(1, self.d - 1):
+            kernel = kernel * along(axis, factor)
+        return kernel * along(self.d - 1, self.half(factor) if half else factor)
 
     @property
     def spatial_shape(self):

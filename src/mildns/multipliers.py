@@ -82,7 +82,7 @@ def heat_flow(field: Field, t: float) -> Field:
         raise ConfigError(f"heat flow time must be >= 0 and finite, got {t}")
     if t == 0:
         return field
-    return _apply_multiplier(field, np.exp(-field.lattice.ksq * t))
+    return _apply_multiplier(field, field.lattice.heat(t, half=False))
 
 
 def fractional_laplacian(field: Field, s: float) -> Field:
@@ -203,7 +203,7 @@ def kernel_profile(
         )
     lat = make_lattice(d, resolution, box_len)
 
-    mult = _fractional_multiplier(lat, s) * np.exp(-lat.ksq * t)
+    mult = _fractional_multiplier(lat, s) * lat.heat(t, half=False)
     half = lat.n // 2
     ray = (slice(None), slice(0, half)) + (0,) * (d - 1)
     ray_max = np.zeros(half)

@@ -21,7 +21,8 @@ weighted_values, which applies any norm to a sequence of fields, and
 heat_flows, which transforms a datum once and yields exp(t Lap) u0 one
 array of component rows at a time. One row reduction, _lebesgue_rows,
 computes every Lebesgue norm: lebesgue_norm on a field, heat_sup on the
-flowed rows and kato_norm on the rows of a trajectory node, so the last
+flowed rows and weighted_lebesgue on the rows of each trajectory node
+(kato_norm, the vanishing check and the integrability ladder), so the last
 two build no field. At r = 4 it squares twice instead of calling pow.
 
 Live components: a component row that is identically zero stays zero under
@@ -36,8 +37,9 @@ give the same bits as the all-component path.
 Half spectrum: heat_flows takes a physical datum's coefficients from the
 real forward transform (Lattice.rforward), which computes only the
 non-negative half of the last spectral axis that the inverse transform
-reads, and each flow multiplies only that half by exp(-|k|^2 t)
-(Lattice.ksq_half).
+reads, and each flow multiplies only that half by the heat kernel
+exp(-|k|^2 t) of Lattice.heat, a product of d one-axis factors that takes
+n exponentials per flow, not one per coefficient.
 """
 from __future__ import annotations
 
@@ -256,7 +258,7 @@ def heat_flows(u0: Field, times):
         coeffs = lat.rforward(coeffs)
     else:
         coeffs = np.ascontiguousarray(lat.half(coeffs))
-    return live, (lat.inverse(coeffs * np.exp(-lat.ksq_half * t)) for t in times)
+    return live, (lat.inverse(coeffs * lat.heat(t)) for t in times)
 
 
 def heat_trajectory(u0: VectorField, times) -> Trajectory:
@@ -369,6 +371,19 @@ def sobolev_norm(field: Field, s: float, p) -> float:
     return lebesgue_norm(fractional_laplacian(field, s), p)
 
 
+def weighted_lebesgue(traj: Trajectory, weight: float, r, nodes=None) -> np.ndarray:
+    """t^weight * ||u(t)||_r at the first nodes mesh nodes (every node by
+    default), one row reduction of traj.data per node.
+
+    No field is built: the Trajectory constructor has already scanned the
+    samples for non-finite values. A dead row adds exactly 0.0, so the
+    values equal lebesgue_norm of each node's field bit for bit.
+    """
+    cell_volume = traj.lattice.cell_volume
+    return np.array([t**weight * _lebesgue_rows(node, r, cell_volume)
+                     for t, node in zip(traj.times[:nodes], traj.data)])
+
+
 def weighted_values(times, fields: Iterable[Field], weight: float,
                     norm: Callable[[Field], float]) -> np.ndarray:
     """t^weight * norm(f) for each (t, f) of times zipped with fields.
@@ -449,9 +464,7 @@ def kato_norm(traj: Trajectory, q, q_tilde) -> NormReport:
     if q_tilde < q:
         raise ConfigError(f"kato norm requires q_tilde >= q, got q={q}, q_tilde={q_tilde}")
     alpha = traj.lattice.d * (1.0 / q - 1.0 / q_tilde)
-    cell_volume = traj.lattice.cell_volume
-    values = np.array([t ** (alpha / 2.0) * _lebesgue_rows(node, q_tilde, cell_volume)
-                       for t, node in zip(traj.times, traj.data)])
+    values = weighted_lebesgue(traj, alpha / 2.0, q_tilde)
     exponents = {"q": float(q), "q_tilde": float(q_tilde), "alpha": alpha}
     return _sup_report("kato-sup", exponents, traj.times, values, _horizon_ok(traj))
 
@@ -483,9 +496,7 @@ def vanishing_at_zero(traj: Trajectory, weight_exponent: float, r=2) -> Vanishin
             f"vanishing check needs >= 5 nodes below horizon/100, found {below}"
         )
     times = traj.times[:5]
-    values = weighted_values(
-        times, traj.fields[:5], weight_exponent, lambda f: lebesgue_norm(f, r)
-    )
+    values = weighted_lebesgue(traj, weight_exponent, r, nodes=5)
     vanishing = bool(np.all(np.diff(values) > 0))
     return VanishingReport(times=times, values=values, vanishing=vanishing)
 

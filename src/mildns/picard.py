@@ -45,10 +45,10 @@ from .norms import (
     heat_sup,
     heat_trajectory,
     kato_norm,
-    lebesgue_norm,
     n_norm,
     quadratic_mesh,
     sobolev_norm,
+    weighted_lebesgue,
     weighted_values,
 )
 from .runtime import canonical_json, sha256_hex, write_atomic
@@ -684,9 +684,7 @@ def regularity_ladder(solution: MildSolution, r_list: Sequence[float]) -> Ladder
                 f"ladder exponent must exceed max(p, q) = {floor:g}, got {r:g}"
             )
         weight = (book.d / 2.0) * (1.0 / book.q - 1.0 / r)
-        values = weighted_values(
-            traj.times, traj.fields, weight, lambda f: lebesgue_norm(f, r)
-        )
+        values = weighted_lebesgue(traj, weight, r)
         if not np.isfinite(values).all():
             raise DataError(f"non-finite ladder values at r = {r:g}")
         idx = int(values.argmax())

@@ -10,6 +10,7 @@ import pytest
 
 from mildns import (
     DatumSpec,
+    Field,
     build_exponent_book,
     calibrate_thresholds,
     load_calibration,
@@ -67,3 +68,18 @@ def divfree_datum():
         return realize_datum(spec, lattice)
 
     return _make
+
+
+@pytest.fixture
+def field_inits(monkeypatch):
+    """The type of every Field constructed during the test, in order; clear
+    it before the call whose constructions are counted."""
+    inits = []
+    original = Field.__init__
+
+    def counting(self, *args, **kwargs):
+        inits.append(type(self))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Field, "__init__", counting)
+    return inits

@@ -42,7 +42,7 @@ from mildns import (
     volterra_nodes,
 )
 from mildns import duhamel
-from mildns.lattice import SPECTRAL, Field
+from mildns.lattice import SPECTRAL
 from mildns.duhamel import TARGET_KATO, TARGET_KATO_CROSS, TARGET_SOBOLEV
 
 
@@ -301,23 +301,16 @@ class TestFusedB:
             full = bilinear_B(u, twin, float(t), quad).data
             assert np.abs(short - full).max() <= 1e-14 * np.abs(full).max()
 
-    def test_one_field_per_output_time(self, monkeypatch):
+    def test_one_field_per_output_time(self, field_inits):
         """B over a trajectory builds at most one Field per output time: the
         factors at the quadrature nodes are array slices, not fields."""
         book = build_exponent_book(d=2, p=2.0, s=0.0, q_tilde=4.0)
         quad = QuadratureSpec(node_count=16, gamma=book.gamma_kato, theta=book.alpha)
         mesh = quadratic_mesh(0.5, 6)
         (u,) = self.band_flows(2, 16, mesh, (11,))
-        inits = []
-        original = Field.__init__
-
-        def counting(self, *args, **kwargs):
-            inits.append(type(self))
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(Field, "__init__", counting)
+        field_inits.clear()
         bilinear_trajectory(u, u, quad)
-        assert len(inits) <= mesh.size
+        assert len(field_inits) <= mesh.size
 
 
 class TestSafeKsqDeriv:

@@ -173,6 +173,50 @@ class TestTransforms:
         assert np.abs(lat.inverse(r) - a).max() <= 1e-15 * np.abs(a).max()
 
 
+class TestHeatKernel:
+    """Lattice.heat is exp(-|k|^2 t) as the product of d one-axis factors."""
+
+    CASES = [(2, 64, 8.0), (3, 16, 2.0 * np.pi)]
+    TIMES = np.geomspace(1e-4, 50.0, 25)  # up to where most entries underflow
+
+    @pytest.mark.parametrize("d, n, box_len", CASES, ids=["2d", "3d"])
+    def test_round_off_from_the_exponential_of_ksq(self, d, n, box_len):
+        """Each argument -t k_a^2 is rounded once, so the error grows with
+        |k|^2 t: within 2 eps (1 + |k|^2 t) relative (2e-13 up to
+        |k|^2 t = 450) where np.exp(-ksq * t) is a normal float, and both
+        are below 1e-280 where it is not."""
+        lat = make_lattice(d, n, box_len)
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        for t in self.TIMES:
+            want = np.exp(-lat.ksq * t)
+            got = lat.heat(t, half=False)
+            normal = want >= tiny
+            rel = np.abs(got[normal] - want[normal]) / want[normal]
+            assert np.all(rel <= 2 * eps * (1 + lat.ksq[normal] * t))
+            assert np.all(got[~normal] < 1e-280) and np.all(want[~normal] < 1e-280)
+        assert not normal.all()  # the largest t reaches the underflow
+
+    @pytest.mark.parametrize("d, n, box_len", CASES, ids=["2d", "3d"])
+    def test_half_and_node_axis_give_the_same_bits(self, d, n, box_len):
+        """The half kernel is the half of the full one, and an array of
+        times gives the stacked scalar kernels, bit for bit, so the
+        chunked kernels of bilinear_B equal per-node ones."""
+        lat = make_lattice(d, n, box_len)
+        for t in self.TIMES:
+            assert np.array_equal(lat.half(lat.heat(t, half=False)), lat.heat(t))
+        for half in (True, False):
+            stacked = np.array([lat.heat(t, half=half) for t in self.TIMES])
+            assert np.array_equal(lat.heat(self.TIMES, half=half), stacked)
+        assert lat.heat(1.0).shape == lat.half(lat.ksq).shape
+        assert lat.heat(self.TIMES[:3]).shape == (3,) + lat.half(lat.ksq).shape
+
+    @pytest.mark.parametrize("d, n, box_len", CASES, ids=["2d", "3d"])
+    def test_time_zero_is_the_identity(self, d, n, box_len):
+        lat = make_lattice(d, n, box_len)
+        assert np.array_equal(lat.heat(0.0, half=False), np.ones(lat.spatial_shape))
+        assert np.all(lat.heat(0) == 1.0)
+
+
 def complex_inverse(self, c):
     """The complex inverse transform the half-spectrum one replaced: the
     real part of ifftn over the whole spectrum."""
@@ -205,9 +249,9 @@ class TestHalfSpectrumCallSites:
     """Each in-package caller of Lattice.inverse passes Hermitian
     coefficients, so reading only their half spectrum gives what the complex
     inverse of the full spectrum gave, to round-off. The reference runs the
-    same code with the full spectrum kept (Lattice.half the identity,
-    Lattice.ksq_half all of ksq, Lattice.rforward the complex forward) and
-    the complex inverse."""
+    same code with the full spectrum kept (Lattice.half the identity, which
+    also makes Lattice.heat the full-grid kernel, Lattice.rforward the
+    complex forward) and the complex inverse."""
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)], ids=["2d", "3d"])
     @pytest.mark.parametrize("site", sorted(INVERSE_CALL_SITES))
@@ -221,7 +265,6 @@ class TestHalfSpectrumCallSites:
         got = np.asarray(INVERSE_CALL_SITES[site](lat, u, trajs))
         monkeypatch.setattr(Lattice, "inverse", complex_inverse)
         monkeypatch.setattr(Lattice, "half", lambda self, c: c)
-        monkeypatch.setattr(Lattice, "ksq_half", property(lambda self: self.ksq))
         monkeypatch.setattr(Lattice, "rforward", Lattice.forward)
         want = np.asarray(INVERSE_CALL_SITES[site](lat, u, trajs))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -270,6 +313,56 @@ class TestTransformLayer:
     ])
     def test_scan_sees_every_spelling(self, source):
         assert transform_uses(source)
+
+
+def heat_kernel_uses(source: str) -> list:
+    """Line numbers where source calls an `exp` (np.exp, math.exp, a bare
+    exp) on an expression that reads a name containing `ksq`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name != "exp":
+            continue
+        for arg in node.args:
+            for sub in ast.walk(arg):
+                ident = sub.attr if isinstance(sub, ast.Attribute) else getattr(sub, "id", "")
+                if "ksq" in ident:
+                    lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+class TestHeatKernelLayer:
+    def test_only_lattice_exponentiates_ksq(self):
+        """The heat kernel has one implementation, Lattice.heat: no other
+        module of the package calls exp on |k|^2."""
+        package = Path(mildns.__file__).parent
+        offenders = {
+            path.name: heat_kernel_uses(path.read_text())
+            for path in sorted(package.glob("*.py")) if path.name != "lattice.py"
+        }
+        assert {name: lines for name, lines in offenders.items() if lines} == {}
+        assert heat_kernel_uses((package / "lattice.py").read_text())
+
+    @pytest.mark.parametrize("source", [
+        "import numpy as np\nnp.exp(-lat.ksq * t)",
+        "import numpy\nnumpy.exp(-t * ksq)",
+        "from numpy import exp\nexp(-self.ksq_half * t)",
+        "np.exp(np.multiply.outer(-t, lat._ksq_axis))",
+        "import math\nmath.exp(-ksq)",
+    ])
+    def test_scan_sees_every_spelling(self, source):
+        assert heat_kernel_uses(source)
+
+    @pytest.mark.parametrize("source", [
+        "np.exp(-rate * t)",
+        "lat.heat(t) * lat.ksq",
+        "np.exp(x) / lat.safe_ksq_deriv",
+    ])
+    def test_scan_passes_other_exponentials(self, source):
+        assert not heat_kernel_uses(source)
 
 
 class TestDatumSpec:

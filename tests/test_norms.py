@@ -41,8 +41,8 @@ from mildns import (
     to_spectral,
     vanishing_at_zero,
 )
-from mildns.lattice import PHYSICAL, Field
-from mildns.norms import besov_grid, heat_sup
+from mildns.lattice import PHYSICAL
+from mildns.norms import besov_grid, heat_sup, weighted_lebesgue
 
 
 def cosine_moment(q: float) -> float:
@@ -219,7 +219,7 @@ class TestLiveComponents:
     def reference_flows(u0, times):
         lat = u0.lattice
         coeffs = lat.rforward(u0.data)
-        return [lat.inverse(coeffs * np.exp(-lat.ksq_half * t)) for t in times]
+        return [lat.inverse(coeffs * lat.heat(t)) for t in times]
 
     @staticmethod
     def reference_lebesgue(lat, data, r):
@@ -278,7 +278,7 @@ class TestLiveComponents:
         u0 = realize_datum(DatumSpec(**spec), lat)
         grid = besov_grid(lat)
         coeffs = lat.half(lat.forward(u0.data))
-        flows = [lat.inverse(coeffs * np.exp(-lat.ksq_half * t)) for t in grid]
+        flows = [lat.inverse(coeffs * np.exp(-lat.half(lat.ksq) * t)) for t in grid]
 
         def old_lebesgue(data, r):
             comps = data.reshape((-1,) + lat.spatial_shape)
@@ -302,7 +302,7 @@ class TestLiveComponents:
             old = [t ** (alpha / 2.0) * old_lebesgue(f, q_tilde) for t, f in zip(grid, flows)]
             npt.assert_allclose(kato_norm(traj, q, q_tilde).values, old, rtol=1e-13)
 
-    def test_transforms_only_the_live_component(self, monkeypatch):
+    def test_transforms_only_the_live_component(self, monkeypatch, field_inits):
         """The heat sup of a physical datum makes one rforward of its live
         row, one inverse per flow, and constructs no Field."""
         n = 64
@@ -310,20 +310,13 @@ class TestLiveComponents:
         u0 = realize_datum(DatumSpec(kind="power_law", decay=1.0, r_inner=0.25,
                                      r_outer=2.0), lat)
         sizes = self.count_transforms(monkeypatch)
-        inits = []
-        original = Field.__init__
-
-        def counted(self, *args, **kwargs):
-            inits.append(type(self))
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(Field, "__init__", counted)
         grid = besov_grid(lat)
+        field_inits.clear()
         besov_norm_heat(u0, -0.5, 4.0)
         assert sizes["forward"] == []
         assert sizes["rforward"] == [n**2]
         assert sizes["inverse"] == [n * (n // 2 + 1)] * grid.size
-        assert inits == []
+        assert field_inits == []
 
     def test_zero_datum_needs_no_transform(self, lat2, monkeypatch):
         def refuse(self, a):
@@ -529,6 +522,24 @@ class TestVanishing:
         report = vanishing_at_zero(traj, 0.25, r=4.0)
         assert report.vanishing
         assert report.values[0] < report.values[-1]
+
+    def test_same_bits_as_the_per_node_loop(self, field_inits):
+        """weighted_lebesgue, and the vanishing check through it, reduce the
+        rows of traj.data, a dead row included, to the bits of lebesgue_norm
+        on each node's field, and construct no Field."""
+        lat = make_lattice(2, 32, 2.0 * np.pi)
+        u0 = realize_datum(DatumSpec(kind="gaussian", width=0.1), lat)
+        traj = heat_trajectory(u0, quadratic_mesh(1.0, 64))
+        assert not traj.data[:, 1].any()  # the second component is dead
+        explicit = {r: np.array([t**0.25 * lebesgue_norm(f, r)
+                                 for t, f in zip(traj.times, traj.fields)])
+                    for r in (2.0, 3.0, 4.0, 6.0, np.inf)}
+        field_inits.clear()
+        for r, want in explicit.items():
+            assert np.array_equal(weighted_lebesgue(traj, 0.25, r), want)
+            assert np.array_equal(weighted_lebesgue(traj, 0.25, r, nodes=5), want[:5])
+            assert np.array_equal(vanishing_at_zero(traj, 0.25, r=r).values, want[:5])
+        assert field_inits == []
 
 
 class TestDecayFit:

@@ -429,6 +429,22 @@ class TestPostSolveAnalyses:
         # weight (d/2)(1/q - 1/r) at d = 2, q = 2
         npt.assert_allclose(report.weights, [1.0 / 2 - 1.0 / 3, 0.25, 1.0 / 2 - 1.0 / 6])
 
+    def test_ladder_reduces_the_trajectory_rows(self, small_random_solution, field_inits):
+        """Every ladder row has the bits of the per-node lebesgue_norm loop,
+        and the ladder constructs no Field."""
+        _, sol = small_random_solution
+        traj = sol.trajectory
+        r_list = [3.0, 4.0, 6.0]
+        weights = [(sol.book.d / 2.0) * (1.0 / sol.book.q - 1.0 / r) for r in r_list]
+        explicit = [np.array([t**w * lebesgue_norm(f, r) for t, f in zip(traj.times, traj.fields)])
+                    for w, r in zip(weights, r_list)]
+        field_inits.clear()
+        report = regularity_ladder(sol, r_list)
+        assert field_inits == []
+        assert report.weights == weights
+        assert report.sups == [float(values.max()) for values in explicit]
+        assert report.argmax_times == [float(traj.times[v.argmax()]) for v in explicit]
+
     def test_fluctuation_requires_critical_book(self, tg_solution):
         tg, sol = tg_solution
         off_line = replace(sol, book=replace(sol.book, s=0.25))
