@@ -4,11 +4,12 @@ Commands:
 
 * ``mildns list`` prints the experiment catalog.
 * ``mildns calibrate --config file.json`` measures thresholds for the
-  exponent book described in the config and writes the calibration file.
+  exponent book and corpus of the config (lab.CALIBRATE_KEYS) and writes
+  the calibration file.
 * ``mildns <experiment-id> [--config file.json] [--set k=v ...]
   [--out dir]`` runs one experiment; --set overrides config fields
   (dotted keys reach into nested sections, values are parsed as JSON
-  when possible).
+  when possible). Every key has a declared type and range in lab.py.
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure
 (divergence or non-convergence), 4 I/O error.
@@ -21,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, DataError, MildNSError, NumericalError
-from .lab import EXPERIMENTS, list_experiments, run
+from .lab import CALIBRATE_KEYS, EXPERIMENTS, check_config, list_experiments, run
 from .picard import CorpusSpec, build_exponent_book, calibrate_thresholds
 from .runtime import VERSION
 
@@ -80,18 +81,10 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    config = _load_config(args.config) if args.config else {}
-    book = build_exponent_book(
-        config.get("d", 2),
-        config.get("p", 2.0),
-        config.get("s", 0.0),
-        config.get("q_tilde", 4.0),
-    )
-    corpus_cfg = config.get("corpus", {})
-    if not isinstance(corpus_cfg, dict):
-        raise ConfigError("config key 'corpus' must be an object")
-    corpus = CorpusSpec(**{"d": book.d, **corpus_cfg})
-    path = config.get("path", "calibration.json")
+    config = check_config(CALIBRATE_KEYS, _load_config(args.config) if args.config else {})
+    book = build_exponent_book(config["d"], config["p"], config["s"], config["q_tilde"])
+    corpus = CorpusSpec(**{"d": book.d, **config["corpus"]})
+    path = config["path"]
     if args.out:
         path = str(Path(args.out) / Path(path).name)
     calibrated = calibrate_thresholds(book, corpus, path=path)

@@ -1,32 +1,31 @@
 """Experiment runner: named, config-driven experiments over the other
 modules, each producing a deterministic CSV table plus a JSON manifest.
 
-Every experiment has a bundled default config (a flat JSON-compatible
-dict; nested dicts only for datum descriptions). run() overlays the
-user config onto the defaults. Before any runner starts, the merge
-refuses, naming the key: a key the defaults lack; a value that is not a
-number (or is a boolean) where the default is a number; a datum section
-(a dict default or an item of a list of them) that is not an object, has
-no kind or has a key that is not a DatumSpec field; a datum field of
-the wrong type (numbers, an integer seed, a non-empty integer list for
-mode, a boolean divergence_free); a max_iter that is not an integer >= 1;
-and an empty or non-list value where the default is a non-empty list.
-Ranges and cross-key conditions are checked by the runners and by the
-objects they build; the cheap ones (counts, heat-decay times, power-law
-levels) at the top of the runner, the rest where they are first used,
-so some fail only after calibration. Output files are only written
-after the experiment finished, each through a temporary file and
-os.replace, the CSV last. Identical config and seed
-give byte-identical CSV output: floats are serialized at 17 significant
-digits and manifests carry no volatile fields (no timestamps, no paths
-that did not come from the config).
+Every experiment declares each of its config keys once, as a Key: its
+default, its type (an integer, a number, a boolean, a path or null, a
+non-empty list of numbers or strings, a datum section or a list of them)
+and its single-key range, such as (0, inf) or [1, inf]. The DatumSpec
+fields are declared once for every datum section. run() overlays the
+user config onto the defaults through check_config, which refuses any
+other key or value with a ConfigError naming the dotted key before any
+runner starts. Only conditions between keys are left to the runners,
+each naming its keys (the radius and tail windows of kernel-decay, the
+times, exponents and box of heat-decay, the power-law levels and Besov
+smoothness, the critical book of scaling), and to the objects they
+build, such as the paper's hypotheses in build_exponent_book, which name
+the violated inequality; some of these fail only after calibration.
+Output files are only written after the experiment finished, each
+through a temporary file and os.replace, the CSV last. Identical config
+and seed give byte-identical CSV output: floats are serialized at 17
+significant digits and manifests carry no volatile fields (no timestamps,
+no paths that did not come from the config).
 """
 from __future__ import annotations
 
 import copy
 import math
 import os
-from dataclasses import dataclass, field as dc_field, fields as dc_fields, replace
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -40,7 +39,7 @@ from .duhamel import (
     bilinear_estimate_report,
     bilinear_trajectory,
 )
-from .errors import ConfigError, DivergenceError
+from .errors import CalibrationError, ConfigError, DivergenceError
 from .lattice import TWO_PI, DatumSpec, VectorField, make_lattice, realize_datum
 from .multipliers import kernel_profile
 from .norms import (
@@ -135,94 +134,124 @@ class ResultTable:
 
 
 # ---------------------------------------------------------------------------
-# Config plumbing
+# Config schema
+
+INTEGER, NUMBER, BOOLEAN, STRING, PATH, SECTION = (
+    "an integer", "a number", "a boolean", "a string", "a path string", "an object"
+)
+_PYTHON_TYPES = {INTEGER: int, NUMBER: (int, float), BOOLEAN: bool, STRING: str, PATH: str}
 
 
-_DATUM_KEYS = {f.name for f in dc_fields(DatumSpec)}
+@dataclass(frozen=True)
+class Key:
+    """One config key, declared once: its default, its type and its range,
+    an interval such as "(0, inf)" for an integer or a number (NaN lies in
+    none, inf only in one closed at inf) or a tuple of choices for a string.
+    A section is an object of the keys `fields`, where a key whose default
+    is None and that is not nullable must be given. items >= 1 makes the key
+    a list of at least that many values."""
+
+    default: object
+    type: str
+    range: object = "(-inf, inf)"
+    items: int = 0
+    nullable: bool = False
+    fields: Optional[dict] = None
 
 
-def _merge_config(defaults: dict, overrides: dict, context: str, valid=None,
-                  rules=None) -> dict:
-    valid = defaults if valid is None else valid
-    rules = _SET_VALUE_RULES if rules is None else rules
-    merged = copy.deepcopy(defaults)
-    for key, value in overrides.items():
-        name = f"{context}{key}"
-        if key not in valid:
+def _keys(type_: str, range_: str, nullable: bool = False, **defaults) -> dict:
+    """One Key of type_ and range_ for each keyword default."""
+    return {k: Key(v, type_, range_, nullable=nullable) for k, v in defaults.items()}
+
+
+def _fits(key: Key, value) -> bool:
+    if not isinstance(value, _PYTHON_TYPES[key.type]) or (
+        isinstance(value, bool) and key.type != BOOLEAN
+    ):
+        return False
+    if key.type == STRING:
+        return value in key.range
+    if key.type in (INTEGER, NUMBER):
+        lo, hi = (float(bound) for bound in key.range[1:-1].split(","))
+        above = lo < value if key.range[0] == "(" else lo <= value
+        return above and (value < hi if key.range[-1] == ")" else value <= hi)
+    return True
+
+
+def _refuse(key: Key, value, name: str):
+    what = key.type + (f" in {key.range}" if key.type in (INTEGER, NUMBER, STRING) else "")
+    if key.items:
+        more = f" of {key.items} or more items" if key.items > 1 else ""
+        what = f"a non-empty list{more}, each item {what}"
+    null = " or null" if key.nullable else ""
+    raise ConfigError(f"config key {name!r} must be {what}{null}, got {value!r}")
+
+
+def _checked(key: Key, value, name: str):
+    if value is None and key.nullable:
+        return None
+    if key.items and not (isinstance(value, list) and len(value) >= key.items):
+        _refuse(key, value, name)
+    if key.type == SECTION:
+        if key.items:
+            return [check_config(key.fields, v, {}, f"{name}[{i}]") for i, v in enumerate(value)]
+        return check_config(key.fields, value, key.default, name)
+    if not all(_fits(key, v) for v in (value if key.items else [value])):
+        _refuse(key, value, name)
+    return copy.deepcopy(value)
+
+
+def check_config(keys: dict, overrides, base: Optional[dict] = None, name: str = "") -> dict:
+    """The defaults of `keys` (or `base`, for a section) overlaid with
+    `overrides`, each value checked against its Key. Refuses with a
+    ConfigError naming the dotted key, such as 'data[0].seed'."""
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"config key {name!r} must be {SECTION}, got {overrides!r}")
+    merged = copy.deepcopy({k: key.default for k, key in keys.items()} if base is None else base)
+    for k, value in overrides.items():
+        dotted = f"{name}.{k}" if name else k
+        if k not in keys:
             raise ConfigError(
-                f"unknown config key {name!r}; valid keys: {', '.join(sorted(valid))}"
+                f"unknown config key {dotted!r}; valid keys: {', '.join(sorted(keys))}"
             )
-        default = defaults.get(key)
-        if _is_number(default) and not _is_number(value):
-            raise ConfigError(f"config key {name!r} must be a number, got {value!r}")
-        if key in rules and value is not None:
-            accepts, kind = rules[key]
-            if not accepts(value):
-                raise ConfigError(f"config key {name!r} must be {kind}, got {value!r}")
-        if isinstance(default, dict):
-            value = _datum_section(default, value, name)
-        elif isinstance(default, list) and default:
-            if not (isinstance(value, list) and value):
-                raise ConfigError(
-                    f"config key {name!r} must be a non-empty list, got {value!r}"
-                )
-            if isinstance(default[0], dict):
-                value = [_datum_section({}, v, f"{name}[{i}]") for i, v in enumerate(value)]
-        merged[key] = copy.deepcopy(value)
+        merged[k] = _checked(keys[k], value, dotted)
+    for k, key in keys.items():
+        if key.default is None and not key.nullable and merged.get(k) is None:
+            raise ConfigError(f"config key {name!r} needs {k!r}")
     return merged
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# What a set value of a key must be beyond the numeric-default check: keys
-# whose default is null, which no numeric default types, and integer keys.
-# Checked before any calibration; a null value is left to the runner.
-_SET_VALUE_RULES = {
-    "calibration_path": (lambda v: isinstance(v, str), "a path string"),
-    "scale_to_delta_fraction": (lambda v: _is_number(v) and v > 0, "a positive number"),
-    "max_iter": (lambda v: _is_integer(v) and v >= 1, "an integer >= 1"),
+# Ranges shared by many keys. Points per axis are at least 4 and quadrature
+# nodes at least 8; the lattice checks that the first is a power of two,
+# QuadratureSpec that the second is even.
+_POSITIVE, _NONNEGATIVE, _COUNT, _LEBESGUE = "(0, inf)", "[0, inf)", "[1, inf)", "[1, inf]"
+_POINTS, _NODES = "[4, inf)", "[8, inf)"
+# the fields of every datum section, after DatumSpec
+_DATUM_KEYS = {
+    "kind": Key(None, STRING, DatumSpec.KINDS),
+    "amplitude": Key(1.0, NUMBER, _POSITIVE),
+    **_keys(NUMBER, _POSITIVE, nullable=True, width=None, decay=None, r_inner=None, r_outer=None),
+    **_keys(NUMBER, _POSITIVE, nullable=True, k_max=None),
+    **_keys(NUMBER, _NONNEGATIVE, nullable=True, k_min=None),
+    **_keys(INTEGER, _NONNEGATIVE, nullable=True, seed=None),
+    "mode": Key(None, INTEGER, items=1, nullable=True),
+    "divergence_free": Key(False, BOOLEAN),
 }
-
-# The same for the DatumSpec fields, which a datum section without defaults
-# (an item of a list of data) leaves untyped otherwise.
-_DATUM_VALUE_RULES = {
-    **{key: (_is_number, "a number")
-       for key in ("amplitude", "width", "decay", "r_inner", "r_outer", "k_min", "k_max")},
-    "seed": (_is_integer, "an integer"),
-    "mode": (lambda v: isinstance(v, list) and v and all(map(_is_integer, v)),
-             "a non-empty list of integers"),
-    "divergence_free": (lambda v: isinstance(v, bool), "a boolean"),
-}
-
-
-def _datum_section(defaults: dict, value, context: str) -> dict:
-    """Overlay one datum section; its keys are DatumSpec's fields."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"config key {context!r} must be a datum object, got {value!r}")
-    merged = _merge_config(defaults, value, f"{context}.", _DATUM_KEYS, _DATUM_VALUE_RULES)
-    if "kind" not in merged:
-        raise ConfigError(f"config key {context!r} needs a datum 'kind'")
-    return merged
 
 
 def _datum_from_config(datum_cfg: dict) -> DatumSpec:
-    cfg = dict(datum_cfg)
-    if "mode" in cfg and cfg["mode"] is not None:
-        cfg["mode"] = tuple(int(m) for m in cfg["mode"])
-    return DatumSpec(**cfg)
+    mode = datum_cfg.get("mode")
+    return DatumSpec(**{**datum_cfg, "mode": None if mode is None else tuple(mode)})
 
 
 def _calibrated_book(cfg: dict):
     book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
     path = cfg.get("calibration_path")
     if path:
-        return load_calibration(book, path)
+        try:
+            return load_calibration(book, path)
+        except CalibrationError as exc:
+            raise CalibrationError(f"config key 'calibration_path': {exc}") from exc
     return calibrate_thresholds(book, CorpusSpec(seed=cfg["corpus_seed"], d=book.d))
 
 
@@ -237,7 +266,10 @@ def _scaled_datum(cfg: dict, lattice, book) -> VectorField:
         return u0
     lhs = smallness_lhs(u0, cfg["horizon"], book, SMALLNESS_KATO).lhs
     if lhs <= 0:
-        raise ConfigError("cannot rescale a datum whose smallness lhs is zero")
+        raise ConfigError(
+            "config keys 'datum' and 'scale_to_delta_fraction': cannot rescale a datum "
+            "whose smallness lhs is zero"
+        )
     target = fraction * book.delta
     scaled = {**cfg["datum"], "amplitude": spec.amplitude * target / lhs}
     return realize_datum(_datum_from_config(scaled), lattice)
@@ -297,23 +329,20 @@ def _mesh_doubling(cfg: dict, analyse):
 
 def _run_kernel_decay(cfg):
     count = cfg["radius_count"]
-    if not (isinstance(count, int) and count >= 1):
-        raise ConfigError(f"radius_count must be an integer >= 1, got {count!r}")
-    if not (0 < cfg["radius_min"] < cfg["radius_max"]):
+    if not cfg["radius_min"] < cfg["radius_max"]:
         raise ConfigError(
-            "radius_min and radius_max must satisfy 0 < radius_min < radius_max, got "
-            f"{cfg['radius_min']!r} and {cfg['radius_max']!r}"
+            "config keys 'radius_min' and 'radius_max' must satisfy radius_min < radius_max, "
+            f"got {cfg['radius_min']!r} and {cfg['radius_max']!r}"
         )
     radii = np.geomspace(cfg["radius_min"], cfg["radius_max"], count)
     in_tail = int(np.count_nonzero((radii >= cfg["tail_lo"]) & (radii <= cfg["tail_hi"])))
     if in_tail < 2:
         raise ConfigError(
-            f"radius_count={count} puts {in_tail} radii inside [tail_lo, tail_hi] = "
-            f"[{cfg['tail_lo']}, {cfg['tail_hi']}]; the tail slope needs at least two"
+            f"config keys 'radius_count', 'tail_lo' and 'tail_hi': radius_count={count} puts "
+            f"{in_tail} radii inside [{cfg['tail_lo']}, {cfg['tail_hi']}]; the tail slope "
+            "needs at least two"
         )
     factor_t = float(cfg["selfsim_factor"])
-    if factor_t <= 1:
-        raise ConfigError(f"selfsim_factor must exceed 1, got {factor_t}")
     root = math.sqrt(factor_t)
     columns = [
         "s",
@@ -326,25 +355,19 @@ def _run_kernel_decay(cfg):
     ]
     rows, summary = [], {}
     for s in cfg["s_values"]:
-        prof = kernel_profile(
-            s,
-            cfg["d"],
-            radii,
-            resolution=cfg["resolution"],
-            box_len=cfg["box_len"],
-            t=cfg["t"],
-            tail_window=(cfg["tail_lo"], cfg["tail_hi"]),
-        )
-        # the same kernel at time factor_t * t on the sqrt(factor_t)-dilated
-        # box: exact discrete self-similarity up to rounding
-        prof_late = kernel_profile(
-            s,
-            cfg["d"],
-            radii * root,
-            resolution=cfg["resolution"],
-            box_len=cfg["box_len"] * root,
-            t=cfg["t"] * factor_t,
-            tail_window=(cfg["tail_lo"] * root, cfg["tail_hi"] * root),
+        # the kernel, and the same kernel at time factor_t * t on the
+        # sqrt(factor_t)-dilated box: exact discrete self-similarity up to rounding
+        prof, prof_late = (
+            kernel_profile(
+                s,
+                cfg["d"],
+                radii * dilation,
+                resolution=cfg["resolution"],
+                box_len=cfg["box_len"] * dilation,
+                t=cfg["t"] * factor,
+                tail_window=(cfg["tail_lo"] * dilation, cfg["tail_hi"] * dilation),
+            )
+            for dilation, factor in ((1.0, 1.0), (root, factor_t))
         )
         decay = -(cfg["d"] + 1 + s)
         predicted = factor_t ** (decay / 2.0) * prof.values
@@ -365,10 +388,6 @@ def _run_kernel_decay(cfg):
 
 
 def _run_beta_integral(cfg):
-    if not (isinstance(cfg["grid_points"], int) and cfg["grid_points"] >= 1):
-        raise ConfigError(
-            f"grid_points must be an integer >= 1, got {cfg['grid_points']!r}"
-        )
     gammas = np.linspace(cfg["gamma_min"], cfg["gamma_max"], cfg["grid_points"])
     thetas = np.linspace(cfg["theta_min"], cfg["theta_max"], cfg["grid_points"])
     t = float(cfg["t"])
@@ -389,16 +408,21 @@ def _run_beta_integral(cfg):
 
 
 def _run_heat_decay(cfg):
-    if not (cfg["t_min"] > 0):
-        raise ConfigError(f"t_min must be positive, got {cfg['t_min']!r}")
-    if not (cfg["t_max"] > cfg["t_min"]):
-        raise ConfigError(f"t_max must exceed t_min, got {cfg['t_max']!r}")
-    if not (cfg["per_octave"] > 0):
-        raise ConfigError(f"per_octave must be positive, got {cfg['per_octave']!r}")
+    if not cfg["t_max"] > cfg["t_min"]:
+        raise ConfigError(
+            "config keys 't_min' and 't_max' must satisfy t_max > t_min, got "
+            f"{cfg['t_min']!r} and {cfg['t_max']!r}"
+        )
+    if not cfg["q"] < cfg["q_tilde"]:
+        raise ConfigError(
+            "config keys 'q' and 'q_tilde' must satisfy q < q_tilde for a decay, got "
+            f"{cfg['q']!r} and {cfg['q_tilde']!r}"
+        )
     lat = make_lattice(cfg["d"], cfg["resolution"], cfg["box_len"])
     if cfg["box_len"] ** 2 < 100.0 * cfg["t_max"]:
         raise ConfigError(
-            "box too small for the requested horizon: need box_len^2 >= 100 t_max"
+            "config keys 'box_len' and 't_max': box too small for the requested horizon, "
+            "need box_len^2 >= 100 t_max"
         )
     spec = DatumSpec(kind="gaussian", width=cfg["width"], amplitude=cfg["amplitude"])
     u0 = realize_datum(spec, lat)
@@ -433,7 +457,7 @@ def _run_besov_equiv(cfg):
     lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
     spec = DatumSpec(
         kind="single_mode",
-        mode=tuple(int(m) for m in cfg["mode"]),
+        mode=tuple(cfg["mode"]),
         amplitude=cfg["amplitude"],
         divergence_free=True,
     )
@@ -501,17 +525,10 @@ def _run_embedding(cfg):
 
 
 def _run_bilinear(cfg):
-    if not (isinstance(cfg["pairs"], int) and cfg["pairs"] >= 1):
-        raise ConfigError(f"pairs must be an integer >= 1, got {cfg['pairs']!r}")
     book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
     lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
     gamma_for = {TARGET_KATO: book.gamma_kato, TARGET_SOBOLEV: book.gamma_sobolev}
-    targets = list(cfg["targets"])
-    for target in targets:
-        if target not in gamma_for:
-            raise ConfigError(
-                f"unknown bilinear target {target!r}; valid: {sorted(gamma_for)}"
-            )
+    targets = cfg["targets"]
 
     def band(seed):
         spec = _datum_from_config(_band_datum(seed, cfg["k_max"], cfg["k_min"]))
@@ -708,12 +725,10 @@ def _run_scaling(cfg):
     book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
     if not book.is_critical:
         raise ConfigError(
-            "scaling experiment requires the critical book s = d/p - 1; "
-            f"got s = {book.s:g}"
+            "config keys 'd', 'p' and 's': the scaling experiment requires the critical "
+            f"book s = d/p - 1, got s = {book.s:g}"
         )
     lam = float(cfg["lam"])
-    if not (lam > 1):
-        raise ConfigError(f"rescaling factor must exceed 1, got {lam}")
     lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
     u0 = realize_datum(_datum_from_config(cfg["datum"]), lat)
     lat_fine = make_lattice(cfg["d"], cfg["n"], cfg["box_len"] / lam)
@@ -739,16 +754,12 @@ def _run_powerlaw(cfg):
     s_b = d / qt - d / p
     if not (s_b < 0):
         raise ConfigError(
-            f"dichotomy needs d/q_tilde < d/p so the Besov smoothness is negative; "
-            f"got {s_b:g}"
+            "config keys 'p' and 'q_tilde': the dichotomy needs d/q_tilde < d/p so the "
+            f"Besov smoothness is negative, got {s_b:g}"
         )
     levels = [float(e) for e in cfg["r_inner_levels"]]
-    if len(levels) < 2:
-        raise ConfigError(
-            f"r_inner_levels needs at least two levels for the tail change, got {len(levels)}"
-        )
-    if sorted(levels, reverse=True) != levels:
-        raise ConfigError("r_inner_levels must be strictly decreasing")
+    if not all(a > b for a, b in zip(levels, levels[1:])):
+        raise ConfigError(f"config key 'r_inner_levels' must be strictly decreasing, got {levels}")
     columns = ["r_inner", "lebesgue_norm", "lebesgue_increment", "besov_value", "besov_argmax_t"]
     rows = []
     lp_values, besov_values = [], []
@@ -826,205 +837,188 @@ def _run_fixed_point_demo(cfg):
 @dataclass(frozen=True)
 class ExperimentDef:
     description: str
-    defaults: dict
+    keys: dict  # name -> Key
     runner: Callable = dc_field(compare=False)
 
 
-_BOOK_DEFAULTS = {"d": 2, "p": 2.0, "s": 0.0, "q_tilde": 4.0}
-_CALIBRATION_DEFAULTS = {"corpus_seed": 11, "calibration_path": None}
+def _declare(description: str, runner: Callable, **keys: Key) -> ExperimentDef:
+    return ExperimentDef(description, keys, runner)
+
+
+_DIMENSION = Key(2, INTEGER, "[2, 3]")
+# the paper's hypotheses p > d/2 >= 1, d/p - 1 <= s < d/(2p) and q_tilde > q
+# bound each exponent on its own; build_exponent_book checks them together
+BOOK_KEYS = {
+    "d": _DIMENSION,
+    **_keys(NUMBER, "(1, inf)", p=2.0, q_tilde=4.0),
+    "s": Key(0.0, NUMBER, "(-1, 1)"),
+}
+_CALIBRATION_KEYS = {
+    "corpus_seed": Key(11, INTEGER, _NONNEGATIVE),
+    "calibration_path": Key(None, PATH, nullable=True),
+}
 # shared by the mesh-doubling experiments (ladder, fluctuation)
-_ANALYSIS_DEFAULTS = {
-    **_BOOK_DEFAULTS,
-    "n": 32,
-    "box_len": TWO_PI,
-    "horizon": 0.25,
-    "mesh_nodes": 16,
-    "quad_nodes": 16,
-    "tol": 1e-9,
-    "max_iter": 100,
-    "scale_to_delta_fraction": 0.5,
-    **_CALIBRATION_DEFAULTS,
+_ANALYSIS_KEYS = {
+    **BOOK_KEYS,
+    **_keys(NUMBER, _POSITIVE, box_len=TWO_PI, horizon=0.25, tol=1e-9),
+    "scale_to_delta_fraction": Key(0.5, NUMBER, _POSITIVE),
+    **_keys(INTEGER, _POINTS, n=32, mesh_nodes=16),
+    "quad_nodes": Key(16, INTEGER, _NODES),
+    "max_iter": Key(100, INTEGER, _COUNT),
+    **_CALIBRATION_KEYS,
+}
+
+# `mildns calibrate --config`: the book, the calibration file and a corpus
+# section of the CorpusSpec fields (an unset corpus d is the book's)
+CALIBRATE_KEYS = {
+    **BOOK_KEYS,
+    "path": Key("calibration.json", PATH),
+    "corpus": Key({}, SECTION, fields={
+        "d": _DIMENSION,
+        "seed": Key(11, INTEGER, _NONNEGATIVE),
+        "pairs": Key(20, INTEGER, _COUNT),
+        **_keys(INTEGER, _POINTS, n=32, mesh_nodes=16),
+        "quad_nodes": Key(16, INTEGER, _NODES),
+        **_keys(NUMBER, _POSITIVE, box_len=4.0 * math.pi, horizon=1.0, k_max=4),
+        "k_min": Key(1, NUMBER, _NONNEGATIVE),
+    }),
 }
 
 EXPERIMENTS = {
-    "kernel-decay": ExperimentDef(
+    "kernel-decay": _declare(
         "dissipative-projection kernel: spatial decay rate and self-similarity",
-        {
-            "d": 2,
-            "s_values": [-0.5, 0.0, 0.4],
-            "t": 1.0,
-            "selfsim_factor": 4.0,
-            "box_len": 160.0,
-            "resolution": 512,
-            "radius_min": 0.1,
-            "radius_max": 20.0,
-            "radius_count": 24,
-            "tail_lo": 4.0,
-            "tail_hi": 20.0,
-        },
         _run_kernel_decay,
+        d=_DIMENSION,
+        s_values=Key([-0.5, 0.0, 0.4], NUMBER, "(-1, inf)", items=1),
+        selfsim_factor=Key(4.0, NUMBER, "(1, inf)"),
+        **_keys(NUMBER, _POSITIVE, t=1.0, box_len=160.0, radius_min=0.1, radius_max=20.0),
+        **_keys(NUMBER, _POSITIVE, tail_lo=4.0, tail_hi=20.0),
+        resolution=Key(512, INTEGER, _POINTS),
+        radius_count=Key(24, INTEGER, "[2, inf)"),
     ),
-    "beta-integral": ExperimentDef(
+    "beta-integral": _declare(
         "singular Volterra integral: quadrature against the Gamma-function identity",
-        {
-            "t": 1.0,
-            "gamma_min": -1.0,
-            "gamma_max": 0.9,
-            "theta_min": -1.0,
-            "theta_max": 0.9,
-            "grid_points": 10,
-            "node_count": 32,
-        },
         _run_beta_integral,
+        t=Key(1.0, NUMBER, _POSITIVE),
+        **_keys(NUMBER, "(-inf, 1)", gamma_min=-1.0, gamma_max=0.9),
+        **_keys(NUMBER, "(-inf, 1)", theta_min=-1.0, theta_max=0.9),
+        grid_points=Key(10, INTEGER, _COUNT),
+        node_count=Key(32, INTEGER, _NODES),
     ),
-    "heat-decay": ExperimentDef(
+    "heat-decay": _declare(
         "heat-flow decay of a Gaussian datum against the closed form",
-        {
-            "d": 2,
-            "width": 0.1,
-            "amplitude": 1.0,
-            "q": 1.0,
-            "q_tilde": 4.0,
-            "box_len": 80.0,
-            "resolution": 512,
-            "t_min": 4.0,
-            "t_max": 64.0,
-            "per_octave": 4,
-        },
         _run_heat_decay,
+        d=_DIMENSION,
+        **_keys(NUMBER, _POSITIVE, width=0.1, amplitude=1.0, box_len=80.0),
+        **_keys(NUMBER, _POSITIVE, t_min=4.0, t_max=64.0, per_octave=4),
+        **_keys(NUMBER, _LEBESGUE, q=1.0, q_tilde=4.0),
+        resolution=Key(512, INTEGER, _POINTS),
     ),
-    "besov-equiv": ExperimentDef(
+    "besov-equiv": _declare(
         "heat characterization of the Besov norm on a single-mode datum",
-        {
-            "d": 2,
-            "n": 32,
-            "box_len": TWO_PI,
-            "mode": [1, 1],
-            "amplitude": 1.0,
-            "smoothness": -0.5,
-            "q": 4.0,
-            "rescale": 3.0,
-        },
         _run_besov_equiv,
+        d=_DIMENSION,
+        n=Key(32, INTEGER, _POINTS),
+        **_keys(NUMBER, _POSITIVE, box_len=TWO_PI, amplitude=1.0, rescale=3.0),
+        mode=Key([1, 1], INTEGER, items=1),
+        smoothness=Key(-0.5, NUMBER, "(-inf, 0)"),
+        q=Key(4.0, NUMBER, _LEBESGUE),
     ),
-    "embedding": ExperimentDef(
+    "embedding": _declare(
         "Sobolev embedding constants on a random band-limited corpus",
-        {
-            "d": 2,
-            "n": 64,
-            "box_len": TWO_PI,
-            "count": 50,
-            "seed": 7,
-            "k_min": 1,
-            "k_max": 8,
-            "s1": 0.5,
-            "q1": 2.0,
-            "s2": 0.0,
-            "q2": 4.0,
-        },
         _run_embedding,
+        d=_DIMENSION,
+        n=Key(64, INTEGER, _POINTS),
+        count=Key(50, INTEGER, _COUNT),
+        seed=Key(7, INTEGER, _NONNEGATIVE),
+        **_keys(NUMBER, _POSITIVE, box_len=TWO_PI, k_max=8),
+        k_min=Key(1, NUMBER, _NONNEGATIVE),
+        **_keys(NUMBER, "(-inf, inf)", s1=0.5, s2=0.0),
+        **_keys(NUMBER, "(1, inf)", q1=2.0, q2=4.0),
     ),
-    "bilinear": ExperimentDef(
+    "bilinear": _declare(
         "measured bilinear-estimate constants over a random trajectory corpus",
-        {
-            **_BOOK_DEFAULTS,
-            "n": 32,
-            "box_len": TWO_PI,
-            "pairs": 50,
-            "seed": 23,
-            "k_min": 1,
-            "k_max": 4,
-            "horizons": [0.5, 1.0],
-            "mesh_nodes": 16,
-            "quad_nodes": 16,
-            "targets": [TARGET_KATO, TARGET_SOBOLEV],
-            "doubling": True,
-            "vanishing_mesh_nodes": 64,
-        },
         _run_bilinear,
+        **BOOK_KEYS,
+        n=Key(32, INTEGER, _POINTS),
+        mesh_nodes=Key(16, INTEGER, "[2, inf)"),
+        quad_nodes=Key(16, INTEGER, _NODES),
+        # the vanishing check needs five nodes t_j = T (j / M)^2 below T / 100
+        vanishing_mesh_nodes=Key(64, INTEGER, "[51, inf)"),
+        pairs=Key(50, INTEGER, _COUNT),
+        seed=Key(23, INTEGER, _NONNEGATIVE),
+        **_keys(NUMBER, _POSITIVE, box_len=TWO_PI, k_max=4),
+        k_min=Key(1, NUMBER, _NONNEGATIVE),
+        horizons=Key([0.5, 1.0], NUMBER, _POSITIVE, items=1),
+        targets=Key([TARGET_KATO, TARGET_SOBOLEV], STRING, (TARGET_KATO, TARGET_SOBOLEV), items=1),
+        doubling=Key(True, BOOLEAN),
     ),
-    "smallness": ExperimentDef(
+    "smallness": _declare(
         "the three smallness left-hand sides across datum families",
-        {
-            **_BOOK_DEFAULTS,
-            "n": 32,
-            "box_len": TWO_PI,
-            "horizon": 0.25,
-            **_CALIBRATION_DEFAULTS,
-            "data": [
-                {"kind": "gaussian", "width": 0.1},
-                {"kind": "taylor_green"},
-                _band_datum(5),
-            ],
-        },
         _run_smallness,
+        **BOOK_KEYS,
+        n=Key(32, INTEGER, _POINTS),
+        **_keys(NUMBER, _POSITIVE, box_len=TWO_PI, horizon=0.25),
+        **_CALIBRATION_KEYS,
+        data=Key(
+            [{"kind": "gaussian", "width": 0.1}, {"kind": "taylor_green"}, _band_datum(5)],
+            SECTION, items=1, fields=_DATUM_KEYS,
+        ),
     ),
-    "solve": ExperimentDef(
+    "solve": _declare(
         "Picard construction of a mild solution (Taylor-Green oracle by default)",
-        {
-            **_BOOK_DEFAULTS,
-            "n": 64,
-            "box_len": 2.0 * TWO_PI,
-            "horizon": 1.0,
-            "mesh_nodes": 32,
-            "quad_nodes": 32,
-            "tol": 1e-9,
-            "max_iter": 100,
-            "datum": {"kind": "taylor_green", "amplitude": 1.0, "mode": [2, 2]},
-            "override_smallness": True,
-            "scale_to_delta_fraction": None,
-            **_CALIBRATION_DEFAULTS,
-            "save_fields": False,
-        },
         _run_solve,
+        **BOOK_KEYS,
+        **_keys(NUMBER, _POSITIVE, box_len=2.0 * TWO_PI, horizon=1.0, tol=1e-9),
+        **_keys(INTEGER, _POINTS, n=64, mesh_nodes=32),
+        quad_nodes=Key(32, INTEGER, _NODES),
+        max_iter=Key(100, INTEGER, _COUNT),
+        datum=Key({"kind": "taylor_green", "amplitude": 1.0, "mode": [2, 2]}, SECTION,
+                  fields=_DATUM_KEYS),
+        override_smallness=Key(True, BOOLEAN),
+        scale_to_delta_fraction=Key(None, NUMBER, _POSITIVE, nullable=True),
+        **_CALIBRATION_KEYS,
+        save_fields=Key(False, BOOLEAN),
     ),
-    "ladder": ExperimentDef(
+    "ladder": _declare(
         "weighted higher-integrability ladder of a converged solution",
-        {**_ANALYSIS_DEFAULTS, "datum": _band_datum(41), "r_values": [4.0, 6.0, 8.0]},
         _run_ladder,
+        **_ANALYSIS_KEYS,
+        datum=Key(_band_datum(41), SECTION, fields=_DATUM_KEYS),
+        r_values=Key([4.0, 6.0, 8.0], NUMBER, "(1, inf)", items=1),
     ),
-    "fluctuation": ExperimentDef(
+    "fluctuation": _declare(
         "heat-fluctuation norms of a critical solution",
-        {**_ANALYSIS_DEFAULTS, "datum": _band_datum(43), "p_tilde_values": [2.0, 3.0]},
         _run_fluctuation,
+        **_ANALYSIS_KEYS,
+        datum=Key(_band_datum(43), SECTION, fields=_DATUM_KEYS),
+        p_tilde_values=Key([2.0, 3.0], NUMBER, "(1, inf)", items=1),
     ),
-    "scaling": ExperimentDef(
+    "scaling": _declare(
         "critical-norm invariance under exact dyadic rescaling",
-        {
-            **_BOOK_DEFAULTS,
-            "n": 64,
-            "box_len": TWO_PI,
-            "horizon": 0.25,
-            "lam": 2.0,
-            "datum": _band_datum(47, k_max=8),
-        },
         _run_scaling,
+        **BOOK_KEYS,
+        n=Key(64, INTEGER, _POINTS),
+        **_keys(NUMBER, _POSITIVE, box_len=TWO_PI, horizon=0.25),
+        lam=Key(2.0, NUMBER, "(1, inf)"),
+        datum=Key(_band_datum(47, k_max=8), SECTION, fields=_DATUM_KEYS),
     ),
-    "powerlaw": ExperimentDef(
+    "powerlaw": _declare(
         "power-law datum dichotomy: unbounded Lebesgue norm, saturating Besov norm",
-        {
-            "d": 2,
-            "p": 2.0,
-            "q_tilde": 4.0,
-            "n": 1024,
-            "box_len": 8.0,
-            "decay": 1.0,
-            "r_outer": 2.0,
-            "r_inner_levels": [0.5, 0.25, 0.125, 0.0625],
-            "amplitude": 1.0,
-        },
         _run_powerlaw,
+        d=_DIMENSION,
+        **_keys(NUMBER, _LEBESGUE, p=2.0, q_tilde=4.0),
+        n=Key(1024, INTEGER, _POINTS),
+        **_keys(NUMBER, _POSITIVE, box_len=8.0, decay=1.0, r_outer=2.0, amplitude=1.0),
+        r_inner_levels=Key([0.5, 0.25, 0.125, 0.0625], NUMBER, _POSITIVE, items=2),
     ),
-    "fixed-point-demo": ExperimentDef(
+    "fixed-point-demo": _declare(
         "scalar quadratic fixed point: convergence and the divergence guard",
-        {
-            "eta": 1.0,
-            "y_converging": 0.25,
-            "y_diverging": 1.0,
-            "tol": 1e-13,
-            "max_iter": 100,
-        },
         _run_fixed_point_demo,
+        **_keys(NUMBER, _POSITIVE, eta=1.0, tol=1e-13),
+        y_converging=Key(0.25, NUMBER, "[0, inf)"),
+        y_diverging=Key(1.0, NUMBER),
+        max_iter=Key(100, INTEGER, _COUNT),
     ),
 }
 
@@ -1037,15 +1031,16 @@ def list_experiments() -> list:
     ]
 
 
-def default_config(experiment_id: str) -> dict:
+def _experiment(experiment_id) -> ExperimentDef:
     if experiment_id not in EXPERIMENTS:
         raise ConfigError(
-            f"unknown experiment {experiment_id!r}; valid ids: "
-            f"{', '.join(sorted(EXPERIMENTS))}"
+            f"unknown experiment {experiment_id!r}; valid ids: {', '.join(sorted(EXPERIMENTS))}"
         )
-    cfg = copy.deepcopy(EXPERIMENTS[experiment_id].defaults)
-    cfg["experiment"] = experiment_id
-    return cfg
+    return EXPERIMENTS[experiment_id]
+
+
+def default_config(experiment_id: str) -> dict:
+    return {**check_config(_experiment(experiment_id).keys, {}), "experiment": experiment_id}
 
 
 def run(config: dict) -> ResultTable:
@@ -1061,13 +1056,9 @@ def run(config: dict) -> ResultTable:
             f"config needs an 'experiment' key; valid ids: {', '.join(sorted(EXPERIMENTS))}"
         )
     exp_id = config["experiment"]
-    if exp_id not in EXPERIMENTS:
-        raise ConfigError(
-            f"unknown experiment {exp_id!r}; valid ids: {', '.join(sorted(EXPERIMENTS))}"
-        )
-    exp = EXPERIMENTS[exp_id]
+    exp = _experiment(exp_id)
     overrides = {k: v for k, v in config.items() if k not in ("experiment", "out_dir")}
-    cfg = _merge_config(exp.defaults, overrides, "")
+    cfg = check_config(exp.keys, overrides)
     cfg["experiment"] = exp_id
     out_dir = config.get("out_dir")
     if out_dir is not None:

@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from mildns import lab
+from mildns import cli, lab
 from mildns.cli import main
 
 ALL_IDS = [
@@ -207,6 +207,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error") and key in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "experiment, setting, key",
+        [
+            ("bilinear", 'doubling="abc"', "'doubling'"),
+            ("solve", "save_fields=[1.0]", "'save_fields'"),
+            ("solve", "override_smallness=1", "'override_smallness'"),
+            ("ladder", 'r_values=["abc"]', "'r_values'"),
+            ("kernel-decay", 's_values=["x"]', "'s_values'"),
+            ("bilinear", 'horizons=["x"]', "'horizons'"),
+            ("powerlaw", 'r_inner_levels=["a","b"]', "'r_inner_levels'"),
+            ("smallness", 'data=[{"kind":"random_band","seed":-1}]', "'data[0].seed'"),
+            ("solve", "d=2.0", "'d'"),
+            ("solve", "n=32.0", "'n'"),
+            ("embedding", "seed=NaN", "'seed'"),
+            ("besov-equiv", "amplitude=0", "'amplitude'"),
+            ("heat-decay", "box_len=0", "'box_len'"),
+        ],
+    )
+    def test_typed_value_exits_2_naming_the_key(self, experiment, setting, key, capsys):
+        assert main([experiment, "--set", setting]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config key {key}")
+
+    @pytest.mark.parametrize(
+        "config, key", [({"corpus": {"bogus": 1}}, "'corpus.bogus'"), ({"dd": 3}, "'dd'")]
+    )
+    def test_calibrate_refuses_an_unknown_key(self, config, key, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibration started before the config was checked")
+
+        monkeypatch.setattr(cli, "calibrate_thresholds", refuse)
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps(config))
+        assert main(["calibrate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: unknown config key {key}")
 
     @pytest.mark.parametrize("value", ["0", "-1", "2.5", "true"])
     @pytest.mark.parametrize("experiment", ["solve", "ladder", "fluctuation"])

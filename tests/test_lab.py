@@ -6,12 +6,14 @@ reuse one calibration file so the corpus measurement runs once.
 """
 
 import json
+import re
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
 
-from mildns import ConfigError, default_config, list_experiments, run
-from mildns import lab
+from mildns import ConfigError, CorpusSpec, DatumSpec, default_config, list_experiments, run
+from mildns import cli, lab
 
 ALL_IDS = [
     "besov-equiv",
@@ -118,6 +120,118 @@ class TestConfigMerging:
     def test_empty_list_is_refused_naming_the_key(self, exp_id, key):
         with pytest.raises(ConfigError, match=f"'{key}' must be a non-empty list"):
             run({"experiment": exp_id, key: []})
+
+
+# The table of single-key values every declared key is run against
+PROBE_VALUES = [0, -1, float("nan"), "abc", [], [1.0]]
+
+
+def probes(keys):
+    """(dotted key, override) for each probe value of each declared key,
+    and of each field of a datum or corpus section (set in the first item
+    of a list of sections)."""
+    for name, key in keys.items():
+        for value in PROBE_VALUES:
+            yield name, {name: value}
+        for field in key.fields or ():
+            for value in PROBE_VALUES:
+                if key.items:
+                    yield f"{name}[0].{field}", {name: [{**key.default[0], field: value}]}
+                else:
+                    yield f"{name}.{field}", {name: {field: value}}
+
+
+def names(message, name):
+    """Whether message refuses the key name or an item or field of it."""
+    return re.search(f"config key '{re.escape(name)}[\\[.']", message) is not None
+
+
+class RunnerStarted(Exception):
+    """Raised in place of the computation once the schema accepted a value."""
+
+
+def start(*args, **kwargs):
+    raise RunnerStarted
+
+
+def accepted_run_fails(argv, name, capsys):
+    """Run an accepted value through the CLI. It may succeed (0), fail
+    numerically (3) or meet a condition between keys, which exits 2
+    naming the key; anything else, a traceback among them, is a failure."""
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    key = re.split(r"[.\[]", name)[0]
+    if code in (0, 3) or (code == 2 and re.search(rf"\b{key}\b", err)):
+        return None
+    return f"{argv[0]} {name}: exit {code}, {err.strip()[:200]!r}"
+
+
+class TestDeclaredSchema:
+    def test_datum_and_corpus_fields_are_declared_once(self):
+        """Every datum section is declared by the one table of DatumSpec
+        fields, and the corpus section by the CorpusSpec fields, each
+        with its dataclass default (None for the datum kind)."""
+        for keys, spec in ((lab._DATUM_KEYS, DatumSpec),
+                           (lab.CALIBRATE_KEYS["corpus"].fields, CorpusSpec)):
+            assert {k: key.default for k, key in keys.items()} == {
+                f.name: None if f.default is MISSING else f.default for f in fields(spec)
+            }
+        for exp in lab.EXPERIMENTS.values():
+            for key in exp.keys.values():
+                assert key.fields in (None, lab._DATUM_KEYS)
+
+    @pytest.mark.parametrize("exp_id", ALL_IDS)
+    def test_every_declared_key_against_the_table(
+        self, exp_id, calibration_file, tmp_path, monkeypatch, capsys
+    ):
+        """A refused value raises ConfigError naming its dotted key before
+        the runner starts; an accepted one runs at smoke size through the
+        CLI without a traceback."""
+        exp = lab.EXPERIMENTS[exp_id]
+        failures = []
+        for name, override in probes(exp.keys):
+            config = {**smoke_config(exp_id, calibration_file), **override}
+            with monkeypatch.context() as patch:
+                patch.setitem(lab.EXPERIMENTS, exp_id, replace(exp, runner=start))
+                try:
+                    run(config)
+                except RunnerStarted:
+                    pass
+                except ConfigError as exc:
+                    if not names(str(exc), name):
+                        failures.append(f"{name}: refused without the key: {exc}")
+                    continue
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            if failure := accepted_run_fails([exp_id, "--config", str(path)], name, capsys):
+                failures.append(failure)
+        assert failures == []
+
+    def test_calibrate_keys_against_the_table(self, tmp_path, monkeypatch, capsys):
+        """The same for `mildns calibrate --config`, on a corpus of n = 16:
+        a refusal exits 2 naming the key before calibration starts."""
+        failures = []
+        for name, override in probes(lab.CALIBRATE_KEYS):
+            config = {"corpus": {}, **override}
+            if isinstance(config["corpus"], dict):
+                config["corpus"] = {"n": 16, **config["corpus"]}
+            path = tmp_path / "calibrate.json"
+            path.write_text(json.dumps(config))
+            argv = ["calibrate", "--config", str(path), "--out", str(tmp_path)]
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "calibrate_thresholds", start)
+                try:
+                    code = cli.main(argv)
+                except RunnerStarted:
+                    code = None
+            if code is not None:
+                err = capsys.readouterr().err
+                if code != 2 or not names(err, name):
+                    failures.append(f"{name}: exit {code}, {err.strip()!r}")
+                continue
+            if failure := accepted_run_fails(argv, name, capsys):
+                failures.append(failure)
+        assert failures == []
 
 
 @pytest.mark.parametrize("exp_id", ALL_IDS)
