@@ -43,6 +43,7 @@ from .errors import CalibrationError, ConfigError, DivergenceError
 from .lattice import TWO_PI, DatumSpec, VectorField, make_lattice, realize_datum
 from .multipliers import kernel_profile
 from .norms import (
+    Trajectory,
     besov_grid,
     besov_norm_heat,
     decay_exponent_fit,
@@ -53,6 +54,7 @@ from .norms import (
     quadratic_mesh,
     sobolev_embedding_check,
     vanishing_at_zero,
+    weighted_lebesgue,
 )
 from .picard import (
     SMALLNESS_BESOV,
@@ -62,6 +64,7 @@ from .picard import (
     abstract_fixed_point,
     build_exponent_book,
     calibrate_thresholds,
+    check_exponent_floor,
     fluctuation_analysis,
     load_calibration,
     regularity_ladder,
@@ -255,6 +258,17 @@ def _calibrated_book(cfg: dict):
     return calibrate_thresholds(book, CorpusSpec(seed=cfg["corpus_seed"], d=book.d))
 
 
+def _critical_book(cfg: dict, what: str):
+    """The uncalibrated book of cfg, refused unless it is critical."""
+    book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
+    if not book.is_critical:
+        raise ConfigError(
+            f"config keys 'd', 'p' and 's': the {what} requires the critical book "
+            f"s = d/p - 1, got s = {book.s:g}"
+        )
+    return book
+
+
 def _scaled_datum(cfg: dict, lattice, book) -> VectorField:
     """Realize cfg['datum'], optionally rescaling the amplitude so the
     Kato-window smallness lhs equals scale_to_delta_fraction * delta
@@ -419,7 +433,7 @@ def _run_heat_decay(cfg):
             f"{cfg['q']!r} and {cfg['q_tilde']!r}"
         )
     lat = make_lattice(cfg["d"], cfg["resolution"], cfg["box_len"])
-    if cfg["box_len"] ** 2 < 100.0 * cfg["t_max"]:
+    if lat.t_cap < cfg["t_max"]:
         raise ConfigError(
             "config keys 'box_len' and 't_max': box too small for the requested horizon, "
             "need box_len^2 >= 100 t_max"
@@ -651,12 +665,11 @@ def _tg_closed_form_error(solution, u0) -> float:
     idx = np.unravel_index(int(np.argmax(mags)), mags.shape)
     k_vec = [lat.k_axes[a].reshape(-1)[idx[1 + a]] for a in range(lat.d)]
     rate = float(sum(k * k for k in k_vec))
-    worst = 0.0
-    for t, field in zip(solution.trajectory.times, solution.trajectory.fields):
-        exact = u0 * math.exp(-rate * float(t))
-        err = lebesgue_norm(field - exact, 2) / lebesgue_norm(exact, 2)
-        worst = max(worst, err)
-    return worst
+    traj = solution.trajectory
+    exact = Trajectory(lat, traj.times,
+                       np.array([u0.data * math.exp(-rate * float(t)) for t in traj.times]))
+    errors = weighted_lebesgue(traj - exact, 0.0, 2) / weighted_lebesgue(exact, 0.0, 2)
+    return float(errors.max())
 
 
 def _run_solve(cfg):
@@ -694,6 +707,8 @@ def _run_solve(cfg):
 
 
 def _run_ladder(cfg):
+    book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
+    check_exponent_floor(book, "ladder", cfg["r_values"], "config key 'r_values[{}]'")
     coarse, fine, changes, summary, digest = _mesh_doubling(
         cfg, lambda solution, _u0: regularity_ladder(solution, cfg["r_values"])
     )
@@ -708,6 +723,9 @@ def _run_ladder(cfg):
 
 
 def _run_fluctuation(cfg):
+    book = _critical_book(cfg, "fluctuation table")
+    check_exponent_floor(book, "fluctuation", cfg["p_tilde_values"],
+                         "config key 'p_tilde_values[{}]'")
     coarse, fine, changes, summary, digest = _mesh_doubling(
         cfg, lambda solution, u0: fluctuation_analysis(solution, u0, cfg["p_tilde_values"])
     )
@@ -722,12 +740,7 @@ def _run_fluctuation(cfg):
 
 
 def _run_scaling(cfg):
-    book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
-    if not book.is_critical:
-        raise ConfigError(
-            "config keys 'd', 'p' and 's': the scaling experiment requires the critical "
-            f"book s = d/p - 1, got s = {book.s:g}"
-        )
+    book = _critical_book(cfg, "scaling experiment")
     lam = float(cfg["lam"])
     lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
     u0 = realize_datum(_datum_from_config(cfg["datum"]), lat)

@@ -59,6 +59,10 @@ class Lattice:
     box_len : side length L of the periodic box
     spacing : grid spacing L / n
     cell_volume : spacing ** d, the Riemann weight of one cell
+    t_floor, t_cap : the lattice validity window [spacing ** 2,
+        box_len ** 2 / 100] of heat-flow times: below the floor the grid does
+        not resolve the flow, above the cap the periodic images do not stay
+        negligible
     k_axes : list of d arrays shaped for broadcasting, k_axes[i] holds the
         signed wavenumbers (2*pi/L) * m along axis i
     k_deriv : like k_axes but with the self-paired Nyquist entry zeroed.
@@ -87,6 +91,8 @@ class Lattice:
         self.box_len = float(box_len)
         self.spacing = self.box_len / self.n
         self.cell_volume = self.spacing**self.d
+        self.t_floor = self.spacing**2
+        self.t_cap = self.box_len**2 / 100.0
 
         modes = np.fft.fftfreq(self.n, d=1.0 / self.n)  # 0, 1, ..., -n/2, ..., -1
         k1 = (TWO_PI / self.box_len) * modes
@@ -184,11 +190,6 @@ class Lattice:
         """
         return np.fft.irfftn(self.half(c), s=self.spatial_shape,
                              axes=tuple(range(-self.d, 0)), norm="forward")
-
-    @property
-    def k_max_resolved(self) -> float:
-        """Largest wavenumber magnitude with a symmetric partner on the grid."""
-        return (TWO_PI / self.box_len) * (self.n // 2 - 1)
 
     def mode_resolved(self, mode: Sequence[int]) -> bool:
         """True when the integer mode and its negation both live on the grid."""

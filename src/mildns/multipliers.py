@@ -67,6 +67,9 @@ def _leray_inplace(coeff: np.ndarray, lat: Lattice) -> np.ndarray:
 
 
 def _fractional_multiplier(lattice: Lattice, s: float) -> np.ndarray:
+    """|k|^s on the full grid, 0 at k = 0 for s != 0 (1 everywhere for s = 0)."""
+    if not np.isfinite(s):
+        raise ConfigError(f"fractional order must be finite, got {s}")
     if s == 0:
         return np.ones(lattice.spatial_shape)
     kmag = lattice.kmag.copy()
@@ -88,8 +91,6 @@ def heat_flow(field: Field, t: float) -> Field:
 def fractional_laplacian(field: Field, s: float) -> Field:
     """Apply |k|^s. The mean is annihilated for every s != 0 (homogeneous
     operators have no action on constants); s = 0 is the identity."""
-    if not np.isfinite(s):
-        raise ConfigError(f"fractional order must be finite, got {s}")
     if s == 0:
         return field
     return _apply_multiplier(field, _fractional_multiplier(field.lattice, s))
@@ -111,11 +112,15 @@ def leray_project(field: VectorField) -> VectorField:
 
 def divergence_defect(field: VectorField) -> float:
     """max |div u| over the grid relative to max |u| (both physical)."""
-    lat = field.lattice
-    spectral = to_spectral(field)
-    div_coeff = sum(1j * lat.k_deriv[i] * spectral.data[i] for i in range(lat.d))
-    div_phys = lat.inverse(div_coeff)
-    scale = float(np.max(np.abs(to_physical(field).data)))
+    return _divergence_defect(to_physical(field).data, field.lattice)
+
+
+def _divergence_defect(samples: np.ndarray, lat: Lattice) -> float:
+    """divergence_defect of the physical samples (d, *spatial) of a vector
+    field, such as one node of a trajectory."""
+    spectral = lat.forward(samples)
+    div_phys = lat.inverse(sum(1j * lat.k_deriv[i] * spectral[i] for i in range(lat.d)))
+    scale = float(np.max(np.abs(samples)))
     if scale == 0.0:
         return 0.0
     return float(np.max(np.abs(div_phys)) / scale)
@@ -151,14 +156,6 @@ class KernelProfile:
     tail_slope: float
     tail_residual: float
     tail_window: tuple
-
-    def to_csv(self, path) -> None:
-        from .runtime import fmt_float
-
-        with open(path, "w", newline="") as fh:
-            fh.write("radius,kernel_value,bound_ratio\n")
-            for r, v, b in zip(self.radii, self.values, self.bound_ratio):
-                fh.write(f"{fmt_float(r)},{fmt_float(v)},{fmt_float(b)}\n")
 
 
 def kernel_profile(

@@ -11,19 +11,19 @@ physical samples at strictly increasing positive times, node first, so
 interpolation and trajectory arithmetic are array operations that build
 no field per node. Sup-in-time norms are evaluated on the trajectory mesh;
 heat-characterized norms use a dyadic time grid with four points per
-octave, capped by the lattice validity window t <= box_len^2 / 100.
+octave, capped by the validity window t <= Lattice.t_cap = box_len^2 / 100.
 
 Every sup-in-time quantity -- the Kato and Sobolev sup norms, the heat
 characterization of the Besov norm, the smallness forms, the
-integrability ladder, the fluctuation table and the per-node table rows --
-is t^w * norm(f(t)) maximized over nodes. Two generators feed the norms:
-weighted_values, which applies any norm to a sequence of fields, and
-heat_flows, which transforms a datum once and yields exp(t Lap) u0 one
-array of component rows at a time. One row reduction, _lebesgue_rows,
-computes every Lebesgue norm: lebesgue_norm on a field, heat_sup on the
-flowed rows and weighted_lebesgue on the rows of each trajectory node
-(kato_norm, the vanishing check and the integrability ladder), so the last
-two build no field. At r = 4 it squares twice instead of calling pow.
+integrability ladder, the fluctuation table, the early-time values of a
+solve and the per-node table rows -- is t^w * norm(f(t)) maximized over
+nodes. One row reduction, _lebesgue_rows, computes every Lebesgue norm:
+lebesgue_norm on a field, heat_sup on the rows that heat_flows yields
+(exp(t Lap) u0, transformed once) and weighted_lebesgue on the rows of
+each trajectory node. weighted_lebesgue applies |k|^s to one node at a
+time first when s != 0, so the Kato norm, the Sobolev sup norm, the
+vanishing check and the ladder read Trajectory.data and build no field.
+At r = 4 it squares twice instead of calling pow.
 
 Live components: a component row that is identically zero stays zero under
 the heat flow and adds exactly 0.0 to the l2 aggregate of a norm. So
@@ -44,13 +44,13 @@ n exponentials per flow, not one per coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DataError, MeshError, NumericalError
 from .lattice import PHYSICAL, Field, Lattice, VectorField, to_physical
-from .multipliers import fractional_laplacian
+from .multipliers import _fractional_multiplier, fractional_laplacian
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def dyadic_grid(t_max: float, t_min: float, per_octave: int = 4) -> np.ndarray:
 def besov_grid(lattice: Lattice) -> np.ndarray:
     """Default heat grid of the Besov characterization: the dyadic grid from
     the resolution floor spacing^2 up to the validity cap box_len^2 / 100."""
-    return dyadic_grid(lattice.box_len**2 / 100.0, lattice.spacing**2)
+    return dyadic_grid(lattice.t_cap, lattice.t_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -371,28 +371,24 @@ def sobolev_norm(field: Field, s: float, p) -> float:
     return lebesgue_norm(fractional_laplacian(field, s), p)
 
 
-def weighted_lebesgue(traj: Trajectory, weight: float, r, nodes=None) -> np.ndarray:
-    """t^weight * ||u(t)||_r at the first nodes mesh nodes (every node by
-    default), one row reduction of traj.data per node.
+def weighted_lebesgue(traj: Trajectory, weight: float, r, nodes=None, s=0.0) -> np.ndarray:
+    """t^weight * || |k|^s u(t) ||_r at the first nodes mesh nodes (every
+    node by default), one row reduction of traj.data per node.
 
-    No field is built: the Trajectory constructor has already scanned the
-    samples for non-finite values. A dead row adds exactly 0.0, so the
-    values equal lebesgue_norm of each node's field bit for bit.
+    For s != 0 each node goes through forward, the |k|^s multiplier (built
+    once per call) and inverse on its own, so no (M, d, *spatial) spectrum
+    is held. No field is built: the Trajectory constructor has already
+    scanned the samples for non-finite values. A dead row stays exactly
+    zero and adds exactly 0.0, so the values equal lebesgue_norm (s = 0)
+    or sobolev_norm of each node's field bit for bit.
     """
-    cell_volume = traj.lattice.cell_volume
-    return np.array([t**weight * _lebesgue_rows(node, r, cell_volume)
-                     for t, node in zip(traj.times[:nodes], traj.data)])
-
-
-def weighted_values(times, fields: Iterable[Field], weight: float,
-                    norm: Callable[[Field], float]) -> np.ndarray:
-    """t^weight * norm(f) for each (t, f) of times zipped with fields.
-
-    fields may be a generator; each field goes straight from next() into
-    norm and nothing else keeps it. weight = 0 gives the plain norms.
-    """
-    fields = iter(fields)
-    return np.array([t**weight * norm(next(fields)) for t in times])
+    lat = traj.lattice
+    rows = traj.data
+    if s != 0:
+        mult = _fractional_multiplier(lat, s)
+        rows = (lat.inverse(lat.forward(node) * mult) for node in rows)
+    return np.array([t**weight * _lebesgue_rows(node, r, lat.cell_volume)
+                     for t, node in zip(traj.times[:nodes], rows)])
 
 
 def _sup_report(kind: str, exponents: dict, times, values: np.ndarray,
@@ -414,8 +410,8 @@ def heat_sup(u0: Field, t_grid, weight: float, q) -> NormReport:
 
     A weighted value that is not finite (a sample or a power that
     overflowed) raises NumericalError naming t and q. window_ok records
-    whether the grid stayed inside the lattice validity range
-    [spacing^2, box_len^2 / 100].
+    whether the grid stayed inside the lattice validity window
+    [Lattice.t_floor, Lattice.t_cap].
     """
     lat = u0.lattice
     t_grid = np.asarray(t_grid, dtype=float)
@@ -430,8 +426,7 @@ def heat_sup(u0: Field, t_grid, weight: float, q) -> NormReport:
         t = t_grid[int(np.argmin(finite))]
         raise NumericalError(f"non-finite heat-sup value at t = {t:g}, q = {q:g}")
     window_ok = bool(
-        t_grid[-1] <= lat.box_len**2 / 100.0 * (1 + 1e-9)
-        and t_grid[0] >= lat.spacing**2 * (1 - 1e-9)
+        t_grid[-1] <= lat.t_cap * (1 + 1e-9) and t_grid[0] >= lat.t_floor * (1 - 1e-9)
     )
     exponents = {"weight": float(weight), "q": float(q)}
     return _sup_report("heat-sup", exponents, t_grid, values, window_ok)
@@ -455,7 +450,7 @@ def besov_norm_heat(field: Field, s: float, q, t_grid=None) -> NormReport:
 
 
 def _horizon_ok(traj: Trajectory) -> bool:
-    return bool(traj.horizon <= traj.lattice.box_len**2 / 100.0 * (1 + 1e-9))
+    return bool(traj.horizon <= traj.lattice.t_cap * (1 + 1e-9))
 
 
 def kato_norm(traj: Trajectory, q, q_tilde) -> NormReport:
@@ -470,8 +465,9 @@ def kato_norm(traj: Trajectory, q, q_tilde) -> NormReport:
 
 
 def n_norm(traj: Trajectory, s: float, p) -> NormReport:
-    """sup over mesh nodes of the homogeneous Sobolev (s, p) norm."""
-    values = weighted_values(traj.times, traj.fields, 0.0, lambda f: sobolev_norm(f, s, p))
+    """sup over mesh nodes of the homogeneous Sobolev (s, p) norm, the
+    weighted_lebesgue reduction with weight 0 and order s."""
+    values = weighted_lebesgue(traj, 0.0, p, s=s)
     exponents = {"s": float(s), "p": float(p)}
     return _sup_report("sobolev-sup", exponents, traj.times, values, _horizon_ok(traj))
 

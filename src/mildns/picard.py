@@ -36,7 +36,7 @@ from .errors import (
     WindowError,
 )
 from .lattice import DatumSpec, VectorField, make_lattice, realize_datum, save_field
-from .multipliers import divergence_defect
+from .multipliers import _divergence_defect, divergence_defect
 from .norms import (
     ExponentBook,
     Trajectory,
@@ -47,9 +47,7 @@ from .norms import (
     kato_norm,
     n_norm,
     quadratic_mesh,
-    sobolev_norm,
     weighted_lebesgue,
-    weighted_values,
 )
 from .runtime import canonical_json, sha256_hex, write_atomic
 
@@ -109,10 +107,6 @@ def build_exponent_book(d: int, p: float, s: float, q_tilde: float) -> ExponentB
         gamma_sobolev=gamma_sobolev,
         horizon_exponent=horizon_exponent,
     )
-
-
-def book_to_dict(book: ExponentBook) -> dict:
-    return asdict(book)
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +263,18 @@ class SmallnessReport:
 
 def _heat_window_grid(u0: VectorField, horizon: float) -> np.ndarray:
     lat = u0.lattice
-    t_min = lat.spacing**2
     t_max = horizon * 2.0 ** (-0.25)
-    if horizon > lat.box_len**2 / 100.0:
+    if horizon > lat.t_cap:
         raise WindowError(
             f"horizon {horizon:g} exceeds the lattice validity window "
-            f"L^2/100 = {lat.box_len**2 / 100.0:g}"
+            f"L^2/100 = {lat.t_cap:g}"
         )
-    if t_max < t_min:
+    if t_max < lat.t_floor:
         raise WindowError(
             f"horizon {horizon:g} leaves no dyadic sample above the resolution "
-            f"floor spacing^2 = {t_min:g}"
+            f"floor spacing^2 = {lat.t_floor:g}"
         )
-    return dyadic_grid(t_max, t_min, per_octave=4)
+    return dyadic_grid(t_max, lat.t_floor, per_octave=4)
 
 
 def smallness_lhs(
@@ -397,7 +390,7 @@ def calibrate_thresholds(
     Kato-window lhs on the corpus data (the discrete equivalence
     constant). The result is deterministic in the corpus seed, and the
     persisted JSON has no volatile fields, so recalibration reproduces
-    the file byte for byte.
+    the file byte for byte. A path in a missing directory creates it.
     """
     if corpus is None:
         corpus = CorpusSpec(d=book.d)
@@ -453,6 +446,7 @@ def calibrate_thresholds(
     digest = sha256_hex(canonical_json(payload))
     payload["digest"] = digest
     if path is not None:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         write_atomic(path, canonical_json(payload) + "\n")
     return book.with_calibration(c_hat, delta, sigma, equiv, digest)
 
@@ -501,7 +495,7 @@ class MildSolution:
 
     def manifest(self) -> dict:
         return {
-            "book": book_to_dict(self.book),
+            "book": asdict(self.book),
             "times": [float(t) for t in self.trajectory.times],
             "trace": self.trace.to_dict(),
             "smallness": self.smallness.to_dict(),
@@ -584,31 +578,20 @@ def solve_mild(
         quad = QuadratureSpec(node_count=32, gamma=book.gamma_kato, theta=book.alpha)
     eta = book.c_hat * horizon**book.horizon_exponent
 
-    def governing(traj: Trajectory) -> float:
-        return kato_norm(traj, book.q, book.q_tilde).value
-
-    def auxiliary(traj: Trajectory) -> float:
-        return n_norm(traj, book.s, book.p).value
-
     solution_traj, trace = abstract_fixed_point(
         y,
         lambda a, b: bilinear_trajectory(a, b, quad),
         eta,
         tol=tol,
         max_iter=max_iter,
-        norm=governing,
-        aux_norm=auxiliary,
+        norm=lambda traj: kato_norm(traj, book.q, book.q_tilde).value,
+        aux_norm=lambda traj: n_norm(traj, book.s, book.p).value,
         x0=x0,
     )
 
-    defects = np.array([divergence_defect(f) for f in solution_traj.fields])
-    head = min(5, len(solution_traj))
-    early = weighted_values(
-        mesh[:head],
-        (solution_traj - y).fields[:head],
-        0.0,
-        lambda f: sobolev_norm(f, book.s, book.p),
-    )
+    lat = u0.lattice
+    defects = np.array([_divergence_defect(node, lat) for node in solution_traj.data])
+    early = weighted_lebesgue(solution_traj - y, 0.0, book.p, nodes=5, s=book.s)
     early_ok = bool(np.all(np.diff(early) >= -1e-12 * max(1.0, early.max())))
     ball_ok = bool(trace.norms[-1] <= 0.5 / eta + trace.threshold)
 
@@ -664,25 +647,35 @@ class LadderReport:
         }
 
 
+def check_exponent_floor(book: ExponentBook, analysis: str, values, label: str) -> None:
+    """Refuse, as label.format(i), the first entry i of values that does not
+    exceed the floor of the analysis for this book: every ladder exponent r
+    must exceed max(p, q), every fluctuation exponent p_tilde max(p, d)/2."""
+    floor, formula = {
+        "ladder": (max(book.p, book.q), "max(p, q)"),
+        "fluctuation": (max(book.p, float(book.d)) / 2.0, "max(p, d)/2"),
+    }[analysis]
+    for i, value in enumerate(values):
+        if not float(value) > floor:
+            raise ConfigError(
+                f"{label.format(i)} must exceed {formula} = {floor:g}, got {float(value):g}")
+
+
 def regularity_ladder(solution: MildSolution, r_list: Sequence[float]) -> LadderReport:
     """Evaluate the higher-integrability ladder on a converged solution.
 
-    Every r must exceed max(p, q). The early_ok flag per r records that
-    the weighted values do not peak at the very first node, i.e. the
-    weighted quantity stays bounded toward t -> 0.
+    Every r must exceed max(p, q) (check_exponent_floor). The early_ok flag
+    per r records that the weighted values do not peak at the very first
+    node, i.e. the weighted quantity stays bounded toward t -> 0.
     """
     if not solution.trace.converged:
         raise ConfigError("ladder requires a converged solution")
     book = solution.book
-    floor = max(book.p, book.q)
+    check_exponent_floor(book, "ladder", r_list, "ladder exponent r_list[{}]")
     traj = solution.trajectory
     r_values, weights, sups, argmaxes, early = [], [], [], [], []
     for r in r_list:
         r = float(r)
-        if not (r > floor):
-            raise ConfigError(
-                f"ladder exponent must exceed max(p, q) = {floor:g}, got {r:g}"
-            )
         weight = (book.d / 2.0) * (1.0 / book.q - 1.0 / r)
         values = weighted_lebesgue(traj, weight, r)
         if not np.isfinite(values).all():
@@ -720,7 +713,8 @@ def fluctuation_analysis(
     scaling-matched Sobolev norms.
 
     Requires a critical book (s = d/p - 1) and every p_tilde above
-    max(p, d)/2. For each p_tilde the smoothness is d/p_tilde - 1.
+    max(p, d)/2 (check_exponent_floor). For each p_tilde the smoothness is
+    d/p_tilde - 1.
     """
     book = solution.book
     if not book.is_critical:
@@ -728,17 +722,13 @@ def fluctuation_analysis(
             "fluctuation analysis requires the critical book s = d/p - 1; "
             f"got s = {book.s:g}"
         )
-    floor = max(book.p, float(book.d)) / 2.0
+    check_exponent_floor(book, "fluctuation", p_tilde_list,
+                         "fluctuation exponent p_tilde_list[{}]")
     traj = solution.trajectory
     fluctuation = traj - heat_trajectory(u0, traj.times)
     p_values, smooth, sups = [], [], []
     for p_tilde in p_tilde_list:
         p_tilde = float(p_tilde)
-        if not (p_tilde > floor):
-            raise ConfigError(
-                f"fluctuation exponent must exceed max(p, d)/2 = {floor:g}, "
-                f"got {p_tilde:g}"
-            )
         s_tilde = book.d / p_tilde - 1.0
         report = n_norm(fluctuation, s_tilde, p_tilde)
         if not np.isfinite(report.values).all():

@@ -111,6 +111,14 @@ class TestCalibrateCommand:
         assert payload["book"] == "d2-p2-s0-qt4"
         assert "digest" in payload
 
+    def test_out_directory_is_created(self, tmp_path, capsys):
+        config = tmp_path / "cal-config.json"
+        config.write_text(json.dumps({"corpus": {"n": 16}}))
+        out = tmp_path / "new" / "dir"
+        assert main(["calibrate", "--config", str(config), "--out", str(out)]) == 0
+        assert json.loads((out / "calibration.json").read_text())["book"] == "d2-p2-s0-qt4"
+        assert f"written       {out / 'calibration.json'}" in capsys.readouterr().out
+
     def test_corpus_must_be_an_object(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"corpus": [1, 2]}))
@@ -255,6 +263,37 @@ class TestExitCodes:
         assert main([experiment, "--set", f"max_iter={value}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and "max_iter" in err
+
+    @pytest.mark.parametrize(
+        "experiment, settings, key",
+        [
+            ("ladder", ["r_values=[1.5]", "n=16", "mesh_nodes=8", "quad_nodes=8"],
+             "'r_values[0]' must exceed max(p, q) = 2"),
+            ("ladder", ["r_values=[4.0, 2.0]"], "'r_values[1]' must exceed max(p, q) = 2"),
+            ("fluctuation", ["p=4", "s=-0.5", "q_tilde=8", "p_tilde_values=[3.0, 1.5]"],
+             "'p_tilde_values[1]' must exceed max(p, d)/2 = 2"),
+        ],
+    )
+    def test_exponent_floor_is_refused_before_calibration(self, experiment, settings, key,
+                                                          monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibration started before the exponent floor was checked")
+
+        monkeypatch.setattr(lab, "calibrate_thresholds", refuse)
+        args = [experiment]
+        for setting in settings:
+            args += ["--set", setting]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"config error: config key {key}")
+
+    def test_fluctuation_refuses_a_subcritical_book_before_calibration(self, monkeypatch,
+                                                                      capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibration started before the book was checked")
+
+        monkeypatch.setattr(lab, "calibrate_thresholds", refuse)
+        assert main(["fluctuation", "--set", "s=0.25"]) == 2
+        assert capsys.readouterr().err.startswith("config error: config keys 'd', 'p' and 's'")
 
     def test_missing_config_file_exits_4(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

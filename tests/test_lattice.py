@@ -77,7 +77,6 @@ class TestLatticeConstruction:
         lat = make_lattice(2, 16, 2.0 * np.pi)
         assert lat.mode_resolved([7, -7])
         assert not lat.mode_resolved([8, 0])
-        npt.assert_allclose(lat.k_max_resolved, 7.0)
 
     def test_equality_and_hash(self):
         a = make_lattice(2, 16, 1.0)

@@ -257,13 +257,3 @@ class TestKernelProfile:
         assert np.all(np.isfinite(prof.bound_ratio))
         assert abs(prof.tail_slope - (-3.0)) < 0.05
         assert prof.tail_residual < 0.05
-
-    def test_csv_output(self, tmp_path):
-        prof = kernel_profile(0.0, 2, radii=[0.5, 1.0, 2.0], resolution=256, box_len=16.0)
-        path = tmp_path / "profile.csv"
-        prof.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "radius,kernel_value,bound_ratio"
-        assert len(lines) == 4
-        first = [float(v) for v in lines[1].split(",")]
-        npt.assert_allclose(first[0], 0.5)

@@ -501,6 +501,22 @@ class TestTimeWeightedNorms:
         assert report.argmax_t == 0.01
         npt.assert_allclose(report.value, lebesgue_norm(traj.fields[0], 2.0))
 
+    @pytest.mark.parametrize("s", [0.0, -1.0 / 3.0, 0.5])
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_n_norm_is_the_per_node_sobolev_norm(self, s, p, divfree_datum, field_inits):
+        """n_norm reduces the rows of traj.data, through |k|^s one node at a
+        time when s != 0, to the bits of sobolev_norm on each node's field,
+        a dead component included, and constructs no Field."""
+        lat = make_lattice(2, 32, 2.0 * np.pi)
+        for u0 in (realize_datum(DatumSpec(kind="gaussian", width=0.1), lat),
+                   divfree_datum(lat, seed=17)):
+            traj = heat_trajectory(u0, quadratic_mesh(1.0, 12))
+            want = [sobolev_norm(f, s, p) for f in traj.fields]
+            field_inits.clear()
+            report = n_norm(traj, s, p)
+            assert field_inits == []
+            assert np.array_equal(report.values, want)
+
     def test_window_flag_tracks_horizon(self, lat2, divfree_datum):
         u = divfree_datum(lat2, seed=14)
         inside = heat_trajectory(u, [0.1, 0.3])

@@ -29,6 +29,7 @@ from mildns import (
     QuadratureSpec,
     ScalarField,
     SmallnessError,
+    Trajectory,
     VectorField,
     WindowError,
     abstract_fixed_point,
@@ -36,6 +37,7 @@ from mildns import (
     bilinear_trajectory,
     build_exponent_book,
     calibrate_thresholds,
+    divergence_defect,
     fluctuation_analysis,
     heat_flow,
     heat_trajectory,
@@ -49,6 +51,7 @@ from mildns import (
     regularity_ladder,
     save_solution,
     smallness_lhs,
+    sobolev_norm,
     solve_mild,
 )
 from mildns.lattice import PHYSICAL
@@ -401,6 +404,32 @@ class TestSolveMild:
             book2.q, book2.q_tilde,
         ).value
         assert gap <= 10.0 * 1e-9
+
+    def test_solve_reads_no_trajectory_fields(self, book2, monkeypatch):
+        """The Sobolev sup, the early-time values and the per-node divergence
+        defects of a solve are reductions of trajectory rows: the solve
+        completes with Trajectory.fields unusable, and each equals its
+        per-field formula bit for bit."""
+        book = build_exponent_book(2, 3.0, -1.0 / 3.0, 4.0).with_calibration(
+            book2.c_hat, book2.delta, book2.sigma, book2.equiv_constant, None)
+        lat = make_lattice(2, 16, 4.0 * np.pi)
+        u0 = realize_datum(DatumSpec(kind="random_band", seed=22, k_min=1.0, k_max=3.0,
+                                     amplitude=0.2, divergence_free=True), lat)
+
+        def refuse(self):
+            raise AssertionError("Trajectory.fields read during the solve")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Trajectory, "fields", property(refuse))
+            sol = solve_mild(u0, 1.0, book, mesh_nodes=8, quad=fast_quad(book),
+                             override_smallness=True)
+        traj = sol.trajectory
+        fluctuation = traj - heat_trajectory(u0, traj.times)
+        sobolev = [sobolev_norm(f, book.s, book.p) for f in traj.fields]
+        assert sol.trace.converged and sol.trace.aux_norms[-1] == max(sobolev)
+        assert np.array_equal(sol.early_values,
+                              [sobolev_norm(f, book.s, book.p) for f in fluctuation.fields[:5]])
+        assert np.array_equal(sol.divergence_defects, [divergence_defect(f) for f in traj.fields])
 
     def test_save_solution(self, tmp_path, tg_solution):
         _, sol = tg_solution
