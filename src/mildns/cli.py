@@ -156,10 +156,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        trace = getattr(exc, "trace", None)
-        if trace is not None:
+        if exc.trace is not None:
             print(
-                f"  iterations {trace.iterations}, last norms {trace.norms[-3:]}",
+                f"  iterations {exc.trace.iterations}, last norms {exc.trace.norms[-3:]}",
                 file=sys.stderr,
             )
         return EXIT_NUMERICAL

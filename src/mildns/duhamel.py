@@ -269,39 +269,16 @@ def _cross_region_ok(d: float, q: float, qt_in: float, qt_out: float) -> bool:
 @dataclass
 class BilinearEstimateReport:
     """Measured ratio ||B(u, v)|| / (T^horizon_exponent ||u||_K ||v||_K)
-    for one estimate target, with a per-node breakdown and a
-    quadrature-refinement stability factor."""
+    for one estimate target: the output norm, its weighted value at each
+    mesh node, the quadrature node count, and with refinement the ratio at
+    doubled nodes and the stability factor."""
 
-    target: str
-    exponents: dict
-    horizon: float
-    prefactor: float
-    input_norm_u: float
-    input_norm_v: float
     output_norm: float
     ratio: float
-    times: np.ndarray
     weighted_values: np.ndarray
     quad_nodes: int
     ratio_refined: Optional[float] = None
     stability_factor: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "exponents": dict(self.exponents),
-            "horizon": self.horizon,
-            "prefactor": self.prefactor,
-            "input_norm_u": self.input_norm_u,
-            "input_norm_v": self.input_norm_v,
-            "output_norm": self.output_norm,
-            "ratio": self.ratio,
-            "times": [float(t) for t in self.times],
-            "weighted_values": [float(v) for v in self.weighted_values],
-            "quad_nodes": self.quad_nodes,
-            "ratio_refined": self.ratio_refined,
-            "stability_factor": self.stability_factor,
-        }
 
 
 def _output_report(b_traj: Trajectory, book: ExponentBook, target: str,
@@ -330,9 +307,12 @@ def bilinear_estimate_report(u_traj: Trajectory, v_traj: Trajectory, book: Expon
       book.q_tilde, output with q_tilde_out; the pair must lie in the
       admissible cross-exponent region.
 
-    The ratio divides the output norm by T^horizon_exponent times the
-    product of input Kato norms. With refine=True the ratio is recomputed
-    at doubled quadrature resolution and the spread is reported.
+    quad defaults to 32 nodes absorbing the target's kernel exponent and
+    the Kato weight alpha. The ratio divides the output norm by
+    T^horizon_exponent times the product of input Kato norms. With
+    refine=True, B is recomputed at doubled quadrature nodes, and the
+    report also holds that ratio (ratio_refined) and the larger of the two
+    ratios over the smaller (stability_factor).
     """
     _check_pair(u_traj, v_traj)
     d, q = book.d, book.q
@@ -343,7 +323,6 @@ def bilinear_estimate_report(u_traj: Trajectory, v_traj: Trajectory, book: Expon
                 f"q_tilde={book.q_tilde}, q={q}, d={d}"
             )
         gamma = book.gamma_kato
-        exponents = {"q": q, "q_tilde": book.q_tilde, "alpha": book.alpha}
     elif target == TARGET_SOBOLEV:
         if not (q < book.q_tilde <= 2 * book.p):
             raise ConfigError(
@@ -351,7 +330,6 @@ def bilinear_estimate_report(u_traj: Trajectory, v_traj: Trajectory, book: Expon
                 f"q={q}, q_tilde={book.q_tilde}, p={book.p}"
             )
         gamma = book.gamma_sobolev
-        exponents = {"s": book.s, "p": book.p, "q_tilde": book.q_tilde}
     elif target == TARGET_KATO_CROSS:
         if q_tilde_out is None:
             raise ConfigError("kato-cross target needs q_tilde_out")
@@ -363,11 +341,6 @@ def bilinear_estimate_report(u_traj: Trajectory, v_traj: Trajectory, book: Expon
                 f"q_tilde_in={book.q_tilde}, q_tilde_out={q_tilde_out} at q={q}, d={d}"
             )
         gamma = 0.5 + d / book.q_tilde - d / (2.0 * q_tilde_out)
-        exponents = {
-            "q": q,
-            "q_tilde_in": book.q_tilde,
-            "q_tilde_out": q_tilde_out,
-        }
     else:
         raise ConfigError(f"unknown estimate target {target!r}")
 
@@ -378,36 +351,26 @@ def bilinear_estimate_report(u_traj: Trajectory, v_traj: Trajectory, book: Expon
     norm_v = kato_norm(v_traj, q, book.q_tilde).value
     if norm_u == 0.0 or norm_v == 0.0:
         raise DataError("bilinear estimate needs nonzero input trajectories")
-    horizon = u_traj.horizon
-    prefactor = horizon**book.horizon_exponent
+    scale = u_traj.horizon**book.horizon_exponent * norm_u * norm_v
 
-    def measured_ratio(spec: QuadratureSpec):
-        b_traj = bilinear_trajectory(u_traj, v_traj, spec)
-        out_report = _output_report(b_traj, book, target, q_tilde_out)
-        return out_report.value, out_report.values
+    def output(spec: QuadratureSpec) -> NormReport:
+        return _output_report(bilinear_trajectory(u_traj, v_traj, spec), book, target,
+                              q_tilde_out)
 
-    output_norm, weighted = measured_ratio(quad)
-    ratio = output_norm / (prefactor * norm_u * norm_v)
+    out = output(quad)
+    ratio = out.value / scale
 
     ratio_refined = None
     stability = None
     if refine:
-        output_fine, _ = measured_ratio(quad.doubled())
-        ratio_refined = output_fine / (prefactor * norm_u * norm_v)
+        ratio_refined = output(quad.doubled()).value / scale
         pair = sorted([ratio, ratio_refined])
         stability = pair[1] / pair[0] if pair[0] > 0 else float("inf")
 
     return BilinearEstimateReport(
-        target=target,
-        exponents=exponents,
-        horizon=horizon,
-        prefactor=prefactor,
-        input_norm_u=norm_u,
-        input_norm_v=norm_v,
-        output_norm=output_norm,
+        output_norm=out.value,
         ratio=ratio,
-        times=u_traj.times.copy(),
-        weighted_values=weighted,
+        weighted_values=out.values,
         quad_nodes=quad.node_count,
         ratio_refined=ratio_refined,
         stability_factor=stability,

@@ -31,23 +31,20 @@ class DataError(MildNSError, ValueError):
 
 
 class NumericalError(MildNSError, RuntimeError):
-    """Base class for runtime numerical failures."""
+    """Base class for runtime numerical failures; trace is the partial
+    Picard record of a failed fixed-point run, None otherwise."""
+
+    def __init__(self, message, trace=None):
+        super().__init__(message)
+        self.trace = trace
 
 
 class DivergenceError(NumericalError):
     """Picard iterate crossed the divergence guard threshold."""
 
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
-
 
 class NonConvergenceError(NumericalError):
     """Iteration budget exhausted without meeting the stopping rule."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
 
 
 class CalibrationError(ConfigError):

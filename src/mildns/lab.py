@@ -4,16 +4,20 @@ modules, each producing a deterministic CSV table plus a JSON manifest.
 Every experiment declares each of its config keys once, as a Key: its
 default, its type (an integer, a number, a boolean, a path or null, a
 non-empty list of numbers or strings, a datum section or a list of them)
-and its single-key range, such as (0, inf) or [1, inf]. The DatumSpec
-fields are declared once for every datum section. run() overlays the
-user config onto the defaults through check_config, which refuses any
-other key or value with a ConfigError naming the dotted key before any
-runner starts. Only conditions between keys are left to the runners,
-each naming its keys (the radius and tail windows of kernel-decay, the
-times, exponents and box of heat-decay, the power-law levels and Besov
-smoothness, the critical book of scaling), and to the objects they
-build, such as the paper's hypotheses in build_exponent_book, which name
-the violated inequality; some of these fail only after calibration.
+and its single-key range, such as (0, inf) or [1, inf], which for points
+per axis and quadrature nodes also says "a power of two" or "even". The
+DatumSpec fields are declared once for every datum section, and the
+CorpusSpec fields for the corpus of `mildns calibrate`, each with its
+dataclass default. run() overlays the user config onto the defaults
+through check_config, which refuses any other key or value with a
+ConfigError naming the dotted key before any runner starts. Only
+conditions between keys are left to the runners, each naming its keys
+(the radius and tail windows of kernel-decay, the times, exponents and
+box of heat-decay, the mode length of besov-equiv, the targets of the
+bilinear mesh doubling, the power-law levels and Besov smoothness, the
+critical book of scaling), and to the objects they build, such as the
+paper's hypotheses in build_exponent_book, which name the violated
+inequality; some of these fail only after calibration.
 Output files are only written after the experiment finished, each
 through a temporary file and os.replace, the CSV last. Identical config
 and seed give byte-identical CSV output: floats are serialized at 17
@@ -47,6 +51,7 @@ from .norms import (
     besov_grid,
     besov_norm_heat,
     decay_exponent_fit,
+    dyadic_grid,
     heat_sup,
     heat_trajectory,
     kato_norm,
@@ -145,11 +150,16 @@ INTEGER, NUMBER, BOOLEAN, STRING, PATH, SECTION = (
 _PYTHON_TYPES = {INTEGER: int, NUMBER: (int, float), BOOLEAN: bool, STRING: str, PATH: str}
 
 
+# the conditions an integer key can add to its range
+_CONDITIONS = {"even": lambda v: v % 2 == 0, "a power of two": lambda v: v & (v - 1) == 0}
+
+
 @dataclass(frozen=True)
 class Key:
     """One config key, declared once: its default, its type and its range,
     an interval such as "(0, inf)" for an integer or a number (NaN lies in
     none, inf only in one closed at inf) or a tuple of choices for a string.
+    An integer may also have to meet one of _CONDITIONS, such as "even".
     A section is an object of the keys `fields`, where a key whose default
     is None and that is not nullable must be given. items >= 1 makes the key
     a list of at least that many values."""
@@ -160,11 +170,18 @@ class Key:
     items: int = 0
     nullable: bool = False
     fields: Optional[dict] = None
+    condition: str = ""
 
 
 def _keys(type_: str, range_: str, nullable: bool = False, **defaults) -> dict:
     """One Key of type_ and range_ for each keyword default."""
     return {k: Key(v, type_, range_, nullable=nullable) for k, v in defaults.items()}
+
+
+def _spec_keys(spec, type_: str, range_: str, *names: str, nullable: bool = False) -> dict:
+    """One Key of type_ and range_ for each named field of the dataclass
+    spec, with the field's default."""
+    return _keys(type_, range_, nullable, **{k: getattr(spec, k) for k in names})
 
 
 def _fits(key: Key, value) -> bool:
@@ -177,12 +194,15 @@ def _fits(key: Key, value) -> bool:
     if key.type in (INTEGER, NUMBER):
         lo, hi = (float(bound) for bound in key.range[1:-1].split(","))
         above = lo < value if key.range[0] == "(" else lo <= value
-        return above and (value < hi if key.range[-1] == ")" else value <= hi)
+        within = above and (value < hi if key.range[-1] == ")" else value <= hi)
+        return within and (not key.condition or _CONDITIONS[key.condition](value))
     return True
 
 
 def _refuse(key: Key, value, name: str):
     what = key.type + (f" in {key.range}" if key.type in (INTEGER, NUMBER, STRING) else "")
+    if key.condition:
+        what += f" and {key.condition}"
     if key.items:
         more = f" of {key.items} or more items" if key.items > 1 else ""
         what = f"a non-empty list{more}, each item {what}"
@@ -224,21 +244,24 @@ def check_config(keys: dict, overrides, base: Optional[dict] = None, name: str =
     return merged
 
 
-# Ranges shared by many keys. Points per axis are at least 4 and quadrature
-# nodes at least 8; the lattice checks that the first is a power of two,
-# QuadratureSpec that the second is even.
+# Ranges shared by many keys; a solve's mesh has at least 4 nodes. Points
+# per axis of a lattice and a quadrature node budget (half per subinterval)
+# are integers _POINTS and _NODES.
 _POSITIVE, _NONNEGATIVE, _COUNT, _LEBESGUE = "(0, inf)", "[0, inf)", "[1, inf)", "[1, inf]"
-_POINTS, _NODES = "[4, inf)", "[8, inf)"
-# the fields of every datum section, after DatumSpec
+_MESH = "[4, inf)"
+_POINTS = dict(type=INTEGER, range="[4, inf)", condition="a power of two")
+_NODES = dict(type=INTEGER, range="[8, inf)", condition="even")
+
+# the fields of every datum section, with the DatumSpec defaults
 _DATUM_KEYS = {
     "kind": Key(None, STRING, DatumSpec.KINDS),
-    "amplitude": Key(1.0, NUMBER, _POSITIVE),
-    **_keys(NUMBER, _POSITIVE, nullable=True, width=None, decay=None, r_inner=None, r_outer=None),
-    **_keys(NUMBER, _POSITIVE, nullable=True, k_max=None),
-    **_keys(NUMBER, _NONNEGATIVE, nullable=True, k_min=None),
-    **_keys(INTEGER, _NONNEGATIVE, nullable=True, seed=None),
-    "mode": Key(None, INTEGER, items=1, nullable=True),
-    "divergence_free": Key(False, BOOLEAN),
+    **_spec_keys(DatumSpec, NUMBER, _POSITIVE, "amplitude"),
+    **_spec_keys(DatumSpec, NUMBER, _POSITIVE, "width", "decay", "r_inner", "r_outer", "k_max",
+                 nullable=True),
+    **_spec_keys(DatumSpec, NUMBER, _NONNEGATIVE, "k_min", nullable=True),
+    **_spec_keys(DatumSpec, INTEGER, _NONNEGATIVE, "seed", nullable=True),
+    "mode": Key(DatumSpec.mode, INTEGER, items=1, nullable=True),
+    "divergence_free": Key(DatumSpec.divergence_free, BOOLEAN),
 }
 
 
@@ -440,9 +463,7 @@ def _run_heat_decay(cfg):
         )
     spec = DatumSpec(kind="gaussian", width=cfg["width"], amplitude=cfg["amplitude"])
     u0 = realize_datum(spec, lat)
-    octaves = math.log2(cfg["t_max"] / cfg["t_min"])
-    count = int(round(octaves * cfg["per_octave"])) + 1
-    t_grid = cfg["t_min"] * 2.0 ** (np.arange(count) / cfg["per_octave"])
+    t_grid = dyadic_grid(cfg["t_max"], cfg["t_min"], cfg["per_octave"])
     d, q, qt = cfg["d"], float(cfg["q"]), float(cfg["q_tilde"])
     expected_slope = -(d / 2.0) * (1.0 / q - 1.0 / qt)
     columns = ["t", "measured_norm", "closed_form", "rel_err"]
@@ -468,6 +489,11 @@ def _run_heat_decay(cfg):
 
 
 def _run_besov_equiv(cfg):
+    if len(cfg["mode"]) != cfg["d"]:
+        raise ConfigError(
+            f"config keys 'mode' and 'd': the mode needs d = {cfg['d']} entries, "
+            f"got {cfg['mode']!r}"
+        )
     lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
     spec = DatumSpec(
         kind="single_mode",
@@ -539,89 +565,65 @@ def _run_embedding(cfg):
 
 
 def _run_bilinear(cfg):
+    targets = cfg["targets"]
+    if cfg["doubling"] and TARGET_KATO not in targets:
+        raise ConfigError(
+            "config keys 'doubling' and 'targets': the mesh-doubling spread compares "
+            f"{TARGET_KATO!r} ratios, so targets must hold {TARGET_KATO!r}, got {targets!r}"
+        )
     book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
     lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
     gamma_for = {TARGET_KATO: book.gamma_kato, TARGET_SOBOLEV: book.gamma_sobolev}
-    targets = cfg["targets"]
+    data = [realize_datum(_datum_from_config(_band_datum(seed, cfg["k_max"], cfg["k_min"])), lat)
+            for seed in range(cfg["seed"], cfg["seed"] + 2 * cfg["pairs"])]
+    pair_data = list(zip(data[::2], data[1::2]))
 
-    def band(seed):
-        spec = _datum_from_config(_band_datum(seed, cfg["k_max"], cfg["k_min"]))
-        return realize_datum(spec, lat)
-
-    pair_data = [
-        (band(cfg["seed"] + 2 * i), band(cfg["seed"] + 2 * i + 1))
-        for i in range(cfg["pairs"])
-    ]
-
+    # each pair is measured at every horizon on mesh_nodes for each target,
+    # then by the kato target at the last horizon on the doubled mesh
+    mesh_nodes, horizons = cfg["mesh_nodes"], [float(h) for h in cfg["horizons"]]
+    runs = [(horizon, mesh_nodes, targets) for horizon in horizons]
+    if cfg["doubling"]:
+        runs.append((horizons[-1], 2 * mesh_nodes, [TARGET_KATO]))
     columns = ["pair", "target", "horizon", "mesh_nodes", "ratio"]
     rows = []
-    ratios = {}  # (pair, target, horizon, mesh) -> ratio
+    for i, (u0, v0) in enumerate(pair_data):
+        for horizon, nodes, run_targets in runs:
+            # one heat-flow pair per horizon and mesh, read by every target
+            mesh = quadratic_mesh(horizon, nodes)
+            u_traj, v_traj = heat_trajectory(u0, mesh), heat_trajectory(v0, mesh)
+            for target in run_targets:
+                quad = QuadratureSpec(cfg["quad_nodes"], gamma_for[target], book.alpha)
+                report = bilinear_estimate_report(u_traj, v_traj, book, target, quad, refine=False)
+                rows.append([i, target, horizon, nodes, report.ratio])
 
-    def measure(pair_idx, target, horizon, mesh_nodes):
-        u0, v0 = pair_data[pair_idx]
-        mesh = quadratic_mesh(horizon, mesh_nodes)
-        quad = QuadratureSpec(cfg["quad_nodes"], gamma_for[target], book.alpha)
-        rep = bilinear_estimate_report(
-            heat_trajectory(u0, mesh),
-            heat_trajectory(v0, mesh),
-            book,
-            target=target,
-            quad=quad,
-            refine=False,
-        )
-        ratios[(pair_idx, target, horizon, mesh_nodes)] = rep.ratio
-        rows.append([pair_idx, target, float(horizon), mesh_nodes, rep.ratio])
+    def ratios(target, horizon, nodes=mesh_nodes) -> list:
+        """Each pair's ratio for target at horizon on nodes, in pair order (a
+        repeated horizon or target repeats a pair's row, with the same ratio)."""
+        return list({r[0]: r[4] for r in rows if r[1:4] == [target, horizon, nodes]}.values())
 
-    horizons = [float(h) for h in cfg["horizons"]]
-    for i in range(cfg["pairs"]):
-        for horizon in horizons:
-            for target in targets:
-                measure(i, target, horizon, cfg["mesh_nodes"])
-        if cfg["doubling"]:
-            measure(i, TARGET_KATO, horizons[-1], 2 * cfg["mesh_nodes"])
-
-    def spread(pairs_of_values):
-        worst = 1.0
-        for a, b in pairs_of_values:
-            lo, hi = sorted([a, b])
-            worst = max(worst, hi / lo if lo > 0 else float("inf"))
-        return worst
+    def spread(a: list, b: list) -> float:
+        """The largest quotient of the two ratios of a pair, and at least 1."""
+        return max([1.0] + [max(x, y) / min(x, y) if min(x, y) > 0 else float("inf")
+                            for x, y in zip(a, b)])
 
     summary = {}
     for target in targets:
-        vals = [
-            ratios[(i, target, h, cfg["mesh_nodes"])]
-            for i in range(cfg["pairs"])
-            for h in horizons
-        ]
-        summary[f"max_ratio_{target}"] = float(max(vals))
+        summary[f"max_ratio_{target}"] = float(max(max(ratios(target, h)) for h in horizons))
         if len(horizons) >= 2:
             summary[f"horizon_spread_{target}"] = spread(
-                (
-                    ratios[(i, target, horizons[0], cfg["mesh_nodes"])],
-                    ratios[(i, target, horizons[-1], cfg["mesh_nodes"])],
-                )
-                for i in range(cfg["pairs"])
-            )
+                ratios(target, horizons[0]), ratios(target, horizons[-1]))
     if cfg["doubling"]:
         summary["mesh_doubling_spread"] = spread(
-            (
-                ratios[(i, TARGET_KATO, horizons[-1], cfg["mesh_nodes"])],
-                ratios[(i, TARGET_KATO, horizons[-1], 2 * cfg["mesh_nodes"])],
-            )
-            for i in range(cfg["pairs"])
-        )
+            ratios(TARGET_KATO, horizons[-1]), ratios(TARGET_KATO, horizons[-1], 2 * mesh_nodes))
 
     # weighted norm of B must vanish at t -> 0 (checked on the first pair
     # with a fine mesh so enough nodes sit below horizon/100)
     u0, v0 = pair_data[0]
     mesh = quadratic_mesh(horizons[-1], cfg["vanishing_mesh_nodes"])
     quad = QuadratureSpec(cfg["quad_nodes"], book.gamma_kato, book.alpha)
-    b_traj = bilinear_trajectory(
-        heat_trajectory(u0, mesh), heat_trajectory(v0, mesh), quad
-    )
-    vr = vanishing_at_zero(b_traj, book.alpha / 2.0, r=book.q_tilde)
-    summary["vanishing_at_zero"] = bool(vr.vanishing)
+    b_traj = bilinear_trajectory(heat_trajectory(u0, mesh), heat_trajectory(v0, mesh), quad)
+    vanishing = vanishing_at_zero(b_traj, book.alpha / 2.0, r=book.q_tilde)
+    summary["vanishing_at_zero"] = vanishing.vanishing
     return columns, rows, summary, None
 
 
@@ -875,25 +877,28 @@ _ANALYSIS_KEYS = {
     **BOOK_KEYS,
     **_keys(NUMBER, _POSITIVE, box_len=TWO_PI, horizon=0.25, tol=1e-9),
     "scale_to_delta_fraction": Key(0.5, NUMBER, _POSITIVE),
-    **_keys(INTEGER, _POINTS, n=32, mesh_nodes=16),
-    "quad_nodes": Key(16, INTEGER, _NODES),
+    "n": Key(32, **_POINTS),
+    "mesh_nodes": Key(16, INTEGER, _MESH),
+    "quad_nodes": Key(16, **_NODES),
     "max_iter": Key(100, INTEGER, _COUNT),
     **_CALIBRATION_KEYS,
 }
 
 # `mildns calibrate --config`: the book, the calibration file and a corpus
-# section of the CorpusSpec fields (an unset corpus d is the book's)
+# section of the CorpusSpec fields, with their defaults (an unset corpus d
+# is the book's)
 CALIBRATE_KEYS = {
     **BOOK_KEYS,
     "path": Key("calibration.json", PATH),
     "corpus": Key({}, SECTION, fields={
         "d": _DIMENSION,
-        "seed": Key(11, INTEGER, _NONNEGATIVE),
-        "pairs": Key(20, INTEGER, _COUNT),
-        **_keys(INTEGER, _POINTS, n=32, mesh_nodes=16),
-        "quad_nodes": Key(16, INTEGER, _NODES),
-        **_keys(NUMBER, _POSITIVE, box_len=4.0 * math.pi, horizon=1.0, k_max=4),
-        "k_min": Key(1, NUMBER, _NONNEGATIVE),
+        **_spec_keys(CorpusSpec, INTEGER, _NONNEGATIVE, "seed"),
+        **_spec_keys(CorpusSpec, INTEGER, _COUNT, "pairs"),
+        "n": Key(CorpusSpec.n, **_POINTS),
+        **_spec_keys(CorpusSpec, INTEGER, _MESH, "mesh_nodes"),
+        "quad_nodes": Key(CorpusSpec.quad_nodes, **_NODES),
+        **_spec_keys(CorpusSpec, NUMBER, _POSITIVE, "box_len", "horizon", "k_max"),
+        **_spec_keys(CorpusSpec, NUMBER, _NONNEGATIVE, "k_min"),
     }),
 }
 
@@ -906,7 +911,7 @@ EXPERIMENTS = {
         selfsim_factor=Key(4.0, NUMBER, "(1, inf)"),
         **_keys(NUMBER, _POSITIVE, t=1.0, box_len=160.0, radius_min=0.1, radius_max=20.0),
         **_keys(NUMBER, _POSITIVE, tail_lo=4.0, tail_hi=20.0),
-        resolution=Key(512, INTEGER, _POINTS),
+        resolution=Key(512, **_POINTS),
         radius_count=Key(24, INTEGER, "[2, inf)"),
     ),
     "beta-integral": _declare(
@@ -916,7 +921,7 @@ EXPERIMENTS = {
         **_keys(NUMBER, "(-inf, 1)", gamma_min=-1.0, gamma_max=0.9),
         **_keys(NUMBER, "(-inf, 1)", theta_min=-1.0, theta_max=0.9),
         grid_points=Key(10, INTEGER, _COUNT),
-        node_count=Key(32, INTEGER, _NODES),
+        node_count=Key(32, **_NODES),
     ),
     "heat-decay": _declare(
         "heat-flow decay of a Gaussian datum against the closed form",
@@ -925,13 +930,13 @@ EXPERIMENTS = {
         **_keys(NUMBER, _POSITIVE, width=0.1, amplitude=1.0, box_len=80.0),
         **_keys(NUMBER, _POSITIVE, t_min=4.0, t_max=64.0, per_octave=4),
         **_keys(NUMBER, _LEBESGUE, q=1.0, q_tilde=4.0),
-        resolution=Key(512, INTEGER, _POINTS),
+        resolution=Key(512, **_POINTS),
     ),
     "besov-equiv": _declare(
         "heat characterization of the Besov norm on a single-mode datum",
         _run_besov_equiv,
         d=_DIMENSION,
-        n=Key(32, INTEGER, _POINTS),
+        n=Key(32, **_POINTS),
         **_keys(NUMBER, _POSITIVE, box_len=TWO_PI, amplitude=1.0, rescale=3.0),
         mode=Key([1, 1], INTEGER, items=1),
         smoothness=Key(-0.5, NUMBER, "(-inf, 0)"),
@@ -941,7 +946,7 @@ EXPERIMENTS = {
         "Sobolev embedding constants on a random band-limited corpus",
         _run_embedding,
         d=_DIMENSION,
-        n=Key(64, INTEGER, _POINTS),
+        n=Key(64, **_POINTS),
         count=Key(50, INTEGER, _COUNT),
         seed=Key(7, INTEGER, _NONNEGATIVE),
         **_keys(NUMBER, _POSITIVE, box_len=TWO_PI, k_max=8),
@@ -953,9 +958,9 @@ EXPERIMENTS = {
         "measured bilinear-estimate constants over a random trajectory corpus",
         _run_bilinear,
         **BOOK_KEYS,
-        n=Key(32, INTEGER, _POINTS),
+        n=Key(32, **_POINTS),
         mesh_nodes=Key(16, INTEGER, "[2, inf)"),
-        quad_nodes=Key(16, INTEGER, _NODES),
+        quad_nodes=Key(16, **_NODES),
         # the vanishing check needs five nodes t_j = T (j / M)^2 below T / 100
         vanishing_mesh_nodes=Key(64, INTEGER, "[51, inf)"),
         pairs=Key(50, INTEGER, _COUNT),
@@ -970,7 +975,7 @@ EXPERIMENTS = {
         "the three smallness left-hand sides across datum families",
         _run_smallness,
         **BOOK_KEYS,
-        n=Key(32, INTEGER, _POINTS),
+        n=Key(32, **_POINTS),
         **_keys(NUMBER, _POSITIVE, box_len=TWO_PI, horizon=0.25),
         **_CALIBRATION_KEYS,
         data=Key(
@@ -983,8 +988,9 @@ EXPERIMENTS = {
         _run_solve,
         **BOOK_KEYS,
         **_keys(NUMBER, _POSITIVE, box_len=2.0 * TWO_PI, horizon=1.0, tol=1e-9),
-        **_keys(INTEGER, _POINTS, n=64, mesh_nodes=32),
-        quad_nodes=Key(32, INTEGER, _NODES),
+        n=Key(64, **_POINTS),
+        mesh_nodes=Key(32, INTEGER, _MESH),
+        quad_nodes=Key(32, **_NODES),
         max_iter=Key(100, INTEGER, _COUNT),
         datum=Key({"kind": "taylor_green", "amplitude": 1.0, "mode": [2, 2]}, SECTION,
                   fields=_DATUM_KEYS),
@@ -1011,7 +1017,7 @@ EXPERIMENTS = {
         "critical-norm invariance under exact dyadic rescaling",
         _run_scaling,
         **BOOK_KEYS,
-        n=Key(64, INTEGER, _POINTS),
+        n=Key(64, **_POINTS),
         **_keys(NUMBER, _POSITIVE, box_len=TWO_PI, horizon=0.25),
         lam=Key(2.0, NUMBER, "(1, inf)"),
         datum=Key(_band_datum(47, k_max=8), SECTION, fields=_DATUM_KEYS),
@@ -1021,7 +1027,7 @@ EXPERIMENTS = {
         _run_powerlaw,
         d=_DIMENSION,
         **_keys(NUMBER, _LEBESGUE, p=2.0, q_tilde=4.0),
-        n=Key(1024, INTEGER, _POINTS),
+        n=Key(1024, **_POINTS),
         **_keys(NUMBER, _POSITIVE, box_len=8.0, decay=1.0, r_outer=2.0, amplitude=1.0),
         r_inner_levels=Key([0.5, 0.25, 0.125, 0.0625], NUMBER, _POSITIVE, items=2),
     ),

@@ -140,22 +140,18 @@ class KernelProfile:
     """Radial profile of the convolution kernel of |k|^s exp(-t |k|^2) P div.
 
     values[i] is the max over the d**3 kernel components of |K(x)| at
-    |x| = radii[i] along the first coordinate axis; bound_ratio[i] is
+    |x| = radii[i] along the first coordinate axis, for the radii that
+    kernel_profile samples; bound_ratio[i] is
     values[i] * (1 + radii[i])**(d + 1 + s), which stays bounded exactly
-    when the kernel obeys the expected algebraic decay.
+    when the kernel obeys the expected algebraic decay. tail_slope and
+    tail_residual are the log-log fit over the tail window (NaN when it
+    holds fewer than two radii).
     """
 
-    s: float
-    d: int
-    t: float
-    box_len: float
-    resolution: int
-    radii: np.ndarray
     values: np.ndarray
     bound_ratio: np.ndarray
     tail_slope: float
     tail_residual: float
-    tail_window: tuple
 
 
 def kernel_profile(
@@ -233,16 +229,4 @@ def kernel_profile(
         tail_slope = float("nan")
         tail_residual = float("nan")
 
-    return KernelProfile(
-        s=float(s),
-        d=int(d),
-        t=float(t),
-        box_len=float(box_len),
-        resolution=int(resolution),
-        radii=radii,
-        values=values,
-        bound_ratio=bound_ratio,
-        tail_slope=tail_slope,
-        tail_residual=tail_residual,
-        tail_window=(float(lo), float(hi)),
-    )
+    return KernelProfile(values, bound_ratio, tail_slope, tail_residual)

@@ -301,22 +301,14 @@ def besov_grid(lattice: Lattice) -> np.ndarray:
 
 @dataclass
 class NormReport:
-    kind: str
-    exponents: dict
-    value: float
-    argmax_t: Optional[float] = None
-    window_ok: bool = True
-    # per-node weighted values behind the sup; not part of the manifest form
-    values: Optional[np.ndarray] = dc_field(default=None, repr=False, compare=False)
+    """A sup over time nodes: its value, the node time where it is reached,
+    whether the nodes stayed inside the lattice validity window, and the
+    weighted value at every node."""
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "exponents": dict(self.exponents),
-            "value": self.value,
-            "argmax_t": self.argmax_t,
-            "window_ok": self.window_ok,
-        }
+    value: float
+    argmax_t: float
+    window_ok: bool
+    values: np.ndarray = dc_field(repr=False, compare=False)
 
 
 def _component_view(field: Field) -> np.ndarray:
@@ -391,12 +383,9 @@ def weighted_lebesgue(traj: Trajectory, weight: float, r, nodes=None, s=0.0) -> 
                      for t, node in zip(traj.times[:nodes], rows)])
 
 
-def _sup_report(kind: str, exponents: dict, times, values: np.ndarray,
-                window_ok: bool) -> NormReport:
+def _sup_report(times, values: np.ndarray, window_ok: bool) -> NormReport:
     arg = int(np.argmax(values))
     return NormReport(
-        kind=kind,
-        exponents=exponents,
         value=float(values[arg]),
         argmax_t=float(times[arg]),
         window_ok=window_ok,
@@ -428,8 +417,7 @@ def heat_sup(u0: Field, t_grid, weight: float, q) -> NormReport:
     window_ok = bool(
         t_grid[-1] <= lat.t_cap * (1 + 1e-9) and t_grid[0] >= lat.t_floor * (1 - 1e-9)
     )
-    exponents = {"weight": float(weight), "q": float(q)}
-    return _sup_report("heat-sup", exponents, t_grid, values, window_ok)
+    return _sup_report(t_grid, values, window_ok)
 
 
 def besov_norm_heat(field: Field, s: float, q, t_grid=None) -> NormReport:
@@ -445,8 +433,7 @@ def besov_norm_heat(field: Field, s: float, q, t_grid=None) -> NormReport:
         )
     if t_grid is None:
         t_grid = besov_grid(field.lattice)
-    report = heat_sup(field, t_grid, -s / 2.0, q)
-    return replace(report, kind="besov-heat", exponents={"s": float(s), "q": float(q)})
+    return heat_sup(field, t_grid, -s / 2.0, q)
 
 
 def _horizon_ok(traj: Trajectory) -> bool:
@@ -460,21 +447,18 @@ def kato_norm(traj: Trajectory, q, q_tilde) -> NormReport:
         raise ConfigError(f"kato norm requires q_tilde >= q, got q={q}, q_tilde={q_tilde}")
     alpha = traj.lattice.d * (1.0 / q - 1.0 / q_tilde)
     values = weighted_lebesgue(traj, alpha / 2.0, q_tilde)
-    exponents = {"q": float(q), "q_tilde": float(q_tilde), "alpha": alpha}
-    return _sup_report("kato-sup", exponents, traj.times, values, _horizon_ok(traj))
+    return _sup_report(traj.times, values, _horizon_ok(traj))
 
 
 def n_norm(traj: Trajectory, s: float, p) -> NormReport:
     """sup over mesh nodes of the homogeneous Sobolev (s, p) norm, the
     weighted_lebesgue reduction with weight 0 and order s."""
     values = weighted_lebesgue(traj, 0.0, p, s=s)
-    exponents = {"s": float(s), "p": float(p)}
-    return _sup_report("sobolev-sup", exponents, traj.times, values, _horizon_ok(traj))
+    return _sup_report(traj.times, values, _horizon_ok(traj))
 
 
 @dataclass
 class VanishingReport:
-    times: np.ndarray
     values: np.ndarray
     vanishing: bool
 
@@ -491,10 +475,8 @@ def vanishing_at_zero(traj: Trajectory, weight_exponent: float, r=2) -> Vanishin
         raise MeshError(
             f"vanishing check needs >= 5 nodes below horizon/100, found {below}"
         )
-    times = traj.times[:5]
     values = weighted_lebesgue(traj, weight_exponent, r, nodes=5)
-    vanishing = bool(np.all(np.diff(values) > 0))
-    return VanishingReport(times=times, values=values, vanishing=vanishing)
+    return VanishingReport(values=values, vanishing=bool(np.all(np.diff(values) > 0)))
 
 
 @dataclass
@@ -502,7 +484,6 @@ class DecayFit:
     slope: float
     intercept: float
     residual: float
-    n_points: int
     power_law: bool
 
 
@@ -533,17 +514,12 @@ def decay_exponent_fit(t_values, norm_values, window) -> DecayFit:
         slope=float(slope),
         intercept=float(intercept),
         residual=residual,
-        n_points=int(np.count_nonzero(mask)),
         power_law=residual <= 0.10,
     )
 
 
 @dataclass
 class EmbeddingReport:
-    s_high: float
-    q_high: float
-    s_low: float
-    q_low: float
     upper_norms: np.ndarray
     lower_norms: np.ndarray
     ratios: np.ndarray
@@ -582,10 +558,6 @@ def sobolev_embedding_check(fields, s1: float, q1, s2: float, q2) -> EmbeddingRe
     lower = np.array(lower)
     ratios = lower / upper
     return EmbeddingReport(
-        s_high=float(s1),
-        q_high=float(q1),
-        s_low=float(s2),
-        q_low=float(q2),
         upper_norms=upper,
         lower_norms=lower,
         ratios=ratios,

@@ -133,20 +133,6 @@ class PicardTrace:
     converged: bool
     threshold: float
 
-    def to_dict(self) -> dict:
-        return {
-            "norms": [float(v) for v in self.norms],
-            "aux_norms": None
-            if self.aux_norms is None
-            else [float(v) for v in self.aux_norms],
-            "diffs": [float(v) for v in self.diffs],
-            "ratios": [float(v) for v in self.ratios],
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "threshold": self.threshold,
-        }
-
 
 def abstract_fixed_point(
     y,
@@ -249,16 +235,6 @@ class SmallnessReport:
     satisfied: Optional[bool]
     horizon: float
     detail: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "lhs": self.lhs,
-            "threshold": self.threshold,
-            "satisfied": self.satisfied,
-            "horizon": self.horizon,
-            "detail": dict(self.detail),
-        }
 
 
 def _heat_window_grid(u0: VectorField, horizon: float) -> np.ndarray:
@@ -497,8 +473,8 @@ class MildSolution:
         return {
             "book": asdict(self.book),
             "times": [float(t) for t in self.trajectory.times],
-            "trace": self.trace.to_dict(),
-            "smallness": self.smallness.to_dict(),
+            "trace": asdict(self.trace),
+            "smallness": asdict(self.smallness),
             "eta": self.eta,
             "quad": asdict(self.quad),
             "divergence_defects": [float(v) for v in self.divergence_defects],
@@ -536,16 +512,16 @@ def solve_mild(
     tol: float = 1e-9,
     max_iter: int = 100,
     override_smallness: bool = False,
-    smallness_variant: str = SMALLNESS_KATO,
     start: str = "heat-flow",
 ) -> MildSolution:
     """Run the Picard construction for datum u0 on [0, horizon].
 
     The governing norm is the Kato norm of the book; the homogeneous
     Sobolev sup-norm rides along as the auxiliary trace column. The
-    smallness condition is checked first and refusal raises
-    SmallnessError unless override_smallness is set (deliberately
-    unguarded runs are how the divergence regime is exhibited).
+    Kato-window smallness condition, the form that the Picard contraction
+    needs, is checked first and refusal raises SmallnessError unless
+    override_smallness is set (deliberately unguarded runs are how the
+    divergence regime is exhibited).
     start selects the initial iterate: 'heat-flow' (the default x_0 = y)
     or 'zero'; in the contraction regime both reach the same fixed point,
     which is the uniqueness probe.
@@ -558,7 +534,7 @@ def solve_mild(
         raise ConfigError(f"mesh needs at least 4 nodes, got {mesh_nodes}")
     _check_datum(u0)
 
-    smallness = smallness_lhs(u0, horizon, book, smallness_variant)
+    smallness = smallness_lhs(u0, horizon, book, SMALLNESS_KATO)
     if smallness.satisfied is False and not override_smallness:
         raise SmallnessError(
             f"smallness condition failed: lhs {smallness.lhs:.6g} > "
@@ -637,15 +613,6 @@ class LadderReport:
     argmax_times: list
     early_ok: list
 
-    def to_dict(self) -> dict:
-        return {
-            "r_values": self.r_values,
-            "weights": self.weights,
-            "sups": self.sups,
-            "argmax_times": self.argmax_times,
-            "early_ok": self.early_ok,
-        }
-
 
 def check_exponent_floor(book: ExponentBook, analysis: str, values, label: str) -> None:
     """Refuse, as label.format(i), the first entry i of values that does not
@@ -697,13 +664,6 @@ class FluctuationReport:
     p_tilde_values: list
     smoothness: list
     sups: list
-
-    def to_dict(self) -> dict:
-        return {
-            "p_tilde_values": self.p_tilde_values,
-            "smoothness": self.smoothness,
-            "sups": self.sups,
-        }
 
 
 def fluctuation_analysis(

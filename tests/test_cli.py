@@ -240,6 +240,28 @@ class TestExitCodes:
         assert err.startswith(f"config error: config key {key}")
 
     @pytest.mark.parametrize(
+        "experiment, setting, message",
+        [
+            ("besov-equiv", "n=48",
+             "config key 'n' must be an integer in [4, inf) and a power of two, got 48"),
+            ("solve", "quad_nodes=9",
+             "config key 'quad_nodes' must be an integer in [8, inf) and even, got 9"),
+            ("besov-equiv", "mode=[1]", "config keys 'mode' and 'd': the mode needs d = 2 entries"),
+            ("bilinear", 'targets=["sobolev"]', "config keys 'doubling' and 'targets'"),
+        ],
+    )
+    def test_construction_condition_exits_2_naming_the_key(self, experiment, setting, message,
+                                                           monkeypatch, capsys):
+        """Conditions the lattice, the quadrature, the single-mode datum and
+        the mesh-doubling spread would meet later are refused up front."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibration started before the config was checked")
+
+        monkeypatch.setattr(lab, "calibrate_thresholds", refuse)
+        assert main([experiment, "--set", setting]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize(
         "config, key", [({"corpus": {"bogus": 1}}, "'corpus.bogus'"), ({"dd": 3}, "'dd'")]
     )
     def test_calibrate_refuses_an_unknown_key(self, config, key, tmp_path, monkeypatch, capsys):
@@ -251,6 +273,18 @@ class TestExitCodes:
         path.write_text(json.dumps(config))
         assert main(["calibrate", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: unknown config key {key}")
+
+    def test_calibrate_refuses_corpus_points_that_are_no_power_of_two(self, tmp_path,
+                                                                      monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibration started before the config was checked")
+
+        monkeypatch.setattr(cli, "calibrate_thresholds", refuse)
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps({"corpus": {"n": 48}}))
+        assert main(["calibrate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: config key 'corpus.n' must be an integer in [4, inf) and a power of two")
 
     @pytest.mark.parametrize("value", ["0", "-1", "2.5", "true"])
     @pytest.mark.parametrize("experiment", ["solve", "ladder", "fluctuation"])

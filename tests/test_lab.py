@@ -12,7 +12,21 @@ from dataclasses import MISSING, fields, replace
 import numpy as np
 import pytest
 
-from mildns import ConfigError, CorpusSpec, DatumSpec, default_config, list_experiments, run
+from mildns import (
+    ConfigError,
+    CorpusSpec,
+    DatumSpec,
+    QuadratureSpec,
+    bilinear_estimate_report,
+    build_exponent_book,
+    default_config,
+    heat_trajectory,
+    list_experiments,
+    make_lattice,
+    quadratic_mesh,
+    realize_datum,
+    run,
+)
 from mildns import cli, lab
 
 ALL_IDS = [
@@ -180,6 +194,16 @@ class TestDeclaredSchema:
             for key in exp.keys.values():
                 assert key.fields in (None, lab._DATUM_KEYS)
 
+    def test_section_defaults_are_taken_from_the_dataclasses(self):
+        """check_config overlays a section onto the section's own default,
+        so these Key defaults document the values that DatumSpec and
+        CorpusSpec apply; each is the dataclass default object itself. The
+        datum kind is required, and an unset corpus d is the book's."""
+        for keys, spec, own in ((lab._DATUM_KEYS, DatumSpec, {"kind"}),
+                                (lab.CALIBRATE_KEYS["corpus"].fields, CorpusSpec, {"d"})):
+            for name in set(keys) - own:
+                assert keys[name].default is getattr(spec, name), name
+
     @pytest.mark.parametrize("exp_id", ALL_IDS)
     def test_every_declared_key_against_the_table(
         self, exp_id, calibration_file, tmp_path, monkeypatch, capsys
@@ -281,6 +305,61 @@ class TestKnownSummaries:
         assert table.provenance["calibration_digest"] is not None
         assert table.summary["converged"] is True
         assert table.summary["closed_form_max_rel_err"] < 1e-10
+
+    def test_bilinear_flows_each_datum_once_per_mesh(self, monkeypatch):
+        """Both targets read one heat-flow pair per (pair, horizon, mesh):
+        3 pairs x (2 horizons + the doubled mesh) x 2 data, plus the pair of
+        the vanishing check, is 20 flows. Rows and summary are those of a
+        fresh pair of flows for every row."""
+        cfg = {**default_config("bilinear"), "pairs": 3, "n": 16, "mesh_nodes": 4,
+               "quad_nodes": 8, "vanishing_mesh_nodes": 51}
+        flows, flow = [], lab.heat_trajectory
+
+        def counted(u0, mesh):
+            flows.append(mesh)
+            return flow(u0, mesh)
+
+        monkeypatch.setattr(lab, "heat_trajectory", counted)
+        table = run(cfg)
+        assert len(flows) == 20
+
+        book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
+        lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
+        gamma = {"kato": book.gamma_kato, "sobolev": book.gamma_sobolev}
+        ratio, rows = {}, []
+        for i in range(3):
+            u0, v0 = (realize_datum(DatumSpec(kind="random_band", seed=cfg["seed"] + 2 * i + j,
+                                              k_min=1, k_max=4, divergence_free=True), lat)
+                      for j in (0, 1))
+            for horizon, nodes, targets in ((0.5, 4, ["kato", "sobolev"]),
+                                            (1.0, 4, ["kato", "sobolev"]), (1.0, 8, ["kato"])):
+                for target in targets:
+                    mesh = quadratic_mesh(horizon, nodes)
+                    ratio[i, target, horizon, nodes] = bilinear_estimate_report(
+                        heat_trajectory(u0, mesh), heat_trajectory(v0, mesh), book, target,
+                        QuadratureSpec(8, gamma[target], book.alpha), refine=False).ratio
+                    rows.append([i, target, horizon, nodes, ratio[i, target, horizon, nodes]])
+        assert table.rows == rows
+
+        def spread(key_a, key_b):
+            return max([1.0] + [max(ratio[(i,) + key_a], ratio[(i,) + key_b])
+                                / min(ratio[(i,) + key_a], ratio[(i,) + key_b]) for i in range(3)])
+
+        summary = {"mesh_doubling_spread": spread(("kato", 1.0, 4), ("kato", 1.0, 8)),
+                   "vanishing_at_zero": table.summary["vanishing_at_zero"]}
+        for target in gamma:
+            summary[f"max_ratio_{target}"] = max(
+                ratio[i, target, h, 4] for i in range(3) for h in (0.5, 1.0))
+            summary[f"horizon_spread_{target}"] = spread((target, 0.5, 4), (target, 1.0, 4))
+        assert table.summary == summary
+
+    def test_heat_decay_grid_stays_below_t_max(self):
+        """The dyadic grid is anchored at t_max, so no row lies past it or
+        past the lattice validity window box_len^2 / 100 = 50.1264."""
+        table = run({"experiment": "heat-decay", "t_max": 50.0, "box_len": 70.8})
+        times = [row[0] for row in table.rows]
+        assert times[-1] == 50.0
+        assert all(t <= 50.0 for t in times)
 
 
 class TestDeterminismAndOutput:

@@ -493,7 +493,6 @@ class TestTimeWeightedNorms:
         c4 = lebesgue_norm(u, 4.0)
         expected = max(t**0.25 * np.exp(-ksq * t) * c4 for t in times)
         npt.assert_allclose(report.value, expected, rtol=1e-12)
-        assert report.exponents["alpha"] == 0.5
 
     def test_n_norm_peaks_early_for_heat_flow(self, lat2, divfree_datum):
         traj = heat_trajectory(divfree_datum(lat2, seed=13), [0.01, 0.05, 0.1])

@@ -26,6 +26,7 @@ from mildns import (
     DatumSpec,
     DivergenceError,
     NonConvergenceError,
+    NumericalError,
     QuadratureSpec,
     ScalarField,
     SmallnessError,
@@ -121,6 +122,9 @@ class TestAbstractFixedPoint:
         assert trace.iterations == 3
         assert len(trace.diffs) == 3
         assert not trace.converged
+
+    def test_a_failure_outside_a_fixed_point_run_carries_no_trace(self):
+        assert NumericalError("x").trace is None
 
     def test_two_start_uniqueness(self):
         """x0 = 0 runs the same orbit one step behind x0 = y, so both
@@ -218,7 +222,6 @@ class TestSharedSupPrimitives:
         assert report.value == explicit.max()
         assert report.argmax_t == grid[int(np.argmax(explicit))]
         assert smallness_lhs(u0, 1.0, book, variant).detail[key] == explicit.max()
-        assert "values" not in report.to_dict()
 
     def test_bilinear_weighted_values_match_the_explicit_loop(self, divfree_datum):
         lat = make_lattice(2, 16, 4.0 * np.pi)
