@@ -122,10 +122,11 @@ def volterra_nodes(spec: QuadratureSpec, t: float):
     return taus, gaps, weights
 
 
-def _beta_quadrature(gamma: float, theta: float, t: float, node_count: int) -> float:
+def _beta_quadrature(spec: QuadratureSpec, t: float) -> float:
     """Split Gauss-Jacobi evaluation of the beta integrand, spectrally
     accurate for purely algebraic endpoint factors."""
-    m = node_count // 2
+    gamma, theta = spec.gamma, spec.theta
+    m = spec.node_count // 2
     c = 0.25 * t
 
     # left half: tau = c (1 + u), weight (1 + u)^(-theta)
@@ -148,22 +149,17 @@ def beta_integral(gamma: float, theta: float, t: float, method: str = "closed-fo
     Gamma(1-gamma) Gamma(1-theta) / Gamma(2-gamma-theta) * t^(1-gamma-theta);
     method 'quadrature' integrates directly (split Gauss-Jacobi) and exists
     to cross-validate the identity and the quadrature layer against each
-    other on exponent grids.
+    other on exponent grids. Both methods check their arguments through
+    QuadratureSpec(node_count, gamma, theta): exponents < 1, an even budget >= 8.
     """
-    for name, value in (("gamma", gamma), ("theta", theta)):
-        if not (value < 1):
-            raise ConfigError(
-                f"beta integral diverges: exponent {name} = {value} is not < 1"
-            )
+    spec = QuadratureSpec(node_count, gamma, theta)
     if not (t > 0):
         raise ConfigError(f"beta integral needs t > 0, got {t}")
     if method == "closed-form":
         constant = gamma_fn(1.0 - gamma) * gamma_fn(1.0 - theta) / gamma_fn(2.0 - gamma - theta)
         return float(constant * t ** (1.0 - gamma - theta))
     if method == "quadrature":
-        if node_count < 8 or node_count % 2:
-            raise ConfigError(f"node_count must be even and >= 8, got {node_count}")
-        return _beta_quadrature(gamma, theta, t, node_count)
+        return _beta_quadrature(spec, t)
     raise ConfigError(f"unknown beta_integral method {method!r}")
 
 
@@ -251,19 +247,22 @@ def bilinear_trajectory(u_traj: Trajectory, v_traj: Trajectory,
 
 TARGET_KATO = "kato"
 TARGET_SOBOLEV = "sobolev"
-TARGET_KATO_CROSS = "kato-cross"
 
 
-def _cross_region_ok(d: float, q: float, qt_in: float, qt_out: float) -> bool:
-    """Admissible (q_tilde_in, q_tilde_out) region for the cross-exponent
-    estimate at integrability q >= d."""
-    if not (q < qt_in) or not (q <= qt_out):
-        return False
-    if qt_in < 2 * d:
-        return qt_out < d * qt_in / (2 * d - qt_in)
-    if qt_in <= 2 * q:
-        return True
-    return qt_out > qt_in / 2
+def _check_target(target: str):
+    if target not in (TARGET_KATO, TARGET_SOBOLEV):
+        raise ConfigError(f"unknown estimate target {target!r}; valid targets: "
+                          f"{TARGET_KATO!r}, {TARGET_SOBOLEV!r}")
+
+
+def estimate_quadrature(book: ExponentBook, node_count: int,
+                        target: str = TARGET_KATO) -> QuadratureSpec:
+    """The Volterra rule of one estimate target on node_count nodes: the
+    target's kernel exponent (book.gamma_kato or book.gamma_sobolev) and
+    the Kato weight alpha of the trajectory factors."""
+    _check_target(target)
+    gamma = book.gamma_kato if target == TARGET_KATO else book.gamma_sobolev
+    return QuadratureSpec(node_count, gamma, book.alpha)
 
 
 @dataclass
@@ -281,19 +280,8 @@ class BilinearEstimateReport:
     stability_factor: Optional[float] = None
 
 
-def _output_report(b_traj: Trajectory, book: ExponentBook, target: str,
-                   q_tilde_out: Optional[float]) -> NormReport:
-    if target == TARGET_KATO:
-        return kato_norm(b_traj, book.q, book.q_tilde)
-    if target == TARGET_SOBOLEV:
-        return n_norm(b_traj, book.s, book.p)
-    return kato_norm(b_traj, book.q, q_tilde_out)
-
-
 def bilinear_estimate_report(u_traj: Trajectory, v_traj: Trajectory, book: ExponentBook,
-                             target: str = TARGET_KATO,
-                             quad: Optional[QuadratureSpec] = None,
-                             q_tilde_out: Optional[float] = None,
+                             target: str = TARGET_KATO, *, quad: QuadratureSpec,
                              refine: bool = True) -> BilinearEstimateReport:
     """Measure one bilinear-estimate constant on a trajectory pair.
 
@@ -303,49 +291,27 @@ def bilinear_estimate_report(u_traj: Trajectory, v_traj: Trajectory, book: Expon
       q_tilde > q >= d.
     * 'sobolev': output in the sup-in-time homogeneous Sobolev norm;
       requires q < q_tilde <= 2p.
-    * 'kato-cross': inputs in the Kato space with auxiliary exponent
-      book.q_tilde, output with q_tilde_out; the pair must lie in the
-      admissible cross-exponent region.
 
-    quad defaults to 32 nodes absorbing the target's kernel exponent and
-    the Kato weight alpha. The ratio divides the output norm by
-    T^horizon_exponent times the product of input Kato norms. With
+    B is evaluated with quad as given; estimate_quadrature(book, nodes,
+    target) is the target's own rule. The ratio divides the output norm
+    by T^horizon_exponent times the product of input Kato norms. With
     refine=True, B is recomputed at doubled quadrature nodes, and the
     report also holds that ratio (ratio_refined) and the larger of the two
     ratios over the smaller (stability_factor).
     """
     _check_pair(u_traj, v_traj)
+    _check_target(target)
     d, q = book.d, book.q
-    if target == TARGET_KATO:
-        if not (book.q_tilde > q and q >= d):
-            raise ConfigError(
-                "kato-target estimate requires q_tilde > q >= d, got "
-                f"q_tilde={book.q_tilde}, q={q}, d={d}"
-            )
-        gamma = book.gamma_kato
-    elif target == TARGET_SOBOLEV:
-        if not (q < book.q_tilde <= 2 * book.p):
-            raise ConfigError(
-                "sobolev-target estimate requires q < q_tilde <= 2p, got "
-                f"q={q}, q_tilde={book.q_tilde}, p={book.p}"
-            )
-        gamma = book.gamma_sobolev
-    elif target == TARGET_KATO_CROSS:
-        if q_tilde_out is None:
-            raise ConfigError("kato-cross target needs q_tilde_out")
-        if not (q >= d):
-            raise ConfigError(f"cross-exponent estimate requires q >= d, got q={q}, d={d}")
-        if not _cross_region_ok(d, q, book.q_tilde, q_tilde_out):
-            raise ConfigError(
-                "cross-exponent pair outside the admissible region: "
-                f"q_tilde_in={book.q_tilde}, q_tilde_out={q_tilde_out} at q={q}, d={d}"
-            )
-        gamma = 0.5 + d / book.q_tilde - d / (2.0 * q_tilde_out)
-    else:
-        raise ConfigError(f"unknown estimate target {target!r}")
-
-    if quad is None:
-        quad = QuadratureSpec(node_count=32, gamma=gamma, theta=book.alpha)
+    if target == TARGET_KATO and not (book.q_tilde > q and q >= d):
+        raise ConfigError(
+            "kato-target estimate requires q_tilde > q >= d, got "
+            f"q_tilde={book.q_tilde}, q={q}, d={d}"
+        )
+    if target == TARGET_SOBOLEV and not (q < book.q_tilde <= 2 * book.p):
+        raise ConfigError(
+            "sobolev-target estimate requires q < q_tilde <= 2p, got "
+            f"q={q}, q_tilde={book.q_tilde}, p={book.p}"
+        )
 
     norm_u = kato_norm(u_traj, q, book.q_tilde).value
     norm_v = kato_norm(v_traj, q, book.q_tilde).value
@@ -354,8 +320,10 @@ def bilinear_estimate_report(u_traj: Trajectory, v_traj: Trajectory, book: Expon
     scale = u_traj.horizon**book.horizon_exponent * norm_u * norm_v
 
     def output(spec: QuadratureSpec) -> NormReport:
-        return _output_report(bilinear_trajectory(u_traj, v_traj, spec), book, target,
-                              q_tilde_out)
+        b_traj = bilinear_trajectory(u_traj, v_traj, spec)
+        if target == TARGET_KATO:
+            return kato_norm(b_traj, q, book.q_tilde)
+        return n_norm(b_traj, book.s, book.p)
 
     out = output(quad)
     ratio = out.value / scale

@@ -17,7 +17,9 @@ box of heat-decay, the mode length of besov-equiv, the targets of the
 bilinear mesh doubling, the power-law levels and Besov smoothness, the
 critical book of scaling), and to the objects they build, such as the
 paper's hypotheses in build_exponent_book, which name the violated
-inequality; some of these fail only after calibration.
+inequality, and the kind-specific fields of a datum section, which
+realize_datum refuses under the section's key before any calibration;
+some of these fail only after calibration.
 Output files are only written after the experiment finished, each
 through a temporary file and os.replace, the CSV last. Identical config
 and seed give byte-identical CSV output: floats are serialized at 17
@@ -38,10 +40,10 @@ import numpy as np
 from .duhamel import (
     TARGET_KATO,
     TARGET_SOBOLEV,
-    QuadratureSpec,
     beta_integral,
     bilinear_estimate_report,
     bilinear_trajectory,
+    estimate_quadrature,
 )
 from .errors import CalibrationError, ConfigError, DivergenceError
 from .lattice import TWO_PI, DatumSpec, VectorField, make_lattice, realize_datum
@@ -270,6 +272,14 @@ def _datum_from_config(datum_cfg: dict) -> DatumSpec:
     return DatumSpec(**{**datum_cfg, "mode": None if mode is None else tuple(mode)})
 
 
+def _realized(datum_cfg: dict, lattice, name: str) -> VectorField:
+    """The datum of a section; a refusal of its fields names the key."""
+    try:
+        return realize_datum(_datum_from_config(datum_cfg), lattice)
+    except ConfigError as exc:
+        raise ConfigError(f"config key {name!r}: {exc}") from exc
+
+
 def _calibrated_book(cfg: dict):
     book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
     path = cfg.get("calibration_path")
@@ -292,12 +302,20 @@ def _critical_book(cfg: dict, what: str):
     return book
 
 
-def _scaled_datum(cfg: dict, lattice, book) -> VectorField:
-    """Realize cfg['datum'], optionally rescaling the amplitude so the
-    Kato-window smallness lhs equals scale_to_delta_fraction * delta
-    (all smallness forms are homogeneous of degree one in the datum)."""
-    spec = _datum_from_config(cfg["datum"])
-    u0 = realize_datum(spec, lattice)
+def _calibrated_datum(cfg: dict):
+    """The calibrated book of cfg and its scaled datum. The datum is
+    realized before calibration, so a bad datum section is refused first."""
+    lattice = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
+    u0 = _realized(cfg["datum"], lattice, "datum")
+    book = _calibrated_book(cfg)
+    return book, _scaled_datum(cfg, u0, book)
+
+
+def _scaled_datum(cfg: dict, u0: VectorField, book) -> VectorField:
+    """u0, the realized cfg['datum'], or with scale_to_delta_fraction the
+    datum realized again at the amplitude that makes the Kato-window
+    smallness lhs equal scale_to_delta_fraction * delta (all smallness
+    forms are homogeneous of degree one in the datum)."""
     fraction = cfg.get("scale_to_delta_fraction")
     if fraction is None:
         return u0
@@ -308,8 +326,9 @@ def _scaled_datum(cfg: dict, lattice, book) -> VectorField:
             "whose smallness lhs is zero"
         )
     target = fraction * book.delta
-    scaled = {**cfg["datum"], "amplitude": spec.amplitude * target / lhs}
-    return realize_datum(_datum_from_config(scaled), lattice)
+    amplitude = _datum_from_config(cfg["datum"]).amplitude
+    scaled = {**cfg["datum"], "amplitude": amplitude * target / lhs}
+    return realize_datum(_datum_from_config(scaled), u0.lattice)
 
 
 def _band_datum(seed: int, k_max=4, k_min=1) -> dict:
@@ -317,33 +336,28 @@ def _band_datum(seed: int, k_max=4, k_min=1) -> dict:
     return dict(kind="random_band", seed=seed, k_min=k_min, k_max=k_max, divergence_free=True)
 
 
-def _solve(cfg: dict, book, lat, mesh_nodes: int):
-    """Realize the configured datum and run the Picard construction on
-    mesh_nodes nodes; returns (u0, solution)."""
-    u0 = _scaled_datum(cfg, lat, book)
-    quad = QuadratureSpec(cfg["quad_nodes"], book.gamma_kato, book.alpha)
-    solution = solve_mild(
+def _solve(cfg: dict, book, u0: VectorField, mesh_nodes: int):
+    """The Picard construction for u0 on mesh_nodes nodes."""
+    return solve_mild(
         u0,
         cfg["horizon"],
         book,
         mesh_nodes=mesh_nodes,
-        quad=quad,
+        quad=estimate_quadrature(book, cfg["quad_nodes"]),
         tol=cfg["tol"],
         max_iter=cfg["max_iter"],
         override_smallness=cfg.get("override_smallness", False),
     )
-    return u0, solution
 
 
 def _mesh_doubling(cfg: dict, analyse):
-    """Solve at mesh_nodes and 2 * mesh_nodes, apply analyse(solution, u0)
-    to each; return both reports, the relative change of each sup, the
-    shared summary and the calibration digest."""
-    book = _calibrated_book(cfg)
-    lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
+    """Solve the datum at mesh_nodes and 2 * mesh_nodes, apply
+    analyse(solution, u0) to each; return both reports, the relative
+    change of each sup, the shared summary and the calibration digest."""
+    book, u0 = _calibrated_datum(cfg)
     reports, iterations = [], []
     for mesh_nodes in (cfg["mesh_nodes"], 2 * cfg["mesh_nodes"]):
-        u0, solution = _solve(cfg, book, lat, mesh_nodes)
+        solution = _solve(cfg, book, u0, mesh_nodes)
         reports.append(analyse(solution, u0))
         iterations.append(solution.trace.iterations)
     coarse, fine = reports
@@ -573,7 +587,6 @@ def _run_bilinear(cfg):
         )
     book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
     lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
-    gamma_for = {TARGET_KATO: book.gamma_kato, TARGET_SOBOLEV: book.gamma_sobolev}
     data = [realize_datum(_datum_from_config(_band_datum(seed, cfg["k_max"], cfg["k_min"])), lat)
             for seed in range(cfg["seed"], cfg["seed"] + 2 * cfg["pairs"])]
     pair_data = list(zip(data[::2], data[1::2]))
@@ -592,8 +605,9 @@ def _run_bilinear(cfg):
             mesh = quadratic_mesh(horizon, nodes)
             u_traj, v_traj = heat_trajectory(u0, mesh), heat_trajectory(v0, mesh)
             for target in run_targets:
-                quad = QuadratureSpec(cfg["quad_nodes"], gamma_for[target], book.alpha)
-                report = bilinear_estimate_report(u_traj, v_traj, book, target, quad, refine=False)
+                quad = estimate_quadrature(book, cfg["quad_nodes"], target)
+                report = bilinear_estimate_report(u_traj, v_traj, book, target, quad=quad,
+                                                  refine=False)
                 rows.append([i, target, horizon, nodes, report.ratio])
 
     def ratios(target, horizon, nodes=mesh_nodes) -> list:
@@ -620,7 +634,7 @@ def _run_bilinear(cfg):
     # with a fine mesh so enough nodes sit below horizon/100)
     u0, v0 = pair_data[0]
     mesh = quadratic_mesh(horizons[-1], cfg["vanishing_mesh_nodes"])
-    quad = QuadratureSpec(cfg["quad_nodes"], book.gamma_kato, book.alpha)
+    quad = estimate_quadrature(book, cfg["quad_nodes"])
     b_traj = bilinear_trajectory(heat_trajectory(u0, mesh), heat_trajectory(v0, mesh), quad)
     vanishing = vanishing_at_zero(b_traj, book.alpha / 2.0, r=book.q_tilde)
     summary["vanishing_at_zero"] = vanishing.vanishing
@@ -628,13 +642,13 @@ def _run_bilinear(cfg):
 
 
 def _run_smallness(cfg):
-    book = _calibrated_book(cfg)
     lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
+    data = [_realized(datum_cfg, lat, f"data[{idx}]") for idx, datum_cfg in enumerate(cfg["data"])]
+    book = _calibrated_book(cfg)
     columns = ["datum", "variant", "lhs", "threshold", "satisfied"]
     rows = []
     equiv_ratios = []
-    for idx, datum_cfg in enumerate(cfg["data"]):
-        u0 = realize_datum(_datum_from_config(datum_cfg), lat)
+    for idx, (datum_cfg, u0) in enumerate(zip(cfg["data"], data)):
         label = f"{idx}:{datum_cfg['kind']}"
         per_variant = {}
         variants = [SMALLNESS_KATO, SMALLNESS_BESOV]
@@ -675,9 +689,8 @@ def _tg_closed_form_error(solution, u0) -> float:
 
 
 def _run_solve(cfg):
-    book = _calibrated_book(cfg)
-    lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
-    u0, solution = _solve(cfg, book, lat, cfg["mesh_nodes"])
+    book, u0 = _calibrated_datum(cfg)
+    solution = _solve(cfg, book, u0, cfg["mesh_nodes"])
     columns = ["t", "kato_weighted_norm", "divergence_defect"]
     kato = kato_norm(solution.trajectory, book.q, book.q_tilde)
     rows = [
@@ -745,7 +758,7 @@ def _run_scaling(cfg):
     book = _critical_book(cfg, "scaling experiment")
     lam = float(cfg["lam"])
     lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
-    u0 = realize_datum(_datum_from_config(cfg["datum"]), lat)
+    u0 = _realized(cfg["datum"], lat, "datum")
     lat_fine = make_lattice(cfg["d"], cfg["n"], cfg["box_len"] / lam)
     u0_scaled = VectorField(lat_fine, lam * u0.data, u0.representation)
     horizon = float(cfg["horizon"])

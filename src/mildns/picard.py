@@ -21,10 +21,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .duhamel import (
-    TARGET_KATO,
     QuadratureSpec,
     bilinear_estimate_report,
     bilinear_trajectory,
+    estimate_quadrature,
 )
 from .errors import (
     CalibrationError,
@@ -381,9 +381,7 @@ def calibrate_thresholds(
 
     lattice = make_lattice(corpus.d, corpus.n, corpus.box_len)
     mesh = quadratic_mesh(corpus.horizon, corpus.mesh_nodes)
-    quad = QuadratureSpec(
-        node_count=corpus.quad_nodes, gamma=book.gamma_kato, theta=book.alpha
-    )
+    quad = estimate_quadrature(book, corpus.quad_nodes)
 
     max_ratio = 0.0
     equiv = np.inf
@@ -392,9 +390,7 @@ def calibrate_thresholds(
         v0 = _corpus_datum(corpus, 2 * i + 1, lattice)
         u_traj = heat_trajectory(u0, mesh)
         v_traj = heat_trajectory(v0, mesh)
-        report = bilinear_estimate_report(
-            u_traj, v_traj, book, target=TARGET_KATO, quad=quad, refine=False
-        )
+        report = bilinear_estimate_report(u_traj, v_traj, book, quad=quad, refine=False)
         max_ratio = max(max_ratio, report.ratio)
         for datum in (u0, v0):
             kato_lhs = smallness_lhs(datum, corpus.horizon, book, SMALLNESS_KATO).lhs
@@ -521,7 +517,8 @@ def solve_mild(
     Kato-window smallness condition, the form that the Picard contraction
     needs, is checked first and refusal raises SmallnessError unless
     override_smallness is set (deliberately unguarded runs are how the
-    divergence regime is exhibited).
+    divergence regime is exhibited). quad defaults to the Kato target's
+    rule on 32 nodes, estimate_quadrature(book, 32).
     start selects the initial iterate: 'heat-flow' (the default x_0 = y)
     or 'zero'; in the contraction regime both reach the same fixed point,
     which is the uniqueness probe.
@@ -551,7 +548,7 @@ def solve_mild(
     if start == "zero":
         x0 = y * 0.0
     if quad is None:
-        quad = QuadratureSpec(node_count=32, gamma=book.gamma_kato, theta=book.alpha)
+        quad = estimate_quadrature(book, 32)
     eta = book.c_hat * horizon**book.horizon_exponent
 
     solution_traj, trace = abstract_fixed_point(

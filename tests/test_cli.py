@@ -262,6 +262,33 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"config error: {message}")
 
     @pytest.mark.parametrize(
+        "experiment, settings, message",
+        [
+            ("solve", ['datum={"kind":"gaussian"}'],
+             "config key 'datum': gaussian datum requires width > 0"),
+            ("ladder", ['datum={"kind":"random_band","seed":1,"k_min":40,"k_max":50}', "n=16",
+                        "mesh_nodes=4", "quad_nodes=8"],
+             "config key 'datum': random_band [40, 50] contains no resolved modes"),
+            ("smallness", ['data=[{"kind":"power_law","decay":1.0}]'],
+             "config key 'data[0]': power_law datum requires 0 < r_inner < r_outer"),
+            ("scaling", ['datum={"kind":"single_mode","mode":[1]}'],
+             "config key 'datum': single_mode datum requires a mode tuple of length d"),
+        ],
+        ids=["solve", "ladder", "smallness", "scaling"],
+    )
+    def test_datum_section_exits_2_naming_its_key(self, experiment, settings, message,
+                                                   monkeypatch, capsys):
+        """Each datum section is realized before any calibration, and a
+        refusal of its kind-specific fields names the section's key."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibration started before the datum was realized")
+
+        monkeypatch.setattr(lab, "calibrate_thresholds", refuse)
+        argv = [experiment] + [arg for setting in settings for arg in ("--set", setting)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize(
         "config, key", [({"corpus": {"bogus": 1}}, "'corpus.bogus'"), ({"dd": 3}, "'dd'")]
     )
     def test_calibrate_refuses_an_unknown_key(self, config, key, tmp_path, monkeypatch, capsys):

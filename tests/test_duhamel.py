@@ -15,11 +15,16 @@ The fused evaluation is checked against the per-node loop it replaced
 (one projection per quadrature node), written out below.
 """
 
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.special import gamma as gamma_fn
 
+import mildns
 from mildns import (
     ConfigError,
     DataError,
@@ -34,6 +39,7 @@ from mildns import (
     bilinear_trajectory,
     build_exponent_book,
     divergence_defect,
+    estimate_quadrature,
     heat_trajectory,
     make_lattice,
     quadratic_mesh,
@@ -43,7 +49,7 @@ from mildns import (
 )
 from mildns import duhamel
 from mildns.lattice import SPECTRAL
-from mildns.duhamel import TARGET_KATO, TARGET_KATO_CROSS, TARGET_SOBOLEV
+from mildns.duhamel import TARGET_KATO, TARGET_SOBOLEV
 
 
 def manufactured_integral(gamma, theta, t):
@@ -354,26 +360,55 @@ class TestEstimateReport:
         with pytest.raises(ConfigError, match="q < q_tilde <= 2p"):
             bilinear_estimate_report(u, u, wide, target=TARGET_SOBOLEV, quad=quad)
 
-    def test_cross_target_needs_output_exponent(self, pair_setup):
-        lat, book, mesh, quad, datum = pair_setup
-        u = heat_trajectory(datum(5), mesh)
-        with pytest.raises(ConfigError, match="q_tilde_out"):
-            bilinear_estimate_report(u, u, book, target=TARGET_KATO_CROSS, quad=quad)
-
-    def test_cross_target_region(self, pair_setup):
-        lat, book, mesh, quad, datum = pair_setup
-        u = heat_trajectory(datum(5), mesh)
-        with pytest.raises(ConfigError, match="admissible region"):
-            bilinear_estimate_report(
-                u, u, book, target=TARGET_KATO_CROSS, quad=quad, q_tilde_out=1.5
-            )
-        report = bilinear_estimate_report(
-            u, u, book, target=TARGET_KATO_CROSS, quad=quad, q_tilde_out=6.0, refine=False
-        )
-        assert np.isfinite(report.ratio)
-
     def test_unknown_target(self, pair_setup):
         lat, book, mesh, quad, datum = pair_setup
         u = heat_trajectory(datum(5), mesh)
-        with pytest.raises(ConfigError, match="unknown estimate target"):
+        with pytest.raises(ConfigError, match=re.escape(UNKNOWN_TARGET)):
             bilinear_estimate_report(u, u, book, target="energy", quad=quad)
+
+
+UNKNOWN_TARGET = "unknown estimate target 'energy'; valid targets: 'kato', 'sobolev'"
+
+
+def kernel_exponent_reads(source: str) -> list:
+    """Line numbers where source reads an attribute gamma_kato or
+    gamma_sobolev (a keyword argument or a field declaration is no read)."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in ("gamma_kato", "gamma_sobolev")})
+
+
+class TestEstimateQuadrature:
+    @pytest.mark.parametrize("d,p,s,q_tilde", [(2, 2.0, 0.0, 4.0), (3, 3.0, 0.0, 6.0)])
+    def test_each_target_is_its_hand_built_rule(self, d, p, s, q_tilde):
+        book = build_exponent_book(d=d, p=p, s=s, q_tilde=q_tilde)
+        kato = QuadratureSpec(16, book.gamma_kato, book.alpha)
+        assert estimate_quadrature(book, 16) == kato
+        assert estimate_quadrature(book, 16, TARGET_KATO) == kato
+        assert (estimate_quadrature(book, 24, TARGET_SOBOLEV)
+                == QuadratureSpec(24, book.gamma_sobolev, book.alpha))
+
+    def test_unknown_target_names_the_valid_ones(self):
+        book = build_exponent_book(d=2, p=2.0, s=0.0, q_tilde=4.0)
+        with pytest.raises(ConfigError, match=re.escape(UNKNOWN_TARGET)):
+            estimate_quadrature(book, 16, "energy")
+
+    def test_only_duhamel_reads_the_kernel_exponents(self):
+        """A target's quadrature is stated once, in estimate_quadrature: no
+        other module of the package reads book.gamma_kato or gamma_sobolev."""
+        package = Path(mildns.__file__).parent
+        offenders = {
+            path.name: kernel_exponent_reads(path.read_text())
+            for path in sorted(package.glob("*.py")) if path.name != "duhamel.py"
+        }
+        assert {name: lines for name, lines in offenders.items() if lines} == {}
+        assert kernel_exponent_reads((package / "duhamel.py").read_text())
+
+    @pytest.mark.parametrize("source,reads", [
+        ("quad = QuadratureSpec(8, book.gamma_kato, book.alpha)", [1]),
+        ("gamma = {'sobolev': b.gamma_sobolev}", [1]),
+        ("ExponentBook(gamma_kato=0.75, gamma_sobolev=0.5)", []),
+        ("gamma_kato: float", []),
+    ])
+    def test_scan_sees_reads_only(self, source, reads):
+        assert kernel_exponent_reads(source) == reads

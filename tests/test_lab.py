@@ -337,7 +337,7 @@ class TestKnownSummaries:
                     mesh = quadratic_mesh(horizon, nodes)
                     ratio[i, target, horizon, nodes] = bilinear_estimate_report(
                         heat_trajectory(u0, mesh), heat_trajectory(v0, mesh), book, target,
-                        QuadratureSpec(8, gamma[target], book.alpha), refine=False).ratio
+                        quad=QuadratureSpec(8, gamma[target], book.alpha), refine=False).ratio
                     rows.append([i, target, horizon, nodes, ratio[i, target, horizon, nodes]])
         assert table.rows == rows
 
@@ -352,6 +352,22 @@ class TestKnownSummaries:
                 ratio[i, target, h, 4] for i in range(3) for h in (0.5, 1.0))
             summary[f"horizon_spread_{target}"] = spread((target, 0.5, 4), (target, 1.0, 4))
         assert table.summary == summary
+
+    @pytest.mark.parametrize("exp_id", ["ladder", "fluctuation"])
+    def test_mesh_doubling_realizes_and_scales_the_datum_once(self, exp_id, calibration_file,
+                                                              monkeypatch):
+        """Both meshes solve one datum: it is realized once, then once more
+        at the amplitude its one smallness lhs sets."""
+        calls = []
+
+        def counted(name):
+            original = getattr(lab, name)
+            monkeypatch.setattr(lab, name, lambda *a, **k: calls.append(name) or original(*a, **k))
+
+        counted("realize_datum")
+        counted("smallness_lhs")
+        run(smoke_config(exp_id, calibration_file))
+        assert sorted(calls) == ["realize_datum", "realize_datum", "smallness_lhs"]
 
     def test_heat_decay_grid_stays_below_t_max(self):
         """The dyadic grid is anchored at t_max, so no row lies past it or
