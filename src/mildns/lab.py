@@ -10,16 +10,20 @@ DatumSpec fields are declared once for every datum section, and the
 CorpusSpec fields for the corpus of `mildns calibrate`, each with its
 dataclass default. run() overlays the user config onto the defaults
 through check_config, which refuses any other key or value with a
-ConfigError naming the dotted key before any runner starts. Only
-conditions between keys are left to the runners, each naming its keys
-(the radius and tail windows of kernel-decay, the times, exponents and
-box of heat-decay, the mode length of besov-equiv, the targets of the
-bilinear mesh doubling, the power-law levels and Besov smoothness, the
-critical book of scaling), and to the objects they build, such as the
-paper's hypotheses in build_exponent_book, which name the violated
-inequality, and the kind-specific fields of a datum section, which
-realize_datum refuses under the section's key before any calibration;
-some of these fail only after calibration.
+ConfigError naming the dotted key before any runner starts. A datum
+section whose kind differs from the default's starts from the DatumSpec
+defaults, as each item of a list of sections does; one of the same kind,
+or of no kind, overlays the default. Only conditions between keys are
+left to the runners, each naming its keys (the radius and tail windows of
+kernel-decay, the times, exponents and box of heat-decay, the mode length
+of besov-equiv, the targets of the bilinear mesh doubling, the power-law
+levels and Besov smoothness, the critical book of scaling), and to the
+objects they build: the paper's hypotheses in build_exponent_book, which
+name the violated inequality, and the refusals of realize_datum (the
+fields of a datum, refused before any calibration), kernel_profile (the
+kernel lattice and radius window), decay_exponent_fit (samples in the fit
+window) and load_calibration, which _naming re-raises, of the same class,
+under the config keys that fed the call.
 Output files are only written after the experiment finished, each
 through a temporary file and os.replace, the CSV last. Identical config
 and seed give byte-identical CSV output: floats are serialized at 17
@@ -31,7 +35,8 @@ from __future__ import annotations
 import copy
 import math
 import os
-from dataclasses import dataclass, field as dc_field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -45,7 +50,7 @@ from .duhamel import (
     bilinear_trajectory,
     estimate_quadrature,
 )
-from .errors import CalibrationError, ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError
 from .lattice import TWO_PI, DatumSpec, VectorField, make_lattice, realize_datum
 from .multipliers import kernel_profile
 from .norms import (
@@ -220,7 +225,10 @@ def _checked(key: Key, value, name: str):
     if key.type == SECTION:
         if key.items:
             return [check_config(key.fields, v, {}, f"{name}[{i}]") for i, v in enumerate(value)]
-        return check_config(key.fields, value, key.default, name)
+        # a section of another kind starts empty, as each list item does
+        kind = key.default.get("kind")
+        other_kind = isinstance(value, dict) and value.get("kind", kind) != kind
+        return check_config(key.fields, value, {} if other_kind else key.default, name)
     if not all(_fits(key, v) for v in (value if key.items else [value])):
         _refuse(key, value, name)
     return copy.deepcopy(value)
@@ -272,22 +280,31 @@ def _datum_from_config(datum_cfg: dict) -> DatumSpec:
     return DatumSpec(**{**datum_cfg, "mode": None if mode is None else tuple(mode)})
 
 
-def _realized(datum_cfg: dict, lattice, name: str) -> VectorField:
-    """The datum of a section; a refusal of its fields names the key."""
+@contextmanager
+def _naming(*names: str):
+    """Re-raise a ConfigError of the block, of the same class, under the
+    config keys that fed it: "config keys 'k_min' and 'k_max': ..."."""
     try:
-        return realize_datum(_datum_from_config(datum_cfg), lattice)
+        yield
     except ConfigError as exc:
-        raise ConfigError(f"config key {name!r}: {exc}") from exc
+        quoted = [repr(name) for name in names]
+        keys = (f"key {quoted[0]}" if len(quoted) == 1
+                else f"keys {', '.join(quoted[:-1])} and {quoted[-1]}")
+        raise type(exc)(f"config {keys}: {exc}") from exc
+
+
+def _realized(datum_cfg: dict, lattice, *names: str) -> VectorField:
+    """The datum of a section; a refusal of its fields names the keys."""
+    with _naming(*names):
+        return realize_datum(_datum_from_config(datum_cfg), lattice)
 
 
 def _calibrated_book(cfg: dict):
     book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
     path = cfg.get("calibration_path")
     if path:
-        try:
+        with _naming("calibration_path"):
             return load_calibration(book, path)
-        except CalibrationError as exc:
-            raise CalibrationError(f"config key 'calibration_path': {exc}") from exc
     return calibrate_thresholds(book, CorpusSpec(seed=cfg["corpus_seed"], d=book.d))
 
 
@@ -328,12 +345,16 @@ def _scaled_datum(cfg: dict, u0: VectorField, book) -> VectorField:
     target = fraction * book.delta
     amplitude = _datum_from_config(cfg["datum"]).amplitude
     scaled = {**cfg["datum"], "amplitude": amplitude * target / lhs}
-    return realize_datum(_datum_from_config(scaled), u0.lattice)
+    return _realized(scaled, u0.lattice, "datum")
 
 
 def _band_datum(seed: int, k_max=4, k_min=1) -> dict:
     """Config section of a divergence-free random band-limited datum."""
     return dict(kind="random_band", seed=seed, k_min=k_min, k_max=k_max, divergence_free=True)
+
+
+# the keys that decide whether a runner's random band holds a resolved mode
+_BAND_KEYS = ("k_min", "k_max", "n", "box_len")
 
 
 def _solve(cfg: dict, book, u0: VectorField, mesh_nodes: int):
@@ -408,18 +429,19 @@ def _run_kernel_decay(cfg):
     for s in cfg["s_values"]:
         # the kernel, and the same kernel at time factor_t * t on the
         # sqrt(factor_t)-dilated box: exact discrete self-similarity up to rounding
-        prof, prof_late = (
-            kernel_profile(
-                s,
-                cfg["d"],
-                radii * dilation,
-                resolution=cfg["resolution"],
-                box_len=cfg["box_len"] * dilation,
-                t=cfg["t"] * factor,
-                tail_window=(cfg["tail_lo"] * dilation, cfg["tail_hi"] * dilation),
+        with _naming("resolution", "box_len", "t", "radius_max"):
+            prof, prof_late = (
+                kernel_profile(
+                    s,
+                    cfg["d"],
+                    radii * dilation,
+                    resolution=cfg["resolution"],
+                    box_len=cfg["box_len"] * dilation,
+                    t=cfg["t"] * factor,
+                    tail_window=(cfg["tail_lo"] * dilation, cfg["tail_hi"] * dilation),
+                )
+                for dilation, factor in ((1.0, 1.0), (root, factor_t))
             )
-            for dilation, factor in ((1.0, 1.0), (root, factor_t))
-        )
         decay = -(cfg["d"] + 1 + s)
         predicted = factor_t ** (decay / 2.0) * prof.values
         scale = float(np.max(np.abs(predicted)))
@@ -475,8 +497,8 @@ def _run_heat_decay(cfg):
             "config keys 'box_len' and 't_max': box too small for the requested horizon, "
             "need box_len^2 >= 100 t_max"
         )
-    spec = DatumSpec(kind="gaussian", width=cfg["width"], amplitude=cfg["amplitude"])
-    u0 = realize_datum(spec, lat)
+    u0 = _realized(dict(kind="gaussian", width=cfg["width"], amplitude=cfg["amplitude"]), lat,
+                   "width")
     t_grid = dyadic_grid(cfg["t_max"], cfg["t_min"], cfg["per_octave"])
     d, q, qt = cfg["d"], float(cfg["q"]), float(cfg["q_tilde"])
     expected_slope = -(d / 2.0) * (1.0 / q - 1.0 / qt)
@@ -491,7 +513,8 @@ def _run_heat_decay(cfg):
             * qt ** (-d / (2.0 * qt))
         )
         rows.append([float(t), float(measured[j]), float(closed), float(abs(measured[j] - closed) / closed)])
-    fit = decay_exponent_fit(t_grid, measured, (cfg["t_min"], cfg["t_max"]))
+    with _naming("t_min", "t_max", "per_octave"):
+        fit = decay_exponent_fit(t_grid, measured, (cfg["t_min"], cfg["t_max"]))
     summary = {
         "fitted_slope": fit.slope,
         "expected_slope": expected_slope,
@@ -509,13 +532,9 @@ def _run_besov_equiv(cfg):
             f"got {cfg['mode']!r}"
         )
     lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
-    spec = DatumSpec(
-        kind="single_mode",
-        mode=tuple(cfg["mode"]),
-        amplitude=cfg["amplitude"],
-        divergence_free=True,
-    )
-    u0 = realize_datum(spec, lat)
+    datum = dict(kind="single_mode", mode=cfg["mode"], amplitude=cfg["amplitude"],
+                 divergence_free=True)
+    u0 = _realized(datum, lat, "mode", "n")
     s_b, q = float(cfg["smoothness"]), float(cfg["q"])
     report = besov_norm_heat(u0, s_b, q)
     mode_sq = float(
@@ -523,7 +542,8 @@ def _run_besov_equiv(cfg):
     )
     beta = -s_b / 2.0
     closed = (beta / (math.e * mode_sq)) ** beta * lebesgue_norm(u0, q)
-    rescaled = realize_datum(replace(spec, amplitude=cfg["amplitude"] * cfg["rescale"]), lat)
+    rescaled = _realized({**datum, "amplitude": cfg["amplitude"] * cfg["rescale"]}, lat,
+                         "mode", "n")
     report_scaled = besov_norm_heat(rescaled, s_b, q)
 
     grid = besov_grid(lat)
@@ -545,18 +565,9 @@ def _run_besov_equiv(cfg):
 
 def _run_embedding(cfg):
     lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
-    fields = [
-        realize_datum(
-            DatumSpec(
-                kind="random_band",
-                seed=cfg["seed"] + i,
-                k_min=cfg["k_min"],
-                k_max=cfg["k_max"],
-            ),
-            lat,
-        )
-        for i in range(cfg["count"])
-    ]
+    band = dict(kind="random_band", k_min=cfg["k_min"], k_max=cfg["k_max"])
+    fields = [_realized({**band, "seed": seed}, lat, *_BAND_KEYS)
+              for seed in range(cfg["seed"], cfg["seed"] + cfg["count"])]
     report = sobolev_embedding_check(
         fields, cfg["s1"], cfg["q1"], cfg["s2"], cfg["q2"]
     )
@@ -587,7 +598,7 @@ def _run_bilinear(cfg):
         )
     book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
     lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
-    data = [realize_datum(_datum_from_config(_band_datum(seed, cfg["k_max"], cfg["k_min"])), lat)
+    data = [_realized(_band_datum(seed, cfg["k_max"], cfg["k_min"]), lat, *_BAND_KEYS)
             for seed in range(cfg["seed"], cfg["seed"] + 2 * cfg["pairs"])]
     pair_data = list(zip(data[::2], data[1::2]))
 
@@ -791,15 +802,10 @@ def _run_powerlaw(cfg):
     columns = ["r_inner", "lebesgue_norm", "lebesgue_increment", "besov_value", "besov_argmax_t"]
     rows = []
     lp_values, besov_values = [], []
-    for eps in levels:
-        spec = DatumSpec(
-            kind="power_law",
-            decay=cfg["decay"],
-            r_inner=eps,
-            r_outer=cfg["r_outer"],
-            amplitude=cfg["amplitude"],
-        )
-        u0 = realize_datum(spec, lat)
+    for i, eps in enumerate(levels):
+        datum = dict(kind="power_law", decay=cfg["decay"], r_inner=eps, r_outer=cfg["r_outer"],
+                     amplitude=cfg["amplitude"])
+        u0 = _realized(datum, lat, f"r_inner_levels[{i}]", "r_outer", "box_len")
         lp = lebesgue_norm(u0, p)
         rep = besov_norm_heat(u0, s_b, qt)
         lp_values.append(lp)

@@ -1,4 +1,4 @@
-"""Periodic lattice, field containers, transforms, and the initial-data library.
+"""Periodic lattice, the vector field type, transforms, and the initial-data library.
 
 Conventions used throughout the package:
 
@@ -24,8 +24,8 @@ Conventions used throughout the package:
   Lattice.rforward yields such a half array straight from real samples;
   the Duhamel term (duhamel.bilinear_B) is its one caller, and its half
   arrays never become a spectral Field.
-* Component axes lead: scalars have shape (n,)*d, vector fields
-  (d,) + (n,)*d, rank-2 tensor fields (d, d) + (n,)*d.
+* Every field is a VectorField (also named Field): data of shape
+  (d,) + (n,)*d, the component axis first.
 """
 from __future__ import annotations
 
@@ -228,25 +228,21 @@ def make_lattice(d: int, n: int, box_len: float) -> Lattice:
     return Lattice(d, n, box_len)
 
 
-class Field:
-    """A scalar, vector, or rank-2 tensor field on a lattice.
+class VectorField:
+    """A vector field on a lattice.
 
-    data layout: component axes first (none for scalars, (d,) for vectors,
-    (d, d) for tensors), then the spatial axes. Physical data is float64,
-    spectral data complex128.
+    data layout: the component axis first, then the spatial axes, shape
+    (d,) + (n,)*d. Physical data is float64, spectral data complex128.
     """
-
-    rank = None  # set by subclasses
 
     def __init__(self, lattice: Lattice, data: np.ndarray, representation: str):
         if representation not in (PHYSICAL, SPECTRAL):
             raise DataError(f"unknown representation {representation!r}")
-        expected = self._expected_shape(lattice)
+        expected = (lattice.d,) + lattice.spatial_shape
         data = np.asarray(data)
         if data.shape != expected:
             raise DataError(
-                f"{type(self).__name__} data shape {data.shape} does not match "
-                f"lattice shape {expected}"
+                f"VectorField data shape {data.shape} does not match lattice shape {expected}"
             )
         if representation == PHYSICAL:
             if np.iscomplexobj(data):
@@ -260,69 +256,46 @@ class Field:
         self.data = data
         self.representation = representation
 
-    @classmethod
-    def _expected_shape(cls, lattice: Lattice):
-        comp = ()
-        if cls.rank == 1:
-            comp = (lattice.d,)
-        elif cls.rank == 2:
-            comp = (lattice.d, lattice.d)
-        return comp + lattice.spatial_shape
-
     def _check_compatible(self, other):
-        if not isinstance(other, Field) or type(other) is not type(self):
-            raise DataError("field arithmetic requires matching field types")
+        if not isinstance(other, VectorField):
+            raise DataError("field arithmetic requires two fields")
         if other.lattice != self.lattice or other.representation != self.representation:
             raise DataError("field arithmetic requires matching lattice and representation")
 
     def __add__(self, other):
         self._check_compatible(other)
-        return type(self)(self.lattice, self.data + other.data, self.representation)
+        return VectorField(self.lattice, self.data + other.data, self.representation)
 
     def __sub__(self, other):
         self._check_compatible(other)
-        return type(self)(self.lattice, self.data - other.data, self.representation)
+        return VectorField(self.lattice, self.data - other.data, self.representation)
 
     def __mul__(self, scalar):
         if not np.isscalar(scalar):
             return NotImplemented
-        return type(self)(self.lattice, self.data * scalar, self.representation)
+        return VectorField(self.lattice, self.data * scalar, self.representation)
 
     __rmul__ = __mul__
 
     def __repr__(self):
-        return (
-            f"{type(self).__name__}({self.lattice!r}, representation={self.representation!r})"
-        )
+        return f"VectorField({self.lattice!r}, representation={self.representation!r})"
 
 
-class ScalarField(Field):
-    rank = 0
-
-
-class VectorField(Field):
-    rank = 1
-
-
-class TensorField(Field):
-    rank = 2
-
-
-_RANK_TO_CLASS = {0: ScalarField, 1: VectorField, 2: TensorField}
+Field = VectorField
 
 
 def to_spectral(field: Field) -> Field:
     """Forward transform to Fourier-series coefficients (identity if already spectral)."""
     if field.representation == SPECTRAL:
         return field
-    return type(field)(field.lattice, field.lattice.forward(field.data), SPECTRAL)
+    return VectorField(field.lattice, field.lattice.forward(field.data), SPECTRAL)
 
 
 def to_physical(field: Field) -> Field:
     """Inverse transform to real samples (identity if already physical)."""
     if field.representation == PHYSICAL:
         return field
-    return type(field)(field.lattice, field.lattice.inverse(field.data), PHYSICAL)
+    return VectorField(field.lattice, field.lattice.inverse(field.data), PHYSICAL)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +393,7 @@ def _single_mode_datum(spec: DatumSpec, lattice: Lattice) -> np.ndarray:
         raise ConfigError("single_mode datum requires a nonzero wavevector")
     if not lattice.mode_resolved(mode):
         raise ConfigError(
-            f"mode {tuple(mode)} is not resolved on n={lattice.n} "
+            f"mode {tuple(mode.tolist())} is not resolved on n={lattice.n} "
             f"(need |m_i| <= {lattice.n // 2 - 1})"
         )
     k = (TWO_PI / lattice.box_len) * mode
@@ -527,16 +500,16 @@ def realize_datum(spec: DatumSpec, lattice: Lattice) -> VectorField:
 # Flat binary serialization
 #
 # header: little-endian int32 d, int32 n, float64 box_len, int32 component
-# count, int32 representation flag (0 physical, 1 spectral); payload:
+# count (always d), int32 representation flag (0 physical, 1 spectral); payload:
 # row-major float64 samples, or complex128 written as (re, im) pairs.
 
 _HEADER = struct.Struct("<iidii")
 
 
 def field_to_bytes(field: Field) -> bytes:
-    ncomp = {0: 1, 1: field.lattice.d, 2: field.lattice.d**2}[field.rank]
+    lat = field.lattice
     rep_flag = 0 if field.representation == PHYSICAL else 1
-    header = _HEADER.pack(field.lattice.d, field.lattice.n, field.lattice.box_len, ncomp, rep_flag)
+    header = _HEADER.pack(lat.d, lat.n, lat.box_len, lat.d, rep_flag)
     payload = np.ascontiguousarray(field.data)
     if field.representation == PHYSICAL:
         payload = payload.astype("<f8", copy=False)
@@ -550,20 +523,18 @@ def field_from_bytes(blob: bytes) -> Field:
         raise DataError("field blob shorter than its header")
     d, n, box_len, ncomp, rep_flag = _HEADER.unpack_from(blob)
     lattice = make_lattice(d, n, box_len)
-    rank = {1: 0, d: 1, d * d: 2}.get(ncomp)
-    if rank is None or (d == 1 and ncomp != 1):
+    if ncomp != d:
         raise DataError(f"component count {ncomp} does not match dimension {d}")
     if rep_flag not in (0, 1):
         raise DataError(f"unknown representation flag {rep_flag}")
     representation = PHYSICAL if rep_flag == 0 else SPECTRAL
     dtype = np.dtype("<f8") if rep_flag == 0 else np.dtype("<c16")
-    expected = ncomp * n**d
+    expected = d * n**d
     payload = np.frombuffer(blob, dtype=dtype, offset=_HEADER.size)
     if payload.size != expected:
         raise DataError(f"payload holds {payload.size} values, expected {expected}")
-    shape = _RANK_TO_CLASS[rank]._expected_shape(lattice)
-    data = payload.reshape(shape).copy()
-    return _RANK_TO_CLASS[rank](lattice, data, representation)
+    data = payload.reshape((d,) + lattice.spatial_shape).copy()
+    return VectorField(lattice, data, representation)
 
 
 def save_field(field: Field, path) -> None:

@@ -42,7 +42,7 @@ from .lattice import (
 def _apply_multiplier(field: Field, multiplier: np.ndarray) -> Field:
     """Multiply every component's coefficients by a spatial-shape array."""
     spectral = to_spectral(field)
-    out = type(field)(field.lattice, spectral.data * multiplier, SPECTRAL)
+    out = VectorField(field.lattice, spectral.data * multiplier, SPECTRAL)
     return to_physical(out) if field.representation == PHYSICAL else out
 
 
@@ -102,8 +102,6 @@ def leray_project(field: VectorField) -> VectorField:
     The mean (k = 0) passes through unchanged. The result's spectral
     divergence vanishes to round-off and the projection is idempotent.
     """
-    if field.rank != 1:
-        raise ConfigError("leray_project expects a vector field")
     lat = field.lattice
     out = _leray_inplace(to_spectral(field).data.copy(), lat)
     projected = VectorField(lat, out, SPECTRAL)

@@ -1,8 +1,8 @@
 """Function-space norms on the lattice and their report types.
 
-Scalar norms are Riemann sums with cell weights spacing^d; vector and
-tensor fields aggregate their component norms in l2, matching the
-convention used by the estimates this package measures. Negative-order
+Lebesgue norms are Riemann sums with cell weights spacing^d, and the
+components of a vector field aggregate in l2, matching the convention
+used by the estimates this package measures. Negative-order
 Sobolev and Besov quantities rely on the homogeneous zero-mode convention
 (the mean carries no homogeneous information).
 
@@ -249,7 +249,7 @@ def heat_flows(u0: Field, times):
     datum flows with no transform at all.
     """
     lat = u0.lattice
-    rows = _component_view(u0)
+    rows = u0.data
     live = _live_rows(rows)
     if not live.any():
         return live, (np.zeros((0,) + lat.spatial_shape) for _ in times)
@@ -311,12 +311,6 @@ class NormReport:
     values: np.ndarray = dc_field(repr=False, compare=False)
 
 
-def _component_view(field: Field) -> np.ndarray:
-    """Flatten leading component axes to one axis."""
-    spatial = field.lattice.spatial_shape
-    return field.data.reshape((-1,) + spatial)
-
-
 def _live_rows(rows: np.ndarray) -> np.ndarray:
     """Boolean mask of the component rows that hold a nonzero sample."""
     return rows.reshape(len(rows), -1).any(axis=1)
@@ -329,8 +323,7 @@ def _lebesgue_rows(rows: np.ndarray, r, cell_volume: float) -> float:
     r = 4 squares twice instead of calling pow per sample; every other r
     takes np.abs(x) ** r, and np.inf the grid sup. A row that is
     identically zero has norm exactly 0.0, and numpy sums fewer than eight
-    terms in order, so for vector fields leaving a dead row out changes no
-    bits.
+    terms in order, so leaving a dead row out changes no bits.
     """
     if not (r == np.inf or r >= 1):
         raise ConfigError(f"Lebesgue exponent must be in [1, inf], got {r}")
@@ -348,12 +341,13 @@ def _lebesgue_rows(rows: np.ndarray, r, cell_volume: float) -> float:
 
 
 def lebesgue_norm(field: Field, r) -> float:
-    """Lebesgue norm with Riemann cell weights; components aggregate in l2.
+    """Lebesgue norm of a vector field with Riemann cell weights; its
+    components aggregate in l2.
 
     r may be any value in [1, inf]; np.inf gives the grid sup norm.
     Identically zero components are not reduced: their norm is exactly 0.
     """
-    rows = _component_view(to_physical(field))
+    rows = to_physical(field).data
     live = _live_rows(rows)
     return _lebesgue_rows(rows if live.all() else rows[live], r, field.lattice.cell_volume)
 

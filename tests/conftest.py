@@ -11,12 +11,14 @@ import pytest
 from mildns import (
     DatumSpec,
     Field,
+    VectorField,
     build_exponent_book,
     calibrate_thresholds,
     load_calibration,
     make_lattice,
     realize_datum,
 )
+from mildns.lattice import PHYSICAL
 
 
 @pytest.fixture(scope="session")
@@ -66,6 +68,21 @@ def divfree_datum():
             divergence_free=True,
         )
         return realize_datum(spec, lattice)
+
+    return _make
+
+
+@pytest.fixture
+def row0_field():
+    """Factory for a physical vector field whose component 0 holds the
+    given (n,)*d samples and whose other components are zero. A zero
+    component adds exactly 0.0 to the l2 aggregate of a norm, so the
+    field's norms are those of the samples."""
+
+    def _make(lattice, samples):
+        data = np.zeros((lattice.d,) + lattice.spatial_shape)
+        data[0] = samples
+        return VectorField(lattice, data, PHYSICAL)
 
     return _make
 

@@ -289,6 +289,47 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"config error: {message}")
 
     @pytest.mark.parametrize(
+        "experiment, settings, message",
+        [
+            ("bilinear", ["k_min=40", "k_max=50", "n=16"],
+             "config keys 'k_min', 'k_max', 'n' and 'box_len': random_band [40, 50] contains "
+             "no resolved modes"),
+            ("embedding", ["k_min=40", "k_max=50", "n=16"],
+             "config keys 'k_min', 'k_max', 'n' and 'box_len': random_band [40, 50] contains "
+             "no resolved modes"),
+            ("besov-equiv", ["mode=[40,40]"],
+             "config keys 'mode' and 'n': mode (40, 40) is not resolved on n=32"),
+            ("besov-equiv", ["mode=[0,0]"],
+             "config keys 'mode' and 'n': single_mode datum requires a nonzero wavevector"),
+            ("powerlaw", ["r_outer=5", "n=64"],
+             "config keys 'r_inner_levels[0]', 'r_outer' and 'box_len': power_law datum "
+             "requires 0 < r_inner < r_outer <= box_len / 2"),
+            ("powerlaw", ["r_inner_levels=[4.0,3.0]", "n=64"],
+             "config keys 'r_inner_levels[0]', 'r_outer' and 'box_len': power_law datum "
+             "requires 0 < r_inner < r_outer <= box_len / 2, got r_inner=4.0"),
+            ("kernel-decay", ["resolution=16"],
+             "config keys 'resolution', 'box_len', 't' and 'radius_max': lattice too coarse "
+             "for the heat factor"),
+            ("kernel-decay", ["radius_max=100", "tail_hi=100"],
+             "config keys 'resolution', 'box_len', 't' and 'radius_max': max radius 100 "
+             "exceeds box_len/4"),
+            ("heat-decay", ["per_octave=1"],
+             "config keys 't_min', 't_max' and 'per_octave': decay fit needs at least 8 "
+             "samples in [4.0, 64.0], got 5"),
+        ],
+        ids=["bilinear-band", "embedding-band", "besov-equiv-unresolved", "besov-equiv-zero",
+             "powerlaw-r_outer", "powerlaw-levels", "kernel-decay-coarse",
+             "kernel-decay-window", "heat-decay-fit"],
+    )
+    def test_runner_refusal_exits_2_naming_its_keys(self, experiment, settings, message,
+                                                    capsys):
+        """A refusal of the data, the kernel lattice or the decay-fit window
+        that a runner builds names the config keys that fed it."""
+        argv = [experiment] + [arg for setting in settings for arg in ("--set", setting)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize(
         "config, key", [({"corpus": {"bogus": 1}}, "'corpus.bogus'"), ({"dd": 3}, "'dd'")]
     )
     def test_calibrate_refuses_an_unknown_key(self, config, key, tmp_path, monkeypatch, capsys):

@@ -122,6 +122,27 @@ class TestConfigMerging:
         assert table.summary["grid_points"] == 9
         assert len(table.rows) == 9
 
+    def test_datum_section_of_another_kind_starts_empty(self, monkeypatch):
+        """A datum section whose kind differs from the default's takes the
+        DatumSpec defaults, so the Gaussian is not Leray-projected."""
+        realized = []
+
+        def recording(spec, lattice):
+            realized.append(realize_datum(spec, lattice))
+            return realized[-1]
+
+        monkeypatch.setattr(lab, "realize_datum", recording)
+        datum = {"kind": "gaussian", "width": 0.1}
+        table = run({"experiment": "scaling", "datum": datum, "n": 32})
+        assert table.config["datum"] == datum
+        assert not np.any(realized[0].data[1])
+
+    @pytest.mark.parametrize("datum", [{"seed": 3}, {"kind": "random_band", "seed": 3}],
+                             ids=["no-kind", "same-kind"])
+    def test_datum_section_of_the_same_kind_overlays_the_default(self, datum):
+        cfg = lab.check_config(lab.EXPERIMENTS["scaling"].keys, {"datum": datum})
+        assert cfg["datum"] == {**default_config("scaling")["datum"], "seed": 3}
+
     @pytest.mark.parametrize(
         "exp_id, key",
         [

@@ -13,8 +13,6 @@ from mildns import (
     DataError,
     DatumSpec,
     QuadratureSpec,
-    ScalarField,
-    TensorField,
     VectorField,
     bilinear_B,
     divergence_defect,
@@ -33,7 +31,7 @@ from mildns import (
     to_physical,
     to_spectral,
 )
-from mildns.lattice import PHYSICAL, SPECTRAL, Lattice
+from mildns.lattice import _HEADER, PHYSICAL, SPECTRAL, Lattice
 
 
 class TestLatticeConstruction:
@@ -92,24 +90,28 @@ class TestFields:
         with pytest.raises(DataError, match="shape"):
             VectorField(lat2, np.zeros((3, 16, 16)), PHYSICAL)
         with pytest.raises(DataError, match="shape"):
-            ScalarField(lat2, np.zeros((2, 16, 16)), PHYSICAL)
+            VectorField(lat2, np.zeros((16, 16)), PHYSICAL)
 
     def test_physical_fields_must_be_real(self, lat2):
-        data = np.zeros((16, 16), dtype=complex)
+        data = np.zeros((2, 16, 16), dtype=complex)
         with pytest.raises(DataError, match="real"):
-            ScalarField(lat2, data, PHYSICAL)
+            VectorField(lat2, data, PHYSICAL)
 
     def test_non_finite_samples_rejected(self, lat2):
-        data = np.zeros((16, 16))
-        data[0, 0] = np.nan
+        data = np.zeros((2, 16, 16))
+        data[0, 0, 0] = np.nan
         with pytest.raises(DataError, match="non-finite"):
-            ScalarField(lat2, data, PHYSICAL)
+            VectorField(lat2, data, PHYSICAL)
 
     def test_arithmetic_requires_matching_type(self, lat2, rng):
         u = VectorField(lat2, rng.standard_normal((2, 16, 16)), PHYSICAL)
-        w = ScalarField(lat2, rng.standard_normal((16, 16)), PHYSICAL)
-        with pytest.raises(DataError):
-            u + w
+        with pytest.raises(DataError, match="two fields"):
+            u + rng.standard_normal((2, 16, 16))
+        with pytest.raises(DataError, match="representation"):
+            u + to_spectral(u)
+
+    def test_field_is_the_vector_field(self):
+        assert mildns.Field is mildns.VectorField
 
     def test_scalar_multiply(self, lat2, rng):
         u = VectorField(lat2, rng.standard_normal((2, 16, 16)), PHYSICAL)
@@ -122,20 +124,15 @@ class TestTransforms:
         back = to_physical(to_spectral(VectorField(lat2, data, PHYSICAL)))
         npt.assert_allclose(back.data, data, atol=1e-14)
 
-    def test_round_trip_rank2(self, lat3, rng):
-        data = rng.standard_normal((3, 3, 8, 8, 8))
-        back = to_physical(to_spectral(TensorField(lat3, data, PHYSICAL)))
-        npt.assert_allclose(back.data, data, atol=1e-14)
-
-    def test_cosine_coefficients(self):
+    def test_cosine_coefficients(self, row0_field):
         """cos(x) carries exactly two Fourier-series coefficients of 1/2."""
         lat = make_lattice(2, 16, 2.0 * np.pi)
-        f = ScalarField(lat, np.cos(np.broadcast_to(lat.x_axes[0], (16, 16))), PHYSICAL)
+        f = row0_field(lat, np.cos(np.broadcast_to(lat.x_axes[0], (16, 16))))
         coeff = to_spectral(f).data
-        assert abs(coeff[1, 0] - 0.5) < 1e-14
-        assert abs(coeff[-1, 0] - 0.5) < 1e-14
+        assert abs(coeff[0, 1, 0] - 0.5) < 1e-14
+        assert abs(coeff[0, -1, 0] - 0.5) < 1e-14
         rest = coeff.copy()
-        rest[1, 0] = rest[-1, 0] = 0.0
+        rest[0, 1, 0] = rest[0, -1, 0] = 0.0
         assert np.abs(rest).max() < 1e-14
 
     def test_hermitian_defect_vanishes_for_real_data(self, lat2, rng):
@@ -491,18 +488,18 @@ class TestSerialization:
         assert v.representation == PHYSICAL
         npt.assert_array_equal(v.data, u.data)
 
-    def test_round_trip_spectral(self, lat3, rng):
-        u = to_spectral(ScalarField(lat3, rng.standard_normal((8, 8, 8)), PHYSICAL))
+    def test_round_trip_spectral(self, lat3, rng, row0_field):
+        u = to_spectral(row0_field(lat3, rng.standard_normal((8, 8, 8))))
         v = field_from_bytes(field_to_bytes(u))
         assert v.representation == SPECTRAL
         npt.assert_array_equal(v.data, u.data)
 
     def test_file_round_trip(self, tmp_path, lat2, rng):
-        u = TensorField(lat2, rng.standard_normal((2, 2, 16, 16)), PHYSICAL)
+        u = VectorField(lat2, rng.standard_normal((2, 16, 16)), PHYSICAL)
         path = tmp_path / "u.field"
         save_field(u, path)
         v = load_field(path)
-        assert type(v) is TensorField
+        assert type(v) is VectorField
         npt.assert_array_equal(v.data, u.data)
 
     def test_truncated_blob_rejected(self, lat2, rng):
@@ -511,3 +508,15 @@ class TestSerialization:
             field_from_bytes(blob[:8])
         with pytest.raises(DataError, match="payload"):
             field_from_bytes(blob[:-16])
+
+    @pytest.mark.parametrize("d, ncomp", [(2, 1), (2, 4), (3, 1), (3, 9)],
+                             ids=["2d-scalar", "2d-tensor", "3d-scalar", "3d-tensor"])
+    def test_component_count_other_than_d_rejected(self, d, ncomp):
+        """A header of 1 or d^2 components, with a payload of that many
+        samples, is refused: every saved field is a vector field."""
+        n = 8
+        header = _HEADER.pack(d, n, 2.0 * np.pi, ncomp, 0)
+        blob = header + np.zeros(ncomp * n**d, dtype="<f8").tobytes()
+        message = f"component count {ncomp} does not match dimension {d}"
+        with pytest.raises(DataError, match=message):
+            field_from_bytes(blob)

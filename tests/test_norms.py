@@ -22,7 +22,6 @@ from mildns import (
     Lattice,
     MeshError,
     NumericalError,
-    ScalarField,
     Trajectory,
     VectorField,
     besov_norm_heat,
@@ -102,14 +101,14 @@ class TestExponentBook:
 
 
 class TestLebesgueNorm:
-    def test_exponent_validation(self, lat2, rng):
-        f = ScalarField(lat2, rng.standard_normal((16, 16)), PHYSICAL)
+    def test_exponent_validation(self, lat2, rng, row0_field):
+        f = row0_field(lat2, rng.standard_normal((16, 16)))
         with pytest.raises(ConfigError, match="Lebesgue exponent"):
             lebesgue_norm(f, 0.5)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, np.inf])
-    def test_constant_field(self, lat2, p):
-        f = ScalarField(lat2, np.full((16, 16), 2.0), PHYSICAL)
+    def test_constant_field(self, lat2, p, row0_field):
+        f = row0_field(lat2, np.full((16, 16), 2.0))
         vol = lat2.box_len**2
         expected = 2.0 if p == np.inf else 2.0 * vol ** (1.0 / p)
         npt.assert_allclose(lebesgue_norm(f, p), expected, rtol=1e-13)
@@ -129,22 +128,22 @@ class TestLebesgueNorm:
         expected = (lat.box_len**2 * cosine_moment(3)) ** (1.0 / 3.0)
         npt.assert_allclose(lebesgue_norm(u, 3), expected, rtol=1e-5)
 
-    def test_components_aggregate_in_l2(self, lat2, rng):
+    def test_components_aggregate_in_l2(self, lat2, rng, row0_field):
         data = rng.standard_normal((16, 16))
-        single = ScalarField(lat2, data, PHYSICAL)
+        single = row0_field(lat2, data)
         double = VectorField(lat2, np.stack([data, data]), PHYSICAL)
         npt.assert_allclose(
             lebesgue_norm(double, 3.0), np.sqrt(2.0) * lebesgue_norm(single, 3.0)
         )
 
-    def test_parseval(self, lat2, rng):
-        f = ScalarField(lat2, rng.standard_normal((16, 16)), PHYSICAL)
+    def test_parseval(self, lat2, rng, row0_field):
+        f = row0_field(lat2, rng.standard_normal((16, 16)))
         coeff = to_spectral(f).data
         spectral_side = np.sqrt(lat2.box_len**2 * np.sum(np.abs(coeff) ** 2))
         npt.assert_allclose(lebesgue_norm(f, 2), spectral_side, rtol=1e-12)
 
-    def test_homogeneity(self, lat2, rng):
-        f = ScalarField(lat2, rng.standard_normal((16, 16)), PHYSICAL)
+    def test_homogeneity(self, lat2, rng, row0_field):
+        f = row0_field(lat2, rng.standard_normal((16, 16)))
         npt.assert_allclose(
             lebesgue_norm(7.0 * f, 4.0), 7.0 * lebesgue_norm(f, 4.0), rtol=1e-13
         )

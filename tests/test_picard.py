@@ -28,7 +28,6 @@ from mildns import (
     NonConvergenceError,
     NumericalError,
     QuadratureSpec,
-    ScalarField,
     SmallnessError,
     Trajectory,
     VectorField,
@@ -147,10 +146,9 @@ class TestSmallness:
         with pytest.raises(ConfigError, match="unknown smallness variant"):
             smallness_lhs(u, 0.5, build_exponent_book(2, 2.0, 0.0, 4.0), "tiny")
 
-    def test_needs_vector_datum(self, lat2, rng):
-        f = ScalarField(lat2, rng.standard_normal((16, 16)), PHYSICAL)
+    def test_needs_vector_datum(self, rng):
         with pytest.raises(DataError, match="VectorField"):
-            smallness_lhs(f, 0.5, build_exponent_book(2, 2.0, 0.0, 4.0))
+            smallness_lhs(rng.standard_normal((2, 16, 16)), 0.5, build_exponent_book(2, 2.0, 0.0, 4.0))
 
     def test_horizon_must_fit_the_window(self, divfree_datum):
         lat = make_lattice(2, 16, 2.0 * np.pi)  # window is 0.3948
