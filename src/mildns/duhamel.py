@@ -27,7 +27,14 @@ contracted with the real kernel w_q exp(-|k|^2 gap_q) on that half (one
 Lattice.heat call per chunk, whose node axis runs over the gaps), and
 P div and the inverse transform act once on the summed (d, d) half
 coefficients. For B(u, u), the case of every Picard step, only the
-products i <= j are formed. The factors are array slices of the
+products i <= j are formed. The products of a chunk are multiplied into
+one buffer and transformed into a second, both allocated once per call
+and reused by every chunk. Fresh arrays per chunk (rfftn makes one per
+axis) were mapped, zero-filled and returned to the system by the
+allocator on every chunk. A default calibration took 61k minor page
+faults that way once importing the package loaded no special-function
+library, and 5k-19k, varying by process, while it did; with the buffers
+it takes 10.7k in every process. The factors are array slices of the
 trajectories, one Trajectory.value_at call per factor and node, so the
 frozen value below the first mesh node and the exact-node shortcut are
 the trajectory's own. The sums are re-associated against a per-node
@@ -37,10 +44,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gamma as gamma_fn
 from typing import Optional
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, roots_jacobi, roots_legendre
 
 from .errors import ConfigError, DataError
 # to_physical is no longer called here, but it stays bound: the benchmark's
@@ -83,7 +90,7 @@ class QuadratureSpec:
 @lru_cache(maxsize=None)
 def _legendre(m: int):
     """Gauss-Legendre roots and weights on [-1, 1], read-only."""
-    x, w = roots_legendre(m)
+    x, w = np.polynomial.legendre.leggauss(m)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -125,6 +132,9 @@ def volterra_nodes(spec: QuadratureSpec, t: float):
 def _beta_quadrature(spec: QuadratureSpec, t: float) -> float:
     """Split Gauss-Jacobi evaluation of the beta integrand, spectrally
     accurate for purely algebraic endpoint factors."""
+    # the package's one special-function import, kept off the import path
+    from scipy.special import roots_jacobi
+
     gamma, theta = spec.gamma, spec.theta
     m = spec.node_count // 2
     c = 0.25 * t
@@ -168,9 +178,15 @@ def beta_integral(gamma: float, theta: float, t: float, method: str = "closed-fo
 
 
 # Cap on the half-spectrum coefficients (Lattice.rforward) of the node
-# products transformed in one batch: 10 nodes of B(u, u) at d=2, n=32. A
-# larger cap only holds more at once: at d=2, n=32, M=Q=16 a 32 MB cap
-# raised a solve's peak memory by 1.7 MB and was no faster.
+# products transformed in one batch: 10 nodes of B(u, u) at d=2, n=32. The
+# product and coefficient buffers of one chunk are allocated once per
+# bilinear_B call and reused by its chunks (see the module docstring for
+# the page faults this saves). A larger cap only holds more at once: at
+# d=2, n=32, M=Q=16 a 32 MB cap raised a solve's peak memory by 1.7 MB and
+# was no faster. A 128 KB cap also kept the per-chunk temporaries below the
+# allocator's mapping threshold, but through twice the transform calls it
+# cost the picard benchmark about 5% of its op_s (0.156 -> 0.165 s, 4 of 4
+# alternating pairs, with the buffers on both sides).
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -193,9 +209,10 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     The products are real, so F is Lattice.rforward and every step runs on
     the half spectrum that Lattice.inverse reads. The node products are
     transformed in chunks of at most _CHUNK_BYTES of half-spectrum
-    coefficients, one transform per chunk. When u_traj is v_traj only the
-    products i <= j are formed; u_i * u_j == u_j * u_i in IEEE arithmetic,
-    so the shortcut is exact. value_at is still called for both factors at
+    coefficients, one transform per chunk, through two buffers allocated
+    once per call. When u_traj is v_traj only the products i <= j are
+    formed; u_i * u_j == u_j * u_i in IEEE arithmetic, so the shortcut is
+    exact. value_at is still called for both factors at
     every node and returns array slices: the interpolation (the frozen
     value below the first mesh node, the exact-node shortcut) stays the
     trajectory's own, and the call count is what span tracing expects.
@@ -216,16 +233,17 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     pair_of[rows, cols] = np.arange(rows.size)
     # one node's half-spectrum products take as many bytes as the sum
     acc = np.zeros((rows.size,) + lat.half(lat.ksq).shape, dtype=np.complex128)
-    chunk = max(1, _CHUNK_BYTES // acc.nbytes)
+    chunk = min(taus.size, max(1, _CHUNK_BYTES // acc.nbytes))
+    products = np.empty((chunk, rows.size) + lat.spatial_shape)
+    coeff_buf = np.empty((chunk,) + acc.shape, dtype=np.complex128)
     node_axis = (-1,) + (1,) * d
     for start in range(0, taus.size, chunk):
         nodes = slice(start, start + chunk)
-        products = np.array([
-            u_traj.value_at(tau, interp_power)[rows]
-            * v_traj.value_at(tau, interp_power)[cols]
-            for tau in taus[nodes]
-        ])
-        coeff = lat.rforward(products)
+        size = taus[nodes].size
+        for q, tau in enumerate(taus[nodes]):
+            np.multiply(u_traj.value_at(tau, interp_power)[rows],
+                        v_traj.value_at(tau, interp_power)[cols], out=products[q])
+        coeff = lat.rforward(products[:size], out=coeff_buf[:size])
         kernel = weights[nodes].reshape(node_axis) * lat.heat(gaps[nodes])
         coeff *= kernel[:, None]
         acc += coeff.sum(axis=0)

@@ -168,16 +168,19 @@ class Lattice:
         """
         return np.fft.fftn(a, axes=tuple(range(-self.d, 0)), norm="forward")
 
-    def rforward(self, a: np.ndarray) -> np.ndarray:
+    def rforward(self, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The half of forward(a) that inverse() reads, for real samples a:
         rfftn(a) / n^d over the trailing d axes, indices 0..n/2 of the last.
 
         It equals half(forward(a)) to round-off, not bit for bit, at half
         the transform work. The result is a half array, not the layout of
         a spectral Field; the Duhamel term transforms its real node
-        products with it.
+        products with it. With out (complex128, the shape of the result),
+        each axis is transformed into out, which is returned: the bits are
+        those of a call without out, and the result-size array that such a
+        call allocates for each axis is never made.
         """
-        return np.fft.rfftn(a, axes=tuple(range(-self.d, 0)), norm="forward")
+        return np.fft.rfftn(a, axes=tuple(range(-self.d, 0)), norm="forward", out=out)
 
     def inverse(self, c: np.ndarray) -> np.ndarray:
         """Real samples of the Hermitian coefficients c over the trailing d axes.

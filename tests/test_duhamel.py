@@ -16,13 +16,16 @@ The fused evaluation is checked against the per-node loop it replaced
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy.special import gamma as gamma_fn
+from scipy.special import gamma as gamma_fn, roots_legendre
 
 import mildns
 from mildns import (
@@ -122,6 +125,30 @@ class TestVolterraNodes:
         assert np.isfinite(gaps ** (-0.9)).all()
 
 
+class TestGaussLegendre:
+    """duhamel._legendre, the rule under every Volterra quadrature, against
+    the scipy rule as an oracle and against the moments of [-1, 1]."""
+
+    @pytest.mark.parametrize("m", [4, 8, 16, 32])
+    def test_matches_the_scipy_rule(self, m):
+        x, w = duhamel._legendre(m)
+        x_ref, w_ref = roots_legendre(m)
+        assert np.abs(x - x_ref).max() <= 1e-15
+        npt.assert_allclose(w, w_ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("m", [4, 8, 16, 32])
+    def test_integrates_monomials_to_degree_2m_minus_1(self, m):
+        x, w = duhamel._legendre(m)
+        for k in range(2 * m):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(np.sum(w * x**k) - exact) <= 1e-14, k
+
+    def test_cached_and_read_only(self):
+        x, w = duhamel._legendre(8)
+        assert duhamel._legendre(8)[0] is x
+        assert not x.flags.writeable and not w.flags.writeable
+
+
 class TestBetaIntegral:
     @pytest.mark.parametrize("gamma,theta", [(0.9, 0.45), (-1.0, 0.9), (0.5, 0.5)])
     def test_quadrature_matches_closed_form(self, gamma, theta):
@@ -139,6 +166,25 @@ class TestBetaIntegral:
     def test_divergent_exponent_rejected(self):
         with pytest.raises(ConfigError):
             beta_integral(1.0, 0.0, 1.0)
+
+    def test_import_loads_no_scipy(self):
+        """Importing the package and its CLI loads no scipy module; only the
+        quadrature method of beta_integral imports it, and still agrees
+        with the closed form."""
+        script = (
+            "import sys\n"
+            "import mildns, mildns.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+            "from mildns import beta_integral\n"
+            "print(beta_integral(0.75, 0.5, 2.0, method='quadrature'))\n"
+            "print(beta_integral(0.75, 0.5, 2.0))\n"
+        )
+        src = str(Path(mildns.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        loaded, quad, closed = run.stdout.splitlines()
+        assert loaded == "[]"
+        npt.assert_allclose(float(quad), float(closed), rtol=1e-10)
 
 
 @pytest.fixture

@@ -151,7 +151,8 @@ class TestTransforms:
         array give the same bits, and for the Hermitian coefficients of real
         samples the result is the real part of the complex inverse to
         round-off. Lattice.rforward is rfftn / n^d, bit for bit, which is
-        that half of forward to round-off, and inverse undoes it."""
+        that half of forward to round-off, and inverse undoes it; given
+        out, it fills and returns out with the same bits."""
         lat = make_lattice(d, n, 2.0 * np.pi)
         axes = tuple(range(len(shape) - d, len(shape)))
         a = rng.standard_normal(shape)
@@ -167,6 +168,9 @@ class TestTransforms:
         npt.assert_array_equal(r, np.fft.rfftn(a, axes=axes) / n**d)
         assert np.abs(r - half).max() <= 1e-15 * np.abs(a).max()
         assert np.abs(lat.inverse(r) - a).max() <= 1e-15 * np.abs(a).max()
+        buf = np.empty_like(r)
+        assert lat.rforward(a, out=buf) is buf
+        npt.assert_array_equal(buf, r)
 
 
 class TestHeatKernel:
@@ -247,7 +251,8 @@ class TestHalfSpectrumCallSites:
     inverse of the full spectrum gave, to round-off. The reference runs the
     same code with the full spectrum kept (Lattice.half the identity, which
     also makes Lattice.heat the full-grid kernel, Lattice.rforward the
-    complex forward) and the complex inverse."""
+    complex forward, returned as a new array whatever out is given) and the
+    complex inverse."""
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)], ids=["2d", "3d"])
     @pytest.mark.parametrize("site", sorted(INVERSE_CALL_SITES))
@@ -261,7 +266,7 @@ class TestHalfSpectrumCallSites:
         got = np.asarray(INVERSE_CALL_SITES[site](lat, u, trajs))
         monkeypatch.setattr(Lattice, "inverse", complex_inverse)
         monkeypatch.setattr(Lattice, "half", lambda self, c: c)
-        monkeypatch.setattr(Lattice, "rforward", Lattice.forward)
+        monkeypatch.setattr(Lattice, "rforward", lambda self, a, out=None: self.forward(a))
         want = np.asarray(INVERSE_CALL_SITES[site](lat, u, trajs))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
