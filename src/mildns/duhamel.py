@@ -29,15 +29,17 @@ P div and the inverse transform act once on the summed (d, d) half
 coefficients. For B(u, u), the case of every Picard step, only the
 products i <= j are formed. The products of a chunk are multiplied into
 one buffer and transformed into a second, both allocated once per call
-and reused by every chunk. Fresh arrays per chunk (rfftn makes one per
-axis) were mapped, zero-filled and returned to the system by the
+and reused by every chunk; each product u_i(tau_q) v_j(tau_q) is
+multiplied row by row into the first, so no factor is copied. Fresh
+arrays per chunk (rfftn makes one per axis) were mapped, zero-filled and returned to the system by the
 allocator on every chunk. A default calibration took 61k minor page
 faults that way once importing the package loaded no special-function
 library, and 5k-19k, varying by process, while it did; with the buffers
-it takes 10.7k in every process. The factors are array slices of the
-trajectories, one Trajectory.value_at call per factor and node, so the
-frozen value below the first mesh node and the exact-node shortcut are
-the trajectory's own. The sums are re-associated against a per-node
+it takes 10.7k in every process. The factor pairs are cached per (d, u
+is v) (_pair_layout) and the graded unit rule of volterra_nodes per (node
+count, exponent) (_graded_rule). The factors come from one
+Trajectory.value_at call per factor and node, so the frozen value below
+the first mesh node and the exact-node shortcut are the trajectory's own. The sums are re-associated against a per-node
 projection, so B moves at round-off, not bit for bit.
 """
 from __future__ import annotations
@@ -95,6 +97,24 @@ def _legendre(m: int):
     return x, w
 
 
+@lru_cache(maxsize=None)
+def _graded_rule(m: int, exponent: float):
+    """The m-node Gauss-Legendre rule on [0, 1] graded to absorb one
+    endpoint exponent: (e, sigma^e, sigma^(e - 1), w_sigma) with
+    e = 1 / (1 - exponent) when the exponent is positive, else 1. The
+    arrays are read-only; volterra_nodes scales them by t/2."""
+    x, w = _legendre(m)
+    sigma = 0.5 * (x + 1.0)
+    e = 1.0 / (1.0 - exponent) if exponent > 0 else 1.0
+    rule = (sigma**e, sigma ** (e - 1.0), 0.5 * w)
+    for a in rule:
+        a.flags.writeable = False
+    return (e,) + rule
+
+
+_TINY = np.finfo(float).tiny
+
+
 def volterra_nodes(spec: QuadratureSpec, t: float):
     """Nodes, endpoint gaps, and weights for integral_0^t f(tau) d tau with
     f carrying tau^(-theta) and (t - tau)^(-gamma) endpoint behavior.
@@ -104,22 +124,18 @@ def volterra_nodes(spec: QuadratureSpec, t: float):
     endpoints, where recomputing t - tau from tau would round to zero and
     turn an integrable factor into an overflow. Evaluate tau-singular
     factors on taus and (t - tau)-singular factors on gaps;
-    sum(weights * f) approximates the integral.
+    sum(weights * f) approximates the integral. Each half scales the
+    cached unit rule of its exponent (_graded_rule) by c = t/2.
     """
     if not (t > 0):
         raise ConfigError(f"quadrature interval needs t > 0, got {t}")
     m = spec.node_count // 2
-    x, w = _legendre(m)
-    sigma = 0.5 * (x + 1.0)
-    w_sigma = 0.5 * w
     c = 0.5 * t
-    tiny = np.finfo(float).tiny
 
     def half(exponent_target):
-        e = 1.0 / (1.0 - exponent_target) if exponent_target > 0 else 1.0
-        offset = np.maximum(c * sigma**e, tiny)
-        jac = c * e * sigma ** (e - 1.0)
-        return offset, jac * w_sigma
+        e, sigma_e, sigma_e1, w_sigma = _graded_rule(m, exponent_target)
+        offset = np.maximum(c * sigma_e, _TINY)
+        return offset, c * e * sigma_e1 * w_sigma
 
     off_left, w_left = half(spec.theta)
     off_right, w_right = half(spec.gamma)
@@ -195,6 +211,22 @@ def _check_pair(u_traj: Trajectory, v_traj: Trajectory):
         raise DataError("bilinear term requires trajectories on one lattice and mesh")
 
 
+@lru_cache(maxsize=None)
+def _pair_layout(d: int, symmetric: bool):
+    """The node products of B in d dimensions: the factor pairs (i, j),
+    only i <= j when symmetric (u is v), and pair_of, the read-only (d, d)
+    map from tensor entry (i, j) to the row of its product."""
+    if symmetric:
+        rows, cols = np.triu_indices(d)
+    else:
+        rows, cols = np.indices((d, d)).reshape(2, -1)
+    pair_of = np.empty((d, d), dtype=int)
+    pair_of[cols, rows] = np.arange(rows.size)  # the mirror, when u is v
+    pair_of[rows, cols] = np.arange(rows.size)
+    pair_of.flags.writeable = False
+    return tuple(zip(rows.tolist(), cols.tolist())), pair_of
+
+
 def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
                quad: QuadratureSpec) -> VectorField:
     """Evaluate B(u, v)(t) by the graded Volterra rule.
@@ -210,12 +242,15 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     the half spectrum that Lattice.inverse reads. The node products are
     transformed in chunks of at most _CHUNK_BYTES of half-spectrum
     coefficients, one transform per chunk, through two buffers allocated
-    once per call. When u_traj is v_traj only the products i <= j are
-    formed; u_i * u_j == u_j * u_i in IEEE arithmetic, so the shortcut is
-    exact. value_at is still called for both factors at
-    every node and returns array slices: the interpolation (the frozen
-    value below the first mesh node, the exact-node shortcut) stays the
-    trajectory's own, and the call count is what span tracing expects.
+    once per call; each product u_i * v_j is multiplied row by row into
+    the first, so no factor is copied. The pairs (i, j) come from the
+    cached _pair_layout(d, u_traj is v_traj), and the nodes from the
+    cached unit rule of volterra_nodes. When u_traj is v_traj only the
+    products i <= j are formed; u_i * u_j == u_j * u_i in IEEE arithmetic,
+    so the shortcut is exact. value_at is still called for both factors at
+    every node: the interpolation (the frozen value below the first mesh
+    node, the exact-node shortcut) stays the trajectory's own, and the
+    call count is what span tracing expects.
     """
     _check_pair(u_traj, v_traj)
     u_traj.node_index(t)  # raises MeshError when t is off the mesh
@@ -224,25 +259,21 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     interp_power = -0.5 * quad.theta
     taus, gaps, weights = volterra_nodes(quad, t)
 
-    if u_traj is v_traj:
-        rows, cols = np.triu_indices(d)
-    else:
-        rows, cols = np.indices((d, d)).reshape(2, -1)
-    pair_of = np.empty((d, d), dtype=int)  # tensor entry (i, j) -> product row
-    pair_of[cols, rows] = np.arange(rows.size)  # the mirror, when u is v
-    pair_of[rows, cols] = np.arange(rows.size)
+    pairs, pair_of = _pair_layout(d, u_traj is v_traj)
     # one node's half-spectrum products take as many bytes as the sum
-    acc = np.zeros((rows.size,) + lat.half(lat.ksq).shape, dtype=np.complex128)
+    acc = np.zeros((len(pairs),) + lat.half(lat.ksq).shape, dtype=np.complex128)
     chunk = min(taus.size, max(1, _CHUNK_BYTES // acc.nbytes))
-    products = np.empty((chunk, rows.size) + lat.spatial_shape)
+    products = np.empty((chunk, len(pairs)) + lat.spatial_shape)
     coeff_buf = np.empty((chunk,) + acc.shape, dtype=np.complex128)
     node_axis = (-1,) + (1,) * d
     for start in range(0, taus.size, chunk):
         nodes = slice(start, start + chunk)
         size = taus[nodes].size
-        for q, tau in enumerate(taus[nodes]):
-            np.multiply(u_traj.value_at(tau, interp_power)[rows],
-                        v_traj.value_at(tau, interp_power)[cols], out=products[q])
+        for q, tau in enumerate(taus[nodes].tolist()):
+            a = u_traj.value_at(tau, interp_power)
+            b = v_traj.value_at(tau, interp_power)
+            for r, (i, j) in enumerate(pairs):
+                np.multiply(a[i], b[j], out=products[q, r])
         coeff = lat.rforward(products[:size], out=coeff_buf[:size])
         kernel = weights[nodes].reshape(node_axis) * lat.heat(gaps[nodes])
         coeff *= kernel[:, None]

@@ -43,6 +43,8 @@ n exponentials per flow, not one per coefficient.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
@@ -132,10 +134,17 @@ class Trajectory:
     power is zero) -- consistent with the Kato-weight power behavior near
     t = 0. Below the first node the first field is used unchanged; the
     trajectory never extrapolates past its last node.
+
+    value_at reads a per-trajectory table, not the mesh array: the mesh
+    as Python floats, searched with bisect, and per interpolation power p
+    the coordinates phi(t_j) = t_j**p (np.log(t_j) at p = 0), built on
+    first use, each the scalar operation the formula names, so the bits
+    are those of a direct evaluation. times is a read-only copy of the
+    given mesh, so the table cannot go stale.
     """
 
     def __init__(self, lattice: Lattice, times, fields):
-        times = np.asarray(times, dtype=float)
+        times = np.array(times, dtype=float)
         if times.ndim != 1 or times.size == 0:
             raise MeshError("trajectory needs a one-dimensional, non-empty time mesh")
         if not np.all(times > 0):
@@ -157,8 +166,12 @@ class Trajectory:
         if not finite.all():
             j = int(np.argmin(finite))
             raise DataError(f"non-finite samples at trajectory node {j}, t = {times[j]:g}")
+        times.flags.writeable = False
         self.lattice = lattice
         self.times = times
+        self._mesh = times.tolist()
+        self._limit = self._mesh[-1] * (1 + 1e-12)  # past it, tau is beyond the horizon
+        self._phi = {}  # interpolation power -> [phi(t_j)]
 
     @property
     def fields(self) -> list:
@@ -174,31 +187,42 @@ class Trajectory:
 
     def node_index(self, t: float) -> int:
         """Index of the mesh node equal to t (relative tolerance 1e-12)."""
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-12 * max(1.0, abs(t)):
-            raise MeshError(f"t={t!r} is not a node of the trajectory mesh")
-        return idx
+        if math.isfinite(t):
+            idx = int(np.argmin(np.abs(self.times - t)))
+            if abs(self.times[idx] - t) <= 1e-12 * max(1.0, abs(t)):
+                return idx
+        raise MeshError(f"t={t!r} is not a node of the trajectory mesh")
 
     def value_at(self, tau: float, interp_power: float = 0.0) -> np.ndarray:
-        """Samples at time tau: a view of data[j] at (or frozen onto) node j."""
-        times = self.times
-        if tau > times[-1] * (1 + 1e-12):
-            raise MeshError(f"tau={tau!r} lies beyond the trajectory horizon {times[-1]!r}")
-        if tau <= times[0]:
+        """Samples at time tau: a view of data[j] at (or frozen onto) node j,
+        else a new array interpolated between the nodes around tau."""
+        mesh = self._mesh
+        if not 0.0 <= tau <= self._limit:
+            if 0.0 < tau < math.inf:
+                raise MeshError(f"tau={float(tau)!r} lies beyond the trajectory "
+                                f"horizon {mesh[-1]!r}")
+            raise MeshError(f"tau={float(tau)!r} is not a finite nonnegative time")
+        if tau <= mesh[0]:
             return self.data[0]
-        if tau >= times[-1]:
+        if tau >= mesh[-1]:
             return self.data[-1]
-        hi = int(np.searchsorted(times, tau))
+        hi = bisect_left(mesh, tau)
         lo = hi - 1
-        t_lo, t_hi = times[lo], times[hi]
+        t_lo = mesh[lo]
         if abs(tau - t_lo) <= 1e-14 * t_lo:
             return self.data[lo]
-        if interp_power != 0.0:
-            phi = lambda t: t**interp_power
-        else:
-            phi = np.log
-        lam = (phi(tau) - phi(t_lo)) / (phi(t_hi) - phi(t_lo))
-        return (1.0 - lam) * self.data[lo] + lam * self.data[hi]
+        phi = self._phi.get(interp_power)
+        if phi is None:
+            phi = self._phi[interp_power] = [float(self._coordinate(t, interp_power))
+                                             for t in self.times]
+        lam = (self._coordinate(tau, interp_power) - phi[lo]) / (phi[hi] - phi[lo])
+        out = np.multiply(self.data[lo], 1.0 - lam)
+        out += lam * self.data[hi]
+        return out
+
+    @staticmethod
+    def _coordinate(t, interp_power):
+        return t**interp_power if interp_power != 0.0 else np.log(t)
 
     def _check_compatible(self, other):
         if not isinstance(other, Trajectory):

@@ -125,6 +125,60 @@ class TestVolterraNodes:
         assert np.isfinite(gaps ** (-0.9)).all()
 
 
+def uncached_volterra_nodes(spec, t):
+    """volterra_nodes with its graded unit rule rebuilt on every call."""
+    x, w = np.polynomial.legendre.leggauss(spec.node_count // 2)
+    sigma = 0.5 * (x + 1.0)
+    w_sigma = 0.5 * w
+    c = 0.5 * t
+    tiny = np.finfo(float).tiny
+
+    def half(exponent_target):
+        e = 1.0 / (1.0 - exponent_target) if exponent_target > 0 else 1.0
+        offset = np.maximum(c * sigma**e, tiny)
+        jac = c * e * sigma ** (e - 1.0)
+        return offset, jac * w_sigma
+
+    off_left, w_left = half(spec.theta)
+    off_right, w_right = half(spec.gamma)
+    return (np.concatenate([off_left, t - off_right]),
+            np.concatenate([t - off_left, off_right]),
+            np.concatenate([w_left, w_right]))
+
+
+class TestCachedVolterraRule:
+    @pytest.mark.parametrize("node_count, theta, gamma", [
+        (16, 0.5, 0.75), (32, 0.45, 0.9), (8, 0.0, 0.0), (16, -0.5, 0.25), (24, 0.3, -0.2),
+    ])
+    def test_same_bits_as_the_uncached_rule(self, node_count, theta, gamma):
+        """Nonpositive exponents take e = 1; each case runs twice, so the
+        second call reads the cached rule."""
+        spec = QuadratureSpec(node_count, gamma, theta)
+        for t in (1e-4, 0.25, 0.7, 3.0, 0.25):
+            for got, want in zip(volterra_nodes(spec, t), uncached_volterra_nodes(spec, t)):
+                npt.assert_array_equal(got, want)
+
+    def test_cached_and_read_only(self):
+        rule = duhamel._graded_rule(8, 0.5)
+        assert duhamel._graded_rule(8, 0.5) is rule
+        assert rule[0] == 2.0
+        assert all(not a.flags.writeable for a in rule[1:])
+        assert duhamel._graded_rule(8, -0.5)[0] == 1.0
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_pair_layout_is_cached_and_read_only(self, d):
+        for symmetric in (True, False):
+            pairs, pair_of = duhamel._pair_layout(d, symmetric)
+            assert duhamel._pair_layout(d, symmetric)[1] is pair_of
+            assert not pair_of.flags.writeable
+            for i in range(d):
+                for j in range(d):
+                    assert sorted(pairs[pair_of[i, j]]) == sorted((i, j))
+                    if not symmetric:
+                        assert pairs[pair_of[i, j]] == (i, j)
+            assert len(pairs) == (d * (d + 1) // 2 if symmetric else d * d)
+
+
 class TestGaussLegendre:
     """duhamel._legendre, the rule under every Volterra quadrature, against
     the scipy rule as an oracle and against the moments of [-1, 1]."""
@@ -211,6 +265,13 @@ class TestBilinearB:
         traj = heat_trajectory(datum(1), mesh)
         with pytest.raises(MeshError, match="not a node"):
             bilinear_B(traj, traj, 0.123456, quad)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_refuses_nonfinite_time_as_off_the_mesh(self, pair_setup, t):
+        lat, book, mesh, quad, datum = pair_setup
+        traj = heat_trajectory(datum(1), mesh)
+        with pytest.raises(MeshError, match="not a node"):
+            bilinear_B(traj, traj, t, quad)
 
     def test_requires_shared_mesh(self, pair_setup):
         lat, book, mesh, quad, datum = pair_setup

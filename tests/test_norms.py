@@ -354,6 +354,26 @@ class TestHeatSupOverflow:
         assert np.isfinite(heat_sup(u0, [0.01, 0.02], 0.0, 2.0).value)
 
 
+def reference_value_at(times, data, tau, interp_power):
+    """Trajectory.value_at as a numpy search and numpy scalar arithmetic on
+    the mesh array; the table-driven method must give these bits."""
+    if tau <= times[0]:
+        return data[0]
+    if tau >= times[-1]:
+        return data[-1]
+    hi = int(np.searchsorted(times, tau))
+    lo = hi - 1
+    t_lo, t_hi = times[lo], times[hi]
+    if abs(tau - t_lo) <= 1e-14 * t_lo:
+        return data[lo]
+    if interp_power != 0.0:
+        phi = lambda t: t**interp_power
+    else:
+        phi = np.log
+    lam = (phi(tau) - phi(t_lo)) / (phi(t_hi) - phi(t_lo))
+    return (1.0 - lam) * data[lo] + lam * data[hi]
+
+
 class TestTrajectory:
     def test_mesh_validation(self, lat2, divfree_datum):
         u = divfree_datum(lat2, seed=3)
@@ -429,6 +449,56 @@ class TestTrajectory:
         traj = heat_trajectory(divfree_datum(lat2, seed=9), [0.1, 0.2])
         with pytest.raises(MeshError, match="horizon"):
             traj.value_at(0.5)
+
+    @pytest.mark.parametrize("interp_power", [-0.25, 0.0])
+    @pytest.mark.parametrize("as_type", [np.float64, float], ids=["float64", "float"])
+    def test_value_at_bits_match_the_reference(self, lat2, divfree_datum, interp_power,
+                                               as_type):
+        mesh = quadratic_mesh(0.5, 6)
+        traj = heat_trajectory(divfree_datum(lat2, seed=12), mesh)
+        interior = np.linspace(mesh[0], mesh[-1], 23)[1:-1]
+        frozen = [0.0, 0.5 * mesh[0], mesh[0]]
+        exact = [mesh[2], mesh[3] * (1 + 5e-15), mesh[4] * (1 - 5e-15)]
+        last = [mesh[-1], mesh[-1] * (1 + 5e-13)]
+        for tau in [*interior, *frozen, *exact, *last]:
+            got = traj.value_at(as_type(tau), interp_power)
+            want = reference_value_at(traj.times, traj.data, as_type(tau), interp_power)
+            npt.assert_array_equal(got, want)
+        # the table is built once per power and serves every later call
+        assert list(traj._phi) == [interp_power]
+
+    def test_value_at_shares_no_memory_between_nodes(self, lat2, divfree_datum):
+        traj = heat_trajectory(divfree_datum(lat2, seed=13), [0.1, 0.2, 0.4])
+        first, second = traj.value_at(0.15, -0.25), traj.value_at(0.15, -0.25)
+        assert first is not second
+        assert not np.shares_memory(first, traj.data)
+        assert not np.shares_memory(first, second)
+
+    @pytest.mark.parametrize("tau", [np.nan, -1.0, -np.inf, np.inf, np.float64(np.nan)])
+    def test_value_at_refuses_nonfinite_or_negative_tau(self, lat2, divfree_datum, tau):
+        traj = heat_trajectory(divfree_datum(lat2, seed=14), [0.1, 0.2])
+        with pytest.raises(MeshError, match=r"tau=-?(nan|inf|1\.0) is not a finite"):
+            traj.value_at(tau, -0.25)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_node_index_refuses_nonfinite_t(self, lat2, divfree_datum, t):
+        traj = heat_trajectory(divfree_datum(lat2, seed=15), [0.1, 0.2])
+        with pytest.raises(MeshError, match="not a node"):
+            traj.node_index(t)
+
+    def test_mesh_is_a_read_only_copy(self, lat2, divfree_datum):
+        """A caller's mesh array is copied, so writing into it later moves
+        neither the mesh nor the interpolation table."""
+        u = divfree_datum(lat2, seed=16)
+        mesh = np.array([0.1, 0.2, 0.4])
+        traj = heat_trajectory(u, mesh)
+        before = traj.value_at(0.15, -0.25)
+        mesh[1] = 0.3
+        npt.assert_array_equal(traj.times, [0.1, 0.2, 0.4])
+        npt.assert_array_equal(traj.value_at(0.15, -0.25), before)
+        assert not traj.times.flags.writeable
+        with pytest.raises(ValueError):
+            traj.times[0] = 0.05
 
     def test_arithmetic(self, lat2, divfree_datum):
         u = divfree_datum(lat2, seed=10)
