@@ -947,7 +947,8 @@ EXPERIMENTS = {
         _run_heat_decay,
         d=_DIMENSION,
         **_keys(NUMBER, _POSITIVE, width=0.1, amplitude=1.0, box_len=80.0),
-        **_keys(NUMBER, _POSITIVE, t_min=4.0, t_max=64.0, per_octave=4),
+        **_keys(NUMBER, _POSITIVE, t_min=4.0, t_max=64.0),
+        per_octave=Key(4, INTEGER, _COUNT),
         **_keys(NUMBER, _LEBESGUE, q=1.0, q_tilde=4.0),
         resolution=Key(512, **_POINTS),
     ),

@@ -70,13 +70,18 @@ class Lattice:
         operator odd in k would map real fields to complex ones there.
         Odd-order multipliers (the divergence, the k (k . ) part of the
         Leray projection) contract against these instead.
-    ksq : |k|^2 on the full grid
-    kmag : |k| on the full grid
+    ksq : |k|^2 on the full grid, built on first use
+    kmag : |k| on the full grid, built on first use
     safe_ksq_deriv : |k|^2 from k_deriv with zeros replaced by 1, built on
         first use and read-only
     heat(t, half=True) : the heat kernel exp(-|k|^2 t), as the product of
         d one-axis factors, on the half of the grid that inverse() reads
         and rforward() yields, or on the full grid
+    heat_band(t, cutoff) : the modes per axis that the heat flow at t keeps
+        above exp(-cutoff), and a bound of the kernel on the rest
+    coarsened(n) : the lattice of the same box with n points per axis,
+        built on first use and kept on this one; restrict() moves a half
+        array onto it
     """
 
     def __init__(self, d: int, n: int, box_len: float):
@@ -106,10 +111,19 @@ class Lattice:
             self.k_axes.append(k1.reshape(shape))
             self.k_deriv.append(k1_deriv.reshape(shape))
         self._ksq_axis = k1**2
-        self.ksq = sum(ka**2 for ka in self.k_axes)
-        self.kmag = np.sqrt(self.ksq)
         coords = self.spacing * np.arange(self.n)
         self.x_axes = [coords.reshape(ka.shape) for ka in self.k_axes]
+        self._coarse = {}  # points per axis -> Lattice of the same box
+
+    @cached_property
+    def ksq(self) -> np.ndarray:
+        """|k|^2 on the full grid, built on first use."""
+        return sum(ka**2 for ka in self.k_axes)
+
+    @cached_property
+    def kmag(self) -> np.ndarray:
+        """|k| on the full grid, built on first use."""
+        return np.sqrt(self.ksq)
 
     @cached_property
     def safe_ksq_deriv(self) -> np.ndarray:
@@ -149,6 +163,55 @@ class Lattice:
         for axis in range(1, self.d - 1):
             kernel = kernel * along(axis, factor)
         return kernel * along(self.d - 1, self.half(factor) if half else factor)
+
+    def heat_band(self, t: float, cutoff: float) -> tuple:
+        """(band, past) of the heat flow at time t: band is the largest mode
+        m <= n/2 whose one-axis factor exp(-t k_m^2) is >= exp(-cutoff), so
+        the band keeps the modes with every |m_a| <= band, and past is the
+        factor exp(-t k_(band+1)^2) of the next mode, which bounds
+        exp(-|k|^2 t) on every mode outside the band."""
+        band = int(np.count_nonzero(-t * self.half(self._ksq_axis) >= -cutoff)) - 1
+        return band, float(np.exp(-t * ((band + 1) * TWO_PI / self.box_len) ** 2))
+
+    def coarsened(self, n: int) -> "Lattice":
+        """The lattice of the same box with n points per axis, built on the
+        first call and the same object on every later one."""
+        lat = self._coarse.get(n)
+        if lat is None:
+            lat = self._coarse[n] = Lattice(self.d, n, self.box_len)
+        return lat
+
+    def half_shells(self) -> np.ndarray:
+        """max_a |m_a| over the half spectrum: the least band that holds each
+        mode, as integers. Built on every call, so the lattice does not
+        hold it."""
+        half = self.n // 2
+        modes = np.abs(np.fft.fftfreq(self.n, d=1.0 / self.n)).astype(np.intp)
+        shells = np.zeros(self.spatial_shape[:-1] + (half + 1,), dtype=np.intp)
+        for axis in range(self.d):
+            along = modes if axis < self.d - 1 else modes[: half + 1]
+            np.maximum(shells, along.reshape([-1 if a == axis else 1 for a in range(self.d)]),
+                       out=shells)
+        return shells
+
+    def restrict(self, c: np.ndarray, band: int, coarse: "Lattice") -> np.ndarray:
+        """The modes |m_a| <= band of the half array c, as a half array of
+        the coarse lattice, zero elsewhere.
+
+        Needs band < coarse.n / 2 and band <= n / 2 - 1, so both layouts
+        hold the modes -band..band on every axis but the last and 0..band
+        on the last, with no Nyquist entry among them; the leading axes of
+        c are kept. The modes are the same, so coarse.heat(t) takes the
+        same factors on them as heat(t) does here, bit for bit.
+        """
+        if not 0 <= band < min(coarse.n // 2, self.n // 2):
+            raise ConfigError(f"band {band} does not fit n={coarse.n} and n={self.n}")
+        kept = np.r_[0 : band + 1, -band:0]
+        axes = [kept] * (self.d - 1) + [np.arange(band + 1)]
+        out = np.zeros(c.shape[: -self.d] + coarse.spatial_shape[:-1] + (coarse.n // 2 + 1,),
+                       dtype=complex)
+        out[(Ellipsis,) + np.ix_(*axes)] = c[(Ellipsis,) + np.ix_(*axes)]
+        return out
 
     @property
     def spatial_shape(self):

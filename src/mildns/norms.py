@@ -40,6 +40,24 @@ non-negative half of the last spectral axis that the inverse transform
 reads, and each flow multiplies only that half by the heat kernel
 exp(-|k|^2 t) of Lattice.heat, a product of d one-axis factors that takes
 n exponentials per flow, not one per coefficient.
+
+Band-limited flows: for an even integer q, |f|^q of a trigonometric
+polynomial of band m (every |m_a| <= m) has band q m, so its Riemann sum is
+the exact integral on any grid with more than q m points per axis: no
+alias reaches the zero mode. So heat_sup at an even q takes each flow's band
+m(t), the modes whose one-axis factors exp(-t k_a^2) are all >= e^-40
+(Lattice.heat_band), into the half spectrum of the coarsest power-of-two
+lattice of the same box with more than q m points per axis
+(Lattice.coarsened, kept on the fine lattice, and Lattice.restrict), and
+flows and inverse-transforms it there. A guard allows this only when a
+bound of the dropped part is at most 1e-14 of a lower bound of the kept
+flow's L^q norm (_coarse_flow); the bound reads the l1 tails of the datum's
+coefficients past each shell max_a |m_a|, summed once per datum. A coarse
+flow agrees with the full-grid one to round-off, not bit for bit. Every
+other flow stays on the full grid, bit for bit: an odd, non-integer or
+infinite q, a band too wide for a coarser power of two (at n = 32 every
+flow of the Picard and calibration sups), a flow the guard refuses, and
+heat_trajectory, which keeps its samples.
 """
 from __future__ import annotations
 
@@ -256,14 +274,15 @@ def quadratic_mesh(horizon: float, nodes: int) -> np.ndarray:
     return horizon * (j / nodes) ** 2
 
 
-def heat_flows(u0: Field, times):
+def heat_flows(u0: Field, times, q=None):
     """The live component rows of u0 and their heat flows: (live, flows).
 
     live is the boolean mask of the component rows of u0 that hold a
     nonzero sample (_live_rows); flows is a generator that yields, for each
-    t in times, the float64 array (live.sum(), *spatial) of those rows of
-    exp(t Lap) u0. A dead row stays zero under the flow, so it is neither
-    transformed nor yielded.
+    t in times, a pair (lattice, rows): the float64 array (live.sum(),
+    *spatial) of those rows of exp(t Lap) u0, sampled on lattice. A dead
+    row stays zero under the flow, so it is neither transformed nor
+    yielded.
 
     The live rows are transformed once, a physical datum by rforward, and
     only the half spectrum that Lattice.inverse reads is kept, as a
@@ -271,26 +290,97 @@ def heat_flows(u0: Field, times):
     inverse-transforms it. Flows are built only when the consumer asks for
     them, so a sup over many times holds one flow, not all. An all-zero
     datum flows with no transform at all.
+
+    lattice is u0's own unless q is an even integer: then a flow whose band
+    is narrow comes on the coarsest lattice that sums |f|^q exactly (see
+    _coarse_flow and the module docstring), and its rows serve only that
+    Lebesgue-q norm.
     """
     lat = u0.lattice
     rows = u0.data
     live = _live_rows(rows)
     if not live.any():
-        return live, (np.zeros((0,) + lat.spatial_shape) for _ in times)
+        return live, ((lat, np.zeros((0,) + lat.spatial_shape)) for _ in times)
     coeffs = rows if live.all() else rows[live]
     if u0.representation == PHYSICAL:
         coeffs = lat.rforward(coeffs)
     else:
         coeffs = np.ascontiguousarray(lat.half(coeffs))
-    return live, (lat.inverse(coeffs * lat.heat(t)) for t in times)
+    even = q is not None and math.isfinite(q) and q >= 2 and q % 2 == 0
+    return live, _flows(lat, coeffs, times, int(q) if even else None)
+
+
+# A flow's band keeps the modes whose one-axis heat factors are all >= e^-40,
+# and it is coarsened only when the part it drops is at most _GUARD of it.
+_BAND_EXPONENT = 40.0
+_GUARD = 1e-14
+
+
+def _flows(lat: Lattice, coeffs: np.ndarray, times, q: Optional[int]):
+    """The (lattice, rows) pairs of heat_flows, from the half coefficients
+    of the live rows; q is the even integer exponent or None."""
+    tails = None  # built at the first flow narrow enough to be coarsened
+    for t in times:
+        if q is not None:
+            band, past = lat.heat_band(t, _BAND_EXPONENT)
+            # the least power of two above q * band, and no Lattice is below 4
+            size = max(4, 1 << (q * band).bit_length())
+            if size < lat.n:
+                if tails is None:
+                    tails = _shell_tails(lat, coeffs)
+                flow = _coarse_flow(lat, coeffs, t, band, lat.coarsened(size),
+                                    past * tails[band + 1])
+                if flow is not None:
+                    yield flow
+                    continue
+        yield lat, lat.inverse(coeffs * lat.heat(t))
+
+
+def _shell_tails(lat: Lattice, coeffs: np.ndarray) -> np.ndarray:
+    """tails[m], m = 0..n/2 + 1: the l1 norm of the coefficients in the
+    shells max_a |m_a| >= m, over every row and the whole spectrum.
+
+    coeffs is a half array, so each entry of the last axis but its mode 0
+    and its Nyquist mode stands for itself and its conjugate and counts
+    twice. One O(n^d) pass per datum.
+    """
+    half = lat.n // 2
+    mags = np.abs(coeffs).sum(axis=0)
+    mags[..., 1:half] *= 2.0
+    sums = np.bincount(lat.half_shells().ravel(), weights=mags.ravel(), minlength=half + 1)
+    return np.append(np.cumsum(sums[::-1])[::-1], 0.0)
+
+
+def _coarse_flow(lat: Lattice, coeffs: np.ndarray, t: float, band: int, coarse: Lattice,
+                 dropped: float):
+    """(coarse, rows) of the flow at t of the modes |m_a| <= band, or None
+    when the guard refuses to drop the rest.
+
+    dropped bounds the sup of the rest: its modes all lie in shells past
+    band, where exp(-|k|^2 t) is at most Lattice.heat_band's past factor,
+    so the sup is at most that factor times the l1 tail of _shell_tails. Its
+    L^q norm is at most |Omega|^(1/q) dropped. The kept flow's L^q norm is at
+    least |Omega|^(1/q - 1/2) times its L^2 norm (Hoelder), which is
+    |Omega|^(1/2) times the l2 norm of its coefficients (Parseval). The
+    powers of |Omega| cancel, so the guard compares dropped with _GUARD
+    times that l2 norm; the components aggregate in l1 and l2, which bound
+    the l2 aggregate of the norms from above and below.
+    """
+    flowed = lat.restrict(coeffs, band, coarse) * coarse.heat(t)
+    # Parseval on a half array: each column but mode 0 stands for two modes
+    # (the Nyquist column lies past the band, so it is zero)
+    energy = np.abs(flowed) ** 2
+    if not dropped <= _GUARD * np.sqrt(2.0 * energy.sum() - energy[..., 0].sum()):
+        return None
+    return coarse, coarse.inverse(flowed)
 
 
 def heat_trajectory(u0: VectorField, times) -> Trajectory:
     """Trajectory of the free heat evolution of a datum: the flows of
-    heat_flows written into one (M, d, *spatial) array."""
+    heat_flows written into one (M, d, *spatial) array, on u0's lattice."""
     live, flows = heat_flows(u0, times)
     data = np.zeros((len(times),) + u0.data.shape)
-    for node, rows in zip(data, flows):
+    for node, (_, rows) in zip(data, flows):
         node[live] = rows
     return Trajectory(u0.lattice, times, data)
 
@@ -302,8 +392,11 @@ def dyadic_grid(t_max: float, t_min: float, per_octave: int = 4) -> np.ndarray:
     for horizons T and T/lambda^2 (dyadic lambda) correspond element-wise in
     exact floating point. Returned ascending.
     """
-    if not (0 < t_min < t_max):
-        raise ConfigError(f"need 0 < t_min < t_max, got [{t_min}, {t_max}]")
+    if not (0 < t_min < t_max < math.inf):
+        raise ConfigError(f"need 0 < t_min < t_max < inf, got [{t_min}, {t_max}]")
+    if isinstance(per_octave, bool) or not isinstance(per_octave, (int, np.integer)) \
+            or per_octave < 1:
+        raise ConfigError(f"points per octave must be an integer >= 1, got {per_octave!r}")
     ratio = 2.0 ** (1.0 / per_octave)
     out = []
     t = float(t_max)
@@ -413,21 +506,27 @@ def _sup_report(times, values: np.ndarray, window_ok: bool) -> NormReport:
 
 def heat_sup(u0: Field, t_grid, weight: float, q) -> NormReport:
     """sup over t_grid of t^weight ||exp(t Lap) u0||_q, streaming the flowed
-    live rows of heat_flows into the row reduction.
+    live rows of heat_flows into the row reduction with the cell volume of
+    the lattice each flow comes on: at an even integer q a narrow flow
+    comes on a coarser lattice (see the module docstring).
 
-    A weighted value that is not finite (a sample or a power that
-    overflowed) raises NumericalError naming t and q. window_ok records
-    whether the grid stayed inside the lattice validity window
-    [Lattice.t_floor, Lattice.t_cap].
+    A grid that is empty or holds a time that is not positive and finite
+    raises ConfigError naming the first such time. A weighted value that
+    is not finite (a sample or a power that overflowed) raises
+    NumericalError naming t and q. window_ok records whether the grid
+    stayed inside the lattice validity window [Lattice.t_floor,
+    Lattice.t_cap].
     """
     lat = u0.lattice
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0 or np.any(t_grid <= 0):
-        raise ConfigError("heat time grid must be non-empty and positive")
-    _, flows = heat_flows(u0, t_grid)
+    bad = ~((0 < t_grid) & (t_grid < np.inf))
+    if t_grid.size == 0 or bad.any():
+        found = f", got t = {t_grid.flat[np.argmax(bad)]:g}" if bad.any() else ""
+        raise ConfigError(f"heat time grid must be non-empty, positive and finite{found}")
+    _, flows = heat_flows(u0, t_grid, q)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.array([t**weight * _lebesgue_rows(rows, q, lat.cell_volume)
-                           for t, rows in zip(t_grid, flows)])
+        values = np.array([t**weight * _lebesgue_rows(rows, q, flow_lat.cell_volume)
+                           for t, (flow_lat, rows) in zip(t_grid, flows)])
     finite = np.isfinite(values)
     if not finite.all():
         t = t_grid[int(np.argmin(finite))]

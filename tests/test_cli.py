@@ -192,6 +192,8 @@ class TestExitCodes:
             ("kernel-decay", "s_values=[]", "s_values"),
             ("heat-decay", "t_min=0", "t_min"),
             ("heat-decay", "per_octave=0", "per_octave"),
+            ("heat-decay", "per_octave=1e-9", "per_octave"),
+            ("heat-decay", "per_octave=2.5", "per_octave"),
             ("heat-decay", "t_max=2", "t_max"),
             ("beta-integral", "grid_points=0", "grid_points"),
             ("heat-decay", "t_min=abc", "t_min"),

@@ -245,6 +245,55 @@ INVERSE_CALL_SITES = {
 }
 
 
+class TestCoarseLattice:
+    """The coarse companion lattice of the same box, and the restriction of
+    a half array onto it."""
+
+    CASES = [(2, 64, 8.0), (3, 16, 2.0 * np.pi)]
+
+    @pytest.mark.parametrize("d, n, box_len", CASES, ids=["2d", "3d"])
+    def test_coarsened_is_memoised_and_holds_no_full_grid(self, d, n, box_len):
+        lat = make_lattice(d, n, box_len)
+        coarse = lat.coarsened(n // 4)
+        assert coarse is lat.coarsened(n // 4) and coarse == make_lattice(d, n // 4, box_len)
+        coarse.heat(0.5)
+        assert "ksq" not in vars(coarse) and "kmag" not in vars(coarse)
+        assert np.array_equal(coarse.kmag, np.sqrt(coarse.ksq))
+
+    @pytest.mark.parametrize("d, n, box_len", CASES, ids=["2d", "3d"])
+    def test_restricted_band_samples_the_fine_flow(self, d, n, box_len):
+        """A trigonometric polynomial of band m < N/2 sampled on the coarse
+        lattice: the coarse points are every (n/N)-th fine point."""
+        lat = make_lattice(d, n, box_len)
+        rng = np.random.default_rng(5)
+        band, size = 3, 8
+        shells = lat.half_shells()
+        coeffs = lat.rforward(rng.standard_normal((2,) + lat.spatial_shape)) * (shells <= band)
+        fine = lat.inverse(coeffs)
+        coarse = lat.coarsened(size)
+        restricted = lat.restrict(coeffs, band, coarse)
+        assert restricted.shape == (2,) + (size,) * (d - 1) + (size // 2 + 1,)
+        stride = (slice(None),) + (slice(None, None, n // size),) * d
+        npt.assert_allclose(coarse.inverse(restricted), fine[stride], rtol=0,
+                            atol=1e-14 * np.abs(fine).max())
+        assert np.array_equal(coarse.heat(0.3)[(0,) * d], lat.heat(0.3)[(0,) * d])
+
+    def test_half_shells_and_heat_band(self):
+        lat = make_lattice(2, 8, 2.0 * np.pi)  # k_a = m_a
+        assert lat.half_shells()[:, 0].tolist() == [0, 1, 2, 3, 4, 3, 2, 1]
+        assert lat.half_shells()[6].tolist() == [2, 2, 2, 3, 4]
+        assert lat.heat_band(40.0 / 9.0, 40.0) == (3, np.exp(-40.0 / 9.0 * 16))
+        assert lat.heat_band(1e-9, 40.0)[0] == 4
+
+    def test_restriction_needs_a_band_below_both_nyquist_modes(self):
+        lat = make_lattice(2, 32, 8.0)
+        coeffs = np.zeros((1, 32, 17), dtype=complex)
+        lat.restrict(coeffs, 3, lat.coarsened(8))
+        for band in (4, -1):
+            with pytest.raises(ConfigError, match="band"):
+                lat.restrict(coeffs, band, lat.coarsened(8))
+
+
 class TestHalfSpectrumCallSites:
     """Each in-package caller of Lattice.inverse passes Hermitian
     coefficients, so reading only their half spectrum gives what the complex
