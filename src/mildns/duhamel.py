@@ -44,6 +44,7 @@ projection, so B moves at round-off, not bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gamma as gamma_fn
@@ -52,10 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError
-# to_physical is no longer called here, but it stays bound: the benchmark's
-# span tracer (bench/spans.py) patches it in every module that imports it,
-# and bench/tests/test_spans.py checks this module's binding.
-from .lattice import PHYSICAL, VectorField, to_physical  # noqa: F401
+from .lattice import VectorField, to_physical
 from .multipliers import _project_div_spectral
 from .norms import ExponentBook, NormReport, Trajectory, kato_norm, n_norm
 
@@ -177,16 +175,28 @@ def beta_integral(gamma: float, theta: float, t: float, method: str = "closed-fo
     to cross-validate the identity and the quadrature layer against each
     other on exponent grids. Both methods check their arguments through
     QuadratureSpec(node_count, gamma, theta): exponents < 1, an even budget >= 8.
+    A t so large or so small that the value overflows, or falls below the
+    normal floats, is refused (ConfigError).
     """
     spec = QuadratureSpec(node_count, gamma, theta)
     if not (t > 0):
         raise ConfigError(f"beta integral needs t > 0, got {t}")
-    if method == "closed-form":
-        constant = gamma_fn(1.0 - gamma) * gamma_fn(1.0 - theta) / gamma_fn(2.0 - gamma - theta)
-        return float(constant * t ** (1.0 - gamma - theta))
-    if method == "quadrature":
-        return _beta_quadrature(spec, t)
-    raise ConfigError(f"unknown beta_integral method {method!r}")
+    if method not in ("closed-form", "quadrature"):
+        raise ConfigError(f"unknown beta_integral method {method!r}")
+    try:
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            if method == "closed-form":
+                constant = (gamma_fn(1.0 - gamma) * gamma_fn(1.0 - theta)
+                            / gamma_fn(2.0 - gamma - theta))
+                value = float(constant * t ** (1.0 - gamma - theta))
+            else:
+                value = _beta_quadrature(spec, t)
+    except OverflowError:
+        value = math.inf
+    if not np.finfo(float).tiny <= value < math.inf:
+        raise ConfigError(f"beta integral at t = {t:g}, gamma = {gamma:g}, theta = {theta:g} "
+                          f"is {value:g}, outside the normal floats")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +288,7 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
         kernel = weights[nodes].reshape(node_axis) * lat.heat(gaps[nodes])
         coeff *= kernel[:, None]
         acc += coeff.sum(axis=0)
-    w = _project_div_spectral(acc[pair_of], lat)
-    return VectorField(lat, lat.inverse(w), PHYSICAL)
+    return to_physical(lat, _project_div_spectral(acc[pair_of], lat))
 
 
 def bilinear_trajectory(u_traj: Trajectory, v_traj: Trajectory,

@@ -469,10 +469,11 @@ def _run_beta_integral(cfg):
     worst = 0.0
     for g in gammas:
         for th in thetas:
-            closed = beta_integral(float(g), float(th), t)
-            quad = beta_integral(
-                float(g), float(th), t, method="quadrature", node_count=cfg["node_count"]
-            )
+            with _naming("t"):
+                closed = beta_integral(float(g), float(th), t)
+                quad = beta_integral(
+                    float(g), float(th), t, method="quadrature", node_count=cfg["node_count"]
+                )
             rel = abs(quad - closed) / abs(closed)
             worst = max(worst, rel)
             rows.append([float(g), float(th), closed, quad, rel])
@@ -768,20 +769,26 @@ def _run_fluctuation(cfg):
 def _run_scaling(cfg):
     book = _critical_book(cfg, "scaling experiment")
     lam = float(cfg["lam"])
+    horizon = float(cfg["horizon"])
+    with _naming("lam"):
+        lat_fine = make_lattice(cfg["d"], cfg["n"], cfg["box_len"] / lam)
+        try:
+            horizon_fine = horizon / lam**2
+        except OverflowError:
+            horizon_fine = 0.0
+        if not horizon_fine >= np.finfo(float).tiny:
+            raise ConfigError(f"the rescaled horizon horizon / lam^2 = {horizon_fine:g} "
+                              "is not a normal float")
     lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
     u0 = _realized(cfg["datum"], lat, "datum")
-    lat_fine = make_lattice(cfg["d"], cfg["n"], cfg["box_len"] / lam)
-    u0_scaled = VectorField(lat_fine, lam * u0.data, u0.representation)
-    horizon = float(cfg["horizon"])
+    u0_scaled = VectorField(lat_fine, lam * u0.data)
     lhs = smallness_lhs(u0, horizon, book, SMALLNESS_CRITICAL).lhs
-    lhs_scaled = smallness_lhs(
-        u0_scaled, horizon / lam**2, book, SMALLNESS_CRITICAL
-    ).lhs
+    lhs_scaled = smallness_lhs(u0_scaled, horizon_fine, book, SMALLNESS_CRITICAL).lhs
     rel = abs(lhs - lhs_scaled) / lhs if lhs > 0 else float("inf")
     columns = ["which", "horizon", "box_len", "lhs"]
     rows = [
         ["original", horizon, float(cfg["box_len"]), lhs],
-        ["rescaled", horizon / lam**2, float(cfg["box_len"]) / lam, lhs_scaled],
+        ["rescaled", horizon_fine, float(cfg["box_len"]) / lam, lhs_scaled],
     ]
     summary = {"lam": lam, "rel_difference": float(rel)}
     return columns, rows, summary, None

@@ -3,16 +3,20 @@
 Conventions used throughout the package:
 
 * The domain is the periodic box [0, L)^d sampled on n points per axis,
-  d in {2, 3}, n a power of two. Physical fields are real float64 samples.
-* Spectral fields hold Fourier-series coefficients c_k with
-  f(x) = sum_k c_k exp(i k.x), k in (2*pi/L) * Z^d (standard FFT layout).
-  In terms of the DFT this is fftn(f) / n^d, so a constant field has all
-  of its spectral mass in c_0.
+  d in {2, 3}, n a power of two.
+* Every field is a VectorField (also named Field): real float64 samples
+  of shape (d,) + (n,)*d, the component axis first.
+* Spectral coefficients are plain complex arrays, never Fields: the
+  Fourier-series coefficients c_k with f(x) = sum_k c_k exp(i k.x),
+  k in (2*pi/L) * Z^d (standard FFT layout). In terms of the DFT this is
+  fftn(f) / n^d, so a constant field has all of its spectral mass in c_0.
+  to_spectral and to_physical are the one boundary between a Field and
+  its coefficients.
 * Plancherel with these weights: the physical L2 norm computed with cell
   weights (L/n)^d equals L^(d/2) times the l2 norm of the coefficients.
-* Spectral fields hold the full grid of coefficients, but the inverse
-  transform reads only the non-negative half of the last spatial axis,
-  indices 0..n/2 (Lattice.half). That is exact for Hermitian coefficients,
+* The inverse transform reads only the non-negative half of the last
+  spatial axis, indices 0..n/2 (Lattice.half), of a full grid of
+  coefficients. That is exact for Hermitian coefficients,
   c(-k) = conj(c(k)), which every caller passes: spectra of real samples,
   times real even symbols (heat factor, |k|^s, the Leray projection) or
   odd ones built on the Nyquist-zeroed k_deriv. The other half is their
@@ -21,11 +25,7 @@ Conventions used throughout the package:
   first on every axis (the n/2 entry stored as -n/2), so a half array is
   c[..., :n/2 + 1] of the full one, and an elementwise multiplier acts on
   it through the same prefix of its own array, k[..., :c.shape[-1]].
-  Lattice.rforward yields such a half array straight from real samples;
-  the Duhamel term (duhamel.bilinear_B) is its one caller, and its half
-  arrays never become a spectral Field.
-* Every field is a VectorField (also named Field): data of shape
-  (d,) + (n,)*d, the component axis first.
+  Lattice.rforward yields such a half array straight from real samples.
 """
 from __future__ import annotations
 
@@ -42,7 +42,6 @@ from .runtime import write_atomic
 TWO_PI = 2.0 * np.pi
 
 PHYSICAL = "physical"
-SPECTRAL = "spectral"
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -91,6 +90,9 @@ class Lattice:
             raise ConfigError(f"points per axis must be a power of two >= 4, got {n}")
         if not (box_len > 0) or not np.isfinite(box_len):
             raise ConfigError(f"box length must be positive and finite, got {box_len}")
+        k_top = np.pi * n / box_len  # the largest wavenumber on an axis
+        if not d * k_top * k_top < np.inf:
+            raise ConfigError(f"box length {box_len:g} is too small for n={n}: |k|^2 overflows")
         self.d = int(d)
         self.n = int(n)
         self.box_len = float(box_len)
@@ -236,12 +238,12 @@ class Lattice:
         rfftn(a) / n^d over the trailing d axes, indices 0..n/2 of the last.
 
         It equals half(forward(a)) to round-off, not bit for bit, at half
-        the transform work. The result is a half array, not the layout of
-        a spectral Field; the Duhamel term transforms its real node
-        products with it. With out (complex128, the shape of the result),
-        each axis is transformed into out, which is returned: the bits are
-        those of a call without out, and the result-size array that such a
-        call allocates for each axis is never made.
+        the transform work. The heat flows of a datum and the Duhamel
+        term's real node products are transformed with it. With out
+        (complex128, the shape of the result), each axis is transformed
+        into out, which is returned: the bits are those of a call without
+        out, and the result-size array that such a call allocates for each
+        axis is never made.
         """
         return np.fft.rfftn(a, axes=tuple(range(-self.d, 0)), norm="forward", out=out)
 
@@ -295,73 +297,68 @@ def make_lattice(d: int, n: int, box_len: float) -> Lattice:
 
 
 class VectorField:
-    """A vector field on a lattice.
+    """A vector field on a lattice: real float64 samples of shape
+    (d,) + (n,)*d, the component axis first.
 
-    data layout: the component axis first, then the spatial axes, shape
-    (d,) + (n,)*d. Physical data is float64, spectral data complex128.
+    The optional third argument is PHYSICAL, the one kind of data a field
+    holds; anything else is refused.
     """
 
-    def __init__(self, lattice: Lattice, data: np.ndarray, representation: str):
-        if representation not in (PHYSICAL, SPECTRAL):
-            raise DataError(f"unknown representation {representation!r}")
+    def __init__(self, lattice: Lattice, data: np.ndarray, representation: str = PHYSICAL):
+        if representation != PHYSICAL:
+            raise DataError(f"fields hold physical samples, got representation {representation!r}")
         expected = (lattice.d,) + lattice.spatial_shape
         data = np.asarray(data)
         if data.shape != expected:
             raise DataError(
                 f"VectorField data shape {data.shape} does not match lattice shape {expected}"
             )
-        if representation == PHYSICAL:
-            if np.iscomplexobj(data):
-                raise DataError("physical fields must be real-valued")
-            data = data.astype(np.float64, copy=False)
-        else:
-            data = data.astype(np.complex128, copy=False)
+        if np.iscomplexobj(data):
+            raise DataError("fields must be real-valued")
+        data = data.astype(np.float64, copy=False)
         if not np.all(np.isfinite(data)):
             raise DataError("field contains non-finite samples")
         self.lattice = lattice
         self.data = data
-        self.representation = representation
 
     def _check_compatible(self, other):
         if not isinstance(other, VectorField):
             raise DataError("field arithmetic requires two fields")
-        if other.lattice != self.lattice or other.representation != self.representation:
-            raise DataError("field arithmetic requires matching lattice and representation")
+        if other.lattice != self.lattice:
+            raise DataError("field arithmetic requires matching lattices")
 
     def __add__(self, other):
         self._check_compatible(other)
-        return VectorField(self.lattice, self.data + other.data, self.representation)
+        return VectorField(self.lattice, self.data + other.data)
 
     def __sub__(self, other):
         self._check_compatible(other)
-        return VectorField(self.lattice, self.data - other.data, self.representation)
+        return VectorField(self.lattice, self.data - other.data)
 
     def __mul__(self, scalar):
         if not np.isscalar(scalar):
             return NotImplemented
-        return VectorField(self.lattice, self.data * scalar, self.representation)
+        return VectorField(self.lattice, self.data * scalar)
 
     __rmul__ = __mul__
 
     def __repr__(self):
-        return f"VectorField({self.lattice!r}, representation={self.representation!r})"
+        return f"VectorField({self.lattice!r})"
 
 
 Field = VectorField
 
 
-def to_spectral(field: Field) -> Field:
-    """Forward transform to Fourier-series coefficients (identity if already spectral)."""
-    if field.representation == SPECTRAL:
-        return field
-    return VectorField(field.lattice, field.lattice.forward(field.data), SPECTRAL)
+def to_spectral(field: Field) -> np.ndarray:
+    """The Fourier-series coefficients of a field, a new array:
+    field.lattice.forward(field.data)."""
+    return field.lattice.forward(field.data)
 
 
-def to_physical(field: Field) -> Field:
-    """Inverse transform to real samples (identity if already physical)."""
-    if field.representation == PHYSICAL:
-        return field
-    return VectorField(field.lattice, field.lattice.inverse(field.data), PHYSICAL)
+def to_physical(lattice: Lattice, coeff: np.ndarray) -> Field:
+    """The field whose Hermitian coefficients (a full or a half array) are
+    coeff: lattice.inverse(coeff) as a VectorField."""
+    return VectorField(lattice, lattice.inverse(coeff))
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +493,8 @@ def _power_law_datum(spec: DatumSpec, lattice: Lattice) -> np.ndarray:
     r = lattice.periodic_distance()
     mask = (r >= eps) & (r <= big_r)
     safe_r = np.where(mask, r, 1.0)
-    profile = np.where(mask, safe_r ** (-spec.decay), 0.0)
+    with np.errstate(over="ignore"):  # realize_datum refuses an overflowed profile
+        profile = np.where(mask, safe_r ** (-spec.decay), 0.0)
     data = np.zeros((lattice.d,) + lattice.spatial_shape)
     data[0] = spec.amplitude * profile
     return data
@@ -532,20 +530,19 @@ def _random_band_datum(spec: DatumSpec, lattice: Lattice) -> np.ndarray:
 
 
 def realize_datum(spec: DatumSpec, lattice: Lattice) -> VectorField:
-    """Sample a datum description on a lattice, returning a physical vector field."""
+    """Sample a datum description on a lattice, returning a vector field."""
     from .multipliers import leray_project  # deferred: multipliers imports lattice
 
     if spec.kind == "random_band":
-        coeff = _random_band_datum(spec, lattice)
-        field = to_physical(VectorField(lattice, coeff, SPECTRAL))
+        field = to_physical(lattice, _random_band_datum(spec, lattice))
         if spec.divergence_free:
-            field = to_physical(leray_project(field))
+            field = leray_project(field)
         from .norms import lebesgue_norm  # deferred, same reason
 
         norm = lebesgue_norm(field, 2)
         if norm == 0.0:
             raise DataError("random_band datum realized to the zero field")
-        return VectorField(lattice, field.data * (spec.amplitude / norm), PHYSICAL)
+        return VectorField(lattice, field.data * (spec.amplitude / norm))
 
     builders = {
         "gaussian": _gaussian_datum,
@@ -556,9 +553,9 @@ def realize_datum(spec: DatumSpec, lattice: Lattice) -> VectorField:
     data = builders[spec.kind](spec, lattice)
     if not np.all(np.isfinite(data)):
         raise DataError(f"{spec.kind} datum produced non-finite samples")
-    field = VectorField(lattice, data, PHYSICAL)
+    field = VectorField(lattice, data)
     if spec.divergence_free and spec.kind not in ("taylor_green", "single_mode"):
-        field = to_physical(leray_project(field))
+        field = leray_project(field)
     return field
 
 
@@ -566,41 +563,32 @@ def realize_datum(spec: DatumSpec, lattice: Lattice) -> VectorField:
 # Flat binary serialization
 #
 # header: little-endian int32 d, int32 n, float64 box_len, int32 component
-# count (always d), int32 representation flag (0 physical, 1 spectral); payload:
-# row-major float64 samples, or complex128 written as (re, im) pairs.
+# count (always d), int32 representation flag (always 0, physical samples);
+# payload: row-major float64 samples.
 
 _HEADER = struct.Struct("<iidii")
 
 
 def field_to_bytes(field: Field) -> bytes:
     lat = field.lattice
-    rep_flag = 0 if field.representation == PHYSICAL else 1
-    header = _HEADER.pack(lat.d, lat.n, lat.box_len, lat.d, rep_flag)
-    payload = np.ascontiguousarray(field.data)
-    if field.representation == PHYSICAL:
-        payload = payload.astype("<f8", copy=False)
-    else:
-        payload = payload.astype("<c16", copy=False)
-    return header + payload.tobytes()
+    header = _HEADER.pack(lat.d, lat.n, lat.box_len, lat.d, 0)
+    return header + np.ascontiguousarray(field.data).astype("<f8", copy=False).tobytes()
 
 
 def field_from_bytes(blob: bytes) -> Field:
     if len(blob) < _HEADER.size:
         raise DataError("field blob shorter than its header")
-    d, n, box_len, ncomp, rep_flag = _HEADER.unpack_from(blob)
+    d, n, box_len, ncomp, flag = _HEADER.unpack_from(blob)
     lattice = make_lattice(d, n, box_len)
     if ncomp != d:
         raise DataError(f"component count {ncomp} does not match dimension {d}")
-    if rep_flag not in (0, 1):
-        raise DataError(f"unknown representation flag {rep_flag}")
-    representation = PHYSICAL if rep_flag == 0 else SPECTRAL
-    dtype = np.dtype("<f8") if rep_flag == 0 else np.dtype("<c16")
+    if flag != 0:
+        raise DataError(f"representation flag {flag}: only 0, physical samples, is read")
     expected = d * n**d
-    payload = np.frombuffer(blob, dtype=dtype, offset=_HEADER.size)
+    payload = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
     if payload.size != expected:
         raise DataError(f"payload holds {payload.size} values, expected {expected}")
-    data = payload.reshape((d,) + lattice.spatial_shape).copy()
-    return VectorField(lattice, data, representation)
+    return VectorField(lattice, payload.reshape((d,) + lattice.spatial_shape).copy())
 
 
 def save_field(field: Field, path) -> None:

@@ -2,11 +2,12 @@
 the projected divergence P div of a tensor, and kernel profiling for the
 convolution kernel of |k|^s exp(-t |k|^2) P div.
 
-All multipliers act diagonally on the spectral representation. Operators
+All multipliers act diagonally on the Fourier coefficients. Operators
 homogeneous of nonzero degree annihilate the k = 0 mode; the heat flow and
 the Leray projection act as the identity on it (constants are divergence
-free and do not diffuse). Inputs may be physical or spectral; the output
-matches the input representation.
+free and do not diffuse). Each takes a field, multiplies its coefficients
+(to_spectral, a plain array) and returns the field of the product
+(to_physical).
 
 Operators odd in k contract against Lattice.k_deriv (Nyquist entries
 zeroed) so that real fields map to real fields and the discrete Leray
@@ -25,25 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, WindowError
-from .lattice import (
-    PHYSICAL,
-    SPECTRAL,
-    Field,
-    Lattice,
-    TWO_PI,
-    VectorField,
-    make_lattice,
-    to_physical,
-    to_spectral,
-)
+from .errors import ConfigError, NumericalError, WindowError
+from .lattice import Field, Lattice, TWO_PI, VectorField, make_lattice, to_physical, to_spectral
 
 
 def _apply_multiplier(field: Field, multiplier: np.ndarray) -> Field:
-    """Multiply every component's coefficients by a spatial-shape array."""
-    spectral = to_spectral(field)
-    out = VectorField(field.lattice, spectral.data * multiplier, SPECTRAL)
-    return to_physical(out) if field.representation == PHYSICAL else out
+    """The field whose coefficients are those of field times a
+    spatial-shape array."""
+    return to_physical(field.lattice, to_spectral(field) * multiplier)
 
 
 def _divergence_spectral(tensor_coeff: np.ndarray, lat: Lattice) -> np.ndarray:
@@ -103,14 +93,12 @@ def leray_project(field: VectorField) -> VectorField:
     divergence vanishes to round-off and the projection is idempotent.
     """
     lat = field.lattice
-    out = _leray_inplace(to_spectral(field).data.copy(), lat)
-    projected = VectorField(lat, out, SPECTRAL)
-    return to_physical(projected) if field.representation == PHYSICAL else projected
+    return to_physical(lat, _leray_inplace(to_spectral(field), lat))
 
 
 def divergence_defect(field: VectorField) -> float:
-    """max |div u| over the grid relative to max |u| (both physical)."""
-    return _divergence_defect(to_physical(field).data, field.lattice)
+    """max |div u| over the grid relative to max |u|."""
+    return _divergence_defect(field.data, field.lattice)
 
 
 def _divergence_defect(samples: np.ndarray, lat: Lattice) -> float:
@@ -171,7 +159,8 @@ def kernel_profile(
     The same profile at a different time is the t = 1 profile rescaled:
     computing at time t on a box scaled by sqrt(t) reproduces the scaling
     K_t(x) = t^(-(d+1+s)/2) K(x / sqrt(t)) exactly, which the kernel-decay
-    experiment uses as a consistency check.
+    experiment uses as a consistency check. A symbol that is not finite,
+    |k|^s overflowing where exp(-t |k|^2) is 0, raises NumericalError.
     """
     if not (s > -1):
         raise ConfigError(f"kernel profile requires s > -1, got {s}")
@@ -194,7 +183,11 @@ def kernel_profile(
         )
     lat = make_lattice(d, resolution, box_len)
 
-    mult = _fractional_multiplier(lat, s) * lat.heat(t, half=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below when not finite
+        mult = _fractional_multiplier(lat, s) * lat.heat(t, half=False)
+    if not np.all(np.isfinite(mult)):
+        raise NumericalError(f"kernel profile at s = {s:g}: the symbol |k|^s exp(-t |k|^2) "
+                             "is not finite")
     half = lat.n // 2
     ray = (slice(None), slice(0, half)) + (0,) * (d - 1)
     ray_max = np.zeros(half)

@@ -69,7 +69,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, MeshError, NumericalError
-from .lattice import PHYSICAL, Field, Lattice, VectorField, to_physical
+# to_physical is not called here, but it stays bound: the benchmark's span
+# tracer (bench/spans.py) patches it in every module that imports it, and
+# bench/tests/test_spans.py checks this module's binding.
+from .lattice import Field, Lattice, VectorField, to_physical  # noqa: F401
 from .multipliers import _fractional_multiplier, fractional_laplacian
 
 
@@ -143,8 +146,8 @@ class Trajectory:
     """Vector fields at strictly increasing positive times, held as one
     float64 array data of shape (M, d, *spatial); fields are VectorField
     views of its rows. The constructor keeps such an array uncopied or
-    stacks a list of vector fields (spectral ones as physical samples); it
-    scans the samples once and names the node of a non-finite one.
+    stacks the samples of a list of vector fields; it scans the samples
+    once and names the node of a non-finite one.
 
     Values between mesh nodes come from two-point interpolation that is
     exact for trajectories of the form c * t**interp_power + c' (linear
@@ -172,7 +175,7 @@ class Trajectory:
         if not isinstance(fields, np.ndarray):
             if not all(isinstance(f, VectorField) and f.lattice == lattice for f in fields):
                 raise DataError("trajectories hold vector fields on the trajectory lattice")
-            fields = np.array([to_physical(f).data for f in fields])
+            fields = np.array([f.data for f in fields])
         if fields.shape[:1] != times.shape:
             raise MeshError(f"{len(fields)} fields for {times.size} time nodes")
         if fields.shape[1:] != (lattice.d,) + lattice.spatial_shape:
@@ -194,7 +197,7 @@ class Trajectory:
     @property
     def fields(self) -> list:
         """The nodes as physical VectorFields; each shares memory with data[j]."""
-        return [VectorField(self.lattice, f, PHYSICAL) for f in self.data]
+        return [VectorField(self.lattice, f) for f in self.data]
 
     @property
     def horizon(self) -> float:
@@ -284,10 +287,9 @@ def heat_flows(u0: Field, times, q=None):
     row stays zero under the flow, so it is neither transformed nor
     yielded.
 
-    The live rows are transformed once, a physical datum by rforward, and
-    only the half spectrum that Lattice.inverse reads is kept, as a
-    contiguous array; each flow multiplies it by exp(-|k|^2 t) and
-    inverse-transforms it. Flows are built only when the consumer asks for
+    The live rows are transformed once, by rforward, which yields only the
+    half spectrum that Lattice.inverse reads; each flow multiplies it by
+    exp(-|k|^2 t) and inverse-transforms it. Flows are built only when the consumer asks for
     them, so a sup over many times holds one flow, not all. An all-zero
     datum flows with no transform at all.
 
@@ -301,11 +303,9 @@ def heat_flows(u0: Field, times, q=None):
     live = _live_rows(rows)
     if not live.any():
         return live, ((lat, np.zeros((0,) + lat.spatial_shape)) for _ in times)
-    coeffs = rows if live.all() else rows[live]
-    if u0.representation == PHYSICAL:
-        coeffs = lat.rforward(coeffs)
-    else:
-        coeffs = np.ascontiguousarray(lat.half(coeffs))
+    # a transform that overflows is not warned of: heat_sup and Trajectory refuse its flows
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = lat.rforward(rows if live.all() else rows[live])
     even = q is not None and math.isfinite(q) and q >= 2 and q % 2 == 0
     return live, _flows(lat, coeffs, times, int(q) if even else None)
 
@@ -464,7 +464,7 @@ def lebesgue_norm(field: Field, r) -> float:
     r may be any value in [1, inf]; np.inf gives the grid sup norm.
     Identically zero components are not reduced: their norm is exactly 0.
     """
-    rows = to_physical(field).data
+    rows = field.data
     live = _live_rows(rows)
     return _lebesgue_rows(rows if live.all() else rows[live], r, field.lattice.cell_volume)
 

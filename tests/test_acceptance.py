@@ -283,7 +283,7 @@ def test_09_invariant_suite(book2, verdict):
             lebesgue_norm(composed - direct, 2) / lebesgue_norm(direct, 2),
         )
 
-        coeff = to_spectral(u).data
+        coeff = to_spectral(u)
         spectral_side = math.sqrt(lat.box_len**2 * float(np.sum(np.abs(coeff) ** 2)))
         physical_side = lebesgue_norm(u, 2)
         worst["parseval"] = max(

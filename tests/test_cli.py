@@ -176,6 +176,36 @@ class TestExitCodes:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
+        "experiment, setting, code, message",
+        [
+            ("scaling", "lam=1e300", 2,
+             "config error: config key 'lam': box length 6.28319e-300 is too small"),
+            ("beta-integral", "t=1e300", 2,
+             "config error: config key 't': beta integral at t = 1e+300"),
+            ("beta-integral", "t=1e-300", 2,
+             "config error: config key 't': beta integral at t = 1e-300"),
+            ("kernel-decay", "s_values=[1e300]", 3,
+             "numerical failure: kernel profile at s = 1e+300"),
+            ("besov-equiv", "rescale=1e308", 3, "numerical failure: non-finite heat-sup value"),
+            ("powerlaw", "decay=1e300", 2,
+             "config error: power_law datum produced non-finite samples"),
+        ],
+        ids=["scaling-lam", "beta-integral-t-large", "beta-integral-t-small", "kernel-decay-s",
+             "besov-equiv-rescale", "powerlaw-decay"],
+    )
+    def test_overflowing_value_is_refused_cleanly(self, experiment, setting, code, message,
+                                                  tmp_path, capsys):
+        """A value that overflows or underflows a step of the experiment is
+        refused with no warning and no traceback, and nothing is written."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([experiment, "--set", setting, "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
         "experiment, setting, key",
         [
             ("powerlaw", "r_inner_levels=[0.5]", "r_inner_levels"),

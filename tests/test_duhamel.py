@@ -51,7 +51,6 @@ from mildns import (
     volterra_nodes,
 )
 from mildns import duhamel
-from mildns.lattice import SPECTRAL
 from mildns.duhamel import TARGET_KATO, TARGET_SOBOLEV
 
 
@@ -341,7 +340,7 @@ def per_node_B(u_traj, v_traj, t, quad):
         c = np.einsum("j...,ij...->i...", 1j * k, coeff)
         w = c - k * (np.sum(k * c, axis=0) / ksq)
         acc += weight * (w * np.exp(-lat.ksq * gap))
-    return to_physical(VectorField(lat, acc, SPECTRAL)).data
+    return to_physical(lat, acc).data
 
 
 class TestFusedB:

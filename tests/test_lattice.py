@@ -31,7 +31,7 @@ from mildns import (
     to_physical,
     to_spectral,
 )
-from mildns.lattice import _HEADER, PHYSICAL, SPECTRAL, Lattice
+from mildns.lattice import _HEADER, PHYSICAL, Lattice
 
 
 class TestLatticeConstruction:
@@ -46,7 +46,7 @@ class TestLatticeConstruction:
         with pytest.raises(ConfigError, match="power of two"):
             make_lattice(2, n, 1.0)
 
-    @pytest.mark.parametrize("box_len", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("box_len", [0.0, -1.0, np.nan, np.inf, 1e-300])
     def test_rejects_bad_box(self, box_len):
         with pytest.raises(ConfigError, match="box length"):
             make_lattice(2, 16, box_len)
@@ -92,10 +92,20 @@ class TestFields:
         with pytest.raises(DataError, match="shape"):
             VectorField(lat2, np.zeros((16, 16)), PHYSICAL)
 
-    def test_physical_fields_must_be_real(self, lat2):
+    def test_physical_fields_must_be_real(self, lat2, rng):
+        """A field holds real samples only: coefficients stay arrays."""
         data = np.zeros((2, 16, 16), dtype=complex)
         with pytest.raises(DataError, match="real"):
             VectorField(lat2, data, PHYSICAL)
+        coeff = to_spectral(VectorField(lat2, rng.standard_normal((2, 16, 16))))
+        with pytest.raises(DataError, match="real"):
+            VectorField(lat2, coeff)
+
+    def test_spectral_representation_refused(self, lat2, rng):
+        data = rng.standard_normal((2, 16, 16))
+        with pytest.raises(DataError, match="physical samples, got representation 'spectral'"):
+            VectorField(lat2, data, "spectral")
+        assert np.array_equal(VectorField(lat2, data).data, VectorField(lat2, data, PHYSICAL).data)
 
     def test_non_finite_samples_rejected(self, lat2):
         data = np.zeros((2, 16, 16))
@@ -107,8 +117,11 @@ class TestFields:
         u = VectorField(lat2, rng.standard_normal((2, 16, 16)), PHYSICAL)
         with pytest.raises(DataError, match="two fields"):
             u + rng.standard_normal((2, 16, 16))
-        with pytest.raises(DataError, match="representation"):
+        with pytest.raises(DataError, match="two fields"):
             u + to_spectral(u)
+        other = VectorField(make_lattice(2, 16, 1.0), u.data)
+        with pytest.raises(DataError, match="matching lattices"):
+            u + other
 
     def test_field_is_the_vector_field(self):
         assert mildns.Field is mildns.VectorField
@@ -121,14 +134,28 @@ class TestFields:
 class TestTransforms:
     def test_round_trip_identity(self, lat2, rng):
         data = rng.standard_normal((2, 16, 16))
-        back = to_physical(to_spectral(VectorField(lat2, data, PHYSICAL)))
+        back = to_physical(lat2, to_spectral(VectorField(lat2, data, PHYSICAL)))
         npt.assert_allclose(back.data, data, atol=1e-14)
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_boundary_is_the_lattice_transforms(self, d, n, rng):
+        """to_spectral is Lattice.forward of the samples and to_physical
+        Lattice.inverse of the coefficients, bit for bit, full or half."""
+        lat = make_lattice(d, n, 2.0 * np.pi)
+        data = rng.standard_normal((d,) + lat.spatial_shape)
+        coeff = to_spectral(VectorField(lat, data))
+        assert type(coeff) is np.ndarray and coeff.dtype == np.complex128
+        assert np.array_equal(coeff, lat.forward(data))
+        for c in (coeff, lat.half(coeff)):
+            back = to_physical(lat, c)
+            assert type(back) is VectorField and back.lattice == lat
+            assert np.array_equal(back.data, lat.inverse(c))
 
     def test_cosine_coefficients(self, row0_field):
         """cos(x) carries exactly two Fourier-series coefficients of 1/2."""
         lat = make_lattice(2, 16, 2.0 * np.pi)
         f = row0_field(lat, np.cos(np.broadcast_to(lat.x_axes[0], (16, 16))))
-        coeff = to_spectral(f).data
+        coeff = to_spectral(f)
         assert abs(coeff[0, 1, 0] - 0.5) < 1e-14
         assert abs(coeff[0, -1, 0] - 0.5) < 1e-14
         rest = coeff.copy()
@@ -137,7 +164,7 @@ class TestTransforms:
 
     def test_hermitian_defect_vanishes_for_real_data(self, lat2, rng):
         """c(-k) = conj(c(k)) for the coefficients of real samples."""
-        c = to_spectral(VectorField(lat2, rng.standard_normal((2, 16, 16)), PHYSICAL)).data
+        c = to_spectral(VectorField(lat2, rng.standard_normal((2, 16, 16)), PHYSICAL))
         flipped = np.roll(np.flip(c, axis=(1, 2)), 1, axis=(1, 2))
         assert np.abs(flipped - np.conj(c)).max() < 1e-14 * np.abs(c).max()
 
@@ -514,7 +541,7 @@ class TestRandomBand:
 
     def test_spectral_support_in_band(self, lat2):
         u = realize_datum(DatumSpec(**self.SPEC), lat2)
-        coeff = to_spectral(u).data
+        coeff = to_spectral(u)
         outside = (lat2.kmag < 1.0) | (lat2.kmag > 3.0)
         assert np.abs(coeff[:, outside]).max() < 1e-15
 
@@ -527,6 +554,12 @@ class TestRandomBand:
         assert divergence_defect(u) < 1e-12
         npt.assert_allclose(lebesgue_norm(u, 2), 0.5, rtol=1e-12)
 
+    def test_divergence_free_realization_builds_three_fields(self, lat2, field_inits):
+        """The samples of the band, their projection and the scaled datum:
+        the coefficients in between stay arrays."""
+        realize_datum(DatumSpec(**self.SPEC, divergence_free=True), lat2)
+        assert field_inits == [VectorField] * 3
+
     def test_empty_band_rejected(self, lat2):
         spec = DatumSpec(kind="random_band", seed=1, k_min=0.1, k_max=0.2)
         with pytest.raises(ConfigError, match="no resolved modes"):
@@ -536,17 +569,21 @@ class TestRandomBand:
 class TestSerialization:
     def test_round_trip_physical(self, lat2, rng):
         u = VectorField(lat2, rng.standard_normal((2, 16, 16)), PHYSICAL)
-        v = field_from_bytes(field_to_bytes(u))
+        blob = field_to_bytes(u)
+        assert _HEADER.unpack_from(blob)[4] == 0
+        v = field_from_bytes(blob)
         assert type(v) is VectorField
         assert v.lattice == lat2
-        assert v.representation == PHYSICAL
+        assert v.data.dtype == np.float64
         npt.assert_array_equal(v.data, u.data)
 
-    def test_round_trip_spectral(self, lat3, rng, row0_field):
-        u = to_spectral(row0_field(lat3, rng.standard_normal((8, 8, 8))))
-        v = field_from_bytes(field_to_bytes(u))
-        assert v.representation == SPECTRAL
-        npt.assert_array_equal(v.data, u.data)
+    def test_spectral_flag_refused(self):
+        """A blob with representation flag 1 and a complex128 payload, the
+        layout that once held Fourier coefficients, is refused by name."""
+        n = 8
+        blob = _HEADER.pack(2, n, 2.0 * np.pi, 2, 1) + np.zeros(2 * n**2, dtype="<c16").tobytes()
+        with pytest.raises(DataError, match="representation flag 1"):
+            field_from_bytes(blob)
 
     def test_file_round_trip(self, tmp_path, lat2, rng):
         u = VectorField(lat2, rng.standard_normal((2, 16, 16)), PHYSICAL)

@@ -11,6 +11,8 @@ mode +k) through the Leray matrix at k and doubling against the conjugate
 mode. Everything else checks operator identities and closed forms.
 """
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -18,6 +20,7 @@ import pytest
 from mildns import (
     ConfigError,
     DatumSpec,
+    NumericalError,
     VectorField,
     WindowError,
     divergence_defect,
@@ -68,7 +71,7 @@ class TestHeatFlow:
         f = random_vector(lat2, 5)
         once = heat_flow(f, 0.7)
         twice = heat_flow(heat_flow(f, 0.3), 0.4)
-        npt.assert_allclose(to_physical(once).data, to_physical(twice).data, atol=1e-13)
+        npt.assert_allclose(once.data, twice.data, atol=1e-13)
 
     def test_preserves_mean(self, lat2, rng, row0_field):
         f = row0_field(lat2, 3.0 + rng.standard_normal((16, 16)))
@@ -100,7 +103,7 @@ class TestFractionalLaplacian:
         u = divfree_datum(lat2, seed=3)
         ab = fractional_laplacian(fractional_laplacian(u, 0.3), 0.9)
         direct = fractional_laplacian(u, 1.2)
-        npt.assert_allclose(to_physical(ab).data, to_physical(direct).data, atol=1e-12)
+        npt.assert_allclose(ab.data, direct.data, atol=1e-12)
 
 
 class TestLeray:
@@ -112,14 +115,14 @@ class TestLeray:
     def test_idempotent(self, lat2):
         for seed in range(5):
             u = random_vector(lat2, seed)
-            once = to_physical(leray_project(u))
-            twice = to_physical(leray_project(once))
+            once = leray_project(u)
+            twice = leray_project(once)
             scale = np.abs(once.data).max()
             assert np.abs(twice.data - once.data).max() < 1e-13 * scale
 
     def test_fixes_divergence_free_fields(self, lat2):
         u = realize_datum(DatumSpec(kind="taylor_green"), lat2)
-        projected = to_physical(leray_project(u))
+        projected = leray_project(u)
         npt.assert_allclose(projected.data, u.data, atol=1e-14)
 
     def test_gradient_fields_annihilated(self, lat2):
@@ -128,13 +131,13 @@ class TestLeray:
         phase = x + 2 * y
         grad = np.stack([-np.sin(phase), -2.0 * np.sin(phase)])
         u = VectorField(lat2, grad, PHYSICAL)
-        assert np.abs(to_physical(leray_project(u)).data).max() < 1e-13
+        assert np.abs(leray_project(u).data).max() < 1e-13
 
     def test_mean_passes_through(self, lat2):
         data = np.zeros((2, 16, 16))
         data[0] = 1.5
         u = VectorField(lat2, data, PHYSICAL)
-        npt.assert_allclose(to_physical(leray_project(u)).data, data, atol=1e-14)
+        npt.assert_allclose(leray_project(u).data, data, atol=1e-14)
 
 
 def physical_div(lat, coeff, project=False):
@@ -185,7 +188,7 @@ class TestComposite:
     def composite(lat, coeff, s, t):
         mult = _fractional_multiplier(lat, s) * np.exp(-lat.ksq * t)
         w = _project_div_spectral(coeff, lat) * mult
-        return VectorField(lat, lat.inverse(w), PHYSICAL)
+        return to_physical(lat, w)
 
     def test_validation(self):
         """kernel_profile, the composite's one caller, refuses the boundary
@@ -211,7 +214,7 @@ class TestComposite:
         s, t = 0.4, 0.2
         fused = self.composite(lat2, T, s, t).data
         div = VectorField(lat2, physical_div(lat2, T), PHYSICAL)
-        composed = to_physical(fractional_laplacian(heat_flow(leray_project(div), t), s)).data
+        composed = fractional_laplacian(heat_flow(leray_project(div), t), s).data
         assert np.abs(fused - composed).max() < 1e-12 * np.abs(fused).max()
 
     def test_output_divergence_free(self, lat2, rng):
@@ -237,6 +240,14 @@ class TestKernelProfile:
             kernel_profile(0.0, 2, radii=[1.0], resolution=128, t=0.0)
         with pytest.raises(ConfigError, match="positive"):
             kernel_profile(0.0, 2, radii=[-1.0, 1.0], resolution=128)
+
+    def test_overflowed_symbol_is_refused(self):
+        """|k|^s overflows and meets exp(-t |k|^2) = 0: refused by s, with
+        no warning, not profiled as NaN."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"s = 1e\+300"):
+                kernel_profile(1e300, 2, radii=[1.0], resolution=128)
 
     def test_tail_slope_tracks_algebraic_decay(self):
         """s = 0 in d = 2 decays like r^-3 once r clears the heat width."""

@@ -138,7 +138,7 @@ class TestLebesgueNorm:
 
     def test_parseval(self, lat2, rng, row0_field):
         f = row0_field(lat2, rng.standard_normal((16, 16)))
-        coeff = to_spectral(f).data
+        coeff = to_spectral(f)
         spectral_side = np.sqrt(lat2.box_len**2 * np.sum(np.abs(coeff) ** 2))
         npt.assert_allclose(lebesgue_norm(f, 2), spectral_side, rtol=1e-12)
 
@@ -539,21 +539,22 @@ class TestTrajectory:
             heat_trajectory(u, [0.1, 0.2]) * np.inf
 
     def test_one_array_backs_the_fields(self, lat2, divfree_datum):
-        """A list of physical or spectral fields, or an array, is stored as
-        one float64 (M, d, *spatial) array of physical samples; fields are
-        views of its rows."""
+        """A list of fields, or an array, is stored as one float64
+        (M, d, *spatial) array of samples; fields are views of its rows. A
+        list of coefficient arrays is refused."""
         u = divfree_datum(lat2, seed=4)
         times = [0.1, 0.2, 0.4]
         stacked = np.array([u.data, 2.0 * u.data, 3.0 * u.data])
-        for given in ([u, 2.0 * u, 3.0 * u], [to_spectral(f) for f in (u, 2.0 * u, 3.0 * u)],
-                      stacked):
+        for given in ([u, 2.0 * u, 3.0 * u], stacked):
             traj = Trajectory(lat2, times, given)
             assert traj.data.dtype == np.float64
             assert traj.data.shape == (3, 2) + lat2.spatial_shape
             npt.assert_allclose(traj.data, stacked, rtol=0, atol=1e-14 * np.abs(stacked).max())
             for j, f in enumerate(traj.fields):
-                assert f.representation == PHYSICAL
+                assert type(f) is VectorField
                 assert np.shares_memory(f.data, traj.data[j])
+        with pytest.raises(DataError, match="vector fields"):
+            Trajectory(lat2, times, [to_spectral(f) for f in (u, 2.0 * u, 3.0 * u)])
 
     def test_node_index(self, lat2, divfree_datum):
         traj = heat_trajectory(divfree_datum(lat2, seed=5), [0.1, 0.2, 0.4])
