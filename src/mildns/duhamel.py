@@ -271,7 +271,7 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
 
     pairs, pair_of = _pair_layout(d, u_traj is v_traj)
     # one node's half-spectrum products take as many bytes as the sum
-    acc = np.zeros((len(pairs),) + lat.half(lat.ksq).shape, dtype=np.complex128)
+    acc = np.zeros((len(pairs),) + lat.half_shape, dtype=np.complex128)
     chunk = min(taus.size, max(1, _CHUNK_BYTES // acc.nbytes))
     products = np.empty((chunk, len(pairs)) + lat.spatial_shape)
     coeff_buf = np.empty((chunk,) + acc.shape, dtype=np.complex128)

@@ -50,7 +50,7 @@ from .duhamel import (
     bilinear_trajectory,
     estimate_quadrature,
 )
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError, NumericalError
 from .lattice import TWO_PI, DatumSpec, VectorField, make_lattice, realize_datum
 from .multipliers import kernel_profile
 from .norms import (
@@ -282,11 +282,11 @@ def _datum_from_config(datum_cfg: dict) -> DatumSpec:
 
 @contextmanager
 def _naming(*names: str):
-    """Re-raise a ConfigError of the block, of the same class, under the
-    config keys that fed it: "config keys 'k_min' and 'k_max': ..."."""
+    """Re-raise a ConfigError or DataError of the block, of the same class,
+    under the config keys that fed it: "config keys 'k_min' and 'k_max': ..."."""
     try:
         yield
-    except ConfigError as exc:
+    except (ConfigError, DataError) as exc:
         quoted = [repr(name) for name in names]
         keys = (f"key {quoted[0]}" if len(quoted) == 1
                 else f"keys {', '.join(quoted[:-1])} and {quoted[-1]}")
@@ -687,7 +687,7 @@ def _run_smallness(cfg):
 def _tg_closed_form_error(solution, u0) -> float:
     """Max relative L2 node error against the decaying Taylor-Green flow."""
     lat = u0.lattice
-    spec_data = lat.forward(u0.data)
+    spec_data = lat.rforward(u0.data)
     # infer the harmonic from the datum's dominant mode magnitude
     mags = np.abs(spec_data)
     idx = np.unravel_index(int(np.argmax(mags)), mags.shape)
@@ -783,7 +783,12 @@ def _run_scaling(cfg):
     u0 = _realized(cfg["datum"], lat, "datum")
     u0_scaled = VectorField(lat_fine, lam * u0.data)
     lhs = smallness_lhs(u0, horizon, book, SMALLNESS_CRITICAL).lhs
-    lhs_scaled = smallness_lhs(u0_scaled, horizon_fine, book, SMALLNESS_CRITICAL).lhs
+    with _naming("lam"):
+        try:
+            lhs_scaled = smallness_lhs(u0_scaled, horizon_fine, book, SMALLNESS_CRITICAL).lhs
+        except NumericalError as exc:
+            # u0's own sup is finite, so only the size of lam u0 is left to overflow
+            raise ConfigError(f"|lam u0|^q_tilde overflows: {exc}") from exc
     rel = abs(lhs - lhs_scaled) / lhs if lhs > 0 else float("inf")
     columns = ["which", "horizon", "box_len", "lhs"]
     rows = [
@@ -812,7 +817,8 @@ def _run_powerlaw(cfg):
     for i, eps in enumerate(levels):
         datum = dict(kind="power_law", decay=cfg["decay"], r_inner=eps, r_outer=cfg["r_outer"],
                      amplitude=cfg["amplitude"])
-        u0 = _realized(datum, lat, f"r_inner_levels[{i}]", "r_outer", "box_len")
+        u0 = _realized(datum, lat, "decay", "amplitude", f"r_inner_levels[{i}]", "r_outer",
+                       "box_len")
         lp = lebesgue_norm(u0, p)
         rep = besov_norm_heat(u0, s_b, qt)
         lp_values.append(lp)

@@ -14,18 +14,15 @@ Conventions used throughout the package:
   its coefficients.
 * Plancherel with these weights: the physical L2 norm computed with cell
   weights (L/n)^d equals L^(d/2) times the l2 norm of the coefficients.
-* The inverse transform reads only the non-negative half of the last
-  spatial axis, indices 0..n/2 (Lattice.half), of a full grid of
-  coefficients. That is exact for Hermitian coefficients,
-  c(-k) = conj(c(k)), which every caller passes: spectra of real samples,
-  times real even symbols (heat factor, |k|^s, the Leray projection) or
-  odd ones built on the Nyquist-zeroed k_deriv. The other half is their
-  complex conjugate and carries no information.
-* The half is a prefix of the FFT layout: fftfreq puts m = 0, 1, ..., n/2
-  first on every axis (the n/2 entry stored as -n/2), so a half array is
-  c[..., :n/2 + 1] of the full one, and an elementwise multiplier acts on
-  it through the same prefix of its own array, k[..., :c.shape[-1]].
-  Lattice.rforward yields such a half array straight from real samples.
+* Every coefficient array is a half array: the non-negative half of the
+  last spatial axis, indices 0..n/2, shape Lattice.half_shape. Fields are
+  real, so their coefficients are Hermitian, c(-k) = conj(c(k)), and stay
+  so under every multiplier the package applies: real even symbols (heat
+  factor, |k|^s, the Leray projection) and odd ones built on the
+  Nyquist-zeroed k_deriv. The other half is the complex conjugate of this
+  one and carries no information. Lattice.rforward yields the half array
+  of real samples and Lattice.inverse reads it; no transform makes the
+  full grid of coefficients.
 """
 from __future__ import annotations
 
@@ -62,20 +59,21 @@ class Lattice:
         box_len ** 2 / 100] of heat-flow times: below the floor the grid does
         not resolve the flow, above the cap the periodic images do not stay
         negligible
+    half_shape : (n,)*(d-1) + (n/2 + 1,), the shape of a half array
     k_axes : list of d arrays shaped for broadcasting, k_axes[i] holds the
-        signed wavenumbers (2*pi/L) * m along axis i
-    k_deriv : like k_axes but with the self-paired Nyquist entry zeroed.
-        fftfreq stores m = -n/2 at that index with no +n/2 partner, so any
-        operator odd in k would map real fields to complex ones there.
-        Odd-order multipliers (the divergence, the k (k . ) part of the
-        Leray projection) contract against these instead.
-    ksq : |k|^2 on the full grid, built on first use
+        signed wavenumbers (2*pi/L) * m along axis i, every m of the axis
+    k_deriv : the wavenumbers of the half grid, with the self-paired
+        Nyquist entry zeroed. fftfreq stores m = -n/2 at that index with no
+        +n/2 partner, so any operator odd in k would map real fields to
+        complex ones there. Odd-order multipliers (the divergence, the
+        k (k . ) part of the Leray projection) contract against these.
+    ksq : |k|^2 on the full grid, built on first use; only the random-band
+        datum draws on the full grid
     kmag : |k| on the full grid, built on first use
-    safe_ksq_deriv : |k|^2 from k_deriv with zeros replaced by 1, built on
-        first use and read-only
-    heat(t, half=True) : the heat kernel exp(-|k|^2 t), as the product of
-        d one-axis factors, on the half of the grid that inverse() reads
-        and rforward() yields, or on the full grid
+    safe_ksq_deriv : |k|^2 from k_deriv with zeros replaced by 1, on the
+        half grid, built on first use and read-only
+    heat(t) : the heat kernel exp(-|k|^2 t) on the half grid, as the
+        product of d one-axis factors
     heat_band(t, cutoff) : the modes per axis that the heat flow at t keeps
         above exp(-cutoff), and a bound of the kernel on the rest
     coarsened(n) : the lattice of the same box with n points per axis,
@@ -109,9 +107,10 @@ class Lattice:
         self.k_deriv = []
         for axis in range(self.d):
             shape = [1] * self.d
-            shape[axis] = self.n
+            shape[axis] = -1
             self.k_axes.append(k1.reshape(shape))
-            self.k_deriv.append(k1_deriv.reshape(shape))
+            deriv = k1_deriv if axis < self.d - 1 else self.half(k1_deriv)
+            self.k_deriv.append(deriv.reshape(shape))
         self._ksq_axis = k1**2
         coords = self.spacing * np.arange(self.n)
         self.x_axes = [coords.reshape(ka.shape) for ka in self.k_axes]
@@ -141,9 +140,8 @@ class Lattice:
         safe.flags.writeable = False
         return safe
 
-    def heat(self, t, half: bool = True) -> np.ndarray:
-        """The heat kernel exp(-|k|^2 t), on the half spectrum (half=True)
-        or on the full grid.
+    def heat(self, t) -> np.ndarray:
+        """The heat kernel exp(-|k|^2 t) on the half grid.
 
         |k|^2 = sum_a k_a^2, so the kernel is the broadcast product of the d
         one-axis factors exp(-t k_a^2). Every axis has the same wavenumbers,
@@ -164,7 +162,7 @@ class Lattice:
         kernel = along(0, factor)
         for axis in range(1, self.d - 1):
             kernel = kernel * along(axis, factor)
-        return kernel * along(self.d - 1, self.half(factor) if half else factor)
+        return kernel * along(self.d - 1, self.half(factor))
 
     def heat_band(self, t: float, cutoff: float) -> tuple:
         """(band, past) of the heat flow at time t: band is the largest mode
@@ -187,11 +185,10 @@ class Lattice:
         """max_a |m_a| over the half spectrum: the least band that holds each
         mode, as integers. Built on every call, so the lattice does not
         hold it."""
-        half = self.n // 2
         modes = np.abs(np.fft.fftfreq(self.n, d=1.0 / self.n)).astype(np.intp)
-        shells = np.zeros(self.spatial_shape[:-1] + (half + 1,), dtype=np.intp)
+        shells = np.zeros(self.half_shape, dtype=np.intp)
         for axis in range(self.d):
-            along = modes if axis < self.d - 1 else modes[: half + 1]
+            along = modes if axis < self.d - 1 else self.half(modes)
             np.maximum(shells, along.reshape([-1 if a == axis else 1 for a in range(self.d)]),
                        out=shells)
         return shells
@@ -210,8 +207,7 @@ class Lattice:
             raise ConfigError(f"band {band} does not fit n={coarse.n} and n={self.n}")
         kept = np.r_[0 : band + 1, -band:0]
         axes = [kept] * (self.d - 1) + [np.arange(band + 1)]
-        out = np.zeros(c.shape[: -self.d] + coarse.spatial_shape[:-1] + (coarse.n // 2 + 1,),
-                       dtype=complex)
+        out = np.zeros(c.shape[: -self.d] + coarse.half_shape, dtype=complex)
         out[(Ellipsis,) + np.ix_(*axes)] = c[(Ellipsis,) + np.ix_(*axes)]
         return out
 
@@ -219,44 +215,41 @@ class Lattice:
     def spatial_shape(self):
         return (self.n,) * self.d
 
+    @property
+    def half_shape(self):
+        return self.spatial_shape[:-1] + (self.n // 2 + 1,)
+
     def half(self, c: np.ndarray) -> np.ndarray:
-        """View of the coefficients inverse() reads: indices 0..n/2 of the
-        last spatial axis. Slicing a half array again returns all of it."""
+        """View of indices 0..n/2 of the last axis of c, such as a full-grid
+        array or a one-axis factor. Slicing a half array again returns all
+        of it."""
         return c[..., : self.n // 2 + 1]
 
-    def forward(self, a: np.ndarray) -> np.ndarray:
-        """Fourier-series coefficients fftn(a) / n^d over the trailing d axes.
-
-        Every transform in the package goes through this method,
-        rforward() and inverse(). n is a power of two, so the 1/n^d scaling
-        is exact.
-        """
-        return np.fft.fftn(a, axes=tuple(range(-self.d, 0)), norm="forward")
-
     def rforward(self, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The half of forward(a) that inverse() reads, for real samples a:
-        rfftn(a) / n^d over the trailing d axes, indices 0..n/2 of the last.
+        """The half array of Fourier-series coefficients of real samples a:
+        rfftn(a) / n^d over the trailing d axes.
 
-        It equals half(forward(a)) to round-off, not bit for bit, at half
-        the transform work. The heat flows of a datum and the Duhamel
-        term's real node products are transformed with it. With out
-        (complex128, the shape of the result), each axis is transformed
-        into out, which is returned: the bits are those of a call without
-        out, and the result-size array that such a call allocates for each
-        axis is never made.
+        Every transform in the package goes through this method and
+        inverse(). n is a power of two, so the 1/n^d scaling is exact.
+        With out (complex128, the shape of the result), each axis is
+        transformed into out, which is returned: the bits are those of a
+        call without out, and the result-size array that such a call
+        allocates for each axis is never made.
         """
         return np.fft.rfftn(a, axes=tuple(range(-self.d, 0)), norm="forward", out=out)
 
     def inverse(self, c: np.ndarray) -> np.ndarray:
-        """Real samples of the Hermitian coefficients c over the trailing d axes.
+        """Real samples of the Hermitian half array c over the trailing d axes.
 
-        A real inverse transform (irfftn) of half(c), the non-negative half
-        of the last spatial axis; the other half of a Hermitian array is the
-        conjugate of this one, so it is never read, and a full or a half
-        array gives the same bits. For coefficients that are not Hermitian
-        the result is not the real part of their inverse transform.
+        A real inverse transform (irfftn); the other half of a Hermitian
+        array is the conjugate of c, so it is never needed. For
+        coefficients that are not Hermitian the result is not the real
+        part of their inverse transform.
         """
-        return np.fft.irfftn(self.half(c), s=self.spatial_shape,
+        if c.shape[-self.d:] != self.half_shape:
+            raise DataError(f"coefficients of shape {c.shape} are not a half array "
+                            f"{self.half_shape} of this lattice")
+        return np.fft.irfftn(c, s=self.spatial_shape,
                              axes=tuple(range(-self.d, 0)), norm="forward")
 
     def mode_resolved(self, mode: Sequence[int]) -> bool:
@@ -309,12 +302,12 @@ class VectorField:
             raise DataError(f"fields hold physical samples, got representation {representation!r}")
         expected = (lattice.d,) + lattice.spatial_shape
         data = np.asarray(data)
+        if np.iscomplexobj(data):
+            raise DataError("fields must be real-valued")
         if data.shape != expected:
             raise DataError(
                 f"VectorField data shape {data.shape} does not match lattice shape {expected}"
             )
-        if np.iscomplexobj(data):
-            raise DataError("fields must be real-valued")
         data = data.astype(np.float64, copy=False)
         if not np.all(np.isfinite(data)):
             raise DataError("field contains non-finite samples")
@@ -350,14 +343,14 @@ Field = VectorField
 
 
 def to_spectral(field: Field) -> np.ndarray:
-    """The Fourier-series coefficients of a field, a new array:
-    field.lattice.forward(field.data)."""
-    return field.lattice.forward(field.data)
+    """The half array of Fourier-series coefficients of a field, a new
+    array: field.lattice.rforward(field.data)."""
+    return field.lattice.rforward(field.data)
 
 
 def to_physical(lattice: Lattice, coeff: np.ndarray) -> Field:
-    """The field whose Hermitian coefficients (a full or a half array) are
-    coeff: lattice.inverse(coeff) as a VectorField."""
+    """The field whose Hermitian half array of coefficients is coeff:
+    lattice.inverse(coeff) as a VectorField."""
     return VectorField(lattice, lattice.inverse(coeff))
 
 
@@ -521,12 +514,12 @@ def _random_band_datum(spec: DatumSpec, lattice: Lattice) -> np.ndarray:
     shape = (lattice.d,) + lattice.spatial_shape
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     raw *= band  # broadcast over components
-    # Hermitian part, so the physical samples are real
+    # Hermitian part, so the physical samples are real; the draw is made
+    # on the full grid, and inverse reads its half
     flipped = raw
     for axis in range(1, lattice.d + 1):
         flipped = np.roll(np.flip(flipped, axis=axis), 1, axis=axis)
-    coeff = 0.5 * (raw + np.conj(flipped))
-    return coeff
+    return lattice.half(0.5 * (raw + np.conj(flipped)))
 
 
 def realize_datum(spec: DatumSpec, lattice: Lattice) -> VectorField:

@@ -9,16 +9,15 @@ free and do not diffuse). Each takes a field, multiplies its coefficients
 (to_spectral, a plain array) and returns the field of the product
 (to_physical).
 
-Operators odd in k contract against Lattice.k_deriv (Nyquist entries
-zeroed) so that real fields map to real fields and the discrete Leray
-projection is exactly idempotent and divergence free under the same
-discrete divergence. _divergence_spectral and _leray_inplace are the one
-P div kernel: leray_project, the Duhamel term and kernel_profile all use
-them. The kernel is elementwise, and it reads k_deriv and safe_ksq_deriv
-through their prefix k[..., :c.shape[-1]], so it takes the full spectrum
-(leray_project, kernel_profile) or its half (Lattice.half, the Duhamel
-term's Lattice.rforward coefficients) alike: on a half array it gives the
-half of what it gives on the full one, bit for bit.
+Every coefficient array is the half array of Lattice.rforward, and every
+multiplier is built on the same half grid. Operators odd in k contract
+against Lattice.k_deriv (Nyquist entries zeroed) so that real fields map
+to real fields and the discrete Leray projection is exactly idempotent and
+divergence free under the same discrete divergence. _divergence_spectral
+and _leray_inplace are the one P div kernel: leray_project, the Duhamel
+term and kernel_profile all use them. _divergence, which the kernel
+applies row by row, is also the one divergence that divergence_defect
+measures.
 """
 from __future__ import annotations
 
@@ -32,37 +31,38 @@ from .lattice import Field, Lattice, TWO_PI, VectorField, make_lattice, to_physi
 
 def _apply_multiplier(field: Field, multiplier: np.ndarray) -> Field:
     """The field whose coefficients are those of field times a
-    spatial-shape array."""
+    half-grid array."""
     return to_physical(field.lattice, to_spectral(field) * multiplier)
+
+
+def _divergence(coeff: np.ndarray, lat: Lattice) -> np.ndarray:
+    """Coefficients sum_j i k_j c_j of div c, for vector coefficients c."""
+    return sum(1j * kd * c for kd, c in zip(lat.k_deriv, coeff))
 
 
 def _divergence_spectral(tensor_coeff: np.ndarray, lat: Lattice) -> np.ndarray:
     """Vector coefficients sum_j i k_j T_ij of div T, as a new array."""
-    m = tensor_coeff.shape[-1]
-    k = [kd[..., :m] for kd in lat.k_deriv]
     out = np.empty(tensor_coeff.shape[1:], dtype=np.complex128)
     for i in range(lat.d):
-        out[i] = sum(1j * k[j] * tensor_coeff[i, j] for j in range(lat.d))
+        out[i] = _divergence(tensor_coeff[i], lat)
     return out
 
 
 def _leray_inplace(coeff: np.ndarray, lat: Lattice) -> np.ndarray:
     """Overwrite vector coefficients c with c - k (k . c) / |k|^2 and return them."""
-    m = coeff.shape[-1]
-    k = [kd[..., :m] for kd in lat.k_deriv]
-    k_dot_c = sum(k[i] * coeff[i] for i in range(lat.d)) / lat.safe_ksq_deriv[..., :m]
-    for i in range(lat.d):
-        coeff[i] -= k[i] * k_dot_c
+    k_dot_c = sum(kd * c for kd, c in zip(lat.k_deriv, coeff)) / lat.safe_ksq_deriv
+    for kd, c in zip(lat.k_deriv, coeff):
+        c -= kd * k_dot_c
     return coeff
 
 
 def _fractional_multiplier(lattice: Lattice, s: float) -> np.ndarray:
-    """|k|^s on the full grid, 0 at k = 0 for s != 0 (1 everywhere for s = 0)."""
+    """|k|^s on the half grid, 0 at k = 0 for s != 0 (1 everywhere for s = 0)."""
     if not np.isfinite(s):
         raise ConfigError(f"fractional order must be finite, got {s}")
     if s == 0:
-        return np.ones(lattice.spatial_shape)
-    kmag = lattice.kmag.copy()
+        return np.ones(lattice.half_shape)
+    kmag = np.sqrt(sum(lattice.half(ka) ** 2 for ka in lattice.k_axes))
     kmag[(0,) * lattice.d] = 1.0
     mult = kmag**s
     mult[(0,) * lattice.d] = 0.0
@@ -75,7 +75,7 @@ def heat_flow(field: Field, t: float) -> Field:
         raise ConfigError(f"heat flow time must be >= 0 and finite, got {t}")
     if t == 0:
         return field
-    return _apply_multiplier(field, field.lattice.heat(t, half=False))
+    return _apply_multiplier(field, field.lattice.heat(t))
 
 
 def fractional_laplacian(field: Field, s: float) -> Field:
@@ -104,8 +104,7 @@ def divergence_defect(field: VectorField) -> float:
 def _divergence_defect(samples: np.ndarray, lat: Lattice) -> float:
     """divergence_defect of the physical samples (d, *spatial) of a vector
     field, such as one node of a trajectory."""
-    spectral = lat.forward(samples)
-    div_phys = lat.inverse(sum(1j * lat.k_deriv[i] * spectral[i] for i in range(lat.d)))
+    div_phys = lat.inverse(_divergence(lat.rforward(samples), lat))
     scale = float(np.max(np.abs(samples)))
     if scale == 0.0:
         return 0.0
@@ -184,14 +183,14 @@ def kernel_profile(
     lat = make_lattice(d, resolution, box_len)
 
     with np.errstate(over="ignore", invalid="ignore"):  # refused below when not finite
-        mult = _fractional_multiplier(lat, s) * lat.heat(t, half=False)
+        mult = _fractional_multiplier(lat, s) * lat.heat(t)
     if not np.all(np.isfinite(mult)):
         raise NumericalError(f"kernel profile at s = {s:g}: the symbol |k|^s exp(-t |k|^2) "
                              "is not finite")
     half = lat.n // 2
     ray = (slice(None), slice(0, half)) + (0,) * (d - 1)
     ray_max = np.zeros(half)
-    unit = np.zeros((d, d) + lat.spatial_shape)
+    unit = np.zeros((d, d) + lat.half_shape)
     for ell in range(d):
         for j in range(d):
             # column (ell, j): the d kernel components P_{i ell} i k_j

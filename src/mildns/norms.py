@@ -478,7 +478,7 @@ def weighted_lebesgue(traj: Trajectory, weight: float, r, nodes=None, s=0.0) -> 
     """t^weight * || |k|^s u(t) ||_r at the first nodes mesh nodes (every
     node by default), one row reduction of traj.data per node.
 
-    For s != 0 each node goes through forward, the |k|^s multiplier (built
+    For s != 0 each node goes through rforward, the |k|^s multiplier (built
     once per call) and inverse on its own, so no (M, d, *spatial) spectrum
     is held. No field is built: the Trajectory constructor has already
     scanned the samples for non-finite values. A dead row stays exactly
@@ -489,7 +489,7 @@ def weighted_lebesgue(traj: Trajectory, weight: float, r, nodes=None, s=0.0) -> 
     rows = traj.data
     if s != 0:
         mult = _fractional_multiplier(lat, s)
-        rows = (lat.inverse(lat.forward(node) * mult) for node in rows)
+        rows = (lat.inverse(lat.rforward(node) * mult) for node in rows)
     return np.array([t**weight * _lebesgue_rows(node, r, lat.cell_volume)
                      for t, node in zip(traj.times[:nodes], rows)])
 

@@ -180,6 +180,8 @@ class TestExitCodes:
         [
             ("scaling", "lam=1e300", 2,
              "config error: config key 'lam': box length 6.28319e-300 is too small"),
+            ("scaling", "lam=1e100", 2,
+             "config error: config key 'lam': |lam u0|^q_tilde overflows"),
             ("beta-integral", "t=1e300", 2,
              "config error: config key 't': beta integral at t = 1e+300"),
             ("beta-integral", "t=1e-300", 2,
@@ -188,9 +190,11 @@ class TestExitCodes:
              "numerical failure: kernel profile at s = 1e+300"),
             ("besov-equiv", "rescale=1e308", 3, "numerical failure: non-finite heat-sup value"),
             ("powerlaw", "decay=1e300", 2,
-             "config error: power_law datum produced non-finite samples"),
+             "config error: config keys 'decay', 'amplitude', 'r_inner_levels[0]', 'r_outer' "
+             "and 'box_len': power_law datum produced non-finite samples"),
         ],
-        ids=["scaling-lam", "beta-integral-t-large", "beta-integral-t-small", "kernel-decay-s",
+        ids=["scaling-lam", "scaling-lam-heat-sup", "beta-integral-t-large",
+             "beta-integral-t-small", "kernel-decay-s",
              "besov-equiv-rescale", "powerlaw-decay"],
     )
     def test_overflowing_value_is_refused_cleanly(self, experiment, setting, code, message,
@@ -334,11 +338,11 @@ class TestExitCodes:
             ("besov-equiv", ["mode=[0,0]"],
              "config keys 'mode' and 'n': single_mode datum requires a nonzero wavevector"),
             ("powerlaw", ["r_outer=5", "n=64"],
-             "config keys 'r_inner_levels[0]', 'r_outer' and 'box_len': power_law datum "
-             "requires 0 < r_inner < r_outer <= box_len / 2"),
+             "config keys 'decay', 'amplitude', 'r_inner_levels[0]', 'r_outer' and 'box_len': "
+             "power_law datum requires 0 < r_inner < r_outer <= box_len / 2"),
             ("powerlaw", ["r_inner_levels=[4.0,3.0]", "n=64"],
-             "config keys 'r_inner_levels[0]', 'r_outer' and 'box_len': power_law datum "
-             "requires 0 < r_inner < r_outer <= box_len / 2, got r_inner=4.0"),
+             "config keys 'decay', 'amplitude', 'r_inner_levels[0]', 'r_outer' and 'box_len': "
+             "power_law datum requires 0 < r_inner < r_outer <= box_len / 2, got r_inner=4.0"),
             ("kernel-decay", ["resolution=16"],
              "config keys 'resolution', 'box_len', 't' and 'radius_max': lattice too coarse "
              "for the heat factor"),

@@ -47,7 +47,6 @@ from mildns import (
     make_lattice,
     quadratic_mesh,
     realize_datum,
-    to_physical,
     volterra_nodes,
 )
 from mildns import duhamel
@@ -324,23 +323,29 @@ class TestBilinearB:
 
 
 def per_node_B(u_traj, v_traj, t, quad):
-    """B(u, v)(t) with one transform and one P div per quadrature node, the
-    P div written out: c_i = sum_j i k_j T_ij, then c - k (k . c) / |k|^2."""
+    """B(u, v)(t) with one complex transform and one P div per quadrature
+    node on the full grid, the P div written out: c_i = sum_j i k_j T_ij,
+    then c - k (k . c) / |k|^2. The wavenumbers come from np.fft.fftfreq,
+    not from the Lattice under test."""
     lat = u_traj.lattice
-    k = np.array(np.broadcast_arrays(*lat.k_deriv))
+    d, n = lat.d, lat.n
+    k1 = 2.0 * np.pi / lat.box_len * np.fft.fftfreq(n, d=1.0 / n)
+    ksq_heat = np.sum(np.array(np.meshgrid(*[k1] * d, indexing="ij")) ** 2, axis=0)
+    k1[n // 2] = 0.0  # the self-paired Nyquist entry, as for every odd multiplier
+    k = np.array(np.meshgrid(*[k1] * d, indexing="ij"))
     ksq = np.sum(k**2, axis=0)
     ksq[ksq == 0.0] = 1.0  # mean and Nyquist corners, where k . c = 0
     taus, gaps, weights = volterra_nodes(quad, t)
-    acc = np.zeros((lat.d,) + lat.spatial_shape, dtype=np.complex128)
+    acc = np.zeros((d,) + lat.spatial_shape, dtype=np.complex128)
     for tau, gap, weight in zip(taus, gaps, weights):
         u_m = u_traj.value_at(tau, -0.5 * quad.theta)
         v_m = v_traj.value_at(tau, -0.5 * quad.theta)
         tensor = np.einsum("i...,j...->ij...", u_m, v_m)
-        coeff = np.fft.fftn(tensor, axes=tuple(range(2, 2 + lat.d))) / lat.n**lat.d
+        coeff = np.fft.fftn(tensor, axes=tuple(range(2, 2 + d))) / n**d
         c = np.einsum("j...,ij...->i...", 1j * k, coeff)
         w = c - k * (np.sum(k * c, axis=0) / ksq)
-        acc += weight * (w * np.exp(-lat.ksq * gap))
-    return to_physical(lat, acc).data
+        acc += weight * (w * np.exp(-ksq_heat * gap))
+    return np.fft.ifftn(acc, axes=tuple(range(1, 1 + d)), norm="forward").real
 
 
 class TestFusedB:

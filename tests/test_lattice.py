@@ -139,17 +139,27 @@ class TestTransforms:
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
     def test_boundary_is_the_lattice_transforms(self, d, n, rng):
-        """to_spectral is Lattice.forward of the samples and to_physical
-        Lattice.inverse of the coefficients, bit for bit, full or half."""
+        """to_spectral is Lattice.rforward of the samples and to_physical
+        Lattice.inverse of the coefficients, bit for bit."""
         lat = make_lattice(d, n, 2.0 * np.pi)
         data = rng.standard_normal((d,) + lat.spatial_shape)
         coeff = to_spectral(VectorField(lat, data))
         assert type(coeff) is np.ndarray and coeff.dtype == np.complex128
-        assert np.array_equal(coeff, lat.forward(data))
-        for c in (coeff, lat.half(coeff)):
-            back = to_physical(lat, c)
-            assert type(back) is VectorField and back.lattice == lat
-            assert np.array_equal(back.data, lat.inverse(c))
+        assert coeff.shape == (d,) + lat.half_shape
+        assert np.array_equal(coeff, lat.rforward(data))
+        back = to_physical(lat, coeff)
+        assert type(back) is VectorField and back.lattice == lat
+        assert np.array_equal(back.data, lat.inverse(coeff))
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_inverse_refuses_a_full_grid_of_coefficients(self, d, n, rng):
+        """irfftn would crop a full grid to its half without a word; inverse
+        reads half arrays only."""
+        lat = make_lattice(d, n, 2.0 * np.pi)
+        full = np.fft.fftn(rng.standard_normal((d,) + lat.spatial_shape),
+                           axes=tuple(range(1, d + 1)), norm="forward")
+        with pytest.raises(DataError, match="not a half array"):
+            lat.inverse(full)
 
     def test_cosine_coefficients(self, row0_field):
         """cos(x) carries exactly two Fourier-series coefficients of 1/2."""
@@ -163,32 +173,33 @@ class TestTransforms:
         assert np.abs(rest).max() < 1e-14
 
     def test_hermitian_defect_vanishes_for_real_data(self, lat2, rng):
-        """c(-k) = conj(c(k)) for the coefficients of real samples."""
-        c = to_spectral(VectorField(lat2, rng.standard_normal((2, 16, 16)), PHYSICAL))
+        """c(-k) = conj(c(k)) for the coefficients of real samples: the
+        Hermitian completion of the half array is the complex transform."""
+        data = rng.standard_normal((2, 16, 16))
+        c = hermitian_completion(lat2, to_spectral(VectorField(lat2, data, PHYSICAL)))
+        full = np.fft.fftn(data, axes=(1, 2), norm="forward")
+        assert np.abs(c - full).max() < 1e-14 * np.abs(full).max()
         flipped = np.roll(np.flip(c, axis=(1, 2)), 1, axis=(1, 2))
         assert np.abs(flipped - np.conj(c)).max() < 1e-14 * np.abs(c).max()
 
     @pytest.mark.parametrize("shape, d, n", [((2, 32, 32), 2, 32), ((5, 3, 32, 32), 2, 32),
                                              ((3, 16, 16, 16), 3, 16)])
     def test_forward_and_inverse_are_the_scaled_dft(self, shape, d, n, rng):
-        """Lattice.forward is fftn / n^d over the trailing d axes, and
+        """Lattice.rforward is rfftn / n^d over the trailing d axes, and
         Lattice.inverse is irfftn * n^d of the half spectrum (indices 0..n/2
         of the last axis), bit for bit (n^d is a power of two, so the
-        scaling is exact), whatever the leading axes. A full and a half
-        array give the same bits, and for the Hermitian coefficients of real
-        samples the result is the real part of the complex inverse to
-        round-off. Lattice.rforward is rfftn / n^d, bit for bit, which is
-        that half of forward to round-off, and inverse undoes it; given
-        out, it fills and returns out with the same bits."""
+        scaling is exact), whatever the leading axes. rforward is the half
+        of the complex transform fftn / n^d to round-off; for the Hermitian
+        coefficients of real samples inverse is the real part of the
+        complex inverse to round-off, and it undoes rforward; given out,
+        rforward fills and returns out with the same bits."""
         lat = make_lattice(d, n, 2.0 * np.pi)
         axes = tuple(range(len(shape) - d, len(shape)))
         a = rng.standard_normal(shape)
-        c = lat.forward(a)
-        npt.assert_array_equal(c, np.fft.fftn(a, axes=axes) / n**d)
+        c = np.fft.fftn(a, axes=axes) / n**d
         half = c[..., : n // 2 + 1]
-        back = lat.inverse(c)
+        back = lat.inverse(half.copy())
         npt.assert_array_equal(back, np.fft.irfftn(half, s=(n,) * d, axes=axes) * n**d)
-        npt.assert_array_equal(lat.inverse(half.copy()), back)
         complex_inverse = (np.fft.ifftn(c, axes=axes) * n**d).real
         assert np.abs(back - complex_inverse).max() <= 1e-15 * np.abs(a).max()
         r = lat.rforward(a)
@@ -214,40 +225,55 @@ class TestHeatKernel:
         are below 1e-280 where it is not."""
         lat = make_lattice(d, n, box_len)
         eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        ksq = lat.half(lat.ksq)
         for t in self.TIMES:
-            want = np.exp(-lat.ksq * t)
-            got = lat.heat(t, half=False)
+            want = np.exp(-ksq * t)
+            got = lat.heat(t)
             normal = want >= tiny
             rel = np.abs(got[normal] - want[normal]) / want[normal]
-            assert np.all(rel <= 2 * eps * (1 + lat.ksq[normal] * t))
+            assert np.all(rel <= 2 * eps * (1 + ksq[normal] * t))
             assert np.all(got[~normal] < 1e-280) and np.all(want[~normal] < 1e-280)
         assert not normal.all()  # the largest t reaches the underflow
 
     @pytest.mark.parametrize("d, n, box_len", CASES, ids=["2d", "3d"])
     def test_half_and_node_axis_give_the_same_bits(self, d, n, box_len):
-        """The half kernel is the half of the full one, and an array of
-        times gives the stacked scalar kernels, bit for bit, so the
-        chunked kernels of bilinear_B equal per-node ones."""
+        """On the half grid, an array of times gives the stacked scalar
+        kernels, bit for bit, so the chunked kernels of bilinear_B equal
+        per-node ones."""
         lat = make_lattice(d, n, box_len)
-        for t in self.TIMES:
-            assert np.array_equal(lat.half(lat.heat(t, half=False)), lat.heat(t))
-        for half in (True, False):
-            stacked = np.array([lat.heat(t, half=half) for t in self.TIMES])
-            assert np.array_equal(lat.heat(self.TIMES, half=half), stacked)
-        assert lat.heat(1.0).shape == lat.half(lat.ksq).shape
-        assert lat.heat(self.TIMES[:3]).shape == (3,) + lat.half(lat.ksq).shape
+        stacked = np.array([lat.heat(t) for t in self.TIMES])
+        assert np.array_equal(lat.heat(self.TIMES), stacked)
+        assert lat.heat(1.0).shape == lat.half(lat.ksq).shape == lat.half_shape
+        assert lat.heat(self.TIMES[:3]).shape == (3,) + lat.half_shape
 
     @pytest.mark.parametrize("d, n, box_len", CASES, ids=["2d", "3d"])
     def test_time_zero_is_the_identity(self, d, n, box_len):
         lat = make_lattice(d, n, box_len)
-        assert np.array_equal(lat.heat(0.0, half=False), np.ones(lat.spatial_shape))
+        assert np.array_equal(lat.heat(0.0), np.ones(lat.half_shape))
         assert np.all(lat.heat(0) == 1.0)
 
 
+def hermitian_completion(lat, c):
+    """The full grid of coefficients whose half array is c: column
+    n - j of the last axis is the mirror image conj(c(-k)) of column j,
+    for j = 1..n/2-1."""
+    mirror = np.conj(c[..., 1 : lat.n // 2][..., ::-1])
+    for axis in range(-lat.d, -1):
+        mirror = np.roll(np.flip(mirror, axis=axis), 1, axis=axis)
+    return np.concatenate([c, mirror], axis=-1)
+
+
+def complex_forward(self, a, out=None):
+    """The half of the complex forward transform fftn, a new array whatever
+    out is given."""
+    return self.half(np.fft.fftn(a, axes=tuple(range(-self.d, 0)), norm="forward"))
+
+
 def complex_inverse(self, c):
-    """The complex inverse transform the half-spectrum one replaced: the
-    real part of ifftn over the whole spectrum."""
-    return np.fft.ifftn(c, axes=tuple(range(-self.d, 0)), norm="forward").real
+    """The complex inverse transform: the real part of ifftn of the
+    Hermitian completion of c."""
+    full = hermitian_completion(self, c)
+    return np.fft.ifftn(full, axes=tuple(range(-self.d, 0)), norm="forward").real
 
 
 # Every call site of Lattice.inverse in the package, as a function of the
@@ -322,13 +348,11 @@ class TestCoarseLattice:
 
 
 class TestHalfSpectrumCallSites:
-    """Each in-package caller of Lattice.inverse passes Hermitian
-    coefficients, so reading only their half spectrum gives what the complex
-    inverse of the full spectrum gave, to round-off. The reference runs the
-    same code with the full spectrum kept (Lattice.half the identity, which
-    also makes Lattice.heat the full-grid kernel, Lattice.rforward the
-    complex forward, returned as a new array whatever out is given) and the
-    complex inverse."""
+    """Each in-package caller of Lattice.inverse passes the half array of
+    Hermitian coefficients, so the real transforms give what the complex
+    ones give, to round-off. The reference runs the same code with
+    Lattice.rforward the half of the complex forward transform and
+    Lattice.inverse the complex inverse of the Hermitian completion."""
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)], ids=["2d", "3d"])
     @pytest.mark.parametrize("site", sorted(INVERSE_CALL_SITES))
@@ -341,8 +365,7 @@ class TestHalfSpectrumCallSites:
         trajs = (heat_trajectory(u, mesh), heat_trajectory(v, mesh))
         got = np.asarray(INVERSE_CALL_SITES[site](lat, u, trajs))
         monkeypatch.setattr(Lattice, "inverse", complex_inverse)
-        monkeypatch.setattr(Lattice, "half", lambda self, c: c)
-        monkeypatch.setattr(Lattice, "rforward", lambda self, a, out=None: self.forward(a))
+        monkeypatch.setattr(Lattice, "rforward", complex_forward)
         want = np.asarray(INVERSE_CALL_SITES[site](lat, u, trajs))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -367,10 +390,59 @@ def transform_uses(source: str) -> list:
     return lines
 
 
+def fft_functions(source: str) -> set:
+    """Names of the functions source reaches in an `fft` module: attributes
+    of it (fftn for np.fft.fftn or fft.fftn) and names imported from it."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            if getattr(node.value, "attr", getattr(node.value, "id", None)) == "fft":
+                names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "fft":
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def forward_uses(source: str) -> list:
+    """Line numbers where source defines a function named forward or calls
+    an attribute named forward."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "forward":
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "forward"):
+            lines.append(node.lineno)
+    return lines
+
+
 class TestTransformLayer:
+    def test_one_spectral_layout(self):
+        """Every coefficient array is a half array: lattice.py reaches
+        numpy.fft through the real transforms and fftfreq only, and no
+        module of the package defines or calls a complex forward."""
+        package = Path(mildns.__file__).parent
+        assert fft_functions((package / "lattice.py").read_text()) == {
+            "rfftn", "irfftn", "fftfreq"}
+        offenders = {path.name: forward_uses(path.read_text())
+                     for path in sorted(package.glob("*.py"))}
+        assert {name: lines for name, lines in offenders.items() if lines} == {}
+
+    @pytest.mark.parametrize("source, functions, forwards", [
+        ("import numpy as np\nnp.fft.fftn(a)", {"fftn"}, []),
+        ("np.fft.ifftn(c).real + np.fft.rfftn(a)", {"ifftn", "rfftn"}, []),
+        ("from numpy import fft\nfft.fftn(a)", {"fftn"}, []),
+        ("from numpy.fft import ifftn as inv\n", {"ifftn"}, []),
+        ("class Lattice:\n    def forward(self, a):\n        pass", set(), [2]),
+        ("c = lat.forward(u.data)", set(), [1]),
+    ])
+    def test_layout_scans_see_their_targets(self, source, functions, forwards):
+        assert fft_functions(source) == functions
+        assert forward_uses(source) == forwards
+
     def test_only_lattice_calls_a_transform_module(self):
-        """The Fourier convention lives in Lattice.forward, Lattice.rforward
-        and Lattice.inverse (and fftfreq in Lattice): no other module of the
+        """The Fourier convention lives in Lattice.rforward and
+        Lattice.inverse (and fftfreq in Lattice): no other module of the
         package touches numpy.fft or scipy.fft."""
         package = Path(mildns.__file__).parent
         offenders = {
@@ -542,7 +614,8 @@ class TestRandomBand:
     def test_spectral_support_in_band(self, lat2):
         u = realize_datum(DatumSpec(**self.SPEC), lat2)
         coeff = to_spectral(u)
-        outside = (lat2.kmag < 1.0) | (lat2.kmag > 3.0)
+        kmag = lat2.half(lat2.kmag)
+        outside = (kmag < 1.0) | (kmag > 3.0)
         assert np.abs(coeff[:, outside]).max() < 1e-15
 
     def test_mean_free(self, lat2):
