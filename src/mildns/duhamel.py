@@ -23,28 +23,48 @@ u(tau_q) x v(tau_q) are formed from the interpolated factors in chunks of
 at most _CHUNK_BYTES (256 KB) of half-spectrum coefficients, each chunk is
 transformed by one Lattice.rforward call (the products are real, so only
 the half of the spectrum that Lattice.inverse reads is computed) and
-contracted with the real kernel w_q exp(-|k|^2 gap_q) on that half (one
-Lattice.heat call per chunk, whose node axis runs over the gaps), and
-P div and the inverse transform act once on the summed (d, d) half
-coefficients. For B(u, u), the case of every Picard step, only the
-products i <= j are formed. The products of a chunk are multiplied into
-one buffer and transformed into a second, both allocated once per call
-and reused by every chunk; each product u_i(tau_q) v_j(tau_q) is
-multiplied row by row into the first, so no factor is copied. Fresh
-arrays per chunk (rfftn makes one per axis) were mapped, zero-filled and returned to the system by the
-allocator on every chunk. A default calibration took 61k minor page
-faults that way once importing the package loaded no special-function
-library, and 5k-19k, varying by process, while it did; with the buffers
-it takes 10.7k in every process. The factor pairs are cached per (d, u
-is v) (_pair_layout) and the graded unit rule of volterra_nodes per (node
-count, exponent) (_graded_rule). The factors come from one
+contracted with the real kernel w_q exp(-|k|^2 gap_q) on that half, and
+P div and the inverse transform act once on the summed pair coefficients.
+For B(u, u), the case of every Picard step, only the products i <= j are
+formed. Each product u_i(tau_q) v_j(tau_q) is multiplied row by row into
+a buffer, so no factor is copied. The factors come from one
 Trajectory.value_at call per factor and node, so the frozen value below
-the first mesh node and the exact-node shortcut are the trajectory's own. The sums are re-associated against a per-node
-projection, so B moves at round-off, not bit for bit.
+the first mesh node and the exact-node shortcut are the trajectory's own.
+The sums are re-associated against a per-node projection, so B moves at
+round-off, not bit for bit.
+
+What depends only on the lattice, the output time and the rule is built
+once and kept read-only, so a call redoes none of it:
+
+* _pair_layout(d, u is v): the factor pairs;
+* _volterra_rule(lattice, t, quad): the nodes of volterra_nodes and the
+  one-axis heat factors of the gaps (Lattice.heat_factors) with the
+  weights folded into the first, so the kernel of a chunk is one
+  broadcast product (two at d = 3). 2 Q n floats per output time: 8.5 KiB
+  at n = 32, Q = 16, whatever d, and 33 KiB at n = 64, Q = 32. The last
+  _RULES_KEPT output times are kept;
+* _project_div_symbol(lattice, u is v): P div as one real (d, P) matrix
+  per half-spectrum mode, applied by one einsum over the P pair rows. Each
+  entry is stored twice (for the real and the imaginary part), so it takes
+  the bytes of a complex (d, P) + half_shape array: 51 KiB at d = 2,
+  n = 32 (68 KiB for u != v), and at d = 3, P = 6 (u is v) or 9, 4.8 or
+  7.2 MiB at n = 32 and 37 or 56 MiB at n = 64. The last _SYMBOLS_KEPT are
+  kept.
+
+The product, coefficient, kernel and sum buffers are held across calls by
+the calling thread: one set, for the last (d, n, pair count) it used. A
+Picard solve and a calibration each call B at one shape. A set is 563 KiB at d = 2, n = 32 (526
+KiB for u != v), in arrays of at most 255 KiB, so a warm call maps no
+fresh pages: made per call, these arrays crossed glibc's 128 KiB mmap
+threshold, and were mapped, zero-filled and returned to the system on
+every call, a count of page faults that flipped with the heap layout
+around B. At d = 3 one node's products exceed the chunk cap, and a set
+is 4.8 or 7.2 MiB at n = 32 and 38 or 56 MiB at n = 64.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gamma as gamma_fn
@@ -53,7 +73,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .lattice import VectorField, to_physical
+from .lattice import Lattice, VectorField, to_physical
 from .multipliers import _project_div_spectral
 from .norms import ExponentBook, NormReport, Trajectory, kato_norm, n_norm
 
@@ -205,15 +225,18 @@ def beta_integral(gamma: float, theta: float, t: float, method: str = "closed-fo
 
 # Cap on the half-spectrum coefficients (Lattice.rforward) of the node
 # products transformed in one batch: 10 nodes of B(u, u) at d=2, n=32. The
-# product and coefficient buffers of one chunk are allocated once per
-# bilinear_B call and reused by its chunks (see the module docstring for
-# the page faults this saves). A larger cap only holds more at once: at
-# d=2, n=32, M=Q=16 a 32 MB cap raised a solve's peak memory by 1.7 MB and
-# was no faster. A 128 KB cap also kept the per-chunk temporaries below the
-# allocator's mapping threshold, but through twice the transform calls it
-# cost the picard benchmark about 5% of its op_s (0.156 -> 0.165 s, 4 of 4
-# alternating pairs, with the buffers on both sides).
+# buffers of one chunk are held across calls (see the module docstring). A
+# larger cap only holds more at once: at d=2, n=32, M=Q=16 a 32 MB cap
+# raised a solve's peak memory by 1.7 MB and was no faster. A 128 KB cap
+# costs twice the transform calls: about 5% of the picard benchmark's op_s
+# (0.156 -> 0.165 s, 4 of 4 alternating pairs) when the buffers were made
+# per call.
 _CHUNK_BYTES = 256 * 1024
+
+# Output times (lattice, t, rule) whose Volterra rule is kept, and
+# (lattice, pair layout) whose P div symbol is kept.
+_RULES_KEPT = 256
+_SYMBOLS_KEPT = 4
 
 
 def _check_pair(u_traj: Trajectory, v_traj: Trajectory):
@@ -237,6 +260,78 @@ def _pair_layout(d: int, symmetric: bool):
     return tuple(zip(rows.tolist(), cols.tolist())), pair_of
 
 
+@lru_cache(maxsize=_RULES_KEPT)
+def _volterra_rule(lat: Lattice, t: float, quad: QuadratureSpec):
+    """The rule of B at output time t: the nodes tau_q of volterra_nodes as
+    floats, and the d one-axis heat factors of the gaps
+    (Lattice.heat_factors) with the weights w_q folded into the first,
+    read-only, each with a leading node axis. The product of node q's
+    factors is w_q exp(-|k|^2 gap_q) on the half grid."""
+    taus, gaps, weights = volterra_nodes(quad, t)
+    factors = lat.heat_factors(gaps)
+    factors[0] = weights.reshape((-1,) + (1,) * lat.d) * factors[0]
+    for f in factors:
+        f.flags.writeable = False
+    return taus.tolist(), tuple(factors)
+
+
+@lru_cache(maxsize=_SYMBOLS_KEPT)
+def _project_div_symbol(lat: Lattice, symmetric: bool) -> np.ndarray:
+    """P div of the pair rows of B, read-only: a real array of shape
+    (d, P, 2 * modes) with (P div T)_i = 1j * sum_r symbol[i, r] * acc[r]
+    over the float view of the pair rows acc (P, modes) of T.
+
+    Column r is _project_div_spectral applied to the unit tensor of pair
+    r (both mirror entries when symmetric). The kernel maps a real tensor
+    to 1j times a real vector, so its real part is zero; the imaginary
+    part is kept, each entry twice, once for the real and once for the
+    imaginary part of its mode.
+    """
+    pairs, pair_of = _pair_layout(lat.d, symmetric)
+    symbol = np.empty((lat.d, len(pairs), 2 * math.prod(lat.half_shape)))
+    unit = np.zeros((len(pairs),) + lat.half_shape, dtype=np.complex128)
+    for r in range(len(pairs)):
+        unit[r] = 1.0
+        column = _project_div_spectral(unit[pair_of], lat).imag.reshape(lat.d, -1)
+        symbol[:, r] = np.repeat(column, 2, axis=-1)
+        unit[r] = 0.0
+    symbol.flags.writeable = False
+    return symbol
+
+
+def _project_div(acc: np.ndarray, lat: Lattice, symmetric: bool) -> np.ndarray:
+    """The half-array coefficients of P div T from its contiguous pair rows
+    acc, through one real contraction with _project_div_symbol."""
+    rows = acc.reshape(len(acc), -1).view(np.float64)
+    out = np.einsum("irm,rm->im", _project_div_symbol(lat, symmetric), rows)
+    out = out.view(np.complex128).reshape((lat.d,) + lat.half_shape)
+    out *= 1j
+    return out
+
+
+class _Scratch(threading.local):
+    """B's buffers, held by each thread across calls: (products,
+    coefficients, kernel, pair sums) of the last (d, n, pair count) it
+    used; a call of another shape replaces them."""
+
+    shape = None
+
+    def buffers(self, lat: Lattice, pair_count: int):
+        shape = (lat.d, lat.n, pair_count)
+        if shape != self.shape:
+            acc = np.empty((pair_count,) + lat.half_shape, dtype=np.complex128)
+            chunk = max(1, _CHUNK_BYTES // acc.nbytes)
+            self.held = (np.empty((chunk, pair_count) + lat.spatial_shape),
+                         np.empty((chunk,) + acc.shape, dtype=np.complex128),
+                         np.empty((chunk,) + lat.half_shape),
+                         acc)
+            self.shape = shape
+        return self.held
+
+
+_scratch = _Scratch()
+
+
 def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
                quad: QuadratureSpec) -> VectorField:
     """Evaluate B(u, v)(t) by the graded Volterra rule.
@@ -251,44 +346,43 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     The products are real, so F is Lattice.rforward and every step runs on
     the half spectrum that Lattice.inverse reads. The node products are
     transformed in chunks of at most _CHUNK_BYTES of half-spectrum
-    coefficients, one transform per chunk, through two buffers allocated
-    once per call; each product u_i * v_j is multiplied row by row into
-    the first, so no factor is copied. The pairs (i, j) come from the
-    cached _pair_layout(d, u_traj is v_traj), and the nodes from the
-    cached unit rule of volterra_nodes. When u_traj is v_traj only the
-    products i <= j are formed; u_i * u_j == u_j * u_i in IEEE arithmetic,
-    so the shortcut is exact. value_at is still called for both factors at
-    every node: the interpolation (the frozen value below the first mesh
-    node, the exact-node shortcut) stays the trajectory's own, and the
-    call count is what span tracing expects.
+    coefficients, one transform per chunk, in buffers that the calling
+    thread holds across calls (_scratch); each product u_i * v_j is
+    multiplied row by row into them, so no factor is copied. The nodes and
+    the weighted heat factors come from the cached _volterra_rule, the
+    pairs (i, j) from the cached _pair_layout(d, u_traj is v_traj), and P
+    div from the cached _project_div_symbol. When u_traj is v_traj only
+    the products i <= j are formed; u_i * u_j == u_j * u_i in IEEE
+    arithmetic, so the shortcut is exact. value_at is still called for
+    both factors at every node: the interpolation (the frozen value below
+    the first mesh node, the exact-node shortcut) stays the trajectory's
+    own, and the call count is what span tracing expects.
     """
     _check_pair(u_traj, v_traj)
     u_traj.node_index(t)  # raises MeshError when t is off the mesh
     lat = u_traj.lattice
-    d = lat.d
     interp_power = -0.5 * quad.theta
-    taus, gaps, weights = volterra_nodes(quad, t)
-
-    pairs, pair_of = _pair_layout(d, u_traj is v_traj)
-    # one node's half-spectrum products take as many bytes as the sum
-    acc = np.zeros((len(pairs),) + lat.half_shape, dtype=np.complex128)
-    chunk = min(taus.size, max(1, _CHUNK_BYTES // acc.nbytes))
-    products = np.empty((chunk, len(pairs)) + lat.spatial_shape)
-    coeff_buf = np.empty((chunk,) + acc.shape, dtype=np.complex128)
-    node_axis = (-1,) + (1,) * d
-    for start in range(0, taus.size, chunk):
-        nodes = slice(start, start + chunk)
-        size = taus[nodes].size
-        for q, tau in enumerate(taus[nodes].tolist()):
+    taus, factors = _volterra_rule(lat, float(t), quad)
+    symmetric = u_traj is v_traj
+    pairs, _ = _pair_layout(lat.d, symmetric)
+    products, coeff_buf, kernel_buf, acc = _scratch.buffers(lat, len(pairs))
+    acc[...] = 0.0
+    for start in range(0, len(taus), len(products)):
+        chunk_taus = taus[start:start + len(products)]
+        for q, tau in enumerate(chunk_taus):
             a = u_traj.value_at(tau, interp_power)
             b = v_traj.value_at(tau, interp_power)
             for r, (i, j) in enumerate(pairs):
                 np.multiply(a[i], b[j], out=products[q, r])
+        size = len(chunk_taus)
         coeff = lat.rforward(products[:size], out=coeff_buf[:size])
-        kernel = weights[nodes].reshape(node_axis) * lat.heat(gaps[nodes])
+        nodes = slice(start, start + size)
+        kernel = np.multiply(factors[0][nodes], factors[1][nodes], out=kernel_buf[:size])
+        for f in factors[2:]:
+            kernel *= f[nodes]
         coeff *= kernel[:, None]
         acc += coeff.sum(axis=0)
-    return to_physical(lat, _project_div_spectral(acc[pair_of], lat))
+    return to_physical(lat, _project_div(acc, lat, symmetric))
 
 
 def bilinear_trajectory(u_traj: Trajectory, v_traj: Trajectory,

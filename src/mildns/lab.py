@@ -73,6 +73,7 @@ from .picard import (
     SMALLNESS_CRITICAL,
     SMALLNESS_KATO,
     CorpusSpec,
+    _heat_window_grid,
     abstract_fixed_point,
     build_exponent_book,
     calibrate_thresholds,
@@ -319,11 +320,20 @@ def _critical_book(cfg: dict, what: str):
     return book
 
 
+def _check_window(cfg: dict, u0: VectorField) -> None:
+    """Refuse a horizon outside the lattice validity window of u0, naming
+    the keys that set the window; runners call it before any calibration."""
+    with _naming("horizon", "n", "box_len"):
+        _heat_window_grid(u0, cfg["horizon"])
+
+
 def _calibrated_datum(cfg: dict):
-    """The calibrated book of cfg and its scaled datum. The datum is
-    realized before calibration, so a bad datum section is refused first."""
+    """The calibrated book of cfg and its scaled datum. The datum and its
+    window are checked before calibration, so a bad datum section or
+    horizon is refused first."""
     lattice = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
     u0 = _realized(cfg["datum"], lattice, "datum")
+    _check_window(cfg, u0)
     book = _calibrated_book(cfg)
     return book, _scaled_datum(cfg, u0, book)
 
@@ -656,6 +666,7 @@ def _run_bilinear(cfg):
 def _run_smallness(cfg):
     lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
     data = [_realized(datum_cfg, lat, f"data[{idx}]") for idx, datum_cfg in enumerate(cfg["data"])]
+    _check_window(cfg, data[0])
     book = _calibrated_book(cfg)
     columns = ["datum", "variant", "lhs", "threshold", "satisfied"]
     rows = []
@@ -781,6 +792,7 @@ def _run_scaling(cfg):
                               "is not a normal float")
     lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
     u0 = _realized(cfg["datum"], lat, "datum")
+    _check_window(cfg, u0)
     u0_scaled = VectorField(lat_fine, lam * u0.data)
     lhs = smallness_lhs(u0, horizon, book, SMALLNESS_CRITICAL).lhs
     with _naming("lam"):

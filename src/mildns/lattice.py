@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,13 +67,16 @@ class Lattice:
         +n/2 partner, so any operator odd in k would map real fields to
         complex ones there. Odd-order multipliers (the divergence, the
         k (k . ) part of the Leray projection) contract against these.
-    ksq : |k|^2 on the full grid, built on first use; only the random-band
-        datum draws on the full grid
-    kmag : |k| on the full grid, built on first use
+    ksq : |k|^2 on the full grid, built on every read and not held; only
+        the random-band datum draws on the full grid
+    kmag : |k| on the full grid, built on every read and not held
     safe_ksq_deriv : |k|^2 from k_deriv with zeros replaced by 1, on the
         half grid, built on first use and read-only
-    heat(t) : the heat kernel exp(-|k|^2 t) on the half grid, as the
-        product of d one-axis factors
+    heat_factors(t) : the d one-axis factors exp(-t k_a^2), shaped to
+        broadcast against a half array (the last one halved), with a
+        leading node axis when t is an array
+    heat(t) : the heat kernel exp(-|k|^2 t) on the half grid, the product
+        of heat_factors(t)
     heat_band(t, cutoff) : the modes per axis that the heat flow at t keeps
         above exp(-cutoff), and a bound of the kernel on the rest
     coarsened(n) : the lattice of the same box with n points per axis,
@@ -116,14 +119,14 @@ class Lattice:
         self.x_axes = [coords.reshape(ka.shape) for ka in self.k_axes]
         self._coarse = {}  # points per axis -> Lattice of the same box
 
-    @cached_property
+    @property
     def ksq(self) -> np.ndarray:
-        """|k|^2 on the full grid, built on first use."""
+        """|k|^2 on the full grid, a new array on every read."""
         return sum(ka**2 for ka in self.k_axes)
 
-    @cached_property
+    @property
     def kmag(self) -> np.ndarray:
-        """|k| on the full grid, built on first use."""
+        """|k| on the full grid, a new array on every read."""
         return np.sqrt(self.ksq)
 
     @cached_property
@@ -140,18 +143,14 @@ class Lattice:
         safe.flags.writeable = False
         return safe
 
-    def heat(self, t) -> np.ndarray:
-        """The heat kernel exp(-|k|^2 t) on the half grid.
+    def heat_factors(self, t) -> list:
+        """The d one-axis factors exp(-t k_a^2) of heat(t), each shaped to
+        broadcast against a half array, the last one sliced by half().
 
-        |k|^2 = sum_a k_a^2, so the kernel is the broadcast product of the d
-        one-axis factors exp(-t k_a^2). Every axis has the same wavenumbers,
-        so one exponential per mode m serves all of them, and the last
-        factor is sliced by half(). That is n exponentials per t instead of
-        one per coefficient. Each argument -t k_a^2 is rounded on its own,
-        so the product is within 2 eps (1 + |k|^2 t) relative of
-        np.exp(-ksq * t) where that is a normal float. t is a scalar or a
-        1-D array; an array gives a leading node axis, whose entries equal
-        the scalar calls bit for bit.
+        Every axis has the same wavenumbers, so one exponential per mode m
+        serves all of them: n exponentials per t. t is a scalar or a 1-D
+        array; an array gives each factor a leading node axis. The factors
+        are views of one array of exponentials.
         """
         t = np.asarray(t, dtype=float)
         factor = np.exp(np.multiply.outer(-t, self._ksq_axis))
@@ -159,10 +158,21 @@ class Lattice:
         def along(axis, f):
             return f.reshape(t.shape + (1,) * axis + (-1,) + (1,) * (self.d - 1 - axis))
 
-        kernel = along(0, factor)
-        for axis in range(1, self.d - 1):
-            kernel = kernel * along(axis, factor)
-        return kernel * along(self.d - 1, self.half(factor))
+        return ([along(axis, factor) for axis in range(self.d - 1)]
+                + [along(self.d - 1, self.half(factor))])
+
+    def heat(self, t) -> np.ndarray:
+        """The heat kernel exp(-|k|^2 t) on the half grid.
+
+        |k|^2 = sum_a k_a^2, so the kernel is the broadcast product of the d
+        one-axis factors of heat_factors(t), taken from the first axis on.
+        That is n exponentials per t instead of one per coefficient. Each
+        argument -t k_a^2 is rounded on its own, so the product is within
+        2 eps (1 + |k|^2 t) relative of np.exp(-ksq * t) where that is a
+        normal float. t is a scalar or a 1-D array; an array gives a
+        leading node axis, whose entries equal the scalar calls bit for bit.
+        """
+        return reduce(np.multiply, self.heat_factors(t))
 
     def heat_band(self, t: float, cutoff: float) -> tuple:
         """(band, past) of the heat flow at time t: band is the largest mode
@@ -498,7 +508,9 @@ def _random_band_datum(spec: DatumSpec, lattice: Lattice) -> np.ndarray:
         raise ConfigError("random_band datum requires a seed")
     if spec.k_min is None or spec.k_max is None or not (0 <= spec.k_min <= spec.k_max):
         raise ConfigError("random_band datum requires 0 <= k_min <= k_max")
-    band = (lattice.kmag >= spec.k_min) & (lattice.kmag <= spec.k_max) & (lattice.ksq > 0)
+    ksq = lattice.ksq
+    kmag = np.sqrt(ksq)
+    band = (kmag >= spec.k_min) & (kmag <= spec.k_max) & (ksq > 0)
     # keep the index set symmetric: drop the unpaired Nyquist rows
     modes = np.fft.fftfreq(lattice.n, d=1.0 / lattice.n)
     for axis in range(lattice.d):

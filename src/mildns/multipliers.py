@@ -15,7 +15,8 @@ against Lattice.k_deriv (Nyquist entries zeroed) so that real fields map
 to real fields and the discrete Leray projection is exactly idempotent and
 divergence free under the same discrete divergence. _divergence_spectral
 and _leray_inplace are the one P div kernel: leray_project, the Duhamel
-term and kernel_profile all use them. _divergence, which the kernel
+term (through a symbol it builds from them once per lattice) and
+kernel_profile all use them. _divergence, which the kernel
 applies row by row, is also the one divergence that divergence_defect
 measures.
 """

@@ -433,6 +433,28 @@ class TestExitCodes:
         assert main(["fluctuation", "--set", "s=0.25"]) == 2
         assert capsys.readouterr().err.startswith("config error: config keys 'd', 'p' and 's'")
 
+    @pytest.mark.parametrize(
+        "experiment, horizon, message",
+        [
+            ("solve", "100", "horizon 100 exceeds the lattice validity window"),
+            ("smallness", "100", "horizon 100 exceeds the lattice validity window"),
+            ("ladder", "100", "horizon 100 exceeds the lattice validity window"),
+            ("fluctuation", "100", "horizon 100 exceeds the lattice validity window"),
+            ("scaling", "100", "horizon 100 exceeds the lattice validity window"),
+            ("solve", "1e-9", "horizon 1e-09 leaves no dyadic sample above the resolution floor"),
+        ],
+    )
+    def test_window_is_refused_before_calibration_naming_its_keys(self, experiment, horizon,
+                                                                   message, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibration started before the window was checked")
+
+        monkeypatch.setattr(lab, "calibrate_thresholds", refuse)
+        assert main([experiment, "--set", f"horizon={horizon}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config keys 'horizon', 'n' and 'box_len': {message}")
+        assert "Traceback" not in err
+
     def test_missing_config_file_exits_4(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert main(["beta-integral", "--config", str(missing)]) == 4

@@ -20,6 +20,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +53,7 @@ from mildns import (
 )
 from mildns import duhamel
 from mildns.duhamel import TARGET_KATO, TARGET_SOBOLEV
+from mildns.multipliers import _project_div_spectral
 
 
 def manufactured_integral(gamma, theta, t):
@@ -441,6 +444,110 @@ class TestSafeKsqDeriv:
             safe[1, 1] = 0.0
         ksq = sum(kd**2 for kd in lat.k_deriv)
         npt.assert_array_equal(safe, np.where(ksq == 0.0, 1.0, ksq))
+
+
+class TestCallSetUp:
+    """What B builds once per lattice, output time and rule instead of once
+    per call: the P div symbol, the weighted heat factors of the Volterra
+    rule, and the buffers each thread holds."""
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["u=v", "u!=v"])
+    def test_symbol_is_the_project_div_kernel(self, d, n, symmetric):
+        lat = make_lattice(d, n, 2.0 * np.pi)
+        pairs, pair_of = duhamel._pair_layout(d, symmetric)
+        rng = np.random.default_rng(d + 2 * symmetric)
+        shape = (len(pairs),) + lat.half_shape
+        acc = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        reference = _project_div_spectral(acc[pair_of], lat)
+        got = duhamel._project_div(acc, lat, symmetric)
+        assert got.shape == reference.shape
+        assert np.abs(got - reference).max() <= 1e-15 * np.abs(reference).max()
+
+    def test_symbol_is_cached_and_read_only(self):
+        lat = make_lattice(2, 16, 2.0 * np.pi)
+        symbol = duhamel._project_div_symbol(lat, True)
+        assert duhamel._project_div_symbol(make_lattice(2, 16, 2.0 * np.pi), True) is symbol
+        assert symbol.shape == (2, 3, 2 * 16 * 9)
+        assert not symbol.flags.writeable
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_rule_factors_are_the_weighted_heat_kernel(self, d, n):
+        lat = make_lattice(d, n, 2.0 * np.pi)
+        quad = QuadratureSpec(16, 0.75, 0.5)
+        for t in (1e-3, 0.3, 1.0):
+            taus, factors = duhamel._volterra_rule(lat, t, quad)
+            want_taus, gaps, weights = volterra_nodes(quad, t)
+            assert taus == want_taus.tolist()
+            assert all(not f.flags.writeable for f in factors)
+            kernel = np.prod(np.broadcast_arrays(*factors), axis=0)
+            want = weights.reshape((-1,) + (1,) * d) * lat.heat(gaps)
+            assert kernel.shape == want.shape == (16,) + lat.half_shape
+            npt.assert_allclose(kernel, want, rtol=8 * np.finfo(float).eps, atol=0)
+            assert duhamel._volterra_rule(lat, t, quad)[1] is factors
+
+    @staticmethod
+    def picard_size_flow():
+        """A flow at the size of the picard benchmark: d = 2, n = 32, 16
+        mesh and 16 quadrature nodes."""
+        lat = make_lattice(2, 32, 2.0 * np.pi)
+        book = build_exponent_book(d=2, p=2.0, s=0.0, q_tilde=4.0)
+        quad = QuadratureSpec(node_count=16, gamma=book.gamma_kato, theta=book.alpha)
+        mesh = quadratic_mesh(0.25, 16)
+        u0 = realize_datum(DatumSpec(kind="random_band", seed=21, k_min=1.0, k_max=4.0,
+                                     divergence_free=True), lat)
+        return heat_trajectory(u0, mesh), mesh, quad
+
+    def test_buffers_are_held_across_calls(self):
+        u, mesh, quad = self.picard_size_flow()
+        first = bilinear_B(u, u, float(mesh[-1]), quad).data
+        held = duhamel._scratch.held
+        bilinear_B(u, u, float(mesh[0]), quad)
+        again = bilinear_B(u, u, float(mesh[-1]), quad).data
+        assert duhamel._scratch.held is held
+        npt.assert_array_equal(again, first)
+        bilinear_B(u, u * 0.5, float(mesh[-1]), quad)  # another pair count
+        assert duhamel._scratch.held[0].shape[1] == 4
+
+    def test_two_threads_give_the_bits_of_sequential_calls(self):
+        u, mesh, quad = self.picard_size_flow()
+        v = u * 0.5
+        jobs = [(a, b, float(t)) for t in mesh for a, b in ((u, u), (u, v))]
+        sequential = [bilinear_B(a, b, t, quad).data for a, b, t in jobs]
+        results, buffers = {}, {}
+
+        def work(name, order):
+            for k in order:
+                a, b, t = jobs[k]
+                results[name, k] = bilinear_B(a, b, t, quad).data
+            buffers[name] = duhamel._scratch.held
+
+        order = list(range(len(jobs)))
+        threads = [threading.Thread(target=work, args=("forward", order)),
+                   threading.Thread(target=work, args=("backward", order[::-1]))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for name in ("forward", "backward"):
+            for k, want in enumerate(sequential):
+                npt.assert_array_equal(results[name, k], want)
+        assert buffers["forward"][0] is not buffers["backward"][0]
+        assert all(held[0] is not duhamel._scratch.held[0] for held in buffers.values())
+
+    def test_warm_call_stays_below_the_mapping_threshold(self):
+        """Every array a warm call at the picard size makes is freed again
+        below 256 KiB of traced memory in all."""
+        u, mesh, quad = self.picard_size_flow()
+        t = float(mesh[-1])
+        bilinear_B(u, u, t, quad)
+        tracemalloc.start()
+        try:
+            bilinear_B(u, u, t, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
 
 class TestEstimateReport:

@@ -633,6 +633,14 @@ class TestRandomBand:
         realize_datum(DatumSpec(**self.SPEC, divergence_free=True), lat2)
         assert field_inits == [VectorField] * 3
 
+    def test_lattice_holds_no_full_grid_after_a_draw(self):
+        """The band is drawn on the full grid, whose |k|^2 and |k| are built
+        for the draw and not kept on the lattice."""
+        lat = make_lattice(3, 16, 2.0 * np.pi)
+        realize_datum(DatumSpec(**self.SPEC, divergence_free=True), lat)
+        assert "ksq" not in vars(lat) and "kmag" not in vars(lat)
+        assert lat.ksq is not lat.ksq
+
     def test_empty_band_rejected(self, lat2):
         spec = DatumSpec(kind="random_band", seed=1, k_min=0.1, k_max=0.2)
         with pytest.raises(ConfigError, match="no resolved modes"):
