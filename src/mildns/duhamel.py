@@ -33,33 +33,37 @@ the first mesh node and the exact-node shortcut are the trajectory's own.
 The sums are re-associated against a per-node projection, so B moves at
 round-off, not bit for bit.
 
-What depends only on the lattice, the output time and the rule is built
-once and kept read-only, so a call redoes none of it:
+What B derives from its inputs' shape is built once and kept, in two
+tables, so a call redoes none of it:
 
-* _pair_layout(d, u is v): the factor pairs;
-* _volterra_rule(lattice, t, quad): the nodes of volterra_nodes and the
-  one-axis heat factors of the gaps (Lattice.heat_factors) with the
-  weights folded into the first, so the kernel of a chunk is one
-  broadcast product (two at d = 3). 2 Q n floats per output time: 8.5 KiB
-  at n = 32, Q = 16, whatever d, and 33 KiB at n = 64, Q = 32. The last
+* _volterra_rule(lattice, t, quad), one entry per output time: the nodes
+  of volterra_nodes and the one-axis heat factors of the gaps
+  (Lattice.heat_factors) with the weights folded into the first, so the
+  kernel of a chunk is one broadcast product (two at d = 3). Read-only
+  and shared by all threads; 2 Q n floats per output time: 8.5 KiB at
+  n = 32, Q = 16, whatever d, and 33 KiB at n = 64, Q = 32. The last
   _RULES_KEPT output times are kept;
-* _project_div_symbol(lattice, u is v): P div as one real (d, P) matrix
-  per half-spectrum mode, applied by one einsum over the P pair rows. Each
-  entry is stored twice (for the real and the imaginary part), so it takes
-  the bytes of a complex (d, P) + half_shape array: 51 KiB at d = 2,
-  n = 32 (68 KiB for u != v), and at d = 3, P = 6 (u is v) or 9, 4.8 or
-  7.2 MiB at n = 32 and 37 or 56 MiB at n = 64. The last _SYMBOLS_KEPT are
-  kept.
+* _scratch, one entry per thread, for the last (lattice, u is v) the
+  thread used, rebuilt whole when a call brings another: the factor
+  pairs, the P div symbol and the buffers. The symbol
+  (_project_div_symbol) is P div as one real (d, P) matrix per
+  half-spectrum mode, applied by one einsum over the P pair rows. Each
+  entry is stored twice (for the real and the imaginary part), so it
+  takes the bytes of a complex (d, P) + half_shape array: 51 KiB at
+  d = 2, n = 32 (68 KiB for u != v), and at d = 3, P = 6 (u is v) or 9,
+  4.8 or 7.2 MiB at n = 32 and 37 or 56 MiB at n = 64. The product,
+  coefficient, kernel and sum buffers are 563 KiB at d = 2, n = 32 (526
+  KiB for u != v), in arrays of at most 255 KiB, so a warm call maps no
+  fresh pages: made per call, these arrays crossed glibc's 128 KiB mmap
+  threshold, and were mapped, zero-filled and returned to the system on
+  every call, a count of page faults that flipped with the heap layout
+  around B. At d = 3 one node's products exceed the chunk cap, and a set
+  is 4.8 or 7.2 MiB at n = 32 and 38 or 56 MiB at n = 64. A Picard solve
+  and a calibration each call B on one lattice and layout, so each builds
+  this entry once.
 
-The product, coefficient, kernel and sum buffers are held across calls by
-the calling thread: one set, for the last (d, n, pair count) it used. A
-Picard solve and a calibration each call B at one shape. A set is 563 KiB at d = 2, n = 32 (526
-KiB for u != v), in arrays of at most 255 KiB, so a warm call maps no
-fresh pages: made per call, these arrays crossed glibc's 128 KiB mmap
-threshold, and were mapped, zero-filled and returned to the system on
-every call, a count of page faults that flipped with the heap layout
-around B. At d = 3 one node's products exceed the chunk cap, and a set
-is 4.8 or 7.2 MiB at n = 32 and 38 or 56 MiB at n = 64.
+Under the Volterra rule lies _legendre(m), the Gauss-Legendre rule, kept
+because numpy's leggauss costs more than a whole volterra_nodes call.
 """
 from __future__ import annotations
 
@@ -115,21 +119,6 @@ def _legendre(m: int):
     return x, w
 
 
-@lru_cache(maxsize=None)
-def _graded_rule(m: int, exponent: float):
-    """The m-node Gauss-Legendre rule on [0, 1] graded to absorb one
-    endpoint exponent: (e, sigma^e, sigma^(e - 1), w_sigma) with
-    e = 1 / (1 - exponent) when the exponent is positive, else 1. The
-    arrays are read-only; volterra_nodes scales them by t/2."""
-    x, w = _legendre(m)
-    sigma = 0.5 * (x + 1.0)
-    e = 1.0 / (1.0 - exponent) if exponent > 0 else 1.0
-    rule = (sigma**e, sigma ** (e - 1.0), 0.5 * w)
-    for a in rule:
-        a.flags.writeable = False
-    return (e,) + rule
-
-
 _TINY = np.finfo(float).tiny
 
 
@@ -142,18 +131,20 @@ def volterra_nodes(spec: QuadratureSpec, t: float):
     endpoints, where recomputing t - tau from tau would round to zero and
     turn an integrable factor into an overflow. Evaluate tau-singular
     factors on taus and (t - tau)-singular factors on gaps;
-    sum(weights * f) approximates the integral. Each half scales the
-    cached unit rule of its exponent (_graded_rule) by c = t/2.
+    sum(weights * f) approximates the integral. Both halves map the
+    cached Gauss-Legendre rule of m = node_count / 2 nodes (_legendre).
     """
     if not (t > 0):
         raise ConfigError(f"quadrature interval needs t > 0, got {t}")
-    m = spec.node_count // 2
+    x, w = _legendre(spec.node_count // 2)
+    sigma = 0.5 * (x + 1.0)
+    w_sigma = 0.5 * w
     c = 0.5 * t
 
     def half(exponent_target):
-        e, sigma_e, sigma_e1, w_sigma = _graded_rule(m, exponent_target)
-        offset = np.maximum(c * sigma_e, _TINY)
-        return offset, c * e * sigma_e1 * w_sigma
+        e = 1.0 / (1.0 - exponent_target) if exponent_target > 0 else 1.0
+        offset = np.maximum(c * sigma**e, _TINY)
+        return offset, c * e * sigma ** (e - 1.0) * w_sigma
 
     off_left, w_left = half(spec.theta)
     off_right, w_right = half(spec.gamma)
@@ -233,31 +224,13 @@ def beta_integral(gamma: float, theta: float, t: float, method: str = "closed-fo
 # per call.
 _CHUNK_BYTES = 256 * 1024
 
-# Output times (lattice, t, rule) whose Volterra rule is kept, and
-# (lattice, pair layout) whose P div symbol is kept.
+# Output times (lattice, t, rule) whose Volterra rule is kept.
 _RULES_KEPT = 256
-_SYMBOLS_KEPT = 4
 
 
 def _check_pair(u_traj: Trajectory, v_traj: Trajectory):
     if u_traj.lattice != v_traj.lattice or not np.array_equal(u_traj.times, v_traj.times):
         raise DataError("bilinear term requires trajectories on one lattice and mesh")
-
-
-@lru_cache(maxsize=None)
-def _pair_layout(d: int, symmetric: bool):
-    """The node products of B in d dimensions: the factor pairs (i, j),
-    only i <= j when symmetric (u is v), and pair_of, the read-only (d, d)
-    map from tensor entry (i, j) to the row of its product."""
-    if symmetric:
-        rows, cols = np.triu_indices(d)
-    else:
-        rows, cols = np.indices((d, d)).reshape(2, -1)
-    pair_of = np.empty((d, d), dtype=int)
-    pair_of[cols, rows] = np.arange(rows.size)  # the mirror, when u is v
-    pair_of[rows, cols] = np.arange(rows.size)
-    pair_of.flags.writeable = False
-    return tuple(zip(rows.tolist(), cols.tolist())), pair_of
 
 
 @lru_cache(maxsize=_RULES_KEPT)
@@ -275,22 +248,22 @@ def _volterra_rule(lat: Lattice, t: float, quad: QuadratureSpec):
     return taus.tolist(), tuple(factors)
 
 
-@lru_cache(maxsize=_SYMBOLS_KEPT)
-def _project_div_symbol(lat: Lattice, symmetric: bool) -> np.ndarray:
+def _project_div_symbol(lat: Lattice, pair_of: np.ndarray) -> np.ndarray:
     """P div of the pair rows of B, read-only: a real array of shape
     (d, P, 2 * modes) with (P div T)_i = 1j * sum_r symbol[i, r] * acc[r]
-    over the float view of the pair rows acc (P, modes) of T.
+    over the float view of the pair rows acc (P, modes) of T, where
+    pair_of maps tensor entry (i, j) to its row.
 
     Column r is _project_div_spectral applied to the unit tensor of pair
-    r (both mirror entries when symmetric). The kernel maps a real tensor
+    r (both mirror entries when u is v). The kernel maps a real tensor
     to 1j times a real vector, so its real part is zero; the imaginary
     part is kept, each entry twice, once for the real and once for the
     imaginary part of its mode.
     """
-    pairs, pair_of = _pair_layout(lat.d, symmetric)
-    symbol = np.empty((lat.d, len(pairs), 2 * math.prod(lat.half_shape)))
-    unit = np.zeros((len(pairs),) + lat.half_shape, dtype=np.complex128)
-    for r in range(len(pairs)):
+    pair_count = int(pair_of.max()) + 1
+    symbol = np.empty((lat.d, pair_count, 2 * math.prod(lat.half_shape)))
+    unit = np.zeros((pair_count,) + lat.half_shape, dtype=np.complex128)
+    for r in range(pair_count):
         unit[r] = 1.0
         column = _project_div_spectral(unit[pair_of], lat).imag.reshape(lat.d, -1)
         symbol[:, r] = np.repeat(column, 2, axis=-1)
@@ -299,34 +272,49 @@ def _project_div_symbol(lat: Lattice, symmetric: bool) -> np.ndarray:
     return symbol
 
 
-def _project_div(acc: np.ndarray, lat: Lattice, symmetric: bool) -> np.ndarray:
+def _project_div(acc: np.ndarray, lat: Lattice, symbol: np.ndarray) -> np.ndarray:
     """The half-array coefficients of P div T from its contiguous pair rows
-    acc, through one real contraction with _project_div_symbol."""
+    acc, through one real contraction with the symbol of
+    _project_div_symbol."""
     rows = acc.reshape(len(acc), -1).view(np.float64)
-    out = np.einsum("irm,rm->im", _project_div_symbol(lat, symmetric), rows)
+    out = np.einsum("irm,rm->im", symbol, rows)
     out = out.view(np.complex128).reshape((lat.d,) + lat.half_shape)
     out *= 1j
     return out
 
 
 class _Scratch(threading.local):
-    """B's buffers, held by each thread across calls: (products,
-    coefficients, kernel, pair sums) of the last (d, n, pair count) it
-    used; a call of another shape replaces them."""
+    """B's set-up for one (lattice, u is v), held by each thread across
+    calls and rebuilt together when a call brings another: the factor
+    pairs (i, j), only i <= j when u is v; pair_of, the read-only (d, d)
+    map from tensor entry (i, j) to the row of its product; the P div
+    symbol; and held, the buffers (products, coefficients, kernel, pair
+    sums)."""
 
-    shape = None
+    key = None
 
-    def buffers(self, lat: Lattice, pair_count: int):
-        shape = (lat.d, lat.n, pair_count)
-        if shape != self.shape:
-            acc = np.empty((pair_count,) + lat.half_shape, dtype=np.complex128)
+    def load(self, lat: Lattice, symmetric: bool) -> "_Scratch":
+        if (lat, symmetric) != self.key:
+            self.key = self.held = self.symbol = None  # frees the old set first
+            if symmetric:
+                rows, cols = np.triu_indices(lat.d)
+            else:
+                rows, cols = np.indices((lat.d, lat.d)).reshape(2, -1)
+            pair_of = np.empty((lat.d, lat.d), dtype=int)
+            pair_of[cols, rows] = np.arange(rows.size)  # the mirror, when u is v
+            pair_of[rows, cols] = np.arange(rows.size)
+            pair_of.flags.writeable = False
+            acc = np.empty((rows.size,) + lat.half_shape, dtype=np.complex128)
             chunk = max(1, _CHUNK_BYTES // acc.nbytes)
-            self.held = (np.empty((chunk, pair_count) + lat.spatial_shape),
+            self.symbol = _project_div_symbol(lat, pair_of)
+            self.held = (np.empty((chunk, rows.size) + lat.spatial_shape),
                          np.empty((chunk,) + acc.shape, dtype=np.complex128),
                          np.empty((chunk,) + lat.half_shape),
                          acc)
-            self.shape = shape
-        return self.held
+            self.pairs = tuple(zip(rows.tolist(), cols.tolist()))
+            self.pair_of = pair_of
+            self.key = (lat, symmetric)
+        return self
 
 
 _scratch = _Scratch()
@@ -349,10 +337,10 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     coefficients, one transform per chunk, in buffers that the calling
     thread holds across calls (_scratch); each product u_i * v_j is
     multiplied row by row into them, so no factor is copied. The nodes and
-    the weighted heat factors come from the cached _volterra_rule, the
-    pairs (i, j) from the cached _pair_layout(d, u_traj is v_traj), and P
-    div from the cached _project_div_symbol. When u_traj is v_traj only
-    the products i <= j are formed; u_i * u_j == u_j * u_i in IEEE
+    the weighted heat factors come from the cached _volterra_rule of t;
+    the pairs (i, j) and the P div symbol come with the buffers, held for
+    the lattice and for whether u_traj is v_traj. When u_traj is v_traj
+    only the products i <= j are formed; u_i * u_j == u_j * u_i in IEEE
     arithmetic, so the shortcut is exact. value_at is still called for
     both factors at every node: the interpolation (the frozen value below
     the first mesh node, the exact-node shortcut) stays the trajectory's
@@ -363,9 +351,9 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     lat = u_traj.lattice
     interp_power = -0.5 * quad.theta
     taus, factors = _volterra_rule(lat, float(t), quad)
-    symmetric = u_traj is v_traj
-    pairs, _ = _pair_layout(lat.d, symmetric)
-    products, coeff_buf, kernel_buf, acc = _scratch.buffers(lat, len(pairs))
+    setup = _scratch.load(lat, u_traj is v_traj)
+    pairs, symbol = setup.pairs, setup.symbol
+    products, coeff_buf, kernel_buf, acc = setup.held
     acc[...] = 0.0
     for start in range(0, len(taus), len(products)):
         chunk_taus = taus[start:start + len(products)]
@@ -382,7 +370,7 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
             kernel *= f[nodes]
         coeff *= kernel[:, None]
         acc += coeff.sum(axis=0)
-    return to_physical(lat, _project_div(acc, lat, symmetric))
+    return to_physical(lat, _project_div(acc, lat, symbol))
 
 
 def bilinear_trajectory(u_traj: Trajectory, v_traj: Trajectory,

@@ -320,6 +320,12 @@ def _critical_book(cfg: dict, what: str):
     return book
 
 
+def _lattice(cfg: dict, n_key: str = "n"):
+    """The lattice of cfg; a box it refuses names the keys that set it."""
+    with _naming(n_key, "box_len"):
+        return make_lattice(cfg["d"], cfg[n_key], cfg["box_len"])
+
+
 def _check_window(cfg: dict, u0: VectorField) -> None:
     """Refuse a horizon outside the lattice validity window of u0, naming
     the keys that set the window; runners call it before any calibration."""
@@ -331,7 +337,7 @@ def _calibrated_datum(cfg: dict):
     """The calibrated book of cfg and its scaled datum. The datum and its
     window are checked before calibration, so a bad datum section or
     horizon is refused first."""
-    lattice = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
+    lattice = _lattice(cfg)
     u0 = _realized(cfg["datum"], lattice, "datum")
     _check_window(cfg, u0)
     book = _calibrated_book(cfg)
@@ -502,7 +508,7 @@ def _run_heat_decay(cfg):
             "config keys 'q' and 'q_tilde' must satisfy q < q_tilde for a decay, got "
             f"{cfg['q']!r} and {cfg['q_tilde']!r}"
         )
-    lat = make_lattice(cfg["d"], cfg["resolution"], cfg["box_len"])
+    lat = _lattice(cfg, "resolution")
     if lat.t_cap < cfg["t_max"]:
         raise ConfigError(
             "config keys 'box_len' and 't_max': box too small for the requested horizon, "
@@ -516,6 +522,9 @@ def _run_heat_decay(cfg):
     columns = ["t", "measured_norm", "closed_form", "rel_err"]
     rows = []
     measured = heat_sup(u0, t_grid, 0.0, qt).values
+    if not measured.min() >= np.finfo(float).tiny:
+        raise ConfigError("config keys 'width' and 'amplitude': the heat sup of the datum falls "
+                          f"to {measured.min():g}, below the normal floats")
     for j, t in enumerate(t_grid):
         sigma = cfg["width"] + t
         closed = (
@@ -542,17 +551,28 @@ def _run_besov_equiv(cfg):
             f"config keys 'mode' and 'd': the mode needs d = {cfg['d']} entries, "
             f"got {cfg['mode']!r}"
         )
-    lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
+    lat = _lattice(cfg)
     datum = dict(kind="single_mode", mode=cfg["mode"], amplitude=cfg["amplitude"],
                  divergence_free=True)
     u0 = _realized(datum, lat, "mode", "n")
     s_b, q = float(cfg["smoothness"]), float(cfg["q"])
+    norm = lebesgue_norm(u0, q)
+    if not norm >= np.finfo(float).tiny:
+        raise ConfigError(f"config keys 'amplitude' and 'q': the L^{q:g} norm of the datum is "
+                          f"{norm:g}, below the normal floats")
     report = besov_norm_heat(u0, s_b, q)
     mode_sq = float(
         sum((TWO_PI / lat.box_len * m) ** 2 for m in cfg["mode"])
     )
     beta = -s_b / 2.0
-    closed = (beta / (math.e * mode_sq)) ** beta * lebesgue_norm(u0, q)
+    try:
+        closed = (beta / (math.e * mode_sq)) ** beta * norm
+    except OverflowError:
+        closed = math.inf
+    if not (np.finfo(float).tiny <= closed < math.inf and report.value > 0):
+        raise ConfigError(f"config keys 'smoothness', 'mode' and 'box_len': the heat-Besov norm "
+                          f"{report.value:g} or its closed form {closed:g} is outside the normal "
+                          "floats")
     rescaled = _realized({**datum, "amplitude": cfg["amplitude"] * cfg["rescale"]}, lat,
                          "mode", "n")
     report_scaled = besov_norm_heat(rescaled, s_b, q)
@@ -575,7 +595,7 @@ def _run_besov_equiv(cfg):
 
 
 def _run_embedding(cfg):
-    lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
+    lat = _lattice(cfg)
     band = dict(kind="random_band", k_min=cfg["k_min"], k_max=cfg["k_max"])
     fields = [_realized({**band, "seed": seed}, lat, *_BAND_KEYS)
               for seed in range(cfg["seed"], cfg["seed"] + cfg["count"])]
@@ -608,7 +628,7 @@ def _run_bilinear(cfg):
             f"{TARGET_KATO!r} ratios, so targets must hold {TARGET_KATO!r}, got {targets!r}"
         )
     book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
-    lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
+    lat = _lattice(cfg)
     data = [_realized(_band_datum(seed, cfg["k_max"], cfg["k_min"]), lat, *_BAND_KEYS)
             for seed in range(cfg["seed"], cfg["seed"] + 2 * cfg["pairs"])]
     pair_data = list(zip(data[::2], data[1::2]))
@@ -664,7 +684,7 @@ def _run_bilinear(cfg):
 
 
 def _run_smallness(cfg):
-    lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
+    lat = _lattice(cfg)
     data = [_realized(datum_cfg, lat, f"data[{idx}]") for idx, datum_cfg in enumerate(cfg["data"])]
     _check_window(cfg, data[0])
     book = _calibrated_book(cfg)
@@ -781,6 +801,7 @@ def _run_scaling(cfg):
     book = _critical_book(cfg, "scaling experiment")
     lam = float(cfg["lam"])
     horizon = float(cfg["horizon"])
+    lat = _lattice(cfg)
     with _naming("lam"):
         lat_fine = make_lattice(cfg["d"], cfg["n"], cfg["box_len"] / lam)
         try:
@@ -790,7 +811,6 @@ def _run_scaling(cfg):
         if not horizon_fine >= np.finfo(float).tiny:
             raise ConfigError(f"the rescaled horizon horizon / lam^2 = {horizon_fine:g} "
                               "is not a normal float")
-    lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
     u0 = _realized(cfg["datum"], lat, "datum")
     _check_window(cfg, u0)
     u0_scaled = VectorField(lat_fine, lam * u0.data)
@@ -812,7 +832,7 @@ def _run_scaling(cfg):
 
 
 def _run_powerlaw(cfg):
-    lat = make_lattice(cfg["d"], cfg["n"], cfg["box_len"])
+    lat = _lattice(cfg)
     d, p, qt = cfg["d"], float(cfg["p"]), float(cfg["q_tilde"])
     s_b = d / qt - d / p
     if not (s_b < 0):
@@ -829,10 +849,14 @@ def _run_powerlaw(cfg):
     for i, eps in enumerate(levels):
         datum = dict(kind="power_law", decay=cfg["decay"], r_inner=eps, r_outer=cfg["r_outer"],
                      amplitude=cfg["amplitude"])
-        u0 = _realized(datum, lat, "decay", "amplitude", f"r_inner_levels[{i}]", "r_outer",
-                       "box_len")
+        keys = ("decay", "amplitude", f"r_inner_levels[{i}]", "r_outer", "box_len")
+        u0 = _realized(datum, lat, *keys)
         lp = lebesgue_norm(u0, p)
         rep = besov_norm_heat(u0, s_b, qt)
+        if not min(lp, rep.value) >= np.finfo(float).tiny:
+            with _naming(*keys):
+                raise ConfigError(f"the L^{p:g} norm {lp:g} or the heat-Besov norm "
+                                  f"{rep.value:g} of the datum is below the normal floats")
         lp_values.append(lp)
         besov_values.append(rep.value)
         increment = lp - lp_values[-2] if len(lp_values) >= 2 else 0.0

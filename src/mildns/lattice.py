@@ -69,7 +69,6 @@ class Lattice:
         k (k . ) part of the Leray projection) contract against these.
     ksq : |k|^2 on the full grid, built on every read and not held; only
         the random-band datum draws on the full grid
-    kmag : |k| on the full grid, built on every read and not held
     safe_ksq_deriv : |k|^2 from k_deriv with zeros replaced by 1, on the
         half grid, built on first use and read-only
     heat_factors(t) : the d one-axis factors exp(-t k_a^2), shaped to
@@ -98,9 +97,13 @@ class Lattice:
         self.n = int(n)
         self.box_len = float(box_len)
         self.spacing = self.box_len / self.n
-        self.cell_volume = self.spacing**self.d
+        try:
+            self.cell_volume = self.spacing**self.d
+            self.t_cap = self.box_len**2 / 100.0
+        except OverflowError:
+            raise ConfigError(f"box length {box_len:g} is too large for n={n}: the cell "
+                              "volume or the validity window overflows") from None
         self.t_floor = self.spacing**2
-        self.t_cap = self.box_len**2 / 100.0
 
         modes = np.fft.fftfreq(self.n, d=1.0 / self.n)  # 0, 1, ..., -n/2, ..., -1
         k1 = (TWO_PI / self.box_len) * modes
@@ -123,11 +126,6 @@ class Lattice:
     def ksq(self) -> np.ndarray:
         """|k|^2 on the full grid, a new array on every read."""
         return sum(ka**2 for ka in self.k_axes)
-
-    @property
-    def kmag(self) -> np.ndarray:
-        """|k| on the full grid, a new array on every read."""
-        return np.sqrt(self.ksq)
 
     @cached_property
     def safe_ksq_deriv(self) -> np.ndarray:
@@ -323,27 +321,6 @@ class VectorField:
             raise DataError("field contains non-finite samples")
         self.lattice = lattice
         self.data = data
-
-    def _check_compatible(self, other):
-        if not isinstance(other, VectorField):
-            raise DataError("field arithmetic requires two fields")
-        if other.lattice != self.lattice:
-            raise DataError("field arithmetic requires matching lattices")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return VectorField(self.lattice, self.data + other.data)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return VectorField(self.lattice, self.data - other.data)
-
-    def __mul__(self, scalar):
-        if not np.isscalar(scalar):
-            return NotImplemented
-        return VectorField(self.lattice, self.data * scalar)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"VectorField({self.lattice!r})"

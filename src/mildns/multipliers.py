@@ -160,7 +160,8 @@ def kernel_profile(
     computing at time t on a box scaled by sqrt(t) reproduces the scaling
     K_t(x) = t^(-(d+1+s)/2) K(x / sqrt(t)) exactly, which the kernel-decay
     experiment uses as a consistency check. A symbol that is not finite,
-    |k|^s overflowing where exp(-t |k|^2) is 0, raises NumericalError.
+    |k|^s overflowing where exp(-t |k|^2) is 0, raises NumericalError; a
+    t so large that the profile is 0 at every radius raises ConfigError.
     """
     if not (s > -1):
         raise ConfigError(f"kernel profile requires s > -1, got {s}")
@@ -202,6 +203,9 @@ def kernel_profile(
             ray_max = np.maximum(ray_max, np.abs(column[ray]).max(axis=0))
     ray_r = lat.spacing * np.arange(half)
     values = np.interp(radii, ray_r, ray_max)
+    if not values.any():
+        raise ConfigError(f"kernel profile at t = {t:g} is 0 at every radius: exp(-t |k|^2) "
+                          "underflows on the modes it reads")
 
     bound_ratio = values * (1.0 + radii) ** (d + 1 + s)
 

@@ -32,6 +32,7 @@ from mildns import (
     lebesgue_norm,
     leray_project,
     make_lattice,
+    VectorField,
     quadratic_mesh,
     realize_datum,
     run,
@@ -193,7 +194,7 @@ def test_08_smallness_dichotomy(book2, verdict):
     horizon = 0.25
     quad = QuadratureSpec(16, book2.gamma_kato, book2.alpha)
     lhs = smallness_lhs(raw, horizon, book2).lhs
-    u_small = (0.5 * book2.delta / lhs) * raw
+    u_small = VectorField(lat, (0.5 * book2.delta / lhs) * raw.data)
 
     sol = solve_mild(u_small, horizon, book2, mesh_nodes=16, quad=quad, tol=1e-9)
     max_ratio = max(sol.trace.ratios) if sol.trace.ratios else 0.0
@@ -201,7 +202,7 @@ def test_08_smallness_dichotomy(book2, verdict):
     guard_iters = None
     try:
         solve_mild(
-            100.0 * u_small,
+            VectorField(lat, 100.0 * u_small.data),
             horizon,
             book2,
             mesh_nodes=16,
@@ -272,7 +273,7 @@ def test_09_invariant_suite(book2, verdict):
         worst["leray-divfree"] = max(worst["leray-divfree"], divergence_defect(pu))
         worst["leray-idempotent"] = max(
             worst["leray-idempotent"],
-            lebesgue_norm(leray_project(pu) - pu, 2) / scale,
+            lebesgue_norm(VectorField(lat, leray_project(pu).data - pu.data), 2) / scale,
         )
 
         t_a, t_b = rng.uniform(0.01, 0.5, size=2)
@@ -280,7 +281,8 @@ def test_09_invariant_suite(book2, verdict):
         composed = heat_flow(heat_flow(u, float(t_a)), float(t_b))
         worst["semigroup"] = max(
             worst["semigroup"],
-            lebesgue_norm(composed - direct, 2) / lebesgue_norm(direct, 2),
+            lebesgue_norm(VectorField(lat, composed.data - direct.data), 2)
+            / lebesgue_norm(direct, 2),
         )
 
         coeff = to_spectral(u)
@@ -297,23 +299,24 @@ def test_09_invariant_suite(book2, verdict):
         reference = abs(c) * lebesgue_norm(u, q)
         worst["homogeneity"] = max(
             worst["homogeneity"],
-            abs(lebesgue_norm(c * u, q) - reference) / reference,
+            abs(lebesgue_norm(VectorField(lat, c * u.data), q) - reference) / reference,
         )
 
         tu, tv, tw = (heat_trajectory(f, mesh) for f in (u, v, w))
-        b_sum = bilinear_B(heat_trajectory(u + v, mesh), tw, t_last, quad)
+        u_plus_v = VectorField(lat, u.data + v.data)
+        b_sum = bilinear_B(heat_trajectory(u_plus_v, mesh), tw, t_last, quad)
         b_u = bilinear_B(tu, tw, t_last, quad)
         b_v = bilinear_B(tv, tw, t_last, quad)
         denom = lebesgue_norm(b_u, 2) + lebesgue_norm(b_v, 2)
-        worst["bilinearity"] = max(
-            worst["bilinearity"], lebesgue_norm(b_sum - b_u - b_v, 2) / denom
-        )
+        defect = VectorField(lat, b_sum.data - b_u.data - b_v.data)
+        worst["bilinearity"] = max(worst["bilinearity"], lebesgue_norm(defect, 2) / denom)
 
     tol = 1e-9
     horizon = 0.25
     for i in range(cases):
         u0 = band(7000 + i, divfree=True, k_max=3.0)
-        u0 = (0.25 * book2.delta / smallness_lhs(u0, horizon, book2).lhs) * u0
+        shrink = 0.25 * book2.delta / smallness_lhs(u0, horizon, book2).lhs
+        u0 = VectorField(lat, shrink * u0.data)
         heat_started = solve_mild(u0, horizon, book2, mesh_nodes=8, quad=quad, tol=tol)
         zero_started = solve_mild(
             u0, horizon, book2, mesh_nodes=8, quad=quad, tol=tol, start="zero"

@@ -176,34 +176,62 @@ class TestExitCodes:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
-        "experiment, setting, code, message",
+        "experiment, settings, code, message",
         [
-            ("scaling", "lam=1e300", 2,
+            ("scaling", ["lam=1e300"], 2,
              "config error: config key 'lam': box length 6.28319e-300 is too small"),
-            ("scaling", "lam=1e100", 2,
+            ("scaling", ["lam=1e100"], 2,
              "config error: config key 'lam': |lam u0|^q_tilde overflows"),
-            ("beta-integral", "t=1e300", 2,
+            ("beta-integral", ["t=1e300"], 2,
              "config error: config key 't': beta integral at t = 1e+300"),
-            ("beta-integral", "t=1e-300", 2,
+            ("beta-integral", ["t=1e-300"], 2,
              "config error: config key 't': beta integral at t = 1e-300"),
-            ("kernel-decay", "s_values=[1e300]", 3,
+            ("kernel-decay", ["s_values=[1e300]"], 3,
              "numerical failure: kernel profile at s = 1e+300"),
-            ("besov-equiv", "rescale=1e308", 3, "numerical failure: non-finite heat-sup value"),
-            ("powerlaw", "decay=1e300", 2,
+            ("besov-equiv", ["rescale=1e308"], 3, "numerical failure: non-finite heat-sup value"),
+            ("powerlaw", ["decay=1e300"], 2,
              "config error: config keys 'decay', 'amplitude', 'r_inner_levels[0]', 'r_outer' "
              "and 'box_len': power_law datum produced non-finite samples"),
+            ("smallness", ["box_len=1e160"], 2,
+             "config error: config keys 'n' and 'box_len': box length 1e+160 is too large "
+             "for n=32"),
+            ("besov-equiv", ["box_len=1e200"], 2,
+             "config error: config keys 'n' and 'box_len': box length 1e+200 is too large "
+             "for n=32"),
+            ("solve", ["box_len=1e200"], 2,
+             "config error: config keys 'n' and 'box_len': box length 1e+200 is too large "
+             "for n=64"),
+            ("besov-equiv", ["smoothness=-1e300"], 2,
+             "config error: config keys 'smoothness', 'mode' and 'box_len': the heat-Besov "
+             "norm 0 or its closed form inf is outside the normal floats"),
+            ("besov-equiv", ["amplitude=1e-320"], 2,
+             "config error: config keys 'amplitude' and 'q': the L^4 norm of the datum is 0"),
+            ("powerlaw", ["n=64", "amplitude=1e-310"], 2,
+             "config error: config keys 'decay', 'amplitude', 'r_inner_levels[0]', 'r_outer' "
+             "and 'box_len': the L^2 norm 0 or the heat-Besov norm 0 of the datum is below "
+             "the normal floats"),
+            ("kernel-decay", ["t=1e6"], 2,
+             "config error: config keys 'resolution', 'box_len', 't' and 'radius_max': kernel "
+             "profile at t = 1e+06 is 0 at every radius"),
+            ("heat-decay", ["width=1e300"], 2,
+             "config error: config keys 'width' and 'amplitude': the heat sup of the datum "
+             "falls to 0"),
         ],
         ids=["scaling-lam", "scaling-lam-heat-sup", "beta-integral-t-large",
              "beta-integral-t-small", "kernel-decay-s",
-             "besov-equiv-rescale", "powerlaw-decay"],
+             "besov-equiv-rescale", "powerlaw-decay", "smallness-box", "besov-equiv-box",
+             "solve-box", "besov-equiv-smoothness", "besov-equiv-amplitude",
+             "powerlaw-amplitude", "kernel-decay-t", "heat-decay-width"],
     )
-    def test_overflowing_value_is_refused_cleanly(self, experiment, setting, code, message,
+    def test_overflowing_value_is_refused_cleanly(self, experiment, settings, code, message,
                                                   tmp_path, capsys):
         """A value that overflows or underflows a step of the experiment is
-        refused with no warning and no traceback, and nothing is written."""
+        refused with no warning and no traceback, and nothing is written:
+        no NaN summary and no division by zero."""
+        argv = [experiment] + [arg for setting in settings for arg in ("--set", setting)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main([experiment, "--set", setting, "--out", str(tmp_path)]) == code
+            assert main(argv + ["--out", str(tmp_path)]) == code
         err = capsys.readouterr().err
         assert err.startswith(message)
         assert "Traceback" not in err

@@ -159,18 +159,13 @@ class TestCachedVolterraRule:
             for got, want in zip(volterra_nodes(spec, t), uncached_volterra_nodes(spec, t)):
                 npt.assert_array_equal(got, want)
 
-    def test_cached_and_read_only(self):
-        rule = duhamel._graded_rule(8, 0.5)
-        assert duhamel._graded_rule(8, 0.5) is rule
-        assert rule[0] == 2.0
-        assert all(not a.flags.writeable for a in rule[1:])
-        assert duhamel._graded_rule(8, -0.5)[0] == 1.0
-
     @pytest.mark.parametrize("d", [2, 3])
     def test_pair_layout_is_cached_and_read_only(self, d):
+        lat = make_lattice(d, 8, 2.0 * np.pi)
         for symmetric in (True, False):
-            pairs, pair_of = duhamel._pair_layout(d, symmetric)
-            assert duhamel._pair_layout(d, symmetric)[1] is pair_of
+            setup = duhamel._scratch.load(lat, symmetric)
+            pairs, pair_of = setup.pairs, setup.pair_of
+            assert duhamel._scratch.load(lat, symmetric).pair_of is pair_of
             assert not pair_of.flags.writeable
             for i in range(d):
                 for j in range(d):
@@ -455,21 +450,26 @@ class TestCallSetUp:
     @pytest.mark.parametrize("symmetric", [True, False], ids=["u=v", "u!=v"])
     def test_symbol_is_the_project_div_kernel(self, d, n, symmetric):
         lat = make_lattice(d, n, 2.0 * np.pi)
-        pairs, pair_of = duhamel._pair_layout(d, symmetric)
+        setup = duhamel._scratch.load(lat, symmetric)
         rng = np.random.default_rng(d + 2 * symmetric)
-        shape = (len(pairs),) + lat.half_shape
+        shape = (len(setup.pairs),) + lat.half_shape
         acc = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        reference = _project_div_spectral(acc[pair_of], lat)
-        got = duhamel._project_div(acc, lat, symmetric)
+        reference = _project_div_spectral(acc[setup.pair_of], lat)
+        got = duhamel._project_div(acc, lat, setup.symbol)
         assert got.shape == reference.shape
         assert np.abs(got - reference).max() <= 1e-15 * np.abs(reference).max()
 
     def test_symbol_is_cached_and_read_only(self):
         lat = make_lattice(2, 16, 2.0 * np.pi)
-        symbol = duhamel._project_div_symbol(lat, True)
-        assert duhamel._project_div_symbol(make_lattice(2, 16, 2.0 * np.pi), True) is symbol
+        symbol = duhamel._scratch.load(lat, True).symbol
+        assert duhamel._scratch.load(make_lattice(2, 16, 2.0 * np.pi), True).symbol is symbol
         assert symbol.shape == (2, 3, 2 * 16 * 9)
         assert not symbol.flags.writeable
+        other_box = duhamel._scratch.load(make_lattice(2, 16, 4.0 * np.pi), True).symbol
+        assert other_box.shape == symbol.shape
+        npt.assert_array_equal(other_box, 0.5 * symbol)  # P div scales as 1/L
+        assert duhamel._scratch.load(lat, False).symbol.shape == (2, 4, 2 * 16 * 9)
+        assert duhamel._scratch.load(lat, True).symbol is not symbol
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
     def test_rule_factors_are_the_weighted_heat_kernel(self, d, n):

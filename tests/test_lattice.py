@@ -46,7 +46,7 @@ class TestLatticeConstruction:
         with pytest.raises(ConfigError, match="power of two"):
             make_lattice(2, n, 1.0)
 
-    @pytest.mark.parametrize("box_len", [0.0, -1.0, np.nan, np.inf, 1e-300])
+    @pytest.mark.parametrize("box_len", [0.0, -1.0, np.nan, np.inf, 1e-300, 1e160])
     def test_rejects_bad_box(self, box_len):
         with pytest.raises(ConfigError, match="box length"):
             make_lattice(2, 16, box_len)
@@ -113,23 +113,8 @@ class TestFields:
         with pytest.raises(DataError, match="non-finite"):
             VectorField(lat2, data, PHYSICAL)
 
-    def test_arithmetic_requires_matching_type(self, lat2, rng):
-        u = VectorField(lat2, rng.standard_normal((2, 16, 16)), PHYSICAL)
-        with pytest.raises(DataError, match="two fields"):
-            u + rng.standard_normal((2, 16, 16))
-        with pytest.raises(DataError, match="two fields"):
-            u + to_spectral(u)
-        other = VectorField(make_lattice(2, 16, 1.0), u.data)
-        with pytest.raises(DataError, match="matching lattices"):
-            u + other
-
     def test_field_is_the_vector_field(self):
         assert mildns.Field is mildns.VectorField
-
-    def test_scalar_multiply(self, lat2, rng):
-        u = VectorField(lat2, rng.standard_normal((2, 16, 16)), PHYSICAL)
-        npt.assert_allclose((2.0 * u).data, 2.0 * u.data)
-
 
 class TestTransforms:
     def test_round_trip_identity(self, lat2, rng):
@@ -310,8 +295,7 @@ class TestCoarseLattice:
         coarse = lat.coarsened(n // 4)
         assert coarse is lat.coarsened(n // 4) and coarse == make_lattice(d, n // 4, box_len)
         coarse.heat(0.5)
-        assert "ksq" not in vars(coarse) and "kmag" not in vars(coarse)
-        assert np.array_equal(coarse.kmag, np.sqrt(coarse.ksq))
+        assert "ksq" not in vars(coarse)
 
     @pytest.mark.parametrize("d, n, box_len", CASES, ids=["2d", "3d"])
     def test_restricted_band_samples_the_fine_flow(self, d, n, box_len):
@@ -614,7 +598,7 @@ class TestRandomBand:
     def test_spectral_support_in_band(self, lat2):
         u = realize_datum(DatumSpec(**self.SPEC), lat2)
         coeff = to_spectral(u)
-        kmag = lat2.half(lat2.kmag)
+        kmag = np.sqrt(lat2.half(lat2.ksq))
         outside = (kmag < 1.0) | (kmag > 3.0)
         assert np.abs(coeff[:, outside]).max() < 1e-15
 
@@ -634,11 +618,11 @@ class TestRandomBand:
         assert field_inits == [VectorField] * 3
 
     def test_lattice_holds_no_full_grid_after_a_draw(self):
-        """The band is drawn on the full grid, whose |k|^2 and |k| are built
-        for the draw and not kept on the lattice."""
+        """The band is drawn on the full grid, whose |k|^2 is built for the
+        draw and not kept on the lattice."""
         lat = make_lattice(3, 16, 2.0 * np.pi)
         realize_datum(DatumSpec(**self.SPEC, divergence_free=True), lat)
-        assert "ksq" not in vars(lat) and "kmag" not in vars(lat)
+        assert "ksq" not in vars(lat)
         assert lat.ksq is not lat.ksq
 
     def test_empty_band_rejected(self, lat2):

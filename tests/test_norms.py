@@ -147,7 +147,8 @@ class TestLebesgueNorm:
     def test_homogeneity(self, lat2, rng, row0_field):
         f = row0_field(lat2, rng.standard_normal((16, 16)))
         npt.assert_allclose(
-            lebesgue_norm(7.0 * f, 4.0), 7.0 * lebesgue_norm(f, 4.0), rtol=1e-13
+            lebesgue_norm(VectorField(lat2, 7.0 * f.data), 4.0), 7.0 * lebesgue_norm(f, 4.0),
+            rtol=1e-13,
         )
 
 
@@ -545,7 +546,8 @@ class TestTrajectory:
         u = divfree_datum(lat2, seed=4)
         times = [0.1, 0.2, 0.4]
         stacked = np.array([u.data, 2.0 * u.data, 3.0 * u.data])
-        for given in ([u, 2.0 * u, 3.0 * u], stacked):
+        scaled = [u] + [VectorField(lat2, c * u.data) for c in (2.0, 3.0)]
+        for given in (scaled, stacked):
             traj = Trajectory(lat2, times, given)
             assert traj.data.dtype == np.float64
             assert traj.data.shape == (3, 2) + lat2.spatial_shape
@@ -554,7 +556,7 @@ class TestTrajectory:
                 assert type(f) is VectorField
                 assert np.shares_memory(f.data, traj.data[j])
         with pytest.raises(DataError, match="vector fields"):
-            Trajectory(lat2, times, [to_spectral(f) for f in (u, 2.0 * u, 3.0 * u)])
+            Trajectory(lat2, times, [to_spectral(f) for f in scaled])
 
     def test_node_index(self, lat2, divfree_datum):
         traj = heat_trajectory(divfree_datum(lat2, seed=5), [0.1, 0.2, 0.4])
@@ -568,14 +570,14 @@ class TestTrajectory:
         u = divfree_datum(lat2, seed=6)
         times = np.array([0.1, 0.4, 0.9])
         w = -0.25
-        traj = Trajectory(lat2, times, [(t**w) * u for t in times])
+        traj = Trajectory(lat2, times, [VectorField(lat2, (t**w) * u.data) for t in times])
         got = traj.value_at(0.2, interp_power=w)
         npt.assert_allclose(got, (0.2**w) * u.data, rtol=1e-12)
 
     def test_value_at_log_interpolation(self, lat2, divfree_datum):
         u = divfree_datum(lat2, seed=7)
         times = np.array([0.1, 0.4, 0.9])
-        traj = Trajectory(lat2, times, [np.log(t) * u for t in times])
+        traj = Trajectory(lat2, times, [VectorField(lat2, np.log(t) * u.data) for t in times])
         got = traj.value_at(0.2)
         npt.assert_allclose(got, np.log(0.2) * u.data, rtol=1e-12, atol=1e-14)
 
