@@ -3,7 +3,8 @@ integral used to cross-check it, the bilinear term
 
     B(u, v)(t) = integral_0^t exp((t - tau) Lap) P div(u x v) d tau,
 
-and measured-constant reports for the bilinear estimates.
+the measured ratio of the bilinear estimates, and a half-mesh estimate of
+B's discretisation error.
 
 Quadrature design: the integrand carries algebraic endpoint behavior,
 (t - tau)^(-gamma) from the dissipative-projection kernel and tau^(-theta)
@@ -72,14 +73,13 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gamma as gamma_fn
-from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, MeshError
 from .lattice import Lattice, VectorField, to_physical
 from .multipliers import _project_div_spectral
-from .norms import ExponentBook, NormReport, Trajectory, kato_norm, n_norm
+from .norms import ExponentBook, Trajectory, kato_norm, n_norm, weighted_lebesgue
 
 
 @dataclass(frozen=True)
@@ -382,7 +382,7 @@ def bilinear_trajectory(u_traj: Trajectory, v_traj: Trajectory,
 
 
 # ---------------------------------------------------------------------------
-# Measured-constant reports
+# The measured estimate ratio and B's error
 
 
 TARGET_KATO = "kato"
@@ -408,21 +408,14 @@ def estimate_quadrature(book: ExponentBook, node_count: int,
 @dataclass
 class BilinearEstimateReport:
     """Measured ratio ||B(u, v)|| / (T^horizon_exponent ||u||_K ||v||_K)
-    for one estimate target: the output norm, its weighted value at each
-    mesh node, the quadrature node count, and with refinement the ratio at
-    doubled nodes and the stability factor."""
+    for one estimate target."""
 
-    output_norm: float
     ratio: float
-    weighted_values: np.ndarray
-    quad_nodes: int
-    ratio_refined: Optional[float] = None
-    stability_factor: Optional[float] = None
 
 
 def bilinear_estimate_report(u_traj: Trajectory, v_traj: Trajectory, book: ExponentBook,
                              target: str = TARGET_KATO, *, quad: QuadratureSpec,
-                             refine: bool = True) -> BilinearEstimateReport:
+                             refine: bool = False) -> BilinearEstimateReport:
     """Measure one bilinear-estimate constant on a trajectory pair.
 
     Targets:
@@ -434,11 +427,14 @@ def bilinear_estimate_report(u_traj: Trajectory, v_traj: Trajectory, book: Expon
 
     B is evaluated with quad as given; estimate_quadrature(book, nodes,
     target) is the target's own rule. The ratio divides the output norm
-    by T^horizon_exponent times the product of input Kato norms. With
-    refine=True, B is recomputed at doubled quadrature nodes, and the
-    report also holds that ratio (ratio_refined) and the larger of the two
-    ratios over the smaller (stability_factor).
+    by T^horizon_exponent times the product of input Kato norms. B's
+    error comes from the interpolation in time between mesh nodes, not
+    from the rule, so doubled quadrature nodes do not see it:
+    bilinear_error_estimate measures it, and refine=True is refused.
     """
+    if refine:
+        raise ConfigError("refine=True is not supported: doubled quadrature nodes do not see "
+                          "B's error; bilinear_error_estimate measures it")
     _check_pair(u_traj, v_traj)
     _check_target(target)
     d, q = book.d, book.q
@@ -457,29 +453,31 @@ def bilinear_estimate_report(u_traj: Trajectory, v_traj: Trajectory, book: Expon
     norm_v = kato_norm(v_traj, q, book.q_tilde).value
     if norm_u == 0.0 or norm_v == 0.0:
         raise DataError("bilinear estimate needs nonzero input trajectories")
-    scale = u_traj.horizon**book.horizon_exponent * norm_u * norm_v
+    b_traj = bilinear_trajectory(u_traj, v_traj, quad)
+    out = (kato_norm(b_traj, q, book.q_tilde) if target == TARGET_KATO
+           else n_norm(b_traj, book.s, book.p))
+    return BilinearEstimateReport(out.value / (u_traj.horizon**book.horizon_exponent
+                                               * norm_u * norm_v))
 
-    def output(spec: QuadratureSpec) -> NormReport:
-        b_traj = bilinear_trajectory(u_traj, v_traj, spec)
-        if target == TARGET_KATO:
-            return kato_norm(b_traj, q, book.q_tilde)
-        return n_norm(b_traj, book.s, book.p)
 
-    out = output(quad)
-    ratio = out.value / scale
+def bilinear_error_estimate(u_traj: Trajectory, v_traj: Trajectory,
+                            quad: QuadratureSpec) -> np.ndarray:
+    """Richardson estimate of B(u, v)'s error: the L^2 norm of
+    (B_{M/2} - B_M) / 3 at the nodes t_2, t_4, ..., where B_M is B on the
+    M >= 4 mesh nodes and B_{M/2} is B on those nodes alone.
 
-    ratio_refined = None
-    stability = None
-    if refine:
-        ratio_refined = output(quad.doubled()).value / scale
-        pair = sorted([ratio, ratio_refined])
-        stability = pair[1] / pair[0] if pair[0] > 0 else float("inf")
-
-    return BilinearEstimateReport(
-        output_norm=out.value,
-        ratio=ratio,
-        weighted_values=out.values,
-        quad_nodes=quad.node_count,
-        ratio_refined=ratio_refined,
-        stability_factor=stability,
-    )
+    The even nodes of the quadratic mesh t_j = T (j/M)^2 are the quadratic
+    mesh of M // 2 nodes (to t_{M-1} for odd M), and B's error, from the
+    interpolation in time, falls 4x when the step halves. When u_traj is
+    v_traj the half trajectories are one object, so B takes its symmetric
+    pair path.
+    """
+    _check_pair(u_traj, v_traj)
+    if len(u_traj) < 4:
+        raise MeshError(f"the half-mesh estimate needs at least 4 nodes, got {len(u_traj)}")
+    u_half = Trajectory(u_traj.lattice, u_traj.times[1::2], u_traj.data[1::2])
+    v_half = (u_half if v_traj is u_traj
+              else Trajectory(v_traj.lattice, v_traj.times[1::2], v_traj.data[1::2]))
+    fine = [bilinear_B(u_traj, v_traj, float(t), quad).data for t in u_half.times]
+    error = (bilinear_trajectory(u_half, v_half, quad).data - fine) / 3.0
+    return weighted_lebesgue(Trajectory(u_half.lattice, u_half.times, error), 0.0, 2)

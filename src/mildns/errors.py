@@ -1,9 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and naming, which re-raises
+one under the config keys that fed the failing call.
 
 The CLI maps these onto process exit codes: configuration problems exit
 with 2, numerical failures (divergence guard, non-convergence, non-finite
 data) with 3, and I/O trouble with 4.
 """
+from contextlib import contextmanager
 
 
 class MildNSError(Exception):
@@ -49,3 +51,16 @@ class NonConvergenceError(NumericalError):
 
 class CalibrationError(ConfigError):
     """An operation needs calibrated constants that are not available."""
+
+
+@contextmanager
+def naming(*names: str):
+    """Re-raise a ConfigError or DataError of the block, of the same class,
+    under the config keys that fed it: "config keys 'k_min' and 'k_max': ..."."""
+    try:
+        yield
+    except (ConfigError, DataError) as exc:
+        quoted = [repr(name) for name in names]
+        keys = (f"key {quoted[0]}" if len(quoted) == 1
+                else f"keys {', '.join(quoted[:-1])} and {quoted[-1]}")
+        raise type(exc)(f"config {keys}: {exc}") from exc

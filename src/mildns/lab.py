@@ -22,8 +22,8 @@ objects they build: the paper's hypotheses in build_exponent_book, which
 name the violated inequality, and the refusals of realize_datum (the
 fields of a datum, refused before any calibration), kernel_profile (the
 kernel lattice and radius window), decay_exponent_fit (samples in the fit
-window) and load_calibration, which _naming re-raises, of the same class,
-under the config keys that fed the call.
+window) and load_calibration, which errors.naming re-raises, of the same
+class, under the config keys that fed the call.
 Output files are only written after the experiment finished, each
 through a temporary file and os.replace, the CSV last. Identical config
 and seed give byte-identical CSV output: floats are serialized at 17
@@ -35,7 +35,6 @@ from __future__ import annotations
 import copy
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Callable, Optional
@@ -46,11 +45,12 @@ from .duhamel import (
     TARGET_KATO,
     TARGET_SOBOLEV,
     beta_integral,
+    bilinear_error_estimate,
     bilinear_estimate_report,
     bilinear_trajectory,
     estimate_quadrature,
 )
-from .errors import ConfigError, DataError, DivergenceError, NumericalError
+from .errors import ConfigError, DataError, DivergenceError, NumericalError, naming
 from .lattice import TWO_PI, DatumSpec, VectorField, make_lattice, realize_datum
 from .multipliers import kernel_profile
 from .norms import (
@@ -281,22 +281,9 @@ def _datum_from_config(datum_cfg: dict) -> DatumSpec:
     return DatumSpec(**{**datum_cfg, "mode": None if mode is None else tuple(mode)})
 
 
-@contextmanager
-def _naming(*names: str):
-    """Re-raise a ConfigError or DataError of the block, of the same class,
-    under the config keys that fed it: "config keys 'k_min' and 'k_max': ..."."""
-    try:
-        yield
-    except (ConfigError, DataError) as exc:
-        quoted = [repr(name) for name in names]
-        keys = (f"key {quoted[0]}" if len(quoted) == 1
-                else f"keys {', '.join(quoted[:-1])} and {quoted[-1]}")
-        raise type(exc)(f"config {keys}: {exc}") from exc
-
-
 def _realized(datum_cfg: dict, lattice, *names: str) -> VectorField:
     """The datum of a section; a refusal of its fields names the keys."""
-    with _naming(*names):
+    with naming(*names):
         return realize_datum(_datum_from_config(datum_cfg), lattice)
 
 
@@ -304,7 +291,7 @@ def _calibrated_book(cfg: dict):
     book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
     path = cfg.get("calibration_path")
     if path:
-        with _naming("calibration_path"):
+        with naming("calibration_path"):
             return load_calibration(book, path)
     return calibrate_thresholds(book, CorpusSpec(seed=cfg["corpus_seed"], d=book.d))
 
@@ -322,14 +309,14 @@ def _critical_book(cfg: dict, what: str):
 
 def _lattice(cfg: dict, n_key: str = "n"):
     """The lattice of cfg; a box it refuses names the keys that set it."""
-    with _naming(n_key, "box_len"):
+    with naming(n_key, "box_len"):
         return make_lattice(cfg["d"], cfg[n_key], cfg["box_len"])
 
 
 def _check_window(cfg: dict, u0: VectorField) -> None:
     """Refuse a horizon outside the lattice validity window of u0, naming
     the keys that set the window; runners call it before any calibration."""
-    with _naming("horizon", "n", "box_len"):
+    with naming("horizon", "n", "box_len"):
         _heat_window_grid(u0, cfg["horizon"])
 
 
@@ -374,17 +361,23 @@ _BAND_KEYS = ("k_min", "k_max", "n", "box_len")
 
 
 def _solve(cfg: dict, book, u0: VectorField, mesh_nodes: int):
-    """The Picard construction for u0 on mesh_nodes nodes."""
-    return solve_mild(
+    """The Picard construction for u0 on mesh_nodes nodes, and the largest
+    half-mesh estimate of B's error on it over ||u(t)||_2 (not over ||B||:
+    B of a Taylor-Green flow is round-off)."""
+    quad = estimate_quadrature(book, cfg["quad_nodes"])
+    solution = solve_mild(
         u0,
         cfg["horizon"],
         book,
         mesh_nodes=mesh_nodes,
-        quad=estimate_quadrature(book, cfg["quad_nodes"]),
+        quad=quad,
         tol=cfg["tol"],
         max_iter=cfg["max_iter"],
         override_smallness=cfg.get("override_smallness", False),
     )
+    u = solution.trajectory
+    errors = bilinear_error_estimate(u, u, quad) / weighted_lebesgue(u, 0.0, 2)[1::2]
+    return solution, float(errors.max())
 
 
 def _mesh_doubling(cfg: dict, analyse):
@@ -392,21 +385,20 @@ def _mesh_doubling(cfg: dict, analyse):
     analyse(solution, u0) to each; return both reports, the relative
     change of each sup, the shared summary and the calibration digest."""
     book, u0 = _calibrated_datum(cfg)
-    reports, iterations = [], []
-    for mesh_nodes in (cfg["mesh_nodes"], 2 * cfg["mesh_nodes"]):
-        solution = _solve(cfg, book, u0, mesh_nodes)
-        reports.append(analyse(solution, u0))
-        iterations.append(solution.trace.iterations)
-    coarse, fine = reports
+    solves = [_solve(cfg, book, u0, nodes) for nodes in (cfg["mesh_nodes"], 2 * cfg["mesh_nodes"])]
+    (coarse_u, coarse_b_error), (fine_u, fine_b_error) = solves
+    coarse, fine = analyse(coarse_u, u0), analyse(fine_u, u0)
     changes = [
         abs(b - a) / max(a, b) if max(a, b) > 0 else 0.0
         for a, b in zip(coarse.sups, fine.sups)
     ]
     summary = {
         "max_rel_change": max(changes),
-        "iterations_coarse": iterations[0],
-        "iterations_fine": iterations[1],
+        "iterations_coarse": coarse_u.trace.iterations,
+        "iterations_fine": fine_u.trace.iterations,
         "all_finite": all(np.isfinite(coarse.sups)) and all(np.isfinite(fine.sups)),
+        "b_error_estimate_coarse": coarse_b_error,
+        "b_error_estimate_fine": fine_b_error,
     }
     return coarse, fine, changes, summary, book.calibration_digest
 
@@ -445,7 +437,7 @@ def _run_kernel_decay(cfg):
     for s in cfg["s_values"]:
         # the kernel, and the same kernel at time factor_t * t on the
         # sqrt(factor_t)-dilated box: exact discrete self-similarity up to rounding
-        with _naming("resolution", "box_len", "t", "radius_max"):
+        with naming("resolution", "box_len", "t", "radius_max"):
             prof, prof_late = (
                 kernel_profile(
                     s,
@@ -485,7 +477,7 @@ def _run_beta_integral(cfg):
     worst = 0.0
     for g in gammas:
         for th in thetas:
-            with _naming("t"):
+            with naming("t"):
                 closed = beta_integral(float(g), float(th), t)
                 quad = beta_integral(
                     float(g), float(th), t, method="quadrature", node_count=cfg["node_count"]
@@ -533,7 +525,7 @@ def _run_heat_decay(cfg):
             * qt ** (-d / (2.0 * qt))
         )
         rows.append([float(t), float(measured[j]), float(closed), float(abs(measured[j] - closed) / closed)])
-    with _naming("t_min", "t_max", "per_octave"):
+    with naming("t_min", "t_max", "per_octave"):
         fit = decay_exponent_fit(t_grid, measured, (cfg["t_min"], cfg["t_max"]))
     summary = {
         "fitted_slope": fit.slope,
@@ -648,8 +640,7 @@ def _run_bilinear(cfg):
             u_traj, v_traj = heat_trajectory(u0, mesh), heat_trajectory(v0, mesh)
             for target in run_targets:
                 quad = estimate_quadrature(book, cfg["quad_nodes"], target)
-                report = bilinear_estimate_report(u_traj, v_traj, book, target, quad=quad,
-                                                  refine=False)
+                report = bilinear_estimate_report(u_traj, v_traj, book, target, quad=quad)
                 rows.append([i, target, horizon, nodes, report.ratio])
 
     def ratios(target, horizon, nodes=mesh_nodes) -> list:
@@ -733,7 +724,7 @@ def _tg_closed_form_error(solution, u0) -> float:
 
 def _run_solve(cfg):
     book, u0 = _calibrated_datum(cfg)
-    solution = _solve(cfg, book, u0, cfg["mesh_nodes"])
+    solution, b_error = _solve(cfg, book, u0, cfg["mesh_nodes"])
     columns = ["t", "kato_weighted_norm", "divergence_defect"]
     kato = kato_norm(solution.trajectory, book.q, book.q_tilde)
     rows = [
@@ -759,6 +750,7 @@ def _run_solve(cfg):
     }
     if cfg["datum"]["kind"] == "taylor_green":
         summary["closed_form_max_rel_err"] = _tg_closed_form_error(solution, u0)
+    summary["b_error_estimate"] = b_error
     if cfg["save_fields"] and cfg.get("out_dir"):
         save_solution(solution, Path(cfg["out_dir"]) / "solution")
     return columns, rows, summary, book.calibration_digest
@@ -802,7 +794,7 @@ def _run_scaling(cfg):
     lam = float(cfg["lam"])
     horizon = float(cfg["horizon"])
     lat = _lattice(cfg)
-    with _naming("lam"):
+    with naming("lam"):
         lat_fine = make_lattice(cfg["d"], cfg["n"], cfg["box_len"] / lam)
         try:
             horizon_fine = horizon / lam**2
@@ -815,7 +807,7 @@ def _run_scaling(cfg):
     _check_window(cfg, u0)
     u0_scaled = VectorField(lat_fine, lam * u0.data)
     lhs = smallness_lhs(u0, horizon, book, SMALLNESS_CRITICAL).lhs
-    with _naming("lam"):
+    with naming("lam"):
         try:
             lhs_scaled = smallness_lhs(u0_scaled, horizon_fine, book, SMALLNESS_CRITICAL).lhs
         except NumericalError as exc:
@@ -854,7 +846,7 @@ def _run_powerlaw(cfg):
         lp = lebesgue_norm(u0, p)
         rep = besov_norm_heat(u0, s_b, qt)
         if not min(lp, rep.value) >= np.finfo(float).tiny:
-            with _naming(*keys):
+            with naming(*keys):
                 raise ConfigError(f"the L^{p:g} norm {lp:g} or the heat-Besov norm "
                                   f"{rep.value:g} of the datum is below the normal floats")
         lp_values.append(lp)

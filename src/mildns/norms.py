@@ -8,7 +8,7 @@ Sobolev and Besov quantities rely on the homogeneous zero-mode convention
 
 Time-dependent objects live on a Trajectory: one float64 array of the
 physical samples at strictly increasing positive times, node first, so
-interpolation and trajectory arithmetic are array operations that build
+interpolation and trajectory differences are array operations that build
 no field per node. Sup-in-time norms are evaluated on the trajectory mesh;
 heat-characterized norms use a dyadic time grid with four points per
 octave, capped by the validity window t <= Lattice.t_cap = box_len^2 / 100.
@@ -251,20 +251,9 @@ class Trajectory:
         if other.lattice != self.lattice or not np.array_equal(other.times, self.times):
             raise DataError("trajectory arithmetic requires identical meshes")
 
-    def __add__(self, other):
-        self._check_compatible(other)
-        return Trajectory(self.lattice, self.times, self.data + other.data)
-
     def __sub__(self, other):
         self._check_compatible(other)
         return Trajectory(self.lattice, self.times, self.data - other.data)
-
-    def __mul__(self, scalar):
-        if not np.isscalar(scalar):
-            return NotImplemented
-        return Trajectory(self.lattice, self.times, self.data * scalar)
-
-    __rmul__ = __mul__
 
 
 def quadratic_mesh(horizon: float, nodes: int) -> np.ndarray:

@@ -34,6 +34,7 @@ from .errors import (
     NonConvergenceError,
     SmallnessError,
     WindowError,
+    naming,
 )
 from .lattice import DatumSpec, VectorField, make_lattice, realize_datum, save_field
 from .multipliers import _divergence_defect, divergence_defect
@@ -379,7 +380,8 @@ def calibrate_thresholds(
             f"corpus dimension {corpus.d} does not match book dimension {book.d}"
         )
 
-    lattice = make_lattice(corpus.d, corpus.n, corpus.box_len)
+    with naming("corpus.n", "corpus.box_len"):
+        lattice = make_lattice(corpus.d, corpus.n, corpus.box_len)
     mesh = quadratic_mesh(corpus.horizon, corpus.mesh_nodes)
     quad = estimate_quadrature(book, corpus.quad_nodes)
 
@@ -390,7 +392,7 @@ def calibrate_thresholds(
         v0 = _corpus_datum(corpus, 2 * i + 1, lattice)
         u_traj = heat_trajectory(u0, mesh)
         v_traj = heat_trajectory(v0, mesh)
-        report = bilinear_estimate_report(u_traj, v_traj, book, quad=quad, refine=False)
+        report = bilinear_estimate_report(u_traj, v_traj, book, quad=quad)
         max_ratio = max(max_ratio, report.ratio)
         for datum in (u0, v0):
             kato_lhs = smallness_lhs(datum, corpus.horizon, book, SMALLNESS_KATO).lhs
@@ -546,7 +548,7 @@ def solve_mild(
     y = heat_trajectory(u0, mesh)
     x0 = None
     if start == "zero":
-        x0 = y * 0.0
+        x0 = Trajectory(y.lattice, y.times, np.zeros_like(y.data))
     if quad is None:
         quad = estimate_quadrature(book, 32)
     eta = book.c_hat * horizon**book.horizon_exponent

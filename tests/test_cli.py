@@ -418,6 +418,28 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             "config error: config key 'corpus.n' must be an integer in [4, inf) and a power of two")
 
+    @pytest.mark.parametrize(
+        "box_len, message",
+        [(1e200, "box length 1e+200 is too large for n=32: the cell volume or the validity "
+                 "window overflows"),
+         (1e-300, "box length 1e-300 is too small for n=32: |k|^2 overflows")],
+        ids=["large", "small"],
+    )
+    def test_calibrate_names_the_corpus_box(self, box_len, message, tmp_path, capsys):
+        """A corpus box that the lattice refuses is refused under the corpus
+        keys, with no traceback, and nothing is written."""
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps({"corpus": {"box_len": box_len}}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["calibrate", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: config keys 'corpus.n' and 'corpus.box_len': {message}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0", "-1", "2.5", "true"])
     @pytest.mark.parametrize("experiment", ["solve", "ladder", "fluctuation"])
     def test_max_iter_is_refused_before_calibration(self, experiment, value, monkeypatch,

@@ -40,6 +40,7 @@ from mildns import (
     VectorField,
     beta_integral,
     bilinear_B,
+    bilinear_error_estimate,
     bilinear_estimate_report,
     bilinear_trajectory,
     build_exponent_book,
@@ -298,7 +299,7 @@ class TestBilinearB:
         v = heat_trajectory(datum(6), mesh)
         w = heat_trajectory(datum(7), mesh)
         t0 = float(mesh[5])
-        lhs = bilinear_B(u + v, w, t0, quad).data
+        lhs = bilinear_B(Trajectory(lat, mesh, u.data + v.data), w, t0, quad).data
         rhs = bilinear_B(u, w, t0, quad).data + bilinear_B(v, w, t0, quad).data
         assert np.abs(lhs - rhs).max() < 1e-13 * np.abs(rhs).max()
 
@@ -306,7 +307,7 @@ class TestBilinearB:
         lat, book, mesh, quad, datum = pair_setup
         u = heat_trajectory(datum(8), mesh)
         t0 = float(mesh[-1])
-        scaled = bilinear_B(3.0 * u, u, t0, quad).data
+        scaled = bilinear_B(Trajectory(lat, mesh, 3.0 * u.data), u, t0, quad).data
         base = bilinear_B(u, u, t0, quad).data
         npt.assert_allclose(scaled, 3.0 * base, atol=1e-14)
 
@@ -506,12 +507,13 @@ class TestCallSetUp:
         again = bilinear_B(u, u, float(mesh[-1]), quad).data
         assert duhamel._scratch.held is held
         npt.assert_array_equal(again, first)
-        bilinear_B(u, u * 0.5, float(mesh[-1]), quad)  # another pair count
+        v = Trajectory(u.lattice, mesh, u.data * 0.5)
+        bilinear_B(u, v, float(mesh[-1]), quad)  # another pair count
         assert duhamel._scratch.held[0].shape[1] == 4
 
     def test_two_threads_give_the_bits_of_sequential_calls(self):
         u, mesh, quad = self.picard_size_flow()
-        v = u * 0.5
+        v = Trajectory(u.lattice, mesh, u.data * 0.5)
         jobs = [(a, b, float(t)) for t in mesh for a, b in ((u, u), (u, v))]
         sequential = [bilinear_B(a, b, t, quad).data for a, b, t in jobs]
         results, buffers = {}, {}
@@ -551,16 +553,12 @@ class TestCallSetUp:
 
 
 class TestEstimateReport:
-    def test_kato_target_ratio_and_stability(self, pair_setup):
+    def test_kato_target_ratio(self, pair_setup):
         lat, book, mesh, quad, datum = pair_setup
         u = heat_trajectory(datum(5), mesh)
         v = heat_trajectory(datum(6), mesh)
         report = bilinear_estimate_report(u, v, book, target=TARGET_KATO, quad=quad)
         assert 0 < report.ratio < 1.0
-        assert np.isfinite(report.output_norm)
-        assert report.stability_factor is not None
-        assert report.stability_factor < 1.01
-        assert report.quad_nodes == 16
 
     def test_sobolev_target(self, pair_setup):
         lat, book, mesh, quad, datum = pair_setup
@@ -569,7 +567,15 @@ class TestEstimateReport:
             u, u, book, target=TARGET_SOBOLEV, quad=quad, refine=False
         )
         assert 0 < report.ratio
-        assert report.ratio_refined is None
+
+    def test_refine_is_refused(self, pair_setup):
+        """Doubled quadrature nodes do not see B's error, which lives in the
+        interpolation between mesh nodes; the refusal names the estimate
+        that measures it."""
+        lat, book, mesh, quad, datum = pair_setup
+        u = heat_trajectory(datum(5), mesh)
+        with pytest.raises(ConfigError, match="bilinear_error_estimate"):
+            bilinear_estimate_report(u, u, book, quad=quad, refine=True)
 
     def test_sobolev_target_needs_young_pair(self, pair_setup):
         lat, _, mesh, quad, datum = pair_setup
@@ -586,6 +592,73 @@ class TestEstimateReport:
 
 
 UNKNOWN_TARGET = "unknown estimate target 'energy'; valid targets: 'kato', 'sobolev'"
+
+
+@pytest.fixture(scope="module")
+def checks():
+    """The benchmark's checks: the closed form of B for the heat flows of
+    two single Fourier modes, computed with numpy alone."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import checks
+
+    return checks
+
+
+class TestBilinearErrorEstimate:
+    """(B_{M/2} - B_M) / 3 at the even nodes t_2, t_4, ... of the quadratic
+    mesh, which are the quadratic mesh of M/2 nodes."""
+
+    N, BOX, HORIZON = 32, 2.0 * np.pi, 0.25  # the picard benchmark's box
+
+    @pytest.mark.parametrize("mesh_nodes", [8, 16, 32])
+    def test_within_a_factor_two_of_the_closed_form_error(self, mesh_nodes, checks):
+        """The largest estimate over the nodes against the largest L^2 error
+        of B_M over all nodes, for the benchmark's oracle modes: a ratio of
+        0.87, 1.04 and 1.00 when measured."""
+        lat = make_lattice(2, self.N, self.BOX)
+        book = build_exponent_book(d=2, p=2.0, s=0.0, q_tilde=4.0)
+        mesh = quadratic_mesh(self.HORIZON, mesh_nodes)
+        u, v = (Trajectory(lat, mesh, np.array(
+            [checks.single_mode_flow(self.N, self.BOX, *oracle, t) for t in mesh]))
+            for oracle in (checks.ORACLE_U, checks.ORACLE_V))
+        quad = QuadratureSpec(16, book.gamma_kato, book.alpha)
+        estimate = bilinear_error_estimate(u, v, quad)
+        assert estimate.shape == (mesh_nodes // 2,)
+        error = bilinear_trajectory(u, v, quad).data - np.array(
+            [checks.b_closed_form(self.N, self.BOX, *checks.ORACLE_U, *checks.ORACLE_V, t)
+             for t in mesh])
+        true = np.sqrt(np.sum(error**2, axis=(1, 2, 3)) * lat.cell_volume)
+        assert 0.5 < estimate.max() / true.max() < 2.0
+
+    def test_is_the_scaled_difference_of_the_two_b(self, pair_setup):
+        """On an odd mesh the sub-mesh is t_2, t_4, ..., t_{M-1}; the values
+        are the L^2 norms of a third of B on those nodes alone minus B on
+        the whole mesh, at those nodes."""
+        lat, book, _, quad, datum = pair_setup
+        mesh = quadratic_mesh(1.0, 9)
+        u, v = heat_trajectory(datum(5), mesh), heat_trajectory(datum(6), mesh)
+        sub = mesh[1::2]
+        coarse = bilinear_trajectory(heat_trajectory(datum(5), sub),
+                                     heat_trajectory(datum(6), sub), quad)
+        want = [np.sqrt(np.sum(((c - bilinear_B(u, v, float(t), quad).data) / 3.0) ** 2)
+                        * lat.cell_volume) for t, c in zip(sub, coarse.data)]
+        npt.assert_allclose(bilinear_error_estimate(u, v, quad), want, rtol=1e-13)
+
+    def test_one_trajectory_takes_the_symmetric_path(self, pair_setup):
+        lat, _, mesh, quad, datum = pair_setup
+        u = heat_trajectory(datum(5), mesh)
+        bilinear_error_estimate(u, u, quad)
+        assert duhamel._scratch.key == (lat, True)
+        bilinear_error_estimate(u, heat_trajectory(datum(5), mesh), quad)
+        assert duhamel._scratch.key == (lat, False)
+
+    def test_needs_four_nodes(self, pair_setup):
+        lat, _, _, quad, datum = pair_setup
+        u = heat_trajectory(datum(5), quadratic_mesh(1.0, 3))
+        with pytest.raises(MeshError, match="at least 4 nodes, got 3"):
+            bilinear_error_estimate(u, u, quad)
 
 
 def kernel_exponent_reads(source: str) -> list:

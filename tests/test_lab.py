@@ -327,6 +327,19 @@ class TestKnownSummaries:
         assert table.summary["converged"] is True
         assert table.summary["closed_form_max_rel_err"] < 1e-10
 
+    def test_solve_reports_the_b_error_estimate(self, calibration_file):
+        """B of a Taylor-Green flow is a gradient, which P removes, so the
+        estimate of B's error relative to ||u(t)||_2 is round-off."""
+        estimate = run(smoke_config("solve", calibration_file)).summary["b_error_estimate"]
+        assert 0.0 <= estimate <= 1e-12
+
+    @pytest.mark.parametrize("exp_id", ["ladder", "fluctuation"])
+    def test_mesh_doubling_reports_the_b_error_estimate(self, exp_id, calibration_file):
+        """B's error falls about 4x when the mesh doubles (3.45x and 3.74x
+        when measured)."""
+        summary = run(smoke_config(exp_id, calibration_file)).summary
+        assert 3.0 < summary["b_error_estimate_coarse"] / summary["b_error_estimate_fine"] < 5.0
+
     def test_bilinear_flows_each_datum_once_per_mesh(self, monkeypatch):
         """Both targets read one heat-flow pair per (pair, horizon, mesh):
         3 pairs x (2 horizons + the doubled mesh) x 2 data, plus the pair of
@@ -358,7 +371,7 @@ class TestKnownSummaries:
                     mesh = quadratic_mesh(horizon, nodes)
                     ratio[i, target, horizon, nodes] = bilinear_estimate_report(
                         heat_trajectory(u0, mesh), heat_trajectory(v0, mesh), book, target,
-                        quad=QuadratureSpec(8, gamma[target], book.alpha), refine=False).ratio
+                        quad=QuadratureSpec(8, gamma[target], book.alpha)).ratio
                     rows.append([i, target, horizon, nodes, ratio[i, target, horizon, nodes]])
         assert table.rows == rows
 

@@ -537,7 +537,7 @@ class TestTrajectory:
         with pytest.raises(DataError, match=r"node 2, t = 0\.4"):
             Trajectory(lat2, [0.1, 0.2, 0.4], data)
         with pytest.raises(DataError, match="node 0"):
-            heat_trajectory(u, [0.1, 0.2]) * np.inf
+            Trajectory(lat2, [0.1, 0.2], heat_trajectory(u, [0.1, 0.2]).data * np.inf)
 
     def test_one_array_backs_the_fields(self, lat2, divfree_datum):
         """A list of fields, or an array, is stored as one float64
@@ -642,19 +642,23 @@ class TestTrajectory:
             traj.times[0] = 0.05
 
     def test_arithmetic(self, lat2, divfree_datum):
-        u = divfree_datum(lat2, seed=10)
-        traj = heat_trajectory(u, [0.1, 0.2])
-        doubled = traj + traj
-        npt.assert_allclose(doubled.fields[0].data, 2.0 * traj.fields[0].data)
-        diff = doubled - 2.0 * traj
-        assert max(np.abs(f.data).max() for f in diff.fields) < 1e-15
+        """Subtraction is the one trajectory operation: node by node, on the
+        shared mesh."""
+        traj = heat_trajectory(divfree_datum(lat2, seed=10), [0.1, 0.2])
+        other = heat_trajectory(divfree_datum(lat2, seed=12), [0.1, 0.2])
+        diff = traj - other
+        npt.assert_array_equal(diff.times, traj.times)
+        npt.assert_array_equal(diff.data, traj.data - other.data)
+        assert not (traj - traj).data.any()
+        with pytest.raises(TypeError):
+            2.0 * traj
 
     def test_arithmetic_mesh_mismatch(self, lat2, divfree_datum):
         u = divfree_datum(lat2, seed=11)
         a = heat_trajectory(u, [0.1, 0.2])
         b = heat_trajectory(u, [0.1, 0.3])
         with pytest.raises(DataError, match="identical meshes"):
-            a + b
+            a - b
 
 
 class TestMeshes:

@@ -221,14 +221,14 @@ class TestSharedSupPrimitives:
         assert report.argmax_t == grid[int(np.argmax(explicit))]
         assert smallness_lhs(u0, 1.0, book, variant).detail[key] == explicit.max()
 
-    def test_bilinear_weighted_values_match_the_explicit_loop(self, divfree_datum):
+    def test_bilinear_ratio_matches_the_explicit_loop(self, divfree_datum):
         lat = make_lattice(2, 16, 4.0 * np.pi)
         book = build_exponent_book(2, 2.0, 0.0, 4.0)
         mesh = quadratic_mesh(1.0, 6)
         u = heat_trajectory(divfree_datum(lat, seed=9), mesh)
         v = heat_trajectory(divfree_datum(lat, seed=10), mesh)
         quad = fast_quad(book)
-        report = bilinear_estimate_report(u, v, book, quad=quad, refine=False)
+        report = bilinear_estimate_report(u, v, book, quad=quad)
         b = bilinear_trajectory(u, v, quad)
         explicit = np.array(
             [
@@ -236,8 +236,9 @@ class TestSharedSupPrimitives:
                 for t, f in zip(b.times, b.fields)
             ]
         )
-        npt.assert_array_equal(report.weighted_values, explicit)
-        assert report.output_norm == explicit.max()
+        scale = (u.horizon**book.horizon_exponent * kato_norm(u, book.q, book.q_tilde).value
+                 * kato_norm(v, book.q, book.q_tilde).value)
+        assert report.ratio == explicit.max() / scale
 
 
 class TestCalibration:
