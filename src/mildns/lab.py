@@ -299,11 +299,8 @@ def _calibrated_book(cfg: dict):
 def _critical_book(cfg: dict, what: str):
     """The uncalibrated book of cfg, refused unless it is critical."""
     book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
-    if not book.is_critical:
-        raise ConfigError(
-            f"config keys 'd', 'p' and 's': the {what} requires the critical book "
-            f"s = d/p - 1, got s = {book.s:g}"
-        )
+    with naming("d", "p", "s"):
+        book.require_critical(what)
     return book
 
 
@@ -376,7 +373,8 @@ def _solve(cfg: dict, book, u0: VectorField, mesh_nodes: int):
         override_smallness=cfg.get("override_smallness", False),
     )
     u = solution.trajectory
-    errors = bilinear_error_estimate(u, u, quad) / weighted_lebesgue(u, 0.0, 2)[1::2]
+    with np.errstate(invalid="ignore"):  # 0/0 of a zero flow is NaN, which run refuses
+        errors = bilinear_error_estimate(u, u, quad) / weighted_lebesgue(u, 0.0, 2)[1::2]
     return solution, float(errors.max())
 
 
@@ -501,11 +499,8 @@ def _run_heat_decay(cfg):
             f"{cfg['q']!r} and {cfg['q_tilde']!r}"
         )
     lat = _lattice(cfg, "resolution")
-    if lat.t_cap < cfg["t_max"]:
-        raise ConfigError(
-            "config keys 'box_len' and 't_max': box too small for the requested horizon, "
-            "need box_len^2 >= 100 t_max"
-        )
+    with naming("box_len", "t_max"):
+        lat.check_cap(cfg["t_max"], "t_max")
     u0 = _realized(dict(kind="gaussian", width=cfg["width"], amplitude=cfg["amplitude"]), lat,
                    "width")
     t_grid = dyadic_grid(cfg["t_max"], cfg["t_min"], cfg["per_octave"])
@@ -718,7 +713,8 @@ def _tg_closed_form_error(solution, u0) -> float:
     traj = solution.trajectory
     exact = Trajectory(lat, traj.times,
                        np.array([u0.data * math.exp(-rate * float(t)) for t in traj.times]))
-    errors = weighted_lebesgue(traj - exact, 0.0, 2) / weighted_lebesgue(exact, 0.0, 2)
+    with np.errstate(invalid="ignore"):  # 0/0 of a zero flow is NaN, which run refuses
+        errors = weighted_lebesgue(traj - exact, 0.0, 2) / weighted_lebesgue(exact, 0.0, 2)
     return float(errors.max())
 
 
@@ -1123,6 +1119,16 @@ def default_config(experiment_id: str) -> dict:
     return {**check_config(_experiment(experiment_id).keys, {}), "experiment": experiment_id}
 
 
+def _nan_keys(summary: dict, prefix: str = ""):
+    """The dotted keys of the floats in summary that are NaN, in order,
+    nested sections included."""
+    for key, value in summary.items():
+        if isinstance(value, dict):
+            yield from _nan_keys(value, f"{prefix}{key}.")
+        elif isinstance(value, float) and math.isnan(value):
+            yield f"{prefix}{key}"
+
+
 def run(config: dict) -> ResultTable:
     """Run one experiment from a config dict.
 
@@ -1130,6 +1136,8 @@ def run(config: dict) -> ResultTable:
     override the bundled defaults (unknown keys are rejected). When
     'out_dir' is present the CSV and manifest are written there, but only
     after the experiment completed, so failed validation leaves no files.
+    A summary float that is NaN raises NumericalError naming its key, and
+    nothing is written.
     """
     if "experiment" not in config:
         raise ConfigError(
@@ -1145,6 +1153,9 @@ def run(config: dict) -> ResultTable:
         cfg["out_dir"] = str(out_dir)
 
     columns, rows, summary, calibration_digest = exp.runner(cfg)
+    nan_key = next(_nan_keys(summary), None)
+    if nan_key is not None:
+        raise NumericalError(f"{exp_id} summary key {nan_key!r} is NaN")
 
     echo = {k: v for k, v in cfg.items() if k != "out_dir"}
     provenance = {

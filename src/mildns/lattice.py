@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, WindowError
 from .runtime import write_atomic
 
 TWO_PI = 2.0 * np.pi
@@ -58,7 +58,7 @@ class Lattice:
     t_floor, t_cap : the lattice validity window [spacing ** 2,
         box_len ** 2 / 100] of heat-flow times: below the floor the grid does
         not resolve the flow, above the cap the periodic images do not stay
-        negligible
+        negligible; check_cap(t, what) refuses a time past the cap
     half_shape : (n,)*(d-1) + (n/2 + 1,), the shape of a half array
     k_axes : list of d arrays shaped for broadcasting, k_axes[i] holds the
         signed wavenumbers (2*pi/L) * m along axis i, every m of the axis
@@ -121,6 +121,12 @@ class Lattice:
         coords = self.spacing * np.arange(self.n)
         self.x_axes = [coords.reshape(ka.shape) for ka in self.k_axes]
         self._coarse = {}  # points per axis -> Lattice of the same box
+
+    def check_cap(self, t: float, what: str) -> None:
+        """Refuse, as WindowError naming what, a time t past t_cap."""
+        if t > self.t_cap:
+            raise WindowError(f"{what} {t:g} exceeds the lattice validity window "
+                              f"L^2/100 = {self.t_cap:g}")
 
     @property
     def ksq(self) -> np.ndarray:

@@ -214,14 +214,18 @@ def kernel_profile(
     lo, hi = tail_window
     in_tail = (radii >= lo) & (radii <= hi) & (values > 0)
     if np.count_nonzero(in_tail) >= 2:
-        logs_r = np.log(radii[in_tail])
-        logs_v = np.log(values[in_tail])
-        slope, intercept = np.polyfit(logs_r, logs_v, 1)
-        resid = logs_v - (slope * logs_r + intercept)
-        tail_residual = float(np.sqrt(np.mean(resid**2)))
-        tail_slope = float(slope)
+        tail_slope, _, tail_residual = _loglog_fit(radii[in_tail], values[in_tail])
     else:
-        tail_slope = float("nan")
-        tail_residual = float("nan")
+        tail_slope = tail_residual = float("nan")
 
     return KernelProfile(values, bound_ratio, tail_slope, tail_residual)
+
+
+def _loglog_fit(x, y) -> tuple:
+    """(slope, intercept, residual) of the least-squares line through
+    (log x, log y), residual the RMS of its log-space residuals; x and y
+    positive, at least two points."""
+    logs_x, logs_y = np.log(x), np.log(y)
+    slope, intercept = np.polyfit(logs_x, logs_y, 1)
+    resid = logs_y - (slope * logs_x + intercept)
+    return float(slope), float(intercept), float(np.sqrt(np.mean(resid**2)))

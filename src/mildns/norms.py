@@ -73,7 +73,7 @@ from .errors import ConfigError, DataError, MeshError, NumericalError
 # tracer (bench/spans.py) patches it in every module that imports it, and
 # bench/tests/test_spans.py checks this module's binding.
 from .lattice import Field, Lattice, VectorField, to_physical  # noqa: F401
-from .multipliers import _fractional_multiplier, fractional_laplacian
+from .multipliers import _fractional_multiplier, _loglog_fit, fractional_laplacian
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +118,12 @@ class ExponentBook:
     @property
     def is_critical(self) -> bool:
         return abs(self.s - (self.d / self.p - 1.0)) <= 1e-12
+
+    def require_critical(self, what: str) -> None:
+        """Refuse, as ConfigError naming what, a book off the critical line."""
+        if not self.is_critical:
+            raise ConfigError(f"the {what} requires the critical book s = d/p - 1, "
+                              f"got s = {self.s:g}")
 
     @property
     def is_calibrated(self) -> bool:
@@ -611,17 +617,8 @@ def decay_exponent_fit(t_values, norm_values, window) -> DecayFit:
         )
     if np.any(norm_values[mask] <= 0):
         raise DataError("decay fit requires positive norm values")
-    x = np.log(t_values[mask])
-    y = np.log(norm_values[mask])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    residual = float(np.sqrt(np.mean(resid**2)))
-    return DecayFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        residual=residual,
-        power_law=residual <= 0.10,
-    )
+    slope, intercept, residual = _loglog_fit(t_values[mask], norm_values[mask])
+    return DecayFit(slope, intercept, residual, power_law=residual <= 0.10)
 
 
 @dataclass

@@ -41,7 +41,7 @@ from .multipliers import _divergence_defect, divergence_defect
 from .norms import (
     ExponentBook,
     Trajectory,
-    besov_grid,
+    besov_norm_heat,
     dyadic_grid,
     heat_sup,
     heat_trajectory,
@@ -241,11 +241,7 @@ class SmallnessReport:
 def _heat_window_grid(u0: VectorField, horizon: float) -> np.ndarray:
     lat = u0.lattice
     t_max = horizon * 2.0 ** (-0.25)
-    if horizon > lat.t_cap:
-        raise WindowError(
-            f"horizon {horizon:g} exceeds the lattice validity window "
-            f"L^2/100 = {lat.t_cap:g}"
-        )
+    lat.check_cap(horizon, "horizon")
     if t_max < lat.t_floor:
         raise WindowError(
             f"horizon {horizon:g} leaves no dyadic sample above the resolution "
@@ -267,9 +263,8 @@ def smallness_lhs(
       grid below the horizon.
     * 'critical': the same sup with no horizon prefactor; requires a
       critical book (s = d/p - 1), where the quantity is scale-invariant.
-    * 'besov': horizon^horizon_exponent times the sup over the Besov grid,
-      i.e. the heat-characterized Besov norm of smoothness -alpha and
-      integrability q_tilde.
+    * 'besov': horizon^horizon_exponent times besov_norm_heat of smoothness
+      -alpha and integrability q_tilde, the sup over the Besov grid.
 
     The threshold comes from the book's calibration: delta for the first
     two variants, sigma for the Besov one.
@@ -283,16 +278,13 @@ def smallness_lhs(
     if not (horizon > 0):
         raise ConfigError(f"horizon must be positive, got {horizon}")
 
-    if variant == SMALLNESS_CRITICAL and not book.is_critical:
-        raise ConfigError(
-            "critical smallness variant requires s = d/p - 1; book has "
-            f"s = {book.s:g}, d/p - 1 = {book.d / book.p - 1.0:g}"
-        )
+    if variant == SMALLNESS_CRITICAL:
+        book.require_critical("critical smallness variant")
     if variant == SMALLNESS_BESOV:
-        grid = besov_grid(u0.lattice)
+        report = besov_norm_heat(u0, -book.alpha, book.q_tilde)
     else:
         grid = _heat_window_grid(u0, horizon)
-    report = heat_sup(u0, grid, book.alpha / 2.0, book.q_tilde)
+        report = heat_sup(u0, grid, book.alpha / 2.0, book.q_tilde)
     prefactor = 1.0 if variant == SMALLNESS_CRITICAL else horizon**book.horizon_exponent
     lhs = prefactor * report.value
     threshold = book.sigma if variant == SMALLNESS_BESOV else book.delta
@@ -630,28 +622,27 @@ def check_exponent_floor(book: ExponentBook, analysis: str, values, label: str) 
 def regularity_ladder(solution: MildSolution, r_list: Sequence[float]) -> LadderReport:
     """Evaluate the higher-integrability ladder on a converged solution.
 
-    Every r must exceed max(p, q) (check_exponent_floor). The early_ok flag
-    per r records that the weighted values do not peak at the very first
-    node, i.e. the weighted quantity stays bounded toward t -> 0.
+    Every r must exceed max(p, q) (check_exponent_floor), so each sup is
+    kato_norm(trajectory, q, r). The early_ok flag per r records that the
+    weighted values do not peak at the very first node, i.e. the weighted
+    quantity stays bounded toward t -> 0.
     """
     if not solution.trace.converged:
         raise ConfigError("ladder requires a converged solution")
     book = solution.book
     check_exponent_floor(book, "ladder", r_list, "ladder exponent r_list[{}]")
-    traj = solution.trajectory
+    first = float(solution.trajectory.times[0])
     r_values, weights, sups, argmaxes, early = [], [], [], [], []
     for r in r_list:
         r = float(r)
-        weight = (book.d / 2.0) * (1.0 / book.q - 1.0 / r)
-        values = weighted_lebesgue(traj, weight, r)
-        if not np.isfinite(values).all():
+        report = kato_norm(solution.trajectory, book.q, r)
+        if not np.isfinite(report.values).all():
             raise DataError(f"non-finite ladder values at r = {r:g}")
-        idx = int(values.argmax())
         r_values.append(r)
-        weights.append(weight)
-        sups.append(float(values.max()))
-        argmaxes.append(float(traj.times[idx]))
-        early.append(bool(idx > 0 or values.max() == 0.0))
+        weights.append((book.d / 2.0) * (1.0 / book.q - 1.0 / r))
+        sups.append(report.value)
+        argmaxes.append(report.argmax_t)
+        early.append(report.argmax_t > first or report.value == 0.0)
     return LadderReport(r_values, weights, sups, argmaxes, early)
 
 
@@ -676,11 +667,7 @@ def fluctuation_analysis(
     d/p_tilde - 1.
     """
     book = solution.book
-    if not book.is_critical:
-        raise ConfigError(
-            "fluctuation analysis requires the critical book s = d/p - 1; "
-            f"got s = {book.s:g}"
-        )
+    book.require_critical("fluctuation analysis")
     check_exponent_floor(book, "fluctuation", p_tilde_list,
                          "fluctuation exponent p_tilde_list[{}]")
     traj = solution.trajectory

@@ -7,6 +7,7 @@ without spawning subprocesses.
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from mildns import cli, lab
@@ -216,12 +217,14 @@ class TestExitCodes:
             ("heat-decay", ["width=1e300"], 2,
              "config error: config keys 'width' and 'amplitude': the heat sup of the datum "
              "falls to 0"),
+            ("solve", ["n=16", "mesh_nodes=8", "quad_nodes=8", "datum.amplitude=1e-170"], 3,
+             "numerical failure: solve summary key 'closed_form_max_rel_err' is NaN"),
         ],
         ids=["scaling-lam", "scaling-lam-heat-sup", "beta-integral-t-large",
              "beta-integral-t-small", "kernel-decay-s",
              "besov-equiv-rescale", "powerlaw-decay", "smallness-box", "besov-equiv-box",
              "solve-box", "besov-equiv-smoothness", "besov-equiv-amplitude",
-             "powerlaw-amplitude", "kernel-decay-t", "heat-decay-width"],
+             "powerlaw-amplitude", "kernel-decay-t", "heat-decay-width", "solve-nan-summary"],
     )
     def test_overflowing_value_is_refused_cleanly(self, experiment, settings, code, message,
                                                   tmp_path, capsys):
@@ -503,6 +506,34 @@ class TestExitCodes:
         assert main([experiment, "--set", f"horizon={horizon}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: config keys 'horizon', 'n' and 'box_len': {message}")
+        assert "Traceback" not in err
+
+    def test_horizon_at_the_cap_passes_and_one_ulp_past_it_is_refused(self, monkeypatch,
+                                                                       capsys):
+        def reached(*args, **kwargs):
+            raise AssertionError("calibration reached")
+
+        monkeypatch.setattr(lab, "calibrate_thresholds", reached)
+        cfg = lab.default_config("solve")
+        t_cap = cfg["box_len"] ** 2 / 100.0
+        with pytest.raises(AssertionError, match="calibration reached"):
+            main(["solve", "--set", f"horizon={t_cap!r}"])
+        past = float(np.nextafter(t_cap, np.inf))
+        assert main(["solve", "--set", f"horizon={past!r}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config keys 'horizon', 'n' and 'box_len': "
+                              f"horizon {past:g} exceeds the lattice validity window")
+        assert "Traceback" not in err
+
+    def test_heat_decay_t_max_at_the_cap_passes_and_one_ulp_past_it_is_refused(self, capsys):
+        t_cap = lab.default_config("heat-decay")["box_len"] ** 2 / 100.0
+        assert main(["heat-decay", "--set", f"t_max={t_cap!r}"]) == 0
+        past = float(np.nextafter(t_cap, np.inf))
+        assert main(["heat-decay", "--set", f"t_max={past!r}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config keys 'box_len' and 't_max': "
+                              f"t_max {past:g} exceeds the lattice validity window "
+                              f"L^2/100 = {t_cap:g}")
         assert "Traceback" not in err
 
     def test_missing_config_file_exits_4(self, tmp_path, capsys):

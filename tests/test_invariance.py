@@ -42,8 +42,11 @@ from mildns import (
     VectorField,
     build_exponent_book,
     calibrate_thresholds,
+    kato_norm,
+    lebesgue_norm,
     make_lattice,
     realize_datum,
+    regularity_ladder,
     smallness_lhs,
     solve_mild,
 )
@@ -169,6 +172,19 @@ def test_axis_swap_in_three_dimensions(d3_solve):
     book, u0, reference = d3_solve
     mapped = solve(VectorField(u0.lattice, swap01(u0.data), PHYSICAL), 0.25, book, 4, 8)
     assert_same_solve(mapped, reference, swap01)
+
+
+def test_ladder_in_three_dimensions_is_the_kato_norm(d3_solve):
+    """At d = 3 the ladder weight (d/2)(1/q - 1/r) and kato_norm's
+    d (1/q - 1/r) / 2 are the same float, so each ladder row has the bits
+    of kato_norm and of the per-node lebesgue_norm loop."""
+    book, _, reference = d3_solve
+    traj = reference.trajectory
+    r_list = [4.0, 5.0, 8.0]
+    report = regularity_ladder(reference, r_list)
+    for r, weight, sup in zip(r_list, report.weights, report.sups):
+        explicit = [t**weight * lebesgue_norm(f, r) for t, f in zip(traj.times, traj.fields)]
+        assert sup == kato_norm(traj, book.q, r).value == max(explicit)
 
 
 @pytest.mark.parametrize("symmetry", [reflect0, reflect_last], ids=["x0", "last"])

@@ -14,6 +14,7 @@ from mildns import (
     DatumSpec,
     QuadratureSpec,
     VectorField,
+    WindowError,
     bilinear_B,
     divergence_defect,
     field_from_bytes,
@@ -70,6 +71,14 @@ class TestLatticeConstruction:
         assert full[4] == -4.0
         assert deriv[4] == 0.0
         npt.assert_array_equal(np.delete(deriv, 4), np.delete(full, 4))
+
+    def test_check_cap_passes_the_cap_and_refuses_one_ulp_past_it(self):
+        lat = make_lattice(2, 16, 2.0 * np.pi)
+        lat.check_cap(lat.t_cap, "horizon")
+        with pytest.raises(WindowError) as info:
+            lat.check_cap(np.nextafter(lat.t_cap, np.inf), "horizon")
+        assert str(info.value) == ("horizon 0.394784 exceeds the lattice validity window "
+                                   "L^2/100 = 0.394784")
 
     def test_mode_resolved(self):
         lat = make_lattice(2, 16, 2.0 * np.pi)

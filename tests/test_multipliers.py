@@ -37,6 +37,7 @@ from mildns.lattice import PHYSICAL
 from mildns.multipliers import (
     _divergence_spectral,
     _fractional_multiplier,
+    _loglog_fit,
     _project_div_spectral,
 )
 
@@ -247,3 +248,14 @@ class TestKernelProfile:
         assert np.all(np.isfinite(prof.bound_ratio))
         assert abs(prof.tail_slope - (-3.0)) < 0.05
         assert prof.tail_residual < 0.05
+
+    def test_tail_fit_is_the_loglog_fit_of_its_tail_points(self):
+        radii = np.geomspace(0.5, 16.0, 30)
+        prof = kernel_profile(0.0, 2, radii=radii, resolution=512, box_len=64.0)
+        tail = (radii >= 16.0 / 5.0) & (prof.values > 0)
+        slope, _, residual = _loglog_fit(radii[tail], prof.values[tail])
+        assert (prof.tail_slope, prof.tail_residual) == (slope, residual)
+
+    def test_tail_fit_needs_two_radii(self):
+        prof = kernel_profile(0.0, 2, radii=[1.0, 16.0], resolution=512, box_len=64.0)
+        assert np.isnan(prof.tail_slope) and np.isnan(prof.tail_residual)

@@ -10,11 +10,15 @@ Oracles used here:
 * Parseval between the physical L2 norm and the coefficient sum.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.special import gamma as gamma_fn
 
+import mildns
 from mildns import (
     ConfigError,
     DataError,
@@ -41,6 +45,7 @@ from mildns import (
     vanishing_at_zero,
 )
 from mildns.lattice import PHYSICAL
+from mildns.multipliers import _loglog_fit
 from mildns.norms import besov_grid, heat_sup, weighted_lebesgue
 
 
@@ -77,6 +82,14 @@ class TestExponentBook:
         assert book.horizon_exponent == 0.125
         assert book.young_r is None  # q_tilde > 2p drops the second Young pair
         assert not book.is_critical
+
+    def test_require_critical(self):
+        build_exponent_book(d=3, p=3.0, s=0.0, q_tilde=6.0).require_critical("ladder")
+        off_line = build_exponent_book(d=2, p=2.0, s=0.25, q_tilde=8.0)
+        with pytest.raises(ConfigError) as info:
+            off_line.require_critical("fluctuation analysis")
+        assert str(info.value) == ("the fluctuation analysis requires the critical book "
+                                   "s = d/p - 1, got s = 0.25")
 
     def test_integrability_floor(self):
         with pytest.raises(ConfigError, match="p > d/2"):
@@ -808,6 +821,57 @@ class TestDecayFit:
         wavy = t**-0.5 * np.exp(np.sin(3 * np.log(t)))
         fit = decay_exponent_fit(t, wavy, window=(0.1, 10.0))
         assert not fit.power_law
+
+    def test_is_the_loglog_fit_of_the_window(self):
+        t = np.geomspace(0.1, 10.0, 30)
+        wavy = t**-0.5 * np.exp(np.sin(3 * np.log(t)))
+        fit = decay_exponent_fit(t, wavy, window=(1.0, 10.0))
+        inside = t >= 1.0
+        assert (fit.slope, fit.intercept, fit.residual) == _loglog_fit(t[inside], wavy[inside])
+
+
+def homes(predicate) -> list:
+    """(module, function) of each AST node of the mildns sources that
+    predicate accepts, function the innermost def around it (None at module
+    level), in file order."""
+    found = []
+    for path in sorted(Path(mildns.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [node for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if predicate(node):
+                around = [f for f in defs if f.lineno <= node.lineno <= f.end_lineno]
+                found.append((path.stem, max(around, key=lambda f: f.lineno).name
+                              if around else None))
+    return found
+
+
+def text(phrase: str):
+    return lambda node: (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                         and phrase in node.value)
+
+
+def named(name: str):
+    return lambda node: (isinstance(node, ast.Attribute) and node.attr == name
+                         or isinstance(node, ast.Name) and node.id == name)
+
+
+class TestOneRoute:
+    """Each quantity and each refusal below is written once in the package."""
+
+    def test_one_log_log_fit(self):
+        assert homes(named("polyfit")) == [("multipliers", "_loglog_fit")]
+
+    def test_one_critical_book_refusal(self):
+        assert homes(text("requires the critical book")) == [("norms", "require_critical")]
+
+    def test_one_window_refusal(self):
+        assert homes(text("exceeds the lattice validity window")) == [("lattice", "check_cap")]
+
+    def test_the_ladder_and_the_besov_form_read_their_norms(self):
+        assert ("picard", "regularity_ladder") not in homes(named("argmax"))
+        assert not [home for home in homes(named("besov_grid")) if home[0] == "picard"]
 
 
 class TestEmbedding:

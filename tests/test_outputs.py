@@ -211,3 +211,42 @@ def test_relative_quantity_is_the_last_json_key(tmp_path):
     assert outputs.is_relative_quantity("trace.divergence_defects[]")
     assert outputs.is_relative_quantity("summary.max_divergence_defect")
     assert not outputs.is_relative_quantity("summary.rel_err_bound")
+
+
+MODULE = '''"""Module docstring,
+two lines."""
+import math
+
+# a comment line
+
+
+def area(r):
+    """One-line docstring."""
+    return math.pi * r * r  # an inline comment leaves this a code line
+
+
+class Shape:
+    """A class docstring
+
+    with a blank line inside."""
+
+    sides = "# not a comment"
+'''
+
+
+def test_line_kinds_count_code_docstrings_and_comments_apart():
+    assert outputs.line_kinds(MODULE) == {"code": 5, "docstring": 6, "comment": 1}
+
+
+def test_lines_report_separates_the_kinds(tmp_path, capsys):
+    for name, source in (("a", MODULE), ("b", MODULE.replace('    """One-line docstring."""\n', "")
+                                         .replace("# a comment line\n", ""))):
+        (tmp_path / name / "pkg").mkdir(parents=True)
+        (tmp_path / name / "pkg" / "m.py").write_text(source)
+        (tmp_path / name / "n.py").write_text("x = 1\n")
+    assert outputs.main(["lines", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "    code             6       6      +0",
+        "    docstring        6       5      -1",
+        "    comment          1       0      -1",
+    ]

@@ -476,6 +476,18 @@ class TestPostSolveAnalyses:
         assert report.sups == [float(values.max()) for values in explicit]
         assert report.argmax_times == [float(traj.times[v.argmax()]) for v in explicit]
 
+    def test_ladder_rows_are_kato_norms(self, small_random_solution):
+        """Each ladder sup is kato_norm(trajectory, q, r) bit for bit, and
+        each weight is that norm's alpha / 2."""
+        _, sol = small_random_solution
+        r_list = [3.0, 4.0, 6.0]
+        report = regularity_ladder(sol, r_list)
+        katos = [kato_norm(sol.trajectory, sol.book.q, r) for r in r_list]
+        assert report.sups == [k.value for k in katos]
+        assert report.argmax_times == [k.argmax_t for k in katos]
+        assert report.weights == [sol.book.d * (1.0 / sol.book.q - 1.0 / r) / 2.0
+                                  for r in r_list]
+
     def test_fluctuation_requires_critical_book(self, tg_solution):
         tg, sol = tg_solution
         off_line = replace(sol, book=replace(sol.book, s=0.25))

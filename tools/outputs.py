@@ -2,6 +2,7 @@
 
     python3 tools/outputs.py run DIR [--src SRC]
     python3 tools/outputs.py diff A B
+    python3 tools/outputs.py lines A B
 
 `run` writes, under DIR, the CSV and manifest of each of the 13
 experiments at default config (`mildns <id> --out DIR`), the saved smoke
@@ -57,10 +58,18 @@ and any other number is a float. Saved fields (`*.field`) must have equal
 headers; their samples are compared as floats. The tolerances are the
 rtol of the frozen calibration constants and the floor under the
 Taylor-Green residual, which is 2.3e-17 absolute.
+
+`lines` counts the lines of the Python files under two source directories
+(two copies of src/mildns, say) by kind and prints each kind's total under
+A and B and the change B - A. A docstring line lies inside the docstring of
+a module, class or function; a comment line holds only a comment; a code
+line is any other line that is not blank. Deleting docstrings or comments
+moves only their own rows, so the code row alone measures a simplification.
 """
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import csv
 import fnmatch
@@ -71,6 +80,8 @@ import re
 import struct
 import sys
 import time
+import tokenize
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +341,49 @@ def timing_lines(root_a: Path, root_b: Path) -> list:
     return lines
 
 
+# ---------------------------------------------------------------------------
+# lines
+
+
+LINE_KINDS = ("code", "docstring", "comment")
+
+
+def line_kinds(source: str) -> Counter:
+    """The code, docstring and comment lines of one Python source, counted
+    as the module docstring says; blank lines outside a docstring count as
+    none of them."""
+    kinds = {}
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT and not tok.line[:tok.start[1]].strip():
+            kinds[tok.start[0]] = "comment"
+    documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, documented) and ast.get_docstring(node, clean=False) is not None:
+            doc = node.body[0]
+            kinds.update(dict.fromkeys(range(doc.lineno, doc.end_lineno + 1), "docstring"))
+    for row, text in enumerate(source.splitlines(), start=1):
+        if text.strip() and row not in kinds:
+            kinds[row] = "code"
+    return Counter(kinds.values())
+
+
+def count_lines(root: Path) -> Counter:
+    """line_kinds summed over the Python files under root."""
+    total = Counter()
+    for path in sorted(root.rglob("*.py")):
+        total += line_kinds(path.read_text())
+    return total
+
+
+def lines_report(root_a: Path, root_b: Path) -> str:
+    """Each kind's line count under A and under B, and B - A."""
+    a, b = count_lines(root_a), count_lines(root_b)
+    rows = [f"{'lines':<14}{'A':>8}{'B':>8}{'B - A':>8}"]
+    rows += [f"    {kind:<10}{a[kind]:8d}{b[kind]:8d}{b[kind] - a[kind]:+8d}"
+             for kind in LINE_KINDS]
+    return "\n".join(rows)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -340,9 +394,16 @@ def main(argv=None) -> int:
     diff_p = sub.add_parser("diff", help="label each file of two output sets")
     diff_p.add_argument("a", type=Path)
     diff_p.add_argument("b", type=Path)
+    lines_p = sub.add_parser("lines", help="count the code, docstring and comment lines "
+                                           "of two source directories")
+    lines_p.add_argument("a", type=Path)
+    lines_p.add_argument("b", type=Path)
     args = parser.parse_args(argv)
     if args.command == "run":
         run(args.dir, args.src)
+        return 0
+    if args.command == "lines":
+        print(lines_report(args.a, args.b))
         return 0
     report, counts = diff(args.a, args.b)
     print(report)
