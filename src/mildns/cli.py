@@ -7,9 +7,10 @@ Commands:
   exponent book and corpus of the config (lab.CALIBRATE_KEYS) and writes
   the calibration file.
 * ``mildns <experiment-id> [--config file.json] [--set k=v ...]
-  [--out dir]`` runs one experiment; --set overrides config fields
-  (dotted keys reach into nested sections, values are parsed as JSON
-  when possible). Every key has a declared type and range in lab.py.
+  [--out dir]`` runs one experiment; each --set writes one field into
+  the loaded config (dotted keys reach into nested sections, values are
+  parsed as JSON when possible, and a JSON object replaces a whole
+  section). Every key has a declared type and range in lab.py.
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure
 (divergence or non-convergence), 4 I/O error.
@@ -32,9 +33,9 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _parse_set(pairs) -> dict:
-    """Turn repeated --set key=value flags into a nested override dict."""
-    overrides: dict = {}
+def _apply_set(config: dict, pairs) -> dict:
+    """Write repeated --set key=value flags into config, in order; a dotted
+    key reaches into a section, a new one when the key names none."""
     for pair in pairs or []:
         if "=" not in pair:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
@@ -43,14 +44,14 @@ def _parse_set(pairs) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = overrides
+        node = config
         parts = key.split(".")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
                 raise ConfigError(f"--set key {key!r} indexes into a non-section value")
         node[parts[-1]] = value
-    return overrides
+    return config
 
 
 def _load_config(path) -> dict:
@@ -62,16 +63,6 @@ def _load_config(path) -> dict:
     if not isinstance(config, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return config
-
-
-def _merge_overrides(config: dict, overrides: dict) -> dict:
-    merged = dict(config)
-    for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _merge_overrides(merged[key], value)
-        else:
-            merged[key] = value
-    return merged
 
 
 def _cmd_list(_args) -> int:
@@ -97,8 +88,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    config = _load_config(args.config) if args.config else {}
-    config = _merge_overrides(config, _parse_set(args.set))
+    config = _apply_set(_load_config(args.config) if args.config else {}, args.set)
     config["experiment"] = args.experiment
     if args.out:
         config["out_dir"] = args.out

@@ -21,9 +21,10 @@ levels and Besov smoothness, the critical book of scaling), and to the
 objects they build: the paper's hypotheses in build_exponent_book, which
 name the violated inequality, and the refusals of realize_datum (the
 fields of a datum, refused before any calibration), kernel_profile (the
-kernel lattice and radius window), decay_exponent_fit (samples in the fit
-window) and load_calibration, which errors.naming re-raises, of the same
-class, under the config keys that fed the call.
+kernel lattice, radius window and validity window of t),
+decay_exponent_fit (samples in the fit window) and load_calibration,
+which errors.naming re-raises, of the same class, under the config keys
+that fed the call.
 Output files are only written after the experiment finished, each
 through a temporary file and os.replace, the CSV last. Identical config
 and seed give byte-identical CSV output: floats are serialized at 17
@@ -380,12 +381,12 @@ def _solve(cfg: dict, book, u0: VectorField, mesh_nodes: int):
 
 def _mesh_doubling(cfg: dict, analyse):
     """Solve the datum at mesh_nodes and 2 * mesh_nodes, apply
-    analyse(solution, u0) to each; return both reports, the relative
-    change of each sup, the shared summary and the calibration digest."""
+    analyse(solution) to each; return both reports, the relative change of
+    each sup, the shared summary and the calibration digest."""
     book, u0 = _calibrated_datum(cfg)
     solves = [_solve(cfg, book, u0, nodes) for nodes in (cfg["mesh_nodes"], 2 * cfg["mesh_nodes"])]
     (coarse_u, coarse_b_error), (fine_u, fine_b_error) = solves
-    coarse, fine = analyse(coarse_u, u0), analyse(fine_u, u0)
+    coarse, fine = analyse(coarse_u), analyse(fine_u)
     changes = [
         abs(b - a) / max(a, b) if max(a, b) > 0 else 0.0
         for a, b in zip(coarse.sups, fine.sups)
@@ -701,8 +702,10 @@ def _run_smallness(cfg):
     return columns, rows, summary, book.calibration_digest
 
 
-def _tg_closed_form_error(solution, u0) -> float:
-    """Max relative L2 node error against the decaying Taylor-Green flow."""
+def _tg_closed_form_error(solution) -> float:
+    """Max relative L2 node error against the decaying Taylor-Green flow of
+    the solution's datum."""
+    u0 = solution.datum
     lat = u0.lattice
     spec_data = lat.rforward(u0.data)
     # infer the harmonic from the datum's dominant mode magnitude
@@ -745,7 +748,7 @@ def _run_solve(cfg):
         "smallness_satisfied": solution.smallness.satisfied,
     }
     if cfg["datum"]["kind"] == "taylor_green":
-        summary["closed_form_max_rel_err"] = _tg_closed_form_error(solution, u0)
+        summary["closed_form_max_rel_err"] = _tg_closed_form_error(solution)
     summary["b_error_estimate"] = b_error
     if cfg["save_fields"] and cfg.get("out_dir"):
         save_solution(solution, Path(cfg["out_dir"]) / "solution")
@@ -756,7 +759,7 @@ def _run_ladder(cfg):
     book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
     check_exponent_floor(book, "ladder", cfg["r_values"], "config key 'r_values[{}]'")
     coarse, fine, changes, summary, digest = _mesh_doubling(
-        cfg, lambda solution, _u0: regularity_ladder(solution, cfg["r_values"])
+        cfg, lambda solution: regularity_ladder(solution, cfg["r_values"])
     )
     columns = ["r", "weight", "sup_coarse", "sup_fine", "rel_change", "early_ok"]
     rows = [
@@ -773,7 +776,7 @@ def _run_fluctuation(cfg):
     check_exponent_floor(book, "fluctuation", cfg["p_tilde_values"],
                          "config key 'p_tilde_values[{}]'")
     coarse, fine, changes, summary, digest = _mesh_doubling(
-        cfg, lambda solution, u0: fluctuation_analysis(solution, u0, cfg["p_tilde_values"])
+        cfg, lambda solution: fluctuation_analysis(solution, cfg["p_tilde_values"])
     )
     columns = ["p_tilde", "smoothness", "sup_coarse", "sup_fine", "rel_change"]
     rows = [

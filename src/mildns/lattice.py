@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, WindowError
-from .runtime import write_atomic
+from .runtime import fmt_float, write_atomic
 
 TWO_PI = 2.0 * np.pi
 
@@ -123,10 +123,11 @@ class Lattice:
         self._coarse = {}  # points per axis -> Lattice of the same box
 
     def check_cap(self, t: float, what: str) -> None:
-        """Refuse, as WindowError naming what, a time t past t_cap."""
+        """Refuse, as WindowError naming what, a time t past t_cap; both
+        times print in fmt_float's 17 digits, so an excess of one ulp shows."""
         if t > self.t_cap:
-            raise WindowError(f"{what} {t:g} exceeds the lattice validity window "
-                              f"L^2/100 = {self.t_cap:g}")
+            raise WindowError(f"{what} {fmt_float(t)} exceeds the lattice validity window "
+                              f"L^2/100 = {fmt_float(self.t_cap)}")
 
     @property
     def ksq(self) -> np.ndarray:
@@ -514,29 +515,21 @@ def _random_band_datum(spec: DatumSpec, lattice: Lattice) -> np.ndarray:
     flipped = raw
     for axis in range(1, lattice.d + 1):
         flipped = np.roll(np.flip(flipped, axis=axis), 1, axis=axis)
-    return lattice.half(0.5 * (raw + np.conj(flipped)))
+    return lattice.inverse(lattice.half(0.5 * (raw + np.conj(flipped))))
 
 
 def realize_datum(spec: DatumSpec, lattice: Lattice) -> VectorField:
     """Sample a datum description on a lattice, returning a vector field."""
-    from .multipliers import leray_project  # deferred: multipliers imports lattice
-
-    if spec.kind == "random_band":
-        field = to_physical(lattice, _random_band_datum(spec, lattice))
-        if spec.divergence_free:
-            field = leray_project(field)
-        from .norms import lebesgue_norm  # deferred, same reason
-
-        norm = lebesgue_norm(field, 2)
-        if norm == 0.0:
-            raise DataError("random_band datum realized to the zero field")
-        return VectorField(lattice, field.data * (spec.amplitude / norm))
+    # deferred: multipliers and norms import lattice
+    from .multipliers import leray_project
+    from .norms import lebesgue_norm
 
     builders = {
         "gaussian": _gaussian_datum,
         "taylor_green": _taylor_green_datum,
         "single_mode": _single_mode_datum,
         "power_law": _power_law_datum,
+        "random_band": _random_band_datum,
     }
     data = builders[spec.kind](spec, lattice)
     if not np.all(np.isfinite(data)):
@@ -544,6 +537,11 @@ def realize_datum(spec: DatumSpec, lattice: Lattice) -> VectorField:
     field = VectorField(lattice, data)
     if spec.divergence_free and spec.kind not in ("taylor_green", "single_mode"):
         field = leray_project(field)
+    if spec.kind == "random_band":
+        norm = lebesgue_norm(field, 2)
+        if norm == 0.0:
+            raise DataError("random_band datum realized to the zero field")
+        field = VectorField(lattice, field.data * (spec.amplitude / norm))
     return field
 
 

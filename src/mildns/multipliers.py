@@ -145,16 +145,17 @@ def kernel_profile(
     d: int,
     radii,
     resolution: int,
-    box_len: float = None,
+    box_len: float,
+    tail_window: tuple,
     t: float = 1.0,
-    tail_window: tuple = None,
 ) -> KernelProfile:
     """Profile the kernel of |k|^s exp(-t |k|^2) P (i k .) along a coordinate ray.
 
     The kernel is recovered by an inverse transform of the exact symbol on a
     fine lattice; sampling is restricted to radii <= box_len / 4 so that
-    periodization images stay subdominant, and the lattice must resolve the
-    heat factor (2 pi n / box_len * sqrt(t) >= 16).
+    periodization images stay subdominant, t to the lattice validity window
+    (Lattice.check_cap, t <= box_len^2 / 100), and the lattice must resolve
+    the heat factor (2 pi n / box_len * sqrt(t) >= 16).
 
     The same profile at a different time is the t = 1 profile rescaled:
     computing at time t on a box scaled by sqrt(t) reproduces the scaling
@@ -170,8 +171,6 @@ def kernel_profile(
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if radii.size == 0 or np.any(radii <= 0):
         raise ConfigError("radii must be positive")
-    if box_len is None:
-        box_len = 8.0 * float(np.max(radii))
     if np.max(radii) > box_len / 4 + 1e-12:
         raise WindowError(
             f"max radius {np.max(radii):.4g} exceeds box_len/4 = {box_len / 4:.4g}; "
@@ -183,6 +182,7 @@ def kernel_profile(
             f"2*pi*n/box_len*sqrt(t) >= 16, got {TWO_PI * resolution / box_len * np.sqrt(t):.3g}"
         )
     lat = make_lattice(d, resolution, box_len)
+    lat.check_cap(t, "t")
 
     with np.errstate(over="ignore", invalid="ignore"):  # refused below when not finite
         mult = _fractional_multiplier(lat, s) * lat.heat(t)
@@ -209,12 +209,10 @@ def kernel_profile(
 
     bound_ratio = values * (1.0 + radii) ** (d + 1 + s)
 
-    if tail_window is None:
-        tail_window = (float(np.max(radii)) / 5.0, float(np.max(radii)))
     lo, hi = tail_window
     in_tail = (radii >= lo) & (radii <= hi) & (values > 0)
     if np.count_nonzero(in_tail) >= 2:
-        tail_slope, _, tail_residual = _loglog_fit(radii[in_tail], values[in_tail])
+        tail_slope, tail_residual = _loglog_fit(radii[in_tail], values[in_tail])
     else:
         tail_slope = tail_residual = float("nan")
 
@@ -222,10 +220,10 @@ def kernel_profile(
 
 
 def _loglog_fit(x, y) -> tuple:
-    """(slope, intercept, residual) of the least-squares line through
-    (log x, log y), residual the RMS of its log-space residuals; x and y
-    positive, at least two points."""
+    """(slope, residual) of the least-squares line through (log x, log y),
+    residual the RMS of its log-space residuals; x and y positive, at least
+    two points."""
     logs_x, logs_y = np.log(x), np.log(y)
     slope, intercept = np.polyfit(logs_x, logs_y, 1)
     resid = logs_y - (slope * logs_x + intercept)
-    return float(slope), float(intercept), float(np.sqrt(np.mean(resid**2)))
+    return float(slope), float(np.sqrt(np.mean(resid**2)))

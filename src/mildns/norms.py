@@ -532,10 +532,9 @@ def heat_sup(u0: Field, t_grid, weight: float, q) -> NormReport:
     return _sup_report(t_grid, values, window_ok)
 
 
-def besov_norm_heat(field: Field, s: float, q, t_grid=None) -> NormReport:
+def besov_norm_heat(field: Field, s: float, q) -> NormReport:
     """Heat-flow characterization of the Besov norm with negative smoothness:
-    sup over the dyadic grid (besov_grid by default) of
-    t^(-s/2) * ||exp(t Lap) f||_q.
+    sup over the dyadic grid besov_grid of t^(-s/2) * ||exp(t Lap) f||_q.
 
     Only s < 0 is admissible (the characterization degenerates otherwise).
     """
@@ -543,9 +542,7 @@ def besov_norm_heat(field: Field, s: float, q, t_grid=None) -> NormReport:
         raise ConfigError(
             f"heat characterization requires negative smoothness, got s = {s}"
         )
-    if t_grid is None:
-        t_grid = besov_grid(field.lattice)
-    return heat_sup(field, t_grid, -s / 2.0, q)
+    return heat_sup(field, besov_grid(field.lattice), -s / 2.0, q)
 
 
 def _horizon_ok(traj: Trajectory) -> bool:
@@ -594,17 +591,14 @@ def vanishing_at_zero(traj: Trajectory, weight_exponent: float, r=2) -> Vanishin
 @dataclass
 class DecayFit:
     slope: float
-    intercept: float
     residual: float
-    power_law: bool
 
 
 def decay_exponent_fit(t_values, norm_values, window) -> DecayFit:
     """Least-squares slope of log(norm) against log(t) inside a time window.
 
     Needs at least 8 positive samples in the window. residual is the RMS
-    of the log-space residuals; fits with residual above 10% are flagged
-    as non-power-law.
+    of the log-space residuals.
     """
     t_values = np.asarray(t_values, dtype=float)
     norm_values = np.asarray(norm_values, dtype=float)
@@ -617,8 +611,7 @@ def decay_exponent_fit(t_values, norm_values, window) -> DecayFit:
         )
     if np.any(norm_values[mask] <= 0):
         raise DataError("decay fit requires positive norm values")
-    slope, intercept, residual = _loglog_fit(t_values[mask], norm_values[mask])
-    return DecayFit(slope, intercept, residual, power_law=residual <= 0.10)
+    return DecayFit(*_loglog_fit(t_values[mask], norm_values[mask]))
 
 
 @dataclass

@@ -446,9 +446,11 @@ def load_calibration(book: ExponentBook, path: str) -> ExponentBook:
 
 @dataclass
 class MildSolution:
-    """Converged mild solution with its construction record."""
+    """Converged mild solution with its construction record; datum is the
+    u0 it was solved from, held by reference and left out of manifest()."""
 
     trajectory: Trajectory
+    datum: VectorField
     book: ExponentBook
     trace: PicardTrace
     smallness: SmallnessReport
@@ -564,6 +566,7 @@ def solve_mild(
 
     return MildSolution(
         trajectory=solution_traj,
+        datum=u0,
         book=book,
         trace=trace,
         smallness=smallness,
@@ -601,7 +604,6 @@ class LadderReport:
     r_values: list
     weights: list
     sups: list
-    argmax_times: list
     early_ok: list
 
 
@@ -632,7 +634,7 @@ def regularity_ladder(solution: MildSolution, r_list: Sequence[float]) -> Ladder
     book = solution.book
     check_exponent_floor(book, "ladder", r_list, "ladder exponent r_list[{}]")
     first = float(solution.trajectory.times[0])
-    r_values, weights, sups, argmaxes, early = [], [], [], [], []
+    r_values, weights, sups, early = [], [], [], []
     for r in r_list:
         r = float(r)
         report = kato_norm(solution.trajectory, book.q, r)
@@ -641,9 +643,8 @@ def regularity_ladder(solution: MildSolution, r_list: Sequence[float]) -> Ladder
         r_values.append(r)
         weights.append((book.d / 2.0) * (1.0 / book.q - 1.0 / r))
         sups.append(report.value)
-        argmaxes.append(report.argmax_t)
         early.append(report.argmax_t > first or report.value == 0.0)
-    return LadderReport(r_values, weights, sups, argmaxes, early)
+    return LadderReport(r_values, weights, sups, early)
 
 
 @dataclass
@@ -656,11 +657,10 @@ class FluctuationReport:
     sups: list
 
 
-def fluctuation_analysis(
-    solution: MildSolution, u0: VectorField, p_tilde_list: Sequence[float]
-) -> FluctuationReport:
-    """Measure the heat-flow fluctuation of a critical solution in the
-    scaling-matched Sobolev norms.
+def fluctuation_analysis(solution: MildSolution,
+                         p_tilde_list: Sequence[float]) -> FluctuationReport:
+    """Measure the heat-flow fluctuation u - e^{t Lap} u0 of a critical
+    solution, u0 its datum, in the scaling-matched Sobolev norms.
 
     Requires a critical book (s = d/p - 1) and every p_tilde above
     max(p, d)/2 (check_exponent_floor). For each p_tilde the smoothness is
@@ -671,7 +671,7 @@ def fluctuation_analysis(
     check_exponent_floor(book, "fluctuation", p_tilde_list,
                          "fluctuation exponent p_tilde_list[{}]")
     traj = solution.trajectory
-    fluctuation = traj - heat_trajectory(u0, traj.times)
+    fluctuation = traj - heat_trajectory(solution.datum, traj.times)
     p_values, smooth, sups = [], [], []
     for p_tilde in p_tilde_list:
         p_tilde = float(p_tilde)

@@ -12,6 +12,7 @@ import pytest
 
 from mildns import cli, lab
 from mildns.cli import main
+from mildns.runtime import fmt_float
 
 ALL_IDS = [
     "besov-equiv",
@@ -97,6 +98,45 @@ class TestExperimentCommand:
         manifest = json.loads((out_dir / "beta-integral.json").read_text())
         assert manifest["config"]["grid_points"] == 3
         assert "written" in capsys.readouterr().out
+
+
+class TestSetWritesIntoTheLoadedConfig:
+    """Each --set writes one key into the dict read from --config, in order:
+    a dotted key lands inside a section of the file, a JSON object replaces
+    the file's section, and a dotted key into a file value that is not a
+    section is refused."""
+
+    @pytest.mark.parametrize(
+        "settings, datum",
+        [
+            (["datum.amplitude=3"], {"kind": "taylor_green", "amplitude": 3}),
+            (['datum={"kind":"gaussian","width":0.1}'], {"kind": "gaussian", "width": 0.1}),
+            (["n.points=16"], None),
+        ],
+        ids=["dotted-key-into-a-section", "object-replaces-the-section", "non-section"],
+    )
+    def test_set_writes_into_the_file_config(self, settings, datum, tmp_path, monkeypatch,
+                                             capsys):
+        path = tmp_path / "solve.json"
+        path.write_text(json.dumps({"n": 32, "datum": {"kind": "taylor_green",
+                                                       "amplitude": 2.0}}))
+        seen = []
+
+        def capture(config):
+            seen.append(config)
+            raise SystemExit(0)
+
+        monkeypatch.setattr(cli, "run", capture)
+        argv = ["solve", "--config", str(path)]
+        argv += [arg for setting in settings for arg in ("--set", setting)]
+        if datum is None:
+            assert main(argv) == 2
+            assert "indexes into a non-section value" in capsys.readouterr().err
+            assert seen == []
+            return
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert seen == [{"n": 32, "datum": datum, "experiment": "solve"}]
 
 
 class TestCalibrateCommand:
@@ -212,8 +252,8 @@ class TestExitCodes:
              "and 'box_len': the L^2 norm 0 or the heat-Besov norm 0 of the datum is below "
              "the normal floats"),
             ("kernel-decay", ["t=1e6"], 2,
-             "config error: config keys 'resolution', 'box_len', 't' and 'radius_max': kernel "
-             "profile at t = 1e+06 is 0 at every radius"),
+             "config error: config keys 'resolution', 'box_len', 't' and 'radius_max': t "
+             "1000000 exceeds the lattice validity window L^2/100 = 256"),
             ("heat-decay", ["width=1e300"], 2,
              "config error: config keys 'width' and 'amplitude': the heat sup of the datum "
              "falls to 0"),
@@ -380,13 +420,19 @@ class TestExitCodes:
             ("kernel-decay", ["radius_max=100", "tail_hi=100"],
              "config keys 'resolution', 'box_len', 't' and 'radius_max': max radius 100 "
              "exceeds box_len/4"),
+            ("kernel-decay", ["t=1e5"],
+             "config keys 'resolution', 'box_len', 't' and 'radius_max': t 100000 exceeds the "
+             "lattice validity window L^2/100 = 256"),
             ("heat-decay", ["per_octave=1"],
              "config keys 't_min', 't_max' and 'per_octave': decay fit needs at least 8 "
              "samples in [4.0, 64.0], got 5"),
+            ("heat-decay", ["t_max=64.00000000000001"],
+             "config keys 'box_len' and 't_max': t_max 64.000000000000014 exceeds the lattice "
+             "validity window L^2/100 = 64"),
         ],
         ids=["bilinear-band", "embedding-band", "besov-equiv-unresolved", "besov-equiv-zero",
              "powerlaw-r_outer", "powerlaw-levels", "kernel-decay-coarse",
-             "kernel-decay-window", "heat-decay-fit"],
+             "kernel-decay-window", "kernel-decay-t", "heat-decay-fit", "heat-decay-t_max-ulp"],
     )
     def test_runner_refusal_exits_2_naming_its_keys(self, experiment, settings, message,
                                                     capsys):
@@ -522,7 +568,8 @@ class TestExitCodes:
         assert main(["solve", "--set", f"horizon={past!r}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: config keys 'horizon', 'n' and 'box_len': "
-                              f"horizon {past:g} exceeds the lattice validity window")
+                              f"horizon {fmt_float(past)} exceeds the lattice validity window "
+                              f"L^2/100 = {fmt_float(t_cap)}")
         assert "Traceback" not in err
 
     def test_heat_decay_t_max_at_the_cap_passes_and_one_ulp_past_it_is_refused(self, capsys):
@@ -532,8 +579,8 @@ class TestExitCodes:
         assert main(["heat-decay", "--set", f"t_max={past!r}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: config keys 'box_len' and 't_max': "
-                              f"t_max {past:g} exceeds the lattice validity window "
-                              f"L^2/100 = {t_cap:g}")
+                              f"t_max {fmt_float(past)} exceeds the lattice validity window "
+                              f"L^2/100 = {fmt_float(t_cap)}")
         assert "Traceback" not in err
 
     def test_missing_config_file_exits_4(self, tmp_path, capsys):

@@ -77,8 +77,8 @@ class TestLatticeConstruction:
         lat.check_cap(lat.t_cap, "horizon")
         with pytest.raises(WindowError) as info:
             lat.check_cap(np.nextafter(lat.t_cap, np.inf), "horizon")
-        assert str(info.value) == ("horizon 0.394784 exceeds the lattice validity window "
-                                   "L^2/100 = 0.394784")
+        assert str(info.value) == ("horizon 0.39478417604357435 exceeds the lattice validity "
+                                   "window L^2/100 = 0.3947841760435743")
 
     def test_mode_resolved(self):
         lat = make_lattice(2, 16, 2.0 * np.pi)
@@ -285,7 +285,8 @@ INVERSE_CALL_SITES = {
     "bilinear_B(u, u)": lambda lat, u, trajs: bilinear_B(
         trajs[0], trajs[0], float(trajs[0].times[-1]), QuadratureSpec(8, 0.5, 0.5)).data,
     "kernel_profile": lambda lat, u, trajs: kernel_profile(
-        0.0, lat.d, np.linspace(0.25, 1.0, 6), resolution=32).values,
+        0.0, lat.d, np.linspace(0.25, 1.0, 6), resolution=32, box_len=10.0,
+        tail_window=(0.2, 1.0)).values,
     "random_band": lambda lat, u, trajs: realize_datum(
         DatumSpec(kind="random_band", seed=4, k_min=1, k_max=3, divergence_free=True),
         lat).data,
@@ -638,6 +639,38 @@ class TestRandomBand:
         spec = DatumSpec(kind="random_band", seed=1, k_min=0.1, k_max=0.2)
         with pytest.raises(ConfigError, match="no resolved modes"):
             realize_datum(spec, lat2)
+
+    @staticmethod
+    def spectral_route(spec, lat):
+        """The band drawn on the full grid and made Hermitian, then
+        to_physical of its half, leray_project when divergence_free, and
+        the scaling to L2 norm amplitude."""
+        rng = np.random.default_rng(spec.seed)
+        shape = (lat.d,) + lat.spatial_shape
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ksq = lat.ksq
+        band = (np.sqrt(ksq) >= spec.k_min) & (np.sqrt(ksq) <= spec.k_max) & (ksq > 0)
+        for axis in range(lat.d):  # drop the unpaired Nyquist rows
+            band[(slice(None),) * axis + (lat.n // 2,)] = False
+        raw *= band
+        flipped = raw
+        for axis in range(1, lat.d + 1):
+            flipped = np.roll(np.flip(flipped, axis=axis), 1, axis=axis)
+        field = to_physical(lat, lat.half(0.5 * (raw + np.conj(flipped))))
+        if spec.divergence_free:
+            field = leray_project(field)
+        return field.data * (spec.amplitude / lebesgue_norm(field, 2))
+
+    @pytest.mark.parametrize("divergence_free", [False, True], ids=["plain", "divergence-free"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_builder_table_keeps_the_bits_of_the_spectral_route(self, d, divergence_free):
+        """random_band goes through realize_datum's one builder table, as
+        every kind does, and its samples keep the bits of the route through
+        to_physical, leray_project and the L2 scaling."""
+        lat = make_lattice(d, 16, 2.0 * np.pi)
+        spec = DatumSpec(**self.SPEC, divergence_free=divergence_free)
+        expected = self.spectral_route(spec, lat)
+        assert np.array_equal(realize_datum(spec, lat).data, expected)
 
 
 class TestSerialization:

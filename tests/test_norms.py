@@ -195,7 +195,7 @@ class TestBesovHeat:
         beta = -s / 2.0
         t_star = beta / ksq
         grid = np.sort(np.concatenate([np.geomspace(1e-3, 0.3, 25), [t_star]]))
-        report = besov_norm_heat(u, s, 2.0, t_grid=grid)
+        report = heat_sup(u, grid, -s / 2.0, 2.0)
         closed = (beta / (np.e * ksq)) ** beta * amp * (
             lat.box_len**2 * cosine_moment(2)
         ) ** 0.5
@@ -213,7 +213,7 @@ class TestBesovHeat:
         u = divfree_datum(lat2, seed=2)
         ok = besov_norm_heat(u, -0.5, 2.0)
         assert ok.window_ok
-        wide = besov_norm_heat(u, -0.5, 2.0, t_grid=[0.1, lat2.box_len**2])
+        wide = heat_sup(u, [0.1, lat2.box_len**2], 0.25, 2.0)
         assert not wide.window_ok
 
 
@@ -489,7 +489,7 @@ class TestHeatSupGrid:
         with pytest.raises(ConfigError, match=r"heat time grid .* got t = "):
             heat_sup(u0, [0.1, bad], 0.25, 4.0)
         with pytest.raises(ConfigError, match="heat time grid"):
-            besov_norm_heat(u0, -0.5, 4.0, t_grid=[bad, 0.1])
+            heat_sup(u0, [bad, 0.1], 0.25, 4.0)
 
     def test_empty_grid_is_refused(self, lat2):
         u0 = realize_datum(DatumSpec(kind="gaussian", width=0.1), lat2)
@@ -802,8 +802,6 @@ class TestDecayFit:
         t = np.geomspace(0.1, 10.0, 20)
         fit = decay_exponent_fit(t, 3.0 * t**-0.75, window=(0.1, 10.0))
         npt.assert_allclose(fit.slope, -0.75, rtol=1e-12)
-        npt.assert_allclose(np.exp(fit.intercept), 3.0, rtol=1e-12)
-        assert fit.power_law
         assert fit.residual < 1e-12
 
     def test_needs_enough_samples(self):
@@ -816,18 +814,12 @@ class TestDecayFit:
         with pytest.raises(DataError, match="positive"):
             decay_exponent_fit(t, np.zeros(10), window=(1.0, 2.0))
 
-    def test_flags_non_power_law(self, rng):
-        t = np.geomspace(0.1, 10.0, 30)
-        wavy = t**-0.5 * np.exp(np.sin(3 * np.log(t)))
-        fit = decay_exponent_fit(t, wavy, window=(0.1, 10.0))
-        assert not fit.power_law
-
     def test_is_the_loglog_fit_of_the_window(self):
         t = np.geomspace(0.1, 10.0, 30)
         wavy = t**-0.5 * np.exp(np.sin(3 * np.log(t)))
         fit = decay_exponent_fit(t, wavy, window=(1.0, 10.0))
         inside = t >= 1.0
-        assert (fit.slope, fit.intercept, fit.residual) == _loglog_fit(t[inside], wavy[inside])
+        assert (fit.slope, fit.residual) == _loglog_fit(t[inside], wavy[inside])
 
 
 def homes(predicate) -> list:

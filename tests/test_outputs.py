@@ -250,3 +250,24 @@ def test_lines_report_separates_the_kinds(tmp_path, capsys):
         "    docstring        6       5      -1",
         "    comment          1       0      -1",
     ]
+
+
+def test_lines_report_lists_the_code_of_each_changed_file(tmp_path, capsys):
+    """A code row per file whose code count moved, by its path under the
+    root; a file on one side only counts 0 on the other, and a file whose
+    code count is the same on both sides gets no row."""
+    for name in ("a", "b"):
+        (tmp_path / name / "pkg").mkdir(parents=True)
+        (tmp_path / name / "pkg" / "m.py").write_text(MODULE)
+    (tmp_path / "a" / "n.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "b" / "n.py").write_text("x = 1\n")
+    (tmp_path / "b" / "pkg" / "new_module.py").write_text('"""Doc."""\nz = 3\n')
+    assert outputs.main(["lines", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "    code             7       7      +0",
+        "    docstring        6       7      +1",
+        "    comment          1       1      +0",
+        "code by file                A       B   B - A",
+        "    n.py                    2       1      -1",
+        "    pkg/new_module.py       0       1      +1",
+    ]

@@ -46,6 +46,7 @@ from mildns import (
     load_calibration,
     load_field,
     make_lattice,
+    n_norm,
     quadratic_mesh,
     realize_datum,
     regularity_ladder,
@@ -474,7 +475,7 @@ class TestPostSolveAnalyses:
         assert field_inits == []
         assert report.weights == weights
         assert report.sups == [float(values.max()) for values in explicit]
-        assert report.argmax_times == [float(traj.times[v.argmax()]) for v in explicit]
+        assert report.early_ok == [bool(v.argmax() > 0 or v.max() == 0) for v in explicit]
 
     def test_ladder_rows_are_kato_norms(self, small_random_solution):
         """Each ladder sup is kato_norm(trajectory, q, r) bit for bit, and
@@ -484,7 +485,8 @@ class TestPostSolveAnalyses:
         report = regularity_ladder(sol, r_list)
         katos = [kato_norm(sol.trajectory, sol.book.q, r) for r in r_list]
         assert report.sups == [k.value for k in katos]
-        assert report.argmax_times == [k.argmax_t for k in katos]
+        assert report.early_ok == [k.argmax_t > sol.trajectory.times[0] or k.value == 0
+                                   for k in katos]
         assert report.weights == [sol.book.d * (1.0 / sol.book.q - 1.0 / r) / 2.0
                                   for r in r_list]
 
@@ -492,17 +494,30 @@ class TestPostSolveAnalyses:
         tg, sol = tg_solution
         off_line = replace(sol, book=replace(sol.book, s=0.25))
         with pytest.raises(ConfigError, match="critical"):
-            fluctuation_analysis(off_line, tg, [4.0])
+            fluctuation_analysis(off_line, [4.0])
 
     def test_fluctuation_exponent_floor(self, tg_solution):
         tg, sol = tg_solution
         with pytest.raises(ConfigError, match="exceed max"):
-            fluctuation_analysis(sol, tg, [1.0])
+            fluctuation_analysis(sol, [1.0])
 
     def test_taylor_green_fluctuation_vanishes(self, tg_solution):
         """For Taylor-Green data the bilinear term is zero, so the solution
         IS the heat flow and every fluctuation norm is round-off."""
         tg, sol = tg_solution
-        report = fluctuation_analysis(sol, tg, [2.0, 4.0])
+        report = fluctuation_analysis(sol, [2.0, 4.0])
         assert report.smoothness == [0.0, -0.5]
         assert max(report.sups) < 1e-12
+
+    def test_fluctuation_is_measured_from_the_solved_datum(self, small_random_solution):
+        """The solution holds the u0 it was solved from, by reference and
+        outside its manifest; each fluctuation sup is the n_norm of the
+        solution less the heat flow of that datum, bit for bit."""
+        u0, sol = small_random_solution
+        assert sol.datum is u0
+        assert "datum" not in sol.manifest()
+        traj = sol.trajectory
+        fluctuation = traj - heat_trajectory(u0, traj.times)
+        report = fluctuation_analysis(sol, [2.0, 4.0])
+        assert report.sups == [n_norm(fluctuation, sol.book.d / p - 1.0, p).value
+                               for p in (2.0, 4.0)]

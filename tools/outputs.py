@@ -65,6 +65,8 @@ A and B and the change B - A. A docstring line lies inside the docstring of
 a module, class or function; a comment line holds only a comment; a code
 line is any other line that is not blank. Deleting docstrings or comments
 moves only their own rows, so the code row alone measures a simplification.
+Below the totals it prints one code row for each file whose code-line count
+differs, a file on one side only counting 0 on the other.
 """
 from __future__ import annotations
 
@@ -367,20 +369,28 @@ def line_kinds(source: str) -> Counter:
     return Counter(kinds.values())
 
 
-def count_lines(root: Path) -> Counter:
-    """line_kinds summed over the Python files under root."""
-    total = Counter()
-    for path in sorted(root.rglob("*.py")):
-        total += line_kinds(path.read_text())
-    return total
+def count_lines(root: Path) -> dict:
+    """line_kinds of each Python file under root, keyed by its path
+    relative to root."""
+    return {path.relative_to(root).as_posix(): line_kinds(path.read_text())
+            for path in sorted(root.rglob("*.py"))}
 
 
 def lines_report(root_a: Path, root_b: Path) -> str:
-    """Each kind's line count under A and under B, and B - A."""
+    """Each kind's line count under A and under B, and B - A; then the code
+    lines of each file whose count changed, 0 on a side without the file."""
     a, b = count_lines(root_a), count_lines(root_b)
+    total_a, total_b = sum(a.values(), Counter()), sum(b.values(), Counter())
     rows = [f"{'lines':<14}{'A':>8}{'B':>8}{'B - A':>8}"]
-    rows += [f"    {kind:<10}{a[kind]:8d}{b[kind]:8d}{b[kind] - a[kind]:+8d}"
-             for kind in LINE_KINDS]
+    rows += [f"    {kind:<10}{total_a[kind]:8d}{total_b[kind]:8d}"
+             f"{total_b[kind] - total_a[kind]:+8d}" for kind in LINE_KINDS]
+    code = {name: (a.get(name, Counter())["code"], b.get(name, Counter())["code"])
+            for name in sorted(set(a) | set(b))}
+    moved = {name: pair for name, pair in code.items() if pair[0] != pair[1]}
+    if moved:
+        width = max(10, *(len(name) for name in moved))
+        rows.append(f"{'code by file':<{width + 4}}{'A':>8}{'B':>8}{'B - A':>8}")
+        rows += [f"    {name:<{width}}{x:8d}{y:8d}{y - x:+8d}" for name, (x, y) in moved.items()]
     return "\n".join(rows)
 
 
