@@ -228,11 +228,6 @@ _CHUNK_BYTES = 256 * 1024
 _RULES_KEPT = 256
 
 
-def _check_pair(u_traj: Trajectory, v_traj: Trajectory):
-    if u_traj.lattice != v_traj.lattice or not np.array_equal(u_traj.times, v_traj.times):
-        raise DataError("bilinear term requires trajectories on one lattice and mesh")
-
-
 @lru_cache(maxsize=_RULES_KEPT)
 def _volterra_rule(lat: Lattice, t: float, quad: QuadratureSpec):
     """The rule of B at output time t: the nodes tau_q of volterra_nodes as
@@ -346,7 +341,7 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     the first mesh node, the exact-node shortcut) stays the trajectory's
     own, and the call count is what span tracing expects.
     """
-    _check_pair(u_traj, v_traj)
+    u_traj.check_same_mesh(v_traj)
     u_traj.node_index(t)  # raises MeshError when t is off the mesh
     lat = u_traj.lattice
     interp_power = -0.5 * quad.theta
@@ -376,7 +371,7 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
 def bilinear_trajectory(u_traj: Trajectory, v_traj: Trajectory,
                         quad: QuadratureSpec) -> Trajectory:
     """B(u, v) evaluated at every node of the shared mesh."""
-    _check_pair(u_traj, v_traj)
+    u_traj.check_same_mesh(v_traj)
     data = np.array([bilinear_B(u_traj, v_traj, float(t), quad).data for t in u_traj.times])
     return Trajectory(u_traj.lattice, u_traj.times, data)
 
@@ -435,7 +430,7 @@ def bilinear_estimate_report(u_traj: Trajectory, v_traj: Trajectory, book: Expon
     if refine:
         raise ConfigError("refine=True is not supported: doubled quadrature nodes do not see "
                           "B's error; bilinear_error_estimate measures it")
-    _check_pair(u_traj, v_traj)
+    u_traj.check_same_mesh(v_traj)
     _check_target(target)
     d, q = book.d, book.q
     if target == TARGET_KATO and not (book.q_tilde > q and q >= d):
@@ -472,7 +467,7 @@ def bilinear_error_estimate(u_traj: Trajectory, v_traj: Trajectory,
     v_traj the half trajectories are one object, so B takes its symmetric
     pair path.
     """
-    _check_pair(u_traj, v_traj)
+    u_traj.check_same_mesh(v_traj)
     if len(u_traj) < 4:
         raise MeshError(f"the half-mesh estimate needs at least 4 nodes, got {len(u_traj)}")
     u_half = Trajectory(u_traj.lattice, u_traj.times[1::2], u_traj.data[1::2])

@@ -1,5 +1,9 @@
-"""Exception types shared across the package, and naming, which re-raises
-one under the config keys that fed the failing call.
+"""Exception types shared across the package, and the one route by which
+a config refusal names its keys: _keyed writes "config key 'a': ...",
+"config keys 'a' and 'b': ..." or "config keys 'a', 'b' and 'c': ...";
+require raises such a ConfigError unless a condition holds, and naming
+re-raises a ConfigError or DataError of a block under the config keys
+that fed the failing call.
 
 The CLI maps these onto process exit codes: configuration problems exit
 with 2, numerical failures (divergence guard, non-convergence, non-finite
@@ -53,14 +57,25 @@ class CalibrationError(ConfigError):
     """An operation needs calibrated constants that are not available."""
 
 
+def _keyed(names, message: str) -> str:
+    """message under the config keys names: "config keys 'a' and 'b': ..."."""
+    quoted = [repr(name) for name in names]
+    keys = (f"key {quoted[0]}" if len(quoted) == 1
+            else f"keys {', '.join(quoted[:-1])} and {quoted[-1]}")
+    return f"config {keys}: {message}"
+
+
+def require(ok: bool, names, message: str) -> None:
+    """Raise ConfigError(_keyed(names, message)) unless ok."""
+    if not ok:
+        raise ConfigError(_keyed(names, message))
+
+
 @contextmanager
 def naming(*names: str):
     """Re-raise a ConfigError or DataError of the block, of the same class,
-    under the config keys that fed it: "config keys 'k_min' and 'k_max': ..."."""
+    under the config keys that fed it (_keyed)."""
     try:
         yield
     except (ConfigError, DataError) as exc:
-        quoted = [repr(name) for name in names]
-        keys = (f"key {quoted[0]}" if len(quoted) == 1
-                else f"keys {', '.join(quoted[:-1])} and {quoted[-1]}")
-        raise type(exc)(f"config {keys}: {exc}") from exc
+        raise type(exc)(_keyed(names, str(exc))) from exc

@@ -14,17 +14,9 @@ ConfigError naming the dotted key before any runner starts. A datum
 section whose kind differs from the default's starts from the DatumSpec
 defaults, as each item of a list of sections does; one of the same kind,
 or of no kind, overlays the default. Only conditions between keys are
-left to the runners, each naming its keys (the radius and tail windows of
-kernel-decay, the times, exponents and box of heat-decay, the mode length
-of besov-equiv, the targets of the bilinear mesh doubling, the power-law
-levels and Besov smoothness, the critical book of scaling), and to the
-objects they build: the paper's hypotheses in build_exponent_book, which
-name the violated inequality, and the refusals of realize_datum (the
-fields of a datum, refused before any calibration), kernel_profile (the
-kernel lattice, radius window and validity window of t),
-decay_exponent_fit (samples in the fit window) and load_calibration,
-which errors.naming re-raises, of the same class, under the config keys
-that fed the call.
+left to the runners and to the objects they build, and each such refusal
+names the config keys that fed it through errors.require or, around a
+call that refuses, errors.naming.
 Output files are only written after the experiment finished, each
 through a temporary file and os.replace, the CSV last. Identical config
 and seed give byte-identical CSV output: floats are serialized at 17
@@ -51,7 +43,7 @@ from .duhamel import (
     bilinear_trajectory,
     estimate_quadrature,
 )
-from .errors import ConfigError, DataError, DivergenceError, NumericalError, naming
+from .errors import ConfigError, DivergenceError, NumericalError, naming, require
 from .lattice import TWO_PI, DatumSpec, VectorField, make_lattice, realize_datum
 from .multipliers import kernel_profile
 from .norms import (
@@ -338,11 +330,8 @@ def _scaled_datum(cfg: dict, u0: VectorField, book) -> VectorField:
     if fraction is None:
         return u0
     lhs = smallness_lhs(u0, cfg["horizon"], book, SMALLNESS_KATO).lhs
-    if lhs <= 0:
-        raise ConfigError(
-            "config keys 'datum' and 'scale_to_delta_fraction': cannot rescale a datum "
-            "whose smallness lhs is zero"
-        )
+    require(lhs > 0, ("datum", "scale_to_delta_fraction"),
+            "cannot rescale a datum whose smallness lhs is zero")
     target = fraction * book.delta
     amplitude = _datum_from_config(cfg["datum"]).amplitude
     scaled = {**cfg["datum"], "amplitude": amplitude * target / lhs}
@@ -408,21 +397,19 @@ def _mesh_doubling(cfg: dict, analyse):
 
 def _run_kernel_decay(cfg):
     count = cfg["radius_count"]
-    if not cfg["radius_min"] < cfg["radius_max"]:
-        raise ConfigError(
-            "config keys 'radius_min' and 'radius_max' must satisfy radius_min < radius_max, "
-            f"got {cfg['radius_min']!r} and {cfg['radius_max']!r}"
-        )
+    require(cfg["radius_min"] < cfg["radius_max"], ("radius_min", "radius_max"),
+            f"need radius_min < radius_max, got {cfg['radius_min']!r} and {cfg['radius_max']!r}")
     radii = np.geomspace(cfg["radius_min"], cfg["radius_max"], count)
     in_tail = int(np.count_nonzero((radii >= cfg["tail_lo"]) & (radii <= cfg["tail_hi"])))
-    if in_tail < 2:
-        raise ConfigError(
-            f"config keys 'radius_count', 'tail_lo' and 'tail_hi': radius_count={count} puts "
-            f"{in_tail} radii inside [{cfg['tail_lo']}, {cfg['tail_hi']}]; the tail slope "
-            "needs at least two"
-        )
+    require(in_tail >= 2, ("radius_count", "tail_lo", "tail_hi"),
+            f"radius_count={count} puts {in_tail} radii inside "
+            f"[{cfg['tail_lo']}, {cfg['tail_hi']}]; the tail slope needs at least two")
     factor_t = float(cfg["selfsim_factor"])
     root = math.sqrt(factor_t)
+    # the late time, held inside the dilated box's validity window: when t
+    # sits at the cap, (box_len * root)^2 / 100 can round one ulp below
+    # factor_t * t
+    t_late = min(cfg["t"] * factor_t, (cfg["box_len"] * root) ** 2 / 100.0)
     columns = [
         "s",
         "radius",
@@ -444,10 +431,10 @@ def _run_kernel_decay(cfg):
                     radii * dilation,
                     resolution=cfg["resolution"],
                     box_len=cfg["box_len"] * dilation,
-                    t=cfg["t"] * factor,
+                    t=t,
                     tail_window=(cfg["tail_lo"] * dilation, cfg["tail_hi"] * dilation),
                 )
-                for dilation, factor in ((1.0, 1.0), (root, factor_t))
+                for dilation, t in ((1.0, cfg["t"]), (root, t_late))
             )
         decay = -(cfg["d"] + 1 + s)
         predicted = factor_t ** (decay / 2.0) * prof.values
@@ -489,16 +476,10 @@ def _run_beta_integral(cfg):
 
 
 def _run_heat_decay(cfg):
-    if not cfg["t_max"] > cfg["t_min"]:
-        raise ConfigError(
-            "config keys 't_min' and 't_max' must satisfy t_max > t_min, got "
-            f"{cfg['t_min']!r} and {cfg['t_max']!r}"
-        )
-    if not cfg["q"] < cfg["q_tilde"]:
-        raise ConfigError(
-            "config keys 'q' and 'q_tilde' must satisfy q < q_tilde for a decay, got "
-            f"{cfg['q']!r} and {cfg['q_tilde']!r}"
-        )
+    require(cfg["t_max"] > cfg["t_min"], ("t_min", "t_max"),
+            f"need t_max > t_min, got {cfg['t_min']!r} and {cfg['t_max']!r}")
+    require(cfg["q"] < cfg["q_tilde"], ("q", "q_tilde"),
+            f"need q < q_tilde for a decay, got {cfg['q']!r} and {cfg['q_tilde']!r}")
     lat = _lattice(cfg, "resolution")
     with naming("box_len", "t_max"):
         lat.check_cap(cfg["t_max"], "t_max")
@@ -510,9 +491,8 @@ def _run_heat_decay(cfg):
     columns = ["t", "measured_norm", "closed_form", "rel_err"]
     rows = []
     measured = heat_sup(u0, t_grid, 0.0, qt).values
-    if not measured.min() >= np.finfo(float).tiny:
-        raise ConfigError("config keys 'width' and 'amplitude': the heat sup of the datum falls "
-                          f"to {measured.min():g}, below the normal floats")
+    require(measured.min() >= np.finfo(float).tiny, ("width", "amplitude", "q_tilde"),
+            f"the heat sup of the datum falls to {measured.min():g}, below the normal floats")
     for j, t in enumerate(t_grid):
         sigma = cfg["width"] + t
         closed = (
@@ -534,20 +514,14 @@ def _run_heat_decay(cfg):
 
 
 def _run_besov_equiv(cfg):
-    if len(cfg["mode"]) != cfg["d"]:
-        raise ConfigError(
-            f"config keys 'mode' and 'd': the mode needs d = {cfg['d']} entries, "
-            f"got {cfg['mode']!r}"
-        )
     lat = _lattice(cfg)
     datum = dict(kind="single_mode", mode=cfg["mode"], amplitude=cfg["amplitude"],
                  divergence_free=True)
-    u0 = _realized(datum, lat, "mode", "n")
+    u0 = _realized(datum, lat, "mode", "d", "n")
     s_b, q = float(cfg["smoothness"]), float(cfg["q"])
     norm = lebesgue_norm(u0, q)
-    if not norm >= np.finfo(float).tiny:
-        raise ConfigError(f"config keys 'amplitude' and 'q': the L^{q:g} norm of the datum is "
-                          f"{norm:g}, below the normal floats")
+    require(norm >= np.finfo(float).tiny, ("amplitude", "q"),
+            f"the L^{q:g} norm of the datum is {norm:g}, below the normal floats")
     report = besov_norm_heat(u0, s_b, q)
     mode_sq = float(
         sum((TWO_PI / lat.box_len * m) ** 2 for m in cfg["mode"])
@@ -557,13 +531,17 @@ def _run_besov_equiv(cfg):
         closed = (beta / (math.e * mode_sq)) ** beta * norm
     except OverflowError:
         closed = math.inf
-    if not (np.finfo(float).tiny <= closed < math.inf and report.value > 0):
-        raise ConfigError(f"config keys 'smoothness', 'mode' and 'box_len': the heat-Besov norm "
-                          f"{report.value:g} or its closed form {closed:g} is outside the normal "
-                          "floats")
+    require(np.finfo(float).tiny <= closed < math.inf and report.value > 0,
+            ("smoothness", "mode", "box_len"),
+            f"the heat-Besov norm {report.value:g} or its closed form {closed:g} is outside "
+            "the normal floats")
     rescaled = _realized({**datum, "amplitude": cfg["amplitude"] * cfg["rescale"]}, lat,
-                         "mode", "n")
+                         "amplitude", "rescale")
     report_scaled = besov_norm_heat(rescaled, s_b, q)
+    # the sums of |u|^q are not scaled, so those of a small datum underflow
+    require(report_scaled.value >= np.finfo(float).tiny, ("amplitude", "rescale"),
+            f"the heat-Besov norm of the rescaled datum is {report_scaled.value:g}, below the "
+            "normal floats")
 
     grid = besov_grid(lat)
     columns = ["t", "weighted_value"]
@@ -587,9 +565,8 @@ def _run_embedding(cfg):
     band = dict(kind="random_band", k_min=cfg["k_min"], k_max=cfg["k_max"])
     fields = [_realized({**band, "seed": seed}, lat, *_BAND_KEYS)
               for seed in range(cfg["seed"], cfg["seed"] + cfg["count"])]
-    report = sobolev_embedding_check(
-        fields, cfg["s1"], cfg["q1"], cfg["s2"], cfg["q2"]
-    )
+    with naming("s1", "q1", "s2", "q2"):
+        report = sobolev_embedding_check(fields, cfg["s1"], cfg["q1"], cfg["s2"], cfg["q2"])
     columns = ["index", "norm_upper", "norm_lower", "ratio"]
     rows = [
         [i, float(a), float(b), float(r)]
@@ -610,11 +587,9 @@ def _run_embedding(cfg):
 
 def _run_bilinear(cfg):
     targets = cfg["targets"]
-    if cfg["doubling"] and TARGET_KATO not in targets:
-        raise ConfigError(
-            "config keys 'doubling' and 'targets': the mesh-doubling spread compares "
-            f"{TARGET_KATO!r} ratios, so targets must hold {TARGET_KATO!r}, got {targets!r}"
-        )
+    require(not cfg["doubling"] or TARGET_KATO in targets, ("doubling", "targets"),
+            f"the mesh-doubling spread compares {TARGET_KATO!r} ratios, so targets must hold "
+            f"{TARGET_KATO!r}, got {targets!r}")
     book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
     lat = _lattice(cfg)
     data = [_realized(_band_datum(seed, cfg["k_max"], cfg["k_min"]), lat, *_BAND_KEYS)
@@ -757,7 +732,8 @@ def _run_solve(cfg):
 
 def _run_ladder(cfg):
     book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
-    check_exponent_floor(book, "ladder", cfg["r_values"], "config key 'r_values[{}]'")
+    with naming("r_values"):
+        check_exponent_floor(book, "ladder", cfg["r_values"])
     coarse, fine, changes, summary, digest = _mesh_doubling(
         cfg, lambda solution: regularity_ladder(solution, cfg["r_values"])
     )
@@ -773,8 +749,8 @@ def _run_ladder(cfg):
 
 def _run_fluctuation(cfg):
     book = _critical_book(cfg, "fluctuation table")
-    check_exponent_floor(book, "fluctuation", cfg["p_tilde_values"],
-                         "config key 'p_tilde_values[{}]'")
+    with naming("p_tilde_values"):
+        check_exponent_floor(book, "fluctuation", cfg["p_tilde_values"])
     coarse, fine, changes, summary, digest = _mesh_doubling(
         cfg, lambda solution: fluctuation_analysis(solution, cfg["p_tilde_values"])
     )
@@ -826,14 +802,12 @@ def _run_powerlaw(cfg):
     lat = _lattice(cfg)
     d, p, qt = cfg["d"], float(cfg["p"]), float(cfg["q_tilde"])
     s_b = d / qt - d / p
-    if not (s_b < 0):
-        raise ConfigError(
-            "config keys 'p' and 'q_tilde': the dichotomy needs d/q_tilde < d/p so the "
-            f"Besov smoothness is negative, got {s_b:g}"
-        )
+    require(s_b < 0, ("p", "q_tilde"),
+            "the dichotomy needs d/q_tilde < d/p so the Besov smoothness is negative, "
+            f"got {s_b:g}")
     levels = [float(e) for e in cfg["r_inner_levels"]]
-    if not all(a > b for a, b in zip(levels, levels[1:])):
-        raise ConfigError(f"config key 'r_inner_levels' must be strictly decreasing, got {levels}")
+    require(all(a > b for a, b in zip(levels, levels[1:])), ("r_inner_levels",),
+            f"the levels must be strictly decreasing, got {levels}")
     columns = ["r_inner", "lebesgue_norm", "lebesgue_increment", "besov_value", "besov_argmax_t"]
     rows = []
     lp_values, besov_values = [], []
@@ -844,10 +818,9 @@ def _run_powerlaw(cfg):
         u0 = _realized(datum, lat, *keys)
         lp = lebesgue_norm(u0, p)
         rep = besov_norm_heat(u0, s_b, qt)
-        if not min(lp, rep.value) >= np.finfo(float).tiny:
-            with naming(*keys):
-                raise ConfigError(f"the L^{p:g} norm {lp:g} or the heat-Besov norm "
-                                  f"{rep.value:g} of the datum is below the normal floats")
+        require(min(lp, rep.value) >= np.finfo(float).tiny, keys,
+                f"the L^{p:g} norm {lp:g} or the heat-Besov norm {rep.value:g} of the datum "
+                "is below the normal floats")
         lp_values.append(lp)
         besov_values.append(rep.value)
         increment = lp - lp_values[-2] if len(lp_values) >= 2 else 0.0

@@ -437,7 +437,8 @@ def _taylor_green_datum(spec: DatumSpec, lattice: Lattice) -> np.ndarray:
 
 def _single_mode_datum(spec: DatumSpec, lattice: Lattice) -> np.ndarray:
     if spec.mode is None or len(spec.mode) != lattice.d:
-        raise ConfigError("single_mode datum requires a mode tuple of length d")
+        raise ConfigError(f"single_mode datum requires a mode tuple of length d = {lattice.d}, "
+                          f"got {spec.mode!r}")
     mode = np.array([int(m) for m in spec.mode])
     if np.all(mode == 0):
         raise ConfigError("single_mode datum requires a nonzero wavevector")

@@ -251,14 +251,15 @@ class Trajectory:
     def _coordinate(t, interp_power):
         return t**interp_power if interp_power != 0.0 else np.log(t)
 
-    def _check_compatible(self, other):
-        if not isinstance(other, Trajectory):
-            raise DataError("trajectory arithmetic requires trajectories")
-        if other.lattice != self.lattice or not np.array_equal(other.times, self.times):
-            raise DataError("trajectory arithmetic requires identical meshes")
+    def check_same_mesh(self, other) -> None:
+        """Refuse, as DataError, an other that is not a trajectory on this
+        lattice and mesh."""
+        if not (isinstance(other, Trajectory) and other.lattice == self.lattice
+                and np.array_equal(other.times, self.times)):
+            raise DataError("trajectories must share one lattice and mesh")
 
     def __sub__(self, other):
-        self._check_compatible(other)
+        self.check_same_mesh(other)
         return Trajectory(self.lattice, self.times, self.data - other.data)
 
 

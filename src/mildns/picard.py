@@ -607,8 +607,8 @@ class LadderReport:
     early_ok: list
 
 
-def check_exponent_floor(book: ExponentBook, analysis: str, values, label: str) -> None:
-    """Refuse, as label.format(i), the first entry i of values that does not
+def check_exponent_floor(book: ExponentBook, analysis: str, values) -> None:
+    """Refuse, by its index i, the first entry of values that does not
     exceed the floor of the analysis for this book: every ladder exponent r
     must exceed max(p, q), every fluctuation exponent p_tilde max(p, d)/2."""
     floor, formula = {
@@ -617,8 +617,8 @@ def check_exponent_floor(book: ExponentBook, analysis: str, values, label: str) 
     }[analysis]
     for i, value in enumerate(values):
         if not float(value) > floor:
-            raise ConfigError(
-                f"{label.format(i)} must exceed {formula} = {floor:g}, got {float(value):g}")
+            raise ConfigError(f"{analysis} exponent [{i}] must exceed {formula} = {floor:g}, "
+                              f"got {float(value):g}")
 
 
 def regularity_ladder(solution: MildSolution, r_list: Sequence[float]) -> LadderReport:
@@ -632,7 +632,7 @@ def regularity_ladder(solution: MildSolution, r_list: Sequence[float]) -> Ladder
     if not solution.trace.converged:
         raise ConfigError("ladder requires a converged solution")
     book = solution.book
-    check_exponent_floor(book, "ladder", r_list, "ladder exponent r_list[{}]")
+    check_exponent_floor(book, "ladder", r_list)
     first = float(solution.trajectory.times[0])
     r_values, weights, sups, early = [], [], [], []
     for r in r_list:
@@ -668,8 +668,7 @@ def fluctuation_analysis(solution: MildSolution,
     """
     book = solution.book
     book.require_critical("fluctuation analysis")
-    check_exponent_floor(book, "fluctuation", p_tilde_list,
-                         "fluctuation exponent p_tilde_list[{}]")
+    check_exponent_floor(book, "fluctuation", p_tilde_list)
     traj = solution.trajectory
     fluctuation = traj - heat_trajectory(solution.datum, traj.times)
     p_values, smooth, sups = [], [], []

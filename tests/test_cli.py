@@ -255,16 +255,27 @@ class TestExitCodes:
              "config error: config keys 'resolution', 'box_len', 't' and 'radius_max': t "
              "1000000 exceeds the lattice validity window L^2/100 = 256"),
             ("heat-decay", ["width=1e300"], 2,
-             "config error: config keys 'width' and 'amplitude': the heat sup of the datum "
-             "falls to 0"),
+             "config error: config keys 'width', 'amplitude' and 'q_tilde': the heat sup of "
+             "the datum falls to 0"),
             ("solve", ["n=16", "mesh_nodes=8", "quad_nodes=8", "datum.amplitude=1e-170"], 3,
              "numerical failure: solve summary key 'closed_form_max_rel_err' is NaN"),
+            ("heat-decay", ["q_tilde=1e308"], 2,
+             "config error: config keys 'width', 'amplitude' and 'q_tilde': the heat sup of "
+             "the datum falls to 0"),
+            ("besov-equiv", ["rescale=1e-300"], 2,
+             "config error: config keys 'amplitude' and 'rescale': the heat-Besov norm of the "
+             "rescaled datum is 0, below the normal floats"),
+            ("besov-equiv", ["amplitude=1e10", "rescale=1e300"], 2,
+             "config error: config keys 'amplitude' and 'rescale': single_mode datum produced "
+             "non-finite samples"),
         ],
         ids=["scaling-lam", "scaling-lam-heat-sup", "beta-integral-t-large",
              "beta-integral-t-small", "kernel-decay-s",
              "besov-equiv-rescale", "powerlaw-decay", "smallness-box", "besov-equiv-box",
              "solve-box", "besov-equiv-smoothness", "besov-equiv-amplitude",
-             "powerlaw-amplitude", "kernel-decay-t", "heat-decay-width", "solve-nan-summary"],
+             "powerlaw-amplitude", "kernel-decay-t", "heat-decay-width", "solve-nan-summary",
+             "heat-decay-q_tilde", "besov-equiv-rescale-underflow",
+             "besov-equiv-rescale-overflow"],
     )
     def test_overflowing_value_is_refused_cleanly(self, experiment, settings, code, message,
                                                   tmp_path, capsys):
@@ -353,7 +364,9 @@ class TestExitCodes:
              "config key 'n' must be an integer in [4, inf) and a power of two, got 48"),
             ("solve", "quad_nodes=9",
              "config key 'quad_nodes' must be an integer in [8, inf) and even, got 9"),
-            ("besov-equiv", "mode=[1]", "config keys 'mode' and 'd': the mode needs d = 2 entries"),
+            ("besov-equiv", "mode=[1]",
+             "config keys 'mode', 'd' and 'n': single_mode datum requires a mode tuple of length "
+             "d = 2, got (1,)"),
             ("bilinear", 'targets=["sobolev"]', "config keys 'doubling' and 'targets'"),
         ],
     )
@@ -405,9 +418,9 @@ class TestExitCodes:
              "config keys 'k_min', 'k_max', 'n' and 'box_len': random_band [40, 50] contains "
              "no resolved modes"),
             ("besov-equiv", ["mode=[40,40]"],
-             "config keys 'mode' and 'n': mode (40, 40) is not resolved on n=32"),
+             "config keys 'mode', 'd' and 'n': mode (40, 40) is not resolved on n=32"),
             ("besov-equiv", ["mode=[0,0]"],
-             "config keys 'mode' and 'n': single_mode datum requires a nonzero wavevector"),
+             "config keys 'mode', 'd' and 'n': single_mode datum requires a nonzero wavevector"),
             ("powerlaw", ["r_outer=5", "n=64"],
              "config keys 'decay', 'amplitude', 'r_inner_levels[0]', 'r_outer' and 'box_len': "
              "power_law datum requires 0 < r_inner < r_outer <= box_len / 2"),
@@ -429,10 +442,17 @@ class TestExitCodes:
             ("heat-decay", ["t_max=64.00000000000001"],
              "config keys 'box_len' and 't_max': t_max 64.000000000000014 exceeds the lattice "
              "validity window L^2/100 = 64"),
+            ("kernel-decay", ["t=257"],
+             "config keys 'resolution', 'box_len', 't' and 'radius_max': t 257 exceeds the "
+             "lattice validity window L^2/100 = 256"),
+            ("embedding", ["q2=5"],
+             "config keys 's1', 'q1', 's2' and 'q2': embedding indices must sit on one scaling "
+             "line"),
         ],
         ids=["bilinear-band", "embedding-band", "besov-equiv-unresolved", "besov-equiv-zero",
              "powerlaw-r_outer", "powerlaw-levels", "kernel-decay-coarse",
-             "kernel-decay-window", "kernel-decay-t", "heat-decay-fit", "heat-decay-t_max-ulp"],
+             "kernel-decay-window", "kernel-decay-t", "heat-decay-fit", "heat-decay-t_max-ulp",
+             "kernel-decay-t-past-cap", "embedding-scaling-line"],
     )
     def test_runner_refusal_exits_2_naming_its_keys(self, experiment, settings, message,
                                                     capsys):
@@ -505,10 +525,11 @@ class TestExitCodes:
         "experiment, settings, key",
         [
             ("ladder", ["r_values=[1.5]", "n=16", "mesh_nodes=8", "quad_nodes=8"],
-             "'r_values[0]' must exceed max(p, q) = 2"),
-            ("ladder", ["r_values=[4.0, 2.0]"], "'r_values[1]' must exceed max(p, q) = 2"),
+             "'r_values': ladder exponent [0] must exceed max(p, q) = 2, got 1.5"),
+            ("ladder", ["r_values=[4.0, 2.0]"],
+             "'r_values': ladder exponent [1] must exceed max(p, q) = 2, got 2"),
             ("fluctuation", ["p=4", "s=-0.5", "q_tilde=8", "p_tilde_values=[3.0, 1.5]"],
-             "'p_tilde_values[1]' must exceed max(p, d)/2 = 2"),
+             "'p_tilde_values': fluctuation exponent [1] must exceed max(p, d)/2 = 2, got 1.5"),
         ],
     )
     def test_exponent_floor_is_refused_before_calibration(self, experiment, settings, key,
@@ -582,6 +603,18 @@ class TestExitCodes:
                               f"t_max {fmt_float(past)} exceeds the lattice validity window "
                               f"L^2/100 = {fmt_float(t_cap)}")
         assert "Traceback" not in err
+
+    def test_kernel_decay_late_profile_at_the_cap_passes(self, tmp_path):
+        """At t on the cap the late profile runs at the dilated box's own
+        cap, which can round one ulp below selfsim_factor * t; it is not
+        refused, and the self-similarity holds to rounding."""
+        argv = ["kernel-decay", "--set", "t=256", "--set", "selfsim_factor=3"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "kernel-decay.json").read_text())["summary"]
+        assert max(row["selfsim_rel_err"] for row in summary.values()) < 1e-12
+
+    def test_besov_equiv_small_rescale_in_the_normal_floats_passes(self, capsys):
+        assert main(["besov-equiv", "--set", "rescale=1e-80"]) == 0
 
     def test_missing_config_file_exits_4(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

@@ -347,6 +347,50 @@ def per_node_B(u_traj, v_traj, t, quad):
     return np.fft.ifftn(acc, axes=tuple(range(1, 1 + d)), norm="forward").real
 
 
+class TestSameMesh:
+    """Trajectory.check_same_mesh is the one check that two trajectories
+    share a lattice and a mesh: the difference and the four Duhamel entry
+    points each refuse another lattice, another mesh and a non-trajectory
+    through it, before any work."""
+
+    ROUTES = {
+        "subtract": lambda u, v, book, quad: u - v,
+        "bilinear_B": lambda u, v, book, quad: bilinear_B(u, v, float(u.times[-1]), quad),
+        "bilinear_trajectory": lambda u, v, book, quad: bilinear_trajectory(u, v, quad),
+        "bilinear_estimate_report": lambda u, v, book, quad: bilinear_estimate_report(
+            u, v, book, quad=quad),
+        "bilinear_error_estimate": lambda u, v, book, quad: bilinear_error_estimate(u, v, quad),
+    }
+
+    @staticmethod
+    def other(kind, lat, mesh, datum):
+        if kind == "lattice":
+            elsewhere = make_lattice(lat.d, lat.n, 0.5 * lat.box_len)
+            return heat_trajectory(realize_datum(DatumSpec(kind="taylor_green"), elsewhere),
+                                   mesh)
+        if kind == "mesh":
+            return heat_trajectory(datum(2), mesh[:-1])
+        return datum(2)  # a vector field, not a trajectory
+
+    @pytest.mark.parametrize("kind", ["lattice", "mesh", "field"])
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_refused_through_check_same_mesh(self, pair_setup, route, kind, monkeypatch):
+        lat, book, mesh, quad, datum = pair_setup
+        u = heat_trajectory(datum(1), mesh)
+        v = self.other(kind, lat, mesh, datum)
+        checked = []
+        check = Trajectory.check_same_mesh
+
+        def spy(self, other):
+            checked.append(other)
+            return check(self, other)
+
+        monkeypatch.setattr(Trajectory, "check_same_mesh", spy)
+        with pytest.raises(DataError, match="^trajectories must share one lattice and mesh$"):
+            self.ROUTES[route](u, v, book, quad)
+        assert checked == [v]
+
+
 class TestFusedB:
     """The fused evaluation against the per-node loop, to 1e-14 of max |B|."""
 

@@ -5,6 +5,7 @@ are exercised by the acceptance suite. Experiments that need thresholds
 reuse one calibration file so the corpus measurement runs once.
 """
 
+import ast
 import json
 import re
 from dataclasses import MISSING, fields, replace
@@ -277,6 +278,51 @@ class TestDeclaredSchema:
             if failure := accepted_run_fails(argv, name, capsys):
                 failures.append(failure)
         assert failures == []
+
+
+class TestOneRefusalRoute:
+    """A refusal between keys names them through errors.require or
+    errors.naming; lab.py spells a key itself only in the schema."""
+
+    SCHEMA = {"_refuse", "check_config", "_experiment", "run", "to_csv_text"}
+
+    @staticmethod
+    def tree():
+        return ast.parse(open(lab.__file__, encoding="utf-8").read())
+
+    @staticmethod
+    def parents(tree):
+        return {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def test_every_raise_of_a_config_error_is_in_the_schema_or_under_naming(self):
+        tree = self.tree()
+        parents = self.parents(tree)
+        stray = []
+        for node in ast.walk(tree):
+            call = node.exc if isinstance(node, ast.Raise) else None
+            if not (isinstance(call, ast.Call) and getattr(call.func, "id", "") == "ConfigError"):
+                continue
+            enclosing, under_naming = node, False
+            while not isinstance(enclosing, ast.FunctionDef):
+                enclosing = parents[enclosing]
+                under_naming |= isinstance(enclosing, ast.With) and any(
+                    getattr(item.context_expr.func, "id", "") == "naming"
+                    for item in enclosing.items if isinstance(item.context_expr, ast.Call))
+            if not (under_naming or enclosing.name in self.SCHEMA):
+                stray.append(f"line {node.lineno} in {enclosing.name}")
+        assert stray == []
+
+    def test_no_message_spells_config_keys(self):
+        tree = self.tree()
+        docstrings = {
+            id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and ast.get_docstring(node) is not None
+        }
+        spelled = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and id(node) not in docstrings and "config keys" in node.value]
+        assert spelled == []
 
 
 @pytest.mark.parametrize("exp_id", ALL_IDS)

@@ -670,7 +670,7 @@ class TestTrajectory:
         u = divfree_datum(lat2, seed=11)
         a = heat_trajectory(u, [0.1, 0.2])
         b = heat_trajectory(u, [0.1, 0.3])
-        with pytest.raises(DataError, match="identical meshes"):
+        with pytest.raises(DataError, match="one lattice and mesh"):
             a - b
 
 
