@@ -26,8 +26,12 @@ transformed by one Lattice.rforward call (the products are real, so only
 the half of the spectrum that Lattice.inverse reads is computed) and
 contracted with the real kernel w_q exp(-|k|^2 gap_q) on that half, and
 P div and the inverse transform act once on the summed pair coefficients.
-For B(u, u), the case of every Picard step, only the products i <= j are
-formed. Each product u_i(tau_q) v_j(tau_q) is multiplied row by row into
+P annihilates gradients and div(phi I) = grad phi, so the rows formed are
+those of u x v - u_{d-1} v_{d-1} I: the off-diagonal products, u_i v_i -
+u_{d-1} v_{d-1} on the diagonal for i < d-1, and no (d-1, d-1) entry,
+which is zero. That is P = d^2 - 1 rows, and for B(u, u), the case of
+every Picard step, only the d(d+1)/2 - 1 rows i <= j: 2 at d = 2, 5 at
+d = 3. Each product u_i(tau_q) v_j(tau_q) is multiplied row by row into
 a buffer, so no factor is copied. The factors come from one
 Trajectory.value_at call per factor and node, so the frozen value below
 the first mesh node and the exact-node shortcut are the trajectory's own.
@@ -50,18 +54,19 @@ tables, so a call redoes none of it:
   (_project_div_symbol) is P div as one real (d, P) matrix per
   half-spectrum mode, applied by one einsum over the P pair rows. Each
   entry is stored twice (for the real and the imaginary part), so it
-  takes the bytes of a complex (d, P) + half_shape array: 51 KiB at
-  d = 2, n = 32 (68 KiB for u != v), and at d = 3, P = 6 (u is v) or 9,
-  4.8 or 7.2 MiB at n = 32 and 37 or 56 MiB at n = 64. The product,
-  coefficient, kernel and sum buffers are 563 KiB at d = 2, n = 32 (526
-  KiB for u != v), in arrays of at most 255 KiB, so a warm call maps no
+  takes the bytes of a complex (d, P) + half_shape array: at d = 2,
+  P = 2 (u is v) or 3, 34 or 51 KiB at n = 32 and 132 or 198 KiB at
+  n = 64, and at d = 3, P = 5 or 8, 4.0 or 6.4 MiB at n = 32 and 31 or
+  50 MiB at n = 64. The product, coefficient, kernel, sum and
+  u_{d-1} v_{d-1} buffers are 584 or 571 KiB at d = 2, n = 32 and 538 or
+  554 KiB at n = 64, in arrays of at most 255 KiB, so a warm call maps no
   fresh pages: made per call, these arrays crossed glibc's 128 KiB mmap
   threshold, and were mapped, zero-filled and returned to the system on
   every call, a count of page faults that flipped with the heap layout
-  around B. At d = 3 one node's products exceed the chunk cap, and a set
-  is 4.8 or 7.2 MiB at n = 32 and 38 or 56 MiB at n = 64. A Picard solve
-  and a calibration each call B on one lattice and layout, so each builds
-  this entry once.
+  around B. At d = 3, n >= 32 one node's products exceed the chunk cap,
+  and a set is 4.3 or 6.6 MiB at n = 32 and 34 or 52 MiB at n = 64. A
+  Picard solve and a calibration each call B on one lattice and layout,
+  so each builds this entry once.
 
 Under the Volterra rule lies _legendre(m), the Gauss-Legendre rule, kept
 because numpy's leggauss costs more than a whole volterra_nodes call.
@@ -215,7 +220,7 @@ def beta_integral(gamma: float, theta: float, t: float, method: str = "closed-fo
 
 
 # Cap on the half-spectrum coefficients (Lattice.rforward) of the node
-# products transformed in one batch: 10 nodes of B(u, u) at d=2, n=32. The
+# products transformed in one batch: 15 nodes of B(u, u) at d=2, n=32. The
 # buffers of one chunk are held across calls (see the module docstring). A
 # larger cap only holds more at once: at d=2, n=32, M=Q=16 a 32 MB cap
 # raised a solve's peak memory by 1.7 MB and was no faster. A 128 KB cap
@@ -247,7 +252,8 @@ def _project_div_symbol(lat: Lattice, pair_of: np.ndarray) -> np.ndarray:
     """P div of the pair rows of B, read-only: a real array of shape
     (d, P, 2 * modes) with (P div T)_i = 1j * sum_r symbol[i, r] * acc[r]
     over the float view of the pair rows acc (P, modes) of T, where
-    pair_of maps tensor entry (i, j) to its row.
+    pair_of maps tensor entry (i, j) to its row and (d-1, d-1) to row P,
+    one past the last, which is always zero.
 
     Column r is _project_div_spectral applied to the unit tensor of pair
     r (both mirror entries when u is v). The kernel maps a real tensor
@@ -255,9 +261,9 @@ def _project_div_symbol(lat: Lattice, pair_of: np.ndarray) -> np.ndarray:
     part is kept, each entry twice, once for the real and once for the
     imaginary part of its mode.
     """
-    pair_count = int(pair_of.max()) + 1
+    pair_count = int(pair_of.max())
     symbol = np.empty((lat.d, pair_count, 2 * math.prod(lat.half_shape)))
-    unit = np.zeros((pair_count,) + lat.half_shape, dtype=np.complex128)
+    unit = np.zeros((pair_count + 1,) + lat.half_shape, dtype=np.complex128)
     for r in range(pair_count):
         unit[r] = 1.0
         column = _project_div_spectral(unit[pair_of], lat).imag.reshape(lat.d, -1)
@@ -281,10 +287,11 @@ def _project_div(acc: np.ndarray, lat: Lattice, symbol: np.ndarray) -> np.ndarra
 class _Scratch(threading.local):
     """B's set-up for one (lattice, u is v), held by each thread across
     calls and rebuilt together when a call brings another: the factor
-    pairs (i, j), only i <= j when u is v; pair_of, the read-only (d, d)
-    map from tensor entry (i, j) to the row of its product; the P div
-    symbol; and held, the buffers (products, coefficients, kernel, pair
-    sums)."""
+    pairs (i, j), only i <= j when u is v and never (d-1, d-1); pair_of,
+    the read-only (d, d) map from tensor entry (i, j) to the row of its
+    product, and from (d-1, d-1) to the zero row P; the P div symbol; and
+    held, the buffers (products, coefficients, kernel, pair sums, and
+    u_{d-1} v_{d-1} of one node)."""
 
     key = None
 
@@ -295,7 +302,8 @@ class _Scratch(threading.local):
                 rows, cols = np.triu_indices(lat.d)
             else:
                 rows, cols = np.indices((lat.d, lat.d)).reshape(2, -1)
-            pair_of = np.empty((lat.d, lat.d), dtype=int)
+            rows, cols = rows[:-1], cols[:-1]  # (d-1, d-1) is last in both orders
+            pair_of = np.full((lat.d, lat.d), rows.size)  # (d-1, d-1): the zero row
             pair_of[cols, rows] = np.arange(rows.size)  # the mirror, when u is v
             pair_of[rows, cols] = np.arange(rows.size)
             pair_of.flags.writeable = False
@@ -305,7 +313,8 @@ class _Scratch(threading.local):
             self.held = (np.empty((chunk, rows.size) + lat.spatial_shape),
                          np.empty((chunk,) + acc.shape, dtype=np.complex128),
                          np.empty((chunk,) + lat.half_shape),
-                         acc)
+                         acc,
+                         np.empty(lat.spatial_shape))
             self.pairs = tuple(zip(rows.tolist(), cols.tolist()))
             self.pair_of = pair_of
             self.key = (lat, symmetric)
@@ -334,12 +343,15 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     multiplied row by row into them, so no factor is copied. The nodes and
     the weighted heat factors come from the cached _volterra_rule of t;
     the pairs (i, j) and the P div symbol come with the buffers, held for
-    the lattice and for whether u_traj is v_traj. When u_traj is v_traj
-    only the products i <= j are formed; u_i * u_j == u_j * u_i in IEEE
-    arithmetic, so the shortcut is exact. value_at is still called for
-    both factors at every node: the interpolation (the frozen value below
-    the first mesh node, the exact-node shortcut) stays the trajectory's
-    own, and the call count is what span tracing expects.
+    the lattice and for whether u_traj is v_traj. P div maps the
+    isotropic part u_{d-1} v_{d-1} I of the tensor, a pressure gradient,
+    to zero, so it is subtracted from the diagonal before the transform
+    and the (d-1, d-1) row, then zero, is not formed: d^2 - 1 rows. When
+    u_traj is v_traj only the rows i <= j are formed; u_i * u_j ==
+    u_j * u_i in IEEE arithmetic, so that shortcut is exact. value_at is
+    still called for both factors at every node: the interpolation (the
+    frozen value below the first mesh node, the exact-node shortcut) stays
+    the trajectory's own, and the call count is what span tracing expects.
     """
     u_traj.check_same_mesh(v_traj)
     u_traj.node_index(t)  # raises MeshError when t is off the mesh
@@ -348,15 +360,18 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     taus, factors = _volterra_rule(lat, float(t), quad)
     setup = _scratch.load(lat, u_traj is v_traj)
     pairs, symbol = setup.pairs, setup.symbol
-    products, coeff_buf, kernel_buf, acc = setup.held
+    products, coeff_buf, kernel_buf, acc, last = setup.held
     acc[...] = 0.0
     for start in range(0, len(taus), len(products)):
         chunk_taus = taus[start:start + len(products)]
         for q, tau in enumerate(chunk_taus):
             a = u_traj.value_at(tau, interp_power)
             b = v_traj.value_at(tau, interp_power)
+            np.multiply(a[-1], b[-1], out=last)
             for r, (i, j) in enumerate(pairs):
                 np.multiply(a[i], b[j], out=products[q, r])
+                if i == j:
+                    products[q, r] -= last
         size = len(chunk_taus)
         coeff = lat.rforward(products[:size], out=coeff_buf[:size])
         nodes = slice(start, start + size)

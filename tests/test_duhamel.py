@@ -16,6 +16,7 @@ The fused evaluation is checked against the per-node loop it replaced
 """
 
 import ast
+import math
 import os
 import re
 import subprocess
@@ -54,6 +55,7 @@ from mildns import (
 )
 from mildns import duhamel
 from mildns.duhamel import TARGET_KATO, TARGET_SOBOLEV
+from mildns.lattice import Lattice
 from mildns.multipliers import _project_div_spectral
 
 
@@ -162,18 +164,24 @@ class TestCachedVolterraRule:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_pair_layout_is_cached_and_read_only(self, d):
+        """Every entry but (d-1, d-1) has a row; (d-1, d-1) maps to the
+        always-zero row one past the last."""
         lat = make_lattice(d, 8, 2.0 * np.pi)
         for symmetric in (True, False):
             setup = duhamel._scratch.load(lat, symmetric)
             pairs, pair_of = setup.pairs, setup.pair_of
             assert duhamel._scratch.load(lat, symmetric).pair_of is pair_of
             assert not pair_of.flags.writeable
+            assert (d - 1, d - 1) not in pairs
+            assert pair_of[d - 1, d - 1] == len(pairs)
             for i in range(d):
                 for j in range(d):
+                    if (i, j) == (d - 1, d - 1):
+                        continue
                     assert sorted(pairs[pair_of[i, j]]) == sorted((i, j))
                     if not symmetric:
                         assert pairs[pair_of[i, j]] == (i, j)
-            assert len(pairs) == (d * (d + 1) // 2 if symmetric else d * d)
+            assert len(pairs) == (d * (d + 1) // 2 - 1 if symmetric else d * d - 1)
 
 
 class TestGaussLegendre:
@@ -439,18 +447,45 @@ class TestFusedB:
         self.assert_matches_per_node(u, u, mesh[-1:], quad)
 
     def test_one_node_per_chunk(self):
-        """At d = 2, n = 64 one node's products fill the chunk cap."""
-        assert duhamel._CHUNK_BYTES // (3 * 64**2 * 16) == 1
-        book = build_exponent_book(d=2, p=2.0, s=0.0, q_tilde=4.0)
+        """At d = 3, n = 16 one node's half-spectrum coefficients fill the
+        chunk cap for B(u, u) and exceed it for B(u, v): every chunk holds
+        one node."""
+        book = build_exponent_book(d=3, p=3.0, s=0.0, q_tilde=6.0)
         quad = QuadratureSpec(node_count=8, gamma=book.gamma_kato, theta=book.alpha)
         mesh = quadratic_mesh(0.5, 4)
-        u, v = self.band_flows(2, 64, mesh, (7, 8))
+        u, v = self.band_flows(3, 16, mesh, (7, 8))
+        row_bytes = math.prod(u.lattice.half_shape) * np.dtype(np.complex128).itemsize
+        node_bytes = len(duhamel._scratch.load(u.lattice, True).pairs) * row_bytes
+        assert duhamel._CHUNK_BYTES // node_bytes == 1
         self.assert_matches_per_node(u, u, mesh[-1:], quad)
+        assert len(duhamel._scratch.held[0]) == 1
         self.assert_matches_per_node(u, v, mesh[-1:], quad)
+        assert len(duhamel._scratch.held[0]) == 1
+
+    @pytest.mark.parametrize("d, n, p, q_tilde", [(2, 16, 2.0, 4.0), (3, 8, 3.0, 6.0)])
+    def test_transformed_rows_per_call(self, d, n, p, q_tilde, monkeypatch):
+        """One B transforms Q (d(d+1)/2 - 1) product rows when u is v and
+        Q (d^2 - 1) otherwise: the (d-1, d-1) product is never transformed."""
+        book = build_exponent_book(d=d, p=p, s=0.0, q_tilde=q_tilde)
+        quad = QuadratureSpec(node_count=16, gamma=book.gamma_kato, theta=book.alpha)
+        mesh = quadratic_mesh(0.5, 6)
+        u, v = self.band_flows(d, n, mesh, (12, 13))
+        rows = []
+        rforward = Lattice.rforward
+
+        def counted(lat, a, out=None):
+            rows.append(a.size // math.prod(lat.spatial_shape))
+            return rforward(lat, a, out=out)
+
+        monkeypatch.setattr(Lattice, "rforward", counted)
+        for b, pair_count in ((u, d * (d + 1) // 2 - 1), (v, d * d - 1)):
+            rows.clear()
+            bilinear_B(u, b, float(mesh[-1]), quad)
+            assert sum(rows) == quad.node_count * pair_count
 
     def test_symmetric_shortcut_matches_full_tensor(self):
         """B(u, u) forms only the products i <= j; B(u, copy of u) forms
-        all d^2."""
+        all d^2 (each without the (d-1, d-1) product)."""
         book = build_exponent_book(d=2, p=2.0, s=0.0, q_tilde=4.0)
         quad = QuadratureSpec(node_count=16, gamma=book.gamma_kato, theta=book.alpha)
         mesh = quadratic_mesh(0.5, 6)
@@ -499,21 +534,37 @@ class TestCallSetUp:
         rng = np.random.default_rng(d + 2 * symmetric)
         shape = (len(setup.pairs),) + lat.half_shape
         acc = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        reference = _project_div_spectral(acc[setup.pair_of], lat)
+        rows = np.concatenate([acc, np.zeros((1,) + lat.half_shape)])  # the (d-1, d-1) row
+        reference = _project_div_spectral(rows[setup.pair_of], lat)
         got = duhamel._project_div(acc, lat, setup.symbol)
         assert got.shape == reference.shape
         assert np.abs(got - reference).max() <= 1e-15 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_isotropic_tensor_is_annihilated(self, d, n):
+        """P div(phi I) = P grad phi vanishes to round-off for a Hermitian
+        phi, Nyquist modes included: B drops the (d-1, d-1) product by
+        subtracting it from the diagonal."""
+        lat = make_lattice(d, n, 2.0 * np.pi)
+        phi = lat.rforward(np.random.default_rng(30 + d).standard_normal(lat.spatial_shape))
+        for axis in range(d):
+            assert np.abs(np.take(phi, n // 2, axis=axis)).min() > 0  # a Nyquist plane
+        tensor = np.zeros((d, d) + lat.half_shape, dtype=np.complex128)
+        for i in range(d):
+            tensor[i, i] = phi
+        gradient = np.sqrt(lat.safe_ksq_deriv) * np.abs(phi)
+        assert np.abs(_project_div_spectral(tensor, lat)).max() <= 1e-15 * gradient.max()
 
     def test_symbol_is_cached_and_read_only(self):
         lat = make_lattice(2, 16, 2.0 * np.pi)
         symbol = duhamel._scratch.load(lat, True).symbol
         assert duhamel._scratch.load(make_lattice(2, 16, 2.0 * np.pi), True).symbol is symbol
-        assert symbol.shape == (2, 3, 2 * 16 * 9)
+        assert symbol.shape == (2, 2, 2 * 16 * 9)
         assert not symbol.flags.writeable
         other_box = duhamel._scratch.load(make_lattice(2, 16, 4.0 * np.pi), True).symbol
         assert other_box.shape == symbol.shape
         npt.assert_array_equal(other_box, 0.5 * symbol)  # P div scales as 1/L
-        assert duhamel._scratch.load(lat, False).symbol.shape == (2, 4, 2 * 16 * 9)
+        assert duhamel._scratch.load(lat, False).symbol.shape == (2, 3, 2 * 16 * 9)
         assert duhamel._scratch.load(lat, True).symbol is not symbol
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
@@ -547,13 +598,14 @@ class TestCallSetUp:
         u, mesh, quad = self.picard_size_flow()
         first = bilinear_B(u, u, float(mesh[-1]), quad).data
         held = duhamel._scratch.held
+        assert held[0].shape[1] == 2
         bilinear_B(u, u, float(mesh[0]), quad)
         again = bilinear_B(u, u, float(mesh[-1]), quad).data
         assert duhamel._scratch.held is held
         npt.assert_array_equal(again, first)
         v = Trajectory(u.lattice, mesh, u.data * 0.5)
         bilinear_B(u, v, float(mesh[-1]), quad)  # another pair count
-        assert duhamel._scratch.held[0].shape[1] == 4
+        assert duhamel._scratch.held[0].shape[1] == 3
 
     def test_two_threads_give_the_bits_of_sequential_calls(self):
         u, mesh, quad = self.picard_size_flow()
