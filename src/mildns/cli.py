@@ -23,8 +23,9 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, DataError, MildNSError, NumericalError
-from .lab import CALIBRATE_KEYS, EXPERIMENTS, check_config, list_experiments, run
-from .picard import CorpusSpec, build_exponent_book, calibrate_thresholds
+from .lab import (CALIBRATE_KEYS, EXPERIMENTS, calibration_corpus, check_config, exponent_book,
+                  list_experiments, run)
+from .picard import calibrate_thresholds
 from .runtime import VERSION
 
 EXIT_OK = 0
@@ -73,12 +74,11 @@ def _cmd_list(_args) -> int:
 
 def _cmd_calibrate(args) -> int:
     config = check_config(CALIBRATE_KEYS, _load_config(args.config) if args.config else {})
-    book = build_exponent_book(config["d"], config["p"], config["s"], config["q_tilde"])
-    corpus = CorpusSpec(**{"d": book.d, **config["corpus"]})
+    book = exponent_book(config)
     path = config["path"]
     if args.out:
         path = str(Path(args.out) / Path(path).name)
-    calibrated = calibrate_thresholds(book, corpus, path=path)
+    calibrated = calibrate_thresholds(book, calibration_corpus(book, config["corpus"]), path=path)
     print(f"book          {calibrated.key}")
     print(f"c_hat         {calibrated.c_hat:.8g}")
     print(f"delta         {calibrated.delta:.8g}")

@@ -16,7 +16,10 @@ defaults, as each item of a list of sections does; one of the same kind,
 or of no kind, overlays the default. Only conditions between keys are
 left to the runners and to the objects they build, and each such refusal
 names the config keys that fed it through errors.require or, around a
-call that refuses, errors.naming.
+call that refuses, errors.naming. A runner, and `mildns calibrate`,
+builds its exponent book once, through exponent_book, which names d, p,
+s and q_tilde in a refusal, and a calibration corpus through
+calibration_corpus.
 Output files are only written after the experiment finished, each
 through a temporary file and os.replace, the CSV last. Identical config
 and seed give byte-identical CSV output: floats are serialized at 17
@@ -280,18 +283,31 @@ def _realized(datum_cfg: dict, lattice, *names: str) -> VectorField:
         return realize_datum(_datum_from_config(datum_cfg), lattice)
 
 
-def _calibrated_book(cfg: dict):
-    book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
-    path = cfg.get("calibration_path")
-    if path:
+def exponent_book(cfg: dict):
+    """The uncalibrated book of cfg's d, p, s and q_tilde, the one route
+    from a config to a book; a hypothesis it refuses names the four keys."""
+    with naming("d", "p", "s", "q_tilde"):
+        return build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
+
+
+def calibration_corpus(book, fields: dict) -> CorpusSpec:
+    """The calibration corpus of the CorpusSpec fields given; an unset
+    corpus d is the book's."""
+    return CorpusSpec(**{"d": book.d, **fields})
+
+
+def _calibrated_book(cfg: dict, book):
+    """book with the thresholds of cfg's calibration file, or else measured
+    on the corpus of cfg's corpus_seed."""
+    if cfg.get("calibration_path"):
         with naming("calibration_path"):
-            return load_calibration(book, path)
-    return calibrate_thresholds(book, CorpusSpec(seed=cfg["corpus_seed"], d=book.d))
+            return load_calibration(book, cfg["calibration_path"])
+    return calibrate_thresholds(book, calibration_corpus(book, {"seed": cfg["corpus_seed"]}))
 
 
 def _critical_book(cfg: dict, what: str):
     """The uncalibrated book of cfg, refused unless it is critical."""
-    book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
+    book = exponent_book(cfg)
     with naming("d", "p", "s"):
         book.require_critical(what)
     return book
@@ -307,17 +323,17 @@ def _check_window(cfg: dict, u0: VectorField) -> None:
     """Refuse a horizon outside the lattice validity window of u0, naming
     the keys that set the window; runners call it before any calibration."""
     with naming("horizon", "n", "box_len"):
-        _heat_window_grid(u0, cfg["horizon"])
+        _heat_window_grid(u0.lattice, cfg["horizon"])
 
 
-def _calibrated_datum(cfg: dict):
-    """The calibrated book of cfg and its scaled datum. The datum and its
-    window are checked before calibration, so a bad datum section or
-    horizon is refused first."""
+def _calibrated_datum(cfg: dict, book):
+    """book calibrated, and cfg's scaled datum. The datum and its window
+    are checked before calibration, so a bad datum section or horizon is
+    refused first."""
     lattice = _lattice(cfg)
     u0 = _realized(cfg["datum"], lattice, "datum")
     _check_window(cfg, u0)
-    book = _calibrated_book(cfg)
+    book = _calibrated_book(cfg, book)
     return book, _scaled_datum(cfg, u0, book)
 
 
@@ -368,14 +384,18 @@ def _solve(cfg: dict, book, u0: VectorField, mesh_nodes: int):
     return solution, float(errors.max())
 
 
-def _mesh_doubling(cfg: dict, analyse):
-    """Solve the datum at mesh_nodes and 2 * mesh_nodes, apply
-    analyse(solution) to each; return both reports, the relative change of
-    each sup, the shared summary and the calibration digest."""
-    book, u0 = _calibrated_datum(cfg)
+def _mesh_doubling(cfg: dict, book, analysis: str, key: str, analyse):
+    """Refuse an exponent of cfg[key] below the floor of the analysis for
+    book (check_exponent_floor), then solve the datum at mesh_nodes and
+    2 * mesh_nodes with book calibrated and apply analyse(solution,
+    cfg[key]) to each; return both reports, the relative change of each
+    sup, the shared summary and the calibration digest."""
+    with naming(key):
+        check_exponent_floor(book, analysis, cfg[key])
+    book, u0 = _calibrated_datum(cfg, book)
     solves = [_solve(cfg, book, u0, nodes) for nodes in (cfg["mesh_nodes"], 2 * cfg["mesh_nodes"])]
     (coarse_u, coarse_b_error), (fine_u, fine_b_error) = solves
-    coarse, fine = analyse(coarse_u), analyse(fine_u)
+    coarse, fine = analyse(coarse_u, cfg[key]), analyse(fine_u, cfg[key])
     changes = [
         abs(b - a) / max(a, b) if max(a, b) > 0 else 0.0
         for a, b in zip(coarse.sups, fine.sups)
@@ -407,9 +427,10 @@ def _run_kernel_decay(cfg):
     factor_t = float(cfg["selfsim_factor"])
     root = math.sqrt(factor_t)
     # the late time, held inside the dilated box's validity window: when t
-    # sits at the cap, (box_len * root)^2 / 100 can round one ulp below
-    # factor_t * t
-    t_late = min(cfg["t"] * factor_t, (cfg["box_len"] * root) ** 2 / 100.0)
+    # sits at the cap, that box's t_cap can round one ulp below factor_t * t
+    with naming("resolution", "box_len", "selfsim_factor"):
+        dilated = make_lattice(cfg["d"], cfg["resolution"], cfg["box_len"] * root)
+    t_late = min(cfg["t"] * factor_t, dilated.t_cap)
     columns = [
         "s",
         "radius",
@@ -590,7 +611,7 @@ def _run_bilinear(cfg):
     require(not cfg["doubling"] or TARGET_KATO in targets, ("doubling", "targets"),
             f"the mesh-doubling spread compares {TARGET_KATO!r} ratios, so targets must hold "
             f"{TARGET_KATO!r}, got {targets!r}")
-    book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
+    book = exponent_book(cfg)
     lat = _lattice(cfg)
     data = [_realized(_band_datum(seed, cfg["k_max"], cfg["k_min"]), lat, *_BAND_KEYS)
             for seed in range(cfg["seed"], cfg["seed"] + 2 * cfg["pairs"])]
@@ -649,7 +670,7 @@ def _run_smallness(cfg):
     lat = _lattice(cfg)
     data = [_realized(datum_cfg, lat, f"data[{idx}]") for idx, datum_cfg in enumerate(cfg["data"])]
     _check_window(cfg, data[0])
-    book = _calibrated_book(cfg)
+    book = _calibrated_book(cfg, exponent_book(cfg))
     columns = ["datum", "variant", "lhs", "threshold", "satisfied"]
     rows = []
     equiv_ratios = []
@@ -697,7 +718,7 @@ def _tg_closed_form_error(solution) -> float:
 
 
 def _run_solve(cfg):
-    book, u0 = _calibrated_datum(cfg)
+    book, u0 = _calibrated_datum(cfg, exponent_book(cfg))
     solution, b_error = _solve(cfg, book, u0, cfg["mesh_nodes"])
     columns = ["t", "kato_weighted_norm", "divergence_defect"]
     kato = kato_norm(solution.trajectory, book.q, book.q_tilde)
@@ -731,11 +752,8 @@ def _run_solve(cfg):
 
 
 def _run_ladder(cfg):
-    book = build_exponent_book(cfg["d"], cfg["p"], cfg["s"], cfg["q_tilde"])
-    with naming("r_values"):
-        check_exponent_floor(book, "ladder", cfg["r_values"])
     coarse, fine, changes, summary, digest = _mesh_doubling(
-        cfg, lambda solution: regularity_ladder(solution, cfg["r_values"])
+        cfg, exponent_book(cfg), "ladder", "r_values", regularity_ladder
     )
     columns = ["r", "weight", "sup_coarse", "sup_fine", "rel_change", "early_ok"]
     rows = [
@@ -748,11 +766,9 @@ def _run_ladder(cfg):
 
 
 def _run_fluctuation(cfg):
-    book = _critical_book(cfg, "fluctuation table")
-    with naming("p_tilde_values"):
-        check_exponent_floor(book, "fluctuation", cfg["p_tilde_values"])
     coarse, fine, changes, summary, digest = _mesh_doubling(
-        cfg, lambda solution: fluctuation_analysis(solution, cfg["p_tilde_values"])
+        cfg, _critical_book(cfg, "fluctuation table"), "fluctuation", "p_tilde_values",
+        fluctuation_analysis
     )
     columns = ["p_tilde", "smoothness", "sup_coarse", "sup_fine", "rel_change"]
     rows = [
@@ -918,7 +934,7 @@ _ANALYSIS_KEYS = {
 
 # `mildns calibrate --config`: the book, the calibration file and a corpus
 # section of the CorpusSpec fields, with their defaults (an unset corpus d
-# is the book's)
+# is the book's, through calibration_corpus)
 CALIBRATE_KEYS = {
     **BOOK_KEYS,
     "path": Key("calibration.json", PATH),

@@ -400,9 +400,10 @@ def _gaussian_datum(spec: DatumSpec, lattice: Lattice) -> np.ndarray:
     if spec.width is None or not (spec.width > 0):
         raise ConfigError("gaussian datum requires width > 0")
     r = lattice.periodic_distance()
-    profile = (4.0 * np.pi * spec.width) ** (-lattice.d / 2.0) * np.exp(
-        -(r**2) / (4.0 * spec.width)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # realize_datum refuses a non-finite one
+        profile = np.float64(4.0 * np.pi * spec.width) ** (-lattice.d / 2.0) * np.exp(
+            -(r**2) / (4.0 * spec.width)
+        )
     data = np.zeros((lattice.d,) + lattice.spatial_shape)
     data[0] = spec.amplitude * profile
     return data

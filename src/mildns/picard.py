@@ -61,8 +61,10 @@ def build_exponent_book(d: int, p: float, s: float, q_tilde: float) -> ExponentB
     downstream.
 
     Requirements: d in {2, 3}; p > d/2; d/p - 1 <= s < d/(2p);
-    q_tilde > q where 1/q = 1/p - s/d. Violations raise ConfigError
-    naming the violated inequality.
+    q_tilde > q where 1/q = 1/p - s/d, and alpha = d(1/q - 1/q_tilde) < 1
+    in floats. The last holds for every finite q_tilde, since d/q <= 1,
+    unless q_tilde is so large that alpha rounds to 1. Violations raise
+    ConfigError naming the violated inequality.
     """
     if d not in (2, 3):
         raise ConfigError(f"dimension must be 2 or 3, got {d}")
@@ -89,6 +91,9 @@ def build_exponent_book(d: int, p: float, s: float, q_tilde: float) -> ExponentB
             f"q = {q:g}"
         )
     alpha = d * (1.0 / q - 1.0 / q_tilde)
+    if not alpha < 1.0:
+        raise ConfigError(f"auxiliary exponent q_tilde = {q_tilde:g} is too large to tell "
+                          f"from inf: alpha = d(1/q - 1/q_tilde) rounds to {alpha:g}")
     young_h = 1.0 / (1.0 + 1.0 / q_tilde - 1.0 / q)
     inv_r = 1.0 + 1.0 / p - 2.0 / q_tilde
     young_r = 1.0 / inv_r if q_tilde <= 2.0 * p else None
@@ -238,8 +243,7 @@ class SmallnessReport:
     detail: dict
 
 
-def _heat_window_grid(u0: VectorField, horizon: float) -> np.ndarray:
-    lat = u0.lattice
+def _heat_window_grid(lat, horizon: float) -> np.ndarray:
     t_max = horizon * 2.0 ** (-0.25)
     lat.check_cap(horizon, "horizon")
     if t_max < lat.t_floor:
@@ -283,7 +287,7 @@ def smallness_lhs(
     if variant == SMALLNESS_BESOV:
         report = besov_norm_heat(u0, -book.alpha, book.q_tilde)
     else:
-        grid = _heat_window_grid(u0, horizon)
+        grid = _heat_window_grid(u0.lattice, horizon)
         report = heat_sup(u0, grid, book.alpha / 2.0, book.q_tilde)
     prefactor = 1.0 if variant == SMALLNESS_CRITICAL else horizon**book.horizon_exponent
     lhs = prefactor * report.value
@@ -341,7 +345,8 @@ def _corpus_datum(corpus: CorpusSpec, index: int, lattice) -> VectorField:
         k_max=corpus.k_max,
         divergence_free=True,
     )
-    return realize_datum(spec, lattice)
+    with naming("corpus.k_min", "corpus.k_max", "corpus.n", "corpus.box_len"):
+        return realize_datum(spec, lattice)
 
 
 def calibrate_thresholds(
@@ -360,20 +365,25 @@ def calibrate_thresholds(
     constant). The result is deterministic in the corpus seed, and the
     persisted JSON has no volatile fields, so recalibration reproduces
     the file byte for byte. A path in a missing directory creates it.
+    Each refusal of the corpus names the keys of `mildns calibrate` that
+    set it, before the first B: the pair count, the dimension, the
+    lattice, the validity window of the horizon and each datum's band.
     """
     if corpus is None:
         corpus = CorpusSpec(d=book.d)
-    if corpus.pairs < 20:
-        raise CalibrationError(
-            f"calibration corpus needs at least 20 pairs, got {corpus.pairs}"
-        )
-    if corpus.d != book.d:
-        raise CalibrationError(
-            f"corpus dimension {corpus.d} does not match book dimension {book.d}"
-        )
+    with naming("corpus.pairs"):
+        if corpus.pairs < 20:
+            raise CalibrationError(
+                f"calibration corpus needs at least 20 pairs, got {corpus.pairs}")
+    with naming("d", "corpus.d"):
+        if corpus.d != book.d:
+            raise CalibrationError(
+                f"corpus dimension {corpus.d} does not match book dimension {book.d}")
 
     with naming("corpus.n", "corpus.box_len"):
         lattice = make_lattice(corpus.d, corpus.n, corpus.box_len)
+    with naming("corpus.horizon", "corpus.n", "corpus.box_len"):
+        _heat_window_grid(lattice, corpus.horizon)
     mesh = quadratic_mesh(corpus.horizon, corpus.mesh_nodes)
     quad = estimate_quadrature(book, corpus.quad_nodes)
 

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mildns import cli, lab
+from mildns import cli, lab, picard
 from mildns.cli import main
 from mildns.runtime import fmt_float
 
@@ -268,6 +268,12 @@ class TestExitCodes:
             ("besov-equiv", ["amplitude=1e10", "rescale=1e300"], 2,
              "config error: config keys 'amplitude' and 'rescale': single_mode datum produced "
              "non-finite samples"),
+            ("kernel-decay", ["box_len=1e300"], 2,
+             "config error: config keys 'resolution', 'box_len' and 'selfsim_factor': box "
+             "length 2e+300 is too large for n=512: the cell volume or the validity window "
+             "overflows"),
+            ("heat-decay", ["width=5e-324"], 2,
+             "config error: config key 'width': gaussian datum produced non-finite samples"),
         ],
         ids=["scaling-lam", "scaling-lam-heat-sup", "beta-integral-t-large",
              "beta-integral-t-small", "kernel-decay-s",
@@ -275,7 +281,7 @@ class TestExitCodes:
              "solve-box", "besov-equiv-smoothness", "besov-equiv-amplitude",
              "powerlaw-amplitude", "kernel-decay-t", "heat-decay-width", "solve-nan-summary",
              "heat-decay-q_tilde", "besov-equiv-rescale-underflow",
-             "besov-equiv-rescale-overflow"],
+             "besov-equiv-rescale-overflow", "kernel-decay-box", "heat-decay-width-tiny"],
     )
     def test_overflowing_value_is_refused_cleanly(self, experiment, settings, code, message,
                                                   tmp_path, capsys):
@@ -488,24 +494,42 @@ class TestExitCodes:
             "config error: config key 'corpus.n' must be an integer in [4, inf) and a power of two")
 
     @pytest.mark.parametrize(
-        "box_len, message",
-        [(1e200, "box length 1e+200 is too large for n=32: the cell volume or the validity "
-                 "window overflows"),
-         (1e-300, "box length 1e-300 is too small for n=32: |k|^2 overflows")],
-        ids=["large", "small"],
+        "corpus, keys, message",
+        [({"box_len": 1e200}, "keys 'corpus.n' and 'corpus.box_len'",
+          "box length 1e+200 is too large for n=32: the cell volume or the validity window "
+          "overflows"),
+         ({"box_len": 1e-300}, "keys 'corpus.n' and 'corpus.box_len'",
+          "box length 1e-300 is too small for n=32: |k|^2 overflows"),
+         ({"pairs": 5}, "key 'corpus.pairs'",
+          "calibration corpus needs at least 20 pairs, got 5"),
+         ({"d": 3}, "keys 'd' and 'corpus.d'",
+          "corpus dimension 3 does not match book dimension 2"),
+         ({"k_min": 20, "k_max": 30},
+          "keys 'corpus.k_min', 'corpus.k_max', 'corpus.n' and 'corpus.box_len'",
+          "random_band [20, 30] contains no resolved modes"),
+         ({"horizon": 100}, "keys 'corpus.horizon', 'corpus.n' and 'corpus.box_len'",
+          "horizon 100 exceeds the lattice validity window"),
+         ({"horizon": 1e-6}, "keys 'corpus.horizon', 'corpus.n' and 'corpus.box_len'",
+          "horizon 1e-06 leaves no dyadic sample above the resolution floor")],
+        ids=["large", "small", "pairs", "d", "band", "horizon-large", "horizon-small"],
     )
-    def test_calibrate_names_the_corpus_box(self, box_len, message, tmp_path, capsys):
-        """A corpus box that the lattice refuses is refused under the corpus
-        keys, with no traceback, and nothing is written."""
+    def test_calibrate_names_the_corpus_box(self, corpus, keys, message, tmp_path,
+                                            monkeypatch, capsys):
+        """A corpus section that the calibration refuses is refused under
+        the corpus keys that set it, before the first B, with no traceback,
+        and nothing is written."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("B was measured before the corpus was checked")
+
+        monkeypatch.setattr(picard, "bilinear_estimate_report", refuse)
         path = tmp_path / "cal.json"
-        path.write_text(json.dumps({"corpus": {"box_len": box_len}}))
+        path.write_text(json.dumps({"corpus": corpus}))
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["calibrate", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(
-            f"config error: config keys 'corpus.n' and 'corpus.box_len': {message}")
+        assert err.startswith(f"config error: config {keys}: {message}")
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -543,6 +567,38 @@ class TestExitCodes:
             args += ["--set", setting]
         assert main(args) == 2
         assert capsys.readouterr().err.startswith(f"config error: config key {key}")
+
+    @pytest.mark.parametrize("setting", [{"d": 3}, {"p": 1.2}, {"s": 0.6}, {"q_tilde": 1.5},
+                                         {"q_tilde": 1e17}],
+                             ids=["d", "p", "s", "q_tilde-below-q", "q_tilde-as-inf"])
+    @pytest.mark.parametrize("command", ["solve", "bilinear", "ladder", "fluctuation",
+                                         "smallness", "scaling", "calibrate"])
+    def test_book_hypothesis_is_refused_naming_the_book_keys(self, command, setting, tmp_path,
+                                                             monkeypatch, capsys):
+        """A book off the paper's hypotheses, or one whose q_tilde floats
+        cannot tell from inf (alpha rounds to 1), exits 2 naming d, p, s
+        and q_tilde, before any calibration, with no warning, and writes
+        nothing."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibration started before the book was checked")
+
+        monkeypatch.setattr(lab, "calibrate_thresholds", refuse)
+        monkeypatch.setattr(cli, "calibrate_thresholds", refuse)
+        out = tmp_path / "out"
+        if command == "calibrate":
+            path = tmp_path / "cal.json"
+            path.write_text(json.dumps(setting))
+            argv = ["calibrate", "--config", str(path)]
+        else:
+            (key, value), = setting.items()
+            argv = [command, "--set", f"{key}={value!r}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config keys 'd', 'p', 's' and 'q_tilde': ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_fluctuation_refuses_a_subcritical_book_before_calibration(self, monkeypatch,
                                                                       capsys):

@@ -312,6 +312,16 @@ class TestOneRefusalRoute:
                 stray.append(f"line {node.lineno} in {enclosing.name}")
         assert stray == []
 
+    def test_one_book_and_one_corpus_route(self):
+        """lab.py and cli.py build the exponent book in one call and the
+        calibration corpus in one call between them."""
+        calls = [getattr(node.func, "id", getattr(node.func, "attr", ""))
+                 for module in (lab, cli)
+                 for node in ast.walk(ast.parse(open(module.__file__, encoding="utf-8").read()))
+                 if isinstance(node, ast.Call)]
+        assert calls.count("build_exponent_book") == 1
+        assert calls.count("CorpusSpec") == 1
+
     def test_no_message_spells_config_keys(self):
         tree = self.tree()
         docstrings = {
@@ -436,18 +446,21 @@ class TestKnownSummaries:
     @pytest.mark.parametrize("exp_id", ["ladder", "fluctuation"])
     def test_mesh_doubling_realizes_and_scales_the_datum_once(self, exp_id, calibration_file,
                                                               monkeypatch):
-        """Both meshes solve one datum: it is realized once, then once more
-        at the amplitude its one smallness lhs sets."""
+        """Both meshes solve one datum and one book: the book is built once,
+        the datum realized once, then once more at the amplitude its one
+        smallness lhs sets."""
         calls = []
 
         def counted(name):
             original = getattr(lab, name)
             monkeypatch.setattr(lab, name, lambda *a, **k: calls.append(name) or original(*a, **k))
 
+        counted("build_exponent_book")
         counted("realize_datum")
         counted("smallness_lhs")
         run(smoke_config(exp_id, calibration_file))
-        assert sorted(calls) == ["realize_datum", "realize_datum", "smallness_lhs"]
+        assert sorted(calls) == ["build_exponent_book", "realize_datum", "realize_datum",
+                                 "smallness_lhs"]
 
     def test_heat_decay_grid_stays_below_t_max(self):
         """The dyadic grid is anchored at t_max, so no row lies past it or

@@ -462,7 +462,7 @@ class TestBandLimitedFlows:
         u0 = (_corpus_datum(CorpusSpec(), 0, lat) if corpus
               else divfree_datum(lat, seed=3, k_max=4.0))
         calls = self.inverse_sizes(monkeypatch)
-        for grid in (_heat_window_grid(u0, 0.25), besov_grid(lat)):
+        for grid in (_heat_window_grid(lat, 0.25), besov_grid(lat)):
             for q in (2.0, 4.0, 6.0):
                 expected = self.full_grid_values(u0, grid, q)
                 assert np.array_equal(heat_sup(u0, grid, 0.25, q).values, expected)

@@ -207,7 +207,7 @@ class TestSharedSupPrimitives:
         book = build_exponent_book(2, 2.0, 0.0, 4.0)
         u0 = divfree_datum(lat, seed=8)
         if grid_name == "window":
-            grid = _heat_window_grid(u0, 1.0)
+            grid = _heat_window_grid(lat, 1.0)
             variant, key = SMALLNESS_KATO, "sup_value"
         else:
             grid = besov_grid(lat)
