@@ -200,7 +200,8 @@ def beta_integral(gamma: float, theta: float, t: float, method: str = "closed-fo
     if method not in ("closed-form", "quadrature"):
         raise ConfigError(f"unknown beta_integral method {method!r}")
     try:
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        # roots_jacobi divides by zero at an exponent 2^-53 below 1, harmlessly
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             if method == "closed-form":
                 constant = (gamma_fn(1.0 - gamma) * gamma_fn(1.0 - theta)
                             / gamma_fn(2.0 - gamma - theta))
@@ -399,18 +400,33 @@ TARGET_KATO = "kato"
 TARGET_SOBOLEV = "sobolev"
 
 
-def _check_target(target: str):
+def _check_target(book: ExponentBook, target: str):
+    """Refuse, as ConfigError, an unknown target or a book outside the
+    target's estimate: 'kato' requires q_tilde > q >= d, 'sobolev'
+    q < q_tilde <= 2p."""
     if target not in (TARGET_KATO, TARGET_SOBOLEV):
         raise ConfigError(f"unknown estimate target {target!r}; valid targets: "
                           f"{TARGET_KATO!r}, {TARGET_SOBOLEV!r}")
+    d, q = book.d, book.q
+    if target == TARGET_KATO and not (book.q_tilde > q and q >= d):
+        raise ConfigError(
+            "kato-target estimate requires q_tilde > q >= d, got "
+            f"q_tilde={book.q_tilde}, q={q}, d={d}"
+        )
+    if target == TARGET_SOBOLEV and not (q < book.q_tilde <= 2 * book.p):
+        raise ConfigError(
+            "sobolev-target estimate requires q < q_tilde <= 2p, got "
+            f"q={q}, q_tilde={book.q_tilde}, p={book.p}"
+        )
 
 
 def estimate_quadrature(book: ExponentBook, node_count: int,
                         target: str = TARGET_KATO) -> QuadratureSpec:
     """The Volterra rule of one estimate target on node_count nodes: the
     target's kernel exponent (book.gamma_kato or book.gamma_sobolev) and
-    the Kato weight alpha of the trajectory factors."""
-    _check_target(target)
+    the Kato weight alpha of the trajectory factors. A target whose
+    estimate the book does not satisfy is refused (_check_target)."""
+    _check_target(book, target)
     gamma = book.gamma_kato if target == TARGET_KATO else book.gamma_sobolev
     return QuadratureSpec(node_count, gamma, book.alpha)
 
@@ -437,37 +453,31 @@ def bilinear_estimate_report(u_traj: Trajectory, v_traj: Trajectory, book: Expon
 
     B is evaluated with quad as given; estimate_quadrature(book, nodes,
     target) is the target's own rule. The ratio divides the output norm
-    by T^horizon_exponent times the product of input Kato norms. B's
-    error comes from the interpolation in time between mesh nodes, not
-    from the rule, so doubled quadrature nodes do not see it:
+    by T^horizon_exponent times the product of input Kato norms. A ratio
+    that is not a positive finite float measures no constant (an input or
+    a B that is zero or underflowed, a norm that overflowed) and raises
+    DataError. B's error comes from the interpolation in time between mesh
+    nodes, not from the rule, so doubled quadrature nodes do not see it:
     bilinear_error_estimate measures it, and refine=True is refused.
     """
     if refine:
         raise ConfigError("refine=True is not supported: doubled quadrature nodes do not see "
                           "B's error; bilinear_error_estimate measures it")
     u_traj.check_same_mesh(v_traj)
-    _check_target(target)
-    d, q = book.d, book.q
-    if target == TARGET_KATO and not (book.q_tilde > q and q >= d):
-        raise ConfigError(
-            "kato-target estimate requires q_tilde > q >= d, got "
-            f"q_tilde={book.q_tilde}, q={q}, d={d}"
-        )
-    if target == TARGET_SOBOLEV and not (q < book.q_tilde <= 2 * book.p):
-        raise ConfigError(
-            "sobolev-target estimate requires q < q_tilde <= 2p, got "
-            f"q={q}, q_tilde={book.q_tilde}, p={book.p}"
-        )
-
+    _check_target(book, target)
+    q = book.q
     norm_u = kato_norm(u_traj, q, book.q_tilde).value
     norm_v = kato_norm(v_traj, q, book.q_tilde).value
-    if norm_u == 0.0 or norm_v == 0.0:
-        raise DataError("bilinear estimate needs nonzero input trajectories")
     b_traj = bilinear_trajectory(u_traj, v_traj, quad)
     out = (kato_norm(b_traj, q, book.q_tilde) if target == TARGET_KATO
-           else n_norm(b_traj, book.s, book.p))
-    return BilinearEstimateReport(out.value / (u_traj.horizon**book.horizon_exponent
-                                               * norm_u * norm_v))
+           else n_norm(b_traj, book.s, book.p)).value
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = float(np.divide(out, u_traj.horizon**book.horizon_exponent * norm_u * norm_v))
+    if not 0.0 < ratio < math.inf:
+        raise DataError(f"the bilinear estimate ratio {ratio:g} is not a positive finite "
+                        f"number: ||B(u, v)|| = {out:g}, input Kato norms {norm_u:g} and "
+                        f"{norm_v:g}")
+    return BilinearEstimateReport(ratio)
 
 
 def bilinear_error_estimate(u_traj: Trajectory, v_traj: Trajectory,

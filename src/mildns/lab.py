@@ -51,7 +51,6 @@ from .lattice import TWO_PI, DatumSpec, VectorField, make_lattice, realize_datum
 from .multipliers import kernel_profile
 from .norms import (
     Trajectory,
-    besov_grid,
     besov_norm_heat,
     decay_exponent_fit,
     dyadic_grid,
@@ -63,13 +62,13 @@ from .norms import (
     sobolev_embedding_check,
     vanishing_at_zero,
     weighted_lebesgue,
+    window_grid,
 )
 from .picard import (
     SMALLNESS_BESOV,
     SMALLNESS_CRITICAL,
     SMALLNESS_KATO,
     CorpusSpec,
-    _heat_window_grid,
     abstract_fixed_point,
     build_exponent_book,
     calibrate_thresholds,
@@ -323,7 +322,7 @@ def _check_window(cfg: dict, u0: VectorField) -> None:
     """Refuse a horizon outside the lattice validity window of u0, naming
     the keys that set the window; runners call it before any calibration."""
     with naming("horizon", "n", "box_len"):
-        _heat_window_grid(u0.lattice, cfg["horizon"])
+        window_grid(u0.lattice, cfg["horizon"])
 
 
 def _calibrated_datum(cfg: dict, book):
@@ -388,14 +387,16 @@ def _mesh_doubling(cfg: dict, book, analysis: str, key: str, analyse):
     """Refuse an exponent of cfg[key] below the floor of the analysis for
     book (check_exponent_floor), then solve the datum at mesh_nodes and
     2 * mesh_nodes with book calibrated and apply analyse(solution,
-    cfg[key]) to each; return both reports, the relative change of each
-    sup, the shared summary and the calibration digest."""
+    cfg[key]) to each, a refusal of which names key; return both reports,
+    the relative change of each sup, the shared summary and the
+    calibration digest."""
     with naming(key):
         check_exponent_floor(book, analysis, cfg[key])
     book, u0 = _calibrated_datum(cfg, book)
     solves = [_solve(cfg, book, u0, nodes) for nodes in (cfg["mesh_nodes"], 2 * cfg["mesh_nodes"])]
     (coarse_u, coarse_b_error), (fine_u, fine_b_error) = solves
-    coarse, fine = analyse(coarse_u, cfg[key]), analyse(fine_u, cfg[key])
+    with naming(key):
+        coarse, fine = analyse(coarse_u, cfg[key]), analyse(fine_u, cfg[key])
     changes = [
         abs(b - a) / max(a, b) if max(a, b) > 0 else 0.0
         for a, b in zip(coarse.sups, fine.sups)
@@ -414,6 +415,14 @@ def _mesh_doubling(cfg: dict, book, analysis: str, key: str, analyse):
 # ---------------------------------------------------------------------------
 # Experiment runners (each returns columns, rows, summary, calibration digest)
 
+# The kernel of exp(t Lap) P div at time t is t^(-(d+1)/2) K(x / sqrt(t)):
+# its algebraic tail shows only past a core of a few sqrt(t), where the heat
+# factor exp(-|x|^2 / (4t)) is e^-1 at 2 sqrt(t). So kernel-decay refuses a
+# tail window that starts below _CORE_WIDTHS sqrt(t). Radii reach box_len/4,
+# which is 2.5 sqrt(t) for t on the cap box_len^2/100, so the constant stays
+# below 2.5, and the default window (t = 1, tail_lo = 4) passes.
+_CORE_WIDTHS = 2.0
+
 
 def _run_kernel_decay(cfg):
     count = cfg["radius_count"]
@@ -421,15 +430,23 @@ def _run_kernel_decay(cfg):
             f"need radius_min < radius_max, got {cfg['radius_min']!r} and {cfg['radius_max']!r}")
     radii = np.geomspace(cfg["radius_min"], cfg["radius_max"], count)
     in_tail = int(np.count_nonzero((radii >= cfg["tail_lo"]) & (radii <= cfg["tail_hi"])))
-    require(in_tail >= 2, ("radius_count", "tail_lo", "tail_hi"),
+    require(in_tail >= 2, ("radius_min", "radius_max", "radius_count", "tail_lo", "tail_hi"),
             f"radius_count={count} puts {in_tail} radii inside "
             f"[{cfg['tail_lo']}, {cfg['tail_hi']}]; the tail slope needs at least two")
     factor_t = float(cfg["selfsim_factor"])
     root = math.sqrt(factor_t)
-    # the late time, held inside the dilated box's validity window: when t
-    # sits at the cap, that box's t_cap can round one ulp below factor_t * t
+    # the late profile runs at time factor_t * t on the sqrt(factor_t)-dilated
+    # box, held inside that box's validity window: when t sits at the cap,
+    # its t_cap can round one ulp below factor_t * t
     with naming("resolution", "box_len", "selfsim_factor"):
         dilated = make_lattice(cfg["d"], cfg["resolution"], cfg["box_len"] * root)
+    with naming("resolution", "box_len", "t", "radius_max"):
+        lat = make_lattice(cfg["d"], cfg["resolution"], cfg["box_len"])
+        lat.check_cap(cfg["t"], "t")
+    core = _CORE_WIDTHS * math.sqrt(cfg["t"])
+    require(cfg["tail_lo"] >= core, ("tail_lo", "t"),
+            f"the tail window starts at {cfg['tail_lo']!r}, inside the kernel's core "
+            f"|x| < {_CORE_WIDTHS:g} sqrt(t) = {core:g}")
     t_late = min(cfg["t"] * factor_t, dilated.t_cap)
     columns = [
         "s",
@@ -442,20 +459,13 @@ def _run_kernel_decay(cfg):
     ]
     rows, summary = [], {}
     for s in cfg["s_values"]:
-        # the kernel, and the same kernel at time factor_t * t on the
-        # sqrt(factor_t)-dilated box: exact discrete self-similarity up to rounding
+        # the kernel, and the same kernel late on the dilated box: exact
+        # discrete self-similarity up to rounding
         with naming("resolution", "box_len", "t", "radius_max"):
             prof, prof_late = (
-                kernel_profile(
-                    s,
-                    cfg["d"],
-                    radii * dilation,
-                    resolution=cfg["resolution"],
-                    box_len=cfg["box_len"] * dilation,
-                    t=t,
-                    tail_window=(cfg["tail_lo"] * dilation, cfg["tail_hi"] * dilation),
-                )
-                for dilation, t in ((1.0, cfg["t"]), (root, t_late))
+                kernel_profile(s, box, radii * dilation,
+                               (cfg["tail_lo"] * dilation, cfg["tail_hi"] * dilation), t=t)
+                for box, dilation, t in ((lat, 1.0, cfg["t"]), (dilated, root, t_late))
             )
         decay = -(cfg["d"] + 1 + s)
         predicted = factor_t ** (decay / 2.0) * prof.values
@@ -484,7 +494,7 @@ def _run_beta_integral(cfg):
     worst = 0.0
     for g in gammas:
         for th in thetas:
-            with naming("t"):
+            with naming("t", "gamma_min", "gamma_max", "theta_min", "theta_max"):
                 closed = beta_integral(float(g), float(th), t)
                 quad = beta_integral(
                     float(g), float(th), t, method="quadrature", node_count=cfg["node_count"]
@@ -543,7 +553,8 @@ def _run_besov_equiv(cfg):
     norm = lebesgue_norm(u0, q)
     require(norm >= np.finfo(float).tiny, ("amplitude", "q"),
             f"the L^{q:g} norm of the datum is {norm:g}, below the normal floats")
-    report = besov_norm_heat(u0, s_b, q)
+    with naming("n"):
+        report = besov_norm_heat(u0, s_b, q)
     mode_sq = float(
         sum((TWO_PI / lat.box_len * m) ** 2 for m in cfg["mode"])
     )
@@ -564,7 +575,7 @@ def _run_besov_equiv(cfg):
             f"the heat-Besov norm of the rescaled datum is {report_scaled.value:g}, below the "
             "normal floats")
 
-    grid = besov_grid(lat)
+    grid = window_grid(lat)
     columns = ["t", "weighted_value"]
     rows = [[float(t), float(v)] for t, v in zip(grid, report.values)]
     summary = {
@@ -612,6 +623,9 @@ def _run_bilinear(cfg):
             f"the mesh-doubling spread compares {TARGET_KATO!r} ratios, so targets must hold "
             f"{TARGET_KATO!r}, got {targets!r}")
     book = exponent_book(cfg)
+    with naming("d", "p", "s", "q_tilde", "targets"):
+        quads = {target: estimate_quadrature(book, cfg["quad_nodes"], target)
+                 for target in targets}
     lat = _lattice(cfg)
     data = [_realized(_band_datum(seed, cfg["k_max"], cfg["k_min"]), lat, *_BAND_KEYS)
             for seed in range(cfg["seed"], cfg["seed"] + 2 * cfg["pairs"])]
@@ -625,35 +639,36 @@ def _run_bilinear(cfg):
         runs.append((horizons[-1], 2 * mesh_nodes, [TARGET_KATO]))
     columns = ["pair", "target", "horizon", "mesh_nodes", "ratio"]
     rows = []
+    ratio = {}  # (pair, target, horizon, mesh nodes) -> the ratio, positive and finite
     for i, (u0, v0) in enumerate(pair_data):
         for horizon, nodes, run_targets in runs:
-            # one heat-flow pair per horizon and mesh, read by every target
-            mesh = quadratic_mesh(horizon, nodes)
-            u_traj, v_traj = heat_trajectory(u0, mesh), heat_trajectory(v0, mesh)
-            for target in run_targets:
-                quad = estimate_quadrature(book, cfg["quad_nodes"], target)
-                report = bilinear_estimate_report(u_traj, v_traj, book, target, quad=quad)
-                rows.append([i, target, horizon, nodes, report.ratio])
+            # one heat-flow pair per horizon and mesh, read by every target; a
+            # horizon whose mesh or ratio measures nothing is refused
+            with naming("horizons"):
+                mesh = quadratic_mesh(horizon, nodes)
+                u_traj, v_traj = heat_trajectory(u0, mesh), heat_trajectory(v0, mesh)
+                for target in run_targets:
+                    report = bilinear_estimate_report(u_traj, v_traj, book, target,
+                                                      quad=quads[target])
+                    rows.append([i, target, horizon, nodes, report.ratio])
+                    ratio[i, target, horizon, nodes] = report.ratio
 
-    def ratios(target, horizon, nodes=mesh_nodes) -> list:
-        """Each pair's ratio for target at horizon on nodes, in pair order (a
-        repeated horizon or target repeats a pair's row, with the same ratio)."""
-        return list({r[0]: r[4] for r in rows if r[1:4] == [target, horizon, nodes]}.values())
-
-    def spread(a: list, b: list) -> float:
-        """The largest quotient of the two ratios of a pair, and at least 1."""
-        return max([1.0] + [max(x, y) / min(x, y) if min(x, y) > 0 else float("inf")
-                            for x, y in zip(a, b)])
+    def spread(a: tuple, b: tuple) -> float:
+        """The largest quotient of a pair's ratios at the runs a and b, each
+        (target, horizon, mesh nodes), and at least 1."""
+        pairs = [(ratio[(i,) + a], ratio[(i,) + b]) for i in range(len(pair_data))]
+        return max([1.0] + [max(x, y) / min(x, y) for x, y in pairs])
 
     summary = {}
     for target in targets:
-        summary[f"max_ratio_{target}"] = float(max(max(ratios(target, h)) for h in horizons))
+        summary[f"max_ratio_{target}"] = max(ratio[i, target, h, mesh_nodes]
+                                             for i in range(len(pair_data)) for h in horizons)
         if len(horizons) >= 2:
             summary[f"horizon_spread_{target}"] = spread(
-                ratios(target, horizons[0]), ratios(target, horizons[-1]))
+                (target, horizons[0], mesh_nodes), (target, horizons[-1], mesh_nodes))
     if cfg["doubling"]:
         summary["mesh_doubling_spread"] = spread(
-            ratios(TARGET_KATO, horizons[-1]), ratios(TARGET_KATO, horizons[-1], 2 * mesh_nodes))
+            (TARGET_KATO, horizons[-1], mesh_nodes), (TARGET_KATO, horizons[-1], 2 * mesh_nodes))
 
     # weighted norm of B must vanish at t -> 0 (checked on the first pair
     # with a fine mesh so enough nodes sit below horizon/100)
@@ -743,7 +758,10 @@ def _run_solve(cfg):
         "smallness_threshold": solution.smallness.threshold,
         "smallness_satisfied": solution.smallness.satisfied,
     }
-    if cfg["datum"]["kind"] == "taylor_green":
+    # the Taylor-Green flow solves Navier-Stokes only at d = 2, where its B
+    # vanishes; at d = 3 its u.grad u is not a gradient, and the key would
+    # measure B, not the solver's error
+    if cfg["datum"]["kind"] == "taylor_green" and cfg["d"] == 2:
         summary["closed_form_max_rel_err"] = _tg_closed_form_error(solution)
     summary["b_error_estimate"] = b_error
     if cfg["save_fields"] and cfg.get("out_dir"):
@@ -833,7 +851,8 @@ def _run_powerlaw(cfg):
         keys = ("decay", "amplitude", f"r_inner_levels[{i}]", "r_outer", "box_len")
         u0 = _realized(datum, lat, *keys)
         lp = lebesgue_norm(u0, p)
-        rep = besov_norm_heat(u0, s_b, qt)
+        with naming("n"):
+            rep = besov_norm_heat(u0, s_b, qt)
         require(min(lp, rep.value) >= np.finfo(float).tiny, keys,
                 f"the L^{p:g} norm {lp:g} or the heat-Besov norm {rep.value:g} of the datum "
                 "is below the normal floats")

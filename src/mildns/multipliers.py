@@ -16,7 +16,9 @@ to real fields and the discrete Leray projection is exactly idempotent and
 divergence free under the same discrete divergence. _divergence_spectral
 and _leray_inplace are the one P div kernel: leray_project, the Duhamel
 term (through a symbol it builds from them once per lattice) and
-kernel_profile all use them. _divergence, which the kernel
+kernel_profile all use them. kernel_profile builds no lattice: it
+profiles on the one its caller passes, so a caller that profiles several
+orders s on one box builds that box once. _divergence, which the kernel
 applies row by row, is also the one divergence that divergence_defect
 measures.
 """
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError, WindowError
-from .lattice import Field, Lattice, TWO_PI, VectorField, make_lattice, to_physical, to_spectral
+from .lattice import Field, Lattice, TWO_PI, VectorField, to_physical, to_spectral
 
 
 def _apply_multiplier(field: Field, multiplier: np.ndarray) -> Field:
@@ -140,22 +142,15 @@ class KernelProfile:
     tail_residual: float
 
 
-def kernel_profile(
-    s: float,
-    d: int,
-    radii,
-    resolution: int,
-    box_len: float,
-    tail_window: tuple,
-    t: float = 1.0,
-) -> KernelProfile:
+def kernel_profile(s: float, lattice: Lattice, radii, tail_window: tuple,
+                   t: float = 1.0) -> KernelProfile:
     """Profile the kernel of |k|^s exp(-t |k|^2) P (i k .) along a coordinate ray.
 
-    The kernel is recovered by an inverse transform of the exact symbol on a
-    fine lattice; sampling is restricted to radii <= box_len / 4 so that
-    periodization images stay subdominant, t to the lattice validity window
-    (Lattice.check_cap, t <= box_len^2 / 100), and the lattice must resolve
-    the heat factor (2 pi n / box_len * sqrt(t) >= 16).
+    The kernel is recovered by an inverse transform of the exact symbol on
+    the given (fine) lattice; sampling is restricted to radii <= box_len / 4
+    so that periodization images stay subdominant, t to the lattice validity
+    window (Lattice.check_cap, t <= box_len^2 / 100), and the lattice must
+    resolve the heat factor (2 pi n / box_len * sqrt(t) >= 16).
 
     The same profile at a different time is the t = 1 profile rescaled:
     computing at time t on a box scaled by sqrt(t) reproduces the scaling
@@ -168,6 +163,7 @@ def kernel_profile(
         raise ConfigError(f"kernel profile requires s > -1, got {s}")
     if not (t > 0):
         raise ConfigError(f"kernel profile requires t > 0, got {t}")
+    d, box_len = lattice.d, lattice.box_len
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if radii.size == 0 or np.any(radii <= 0):
         raise ConfigError("radii must be positive")
@@ -176,32 +172,31 @@ def kernel_profile(
             f"max radius {np.max(radii):.4g} exceeds box_len/4 = {box_len / 4:.4g}; "
             "periodization would contaminate the tail"
         )
-    if TWO_PI * resolution / box_len * np.sqrt(t) < 16.0:
+    if TWO_PI * lattice.n / box_len * np.sqrt(t) < 16.0:
         raise ConfigError(
             "lattice too coarse for the heat factor: need "
-            f"2*pi*n/box_len*sqrt(t) >= 16, got {TWO_PI * resolution / box_len * np.sqrt(t):.3g}"
+            f"2*pi*n/box_len*sqrt(t) >= 16, got {TWO_PI * lattice.n / box_len * np.sqrt(t):.3g}"
         )
-    lat = make_lattice(d, resolution, box_len)
-    lat.check_cap(t, "t")
+    lattice.check_cap(t, "t")
 
     with np.errstate(over="ignore", invalid="ignore"):  # refused below when not finite
-        mult = _fractional_multiplier(lat, s) * lat.heat(t)
+        mult = _fractional_multiplier(lattice, s) * lattice.heat(t)
     if not np.all(np.isfinite(mult)):
         raise NumericalError(f"kernel profile at s = {s:g}: the symbol |k|^s exp(-t |k|^2) "
                              "is not finite")
-    half = lat.n // 2
+    half = lattice.n // 2
     ray = (slice(None), slice(0, half)) + (0,) * (d - 1)
     ray_max = np.zeros(half)
-    unit = np.zeros((d, d) + lat.half_shape)
+    unit = np.zeros((d, d) + lattice.half_shape)
     for ell in range(d):
         for j in range(d):
             # column (ell, j): the d kernel components P_{i ell} i k_j
             unit[ell, j] = 1.0
-            symbol = _project_div_spectral(unit, lat) * mult
+            symbol = _project_div_spectral(unit, lattice) * mult
             unit[ell, j] = 0.0
-            column = lat.inverse(symbol) / box_len**d
+            column = lattice.inverse(symbol) / box_len**d
             ray_max = np.maximum(ray_max, np.abs(column[ray]).max(axis=0))
-    ray_r = lat.spacing * np.arange(half)
+    ray_r = lattice.spacing * np.arange(half)
     values = np.interp(radii, ray_r, ray_max)
     if not values.any():
         raise ConfigError(f"kernel profile at t = {t:g} is 0 at every radius: exp(-t |k|^2) "

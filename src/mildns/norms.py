@@ -10,8 +10,13 @@ Time-dependent objects live on a Trajectory: one float64 array of the
 physical samples at strictly increasing positive times, node first, so
 interpolation and trajectory differences are array operations that build
 no field per node. Sup-in-time norms are evaluated on the trajectory mesh;
-heat-characterized norms use a dyadic time grid with four points per
-octave, capped by the validity window t <= Lattice.t_cap = box_len^2 / 100.
+heat-characterized norms use window_grid, the one dyadic time grid with
+four points per octave inside the lattice validity window [Lattice.t_floor,
+Lattice.t_cap] = [spacing^2, box_len^2 / 100]: up to the cap for the Besov
+characterization, and up to 2^(-1/4) times a horizon for the Kato-window
+smallness form. A window that holds no grid point (every n <= 8 for the
+Besov grid) is refused as WindowError. The window_ok flag of a report
+allows the one relative slack 1e-9 (_in_window).
 
 Every sup-in-time quantity -- the Kato and Sobolev sup norms, the heat
 characterization of the Besov norm, the smallness forms, the
@@ -20,10 +25,13 @@ solve and the per-node table rows -- is t^w * norm(f(t)) maximized over
 nodes. One row reduction, _lebesgue_rows, computes every Lebesgue norm:
 lebesgue_norm on a field, heat_sup on the rows that heat_flows yields
 (exp(t Lap) u0, transformed once) and weighted_lebesgue on the rows of
-each trajectory node. weighted_lebesgue applies |k|^s to one node at a
-time first when s != 0, so the Kato norm, the Sobolev sup norm, the
-vanishing check and the ladder read Trajectory.data and build no field.
-At r = 4 it squares twice instead of calling pow.
+each trajectory node. _sobolev_nodes applies |k|^s to one node at a time
+first when s != 0; with the row reduction it is the one homogeneous
+Sobolev node norm, so sobolev_norm on a field and weighted_lebesgue on
+the nodes of a trajectory (the Kato norm, the Sobolev sup norm, the
+vanishing check and the ladder) read it and build no field. At r = 4 it squares twice instead
+of calling pow. A norm call enters np.errstate once: a power sum that
+overflows gives inf, with no warning, which the callers refuse.
 
 Live components: a component row that is identically zero stays zero under
 the heat flow and adds exactly 0.0 to the l2 aggregate of a norm. So
@@ -68,12 +76,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, MeshError, NumericalError
+from .errors import ConfigError, DataError, MeshError, NumericalError, WindowError
 # to_physical is not called here, but it stays bound: the benchmark's span
 # tracer (bench/spans.py) patches it in every module that imports it, and
 # bench/tests/test_spans.py checks this module's binding.
 from .lattice import Field, Lattice, VectorField, to_physical  # noqa: F401
-from .multipliers import _fractional_multiplier, _loglog_fit, fractional_laplacian
+from .multipliers import _fractional_multiplier, _loglog_fit
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +410,33 @@ def dyadic_grid(t_max: float, t_min: float, per_octave: int = 4) -> np.ndarray:
     return np.array(out[::-1])
 
 
-def besov_grid(lattice: Lattice) -> np.ndarray:
-    """Default heat grid of the Besov characterization: the dyadic grid from
-    the resolution floor spacing^2 up to the validity cap box_len^2 / 100."""
-    return dyadic_grid(lattice.t_cap, lattice.t_floor)
+def window_grid(lattice: Lattice, horizon: Optional[float] = None) -> np.ndarray:
+    """The dyadic heat-time grid, four points per octave, from the resolution
+    floor spacing^2 of the lattice up to a top time: the validity cap
+    box_len^2 / 100 when horizon is None (the grid of the Besov
+    characterization), else horizon * 2^(-1/4) for a horizon that
+    Lattice.check_cap admits (the grid of the Kato-window smallness form).
+
+    A top at or below the floor leaves no grid point and raises WindowError;
+    the window of every lattice with n <= 8 points per axis is empty.
+    """
+    if horizon is None:
+        top, what = lattice.t_cap, f"the validity cap L^2/100 = {lattice.t_cap:g}"
+    else:
+        lattice.check_cap(horizon, "horizon")
+        top, what = horizon * 2.0 ** (-0.25), f"horizon {horizon:g}"
+    if not top > lattice.t_floor:
+        raise WindowError(f"{what} leaves no dyadic sample above the resolution floor "
+                          f"spacing^2 = {lattice.t_floor:g}")
+    return dyadic_grid(top, lattice.t_floor)
+
+
+def _in_window(lattice: Lattice, t_last: float, t_first: Optional[float] = None) -> bool:
+    """Whether times up to t_last, and from t_first unless it is None, stay
+    in the lattice validity window [t_floor, t_cap], with a relative slack
+    of 1e-9 at each end."""
+    return bool(t_last <= lattice.t_cap * (1 + 1e-9)
+                and (t_first is None or t_first >= lattice.t_floor * (1 - 1e-9)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,32 +493,44 @@ def lebesgue_norm(field: Field, r) -> float:
     """
     rows = field.data
     live = _live_rows(rows)
-    return _lebesgue_rows(rows if live.all() else rows[live], r, field.lattice.cell_volume)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _lebesgue_rows(rows if live.all() else rows[live], r, field.lattice.cell_volume)
+
+
+def _sobolev_nodes(lat: Lattice, nodes, s: float):
+    """The samples of |k|^s f for each node f (samples (d, *spatial)) in
+    nodes, lazily: the nodes themselves for s = 0, else each node through
+    rforward, the |k|^s multiplier (built once per call) and inverse on its
+    own, so no (M, d, *spatial) spectrum is held. A dead row stays exactly
+    zero and adds exactly 0.0 to a norm."""
+    if s == 0:
+        return nodes
+    mult = _fractional_multiplier(lat, s)
+    return (lat.inverse(lat.rforward(node) * mult) for node in nodes)
 
 
 def sobolev_norm(field: Field, s: float, p) -> float:
-    """Homogeneous Sobolev norm: Lebesgue-p norm of |k|^s applied to the field."""
-    return lebesgue_norm(fractional_laplacian(field, s), p)
+    """Homogeneous Sobolev norm: Lebesgue-p norm of |k|^s applied to the
+    field, the node norm of weighted_lebesgue."""
+    lat = field.lattice
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _lebesgue_rows(*_sobolev_nodes(lat, [field.data], s), p, lat.cell_volume)
 
 
 def weighted_lebesgue(traj: Trajectory, weight: float, r, nodes=None, s=0.0) -> np.ndarray:
     """t^weight * || |k|^s u(t) ||_r at the first nodes mesh nodes (every
-    node by default), one row reduction of traj.data per node.
+    node by default), one row reduction of each node of _sobolev_nodes.
 
-    For s != 0 each node goes through rforward, the |k|^s multiplier (built
-    once per call) and inverse on its own, so no (M, d, *spatial) spectrum
-    is held. No field is built: the Trajectory constructor has already
-    scanned the samples for non-finite values. A dead row stays exactly
-    zero and adds exactly 0.0, so the values equal lebesgue_norm (s = 0)
-    or sobolev_norm of each node's field bit for bit.
+    No field is built: the Trajectory constructor has already scanned the
+    samples for non-finite values. The values equal lebesgue_norm (s = 0)
+    or sobolev_norm of each node's field bit for bit; one that overflows
+    is inf.
     """
     lat = traj.lattice
-    rows = traj.data
-    if s != 0:
-        mult = _fractional_multiplier(lat, s)
-        rows = (lat.inverse(lat.rforward(node) * mult) for node in rows)
-    return np.array([t**weight * _lebesgue_rows(node, r, lat.cell_volume)
-                     for t, node in zip(traj.times[:nodes], rows)])
+    rows = _sobolev_nodes(lat, traj.data, s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([t**weight * _lebesgue_rows(node, r, lat.cell_volume)
+                         for t, node in zip(traj.times[:nodes], rows)])
 
 
 def _sup_report(times, values: np.ndarray, window_ok: bool) -> NormReport:
@@ -527,15 +570,12 @@ def heat_sup(u0: Field, t_grid, weight: float, q) -> NormReport:
     if not finite.all():
         t = t_grid[int(np.argmin(finite))]
         raise NumericalError(f"non-finite heat-sup value at t = {t:g}, q = {q:g}")
-    window_ok = bool(
-        t_grid[-1] <= lat.t_cap * (1 + 1e-9) and t_grid[0] >= lat.t_floor * (1 - 1e-9)
-    )
-    return _sup_report(t_grid, values, window_ok)
+    return _sup_report(t_grid, values, _in_window(lat, t_grid[-1], t_grid[0]))
 
 
 def besov_norm_heat(field: Field, s: float, q) -> NormReport:
     """Heat-flow characterization of the Besov norm with negative smoothness:
-    sup over the dyadic grid besov_grid of t^(-s/2) * ||exp(t Lap) f||_q.
+    sup over window_grid(field.lattice) of t^(-s/2) * ||exp(t Lap) f||_q.
 
     Only s < 0 is admissible (the characterization degenerates otherwise).
     """
@@ -543,11 +583,7 @@ def besov_norm_heat(field: Field, s: float, q) -> NormReport:
         raise ConfigError(
             f"heat characterization requires negative smoothness, got s = {s}"
         )
-    return heat_sup(field, besov_grid(field.lattice), -s / 2.0, q)
-
-
-def _horizon_ok(traj: Trajectory) -> bool:
-    return bool(traj.horizon <= traj.lattice.t_cap * (1 + 1e-9))
+    return heat_sup(field, window_grid(field.lattice), -s / 2.0, q)
 
 
 def kato_norm(traj: Trajectory, q, q_tilde) -> NormReport:
@@ -557,14 +593,14 @@ def kato_norm(traj: Trajectory, q, q_tilde) -> NormReport:
         raise ConfigError(f"kato norm requires q_tilde >= q, got q={q}, q_tilde={q_tilde}")
     alpha = traj.lattice.d * (1.0 / q - 1.0 / q_tilde)
     values = weighted_lebesgue(traj, alpha / 2.0, q_tilde)
-    return _sup_report(traj.times, values, _horizon_ok(traj))
+    return _sup_report(traj.times, values, _in_window(traj.lattice, traj.horizon))
 
 
 def n_norm(traj: Trajectory, s: float, p) -> NormReport:
     """sup over mesh nodes of the homogeneous Sobolev (s, p) norm, the
     weighted_lebesgue reduction with weight 0 and order s."""
     values = weighted_lebesgue(traj, 0.0, p, s=s)
-    return _sup_report(traj.times, values, _horizon_ok(traj))
+    return _sup_report(traj.times, values, _in_window(traj.lattice, traj.horizon))
 
 
 @dataclass

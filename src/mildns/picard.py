@@ -33,7 +33,6 @@ from .errors import (
     DivergenceError,
     NonConvergenceError,
     SmallnessError,
-    WindowError,
     naming,
 )
 from .lattice import DatumSpec, VectorField, make_lattice, realize_datum, save_field
@@ -42,13 +41,13 @@ from .norms import (
     ExponentBook,
     Trajectory,
     besov_norm_heat,
-    dyadic_grid,
     heat_sup,
     heat_trajectory,
     kato_norm,
     n_norm,
     quadratic_mesh,
     weighted_lebesgue,
+    window_grid,
 )
 from .runtime import canonical_json, sha256_hex, write_atomic
 
@@ -243,17 +242,6 @@ class SmallnessReport:
     detail: dict
 
 
-def _heat_window_grid(lat, horizon: float) -> np.ndarray:
-    t_max = horizon * 2.0 ** (-0.25)
-    lat.check_cap(horizon, "horizon")
-    if t_max < lat.t_floor:
-        raise WindowError(
-            f"horizon {horizon:g} leaves no dyadic sample above the resolution "
-            f"floor spacing^2 = {lat.t_floor:g}"
-        )
-    return dyadic_grid(t_max, lat.t_floor, per_octave=4)
-
-
 def smallness_lhs(
     u0: VectorField, horizon: float, book: ExponentBook, variant: str = SMALLNESS_KATO
 ) -> SmallnessReport:
@@ -287,7 +275,7 @@ def smallness_lhs(
     if variant == SMALLNESS_BESOV:
         report = besov_norm_heat(u0, -book.alpha, book.q_tilde)
     else:
-        grid = _heat_window_grid(u0.lattice, horizon)
+        grid = window_grid(u0.lattice, horizon)
         report = heat_sup(u0, grid, book.alpha / 2.0, book.q_tilde)
     prefactor = 1.0 if variant == SMALLNESS_CRITICAL else horizon**book.horizon_exponent
     lhs = prefactor * report.value
@@ -383,7 +371,7 @@ def calibrate_thresholds(
     with naming("corpus.n", "corpus.box_len"):
         lattice = make_lattice(corpus.d, corpus.n, corpus.box_len)
     with naming("corpus.horizon", "corpus.n", "corpus.box_len"):
-        _heat_window_grid(lattice, corpus.horizon)
+        window_grid(lattice, corpus.horizon)
     mesh = quadratic_mesh(corpus.horizon, corpus.mesh_nodes)
     quad = estimate_quadrature(book, corpus.quad_nodes)
 
@@ -402,8 +390,6 @@ def calibrate_thresholds(
             if kato_lhs > 0:
                 equiv = min(equiv, besov_lhs / kato_lhs)
 
-    if max_ratio <= 0 or not np.isfinite(max_ratio):
-        raise CalibrationError(f"degenerate bilinear ratio {max_ratio} on corpus")
     if not np.isfinite(equiv):
         raise CalibrationError("could not measure the Besov/Kato equivalence constant")
 

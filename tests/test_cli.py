@@ -30,6 +30,11 @@ ALL_IDS = [
     "solve",
 ]
 
+BETA_KEYS = "'t', 'gamma_min', 'gamma_max', 'theta_min' and 'theta_max'"
+RADII_KEYS = "'radius_min', 'radius_max', 'radius_count', 'tail_lo' and 'tail_hi'"
+ZERO_RATIO = ("config error: config key 'horizons': the bilinear estimate ratio 0 is not a "
+              "positive finite number")
+
 
 def fast_solve_args(calibration_file, *extra):
     return [
@@ -224,9 +229,9 @@ class TestExitCodes:
             ("scaling", ["lam=1e100"], 2,
              "config error: config key 'lam': |lam u0|^q_tilde overflows"),
             ("beta-integral", ["t=1e300"], 2,
-             "config error: config key 't': beta integral at t = 1e+300"),
+             f"config error: config keys {BETA_KEYS}: beta integral at t = 1e+300"),
             ("beta-integral", ["t=1e-300"], 2,
-             "config error: config key 't': beta integral at t = 1e-300"),
+             f"config error: config keys {BETA_KEYS}: beta integral at t = 1e-300"),
             ("kernel-decay", ["s_values=[1e300]"], 3,
              "numerical failure: kernel profile at s = 1e+300"),
             ("besov-equiv", ["rescale=1e308"], 3, "numerical failure: non-finite heat-sup value"),
@@ -274,6 +279,30 @@ class TestExitCodes:
              "overflows"),
             ("heat-decay", ["width=5e-324"], 2,
              "config error: config key 'width': gaussian datum produced non-finite samples"),
+            ("besov-equiv", ["n=4"], 2,
+             "config error: config key 'n': the validity cap L^2/100 = 0.394784 leaves no "
+             "dyadic sample above the resolution floor"),
+            ("powerlaw", ["n=8"], 2,
+             "config error: config key 'n': the validity cap L^2/100 = 0.64 leaves no dyadic "
+             "sample above the resolution floor"),
+            ("bilinear", ["pairs=2", "horizons=[1e-300]"], 2, ZERO_RATIO),
+            ("bilinear", ["pairs=2", "horizons=[1e300]"], 2, ZERO_RATIO),
+            ("bilinear", ["pairs=2", "horizons=[1e-300,1.0]"], 2, ZERO_RATIO),
+            ("bilinear", ["pairs=2", "horizons=[5e-324]"], 2,
+             "config error: config key 'horizons': trajectory times must be positive"),
+            ("kernel-decay", ["radius_max=1e300"], 2, f"config error: config keys {RADII_KEYS}: "
+             "radius_count=24 puts 0 radii inside [4.0, 20.0]"),
+            ("kernel-decay", ["radius_min=5e-324"], 2, f"config error: config keys "
+             f"{RADII_KEYS}: radius_count=24 puts 1 radii inside [4.0, 20.0]"),
+            ("ladder", ["r_values=[1e300]"], 2,
+             "config error: config key 'r_values': non-finite ladder values at r = 1e+300"),
+            ("besov-equiv", ["amplitude=1e300"], 3,
+             "numerical failure: non-finite heat-sup value at t = 0.0414966, q = 4"),
+            ("powerlaw", ["n=256", "amplitude=1e300"], 3,
+             "numerical failure: non-finite heat-sup value at t = 0.00105112, q = 4"),
+            ("kernel-decay", ["t=256", "selfsim_factor=3"], 2,
+             "config error: config keys 'tail_lo' and 't': the tail window starts at 4.0, "
+             "inside the kernel's core |x| < 2 sqrt(t) = 32"),
         ],
         ids=["scaling-lam", "scaling-lam-heat-sup", "beta-integral-t-large",
              "beta-integral-t-small", "kernel-decay-s",
@@ -281,7 +310,12 @@ class TestExitCodes:
              "solve-box", "besov-equiv-smoothness", "besov-equiv-amplitude",
              "powerlaw-amplitude", "kernel-decay-t", "heat-decay-width", "solve-nan-summary",
              "heat-decay-q_tilde", "besov-equiv-rescale-underflow",
-             "besov-equiv-rescale-overflow", "kernel-decay-box", "heat-decay-width-tiny"],
+             "besov-equiv-rescale-overflow", "kernel-decay-box", "heat-decay-width-tiny",
+             "besov-equiv-empty-window", "powerlaw-empty-window", "bilinear-tiny-horizon",
+             "bilinear-huge-horizon", "bilinear-tiny-first-horizon",
+             "bilinear-underflowed-horizon", "kernel-decay-radius-max",
+             "kernel-decay-radius-min", "ladder-r-overflow", "besov-equiv-amplitude-overflow",
+             "powerlaw-amplitude-overflow", "kernel-decay-tail-in-core"],
     )
     def test_overflowing_value_is_refused_cleanly(self, experiment, settings, code, message,
                                                   tmp_path, capsys):
@@ -332,6 +366,7 @@ class TestExitCodes:
             ("ladder", "max_iter=2.5", "max_iter"),
             ("smallness", 'data=[{"kind":"gaussian","width":"abc"}]', "data[0].width"),
             ("smallness", 'data=[{"kind":"single_mode","mode":[1,"x"]}]', "data[0].mode"),
+            ("bilinear", "q_tilde=5", "'targets'"),
         ],
     )
     def test_bad_value_exits_2_naming_the_key(self, experiment, setting, key, capsys):
@@ -663,11 +698,26 @@ class TestExitCodes:
     def test_kernel_decay_late_profile_at_the_cap_passes(self, tmp_path):
         """At t on the cap the late profile runs at the dilated box's own
         cap, which can round one ulp below selfsim_factor * t; it is not
-        refused, and the self-similarity holds to rounding."""
-        argv = ["kernel-decay", "--set", "t=256", "--set", "selfsim_factor=3"]
+        refused, and the self-similarity holds to rounding. The tail window
+        and the radii lie outside the kernel's core 2 sqrt(t) = 32 and
+        inside box_len/4 = 40."""
+        argv = ["kernel-decay", "--set", "t=256", "--set", "selfsim_factor=3",
+                "--set", "tail_lo=32", "--set", "tail_hi=40", "--set", "radius_min=1",
+                "--set", "radius_max=40"]
         assert main(argv + ["--out", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "kernel-decay.json").read_text())["summary"]
         assert max(row["selfsim_rel_err"] for row in summary.values()) < 1e-12
+
+    @pytest.mark.parametrize("key", ["gamma_min", "gamma_max", "theta_min", "theta_max"])
+    def test_beta_integral_exponent_one_ulp_below_one_passes_quietly(self, key, tmp_path):
+        """An exponent 2^-53 below 1 makes the Gauss-Jacobi nodes divide by
+        zero inside scipy, harmlessly: the run passes with no warning."""
+        argv = ["beta-integral", "--set", f"{key}={1 - 2.0**-53!r}", "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        summary = json.loads((tmp_path / "beta-integral.json").read_text())["summary"]
+        assert summary["max_rel_err"] < 1e-8
 
     def test_besov_equiv_small_rescale_in_the_normal_floats_passes(self, capsys):
         assert main(["besov-equiv", "--set", "rescale=1e-80"]) == 0

@@ -29,6 +29,7 @@ from mildns import (
     run,
 )
 from mildns import cli, lab
+from mildns.lattice import Lattice
 
 ALL_IDS = [
     "besov-equiv",
@@ -322,6 +323,14 @@ class TestOneRefusalRoute:
         assert calls.count("build_exponent_book") == 1
         assert calls.count("CorpusSpec") == 1
 
+    def test_lab_imports_no_private_name(self):
+        """lab.py reaches the other modules through their public names: a
+        helper it needs belongs to the module's API, not to its underscores."""
+        private = [f"{node.module}.{alias.name}" for node in ast.walk(self.tree())
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   for alias in node.names if alias.name.startswith("_")]
+        assert private == []
+
     def test_no_message_spells_config_keys(self):
         tree = self.tree()
         docstrings = {
@@ -344,6 +353,19 @@ def test_smoke_run(exp_id, calibration_file):
         assert len(row) == len(table.columns)
     assert table.summary
     assert set(table.provenance) == {"config_sha256", "calibration_digest", "code_version"}
+
+
+def test_kernel_decay_builds_each_box_once(monkeypatch):
+    """kernel-decay profiles every order s on one base and one dilated
+    lattice, each built once per run."""
+    built = []
+    init = Lattice.__init__
+    monkeypatch.setattr(Lattice, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    table = run({"experiment": "kernel-decay", "resolution": 128, "box_len": 40.0,
+                 "radius_max": 10.0, "tail_hi": 10.0})
+    assert len(table.summary) == 3
+    assert built == [(2, 128, 80.0), (2, 128, 40.0)]
 
 
 class TestKnownSummaries:

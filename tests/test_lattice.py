@@ -285,7 +285,7 @@ INVERSE_CALL_SITES = {
     "bilinear_B(u, u)": lambda lat, u, trajs: bilinear_B(
         trajs[0], trajs[0], float(trajs[0].times[-1]), QuadratureSpec(8, 0.5, 0.5)).data,
     "kernel_profile": lambda lat, u, trajs: kernel_profile(
-        0.0, lat.d, np.linspace(0.25, 1.0, 6), resolution=32, box_len=10.0,
+        0.0, make_lattice(lat.d, 32, 10.0), np.linspace(0.25, 1.0, 6),
         tail_window=(0.2, 1.0)).values,
     "random_band": lambda lat, u, trajs: realize_datum(
         DatumSpec(kind="random_band", seed=4, k_min=1, k_max=3, divergence_free=True),

@@ -41,9 +41,14 @@ from mildns.multipliers import (
     _project_div_spectral,
 )
 
-# kernel_profile's box (validity window t <= 2.56) and tail window, for the
-# tests that do not vary them
-WINDOWS = dict(box_len=16.0, tail_window=(0.5, 4.0))
+# kernel_profile's tail window, for the tests that do not vary it
+WINDOWS = dict(tail_window=(0.5, 4.0))
+
+
+def box(resolution: int, box_len: float = 16.0):
+    """The 2-D lattice kernel_profile profiles on; the 16 box has the
+    validity window t <= 2.56."""
+    return make_lattice(2, resolution, box_len)
 
 
 def random_vector(lattice, seed):
@@ -188,9 +193,9 @@ class TestComposite:
         """kernel_profile, the composite's one caller, refuses the boundary
         s = -1 (kernel not integrable) and t = 0."""
         with pytest.raises(ConfigError, match="s > -1"):
-            kernel_profile(-1.0, 2, radii=[1.0], resolution=128, **WINDOWS)
+            kernel_profile(-1.0, box(128), radii=[1.0], **WINDOWS)
         with pytest.raises(ConfigError, match="t > 0"):
-            kernel_profile(0.0, 2, radii=[1.0], resolution=128, t=0.0, **WINDOWS)
+            kernel_profile(0.0, box(128), radii=[1.0], t=0.0, **WINDOWS)
 
     def test_single_mode_oracle(self):
         lat = make_lattice(2, 16, 2.0 * np.pi)
@@ -221,19 +226,19 @@ class TestComposite:
 class TestKernelProfile:
     def test_radius_window_guard(self):
         with pytest.raises(WindowError, match="box_len/4"):
-            kernel_profile(0.0, 2, radii=[5.0], resolution=128, **WINDOWS)
+            kernel_profile(0.0, box(128), radii=[5.0], **WINDOWS)
 
     def test_resolution_guard(self):
         with pytest.raises(ConfigError, match="too coarse"):
-            kernel_profile(0.0, 2, radii=[1.0], resolution=16, t=0.01, **WINDOWS)
+            kernel_profile(0.0, box(16), radii=[1.0], t=0.01, **WINDOWS)
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigError, match="s > -1"):
-            kernel_profile(-1.5, 2, radii=[1.0], resolution=128, **WINDOWS)
+            kernel_profile(-1.5, box(128), radii=[1.0], **WINDOWS)
         with pytest.raises(ConfigError, match="t > 0"):
-            kernel_profile(0.0, 2, radii=[1.0], resolution=128, t=0.0, **WINDOWS)
+            kernel_profile(0.0, box(128), radii=[1.0], t=0.0, **WINDOWS)
         with pytest.raises(ConfigError, match="positive"):
-            kernel_profile(0.0, 2, radii=[-1.0, 1.0], resolution=128, **WINDOWS)
+            kernel_profile(0.0, box(128), radii=[-1.0, 1.0], **WINDOWS)
 
     def test_overflowed_symbol_is_refused(self):
         """|k|^s overflows and meets exp(-t |k|^2) = 0: refused by s, with
@@ -241,13 +246,13 @@ class TestKernelProfile:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=r"s = 1e\+300"):
-                kernel_profile(1e300, 2, radii=[1.0], resolution=128, **WINDOWS)
+                kernel_profile(1e300, box(128), radii=[1.0], **WINDOWS)
 
     def test_time_past_the_validity_window_is_refused(self):
         """t runs up to box_len^2 / 100 (2.56 on the 16 box) and no further."""
-        kernel_profile(0.0, 2, radii=[1.0], resolution=128, t=2.56, **WINDOWS)
+        kernel_profile(0.0, box(128), radii=[1.0], t=2.56, **WINDOWS)
         with pytest.raises(WindowError) as info:
-            kernel_profile(0.0, 2, radii=[1.0], resolution=128, t=np.nextafter(2.56, np.inf),
+            kernel_profile(0.0, box(128), radii=[1.0], t=np.nextafter(2.56, np.inf),
                            **WINDOWS)
         assert str(info.value) == ("t 2.5600000000000005 exceeds the lattice validity window "
                                    "L^2/100 = 2.5600000000000001")
@@ -255,22 +260,20 @@ class TestKernelProfile:
     def test_tail_slope_tracks_algebraic_decay(self):
         """s = 0 in d = 2 decays like r^-3 once r clears the heat width."""
         radii = np.geomspace(0.5, 16.0, 30)
-        prof = kernel_profile(
-            0.0, 2, radii=radii, resolution=512, box_len=64.0, tail_window=(4.0, 16.0)
-        )
+        prof = kernel_profile(0.0, box(512, 64.0), radii=radii, tail_window=(4.0, 16.0))
         assert np.all(np.isfinite(prof.bound_ratio))
         assert abs(prof.tail_slope - (-3.0)) < 0.05
         assert prof.tail_residual < 0.05
 
     def test_tail_fit_is_the_loglog_fit_of_its_tail_points(self):
         radii = np.geomspace(0.5, 16.0, 30)
-        prof = kernel_profile(0.0, 2, radii=radii, resolution=512, box_len=64.0,
+        prof = kernel_profile(0.0, box(512, 64.0), radii=radii,
                               tail_window=(16.0 / 5.0, 16.0))
         tail = (radii >= 16.0 / 5.0) & (prof.values > 0)
         slope, residual = _loglog_fit(radii[tail], prof.values[tail])
         assert (prof.tail_slope, prof.tail_residual) == (slope, residual)
 
     def test_tail_fit_needs_two_radii(self):
-        prof = kernel_profile(0.0, 2, radii=[1.0, 16.0], resolution=512, box_len=64.0,
+        prof = kernel_profile(0.0, box(512, 64.0), radii=[1.0, 16.0],
                               tail_window=(16.0 / 5.0, 16.0))
         assert np.isnan(prof.tail_slope) and np.isnan(prof.tail_residual)

@@ -32,6 +32,7 @@ from mildns import (
     build_exponent_book,
     decay_exponent_fit,
     dyadic_grid,
+    fractional_laplacian,
     heat_trajectory,
     kato_norm,
     lebesgue_norm,
@@ -46,7 +47,7 @@ from mildns import (
 )
 from mildns.lattice import PHYSICAL
 from mildns.multipliers import _loglog_fit
-from mildns.norms import besov_grid, heat_sup, weighted_lebesgue
+from mildns.norms import heat_sup, weighted_lebesgue, window_grid
 
 
 def cosine_moment(q: float) -> float:
@@ -166,6 +167,17 @@ class TestLebesgueNorm:
 
 
 class TestSobolevNorm:
+    @pytest.mark.parametrize("s", [0.0, -1.0 / 3.0, 0.5])
+    def test_is_the_lebesgue_norm_of_the_fractional_laplacian(self, s, lat2, divfree_datum,
+                                                               field_inits):
+        """sobolev_norm reads the node norm of weighted_lebesgue and builds
+        no Field: the bits of the field route it replaced."""
+        u = divfree_datum(lat2, seed=4)
+        want = lebesgue_norm(fractional_laplacian(u, s), 3.0)
+        field_inits.clear()
+        assert sobolev_norm(u, s, 3.0) == want
+        assert field_inits == []
+
     def test_zero_smoothness_is_lebesgue(self, lat2, divfree_datum):
         u = divfree_datum(lat2, seed=4)
         npt.assert_allclose(sobolev_norm(u, 0.0, 2.0), lebesgue_norm(u, 2.0))
@@ -272,7 +284,7 @@ class TestLiveComponents:
         lat = make_lattice(d, n, box_len)
         u0 = realize_datum(DatumSpec(**spec), lat)
         assert not np.all(u0.data.reshape(d, -1).any(axis=1))  # some component is zero
-        grid = besov_grid(lat)
+        grid = window_grid(lat)
         flows = self.reference_flows(u0, grid)
         for q in (2.0, 3.0, 4.0, np.inf):
             expected = np.array([t**0.25 * self.reference_lebesgue(lat, f, q)
@@ -299,7 +311,7 @@ class TestLiveComponents:
         np.abs(x) ** r, every component."""
         lat = make_lattice(d, n, box_len)
         u0 = realize_datum(DatumSpec(**spec), lat)
-        grid = besov_grid(lat)
+        grid = window_grid(lat)
         coeffs = lat.half(np.fft.fftn(u0.data, axes=tuple(range(1, d + 1)), norm="forward"))
         flows = [lat.inverse(coeffs * np.exp(-lat.half(lat.ksq) * t)) for t in grid]
 
@@ -333,7 +345,7 @@ class TestLiveComponents:
         u0 = realize_datum(DatumSpec(kind="power_law", decay=1.0, r_inner=0.25,
                                      r_outer=2.0), lat)
         sizes = self.count_transforms(monkeypatch)
-        grid = besov_grid(lat)
+        grid = window_grid(lat)
         field_inits.clear()
         besov_norm_heat(u0, -0.5, 4.0)
         assert sizes["rforward"] == [n**2]
@@ -347,7 +359,7 @@ class TestLiveComponents:
         monkeypatch.setattr(Lattice, "rforward", refuse)
         monkeypatch.setattr(Lattice, "inverse", refuse)
         u0 = VectorField(lat2, np.zeros((2,) + lat2.spatial_shape), PHYSICAL)
-        report = heat_sup(u0, besov_grid(lat2), 0.25, 4.0)
+        report = heat_sup(u0, window_grid(lat2), 0.25, 4.0)
         assert report.value == 0.0 and not np.any(report.values)
         assert lebesgue_norm(u0, 2.0) == 0.0
         assert all(not np.any(f.data) for f in heat_trajectory(u0, [0.1, 0.2]).fields)
@@ -357,7 +369,7 @@ class TestLiveComponents:
         data[1, 3, 5] = 5e-324
         u0 = VectorField(lat2, data, PHYSICAL)
         assert lebesgue_norm(u0, np.inf) == self.reference_lebesgue(lat2, data, np.inf)
-        grid = besov_grid(lat2)
+        grid = window_grid(lat2)
         flows = self.reference_flows(u0, grid)
         sizes = self.count_transforms(monkeypatch)
         traj = heat_trajectory(u0, grid)
@@ -428,7 +440,7 @@ class TestBandLimitedFlows:
     def test_inverse_sizes_are_the_coarse_half_sizes(self, q, monkeypatch):
         lat = make_lattice(2, 512, 8.0)
         u0 = realize_datum(DatumSpec(**self.CASES[0][3]), lat)
-        grid = besov_grid(lat)
+        grid = window_grid(lat)
         calls = self.inverse_sizes(monkeypatch)
         besov_norm_heat(u0, -0.5, q)
         sizes = [min(self.coarse_size(lat, t, q), lat.n) for t in grid]
@@ -456,13 +468,13 @@ class TestBandLimitedFlows:
             self, lattice_args, corpus, divfree_datum, monkeypatch):
         """At n = 32 no band is narrow enough: the smallness sups of the
         solve and the calibration are the full-grid ones, bit for bit."""
-        from mildns.picard import CorpusSpec, _corpus_datum, _heat_window_grid
+        from mildns.picard import CorpusSpec, _corpus_datum
 
         lat = make_lattice(*lattice_args)
         u0 = (_corpus_datum(CorpusSpec(), 0, lat) if corpus
               else divfree_datum(lat, seed=3, k_max=4.0))
         calls = self.inverse_sizes(monkeypatch)
-        for grid in (_heat_window_grid(lat, 0.25), besov_grid(lat)):
+        for grid in (window_grid(lat, 0.25), window_grid(lat)):
             for q in (2.0, 4.0, 6.0):
                 expected = self.full_grid_values(u0, grid, q)
                 assert np.array_equal(heat_sup(u0, grid, 0.25, q).values, expected)
@@ -744,13 +756,14 @@ class TestTimeWeightedNorms:
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
     def test_n_norm_is_the_per_node_sobolev_norm(self, s, p, divfree_datum, field_inits):
         """n_norm reduces the rows of traj.data, through |k|^s one node at a
-        time when s != 0, to the bits of sobolev_norm on each node's field,
-        a dead component included, and constructs no Field."""
+        time when s != 0, to the bits of the Lebesgue norm of each node's
+        field under fractional_laplacian, a dead component included, and
+        constructs no Field."""
         lat = make_lattice(2, 32, 2.0 * np.pi)
         for u0 in (realize_datum(DatumSpec(kind="gaussian", width=0.1), lat),
                    divfree_datum(lat, seed=17)):
             traj = heat_trajectory(u0, quadratic_mesh(1.0, 12))
-            want = [sobolev_norm(f, s, p) for f in traj.fields]
+            want = [lebesgue_norm(fractional_laplacian(f, s), p) for f in traj.fields]
             field_inits.clear()
             report = n_norm(traj, s, p)
             assert field_inits == []
@@ -863,7 +876,22 @@ class TestOneRoute:
 
     def test_the_ladder_and_the_besov_form_read_their_norms(self):
         assert ("picard", "regularity_ladder") not in homes(named("argmax"))
-        assert not [home for home in homes(named("besov_grid")) if home[0] == "picard"]
+        # the Besov form reads besov_norm_heat: picard builds no Besov grid,
+        # the call of window_grid without a horizon
+        besov_grids = homes(lambda node: isinstance(node, ast.Call) and len(node.args) == 1
+                            and named("window_grid")(node.func))
+        assert not [home for home in besov_grids if home[0] == "picard"]
+
+    def test_one_window_grid(self):
+        """window_grid builds both heat grids and owns the floor refusal, and
+        _in_window holds the one window slack (1e-9 is also a Picard
+        tolerance, outside norms)."""
+        assert homes(text("leaves no dyadic sample")) == [("norms", "window_grid")]
+        assert [home for home in homes(named("dyadic_grid")) if home[0] != "lab"] == [
+            ("norms", "window_grid")]
+        slack = [home for home in homes(lambda node: isinstance(node, ast.Constant)
+                                        and node.value == 1e-9) if home[0] == "norms"]
+        assert slack == [("norms", "_in_window")] * 2
 
 
 class TestEmbedding:

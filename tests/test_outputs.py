@@ -173,6 +173,23 @@ def test_digests_compare_through_their_constants(tmp_path, c_hat, manifest_diges
         assert "calibration.json digest" in listed
 
 
+def test_a_nested_calibration_digest_passes_beside_its_own_file(tmp_path):
+    """A d = 3 set keeps its calibration in a subdirectory: its digests pass
+    through that file, and not through the top-level one."""
+    base = with_calibration(tmp_path / "a", CALIBRATION, "5bd0")
+    other = with_calibration(tmp_path / "b", CALIBRATION, "5bd0")
+    nested = {**CALIBRATION, "book": "d3-p3-s0-qt6", "digest": "7e01"}
+    for root, c_hat, digest in ((base, CALIBRATION["c_hat"], "7e01"),
+                                (other, 0.10112210300082868, "7e02")):
+        (root / "d3").mkdir()
+        (root / "d3" / "calibration.json").write_text(
+            json.dumps({**nested, "c_hat": c_hat, "digest": digest}))
+        (root / "d3" / "solve.json").write_text(json.dumps({"digest": digest}))
+    found, _ = labels(base, other)
+    assert found["d3/solve.json"] == "round-off"
+    assert found["d3/calibration.json"] == "round-off"
+
+
 def test_digest_without_calibration_files_is_changed(tmp_path):
     base = with_calibration(tmp_path / "a", CALIBRATION, "5bd0")
     other = with_calibration(tmp_path / "b", {**CALIBRATION, "digest": "5c79"}, "5c79")

@@ -56,12 +56,11 @@ from mildns import (
     solve_mild,
 )
 from mildns.lattice import PHYSICAL
-from mildns.norms import besov_grid, heat_sup
+from mildns.norms import heat_sup, window_grid
 from mildns.picard import (
     SMALLNESS_BESOV,
     SMALLNESS_CRITICAL,
     SMALLNESS_KATO,
-    _heat_window_grid,
 )
 
 ROOT = (np.sqrt(2.0) - 1.0) / 2.0
@@ -207,10 +206,10 @@ class TestSharedSupPrimitives:
         book = build_exponent_book(2, 2.0, 0.0, 4.0)
         u0 = divfree_datum(lat, seed=8)
         if grid_name == "window":
-            grid = _heat_window_grid(lat, 1.0)
+            grid = window_grid(lat, 1.0)
             variant, key = SMALLNESS_KATO, "sup_value"
         else:
-            grid = besov_grid(lat)
+            grid = window_grid(lat)
             variant, key = SMALLNESS_BESOV, "besov_value"
         w = book.alpha / 2.0
         explicit = np.array(

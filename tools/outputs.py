@@ -9,9 +9,16 @@ experiments at default config (`mildns <id> --out DIR`), the saved smoke
 solution under DIR/smoke (`mildns solve --set n=16 --set mesh_nodes=8
 --set quad_nodes=8 --set save_fields=true --out DIR/smoke`), the default
 calibration file DIR/calibration.json (`mildns calibrate --out DIR`), and
-timings.json with the wall time of each. SRC is the `src` directory whose
-mildns package is run; it defaults to the one beside this script, so the
-outputs of another checkout are written with `--src other/src`.
+timings.json with the wall time of each. Every default config is d = 2, so
+two more jobs reach the d = 3 code: DIR/d3/calibration.json calibrates the
+book (d, p, s, q_tilde) = (3, 3, 0, 6) on a corpus of n = 16
+(D3_CALIBRATION), and DIR/d3/smoke is the smoke solve of that book on a
+divergence-free random-band datum scaled to half its threshold, reading
+that calibration. The jobs run in DIR, so the calibration path the d = 3
+solve echoes in its manifest is the same for every DIR. SRC is the `src`
+directory whose mildns package is run; it defaults to the one beside this
+script, so the outputs of another checkout are written with `--src
+other/src`.
 
 `diff` labels each output file found under A or B (timings.json aside):
 
@@ -27,10 +34,10 @@ Two rules compare a value through what it stands for:
 
 * Calibration digests. A digest is a hash of the calibration constants, so
   a one-ulp move of c_hat changes every byte of it. A string pair (a, b)
-  passes when a is the `digest` of A/calibration.json, b that of
-  B/calibration.json, the two calibration files have identical `corpus`
-  sections and the rest of them, `digest` aside, is round-off by the
-  rules here.
+  passes when a is the `digest` of a calibration.json under A, b that of
+  the file at the same path under B, the two calibration files have
+  identical `corpus` sections and the rest of them, `digest` aside, is
+  round-off by the rules here.
 * Relative quantities: columns or keys named `*divergence_defect`,
   `*divergence_defects`, `*rel_err` or `*rel_change` (the last key of a
   JSON path, so `max_divergence_defect` is one). Each is a defect, an error
@@ -101,6 +108,12 @@ RULES = {  # each widening rule, and the heading of the cells that pass only thr
 }
 SMOKE_ARGS = ["--set", "n=16", "--set", "mesh_nodes=8", "--set", "quad_nodes=8",
               "--set", "save_fields=true"]
+D3_CALIBRATION = {"d": 3, "p": 3.0, "s": 0.0, "q_tilde": 6.0, "corpus": {"n": 16}}
+D3_SMOKE_ARGS = ["--set", "d=3", "--set", "p=3.0", "--set", "q_tilde=6.0",
+                 "--set", 'datum={"kind": "random_band", "seed": 5, "k_min": 1, "k_max": 4, '
+                          '"divergence_free": true}',
+                 "--set", "scale_to_delta_fraction=0.5",
+                 "--set", "calibration_path=d3/calibration.json"]
 _INTEGER = re.compile(r"[+-]?\d+\Z")
 _FIELD_HEADER = struct.Struct("<iidii")  # mildns.lattice's saved-field header
 
@@ -110,23 +123,36 @@ _FIELD_HEADER = struct.Struct("<iidii")  # mildns.lattice's saved-field header
 
 
 def run(out_dir: Path, src: Path) -> dict:
-    """Write every experiment and the smoke solution; return the timings."""
-    sys.path.insert(0, str(src))
+    """Write every experiment, the smoke solutions and the calibrations, each
+    job run in out_dir; return the timings."""
+    sys.path.insert(0, str(src.resolve()))
     from mildns.cli import main
     from mildns.lab import EXPERIMENTS
 
+    out_dir = out_dir.resolve()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    d3_config = out_dir / "d3-calibrate.config"
     jobs = [(exp_id, [exp_id, "--out", str(out_dir)]) for exp_id in sorted(EXPERIMENTS)]
     jobs.append(("smoke", ["solve", *SMOKE_ARGS, "--out", str(out_dir / "smoke")]))
     jobs.append(("calibration", ["calibrate", "--out", str(out_dir)]))
+    jobs.append(("calibration_d3", ["calibrate", "--config", str(d3_config),
+                                    "--out", str(out_dir / "d3")]))
+    jobs.append(("smoke_d3", ["solve", *SMOKE_ARGS, *D3_SMOKE_ARGS,
+                              "--out", str(out_dir / "d3" / "smoke")]))
+    d3_config.write_text(json.dumps(D3_CALIBRATION))
     timings = {}
-    for name, argv in jobs:
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
-        timings[name] = time.perf_counter() - start
-        if code != 0:
-            raise SystemExit(f"{' '.join(argv)} exited {code}")
-        print(f"{name:<18} {timings[name]:8.2f} s")
+    try:
+        with contextlib.chdir(out_dir):
+            for name, argv in jobs:
+                start = time.perf_counter()
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv)
+                timings[name] = time.perf_counter() - start
+                if code != 0:
+                    raise SystemExit(f"{' '.join(argv)} exited {code}")
+                print(f"{name:<18} {timings[name]:8.2f} s")
+    finally:
+        d3_config.unlink()
     (out_dir / "timings.json").write_text(json.dumps(timings, indent=1, sort_keys=True) + "\n")
     return timings
 
@@ -149,10 +175,10 @@ def is_relative_quantity(column: str) -> bool:
 class FileDiff:
     """Per-column worst float difference of one file pair, and the cells
     that pass only through the absolute floor, the relative-quantity rule or
-    the digest rule. digests is the pair (digest of A, digest of B) of two
-    calibration files that the digest rule accepts, or None."""
+    the digest rule. digests holds the pairs (digest of A, digest of B) of
+    the calibration files that the digest rule accepts."""
 
-    def __init__(self, digests=None):
+    def __init__(self, digests=frozenset()):
         self.digests = digests
         self.worst = {}  # column -> (relative, absolute, where, a, b)
         self.passed_only = {rule: [] for rule in RULES}  # rule -> [(where, a, b)]
@@ -199,7 +225,7 @@ class FileDiff:
                 self.values(f"{column}[]", f"{where}[{i}]", x, y)
         elif _is_float_pair(a, b):
             self.floats(column, where, float(a), float(b))
-        elif isinstance(a, str) and a != b and (a, b) == self.digests:
+        elif isinstance(a, str) and a != b and (a, b) in self.digests:
             self.passed_only["digest"].append((where, a, b))
         elif type(a) is not type(b) or a != b:
             raise Mismatch(f"{where}: {a!r} vs {b!r}")
@@ -256,25 +282,28 @@ def output_files(root: Path) -> set:
     }
 
 
-def calibration_digests(root_a: Path, root_b: Path):
-    """(digest of A, digest of B) when both calibration files exist, their
-    corpus sections are identical and the rest of them, digest aside, is
-    round-off; None otherwise, so that no digest pair passes."""
-    files = (root_a / CALIBRATION, root_b / CALIBRATION)
-    if not all(path.is_file() for path in files):
-        return None
-    try:
-        cal_a, cal_b = (json.loads(path.read_text()) for path in files)
-        digests = cal_a.pop("digest"), cal_b.pop("digest")
-        if cal_a.get("corpus") != cal_b.get("corpus"):
-            return None
-        FileDiff().values("", "", cal_a, cal_b)
-    except (Mismatch, ValueError, KeyError, AttributeError):
-        return None
-    return digests
+def calibration_digests(root_a: Path, root_b: Path) -> set:
+    """The pairs (digest of A, digest of B) of the calibration files found
+    at one path under both roots whose corpus sections are identical and
+    whose rest, digest aside, is round-off; no other digest pair passes."""
+    pairs = set()
+    for name in sorted(root_a.rglob(CALIBRATION)):
+        files = (name, root_b / name.relative_to(root_a))
+        if not files[1].is_file():
+            continue
+        try:
+            cal_a, cal_b = (json.loads(path.read_text()) for path in files)
+            digests = cal_a.pop("digest"), cal_b.pop("digest")
+            if cal_a.get("corpus") != cal_b.get("corpus"):
+                continue
+            FileDiff().values("", "", cal_a, cal_b)
+        except (Mismatch, ValueError, KeyError, AttributeError):
+            continue
+        pairs.add(digests)
+    return pairs
 
 
-def diff_file(a: Path, b: Path, digests=None):
+def diff_file(a: Path, b: Path, digests=frozenset()):
     """(label, FileDiff or None, reason) for one file pair; digests as in
     FileDiff."""
     if not a.is_file() or not b.is_file():
