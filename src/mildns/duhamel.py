@@ -20,9 +20,12 @@ pair; the graded Gauss-Legendre rule keeps an observed order well above
 the contracted 1.5 but is not spectrally accurate for fractional theta.
 
 Fused evaluation of B at one output time t: the Q node products
-u(tau_q) x v(tau_q) are formed from the interpolated factors in chunks of
-at most _CHUNK_BYTES (256 KB) of half-spectrum coefficients, each chunk is
-transformed by one Lattice.rforward call (the products are real, so only
+u(tau_q) x v(tau_q) are formed from the interpolated factors in the
+fewest chunks of nodes, as equal as Q allows, whose half-spectrum
+coefficients fit lattice.BATCH_BYTES (512 KiB; lattice.batches), one node
+to a chunk when one alone passes it. At d = 2, n <= 32 and Q = 16 that is
+one chunk, so one call makes one transform. Each chunk is transformed by
+one Lattice.rforward call (the products are real, so only
 the half of the spectrum that Lattice.inverse reads is computed) and
 contracted with the real kernel w_q exp(-|k|^2 gap_q) on that half, and
 P div and the inverse transform act once on the summed pair coefficients.
@@ -58,15 +61,18 @@ tables, so a call redoes none of it:
   P = 2 (u is v) or 3, 34 or 51 KiB at n = 32 and 132 or 198 KiB at
   n = 64, and at d = 3, P = 5 or 8, 4.0 or 6.4 MiB at n = 32 and 31 or
   50 MiB at n = 64. The product, coefficient, kernel, sum and
-  u_{d-1} v_{d-1} buffers are 584 or 571 KiB at d = 2, n = 32 and 538 or
-  554 KiB at n = 64, in arrays of at most 255 KiB, so a warm call maps no
-  fresh pages: made per call, these arrays crossed glibc's 128 KiB mmap
-  threshold, and were mapped, zero-filled and returned to the system on
-  every call, a count of page faults that flipped with the heap layout
-  around B. At d = 3, n >= 32 one node's products exceed the chunk cap,
-  and a set is 4.3 or 6.6 MiB at n = 32 and 34 or 52 MiB at n = 64. A
-  Picard solve and a calibration each call B on one lattice and layout,
-  so each builds this entry once.
+  u_{d-1} v_{d-1} buffers (_Scratch.hold) hold one chunk, and are rebuilt
+  only when the chunk length changes: at d = 2, Q = 16 they are 621 or
+  894 KiB at n = 32 (one chunk of 16 nodes) and 977 KiB at n = 64 (chunks
+  of 5 or 6 nodes, or 4). Held, they map no fresh pages on a warm call:
+  made per call, such arrays cross glibc's 128 KiB mmap threshold, and
+  are mapped, zero-filled and returned to the system on every call, a
+  count of page faults that flipped with the heap layout around B. At
+  d = 3, n = 16 a chunk holds 2 nodes of B(u, u) and 1 of B(u, v), in 928
+  or 882 KiB; at n >= 32 one node's products pass the cap, and a set is
+  4.3 or 6.6 MiB at n = 32 and 34 or 52 MiB at n = 64. A Picard solve and
+  a calibration each call B on one lattice, layout and Q, so each builds
+  this entry once.
 
 Under the Volterra rule lies _legendre(m), the Gauss-Legendre rule, kept
 because numpy's leggauss costs more than a whole volterra_nodes call.
@@ -82,7 +88,7 @@ from math import gamma as gamma_fn
 import numpy as np
 
 from .errors import ConfigError, DataError, MeshError
-from .lattice import Lattice, VectorField, to_physical
+from .lattice import Lattice, VectorField, batches, to_physical
 from .multipliers import _project_div_spectral
 from .norms import ExponentBook, Trajectory, kato_norm, n_norm, weighted_lebesgue
 
@@ -220,16 +226,6 @@ def beta_integral(gamma: float, theta: float, t: float, method: str = "closed-fo
 # The bilinear term
 
 
-# Cap on the half-spectrum coefficients (Lattice.rforward) of the node
-# products transformed in one batch: 15 nodes of B(u, u) at d=2, n=32. The
-# buffers of one chunk are held across calls (see the module docstring). A
-# larger cap only holds more at once: at d=2, n=32, M=Q=16 a 32 MB cap
-# raised a solve's peak memory by 1.7 MB and was no faster. A 128 KB cap
-# costs twice the transform calls: about 5% of the picard benchmark's op_s
-# (0.156 -> 0.165 s, 4 of 4 alternating pairs) when the buffers were made
-# per call.
-_CHUNK_BYTES = 256 * 1024
-
 # Output times (lattice, t, rule) whose Volterra rule is kept.
 _RULES_KEPT = 256
 
@@ -291,8 +287,8 @@ class _Scratch(threading.local):
     pairs (i, j), only i <= j when u is v and never (d-1, d-1); pair_of,
     the read-only (d, d) map from tensor entry (i, j) to the row of its
     product, and from (d-1, d-1) to the zero row P; the P div symbol; and
-    held, the buffers (products, coefficients, kernel, pair sums, and
-    u_{d-1} v_{d-1} of one node)."""
+    held, the buffers of hold (products, coefficients, kernel, pair sums,
+    and u_{d-1} v_{d-1} of one node)."""
 
     key = None
 
@@ -308,18 +304,25 @@ class _Scratch(threading.local):
             pair_of[cols, rows] = np.arange(rows.size)  # the mirror, when u is v
             pair_of[rows, cols] = np.arange(rows.size)
             pair_of.flags.writeable = False
-            acc = np.empty((rows.size,) + lat.half_shape, dtype=np.complex128)
-            chunk = max(1, _CHUNK_BYTES // acc.nbytes)
             self.symbol = _project_div_symbol(lat, pair_of)
-            self.held = (np.empty((chunk, rows.size) + lat.spatial_shape),
-                         np.empty((chunk,) + acc.shape, dtype=np.complex128),
-                         np.empty((chunk,) + lat.half_shape),
-                         acc,
-                         np.empty(lat.spatial_shape))
             self.pairs = tuple(zip(rows.tolist(), cols.tolist()))
             self.pair_of = pair_of
             self.key = (lat, symmetric)
         return self
+
+    def hold(self, chunk: int) -> tuple:
+        """The buffers for chunks of up to chunk nodes, kept while the
+        chunk length stays the same."""
+        if self.held is None or len(self.held[0]) != chunk:
+            lat = self.key[0]
+            self.held = None  # frees the old buffers first
+            acc = np.empty((len(self.pairs),) + lat.half_shape, dtype=np.complex128)
+            self.held = (np.empty((chunk, len(self.pairs)) + lat.spatial_shape),
+                         np.empty((chunk,) + acc.shape, dtype=np.complex128),
+                         np.empty((chunk,) + lat.half_shape),
+                         acc,
+                         np.empty(lat.spatial_shape))
+        return self.held
 
 
 _scratch = _Scratch()
@@ -338,10 +341,10 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     sum_q w_q exp(-|k|^2 gap_q) F[u(tau_q) x v(tau_q)], not once per node.
     The products are real, so F is Lattice.rforward and every step runs on
     the half spectrum that Lattice.inverse reads. The node products are
-    transformed in chunks of at most _CHUNK_BYTES of half-spectrum
-    coefficients, one transform per chunk, in buffers that the calling
-    thread holds across calls (_scratch); each product u_i * v_j is
-    multiplied row by row into them, so no factor is copied. The nodes and
+    transformed in the chunks of lattice.batches, one transform per chunk,
+    in buffers that the calling thread holds across calls (_scratch); each
+    product u_i * v_j is multiplied row by row into them, so no factor is
+    copied. The nodes and
     the weighted heat factors come from the cached _volterra_rule of t;
     the pairs (i, j) and the P div symbol come with the buffers, held for
     the lattice and for whether u_traj is v_traj. P div maps the
@@ -361,11 +364,12 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     taus, factors = _volterra_rule(lat, float(t), quad)
     setup = _scratch.load(lat, u_traj is v_traj)
     pairs, symbol = setup.pairs, setup.symbol
-    products, coeff_buf, kernel_buf, acc, last = setup.held
+    node_bytes = len(pairs) * math.prod(lat.half_shape) * np.dtype(np.complex128).itemsize
+    chunks = batches(len(taus), node_bytes)
+    products, coeff_buf, kernel_buf, acc, last = setup.hold(max(c.stop - c.start for c in chunks))
     acc[...] = 0.0
-    for start in range(0, len(taus), len(products)):
-        chunk_taus = taus[start:start + len(products)]
-        for q, tau in enumerate(chunk_taus):
+    for nodes in chunks:
+        for q, tau in enumerate(taus[nodes]):
             a = u_traj.value_at(tau, interp_power)
             b = v_traj.value_at(tau, interp_power)
             np.multiply(a[-1], b[-1], out=last)
@@ -373,9 +377,8 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
                 np.multiply(a[i], b[j], out=products[q, r])
                 if i == j:
                     products[q, r] -= last
-        size = len(chunk_taus)
+        size = nodes.stop - nodes.start
         coeff = lat.rforward(products[:size], out=coeff_buf[:size])
-        nodes = slice(start, start + size)
         kernel = np.multiply(factors[0][nodes], factors[1][nodes], out=kernel_buf[:size])
         for f in factors[2:]:
             kernel *= f[nodes]

@@ -313,8 +313,8 @@ def _critical_book(cfg: dict, what: str):
 
 
 def _lattice(cfg: dict, n_key: str = "n"):
-    """The lattice of cfg; a box it refuses names the keys that set it."""
-    with naming(n_key, "box_len"):
+    """The lattice of cfg; a lattice it refuses names the keys that set it."""
+    with naming("d", n_key, "box_len"):
         return make_lattice(cfg["d"], cfg[n_key], cfg["box_len"])
 
 
@@ -438,10 +438,11 @@ def _run_kernel_decay(cfg):
     # the late profile runs at time factor_t * t on the sqrt(factor_t)-dilated
     # box, held inside that box's validity window: when t sits at the cap,
     # its t_cap can round one ulp below factor_t * t
-    with naming("resolution", "box_len", "selfsim_factor"):
+    with naming("d", "resolution", "box_len", "selfsim_factor"):
         dilated = make_lattice(cfg["d"], cfg["resolution"], cfg["box_len"] * root)
-    with naming("resolution", "box_len", "t", "radius_max"):
+    with naming("d", "resolution", "box_len"):
         lat = make_lattice(cfg["d"], cfg["resolution"], cfg["box_len"])
+    with naming("resolution", "box_len", "t", "radius_max"):
         lat.check_cap(cfg["t"], "t")
     core = _CORE_WIDTHS * math.sqrt(cfg["t"])
     require(cfg["tail_lo"] >= core, ("tail_lo", "t"),
@@ -1130,14 +1131,21 @@ def default_config(experiment_id: str) -> dict:
     return {**check_config(_experiment(experiment_id).keys, {}), "experiment": experiment_id}
 
 
-def _nan_keys(summary: dict, prefix: str = ""):
-    """The dotted keys of the floats in summary that are NaN, in order,
-    nested sections included."""
+# The summary keys (or key prefixes) that may be inf by design: bilinear's
+# spreads, each the largest quotient of two measured ratios, which
+# overflows when one ratio lies far below the other.
+_INF_KEYS = ("horizon_spread_", "mesh_doubling_spread")
+
+
+def _nonfinite_keys(summary: dict, prefix: str = ""):
+    """(dotted key, value) of the floats in summary that are NaN, or +-inf
+    under a key outside _INF_KEYS, in order, nested sections included."""
     for key, value in summary.items():
         if isinstance(value, dict):
-            yield from _nan_keys(value, f"{prefix}{key}.")
-        elif isinstance(value, float) and math.isnan(value):
-            yield f"{prefix}{key}"
+            yield from _nonfinite_keys(value, f"{prefix}{key}.")
+        elif (isinstance(value, float) and not math.isfinite(value)
+              and (math.isnan(value) or not key.startswith(_INF_KEYS))):
+            yield f"{prefix}{key}", value
 
 
 def run(config: dict) -> ResultTable:
@@ -1147,8 +1155,9 @@ def run(config: dict) -> ResultTable:
     override the bundled defaults (unknown keys are rejected). When
     'out_dir' is present the CSV and manifest are written there, but only
     after the experiment completed, so failed validation leaves no files.
-    A summary float that is NaN raises NumericalError naming its key, and
-    nothing is written.
+    A summary float that is NaN, or +-inf outside the keys that may be inf
+    (_INF_KEYS), raises NumericalError naming its key, and nothing is
+    written.
     """
     if "experiment" not in config:
         raise ConfigError(
@@ -1164,9 +1173,11 @@ def run(config: dict) -> ResultTable:
         cfg["out_dir"] = str(out_dir)
 
     columns, rows, summary, calibration_digest = exp.runner(cfg)
-    nan_key = next(_nan_keys(summary), None)
-    if nan_key is not None:
-        raise NumericalError(f"{exp_id} summary key {nan_key!r} is NaN")
+    found = next(_nonfinite_keys(summary), None)
+    if found is not None:
+        key, value = found
+        raise NumericalError(f"{exp_id} summary key {key!r} is "
+                             f"{'NaN' if math.isnan(value) else value}")
 
     echo = {k: v for k, v in cfg.items() if k != "out_dir"}
     provenance = {

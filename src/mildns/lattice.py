@@ -40,6 +40,32 @@ TWO_PI = 2.0 * np.pi
 
 PHYSICAL = "physical"
 
+# The one byte cap of batched array work: B transforms its node products,
+# the sup norms reduce trajectory nodes and the heat sups inverse-transform
+# full-grid flows in batches (batches()) of at most this many bytes each.
+# At d = 2, n = 32, M = Q = 16 a B(u, u) call (272 KiB of products) and a
+# B(u, v) call (408 KiB) are one batch, and so is every sup over a mesh.
+# Against a 256 KiB cap of B alone (chunks of 15 + 1 and 9 + 7 nodes) and
+# per-node sups, bench/run.py read picard op_s 0.0974 -> 0.0882 s (-9.5%,
+# lower in 10 of 10 alternating 20 s pairs), calibrate 0.370 -> 0.335 s
+# (6 of 6) and spectral 0.0989 -> 0.0942 s (6 of 6), with peak RSS up
+# 0.3-0.4 MB, on a shared 2-core VM.
+BATCH_BYTES = 512 * 1024
+
+# The most bytes one vector field (d n^d float64) of a Lattice may take:
+# every run holds a few such arrays, and a larger lattice is refused before
+# anything is allocated. d = 2 reaches n = 4096 and d = 3 n = 128.
+FIELD_BYTES = 256 * 1024**2
+
+
+def batches(count: int, item_bytes: int) -> list:
+    """The slices that split count items of item_bytes each into the fewest
+    consecutive batches of at most BATCH_BYTES, one item to a batch when one
+    alone passes the cap; their sizes differ by at most one."""
+    per = max(1, BATCH_BYTES // item_bytes)
+    parts = -(-count // per)
+    return [slice(i * count // parts, (i + 1) * count // parts) for i in range(parts)]
+
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -47,6 +73,9 @@ def _is_power_of_two(n: int) -> bool:
 
 class Lattice:
     """Uniform periodic lattice with cached wavevector arrays.
+
+    A lattice whose vector field (d n^d float64) takes more than
+    FIELD_BYTES is refused before any array is made.
 
     Attributes
     ----------
@@ -88,6 +117,11 @@ class Lattice:
             raise ConfigError(f"dimension must be 2 or 3, got {d}")
         if not isinstance(n, (int, np.integer)) or not _is_power_of_two(int(n)) or n < 4:
             raise ConfigError(f"points per axis must be a power of two >= 4, got {n}")
+        field_bytes = d * int(n) ** d * 8
+        if field_bytes > FIELD_BYTES:
+            raise ConfigError(f"a vector field on the d={d}, n={n} lattice takes "
+                              f"{field_bytes / 1024**2:g} MiB, past the budget of "
+                              f"{FIELD_BYTES // 1024**2} MiB")
         if not (box_len > 0) or not np.isfinite(box_len):
             raise ConfigError(f"box length must be positive and finite, got {box_len}")
         k_top = np.pi * n / box_len  # the largest wavenumber on an axis

@@ -22,23 +22,31 @@ Every sup-in-time quantity -- the Kato and Sobolev sup norms, the heat
 characterization of the Besov norm, the smallness forms, the
 integrability ladder, the fluctuation table, the early-time values of a
 solve and the per-node table rows -- is t^w * norm(f(t)) maximized over
-nodes. One row reduction, _lebesgue_rows, computes every Lebesgue norm:
-lebesgue_norm on a field, heat_sup on the rows that heat_flows yields
-(exp(t Lap) u0, transformed once) and weighted_lebesgue on the rows of
-each trajectory node. _sobolev_nodes applies |k|^s to one node at a time
-first when s != 0; with the row reduction it is the one homogeneous
-Sobolev node norm, so sobolev_norm on a field and weighted_lebesgue on
-the nodes of a trajectory (the Kato norm, the Sobolev sup norm, the
-vanishing check and the ladder) read it and build no field. At r = 4 it squares twice instead
-of calling pow. A norm call enters np.errstate once: a power sum that
-overflows gives inf, with no warning, which the callers refuse.
+nodes. One row reduction, _lebesgue_rows, computes every Lebesgue norm,
+one call for a batch of nodes with a leading node axis: lebesgue_norm on
+a field (a batch of one), heat_sup on the batches of flowed rows that
+heat_flows yields (exp(t Lap) u0, transformed once) and weighted_lebesgue
+on batches of trajectory nodes. Batches are the slices of
+lattice.batches, at most lattice.BATCH_BYTES (512 KiB) of samples or of
+flowed coefficients each, or one node or flow that alone passes it: the
+16 nodes of a sup at d = 2, n = 32 are one batch. _sobolev_nodes applies
+|k|^s to each batch first when s != 0, one transform per batch; with the
+row reduction it is the one homogeneous Sobolev node norm, so
+sobolev_norm on a field and weighted_lebesgue on the nodes of a
+trajectory (the Kato norm, the Sobolev sup norm, the vanishing check, the
+ladder and the early values of a solve) read it and build no field. Each
+node of a batch gets the bits of a batch of one, and each weight t^w is
+one scalar power (_weighted). At r = 4 the reduction squares twice
+instead of calling pow. A norm call enters np.errstate once: a power sum
+that overflows gives inf, with no warning, which the callers refuse.
 
 Live components: a component row that is identically zero stays zero under
 the heat flow and adds exactly 0.0 to the l2 aggregate of a norm. So
 heat_flows transforms and flows only the rows of a datum that hold a
 nonzero sample (a subnormal one counts) and yields only those, and
 lebesgue_norm reduces only the live rows of a field; heat_trajectory
-writes the flowed rows into one zero-filled (M, d, *spatial) array.
+writes each batch of flowed rows into one zero-filled (M, d, *spatial)
+array.
 Pocketfft transforms each row the same way alone or in a batch, so both
 give the same bits as the all-component path.
 
@@ -80,7 +88,7 @@ from .errors import ConfigError, DataError, MeshError, NumericalError, WindowErr
 # to_physical is not called here, but it stays bound: the benchmark's span
 # tracer (bench/spans.py) patches it in every module that imports it, and
 # bench/tests/test_spans.py checks this module's binding.
-from .lattice import Field, Lattice, VectorField, to_physical  # noqa: F401
+from .lattice import Field, Lattice, VectorField, batches, to_physical  # noqa: F401
 from .multipliers import _fractional_multiplier, _loglog_fit
 
 
@@ -285,28 +293,32 @@ def heat_flows(u0: Field, times, q=None):
     """The live component rows of u0 and their heat flows: (live, flows).
 
     live is the boolean mask of the component rows of u0 that hold a
-    nonzero sample (_live_rows); flows is a generator that yields, for each
-    t in times, a pair (lattice, rows): the float64 array (live.sum(),
-    *spatial) of those rows of exp(t Lap) u0, sampled on lattice. A dead
-    row stays zero under the flow, so it is neither transformed nor
-    yielded.
+    nonzero sample (_live_rows); flows is a generator that yields, in the
+    order of times, pairs (lattice, rows): rows is the float64 array
+    (flows, live.sum(), *spatial) of those rows of exp(t Lap) u0 for a
+    batch of consecutive times t, sampled on lattice. A dead row stays zero
+    under the flow, so it is neither transformed nor yielded.
 
     The live rows are transformed once, by rforward, which yields only the
-    half spectrum that Lattice.inverse reads; each flow multiplies it by
-    exp(-|k|^2 t) and inverse-transforms it. Flows are built only when the consumer asks for
-    them, so a sup over many times holds one flow, not all. An all-zero
-    datum flows with no transform at all.
+    half spectrum that Lattice.inverse reads. Consecutive flows on u0's
+    lattice come in the batches of lattice.batches, whose flowed
+    coefficients fit lattice.BATCH_BYTES: one product with the kernels of
+    Lattice.heat(times of the batch), which equal the scalar kernels bit
+    for bit, and one inverse transform each. Batches are built only when
+    the consumer asks for them, so a sup over many times holds one batch,
+    not every flow; a flow that alone passes the cap is a batch of one. An
+    all-zero datum flows with no transform at all.
 
     lattice is u0's own unless q is an even integer: then a flow whose band
-    is narrow comes on the coarsest lattice that sums |f|^q exactly (see
-    _coarse_flow and the module docstring), and its rows serve only that
-    Lebesgue-q norm.
+    is narrow comes alone on the coarsest lattice that sums |f|^q exactly
+    (see _coarse_flow and the module docstring), and its rows serve only
+    that Lebesgue-q norm.
     """
     lat = u0.lattice
     rows = u0.data
     live = _live_rows(rows)
     if not live.any():
-        return live, ((lat, np.zeros((0,) + lat.spatial_shape)) for _ in times)
+        return live, iter([(lat, np.zeros((len(times), 0) + lat.spatial_shape))])
     # a transform that overflows is not warned of: heat_sup and Trajectory refuse its flows
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = lat.rforward(rows if live.all() else rows[live])
@@ -321,10 +333,15 @@ _GUARD = 1e-14
 
 
 def _flows(lat: Lattice, coeffs: np.ndarray, times, q: Optional[int]):
-    """The (lattice, rows) pairs of heat_flows, from the half coefficients
-    of the live rows; q is the even integer exponent or None."""
+    """The (lattice, rows) batches of heat_flows, from the half coefficients
+    of the live rows; q is the even integer exponent or None. A run of
+    times whose flows stay on lat is held as times until a coarse flow or
+    the end of times closes it, so the inverse transforms run in the order
+    of times."""
     tails = None  # built at the first flow narrow enough to be coarsened
+    run = []
     for t in times:
+        flow = None
         if q is not None:
             band, past = lat.heat_band(t, _BAND_EXPONENT)
             # the least power of two above q * band, and no Lattice is below 4
@@ -334,10 +351,21 @@ def _flows(lat: Lattice, coeffs: np.ndarray, times, q: Optional[int]):
                     tails = _shell_tails(lat, coeffs)
                 flow = _coarse_flow(lat, coeffs, t, band, lat.coarsened(size),
                                     past * tails[band + 1])
-                if flow is not None:
-                    yield flow
-                    continue
-        yield lat, lat.inverse(coeffs * lat.heat(t))
+        if flow is None:
+            run.append(t)
+            continue
+        yield from _full_flows(lat, coeffs, run)
+        run = []
+        coarse, flowed = flow
+        yield coarse, coarse.inverse(flowed[None])
+    yield from _full_flows(lat, coeffs, run)
+
+
+def _full_flows(lat: Lattice, coeffs: np.ndarray, times: list):
+    """The flows at times on lat, in the batches of lattice.batches."""
+    for span in batches(len(times), coeffs.nbytes):
+        kernels = lat.heat(times[span])
+        yield lat, lat.inverse(coeffs * kernels[:, None])
 
 
 def _shell_tails(lat: Lattice, coeffs: np.ndarray) -> np.ndarray:
@@ -357,8 +385,9 @@ def _shell_tails(lat: Lattice, coeffs: np.ndarray) -> np.ndarray:
 
 def _coarse_flow(lat: Lattice, coeffs: np.ndarray, t: float, band: int, coarse: Lattice,
                  dropped: float):
-    """(coarse, rows) of the flow at t of the modes |m_a| <= band, or None
-    when the guard refuses to drop the rest.
+    """(coarse, coefficients) of the flow at t of the modes |m_a| <= band,
+    a half array of the coarse lattice, or None when the guard refuses to
+    drop the rest.
 
     dropped bounds the sup of the rest: its modes all lie in shells past
     band, where exp(-|k|^2 t) is at most Lattice.heat_band's past factor,
@@ -376,16 +405,19 @@ def _coarse_flow(lat: Lattice, coeffs: np.ndarray, t: float, band: int, coarse: 
     energy = np.abs(flowed) ** 2
     if not dropped <= _GUARD * np.sqrt(2.0 * energy.sum() - energy[..., 0].sum()):
         return None
-    return coarse, coarse.inverse(flowed)
+    return coarse, flowed
 
 
 def heat_trajectory(u0: VectorField, times) -> Trajectory:
     """Trajectory of the free heat evolution of a datum: the flows of
-    heat_flows written into one (M, d, *spatial) array, on u0's lattice."""
+    heat_flows written into one (M, d, *spatial) array, on u0's lattice,
+    one assignment per batch."""
     live, flows = heat_flows(u0, times)
     data = np.zeros((len(times),) + u0.data.shape)
-    for node, (_, rows) in zip(data, flows):
-        node[live] = rows
+    start = 0
+    for _, rows in flows:
+        data[start:start + len(rows), live] = rows
+        start += len(rows)
     return Trajectory(u0.lattice, times, data)
 
 
@@ -460,9 +492,11 @@ def _live_rows(rows: np.ndarray) -> np.ndarray:
     return rows.reshape(len(rows), -1).any(axis=1)
 
 
-def _lebesgue_rows(rows: np.ndarray, r, cell_volume: float) -> float:
-    """Lebesgue-r norms of the component rows of rows (component axis
-    first), aggregated in l2.
+def _lebesgue_rows(nodes: np.ndarray, r, cell_volume: float) -> np.ndarray:
+    """The Lebesgue-r norm of each node of nodes (node axis first, then
+    the component axis), its component rows aggregated in l2: one
+    reduction for the whole batch, which gives each node the bits of a
+    batch of one.
 
     r = 4 squares twice instead of calling pow per sample; every other r
     takes np.abs(x) ** r, and np.inf the grid sup. A row that is
@@ -471,17 +505,24 @@ def _lebesgue_rows(rows: np.ndarray, r, cell_volume: float) -> float:
     """
     if not (r == np.inf or r >= 1):
         raise ConfigError(f"Lebesgue exponent must be in [1, inf], got {r}")
-    axes = tuple(range(1, rows.ndim))
+    axes = tuple(range(2, nodes.ndim))
     if r == np.inf:
-        per_row = np.max(np.abs(rows), axis=axes)
+        per_row = np.max(np.abs(nodes), axis=axes)
     else:
         if r == 4:
-            powers = rows * rows
+            powers = nodes * nodes
             powers *= powers
         else:
-            powers = np.abs(rows) ** r
+            powers = np.abs(nodes) ** r
         per_row = (np.sum(powers, axis=axes) * cell_volume) ** (1.0 / r)
-    return float(np.sqrt(np.sum(per_row**2)))
+    return np.sqrt(np.sum(per_row**2, axis=1))
+
+
+def _weighted(times, weight: float, norms: np.ndarray) -> np.ndarray:
+    """t^weight * norm at each time: one scalar power per time, since
+    numpy's vectorised power differs from it in the last bit for some
+    exponents."""
+    return np.array([t**weight for t in times]) * norms
 
 
 def lebesgue_norm(field: Field, r) -> float:
@@ -494,43 +535,48 @@ def lebesgue_norm(field: Field, r) -> float:
     rows = field.data
     live = _live_rows(rows)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _lebesgue_rows(rows if live.all() else rows[live], r, field.lattice.cell_volume)
+        rows = rows if live.all() else rows[live]
+        return float(_lebesgue_rows(rows[None], r, field.lattice.cell_volume)[0])
 
 
-def _sobolev_nodes(lat: Lattice, nodes, s: float):
-    """The samples of |k|^s f for each node f (samples (d, *spatial)) in
-    nodes, lazily: the nodes themselves for s = 0, else each node through
-    rforward, the |k|^s multiplier (built once per call) and inverse on its
-    own, so no (M, d, *spatial) spectrum is held. A dead row stays exactly
-    zero and adds exactly 0.0 to a norm."""
+def _sobolev_nodes(lat: Lattice, data: np.ndarray, s: float):
+    """The samples of |k|^s f for the nodes f of data (node axis first),
+    lazily, in the batches of lattice.batches whose samples fit
+    lattice.BATCH_BYTES: views of data for s = 0, else each batch through
+    one rforward, the |k|^s multiplier (built once per call) and one
+    inverse, so no spectrum of more than one batch is held. A dead row
+    stays exactly zero and adds exactly 0.0 to a norm."""
+    spans = batches(len(data), data[0].nbytes)
     if s == 0:
-        return nodes
+        return (data[span] for span in spans)
     mult = _fractional_multiplier(lat, s)
-    return (lat.inverse(lat.rforward(node) * mult) for node in nodes)
+    return (lat.inverse(lat.rforward(data[span]) * mult) for span in spans)
 
 
 def sobolev_norm(field: Field, s: float, p) -> float:
     """Homogeneous Sobolev norm: Lebesgue-p norm of |k|^s applied to the
-    field, the node norm of weighted_lebesgue."""
+    field, the node norm of weighted_lebesgue on a batch of one."""
     lat = field.lattice
     with np.errstate(over="ignore", invalid="ignore"):
-        return _lebesgue_rows(*_sobolev_nodes(lat, [field.data], s), p, lat.cell_volume)
+        (rows,) = _sobolev_nodes(lat, field.data[None], s)
+        return float(_lebesgue_rows(rows, p, lat.cell_volume)[0])
 
 
 def weighted_lebesgue(traj: Trajectory, weight: float, r, nodes=None, s=0.0) -> np.ndarray:
     """t^weight * || |k|^s u(t) ||_r at the first nodes mesh nodes (every
-    node by default), one row reduction of each node of _sobolev_nodes.
+    node by default): one row reduction for each batch of _sobolev_nodes.
 
     No field is built: the Trajectory constructor has already scanned the
     samples for non-finite values. The values equal lebesgue_norm (s = 0)
-    or sobolev_norm of each node's field bit for bit; one that overflows
-    is inf.
+    or sobolev_norm of each node's field, times the scalar power t^weight,
+    bit for bit; one that overflows is inf.
     """
     lat = traj.lattice
-    rows = _sobolev_nodes(lat, traj.data, s)
+    times = traj.times[:nodes]
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.array([t**weight * _lebesgue_rows(node, r, lat.cell_volume)
-                         for t, node in zip(traj.times[:nodes], rows)])
+        norms = [_lebesgue_rows(batch, r, lat.cell_volume)
+                 for batch in _sobolev_nodes(lat, traj.data[:len(times)], s)]
+        return _weighted(times, weight, np.concatenate(norms))
 
 
 def _sup_report(times, values: np.ndarray, window_ok: bool) -> NormReport:
@@ -544,10 +590,11 @@ def _sup_report(times, values: np.ndarray, window_ok: bool) -> NormReport:
 
 
 def heat_sup(u0: Field, t_grid, weight: float, q) -> NormReport:
-    """sup over t_grid of t^weight ||exp(t Lap) u0||_q, streaming the flowed
-    live rows of heat_flows into the row reduction with the cell volume of
-    the lattice each flow comes on: at an even integer q a narrow flow
-    comes on a coarser lattice (see the module docstring).
+    """sup over t_grid of t^weight ||exp(t Lap) u0||_q, streaming the
+    batches of flowed live rows of heat_flows into the row reduction, one
+    call per batch, with the cell volume of the lattice the batch comes on:
+    at an even integer q a narrow flow comes on a coarser lattice (see the
+    module docstring).
 
     A grid that is empty or holds a time that is not positive and finite
     raises ConfigError naming the first such time. A weighted value that
@@ -564,8 +611,8 @@ def heat_sup(u0: Field, t_grid, weight: float, q) -> NormReport:
         raise ConfigError(f"heat time grid must be non-empty, positive and finite{found}")
     _, flows = heat_flows(u0, t_grid, q)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.array([t**weight * _lebesgue_rows(rows, q, flow_lat.cell_volume)
-                           for t, (flow_lat, rows) in zip(t_grid, flows)])
+        norms = [_lebesgue_rows(rows, q, flow_lat.cell_volume) for flow_lat, rows in flows]
+        values = _weighted(t_grid, weight, np.concatenate(norms))
     finite = np.isfinite(values)
     if not finite.all():
         t = t_grid[int(np.argmin(finite))]

@@ -239,13 +239,13 @@ class TestExitCodes:
              "config error: config keys 'decay', 'amplitude', 'r_inner_levels[0]', 'r_outer' "
              "and 'box_len': power_law datum produced non-finite samples"),
             ("smallness", ["box_len=1e160"], 2,
-             "config error: config keys 'n' and 'box_len': box length 1e+160 is too large "
+             "config error: config keys 'd', 'n' and 'box_len': box length 1e+160 is too large "
              "for n=32"),
             ("besov-equiv", ["box_len=1e200"], 2,
-             "config error: config keys 'n' and 'box_len': box length 1e+200 is too large "
+             "config error: config keys 'd', 'n' and 'box_len': box length 1e+200 is too large "
              "for n=32"),
             ("solve", ["box_len=1e200"], 2,
-             "config error: config keys 'n' and 'box_len': box length 1e+200 is too large "
+             "config error: config keys 'd', 'n' and 'box_len': box length 1e+200 is too large "
              "for n=64"),
             ("besov-equiv", ["smoothness=-1e300"], 2,
              "config error: config keys 'smoothness', 'mode' and 'box_len': the heat-Besov "
@@ -274,7 +274,7 @@ class TestExitCodes:
              "config error: config keys 'amplitude' and 'rescale': single_mode datum produced "
              "non-finite samples"),
             ("kernel-decay", ["box_len=1e300"], 2,
-             "config error: config keys 'resolution', 'box_len' and 'selfsim_factor': box "
+             "config error: config keys 'd', 'resolution', 'box_len' and 'selfsim_factor': box "
              "length 2e+300 is too large for n=512: the cell volume or the validity window "
              "overflows"),
             ("heat-decay", ["width=5e-324"], 2,
@@ -726,3 +726,58 @@ class TestExitCodes:
         missing = tmp_path / "nope.json"
         assert main(["beta-integral", "--config", str(missing)]) == 4
         assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, keys", [
+        ("kernel-decay", "'d', 'resolution', 'box_len' and 'selfsim_factor'"),
+        ("heat-decay", "'d', 'resolution' and 'box_len'"),
+    ])
+    def test_3d_default_resolution_is_refused_before_allocating(self, experiment, keys,
+                                                                 tmp_path, capsys, monkeypatch):
+        """The default resolution 512 at d = 3 is a 512^3 lattice, 3 GiB per
+        vector field: refused by the lattice budget before the lattice
+        makes its first array (its wavenumbers come from fftfreq)."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lattice allocated before its budget check")
+
+        monkeypatch.setattr(np.fft, "fftfreq", refuse)
+        assert main([experiment, "--set", "d=3", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: config keys {keys}: a vector field on the d=3, n=512 lattice "
+            "takes 3072 MiB, past the budget of 256 MiB")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value, shown", [(np.inf, "inf"), (-np.inf, "-inf"),
+                                              (np.nan, "NaN")])
+    def test_non_finite_summary_exits_3_naming_its_key(self, value, shown, tmp_path, capsys,
+                                                       monkeypatch):
+        """A summary float that is NaN or +-inf is refused, nested keys
+        included, and nothing is written."""
+        exp = lab.EXPERIMENTS["beta-integral"]
+
+        def runner(cfg):
+            columns, rows, summary, digest = exp.runner(cfg)
+            return columns, rows, {**summary, "section": {"worst": value}}, digest
+
+        monkeypatch.setitem(lab.EXPERIMENTS, "beta-integral",
+                            lab.ExperimentDef(exp.description, exp.keys, runner))
+        assert main(["beta-integral", "--set", "grid_points=2", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"numerical failure: beta-integral summary key 'section.worst' is {shown}")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key", ["horizon_spread_kato", "horizon_spread_sobolev",
+                                     "mesh_doubling_spread"])
+    def test_spreads_may_be_inf(self, key, tmp_path, monkeypatch):
+        """bilinear's spreads are quotients of two measured ratios, which
+        may overflow: inf is written, not refused."""
+        exp = lab.EXPERIMENTS["beta-integral"]
+
+        def runner(cfg):
+            columns, rows, summary, digest = exp.runner(cfg)
+            return columns, rows, {**summary, key: np.inf}, digest
+
+        monkeypatch.setitem(lab.EXPERIMENTS, "beta-integral",
+                            lab.ExperimentDef(exp.description, exp.keys, runner))
+        assert main(["beta-integral", "--set", "grid_points=2", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "beta-integral.json").read_text())["summary"]
+        assert summary[key] == np.inf

@@ -53,7 +53,7 @@ from mildns import (
     realize_datum,
     volterra_nodes,
 )
-from mildns import duhamel
+from mildns import duhamel, lattice
 from mildns.duhamel import TARGET_KATO, TARGET_SOBOLEV
 from mildns.lattice import Lattice
 from mildns.multipliers import _project_div_spectral
@@ -447,20 +447,56 @@ class TestFusedB:
         self.assert_matches_per_node(u, u, mesh[-1:], quad)
 
     def test_one_node_per_chunk(self):
-        """At d = 3, n = 16 one node's half-spectrum coefficients fill the
-        chunk cap for B(u, u) and exceed it for B(u, v): every chunk holds
-        one node."""
+        """At d = 3, n = 32 one node's half-spectrum coefficients pass the
+        batch cap both for B(u, u) and for B(u, v): every chunk holds one
+        node."""
         book = build_exponent_book(d=3, p=3.0, s=0.0, q_tilde=6.0)
         quad = QuadratureSpec(node_count=8, gamma=book.gamma_kato, theta=book.alpha)
         mesh = quadratic_mesh(0.5, 4)
-        u, v = self.band_flows(3, 16, mesh, (7, 8))
+        u, v = self.band_flows(3, 32, mesh, (7, 8))
         row_bytes = math.prod(u.lattice.half_shape) * np.dtype(np.complex128).itemsize
-        node_bytes = len(duhamel._scratch.load(u.lattice, True).pairs) * row_bytes
-        assert duhamel._CHUNK_BYTES // node_bytes == 1
+        for b, symmetric in ((u, True), (v, False)):
+            node_bytes = len(duhamel._scratch.load(u.lattice, symmetric).pairs) * row_bytes
+            assert node_bytes > lattice.BATCH_BYTES
+            self.assert_matches_per_node(u, b, mesh[-1:], quad)
+            assert len(duhamel._scratch.held[0]) == 1
+
+    @staticmethod
+    def count_rforward(monkeypatch):
+        """The node counts of the rforward calls that follow."""
+        calls = []
+        rforward = Lattice.rforward
+
+        def counted(lat, a, out=None):
+            calls.append(len(a))
+            return rforward(lat, a, out=out)
+
+        monkeypatch.setattr(Lattice, "rforward", counted)
+        return calls
+
+    def test_one_transform_per_call(self, monkeypatch):
+        """At the picard size (d = 2, n = 32, Q = 16) the 16 node products
+        of B(u, u), 272 KiB, and of B(u, v), 408 KiB, fit the batch cap: one
+        call makes one rforward of all of them."""
+        u, mesh, quad = TestCallSetUp.picard_size_flow()
+        v = Trajectory(u.lattice, mesh, u.data * 0.5)
+        calls = self.count_rforward(monkeypatch)
+        for b in (u, v):
+            calls.clear()
+            bilinear_B(u, b, float(mesh[-1]), quad)
+            assert calls == [quad.node_count]
+            assert len(duhamel._scratch.held[0]) == quad.node_count
+
+    def test_chunks_are_as_equal_as_q_allows(self, monkeypatch):
+        """A cap of 7 nodes' products splits Q = 16 nodes 5 + 5 + 6, not
+        7 + 7 + 2, and the chunked B matches the per-node loop."""
+        u, mesh, quad = TestCallSetUp.picard_size_flow()
+        node_bytes = 2 * math.prod(u.lattice.half_shape) * np.dtype(np.complex128).itemsize
+        monkeypatch.setattr(lattice, "BATCH_BYTES", 7 * node_bytes + 1)
+        calls = self.count_rforward(monkeypatch)
         self.assert_matches_per_node(u, u, mesh[-1:], quad)
-        assert len(duhamel._scratch.held[0]) == 1
-        self.assert_matches_per_node(u, v, mesh[-1:], quad)
-        assert len(duhamel._scratch.held[0]) == 1
+        assert calls == [5, 5, 6]
+        assert len(duhamel._scratch.held[0]) == 6
 
     @pytest.mark.parametrize("d, n, p, q_tilde", [(2, 16, 2.0, 4.0), (3, 8, 3.0, 6.0)])
     def test_transformed_rows_per_call(self, d, n, p, q_tilde, monkeypatch):

@@ -32,7 +32,7 @@ from mildns import (
     to_physical,
     to_spectral,
 )
-from mildns.lattice import _HEADER, PHYSICAL, Lattice
+from mildns.lattice import _HEADER, FIELD_BYTES, PHYSICAL, Lattice
 
 
 class TestLatticeConstruction:
@@ -51,6 +51,23 @@ class TestLatticeConstruction:
     def test_rejects_bad_box(self, box_len):
         with pytest.raises(ConfigError, match="box length"):
             make_lattice(2, 16, box_len)
+
+    @pytest.mark.parametrize("d, n, mib", [(2, 8192, 1024), (3, 256, 384), (3, 512, 3072)])
+    def test_refuses_a_field_past_the_budget(self, d, n, mib, monkeypatch):
+        """A lattice whose vector field passes FIELD_BYTES is refused before
+        it makes any array; d = 2, n = 4096 and d = 3, n = 128 are the
+        largest that pass."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lattice allocated before its budget check")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.fft, "fftfreq", refuse)
+            with pytest.raises(ConfigError) as info:
+                make_lattice(d, n, 1.0)
+        assert str(info.value) == (f"a vector field on the d={d}, n={n} lattice takes "
+                                   f"{mib} MiB, past the budget of 256 MiB")
+        for dim, points in ((2, 4096), (3, 128)):
+            assert dim * points**dim * 8 <= FIELD_BYTES < dim * (2 * points) ** dim * 8
 
     def test_geometry(self):
         lat = make_lattice(2, 8, 4.0)

@@ -11,6 +11,7 @@ Oracles used here:
 """
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +46,10 @@ from mildns import (
     to_spectral,
     vanishing_at_zero,
 )
-from mildns.lattice import PHYSICAL
+from mildns import lattice
+from mildns.lattice import PHYSICAL, batches
 from mildns.multipliers import _loglog_fit
-from mildns.norms import heat_sup, weighted_lebesgue, window_grid
+from mildns.norms import _lebesgue_rows, heat_sup, weighted_lebesgue, window_grid
 
 
 def cosine_moment(q: float) -> float:
@@ -265,16 +267,24 @@ class TestLiveComponents:
 
     @staticmethod
     def count_transforms(monkeypatch):
-        sizes = {"rforward": [], "inverse": []}
-        for name in sizes:
+        shapes = {"rforward": [], "inverse": []}
+        for name in shapes:
             original = getattr(Lattice, name)
 
-            def counted(self, a, _original=original, _sizes=sizes[name]):
-                _sizes.append(np.size(a))
+            def counted(self, a, _original=original, _shapes=shapes[name]):
+                _shapes.append(np.shape(a))
                 return _original(self, a)
 
             monkeypatch.setattr(Lattice, name, counted)
-        return sizes
+        return shapes
+
+    @staticmethod
+    def flow_batches(lat, count, rows=1):
+        """The inverse shapes of count full-grid flows of rows live rows:
+        the batches of lattice.batches over their half coefficients."""
+        flow_bytes = rows * math.prod(lat.half_shape) * np.dtype(np.complex128).itemsize
+        return [(span.stop - span.start, rows) + lat.half_shape
+                for span in batches(count, flow_bytes)]
 
     @pytest.mark.parametrize("d, n, box_len, spec", CASES, ids=IDS)
     def test_same_bits_as_every_component(self, d, n, box_len, spec):
@@ -339,17 +349,19 @@ class TestLiveComponents:
 
     def test_transforms_only_the_live_component(self, monkeypatch, field_inits):
         """The heat sup of a physical datum makes one rforward of its live
-        row, one inverse per flow, and constructs no Field."""
+        row, one inverse of that row per batch of flows, and constructs no
+        Field."""
         n = 64
         lat = make_lattice(2, n, 8.0)
         u0 = realize_datum(DatumSpec(kind="power_law", decay=1.0, r_inner=0.25,
                                      r_outer=2.0), lat)
-        sizes = self.count_transforms(monkeypatch)
+        shapes = self.count_transforms(monkeypatch)
         grid = window_grid(lat)
         field_inits.clear()
         besov_norm_heat(u0, -0.5, 4.0)
-        assert sizes["rforward"] == [n**2]
-        assert sizes["inverse"] == [n * (n // 2 + 1)] * grid.size
+        assert shapes["rforward"] == [(1, n, n)]
+        assert shapes["inverse"] == self.flow_batches(lat, grid.size)
+        assert 1 < len(shapes["inverse"]) < grid.size  # 22 flows of 33 KiB, in 2 batches
         assert field_inits == []
 
     def test_zero_datum_needs_no_transform(self, lat2, monkeypatch):
@@ -371,10 +383,10 @@ class TestLiveComponents:
         assert lebesgue_norm(u0, np.inf) == self.reference_lebesgue(lat2, data, np.inf)
         grid = window_grid(lat2)
         flows = self.reference_flows(u0, grid)
-        sizes = self.count_transforms(monkeypatch)
+        shapes = self.count_transforms(monkeypatch)
         traj = heat_trajectory(u0, grid)
-        assert sizes["rforward"] == [lat2.n**2]
-        assert sizes["inverse"] == [lat2.n * (lat2.n // 2 + 1)] * grid.size
+        assert shapes["rforward"] == [(1,) + lat2.spatial_shape]
+        assert shapes["inverse"] == self.flow_batches(lat2, grid.size)
         for field, flow in zip(traj.fields, flows):
             assert np.array_equal(field.data, flow)
 
@@ -444,7 +456,8 @@ class TestBandLimitedFlows:
         calls = self.inverse_sizes(monkeypatch)
         besov_norm_heat(u0, -0.5, q)
         sizes = [min(self.coarse_size(lat, t, q), lat.n) for t in grid]
-        assert calls == [(size, (1, size, size // 2 + 1)) for size in sizes]
+        # a 512^2 flow alone passes the batch cap, so every flow is a batch of one
+        assert calls == [(size, (1, 1, size, size // 2 + 1)) for size in sizes]
         assert 1 < sizes.count(lat.n) < len(sizes)
         # one lattice object per coarse size, kept on the fine lattice
         assert lat.coarsened(sizes[-1]) is lat.coarsened(sizes[-1])
@@ -755,10 +768,10 @@ class TestTimeWeightedNorms:
     @pytest.mark.parametrize("s", [0.0, -1.0 / 3.0, 0.5])
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
     def test_n_norm_is_the_per_node_sobolev_norm(self, s, p, divfree_datum, field_inits):
-        """n_norm reduces the rows of traj.data, through |k|^s one node at a
-        time when s != 0, to the bits of the Lebesgue norm of each node's
-        field under fractional_laplacian, a dead component included, and
-        constructs no Field."""
+        """n_norm reduces the rows of traj.data, through |k|^s one batch of
+        nodes at a time when s != 0, to the bits of the Lebesgue norm of
+        each node's field under fractional_laplacian, a dead component
+        included, and constructs no Field."""
         lat = make_lattice(2, 32, 2.0 * np.pi)
         for u0 in (realize_datum(DatumSpec(kind="gaussian", width=0.1), lat),
                    divfree_datum(lat, seed=17)):
@@ -776,6 +789,74 @@ class TestTimeWeightedNorms:
         assert kato_norm(inside, 2.0, 4.0).window_ok
         assert not kato_norm(outside, 2.0, 4.0).window_ok
         assert not n_norm(outside, 0.0, 2.0).window_ok
+
+
+class TestBatches:
+    """Batched reductions and flows give each node and each time the bits
+    of a batch of one, whatever the cap (lattice.BATCH_BYTES) makes of the
+    batches."""
+
+    @staticmethod
+    def flow(d, n, seed=23, nodes=16):
+        lat = make_lattice(d, n, 2.0 * np.pi)
+        u0 = realize_datum(DatumSpec(kind="random_band", seed=seed, k_min=1.0, k_max=5.0,
+                                     divergence_free=True), lat)
+        return u0, heat_trajectory(u0, quadratic_mesh(0.25, nodes))
+
+    @pytest.mark.parametrize("r", [2.0, 3.0, 4.0, np.inf])
+    @pytest.mark.parametrize("d, n", [(2, 32), (3, 16)])
+    def test_rows_of_a_batch_are_the_rows_of_one(self, d, n, r):
+        _, traj = self.flow(d, n)
+        cell = traj.lattice.cell_volume
+        batched = _lebesgue_rows(traj.data, r, cell)
+        alone = [_lebesgue_rows(node[None], r, cell)[0] for node in traj.data]
+        assert batched.shape == (len(traj),)
+        assert np.array_equal(batched, alone)
+        assert np.array_equal(alone, [lebesgue_norm(f, r) for f in traj.fields])
+
+    @staticmethod
+    def sups(u0, traj, s):
+        grid = window_grid(u0.lattice)
+        out = [heat_trajectory(u0, traj.times).data]
+        for r in (2.0, 3.0, 4.0, np.inf):
+            out += [heat_sup(u0, grid, 0.25, r).values, kato_norm(traj, 2.0, r).values,
+                    n_norm(traj, s, r).values,
+                    weighted_lebesgue(traj, -0.125, r, nodes=5, s=s)]
+        return out
+
+    @pytest.mark.parametrize("s", [0.0, -0.5, 0.25])
+    @pytest.mark.parametrize("d, n", [(2, 32), (3, 16)])
+    def test_split_batches_give_the_bits_of_one(self, d, n, s, monkeypatch):
+        """With a cap that holds every sup here in one batch, and with one
+        of a little over two nodes, which splits each into several, every
+        value has the same bits."""
+        u0, traj = self.flow(d, n)
+        node_bytes = traj.data[0].nbytes
+        monkeypatch.setattr(lattice, "BATCH_BYTES", 2**30)
+        whole = self.sups(u0, traj, s)
+        calls = []
+        inverse = Lattice.inverse
+
+        def counted(lat, c):
+            calls.append(len(c))
+            return inverse(lat, c)
+
+        monkeypatch.setattr(lattice, "BATCH_BYTES", 2 * node_bytes + node_bytes // 2)
+        monkeypatch.setattr(Lattice, "inverse", counted)
+        split = self.sups(u0, traj, s)
+        assert max(calls) == 2  # every sup was split
+        for got, want in zip(split, whole):
+            assert np.array_equal(got, want)
+
+    def test_weight_is_one_scalar_power_per_node(self):
+        """weighted_lebesgue is t**weight * norm node by node, bit for bit:
+        the scalar power, not numpy's vectorised one, which differs in the
+        last bit for some exponents."""
+        _, traj = self.flow(2, 32)
+        for weight in (-0.125, 0.25, 1.0 / 3.0, 0.7):
+            got = weighted_lebesgue(traj, weight, 4.0)
+            want = [t**weight * lebesgue_norm(f, 4.0) for t, f in zip(traj.times, traj.fields)]
+            assert np.array_equal(got, want)
 
 
 class TestVanishing:
