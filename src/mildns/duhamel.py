@@ -389,8 +389,8 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
 
 def bilinear_trajectory(u_traj: Trajectory, v_traj: Trajectory,
                         quad: QuadratureSpec) -> Trajectory:
-    """B(u, v) evaluated at every node of the shared mesh."""
-    u_traj.check_same_mesh(v_traj)
+    """B(u, v) evaluated at every node of the shared mesh; bilinear_B
+    refuses a v_traj on another lattice or mesh."""
     data = np.array([bilinear_B(u_traj, v_traj, float(t), quad).data for t in u_traj.times])
     return Trajectory(u_traj.lattice, u_traj.times, data)
 

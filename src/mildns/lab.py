@@ -517,7 +517,8 @@ def _run_heat_decay(cfg):
         lat.check_cap(cfg["t_max"], "t_max")
     u0 = _realized(dict(kind="gaussian", width=cfg["width"], amplitude=cfg["amplitude"]), lat,
                    "width")
-    t_grid = dyadic_grid(cfg["t_max"], cfg["t_min"], cfg["per_octave"])
+    with naming("t_min", "t_max", "per_octave"):
+        t_grid = dyadic_grid(cfg["t_max"], cfg["t_min"], cfg["per_octave"])
     d, q, qt = cfg["d"], float(cfg["q"]), float(cfg["q_tilde"])
     expected_slope = -(d / 2.0) * (1.0 / q - 1.0 / qt)
     columns = ["t", "measured_norm", "closed_form", "rel_err"]

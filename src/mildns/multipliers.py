@@ -5,9 +5,10 @@ convolution kernel of |k|^s exp(-t |k|^2) P div.
 All multipliers act diagonally on the Fourier coefficients. Operators
 homogeneous of nonzero degree annihilate the k = 0 mode; the heat flow and
 the Leray projection act as the identity on it (constants are divergence
-free and do not diffuse). Each takes a field, multiplies its coefficients
-(to_spectral, a plain array) and returns the field of the product
-(to_physical).
+free and do not diffuse). heat_flow is the one node of
+norms.heat_trajectory, the heat path every run takes; each other operator
+takes a field, multiplies its coefficients (to_spectral, a plain array)
+and returns the field of the product (to_physical).
 
 Every coefficient array is the half array of Lattice.rforward, and every
 multiplier is built on the same half grid. Operators odd in k contract
@@ -30,12 +31,6 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, WindowError
 from .lattice import Field, Lattice, TWO_PI, VectorField, to_physical, to_spectral
-
-
-def _apply_multiplier(field: Field, multiplier: np.ndarray) -> Field:
-    """The field whose coefficients are those of field times a
-    half-grid array."""
-    return to_physical(field.lattice, to_spectral(field) * multiplier)
 
 
 def _divergence(coeff: np.ndarray, lat: Lattice) -> np.ndarray:
@@ -73,12 +68,16 @@ def _fractional_multiplier(lattice: Lattice, s: float) -> np.ndarray:
 
 
 def heat_flow(field: Field, t: float) -> Field:
-    """Apply exp(t * Laplacian): coefficients scale by exp(-|k|^2 t)."""
+    """Apply exp(t * Laplacian): coefficients scale by exp(-|k|^2 t). The
+    flow is the one node of norms.heat_trajectory(field, [t])."""
+    # deferred: norms imports multipliers
+    from .norms import heat_trajectory
+
     if not (t >= 0) or not np.isfinite(t):
         raise ConfigError(f"heat flow time must be >= 0 and finite, got {t}")
     if t == 0:
         return field
-    return _apply_multiplier(field, field.lattice.heat(t))
+    return heat_trajectory(field, [t]).fields[0]
 
 
 def fractional_laplacian(field: Field, s: float) -> Field:
@@ -86,7 +85,8 @@ def fractional_laplacian(field: Field, s: float) -> Field:
     operators have no action on constants); s = 0 is the identity."""
     if s == 0:
         return field
-    return _apply_multiplier(field, _fractional_multiplier(field.lattice, s))
+    lat = field.lattice
+    return to_physical(lat, to_spectral(field) * _fractional_multiplier(lat, s))
 
 
 def leray_project(field: VectorField) -> VectorField:

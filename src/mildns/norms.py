@@ -426,10 +426,11 @@ def dyadic_grid(t_max: float, t_min: float, per_octave: int = 4) -> np.ndarray:
 
     Built by descending from t_max in factors of 2**(1/per_octave), so grids
     for horizons T and T/lambda^2 (dyadic lambda) correspond element-wise in
-    exact floating point. Returned ascending.
+    exact floating point. Returned ascending. t_min must be a normal float:
+    below the normal floats t / 2**(1/per_octave) can round back to t.
     """
-    if not (0 < t_min < t_max < math.inf):
-        raise ConfigError(f"need 0 < t_min < t_max < inf, got [{t_min}, {t_max}]")
+    if not (np.finfo(float).tiny <= t_min < t_max < math.inf):
+        raise ConfigError(f"need 0 < t_min < t_max < inf, t_min normal, got [{t_min}, {t_max}]")
     if isinstance(per_octave, bool) or not isinstance(per_octave, (int, np.integer)) \
             or per_octave < 1:
         raise ConfigError(f"points per octave must be an integer >= 1, got {per_octave!r}")

@@ -443,10 +443,13 @@ def load_calibration(book: ExponentBook, path: str) -> ExponentBook:
 @dataclass
 class MildSolution:
     """Converged mild solution with its construction record; datum is the
-    u0 it was solved from, held by reference and left out of manifest()."""
+    u0 it was solved from, held by reference, and fluctuation the
+    trajectory w = u - e^{t Lap} u0 on its mesh. Both are left out of
+    manifest()."""
 
     trajectory: Trajectory
     datum: VectorField
+    fluctuation: Trajectory
     book: ExponentBook
     trace: PicardTrace
     smallness: SmallnessReport
@@ -476,8 +479,6 @@ def _check_datum(u0: VectorField):
     if not isinstance(u0, VectorField):
         raise DataError("solver needs a VectorField datum")
     scale = float(np.abs(u0.data).max())
-    if scale == 0.0:
-        return
     defect = divergence_defect(u0)
     if defect > 1e-8:
         raise DataError(
@@ -556,13 +557,15 @@ def solve_mild(
 
     lat = u0.lattice
     defects = np.array([_divergence_defect(node, lat) for node in solution_traj.data])
-    early = weighted_lebesgue(solution_traj - y, 0.0, book.p, nodes=5, s=book.s)
+    fluctuation = solution_traj - y
+    early = weighted_lebesgue(fluctuation, 0.0, book.p, nodes=5, s=book.s)
     early_ok = bool(np.all(np.diff(early) >= -1e-12 * max(1.0, early.max())))
     ball_ok = bool(trace.norms[-1] <= 0.5 / eta + trace.threshold)
 
     return MildSolution(
         trajectory=solution_traj,
         datum=u0,
+        fluctuation=fluctuation,
         book=book,
         trace=trace,
         smallness=smallness,
@@ -656,7 +659,8 @@ class FluctuationReport:
 def fluctuation_analysis(solution: MildSolution,
                          p_tilde_list: Sequence[float]) -> FluctuationReport:
     """Measure the heat-flow fluctuation u - e^{t Lap} u0 of a critical
-    solution, u0 its datum, in the scaling-matched Sobolev norms.
+    solution, u0 its datum, in the scaling-matched Sobolev norms: the
+    solution.fluctuation that its solve formed, so no datum is flowed here.
 
     Requires a critical book (s = d/p - 1) and every p_tilde above
     max(p, d)/2 (check_exponent_floor). For each p_tilde the smoothness is
@@ -665,13 +669,11 @@ def fluctuation_analysis(solution: MildSolution,
     book = solution.book
     book.require_critical("fluctuation analysis")
     check_exponent_floor(book, "fluctuation", p_tilde_list)
-    traj = solution.trajectory
-    fluctuation = traj - heat_trajectory(solution.datum, traj.times)
     p_values, smooth, sups = [], [], []
     for p_tilde in p_tilde_list:
         p_tilde = float(p_tilde)
         s_tilde = book.d / p_tilde - 1.0
-        report = n_norm(fluctuation, s_tilde, p_tilde)
+        report = n_norm(solution.fluctuation, s_tilde, p_tilde)
         if not np.isfinite(report.values).all():
             raise DataError(f"non-finite fluctuation values at p_tilde = {p_tilde:g}")
         p_values.append(p_tilde)

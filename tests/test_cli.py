@@ -303,6 +303,9 @@ class TestExitCodes:
             ("kernel-decay", ["t=256", "selfsim_factor=3"], 2,
              "config error: config keys 'tail_lo' and 't': the tail window starts at 4.0, "
              "inside the kernel's core |x| < 2 sqrt(t) = 32"),
+            ("heat-decay", ["t_min=5e-324"], 2,
+             "config error: config keys 't_min', 't_max' and 'per_octave': need 0 < t_min "
+             "< t_max < inf, t_min normal, got [5e-324, 64.0]"),
         ],
         ids=["scaling-lam", "scaling-lam-heat-sup", "beta-integral-t-large",
              "beta-integral-t-small", "kernel-decay-s",
@@ -315,7 +318,8 @@ class TestExitCodes:
              "bilinear-huge-horizon", "bilinear-tiny-first-horizon",
              "bilinear-underflowed-horizon", "kernel-decay-radius-max",
              "kernel-decay-radius-min", "ladder-r-overflow", "besov-equiv-amplitude-overflow",
-             "powerlaw-amplitude-overflow", "kernel-decay-tail-in-core"],
+             "powerlaw-amplitude-overflow", "kernel-decay-tail-in-core",
+             "heat-decay-t_min-subnormal"],
     )
     def test_overflowing_value_is_refused_cleanly(self, experiment, settings, code, message,
                                                   tmp_path, capsys):

@@ -11,12 +11,15 @@ mode +k) through the Leray matrix at k and doubling against the conjugate
 mode. Everything else checks operator identities and closed forms.
 """
 
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import mildns
 from mildns import (
     ConfigError,
     DatumSpec,
@@ -33,6 +36,7 @@ from mildns import (
     realize_datum,
     to_physical,
 )
+from mildns import norms
 from mildns.lattice import PHYSICAL
 from mildns.multipliers import (
     _divergence_spectral,
@@ -49,6 +53,23 @@ def box(resolution: int, box_len: float = 16.0):
     """The 2-D lattice kernel_profile profiles on; the 16 box has the
     validity window t <= 2.56."""
     return make_lattice(2, resolution, box_len)
+
+
+def callers(name: str) -> set:
+    """'module.function' for each function of the package that calls a name
+    or an attribute name, the function the call sits in most closely."""
+    found = set()
+    for path in sorted(Path(mildns.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and name in (getattr(func, "id", None),
+                                                       getattr(func, "attr", None)):
+                while not isinstance(node, ast.FunctionDef):
+                    node = parents[node]
+                found.add(f"{path.stem}.{node.name}")
+    return found
 
 
 def random_vector(lattice, seed):
@@ -86,6 +107,37 @@ class TestHeatFlow:
     def test_preserves_mean(self, lat2, rng, row0_field):
         f = row0_field(lat2, 3.0 + rng.standard_normal((16, 16)))
         npt.assert_allclose(heat_flow(f, 10.0).data[0].mean(), f.data[0].mean(), rtol=1e-12)
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (2, 64), (3, 8), (3, 16)])
+    def test_is_the_one_node_heat_trajectory(self, d, n, rng, row0_field, monkeypatch):
+        """heat_flow runs the heat path of every solve: it calls
+        heat_trajectory once and returns its one node bit for bit, for a
+        field with every component live and one with dead components."""
+        lat = make_lattice(d, n, 2.0 * np.pi)
+        calls = []
+        flow = norms.heat_trajectory
+
+        def counted(u0, times):
+            calls.append(list(times))
+            return flow(u0, times)
+
+        monkeypatch.setattr(norms, "heat_trajectory", counted)
+        for f in (random_vector(lat, 6), row0_field(lat, rng.standard_normal(lat.spatial_shape))):
+            for t in (1e-300, 1e-3, 0.37, 1e3):
+                calls.clear()
+                flowed = heat_flow(f, t)
+                assert calls == [[t]]
+                npt.assert_array_equal(flowed.data, flow(f, [t]).data[0])
+
+    def test_one_heat_path(self):
+        """The heat kernel is built where a datum is flowed (the full-grid and
+        the coarse flows of norms) and in the kernel's symbol; heat_flow runs
+        heat_trajectory, and fluctuation_analysis flows no datum."""
+        assert callers("heat") == {"norms._full_flows", "norms._coarse_flow",
+                                   "multipliers.kernel_profile"}
+        flows = callers("heat_trajectory")
+        assert "multipliers.heat_flow" in flows
+        assert "picard.fluctuation_analysis" not in flows
 
 
 class TestFractionalLaplacian:

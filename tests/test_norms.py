@@ -724,11 +724,17 @@ class TestMeshes:
     def test_dyadic_grid_validation(self):
         with pytest.raises(ConfigError):
             dyadic_grid(0.1, 0.2)
+        # the least normal float is the lowest t_min
+        grid = dyadic_grid(1.0, np.finfo(float).tiny)
+        assert np.isfinite(grid).all() and grid[0] >= np.finfo(float).tiny
+        assert grid.size == 4 * 1022 + 1
 
     @pytest.mark.parametrize("t_max, t_min", [(np.inf, 0.1), (1.0, np.nan), (np.nan, 0.1),
-                                              (np.inf, np.inf)])
+                                              (np.inf, np.inf), (1.0, 5e-324), (1.0, 1.5e-323)])
     def test_dyadic_grid_refuses_non_finite_bounds(self, t_max, t_min):
-        # an infinite t_max would descend from inf forever
+        # an infinite t_max would descend from inf forever, and so would
+        # every t a few subnormal units above zero, where t / 2**(1/4)
+        # rounds back to t
         with pytest.raises(ConfigError, match="t_min < t_max < inf"):
             dyadic_grid(t_max, t_min)
 

@@ -55,6 +55,7 @@ from mildns import (
     sobolev_norm,
     solve_mild,
 )
+from mildns import picard
 from mildns.lattice import PHYSICAL
 from mildns.norms import heat_sup, window_grid
 from mildns.picard import (
@@ -433,6 +434,16 @@ class TestSolveMild:
                               [sobolev_norm(f, book.s, book.p) for f in fluctuation.fields[:5]])
         assert np.array_equal(sol.divergence_defects, [divergence_defect(f) for f in traj.fields])
 
+    def test_zero_datum_converges_at_once(self, book2):
+        """An all-zero datum passes the datum checks (its divergence defect
+        and its mean are 0) and is its own solution after one iteration."""
+        lat = make_lattice(2, 16, 4.0 * np.pi)
+        zero = VectorField(lat, np.zeros((2, 16, 16)), PHYSICAL)
+        sol = solve_mild(zero, 1.0, book2, mesh_nodes=8, quad=fast_quad(book2))
+        assert sol.trace.converged and sol.trace.iterations == 1
+        assert not sol.trajectory.data.any()
+        assert not sol.divergence_defects.any() and not sol.early_values.any()
+
     def test_save_solution(self, tmp_path, tg_solution):
         _, sol = tg_solution
         out = tmp_path / "solution"
@@ -514,9 +525,28 @@ class TestPostSolveAnalyses:
         solution less the heat flow of that datum, bit for bit."""
         u0, sol = small_random_solution
         assert sol.datum is u0
-        assert "datum" not in sol.manifest()
+        assert "datum" not in sol.manifest() and "fluctuation" not in sol.manifest()
         traj = sol.trajectory
         fluctuation = traj - heat_trajectory(u0, traj.times)
+        assert np.array_equal(sol.fluctuation.data, fluctuation.data)
         report = fluctuation_analysis(sol, [2.0, 4.0])
         assert report.sups == [n_norm(fluctuation, sol.book.d / p - 1.0, p).value
                                for p in (2.0, 4.0)]
+
+    def test_a_solve_and_its_fluctuation_flow_the_datum_once(self, book2, monkeypatch):
+        """solve_mild forms w = u - e^{t Lap} u0 from its one heat flow of
+        u0; fluctuation_analysis reads it and flows nothing."""
+        lat = make_lattice(2, 16, 4.0 * np.pi)
+        u0 = realize_datum(DatumSpec(kind="random_band", seed=23, k_min=1.0, k_max=3.0,
+                                     amplitude=0.2, divergence_free=True), lat)
+        flows = []
+        flow = picard.heat_trajectory
+
+        def counted(datum, times):
+            flows.append(datum)
+            return flow(datum, times)
+
+        monkeypatch.setattr(picard, "heat_trajectory", counted)
+        sol = solve_mild(u0, 1.0, book2, mesh_nodes=8, quad=fast_quad(book2))
+        fluctuation_analysis(sol, [2.0, 4.0])
+        assert flows == [u0]
