@@ -56,10 +56,10 @@ def _apply_set(config: dict, pairs) -> dict:
 
 
 def _load_config(path) -> dict:
-    text = Path(path).read_text()
+    data = Path(path).read_bytes()
     try:
-        config = json.loads(text)
-    except json.JSONDecodeError as exc:
+        config = json.loads(data.decode("utf-8"))
+    except ValueError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

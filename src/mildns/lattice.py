@@ -61,8 +61,9 @@ FIELD_BYTES = 256 * 1024**2
 def batches(count: int, item_bytes: int) -> list:
     """The slices that split count items of item_bytes each into the fewest
     consecutive batches of at most BATCH_BYTES, one item to a batch when one
-    alone passes the cap; their sizes differ by at most one."""
-    per = max(1, BATCH_BYTES // item_bytes)
+    alone passes the cap; their sizes differ by at most one. An item of 0
+    bytes counts as 1."""
+    per = max(1, BATCH_BYTES // max(item_bytes, 1))
     parts = -(-count // per)
     return [slice(i * count // parts, (i + 1) * count // parts) for i in range(parts)]
 

@@ -20,8 +20,11 @@ term (through a symbol it builds from them once per lattice) and
 kernel_profile all use them. kernel_profile builds no lattice: it
 profiles on the one its caller passes, so a caller that profiles several
 orders s on one box builds that box once. _divergence, which the kernel
-applies row by row, is also the one divergence that divergence_defect
-measures.
+applies row by row, is also the one divergence that _divergence_defects
+measures: the relative defect max |div u| / max |u| of each node of an
+array of nodes, one transform pair per batch of lattice.batches.
+divergence_defect passes it a field as a batch of one, and a solve the
+nodes of its trajectory in one call.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError, WindowError
-from .lattice import Field, Lattice, TWO_PI, VectorField, to_physical, to_spectral
+from .lattice import Field, Lattice, TWO_PI, VectorField, batches, to_physical, to_spectral
 
 
 def _divergence(coeff: np.ndarray, lat: Lattice) -> np.ndarray:
@@ -101,17 +104,21 @@ def leray_project(field: VectorField) -> VectorField:
 
 def divergence_defect(field: VectorField) -> float:
     """max |div u| over the grid relative to max |u|."""
-    return _divergence_defect(field.data, field.lattice)
+    return float(_divergence_defects(field.data[None], field.lattice)[0])
 
 
-def _divergence_defect(samples: np.ndarray, lat: Lattice) -> float:
-    """divergence_defect of the physical samples (d, *spatial) of a vector
-    field, such as one node of a trajectory."""
-    div_phys = lat.inverse(_divergence(lat.rforward(samples), lat))
-    scale = float(np.max(np.abs(samples)))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(div_phys)) / scale)
+def _divergence_defects(samples: np.ndarray, lat: Lattice) -> np.ndarray:
+    """divergence_defect of each node of samples (node axis first, then
+    (d, *spatial)), such as the nodes of a trajectory: one rforward and one
+    inverse per batch of lattice.batches, and 0.0 for a zero node."""
+    defects = np.zeros(len(samples))
+    axes = tuple(range(1, samples.ndim))
+    for span in batches(len(samples), samples[0].nbytes):
+        nodes = samples[span]
+        div_phys = np.abs(lat.inverse(_divergence(lat.rforward(nodes).swapaxes(0, 1), lat)))
+        scale = np.max(np.abs(nodes), axis=axes)
+        np.divide(np.max(div_phys, axis=axes[:-1]), scale, out=defects[span], where=scale > 0)
+    return defects
 
 
 def _project_div_spectral(tensor_coeff: np.ndarray, lat: Lattice) -> np.ndarray:

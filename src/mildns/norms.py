@@ -23,21 +23,22 @@ characterization of the Besov norm, the smallness forms, the
 integrability ladder, the fluctuation table, the early-time values of a
 solve and the per-node table rows -- is t^w * norm(f(t)) maximized over
 nodes. One row reduction, _lebesgue_rows, computes every Lebesgue norm,
-one call for a batch of nodes with a leading node axis: lebesgue_norm on
-a field (a batch of one), heat_sup on the batches of flowed rows that
-heat_flows yields (exp(t Lap) u0, transformed once) and weighted_lebesgue
-on batches of trajectory nodes. Batches are the slices of
-lattice.batches, at most lattice.BATCH_BYTES (512 KiB) of samples or of
-flowed coefficients each, or one node or flow that alone passes it: the
-16 nodes of a sup at d = 2, n = 32 are one batch. _sobolev_nodes applies
-|k|^s to each batch first when s != 0, one transform per batch; with the
-row reduction it is the one homogeneous Sobolev node norm, so
-sobolev_norm on a field and weighted_lebesgue on the nodes of a
-trajectory (the Kato norm, the Sobolev sup norm, the vanishing check, the
-ladder and the early values of a solve) read it and build no field. Each
-node of a batch gets the bits of a batch of one, and each weight t^w is
-one scalar power (_weighted). At r = 4 the reduction squares twice
-instead of calling pow. A norm call enters np.errstate once: a power sum
+one call for a batch of nodes with a leading node axis. Batches are the
+slices of lattice.batches, at most lattice.BATCH_BYTES (512 KiB) of
+samples or of flowed coefficients each, or one node or flow that alone
+passes it: the 16 nodes of a sup at d = 2, n = 32 are one batch.
+_node_norms is the one node norm: it batches an array of nodes, applies
+|k|^s to each batch first when s != 0 (one transform pair per batch),
+reduces each batch and enters np.errstate for those reductions.
+lebesgue_norm (the live rows of a field) and sobolev_norm pass it a batch
+of one, weighted_lebesgue the nodes of a trajectory (the Kato norm, the
+Sobolev sup norm, the vanishing check, the ladder and the early values of
+a solve) and sobolev_embedding_check its stacked corpus; none builds a
+field. heat_sup reduces the batches of flowed rows that heat_flows yields
+(exp(t Lap) u0, transformed once) itself, because each batch comes on its
+own, possibly coarser, lattice. Each node of a batch gets the bits of a
+batch of one, and each weight t^w is one scalar power (_weighted). At
+r = 4 the reduction squares twice instead of calling pow. A power sum
 that overflows gives inf, with no warning, which the callers refuse.
 
 Live components: a component row that is identically zero stays zero under
@@ -533,51 +534,45 @@ def lebesgue_norm(field: Field, r) -> float:
     r may be any value in [1, inf]; np.inf gives the grid sup norm.
     Identically zero components are not reduced: their norm is exactly 0.
     """
-    rows = field.data
-    live = _live_rows(rows)
+    live = _live_rows(field.data)
+    rows = field.data if live.all() else field.data[live]
+    return float(_node_norms(field.lattice, rows[None], 0.0, r)[0])
+
+
+def _node_norms(lat: Lattice, data: np.ndarray, s: float, r) -> np.ndarray:
+    """The Lebesgue-r norm of |k|^s f for each node f of data (node axis
+    first, then the component axis), one row reduction per batch of
+    lattice.batches whose samples fit lattice.BATCH_BYTES. For s != 0 each
+    batch goes through one rforward, the |k|^s multiplier (built once per
+    call) and one inverse, so no spectrum of more than one batch is held.
+    A dead row stays exactly zero and adds exactly 0.0 to a norm; a power
+    sum that overflows gives inf, with no warning."""
+    mult = None if s == 0 else _fractional_multiplier(lat, s)
+    norms = []
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = rows if live.all() else rows[live]
-        return float(_lebesgue_rows(rows[None], r, field.lattice.cell_volume)[0])
-
-
-def _sobolev_nodes(lat: Lattice, data: np.ndarray, s: float):
-    """The samples of |k|^s f for the nodes f of data (node axis first),
-    lazily, in the batches of lattice.batches whose samples fit
-    lattice.BATCH_BYTES: views of data for s = 0, else each batch through
-    one rforward, the |k|^s multiplier (built once per call) and one
-    inverse, so no spectrum of more than one batch is held. A dead row
-    stays exactly zero and adds exactly 0.0 to a norm."""
-    spans = batches(len(data), data[0].nbytes)
-    if s == 0:
-        return (data[span] for span in spans)
-    mult = _fractional_multiplier(lat, s)
-    return (lat.inverse(lat.rforward(data[span]) * mult) for span in spans)
+        for span in batches(len(data), data[0].nbytes):
+            batch = data[span] if mult is None else lat.inverse(lat.rforward(data[span]) * mult)
+            norms.append(_lebesgue_rows(batch, r, lat.cell_volume))
+    return np.concatenate(norms)
 
 
 def sobolev_norm(field: Field, s: float, p) -> float:
     """Homogeneous Sobolev norm: Lebesgue-p norm of |k|^s applied to the
-    field, the node norm of weighted_lebesgue on a batch of one."""
-    lat = field.lattice
-    with np.errstate(over="ignore", invalid="ignore"):
-        (rows,) = _sobolev_nodes(lat, field.data[None], s)
-        return float(_lebesgue_rows(rows, p, lat.cell_volume)[0])
+    field, _node_norms on a batch of one."""
+    return float(_node_norms(field.lattice, field.data[None], s, p)[0])
 
 
 def weighted_lebesgue(traj: Trajectory, weight: float, r, nodes=None, s=0.0) -> np.ndarray:
     """t^weight * || |k|^s u(t) ||_r at the first nodes mesh nodes (every
-    node by default): one row reduction for each batch of _sobolev_nodes.
+    node by default), the _node_norms of those nodes.
 
     No field is built: the Trajectory constructor has already scanned the
     samples for non-finite values. The values equal lebesgue_norm (s = 0)
     or sobolev_norm of each node's field, times the scalar power t^weight,
     bit for bit; one that overflows is inf.
     """
-    lat = traj.lattice
     times = traj.times[:nodes]
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = [_lebesgue_rows(batch, r, lat.cell_volume)
-                 for batch in _sobolev_nodes(lat, traj.data[:len(times)], s)]
-        return _weighted(times, weight, np.concatenate(norms))
+    return _weighted(times, weight, _node_norms(traj.lattice, traj.data[:len(times)], s, r))
 
 
 def _sup_report(times, values: np.ndarray, window_ok: bool) -> NormReport:
@@ -712,12 +707,18 @@ def sobolev_embedding_check(fields, s1: float, q1, s2: float, q2) -> EmbeddingRe
 
     The two index pairs must sit on the same scaling line
     (s1 - d/q1 = s2 - d/q2) with s1 > s2, and both integrabilities must be
-    in (1, inf). The max ratio is the measured embedding constant.
+    in (1, inf). The max ratio is the measured embedding constant. The
+    corpus must lie on one lattice (DataError otherwise): its fields are
+    stacked and each index pair takes one _node_norms call, which gives
+    every field the bits of sobolev_norm.
     """
     fields = list(fields)
     if not fields:
         raise ConfigError("embedding check needs a non-empty corpus")
-    d = fields[0].lattice.d
+    lat = fields[0].lattice
+    if any(f.lattice != lat for f in fields):
+        raise DataError("embedding corpus must lie on one lattice")
+    d = lat.d
     for q in (q1, q2):
         if not (1 < q < np.inf):
             raise ConfigError(f"integrability must lie in (1, inf), got {q}")
@@ -728,15 +729,11 @@ def sobolev_embedding_check(fields, s1: float, q1, s2: float, q2) -> EmbeddingRe
         )
     if not (s1 > s2):
         raise ConfigError(f"embedding requires s1 > s2, got s1={s1}, s2={s2}")
-    upper, lower = [], []
-    for f in fields:
-        denom = sobolev_norm(f, s1, q1)
-        if denom == 0.0:
-            raise DataError("embedding corpus contains a field with zero source norm")
-        upper.append(denom)
-        lower.append(sobolev_norm(f, s2, q2))
-    upper = np.array(upper)
-    lower = np.array(lower)
+    data = np.stack([f.data for f in fields])
+    upper = _node_norms(lat, data, s1, q1)
+    if not upper.all():
+        raise DataError("embedding corpus contains a field with zero source norm")
+    lower = _node_norms(lat, data, s2, q2)
     ratios = lower / upper
     return EmbeddingReport(
         upper_norms=upper,

@@ -14,6 +14,7 @@ heat-fluctuation tables for converged solutions.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -36,7 +37,7 @@ from .errors import (
     naming,
 )
 from .lattice import DatumSpec, VectorField, make_lattice, realize_datum, save_field
-from .multipliers import _divergence_defect, divergence_defect
+from .multipliers import _divergence_defects, divergence_defect
 from .norms import (
     ExponentBook,
     Trajectory,
@@ -405,7 +406,7 @@ def calibrate_thresholds(
         "equiv_constant": equiv,
         "corpus": corpus.to_dict(),
     }
-    digest = sha256_hex(canonical_json(payload))
+    digest = _digest(payload)
     payload["digest"] = digest
     if path is not None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
@@ -413,27 +414,39 @@ def calibrate_thresholds(
     return book.with_calibration(c_hat, delta, sigma, equiv, digest)
 
 
+def _digest(payload: dict) -> str:
+    """The digest of a calibration: sha256 of the canonical JSON of the
+    payload without its digest key."""
+    return sha256_hex(canonical_json({k: v for k, v in payload.items() if k != "digest"}))
+
+
 def load_calibration(book: ExponentBook, path: str) -> ExponentBook:
-    """Attach a previously persisted calibration to a freshly built book."""
+    """Attach a previously persisted calibration to a freshly built book.
+
+    A file that is not UTF-8 JSON holding an object, that is for another
+    book, that fails its digest check or whose constant is not a positive
+    finite number raises CalibrationError naming it.
+    """
     try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
         raise CalibrationError(f"unreadable calibration file {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CalibrationError(f"calibration file {path} must hold a JSON object")
     if payload.get("book") != book.key:
         raise CalibrationError(
-            f"calibration file is for book {payload.get('book')!r}, "
+            f"calibration file {path} is for book {payload.get('book')!r}, "
             f"not {book.key!r}"
         )
-    check = {k: v for k, v in payload.items() if k != "digest"}
-    if sha256_hex(canonical_json(check)) != payload.get("digest"):
+    if _digest(payload) != payload.get("digest"):
         raise CalibrationError(f"calibration file {path} fails its digest check")
-    return book.with_calibration(
-        payload["c_hat"],
-        payload["delta"],
-        payload["sigma"],
-        payload["equiv_constant"],
-        payload["digest"],
-    )
+    keys = ("c_hat", "delta", "sigma", "equiv_constant")
+    for key in keys:
+        value = payload.get(key)
+        if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
+            raise CalibrationError(f"calibration file {path} needs a positive finite {key}, "
+                                   f"got {value!r}")
+    return book.with_calibration(*(payload[key] for key in keys), payload["digest"])
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +568,7 @@ def solve_mild(
         x0=x0,
     )
 
-    lat = u0.lattice
-    defects = np.array([_divergence_defect(node, lat) for node in solution_traj.data])
+    defects = _divergence_defects(solution_traj.data, u0.lattice)
     fluctuation = solution_traj - y
     early = weighted_lebesgue(fluctuation, 0.0, book.p, nodes=5, s=book.s)
     early_ok = bool(np.all(np.diff(early) >= -1e-12 * max(1.0, early.max())))

@@ -198,6 +198,50 @@ class TestExitCodes:
         assert main(["beta-integral", "--config", str(config)]) == 2
         assert "JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, message", [
+        ("latin-1", "unreadable calibration file"),
+        ("list", "must hold a JSON object"),
+        ("no c_hat", "needs a positive finite c_hat, got None"),
+        ("string c_hat", "needs a positive finite c_hat, got 'x'"),
+        ("negative c_hat", "needs a positive finite c_hat, got -1.0"),
+    ])
+    def test_malformed_calibration_file_exits_2(self, kind, message, calibration_file, tmp_path,
+                                                capsys):
+        """A calibration file that is not UTF-8 JSON holding an object whose
+        constants are positive finite numbers is refused naming the file and
+        the config key; the bad constants carry a valid digest."""
+        with open(calibration_file, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        path = tmp_path / "calibration.json"
+        if kind == "latin-1":
+            path.write_bytes(b'{"book": "\xff"}')
+        elif kind == "list":
+            path.write_text("[]")
+        else:
+            if kind == "no c_hat":
+                del payload["c_hat"]
+            else:
+                payload["c_hat"] = "x" if kind == "string c_hat" else -1.0
+            payload["digest"] = picard._digest(payload)
+            path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["solve", "--set", f"calibration_path={path}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config key 'calibration_path'")
+        assert message in err and str(path) in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "calibrate"])
+    def test_config_file_that_is_not_utf8_exits_2(self, command, tmp_path, capsys):
+        config = tmp_path / "latin.json"
+        config.write_bytes(b'{"n": 16\xff}')
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config file {config} is not valid JSON")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_numerical_failure_exits_3(self, calibration_file, capsys):
         # an iteration budget of 1 with an unreachable tolerance exhausts
         # the Picard loop, which is a numerical failure, not a config one

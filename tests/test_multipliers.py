@@ -37,8 +37,10 @@ from mildns import (
     to_physical,
 )
 from mildns import norms
-from mildns.lattice import PHYSICAL
+from mildns.lattice import PHYSICAL, batches
 from mildns.multipliers import (
+    _divergence,
+    _divergence_defects,
     _divergence_spectral,
     _fractional_multiplier,
     _loglog_fit,
@@ -229,6 +231,40 @@ class TestDivergence:
         phase = x + 2 * y
         u = VectorField(lat2, np.stack([-np.sin(phase), -2.0 * np.sin(phase)]), PHYSICAL)
         assert divergence_defect(u) > 1.0
+
+    @pytest.mark.parametrize("d, n, nodes", [(2, 128, 32), (3, 16, 40)])
+    def test_batched_defects_are_the_per_node_formula(self, d, n, nodes):
+        """_divergence_defects over a trajectory of several batches (16 at
+        d = 2, 8 at d = 3) gives each node, a zero node among them, the bits
+        of the one-node formula max |div u| / max |u|."""
+        lat = make_lattice(d, n, 2.0 * np.pi)
+        samples = np.random.default_rng(5).standard_normal((nodes, d) + lat.spatial_shape)
+        samples[nodes // 2] = 0.0
+
+        def one_node(u):
+            div_phys = lat.inverse(_divergence(lat.rforward(u), lat))
+            scale = float(np.max(np.abs(u)))
+            return 0.0 if scale == 0.0 else float(np.max(np.abs(div_phys)) / scale)
+
+        assert len(batches(nodes, samples[0].nbytes)) > 1
+        got = _divergence_defects(samples, lat)
+        assert np.array_equal(got, [one_node(u) for u in samples])
+        assert got[nodes // 2] == 0.0
+
+    def test_no_per_node_measure_loop(self):
+        """No loop or comprehension of the package calls a per-node measure:
+        a batch of nodes goes to _divergence_defects or norms._node_norms
+        in one call."""
+        measures = {"sobolev_norm", "divergence_defect", "_divergence_defects"}
+        loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+        found = []
+        for path in sorted(Path(mildns.__file__).parent.glob("*.py")):
+            for loop in ast.walk(ast.parse(path.read_text())):
+                if isinstance(loop, loops):
+                    found += [f"{path.stem}:{node.lineno}" for node in ast.walk(loop)
+                              if isinstance(node, ast.Call) and measures & {
+                                  getattr(node.func, "id", None), getattr(node.func, "attr", None)}]
+        assert found == []
 
 
 class TestComposite:

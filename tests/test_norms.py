@@ -854,6 +854,13 @@ class TestBatches:
         for got, want in zip(split, whole):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("r", [2.0, 3.0, np.inf])
+    def test_zero_byte_items_are_one_batch(self, lat2, r):
+        """An item of 0 bytes, such as a field with no live row, counts as
+        1 byte: the zero field's norm is one batch of no rows, exactly 0."""
+        assert batches(3, 0) == [slice(0, 3)]
+        assert lebesgue_norm(VectorField(lat2, np.zeros((2, 16, 16)), PHYSICAL), r) == 0.0
+
     def test_weight_is_one_scalar_power_per_node(self):
         """weighted_lebesgue is t**weight * norm node by node, bit for bit:
         the scalar power, not numpy's vectorised one, which differs in the
@@ -1006,6 +1013,14 @@ class TestEmbedding:
         assert np.all(report.ratios > 0)
         assert np.isfinite(report.max_ratio)
         npt.assert_allclose(report.max_ratio, report.ratios.max())
+        # the stacked corpus gives each field the bits of sobolev_norm
+        assert np.array_equal(report.upper_norms, [sobolev_norm(f, 0.5, 2.0) for f in corpus])
+        assert np.array_equal(report.lower_norms, [sobolev_norm(f, 0.0, 4.0) for f in corpus])
+
+    def test_corpus_on_two_lattices_rejected(self, lat2):
+        corpus = self.make_corpus(lat2, 2) + self.make_corpus(make_lattice(2, 32, lat2.box_len), 1)
+        with pytest.raises(DataError, match="one lattice"):
+            sobolev_embedding_check(corpus, 0.5, 2.0, 0.0, 4.0)
 
     def test_zero_field_rejected(self, lat2):
         zero = VectorField(lat2, np.zeros((2, 16, 16)), PHYSICAL)

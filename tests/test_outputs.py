@@ -3,8 +3,11 @@ one ulp reads as round-off; a 1e-9 relative move, a flipped boolean or a
 dropped row reads as changed; a move that passes only through the absolute
 floor (the worst of each file), the relative-quantity rule or the digest
 rule is listed."""
+import contextlib
 import importlib.util
 import json
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -288,3 +291,23 @@ def test_lines_report_lists_the_code_of_each_changed_file(tmp_path, capsys):
         "    n.py                    2       1      -1",
         "    pkg/new_module.py       0       1      +1",
     ]
+
+
+def test_run_restores_the_working_directory_without_contextlib_chdir(tmp_path, monkeypatch):
+    """run needs no contextlib.chdir (Python 3.11): it runs each job in the
+    output directory and restores the old one. The program is stubbed, so
+    only the four fixed jobs run."""
+    import mildns.cli
+    import mildns.lab
+
+    monkeypatch.delattr(contextlib, "chdir", raising=False)
+    monkeypatch.setattr(mildns.cli, "main", lambda argv: 0)
+    monkeypatch.setattr(mildns.lab, "EXPERIMENTS", {})
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    cwd = os.getcwd()
+    out = tmp_path / "out"
+    outputs.run(out, _PATH.parents[1] / "src")
+    assert os.getcwd() == cwd
+    timings = json.loads((out / "timings.json").read_text())
+    assert sorted(timings) == ["calibration", "calibration_d3", "smoke", "smoke_d3"]
+    assert sorted(p.name for p in out.iterdir()) == ["timings.json"]

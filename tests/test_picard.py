@@ -12,6 +12,7 @@ means the corpus, the estimator, or the quadrature changed.
 """
 
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -56,7 +57,7 @@ from mildns import (
     solve_mild,
 )
 from mildns import picard
-from mildns.lattice import PHYSICAL
+from mildns.lattice import PHYSICAL, Lattice
 from mildns.norms import heat_sup, window_grid
 from mildns.picard import (
     SMALLNESS_BESOV,
@@ -433,6 +434,26 @@ class TestSolveMild:
         assert np.array_equal(sol.early_values,
                               [sobolev_norm(f, book.s, book.p) for f in fluctuation.fields[:5]])
         assert np.array_equal(sol.divergence_defects, [divergence_defect(f) for f in traj.fields])
+
+    def test_defects_take_one_transform_per_batch(self, book2, monkeypatch):
+        """At the benchmark's solve size (d = 2, n = 32, 16 mesh and 16
+        quadrature nodes) multipliers transforms twice: the datum's
+        divergence check and the defects of every node, one batch."""
+        lat = make_lattice(2, 32, 4.0 * np.pi)
+        tg = realize_datum(DatumSpec(kind="taylor_green", mode=(2,)), lat)
+        calls = []
+        rforward = Lattice.rforward
+
+        def counted(lattice, a, out=None):
+            calls.append(sys._getframe(1).f_globals["__name__"])
+            return rforward(lattice, a, out)
+
+        monkeypatch.setattr(Lattice, "rforward", counted)
+        sol = solve_mild(tg, 1.0, book2, mesh_nodes=16,
+                         quad=QuadratureSpec(node_count=16, gamma=book2.gamma_kato,
+                                             theta=book2.alpha))
+        assert calls.count("mildns.multipliers") == 2
+        assert sol.divergence_defects.shape == (16,)
 
     def test_zero_datum_converges_at_once(self, book2):
         """An all-zero datum passes the datum checks (its divergence defect

@@ -85,6 +85,7 @@ import fnmatch
 import io
 import json
 import math
+import os
 import re
 import struct
 import sys
@@ -141,17 +142,19 @@ def run(out_dir: Path, src: Path) -> dict:
                               "--out", str(out_dir / "d3" / "smoke")]))
     d3_config.write_text(json.dumps(D3_CALIBRATION))
     timings = {}
+    cwd = os.getcwd()
     try:
-        with contextlib.chdir(out_dir):
-            for name, argv in jobs:
-                start = time.perf_counter()
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = main(argv)
-                timings[name] = time.perf_counter() - start
-                if code != 0:
-                    raise SystemExit(f"{' '.join(argv)} exited {code}")
-                print(f"{name:<18} {timings[name]:8.2f} s")
+        os.chdir(out_dir)
+        for name, argv in jobs:
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            timings[name] = time.perf_counter() - start
+            if code != 0:
+                raise SystemExit(f"{' '.join(argv)} exited {code}")
+            print(f"{name:<18} {timings[name]:8.2f} s")
     finally:
+        os.chdir(cwd)
         d3_config.unlink()
     (out_dir / "timings.json").write_text(json.dumps(timings, indent=1, sort_keys=True) + "\n")
     return timings
