@@ -49,7 +49,10 @@ PHYSICAL = "physical"
 # per-node sups, bench/run.py read picard op_s 0.0974 -> 0.0882 s (-9.5%,
 # lower in 10 of 10 alternating 20 s pairs), calibrate 0.370 -> 0.335 s
 # (6 of 6) and spectral 0.0989 -> 0.0942 s (6 of 6), with peak RSS up
-# 0.3-0.4 MB, on a shared 2-core VM.
+# 0.3-0.4 MB, on a shared 2-core VM. It also bounds what the heat flows
+# hold across calls: each thread keeps one complex and one real buffer of
+# flow batches (norms._flow_buffers), each at most this many bytes, and a
+# batch of one flow past it is built per use and dropped.
 BATCH_BYTES = 512 * 1024
 
 # The most bytes one vector field (d n^d float64) of a Lattice may take:
@@ -288,19 +291,30 @@ class Lattice:
         """
         return np.fft.rfftn(a, axes=tuple(range(-self.d, 0)), norm="forward", out=out)
 
-    def inverse(self, c: np.ndarray) -> np.ndarray:
+    def inverse(self, c: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Real samples of the Hermitian half array c over the trailing d axes.
 
         A real inverse transform (irfftn); the other half of a Hermitian
         array is the conjugate of c, so it is never needed. For
         coefficients that are not Hermitian the result is not the real
         part of their inverse transform.
+
+        With out (float64, the shape of the result), c (complex128) is
+        overwritten: the complex inverse of each leading axis runs in place
+        in c, and the real inverse of the last axis is written into out,
+        which is returned. That is irfftn's own sequence of calls, so the
+        bits are those of a call without out, and irfftn's complex
+        intermediate, the size of c, is never made.
         """
         if c.shape[-self.d:] != self.half_shape:
             raise DataError(f"coefficients of shape {c.shape} are not a half array "
                             f"{self.half_shape} of this lattice")
-        return np.fft.irfftn(c, s=self.spatial_shape,
-                             axes=tuple(range(-self.d, 0)), norm="forward")
+        if out is None:
+            return np.fft.irfftn(c, s=self.spatial_shape,
+                                 axes=tuple(range(-self.d, 0)), norm="forward")
+        for axis in range(-self.d, -1):
+            np.fft.ifft(c, self.n, axis=axis, norm="forward", out=c)
+        return np.fft.irfft(c, self.n, axis=-1, norm="forward", out=out)
 
     def mode_resolved(self, mode: Sequence[int]) -> bool:
         """True when the integer mode and its negation both live on the grid."""

@@ -34,16 +34,24 @@ lebesgue_norm (the live rows of a field) and sobolev_norm pass it a batch
 of one, weighted_lebesgue the nodes of a trajectory (the Kato norm, the
 Sobolev sup norm, the vanishing check, the ladder and the early values of
 a solve) and sobolev_embedding_check its stacked corpus; none builds a
-field. heat_sup reduces the batches of flowed rows that heat_flows yields
+field. heat_sup reduces the batches of flowed rows that _heat_flows yields
 (exp(t Lap) u0, transformed once) itself, because each batch comes on its
 own, possibly coarser, lattice. Each node of a batch gets the bits of a
 batch of one, and each weight t^w is one scalar power (_weighted). At
 r = 4 the reduction squares twice instead of calling pow. A power sum
 that overflows gives inf, with no warning, which the callers refuse.
 
+Held flow buffers: a full-grid batch of flows is multiplied and
+inverse-transformed in two arrays that each thread holds across calls
+(_flow_buffers), each at most lattice.BATCH_BYTES; a batch of one flow
+past the cap (every flow at 512^2) gets arrays of its own. The yielded
+rows are views of those buffers, so heat_trajectory copies and heat_sup
+reduces each batch before asking for the next, and neither returns an
+array that shares memory with them.
+
 Live components: a component row that is identically zero stays zero under
 the heat flow and adds exactly 0.0 to the l2 aggregate of a norm. So
-heat_flows transforms and flows only the rows of a datum that hold a
+_heat_flows transforms and flows only the rows of a datum that hold a
 nonzero sample (a subnormal one counts) and yields only those, and
 lebesgue_norm reduces only the live rows of a field; heat_trajectory
 writes each batch of flowed rows into one zero-filled (M, d, *spatial)
@@ -51,12 +59,15 @@ array.
 Pocketfft transforms each row the same way alone or in a batch, so both
 give the same bits as the all-component path.
 
-Half spectrum: heat_flows takes a physical datum's coefficients from the
+Half spectrum: _heat_flows takes a physical datum's coefficients from the
 real forward transform (Lattice.rforward), which computes only the
 non-negative half of the last spectral axis that the inverse transform
 reads, and each flow multiplies only that half by the heat kernel
 exp(-|k|^2 t) of Lattice.heat, a product of d one-axis factors that takes
-n exponentials per flow, not one per coefficient.
+n exponentials per flow, not one per coefficient. A full-grid batch is
+inverse-transformed with Lattice.inverse's out, which overwrites the
+flowed half array in place and writes the samples into the held real
+buffer: the bits of irfftn, without its complex intermediate.
 
 Band-limited flows: for an even integer q, |f|^q of a trigonometric
 polynomial of band m (every |m_a| <= m) has band q m, so its Riemann sum is
@@ -79,12 +90,14 @@ heat_trajectory, which keeps its samples.
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
 
+from . import lattice as _lattice
 from .errors import ConfigError, DataError, MeshError, NumericalError, WindowError
 # to_physical is not called here, but it stays bound: the benchmark's span
 # tracer (bench/spans.py) patches it in every module that imports it, and
@@ -290,7 +303,7 @@ def quadratic_mesh(horizon: float, nodes: int) -> np.ndarray:
     return horizon * (j / nodes) ** 2
 
 
-def heat_flows(u0: Field, times, q=None):
+def _heat_flows(u0: Field, times, q=None):
     """The live component rows of u0 and their heat flows: (live, flows).
 
     live is the boolean mask of the component rows of u0 that hold a
@@ -305,10 +318,17 @@ def heat_flows(u0: Field, times, q=None):
     lattice come in the batches of lattice.batches, whose flowed
     coefficients fit lattice.BATCH_BYTES: one product with the kernels of
     Lattice.heat(times of the batch), which equal the scalar kernels bit
-    for bit, and one inverse transform each. Batches are built only when
-    the consumer asks for them, so a sup over many times holds one batch,
-    not every flow; a flow that alone passes the cap is a batch of one. An
-    all-zero datum flows with no transform at all.
+    for bit, and one inverse transform each, both written into the
+    buffers that the thread holds (_flow_buffers). Batches are built only
+    when the consumer asks for them, so a sup over many times holds one
+    batch, not every flow; a flow that alone passes the cap is a batch of
+    one, in arrays of its own. An all-zero datum flows with no transform
+    at all.
+
+    The rows of a full-grid batch are a view of a held buffer, which the
+    next batch, and the next call on the thread, overwrite: the consumer
+    copies or reduces each batch before it asks for the next, and lets no
+    rows out (list() of the flows would repeat the last batch).
 
     lattice is u0's own unless q is an even integer: then a flow whose band
     is narrow comes alone on the coarsest lattice that sums |f|^q exactly
@@ -334,7 +354,7 @@ _GUARD = 1e-14
 
 
 def _flows(lat: Lattice, coeffs: np.ndarray, times, q: Optional[int]):
-    """The (lattice, rows) batches of heat_flows, from the half coefficients
+    """The (lattice, rows) batches of _heat_flows, from the half coefficients
     of the live rows; q is the even integer exponent or None. A run of
     times whose flows stay on lat is held as times until a coarse flow or
     the end of times closes it, so the inverse transforms run in the order
@@ -362,11 +382,46 @@ def _flows(lat: Lattice, coeffs: np.ndarray, times, q: Optional[int]):
     yield from _full_flows(lat, coeffs, run)
 
 
+class _FlowBuffers(threading.local):
+    """The batch arrays of _full_flows, held by each thread across calls:
+    one flat buffer per dtype (complex128 for the flowed coefficients,
+    float64 for their inverse transform), and each batch a view of its
+    prefix. A buffer grows to the largest batch asked of it and never past
+    lattice.BATCH_BYTES, so a thread holds at most twice the cap; a batch
+    past the cap is a new array. Held, the flows map no fresh pages on a
+    warm call: made per call, arrays of this size are handed back to the
+    system at each return and faulted in again by the next call. One
+    buffer per dtype, not one per shape, since a calibration alternates
+    batches of 16, 10 and 14 flows."""
+
+    def __init__(self):
+        self.flat = {}  # dtype -> 1-D array
+
+    def take(self, shape: tuple, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        size = math.prod(shape)
+        if size * dtype.itemsize > _lattice.BATCH_BYTES:
+            return np.empty(shape, dtype)
+        flat = self.flat.get(dtype)
+        if flat is None or flat.size < size:
+            flat = self.flat[dtype] = None  # frees the old buffer first
+            flat = self.flat[dtype] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
+_flow_buffers = _FlowBuffers()
+
+
 def _full_flows(lat: Lattice, coeffs: np.ndarray, times: list):
-    """The flows at times on lat, in the batches of lattice.batches."""
+    """The flows at times on lat, in the batches of lattice.batches, each
+    multiplied and inverse-transformed in the arrays of _flow_buffers; the
+    inverse overwrites the flowed coefficients in place."""
     for span in batches(len(times), coeffs.nbytes):
         kernels = lat.heat(times[span])
-        yield lat, lat.inverse(coeffs * kernels[:, None])
+        flowed = _flow_buffers.take(kernels.shape[:1] + coeffs.shape, np.complex128)
+        np.multiply(coeffs, kernels[:, None], out=flowed)
+        rows = _flow_buffers.take(flowed.shape[:-lat.d] + lat.spatial_shape, np.float64)
+        yield lat, lat.inverse(flowed, out=rows)
 
 
 def _shell_tails(lat: Lattice, coeffs: np.ndarray) -> np.ndarray:
@@ -411,9 +466,10 @@ def _coarse_flow(lat: Lattice, coeffs: np.ndarray, t: float, band: int, coarse: 
 
 def heat_trajectory(u0: VectorField, times) -> Trajectory:
     """Trajectory of the free heat evolution of a datum: the flows of
-    heat_flows written into one (M, d, *spatial) array, on u0's lattice,
-    one assignment per batch."""
-    live, flows = heat_flows(u0, times)
+    _heat_flows copied into one new (M, d, *spatial) array, on u0's
+    lattice, one assignment per batch, so it shares no memory with the
+    held flow buffers."""
+    live, flows = _heat_flows(u0, times)
     data = np.zeros((len(times),) + u0.data.shape)
     start = 0
     for _, rows in flows:
@@ -512,6 +568,10 @@ def _lebesgue_rows(nodes: np.ndarray, r, cell_volume: float) -> np.ndarray:
         per_row = np.max(np.abs(nodes), axis=axes)
     else:
         if r == 4:
+            # made per call, not held: a held powers buffer grows to the cap
+            # on the coarse lattices of the 512^2 sups and fragments the
+            # heap; holding it raised the peak RSS of bench/run.py's
+            # spectral workload from 84.4 to 88.6 MB
             powers = nodes * nodes
             powers *= powers
         else:
@@ -587,8 +647,9 @@ def _sup_report(times, values: np.ndarray, window_ok: bool) -> NormReport:
 
 def heat_sup(u0: Field, t_grid, weight: float, q) -> NormReport:
     """sup over t_grid of t^weight ||exp(t Lap) u0||_q, streaming the
-    batches of flowed live rows of heat_flows into the row reduction, one
-    call per batch, with the cell volume of the lattice the batch comes on:
+    batches of flowed live rows of _heat_flows into the row reduction, one
+    call per batch before the next is asked for, with the cell volume of
+    the lattice the batch comes on:
     at an even integer q a narrow flow comes on a coarser lattice (see the
     module docstring).
 
@@ -605,7 +666,7 @@ def heat_sup(u0: Field, t_grid, weight: float, q) -> NormReport:
     if t_grid.size == 0 or bad.any():
         found = f", got t = {t_grid.flat[np.argmax(bad)]:g}" if bad.any() else ""
         raise ConfigError(f"heat time grid must be non-empty, positive and finite{found}")
-    _, flows = heat_flows(u0, t_grid, q)
+    _, flows = _heat_flows(u0, t_grid, q)
     with np.errstate(over="ignore", invalid="ignore"):
         norms = [_lebesgue_rows(rows, q, flow_lat.cell_volume) for flow_lat, rows in flows]
         values = _weighted(t_grid, weight, np.concatenate(norms))

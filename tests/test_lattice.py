@@ -221,6 +221,21 @@ class TestTransforms:
         assert lat.rforward(a, out=buf) is buf
         npt.assert_array_equal(buf, r)
 
+    @pytest.mark.parametrize("shape, d, n", [((16, 2, 32, 32), 2, 32),
+                                             ((4, 3, 16, 16, 16), 3, 16)])
+    def test_inverse_into_out_is_irfftn(self, shape, d, n, rng):
+        """Given out, inverse overwrites c, fills and returns out, and the
+        samples are irfftn's bit for bit: a batch of 16 flows at d = 2,
+        n = 32 and one of 4 nodes at d = 3, n = 16, every Nyquist mode live."""
+        lat = make_lattice(d, n, 2.0 * np.pi)
+        c = lat.rforward(rng.standard_normal(shape))
+        assert np.all(c[..., n // 2] != 0.0) and np.all(c[..., n // 2, :] != 0.0)
+        want = np.fft.irfftn(c, s=(n,) * d, axes=tuple(range(-d, 0)), norm="forward")
+        npt.assert_array_equal(lat.inverse(c), want)
+        out = np.empty(shape)
+        assert lat.inverse(c.copy(), out=out) is out
+        npt.assert_array_equal(out, want)
+
 
 class TestHeatKernel:
     """Lattice.heat is exp(-|k|^2 t) as the product of d one-axis factors."""
@@ -280,11 +295,15 @@ def complex_forward(self, a, out=None):
     return self.half(np.fft.fftn(a, axes=tuple(range(-self.d, 0)), norm="forward"))
 
 
-def complex_inverse(self, c):
+def complex_inverse(self, c, out=None):
     """The complex inverse transform: the real part of ifftn of the
-    Hermitian completion of c."""
+    Hermitian completion of c, written into out when it is given."""
     full = hermitian_completion(self, c)
-    return np.fft.ifftn(full, axes=tuple(range(-self.d, 0)), norm="forward").real
+    real = np.fft.ifftn(full, axes=tuple(range(-self.d, 0)), norm="forward").real
+    if out is None:
+        return real
+    out[...] = real
+    return out
 
 
 # Every call site of Lattice.inverse in the package, as a function of the
@@ -430,11 +449,13 @@ def forward_uses(source: str) -> list:
 class TestTransformLayer:
     def test_one_spectral_layout(self):
         """Every coefficient array is a half array: lattice.py reaches
-        numpy.fft through the real transforms and fftfreq only, and no
-        module of the package defines or calls a complex forward."""
+        numpy.fft through the real transforms, the one-axis inverses of
+        Lattice.inverse's in-place path (irfftn's own steps) and fftfreq
+        only, and no module of the package defines or calls a complex
+        forward."""
         package = Path(mildns.__file__).parent
         assert fft_functions((package / "lattice.py").read_text()) == {
-            "rfftn", "irfftn", "fftfreq"}
+            "rfftn", "irfftn", "ifft", "irfft", "fftfreq"}
         offenders = {path.name: forward_uses(path.read_text())
                      for path in sorted(package.glob("*.py"))}
         assert {name: lines for name, lines in offenders.items() if lines} == {}

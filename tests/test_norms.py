@@ -12,6 +12,8 @@ Oracles used here:
 
 import ast
 import math
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +48,7 @@ from mildns import (
     to_spectral,
     vanishing_at_zero,
 )
-from mildns import lattice
+from mildns import lattice, norms
 from mildns.lattice import PHYSICAL, batches
 from mildns.multipliers import _loglog_fit
 from mildns.norms import _lebesgue_rows, heat_sup, weighted_lebesgue, window_grid
@@ -271,9 +273,9 @@ class TestLiveComponents:
         for name in shapes:
             original = getattr(Lattice, name)
 
-            def counted(self, a, _original=original, _shapes=shapes[name]):
+            def counted(self, a, out=None, _original=original, _shapes=shapes[name]):
                 _shapes.append(np.shape(a))
-                return _original(self, a)
+                return _original(self, a, out=out)
 
             monkeypatch.setattr(Lattice, name, counted)
         return shapes
@@ -412,9 +414,9 @@ class TestBandLimitedFlows:
         calls = []
         original = Lattice.inverse
 
-        def recorded(self, c):
+        def recorded(self, c, out=None):
             calls.append((self.n, np.shape(c)))
-            return original(self, c)
+            return original(self, c, out=out)
 
         monkeypatch.setattr(Lattice, "inverse", recorded)
         return calls
@@ -843,9 +845,9 @@ class TestBatches:
         calls = []
         inverse = Lattice.inverse
 
-        def counted(lat, c):
+        def counted(lat, c, out=None):
             calls.append(len(c))
-            return inverse(lat, c)
+            return inverse(lat, c, out=out)
 
         monkeypatch.setattr(lattice, "BATCH_BYTES", 2 * node_bytes + node_bytes // 2)
         monkeypatch.setattr(Lattice, "inverse", counted)
@@ -870,6 +872,79 @@ class TestBatches:
             got = weighted_lebesgue(traj, weight, 4.0)
             want = [t**weight * lebesgue_norm(f, 4.0) for t, f in zip(traj.times, traj.fields)]
             assert np.array_equal(got, want)
+
+
+class TestHeldFlowBuffers:
+    """The full-grid flow batches run in two buffers that each thread
+    holds across calls, under lattice.BATCH_BYTES; nothing returned shares
+    memory with them."""
+
+    @staticmethod
+    def corpus_datum(seed=5):
+        """A datum the size of a calibration corpus datum: d = 2, n = 32,
+        box 4 pi, both rows live."""
+        lat = make_lattice(2, 32, 4.0 * np.pi)
+        return realize_datum(DatumSpec(kind="random_band", seed=seed, k_min=1.0, k_max=4.0,
+                                       divergence_free=True), lat)
+
+    @staticmethod
+    def held():
+        return list(norms._flow_buffers.flat.values())
+
+    def test_trajectories_share_no_memory(self):
+        first_datum, second_datum = self.corpus_datum(5), self.corpus_datum(6)
+        first = heat_trajectory(first_datum, quadratic_mesh(1.0, 16))
+        kept = first.data.copy()
+        second = heat_trajectory(second_datum, quadratic_mesh(0.5, 16))
+        assert len(self.held()) == 2
+        assert not np.shares_memory(first.data, second.data)
+        for buffer in self.held():
+            assert not np.shares_memory(first.data, buffer)
+            assert not np.shares_memory(second.data, buffer)
+        assert np.array_equal(first.data, kept)
+        assert np.array_equal(second.data, heat_trajectory(second_datum, second.times).data)
+
+    def test_flows_past_the_cap_are_not_held(self):
+        """A 512^2 flow passes the cap alone, so it is built per use: after
+        a corpus-size sup and a 512^2 one a new thread holds what the
+        first left, at most 2 BATCH_BYTES."""
+        fine = realize_datum(DatumSpec(kind="power_law", decay=1.0, r_inner=0.25, r_outer=2.0),
+                             make_lattice(2, 512, 8.0))
+        small = self.corpus_datum()
+        held = []
+
+        def work():
+            heat_sup(small, window_grid(small.lattice, 1.0), 0.5, 4.0)
+            held.append(sum(buffer.nbytes for buffer in self.held()))
+            heat_sup(fine, window_grid(fine.lattice), 0.25, 3.0)
+            held.append(sum(buffer.nbytes for buffer in self.held()))
+
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join()
+        assert 0 < held[0] == held[1] <= 2 * lattice.BATCH_BYTES
+
+    @pytest.mark.parametrize("horizon", [1.0, None], ids=["kato-window", "besov"])
+    def test_warm_heat_sup_allocates_less_than_one_batch(self, horizon):
+        """A warm corpus-size sup at q = 4, the two smallness sups of a
+        calibration: its traced peak is below the bytes of one batch's
+        flowed coefficients and samples, which a sup that allocates its
+        batches makes twice over."""
+        u0 = self.corpus_datum()
+        lat = u0.lattice
+        grid = window_grid(lat, horizon)
+        want = heat_sup(u0, grid, 0.5, 4.0).values
+        count = max(span.stop - span.start
+                    for span in batches(len(grid), 2 * math.prod(lat.half_shape) * 16))
+        batch_bytes = count * 2 * (math.prod(lat.half_shape) * 16 + math.prod(lat.spatial_shape) * 8)
+        tracemalloc.start()
+        try:
+            got = heat_sup(u0, grid, 0.5, 4.0).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < batch_bytes
 
 
 class TestVanishing:

@@ -1,8 +1,8 @@
 """The output comparator (tools/outputs.py) on small synthetic output sets:
 one ulp reads as round-off; a 1e-9 relative move, a flipped boolean or a
 dropped row reads as changed; a move that passes only through the absolute
-floor (the worst of each file), the relative-quantity rule or the digest
-rule is listed."""
+floor (the worst of each file), the relative-quantity rule, the Picard
+trace rule or the digest rule is listed."""
 import contextlib
 import importlib.util
 import json
@@ -231,6 +231,56 @@ def test_relative_quantity_is_the_last_json_key(tmp_path):
     assert outputs.is_relative_quantity("trace.divergence_defects[]")
     assert outputs.is_relative_quantity("summary.max_divergence_defect")
     assert not outputs.is_relative_quantity("summary.rel_err_bound")
+
+
+# Two Picard iterations of the d = 3 smoke solve (its iterations 11-13):
+# ratios[0] = diffs[1] / diffs[0], as PicardTrace records it.
+TRACE = {"norms": [7.71892345677986, 7.718923457222174],
+         "diffs": [4.403686065885363e-05, 1.3385360946277876e-05],
+         "ratios": [0.3039581102297497], "residual": 1.3385360946277876e-05}
+
+
+def moved_trace(**cells):
+    trace = {key: list(value) if isinstance(value, list) else value
+             for key, value in TRACE.items()}
+    for key, (index, value) in cells.items():
+        if index is None:
+            trace[key] = value
+        else:
+            trace[key][index] = value
+    return {**MANIFEST, "trace": trace}
+
+
+@pytest.mark.parametrize("cells, label", [
+    # a ratio that moved 2.85e-12 relative between two round-off runs of B
+    (dict(ratios=(0, 0.3039581102288849)), "round-off"),
+    (dict(ratios=(0, 0.3039581102297497 * (1 + 1e-6))), "changed"),
+    (dict(diffs=(1, TRACE["diffs"][1] + 2e-12 * TRACE["norms"][1])), "changed"),
+    (dict(diffs=(1, TRACE["diffs"][1] + 0.5e-12 * TRACE["norms"][1]),
+          residual=(None, TRACE["residual"] + 0.5e-12 * TRACE["norms"][1])), "round-off"),
+], ids=["round-off-ratio", "ratio-1e-6", "diff-2-rtol-norm", "diff-half-rtol-norm"])
+def test_picard_trace_compares_on_the_scale_of_its_iterates(tmp_path, cells, label):
+    """A difference passes within RTOL of its iterate's norm and a ratio
+    within the first-order propagation of both differences' tolerances
+    (about 2.3e-7 here); the cells that pass only so are listed."""
+    base = write_set(tmp_path / "a", manifest={**MANIFEST, "trace": TRACE})
+    found, report = labels(base, write_set(tmp_path / "b", manifest=moved_trace(**cells)))
+    assert found["exp.json"] == label
+    if label == "round-off":
+        listed = report.split(outputs.RULES["trace"])[1].splitlines()[1:]
+        assert [line.split(":")[0].split()[-1] for line in listed] == sorted(
+            f"trace.{key}" + ("" if index is None else f"[{index}]")
+            for key, (index, _) in cells.items())
+
+
+def test_trace_rule_needs_the_norms():
+    assert outputs.trace_tolerances({"diffs": [0.1, 0.01]}) == {}
+    assert outputs.trace_tolerances(None) == {}
+    scales = outputs.trace_tolerances(TRACE)
+    assert sorted(scales) == ["trace.diffs[0]", "trace.diffs[1]", "trace.ratios[0]",
+                              "trace.residual"]
+    assert scales["trace.residual"] == scales["trace.diffs[1]"] == 1e-12 * TRACE["norms"][1]
+    assert 2.2e-7 < scales["trace.ratios[0]"] < 2.4e-7
 
 
 MODULE = '''"""Module docstring,

@@ -26,11 +26,11 @@ other/src`.
 * round-off -- the files parse to the same structure: column names, row
   counts, keys, list lengths, strings (hashes among them), integers and
   booleans all match exactly, and every float pair (a, b) has
-  |a - b| <= 1e-12 * max(|a|, |b|) or |a - b| <= 1e-15; two rules below
+  |a - b| <= 1e-12 * max(|a|, |b|) or |a - b| <= 1e-15; three rules below
   widen this;
 * changed -- anything else, a file on one side only among them.
 
-Two rules compare a value through what it stands for:
+Three rules compare a value through what it stands for:
 
 * Calibration digests. A digest is a hash of the calibration constants, so
   a one-ulp move of c_hat changes every byte of it. A string pair (a, b)
@@ -47,13 +47,23 @@ Two rules compare a value through what it stands for:
   its own size; a defect that is itself round-off of an exact zero (about
   1e-14) can move by a large share of itself. So these pass when
   |a - b| <= 1e-12 absolute.
+* The Picard trace: the `diffs`, `ratios` and `residual` of the top-level
+  `trace` section of a JSON file, beside the `norms` of the iterates.
+  diffs[k] is the norm of x_{k+1} - x_k, a difference of iterates of norm
+  norms[k], so its round-off is about eps * norms[k] whatever its own
+  size, and it passes when |a - b| <= 1e-12 * norms[k]; the residual is
+  the last diff. ratios[k] = diffs[k+1] / diffs[k] propagates both errors
+  to first order (Higham, Accuracy and Stability of Numerical Algorithms,
+  2nd ed., ch. 3), so it passes when |a - b| <= 1e-12 * r *
+  (norms[k+1] / diffs[k+1] + norms[k] / diffs[k]). Each tolerance is the
+  larger of the two sides'; a trace without norms widens nothing.
 
 For each file that is not identical it prints the worst cell of every
 column that moved. Of the cells that pass only through the absolute floor
 it prints one line per file: the worst of them, by |a - b|, and their
 count (a saved field moved at round-off can have thousands, all of them
 about 1e-16). It lists every cell that passes only through the
-relative-quantity rule or only through the digest rule. Last it prints
+relative-quantity rule, the trace rule or the digest rule. Last it prints
 each job's wall time on both sides, read from the two timings.json files,
 and their ratio B/A; the times take no part in the labels. The exit
 status is 1 when some file is changed.
@@ -106,6 +116,7 @@ RULES = {  # each widening rule, and the heading of the cells that pass only thr
     "floor": f"cells within only the absolute floor {ATOL:g}, the worst of each file:",
     "relative": f"relative quantities within only {RTOL:g} absolute:",
     "digest": "digests that pass only as their side's calibration digest:",
+    "trace": f"Picard trace cells within only {RTOL:g} of their iterates' round-off:",
 }
 SMOKE_ARGS = ["--set", "n=16", "--set", "mesh_nodes=8", "--set", "quad_nodes=8",
               "--set", "save_fields=true"]
@@ -116,6 +127,7 @@ D3_SMOKE_ARGS = ["--set", "d=3", "--set", "p=3.0", "--set", "q_tilde=6.0",
                  "--set", "scale_to_delta_fraction=0.5",
                  "--set", "calibration_path=d3/calibration.json"]
 _INTEGER = re.compile(r"[+-]?\d+\Z")
+TRACE = "trace"  # the top-level JSON section of a Picard trace
 _FIELD_HEADER = struct.Struct("<iidii")  # mildns.lattice's saved-field header
 
 
@@ -175,14 +187,37 @@ def is_relative_quantity(column: str) -> bool:
     return any(fnmatch.fnmatchcase(key, pattern) for pattern in RELATIVE_QUANTITIES)
 
 
+def trace_tolerances(trace) -> dict:
+    """The trace rule's absolute tolerance of each diffs, ratios and
+    residual cell of one Picard trace section, by its JSON path; {} for a
+    section without norms and diffs."""
+    try:
+        norms = [float(x) for x in trace["norms"]]
+        diffs = [float(x) for x in trace["diffs"]]
+    except (KeyError, TypeError, ValueError):
+        return {}
+    out = {}
+    for k, diff in enumerate(diffs[: len(norms)]):
+        out[f"{TRACE}.diffs[{k}]"] = RTOL * norms[k]
+        if k + 1 < min(len(diffs), len(norms)) and diff > 0 and diffs[k + 1] > 0:
+            ratio = diffs[k + 1] / diff
+            out[f"{TRACE}.ratios[{k}]"] = RTOL * ratio * (norms[k + 1] / diffs[k + 1]
+                                                          + norms[k] / diff)
+    if diffs:
+        out[f"{TRACE}.residual"] = out.get(f"{TRACE}.diffs[{len(diffs) - 1}]", 0.0)
+    return out
+
+
 class FileDiff:
     """Per-column worst float difference of one file pair, and the cells
-    that pass only through the absolute floor, the relative-quantity rule or
-    the digest rule. digests holds the pairs (digest of A, digest of B) of
-    the calibration files that the digest rule accepts."""
+    that pass only through the absolute floor, the relative-quantity rule,
+    the trace rule or the digest rule. digests holds the pairs (digest of
+    A, digest of B) of the calibration files that the digest rule accepts,
+    and traced the trace rule's tolerance of each cell it covers."""
 
     def __init__(self, digests=frozenset()):
         self.digests = digests
+        self.traced = {}  # JSON path -> tolerance of the trace rule
         self.worst = {}  # column -> (relative, absolute, where, a, b)
         self.passed_only = {rule: [] for rule in RULES}  # rule -> [(where, a, b)]
 
@@ -197,6 +232,8 @@ class FileDiff:
                 self.passed_only["floor"].append((where, a, b))
             elif gap <= RTOL and is_relative_quantity(column):
                 self.passed_only["relative"].append((where, a, b))
+            elif gap <= self.traced.get(where, 0.0):
+                self.passed_only["trace"].append((where, a, b))
             else:
                 raise Mismatch(f"{where}: {a!r} vs {b!r} (relative {rel:.3g})")
         if column not in self.worst or rel > self.worst[column][0]:
@@ -261,7 +298,12 @@ def _diff_csv(a: bytes, b: bytes, out: FileDiff) -> None:
 
 
 def _diff_json(a: bytes, b: bytes, out: FileDiff) -> None:
-    out.values("", "", json.loads(a), json.loads(b))
+    a, b = json.loads(a), json.loads(b)
+    if isinstance(a, dict) and isinstance(b, dict):
+        scales = trace_tolerances(a.get(TRACE)), trace_tolerances(b.get(TRACE))
+        out.traced = {where: max(scales[0].get(where, 0.0), scales[1].get(where, 0.0))
+                      for where in scales[0].keys() | scales[1].keys()}
+    out.values("", "", a, b)
 
 
 def _diff_field(a: bytes, b: bytes, out: FileDiff) -> None:
