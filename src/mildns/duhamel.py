@@ -53,26 +53,17 @@ tables, so a call redoes none of it:
   _RULES_KEPT output times are kept;
 * _scratch, one entry per thread, for the last (lattice, u is v) the
   thread used, rebuilt whole when a call brings another: the factor
-  pairs, the P div symbol and the buffers. The symbol
-  (_project_div_symbol) is P div as one real (d, P) matrix per
-  half-spectrum mode, applied by one einsum over the P pair rows. Each
-  entry is stored twice (for the real and the imaginary part), so it
-  takes the bytes of a complex (d, P) + half_shape array: at d = 2,
-  P = 2 (u is v) or 3, 34 or 51 KiB at n = 32 and 132 or 198 KiB at
-  n = 64, and at d = 3, P = 5 or 8, 4.0 or 6.4 MiB at n = 32 and 31 or
-  50 MiB at n = 64. The product, coefficient, kernel, sum and
-  u_{d-1} v_{d-1} buffers (_Scratch.hold) hold one chunk, and are rebuilt
-  only when the chunk length changes: at d = 2, Q = 16 they are 621 or
-  894 KiB at n = 32 (one chunk of 16 nodes) and 977 KiB at n = 64 (chunks
-  of 5 or 6 nodes, or 4). Held, they map no fresh pages on a warm call:
-  made per call, such arrays cross glibc's 128 KiB mmap threshold, and
-  are mapped, zero-filled and returned to the system on every call, a
-  count of page faults that flipped with the heap layout around B. At
-  d = 3, n = 16 a chunk holds 2 nodes of B(u, u) and 1 of B(u, v), in 928
-  or 882 KiB; at n >= 32 one node's products pass the cap, and a set is
-  4.3 or 6.6 MiB at n = 32 and 34 or 52 MiB at n = 64. A Picard solve and
-  a calibration each call B on one lattice, layout and Q, so each builds
-  this entry once.
+  pairs and the P div symbol. The symbol (_project_div_symbol) is P div
+  as one real (d, P) matrix per half-spectrum mode, applied by one einsum
+  over the P pair rows. Each entry is stored twice (for the real and the
+  imaginary part), so it takes the bytes of a complex (d, P) + half_shape
+  array: at d = 2, P = 2 (u is v) or 3, 34 or 51 KiB at n = 32 and 132
+  or 198 KiB at n = 64, and at d = 3, P = 5 or 8, 4.0 or 6.4 MiB at
+  n = 32 and 31 or 50 MiB at n = 64. A Picard solve and a calibration
+  each call B on one lattice and layout, so each builds this entry once.
+
+The product, coefficient, kernel, sum and u_{d-1} v_{d-1} buffers of a
+chunk come from lattice.held, the one account of what a thread holds.
 
 Under the Volterra rule lies _legendre(m), the Gauss-Legendre rule, kept
 because numpy's leggauss costs more than a whole volterra_nodes call.
@@ -88,7 +79,7 @@ from math import gamma as gamma_fn
 import numpy as np
 
 from .errors import ConfigError, DataError, MeshError
-from .lattice import Lattice, VectorField, batches, to_physical
+from .lattice import Lattice, VectorField, batches, held, to_physical
 from .multipliers import _project_div_spectral
 from .norms import ExponentBook, Trajectory, kato_norm, n_norm, weighted_lebesgue
 
@@ -286,19 +277,16 @@ class _Scratch(threading.local):
     calls and rebuilt together when a call brings another: the factor
     pairs (i, j), only i <= j when u is v and never (d-1, d-1); pair_of,
     the read-only (d, d) map from tensor entry (i, j) to the row of its
-    product, and from (d-1, d-1) to the zero row P; the P div symbol; and
-    held, the buffers of hold (products, coefficients, kernel, pair sums,
-    and u_{d-1} v_{d-1} of one node)."""
+    product, and from (d-1, d-1) to the zero row P; and the P div
+    symbol."""
 
     key = None
 
     def load(self, lat: Lattice, symmetric: bool) -> "_Scratch":
         if (lat, symmetric) != self.key:
-            self.key = self.held = self.symbol = None  # frees the old set first
-            if symmetric:
-                rows, cols = np.triu_indices(lat.d)
-            else:
-                rows, cols = np.indices((lat.d, lat.d)).reshape(2, -1)
+            self.key = self.symbol = None  # frees the old symbol first
+            rows, cols = (np.triu_indices(lat.d) if symmetric
+                          else np.indices((lat.d, lat.d)).reshape(2, -1))
             rows, cols = rows[:-1], cols[:-1]  # (d-1, d-1) is last in both orders
             pair_of = np.full((lat.d, lat.d), rows.size)  # (d-1, d-1): the zero row
             pair_of[cols, rows] = np.arange(rows.size)  # the mirror, when u is v
@@ -309,20 +297,6 @@ class _Scratch(threading.local):
             self.pair_of = pair_of
             self.key = (lat, symmetric)
         return self
-
-    def hold(self, chunk: int) -> tuple:
-        """The buffers for chunks of up to chunk nodes, kept while the
-        chunk length stays the same."""
-        if self.held is None or len(self.held[0]) != chunk:
-            lat = self.key[0]
-            self.held = None  # frees the old buffers first
-            acc = np.empty((len(self.pairs),) + lat.half_shape, dtype=np.complex128)
-            self.held = (np.empty((chunk, len(self.pairs)) + lat.spatial_shape),
-                         np.empty((chunk,) + acc.shape, dtype=np.complex128),
-                         np.empty((chunk,) + lat.half_shape),
-                         acc,
-                         np.empty(lat.spatial_shape))
-        return self.held
 
 
 _scratch = _Scratch()
@@ -342,20 +316,20 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     The products are real, so F is Lattice.rforward and every step runs on
     the half spectrum that Lattice.inverse reads. The node products are
     transformed in the chunks of lattice.batches, one transform per chunk,
-    in buffers that the calling thread holds across calls (_scratch); each
-    product u_i * v_j is multiplied row by row into them, so no factor is
-    copied. The nodes and
-    the weighted heat factors come from the cached _volterra_rule of t;
-    the pairs (i, j) and the P div symbol come with the buffers, held for
-    the lattice and for whether u_traj is v_traj. P div maps the
-    isotropic part u_{d-1} v_{d-1} I of the tensor, a pressure gradient,
-    to zero, so it is subtracted from the diagonal before the transform
-    and the (d-1, d-1) row, then zero, is not formed: d^2 - 1 rows. When
-    u_traj is v_traj only the rows i <= j are formed; u_i * u_j ==
-    u_j * u_i in IEEE arithmetic, so that shortcut is exact. value_at is
-    still called for both factors at every node: the interpolation (the
-    frozen value below the first mesh node, the exact-node shortcut) stays
-    the trajectory's own, and the call count is what span tracing expects.
+    in buffers that the calling thread holds across calls (lattice.held);
+    each product u_i * v_j is multiplied row by row into them, so no
+    factor is copied. The nodes and the weighted heat factors come from
+    the cached _volterra_rule of t; the pairs (i, j) and the P div symbol
+    from _scratch, held for the lattice and for whether u_traj is v_traj.
+    P div maps the isotropic part u_{d-1} v_{d-1} I of the tensor, a
+    pressure gradient, to zero, so it is subtracted from the diagonal
+    before the transform and the (d-1, d-1) row, then zero, is not formed:
+    d^2 - 1 rows. When u_traj is v_traj only the rows i <= j are formed;
+    u_i * u_j == u_j * u_i in IEEE arithmetic, so that shortcut is exact.
+    value_at is still called for both factors at every node: the
+    interpolation (the frozen value below the first mesh node, the
+    exact-node shortcut) stays the trajectory's own, and the call count is
+    what span tracing expects.
     """
     u_traj.check_same_mesh(v_traj)
     u_traj.node_index(t)  # raises MeshError when t is off the mesh
@@ -364,9 +338,13 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     taus, factors = _volterra_rule(lat, float(t), quad)
     setup = _scratch.load(lat, u_traj is v_traj)
     pairs, symbol = setup.pairs, setup.symbol
-    node_bytes = len(pairs) * math.prod(lat.half_shape) * np.dtype(np.complex128).itemsize
-    chunks = batches(len(taus), node_bytes)
-    products, coeff_buf, kernel_buf, acc, last = setup.hold(max(c.stop - c.start for c in chunks))
+    sums = (len(pairs),) + lat.half_shape
+    chunks = batches(len(taus), math.prod(sums) * np.dtype(np.complex128).itemsize)
+    chunk = (max(c.stop - c.start for c in chunks),)
+    products, coeff_buf, kernel_buf, acc, last = held(
+        "B", (chunk + (len(pairs),) + lat.spatial_shape, np.float64),
+        (chunk + sums, np.complex128), (chunk + lat.half_shape, np.float64),
+        (sums, np.complex128), (lat.spatial_shape, np.float64))
     acc[...] = 0.0
     for nodes in chunks:
         for q, tau in enumerate(taus[nodes]):

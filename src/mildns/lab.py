@@ -72,6 +72,7 @@ from .picard import (
     abstract_fixed_point,
     build_exponent_book,
     calibrate_thresholds,
+    check_datum,
     check_exponent_floor,
     fluctuation_analysis,
     load_calibration,
@@ -326,11 +327,12 @@ def _check_window(cfg: dict, u0: VectorField) -> None:
 
 
 def _calibrated_datum(cfg: dict, book):
-    """book calibrated, and cfg's scaled datum. The datum and its window
-    are checked before calibration, so a bad datum section or horizon is
-    refused first."""
-    lattice = _lattice(cfg)
-    u0 = _realized(cfg["datum"], lattice, "datum")
+    """book calibrated, and cfg's scaled datum. The datum, the solver's
+    conditions on it (check_datum) and its window are checked before
+    calibration, so a bad datum section or horizon is refused first."""
+    u0 = _realized(cfg["datum"], _lattice(cfg), "datum")
+    with naming("datum"):
+        check_datum(u0)
     _check_window(cfg, u0)
     book = _calibrated_book(cfg, book)
     return book, _scaled_datum(cfg, u0, book)

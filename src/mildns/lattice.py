@@ -26,7 +26,9 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import math
 import struct
+import threading
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Optional, Sequence
@@ -49,10 +51,8 @@ PHYSICAL = "physical"
 # per-node sups, bench/run.py read picard op_s 0.0974 -> 0.0882 s (-9.5%,
 # lower in 10 of 10 alternating 20 s pairs), calibrate 0.370 -> 0.335 s
 # (6 of 6) and spectral 0.0989 -> 0.0942 s (6 of 6), with peak RSS up
-# 0.3-0.4 MB, on a shared 2-core VM. It also bounds what the heat flows
-# hold across calls: each thread keeps one complex and one real buffer of
-# flow batches (norms._flow_buffers), each at most this many bytes, and a
-# batch of one flow past it is built per use and dropped.
+# 0.3-0.4 MB, on a shared 2-core VM. It also caps each buffer a thread
+# holds across calls (held).
 BATCH_BYTES = 512 * 1024
 
 # The most bytes one vector field (d n^d float64) of a Lattice may take:
@@ -69,6 +69,57 @@ def batches(count: int, item_bytes: int) -> list:
     per = max(1, BATCH_BYTES // max(item_bytes, 1))
     parts = -(-count // per)
     return [slice(i * count // parts, (i + 1) * count // parts) for i in range(parts)]
+
+
+class _Held(threading.local):
+    """The store of held, one per thread: the flat buffers by (name, i),
+    and the last request for each name with the arrays it got."""
+
+    def __init__(self):
+        self.flat, self.last = {}, {}
+
+    def take(self, key: tuple, shape: tuple, dtype) -> np.ndarray:
+        """A prefix view of the flat buffer key, or past the cap a new array."""
+        size = math.prod(shape)
+        if size * np.dtype(dtype).itemsize > BATCH_BYTES:
+            return np.empty(shape, dtype)
+        flat = self.flat.get(key)
+        if flat is None or flat.dtype != dtype or flat.size < size:
+            self.flat[key] = None  # frees the old buffer first
+            flat = self.flat[key] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
+_held = _Held()
+
+
+def held(name: str, *specs) -> tuple:
+    """Uninitialised arrays of the (shape, dtype) specs, held by the calling
+    thread across calls: the one store of what B and the heat flows keep.
+
+    Array i is a prefix view of the flat buffer (name, i), which grows to
+    the largest request and never past BATCH_BYTES; an array past the cap
+    is new on every call and is not kept. A request that repeats the last
+    one for name gets the same tuple back, in one lookup. The names are
+    "B" (the products, coefficients, kernel, pair sums and u_{d-1} v_{d-1}
+    of a chunk of duhamel.bilinear_B: 621 KiB for B(u, u) and 894 KiB for
+    B(u, v) at d = 2, n = 32, Q = 16) and "flows" (the flowed coefficients
+    and samples of a batch of norms._full_flows), so a thread keeps at
+    most 7 BATCH_BYTES. Held, they fault in no fresh pages on a warm call;
+    made per call, arrays past glibc's 128 KiB mmap threshold are mapped,
+    zero-filled and unmapped on every call. At d = 2 and at d = 3, n = 16
+    every array is under the cap; at d = 3, n >= 32 B's products,
+    coefficients and pair sums are made per call, as is every 512^2 flow.
+    The caller lets no array out: the next request for name overwrites it.
+    """
+    last = _held.last.get(name)
+    if last is not None and last[0] == specs:
+        return last[1]
+    _held.last.pop(name, None)  # so a buffer that grows frees its old bytes
+    arrays = tuple(_held.take((name, i), *spec) for i, spec in enumerate(specs))
+    # an array past the cap is no view, and a request that made one is not kept
+    _held.last[name] = (specs, arrays) if all(a.base is not None for a in arrays) else None
+    return arrays
 
 
 def _is_power_of_two(n: int) -> bool:

@@ -42,12 +42,10 @@ r = 4 the reduction squares twice instead of calling pow. A power sum
 that overflows gives inf, with no warning, which the callers refuse.
 
 Held flow buffers: a full-grid batch of flows is multiplied and
-inverse-transformed in two arrays that each thread holds across calls
-(_flow_buffers), each at most lattice.BATCH_BYTES; a batch of one flow
-past the cap (every flow at 512^2) gets arrays of its own. The yielded
-rows are views of those buffers, so heat_trajectory copies and heat_sup
-reduces each batch before asking for the next, and neither returns an
-array that shares memory with them.
+inverse-transformed in the arrays of lattice.held. The yielded rows are
+views of them, so heat_trajectory copies and heat_sup reduces each batch
+before asking for the next, and neither returns an array that shares
+memory with them.
 
 Live components: a component row that is identically zero stays zero under
 the heat flow and adds exactly 0.0 to the l2 aggregate of a norm. So
@@ -90,19 +88,17 @@ heat_trajectory, which keeps its samples.
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
 
-from . import lattice as _lattice
 from .errors import ConfigError, DataError, MeshError, NumericalError, WindowError
 # to_physical is not called here, but it stays bound: the benchmark's span
 # tracer (bench/spans.py) patches it in every module that imports it, and
 # bench/tests/test_spans.py checks this module's binding.
-from .lattice import Field, Lattice, VectorField, batches, to_physical  # noqa: F401
+from .lattice import Field, Lattice, VectorField, batches, held, to_physical  # noqa: F401
 from .multipliers import _fractional_multiplier, _loglog_fit
 
 
@@ -319,7 +315,7 @@ def _heat_flows(u0: Field, times, q=None):
     coefficients fit lattice.BATCH_BYTES: one product with the kernels of
     Lattice.heat(times of the batch), which equal the scalar kernels bit
     for bit, and one inverse transform each, both written into the
-    buffers that the thread holds (_flow_buffers). Batches are built only
+    buffers that the thread holds (lattice.held). Batches are built only
     when the consumer asks for them, so a sup over many times holds one
     batch, not every flow; a flow that alone passes the cap is a batch of
     one, in arrays of its own. An all-zero datum flows with no transform
@@ -382,45 +378,15 @@ def _flows(lat: Lattice, coeffs: np.ndarray, times, q: Optional[int]):
     yield from _full_flows(lat, coeffs, run)
 
 
-class _FlowBuffers(threading.local):
-    """The batch arrays of _full_flows, held by each thread across calls:
-    one flat buffer per dtype (complex128 for the flowed coefficients,
-    float64 for their inverse transform), and each batch a view of its
-    prefix. A buffer grows to the largest batch asked of it and never past
-    lattice.BATCH_BYTES, so a thread holds at most twice the cap; a batch
-    past the cap is a new array. Held, the flows map no fresh pages on a
-    warm call: made per call, arrays of this size are handed back to the
-    system at each return and faulted in again by the next call. One
-    buffer per dtype, not one per shape, since a calibration alternates
-    batches of 16, 10 and 14 flows."""
-
-    def __init__(self):
-        self.flat = {}  # dtype -> 1-D array
-
-    def take(self, shape: tuple, dtype) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        size = math.prod(shape)
-        if size * dtype.itemsize > _lattice.BATCH_BYTES:
-            return np.empty(shape, dtype)
-        flat = self.flat.get(dtype)
-        if flat is None or flat.size < size:
-            flat = self.flat[dtype] = None  # frees the old buffer first
-            flat = self.flat[dtype] = np.empty(size, dtype)
-        return flat[:size].reshape(shape)
-
-
-_flow_buffers = _FlowBuffers()
-
-
 def _full_flows(lat: Lattice, coeffs: np.ndarray, times: list):
     """The flows at times on lat, in the batches of lattice.batches, each
-    multiplied and inverse-transformed in the arrays of _flow_buffers; the
+    multiplied and inverse-transformed in the arrays of lattice.held; the
     inverse overwrites the flowed coefficients in place."""
     for span in batches(len(times), coeffs.nbytes):
         kernels = lat.heat(times[span])
-        flowed = _flow_buffers.take(kernels.shape[:1] + coeffs.shape, np.complex128)
+        flowed, rows = held("flows", ((len(kernels),) + coeffs.shape, np.complex128),
+                            ((len(kernels), len(coeffs)) + lat.spatial_shape, np.float64))
         np.multiply(coeffs, kernels[:, None], out=flowed)
-        rows = _flow_buffers.take(flowed.shape[:-lat.d] + lat.spatial_shape, np.float64)
         yield lat, lat.inverse(flowed, out=rows)
 
 

@@ -488,7 +488,9 @@ class MildSolution:
         }
 
 
-def _check_datum(u0: VectorField):
+def check_datum(u0: VectorField):
+    """Refuse, as DataError, a datum that is not a VectorField, not
+    divergence-free (defect > 1e-8) or not mean-free (mean > 1e-10)."""
     if not isinstance(u0, VectorField):
         raise DataError("solver needs a VectorField datum")
     scale = float(np.abs(u0.data).max())
@@ -535,7 +537,7 @@ def solve_mild(
         )
     if mesh_nodes < 4:
         raise ConfigError(f"mesh needs at least 4 nodes, got {mesh_nodes}")
-    _check_datum(u0)
+    check_datum(u0)
 
     smallness = smallness_lhs(u0, horizon, book, SMALLNESS_KATO)
     if smallness.satisfied is False and not override_smallness:

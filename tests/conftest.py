@@ -5,6 +5,8 @@ d = 2 corpus), so it runs once per session and is shared by every test
 that needs thresholds.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -100,3 +102,15 @@ def field_inits(monkeypatch):
 
     monkeypatch.setattr(Field, "__init__", counting)
     return inits
+
+
+@pytest.fixture
+def fresh_thread():
+    """Run a callable in a new thread, whose held-buffer store
+    (lattice.held) starts empty: its result, or its exception raised."""
+
+    def run(work):
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            return pool.submit(work).result(timeout=600)
+
+    return run

@@ -498,6 +498,28 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"config error: {message}")
 
     @pytest.mark.parametrize(
+        "experiment, datum, message",
+        [
+            ("solve", '{"kind":"gaussian","width":0.1}', "datum is not divergence-free"),
+            ("ladder", '{"kind":"gaussian","width":0.1}', "datum is not divergence-free"),
+            ("solve", '{"kind":"gaussian","width":0.1,"divergence_free":true}',
+             "datum must be mean-free"),
+            ("fluctuation", '{"kind":"power_law","decay":1.0,"r_inner":0.25,"r_outer":2.0}',
+             "datum is not divergence-free"),
+        ],
+        ids=["solve-gaussian", "ladder-gaussian", "solve-not-mean-free", "fluctuation-power-law"],
+    )
+    def test_datum_the_solver_refuses_exits_2_before_calibration(self, experiment, datum,
+                                                                  message, monkeypatch, capsys):
+        """A datum that is not divergence-free, or not mean-free, is refused
+        under its key before any calibration, not by the solve after it."""
+        calls = []
+        monkeypatch.setattr(lab, "calibrate_thresholds", lambda *args, **kwargs: calls.append(1))
+        assert main([experiment, "--set", f"datum={datum}"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: config key 'datum': {message}")
+        assert calls == []
+
+    @pytest.mark.parametrize(
         "experiment, settings, message",
         [
             ("bilinear", ["k_min=40", "k_max=50", "n=16"],

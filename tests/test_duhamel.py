@@ -59,6 +59,11 @@ from mildns.lattice import Lattice
 from mildns.multipliers import _project_div_spectral
 
 
+def held_B():
+    """The arrays of the calling thread's last held request for B."""
+    return lattice._held.last["B"][1]
+
+
 def manufactured_integral(gamma, theta, t):
     first = gamma_fn(1 - gamma) * gamma_fn(1 - theta) / gamma_fn(2 - gamma - theta)
     second = gamma_fn(1 - gamma) * gamma_fn(2 - theta) / gamma_fn(3 - gamma - theta)
@@ -446,20 +451,25 @@ class TestFusedB:
         self.assert_matches_per_node(u, v, mesh[-1:], quad)
         self.assert_matches_per_node(u, u, mesh[-1:], quad)
 
-    def test_one_node_per_chunk(self):
+    def test_one_node_per_chunk(self, fresh_thread):
         """At d = 3, n = 32 one node's half-spectrum coefficients pass the
         batch cap both for B(u, u) and for B(u, v): every chunk holds one
-        node."""
+        node, and so does the held kernel buffer of a fresh thread."""
         book = build_exponent_book(d=3, p=3.0, s=0.0, q_tilde=6.0)
         quad = QuadratureSpec(node_count=8, gamma=book.gamma_kato, theta=book.alpha)
         mesh = quadratic_mesh(0.5, 4)
         u, v = self.band_flows(3, 32, mesh, (7, 8))
-        row_bytes = math.prod(u.lattice.half_shape) * np.dtype(np.complex128).itemsize
-        for b, symmetric in ((u, True), (v, False)):
+        modes = math.prod(u.lattice.half_shape)
+        row_bytes = modes * np.dtype(np.complex128).itemsize
+
+        def work(b, symmetric):
             node_bytes = len(duhamel._scratch.load(u.lattice, symmetric).pairs) * row_bytes
             assert node_bytes > lattice.BATCH_BYTES
             self.assert_matches_per_node(u, b, mesh[-1:], quad)
-            assert len(duhamel._scratch.held[0]) == 1
+            assert lattice._held.flat["B", 2].shape == (modes,)
+
+        for b, symmetric in ((u, True), (v, False)):
+            fresh_thread(lambda: work(b, symmetric))
 
     @staticmethod
     def count_rforward(monkeypatch):
@@ -485,7 +495,7 @@ class TestFusedB:
             calls.clear()
             bilinear_B(u, b, float(mesh[-1]), quad)
             assert calls == [quad.node_count]
-            assert len(duhamel._scratch.held[0]) == quad.node_count
+            assert len(held_B()[0]) == quad.node_count
 
     def test_chunks_are_as_equal_as_q_allows(self, monkeypatch):
         """A cap of 7 nodes' products splits Q = 16 nodes 5 + 5 + 6, not
@@ -496,7 +506,7 @@ class TestFusedB:
         calls = self.count_rforward(monkeypatch)
         self.assert_matches_per_node(u, u, mesh[-1:], quad)
         assert calls == [5, 5, 6]
-        assert len(duhamel._scratch.held[0]) == 6
+        assert len(held_B()[0]) == 6
 
     @pytest.mark.parametrize("d, n, p, q_tilde", [(2, 16, 2.0, 4.0), (3, 8, 3.0, 6.0)])
     def test_transformed_rows_per_call(self, d, n, p, q_tilde, monkeypatch):
@@ -633,28 +643,51 @@ class TestCallSetUp:
     def test_buffers_are_held_across_calls(self):
         u, mesh, quad = self.picard_size_flow()
         first = bilinear_B(u, u, float(mesh[-1]), quad).data
-        held = duhamel._scratch.held
+        held = held_B()
         assert held[0].shape[1] == 2
         bilinear_B(u, u, float(mesh[0]), quad)
         again = bilinear_B(u, u, float(mesh[-1]), quad).data
-        assert duhamel._scratch.held is held
+        assert held_B() is held
         npt.assert_array_equal(again, first)
         v = Trajectory(u.lattice, mesh, u.data * 0.5)
         bilinear_B(u, v, float(mesh[-1]), quad)  # another pair count
-        assert duhamel._scratch.held[0].shape[1] == 3
+        assert held_B()[0].shape[1] == 3
+
+    def test_warm_call_makes_one_held_request(self, monkeypatch):
+        """A warm call at the picard size asks the store once and gets the
+        arrays of the call before it: it allocates none of its five."""
+        u, mesh, quad = self.picard_size_flow()
+        bilinear_B(u, u, float(mesh[-1]), quad)
+        before = held_B()
+        requests = []
+
+        def counted(*args):
+            requests.append(lattice.held(*args))
+            return requests[-1]
+
+        monkeypatch.setattr(duhamel, "held", counted)
+        bilinear_B(u, u, float(mesh[-2]), quad)
+        assert len(requests) == 1 and requests[0] is before
 
     def test_two_threads_give_the_bits_of_sequential_calls(self):
+        """B(u, u), B(u, v) and heat flows interleaved in two threads, in
+        opposite orders, give the bits of sequential calls, each thread in
+        buffers of its own."""
         u, mesh, quad = self.picard_size_flow()
         v = Trajectory(u.lattice, mesh, u.data * 0.5)
-        jobs = [(a, b, float(t)) for t in mesh for a, b in ((u, u), (u, v))]
-        sequential = [bilinear_B(a, b, t, quad).data for a, b, t in jobs]
+        u0 = realize_datum(DatumSpec(kind="random_band", seed=22, k_min=1.0, k_max=4.0,
+                                     divergence_free=True), u.lattice)
+        jobs = [job for t in mesh for job in (
+            lambda t=float(t): bilinear_B(u, u, t, quad).data,
+            lambda t=float(t): bilinear_B(u, v, t, quad).data,
+            lambda t=t: heat_trajectory(u0, mesh[mesh <= t]).data)]
+        sequential = [job() for job in jobs]
         results, buffers = {}, {}
 
         def work(name, order):
             for k in order:
-                a, b, t = jobs[k]
-                results[name, k] = bilinear_B(a, b, t, quad).data
-            buffers[name] = duhamel._scratch.held
+                results[name, k] = jobs[k]()
+            buffers[name] = dict(lattice._held.flat)
 
         order = list(range(len(jobs)))
         threads = [threading.Thread(target=work, args=("forward", order)),
@@ -666,8 +699,39 @@ class TestCallSetUp:
         for name in ("forward", "backward"):
             for k, want in enumerate(sequential):
                 npt.assert_array_equal(results[name, k], want)
-        assert buffers["forward"][0] is not buffers["backward"][0]
-        assert all(held[0] is not duhamel._scratch.held[0] for held in buffers.values())
+        own = dict(lattice._held.flat)
+        assert buffers["forward"].keys() == buffers["backward"].keys() == own.keys()
+        assert {name for name, _ in own} == {"B", "flows"}
+        for key, buffer in own.items():
+            assert not np.shares_memory(buffers["forward"][key], buffers["backward"][key])
+            assert not any(np.shares_memory(held[key], buffer) for held in buffers.values())
+
+    def test_keeps_the_symbol_and_the_store(self, fresh_thread):
+        """After one B(u, u) and one B(u, v) at d = 3, n = 32 a fresh thread
+        keeps the P div symbol and its store, each flat buffer of which is
+        at most BATCH_BYTES, and nothing else: B's products, coefficients
+        and pair sums pass the cap, so they are made per call."""
+        book = build_exponent_book(d=3, p=3.0, s=0.0, q_tilde=6.0)
+        quad = QuadratureSpec(node_count=8, gamma=book.gamma_kato, theta=book.alpha)
+        mesh = quadratic_mesh(0.5, 4)
+        u, v = TestFusedB.band_flows(3, 32, mesh, (7, 8))
+        t = float(mesh[-1])
+        bilinear_B(u, v, t, quad)  # the rule and the lattice's caches, which threads share
+
+        def work():
+            tracemalloc.start()
+            try:
+                bilinear_B(u, u, t, quad)
+                bilinear_B(u, v, t, quad)
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            flat = [buffer.nbytes for buffer in lattice._held.flat.values()]
+            return kept, duhamel._scratch.symbol.nbytes, flat
+
+        kept, symbol, flat = fresh_thread(work)
+        assert flat and max(flat) <= lattice.BATCH_BYTES
+        assert kept <= symbol + sum(flat) + 32 * 1024
 
     def test_warm_call_stays_below_the_mapping_threshold(self):
         """Every array a warm call at the picard size makes is freed again

@@ -32,7 +32,8 @@ from mildns import (
     to_physical,
     to_spectral,
 )
-from mildns.lattice import _HEADER, FIELD_BYTES, PHYSICAL, Lattice
+from mildns import lattice
+from mildns.lattice import _HEADER, BATCH_BYTES, FIELD_BYTES, PHYSICAL, Lattice, held
 
 
 class TestLatticeConstruction:
@@ -494,6 +495,95 @@ class TestTransformLayer:
     ])
     def test_scan_sees_every_spelling(self, source):
         assert transform_uses(source)
+
+
+class TestHeld:
+    """The one store of held buffers, in a fresh thread each."""
+
+    def test_arrays_are_prefix_views_of_buffers_that_grow(self, fresh_thread):
+        def work():
+            small = held("x", ((2, 3), np.float64), ((4,), np.complex128))
+            assert [(a.shape, a.dtype) for a in small] == [((2, 3), np.float64),
+                                                           ((4,), np.complex128)]
+            large = held("x", ((5, 3), np.float64), ((2,), np.complex128))
+            flat = lattice._held.flat
+            assert [flat["x", i].size for i in range(2)] == [15, 4]
+            again = held("x", ((2, 3), np.float64), ((4,), np.complex128))
+            assert again is not small
+            for a, b, buffer in zip(again, large, (flat["x", 0], flat["x", 1])):
+                assert a.base is buffer and b.base is buffer
+            assert held("y", ((2, 3), np.float64))[0].base is not flat["x", 0]
+
+        fresh_thread(work)
+
+    def test_a_repeated_request_gets_the_same_tuple(self, fresh_thread):
+        def work():
+            specs = (((3, 4), np.float64), ((3,), np.complex128))
+            first = held("x", *specs)
+            assert held("x", *specs) is first
+            held("y", *specs)
+            assert held("x", *specs) is first
+            held("x", ((3, 4), np.float64))
+            assert held("x", *specs) is not first
+
+        fresh_thread(work)
+
+    def test_arrays_past_the_cap_are_new_and_not_kept(self, fresh_thread):
+        def work():
+            past = ((BATCH_BYTES // 8 + 1,), np.float64)
+            first = held("x", past, ((BATCH_BYTES // 8,), np.float64))
+            second = held("x", past, ((BATCH_BYTES // 8,), np.float64))
+            assert first is not second and first[0].base is None
+            assert not np.shares_memory(first[0], second[0])
+            assert first[1].base is second[1].base
+            assert [key for key in lattice._held.flat] == [("x", 1)]
+
+        fresh_thread(work)
+
+    def test_threads_hold_buffers_of_their_own(self, fresh_thread):
+        specs = (((8,), np.float64),)
+        mine = held("x", *specs)
+        theirs = fresh_thread(lambda: held("x", *specs))
+        assert not np.shares_memory(mine[0], theirs[0])
+        assert held("x", *specs) is mine
+
+    def test_one_held_buffer_mechanism(self):
+        """Only lattice._Held, the store of held, and duhamel._Scratch, B's
+        set-up, are thread-local: no module keeps buffers of its own."""
+        package = Path(mildns.__file__).parent
+        uses = {(path.name, cls) for path in sorted(package.glob("*.py"))
+                for _, cls in thread_local_uses(path.read_text())}
+        assert uses == {("lattice.py", "_Held"), ("duhamel.py", "_Scratch")}
+
+    @pytest.mark.parametrize("source, uses", [
+        ("import threading\nclass A(threading.local):\n    pass", [(2, "A")]),
+        ("import threading as t\nbuffers = t.local()", [(2, None)]),
+        ("from threading import local", [(1, None)]),
+        ("from threading import local as L\nclass A(L):\n    pass", [(1, None)]),
+        ("import threading\nthreading.Thread(target=f)", []),
+    ])
+    def test_scan_sees_every_spelling(self, source, uses):
+        assert thread_local_uses(source) == uses
+
+
+def thread_local_uses(source: str) -> list:
+    """(line, class) for each use of threading.local in source: class is
+    the name of the class that subclasses it, or None for any other use
+    (an instance, an import of the name)."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "threading"}
+    subclass = {id(base): node.name for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) for base in node.bases}
+    uses = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "local"
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            uses.append((node.lineno, subclass.get(id(node))))
+        elif isinstance(node, ast.ImportFrom) and node.module == "threading":
+            uses += [(node.lineno, None) for alias in node.names if alias.name == "local"]
+    return sorted(uses)
 
 
 def heat_kernel_uses(source: str) -> list:

@@ -48,7 +48,7 @@ from mildns import (
     to_spectral,
     vanishing_at_zero,
 )
-from mildns import lattice, norms
+from mildns import lattice
 from mildns.lattice import PHYSICAL, batches
 from mildns.multipliers import _loglog_fit
 from mildns.norms import _lebesgue_rows, heat_sup, weighted_lebesgue, window_grid
@@ -876,8 +876,8 @@ class TestBatches:
 
 class TestHeldFlowBuffers:
     """The full-grid flow batches run in two buffers that each thread
-    holds across calls, under lattice.BATCH_BYTES; nothing returned shares
-    memory with them."""
+    holds across calls (lattice.held), under lattice.BATCH_BYTES; nothing
+    returned shares memory with them."""
 
     @staticmethod
     def corpus_datum(seed=5):
@@ -889,7 +889,7 @@ class TestHeldFlowBuffers:
 
     @staticmethod
     def held():
-        return list(norms._flow_buffers.flat.values())
+        return [buffer for (name, _), buffer in lattice._held.flat.items() if name == "flows"]
 
     def test_trajectories_share_no_memory(self):
         first_datum, second_datum = self.corpus_datum(5), self.corpus_datum(6)
