@@ -42,25 +42,25 @@ The sums are re-associated against a per-node projection, so B moves at
 round-off, not bit for bit.
 
 What B derives from its inputs' shape is built once and kept, in two
-tables, so a call redoes none of it:
+read-only tables that all threads share, so a call redoes none of it:
 
 * _volterra_rule(lattice, t, quad), one entry per output time: the nodes
   of volterra_nodes and the one-axis heat factors of the gaps
   (Lattice.heat_factors) with the weights folded into the first, so the
-  kernel of a chunk is one broadcast product (two at d = 3). Read-only
-  and shared by all threads; 2 Q n floats per output time: 8.5 KiB at
-  n = 32, Q = 16, whatever d, and 33 KiB at n = 64, Q = 32. The last
-  _RULES_KEPT output times are kept;
-* _scratch, one entry per thread, for the last (lattice, u is v) the
-  thread used, rebuilt whole when a call brings another: the factor
-  pairs and the P div symbol. The symbol (_project_div_symbol) is P div
-  as one real (d, P) matrix per half-spectrum mode, applied by one einsum
-  over the P pair rows. Each entry is stored twice (for the real and the
-  imaginary part), so it takes the bytes of a complex (d, P) + half_shape
-  array: at d = 2, P = 2 (u is v) or 3, 34 or 51 KiB at n = 32 and 132
-  or 198 KiB at n = 64, and at d = 3, P = 5 or 8, 4.0 or 6.4 MiB at
-  n = 32 and 31 or 50 MiB at n = 64. A Picard solve and a calibration
-  each call B on one lattice and layout, so each builds this entry once.
+  kernel of a chunk is one broadcast product (two at d = 3). 2 Q n
+  floats per output time: 8.5 KiB at n = 32, Q = 16, whatever d, and
+  33 KiB at n = 64, Q = 32. The last _RULES_KEPT output times are kept;
+* _layout(lattice, u is v), one entry per process, for the last
+  (lattice, u is v) used, rebuilt whole (the old entry freed first) when
+  a call brings another: the factor pairs and the P div symbol. The
+  symbol (_project_div_symbol) is P div as one real (d, P) matrix per
+  half-spectrum mode, applied by one einsum over the P pair rows. Each
+  entry is stored twice (for the real and the imaginary part), so it
+  takes the bytes of a complex (d, P) + half_shape array: at d = 2,
+  P = 2 (u is v) or 3, 34 or 51 KiB at n = 32 and 132 or 198 KiB at
+  n = 64, and at d = 3, P = 5 or 8, 4.0 or 6.4 MiB at n = 32 and 31 or
+  50 MiB at n = 64. A Picard solve and a calibration each call B on one
+  lattice and layout, so each builds this entry once.
 
 The product, coefficient, kernel, sum and u_{d-1} v_{d-1} buffers of a
 chunk come from lattice.held, the one account of what a thread holds.
@@ -71,7 +71,6 @@ because numpy's leggauss costs more than a whole volterra_nodes call.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gamma as gamma_fn
@@ -272,34 +271,22 @@ def _project_div(acc: np.ndarray, lat: Lattice, symbol: np.ndarray) -> np.ndarra
     return out
 
 
-class _Scratch(threading.local):
-    """B's set-up for one (lattice, u is v), held by each thread across
-    calls and rebuilt together when a call brings another: the factor
-    pairs (i, j), only i <= j when u is v and never (d-1, d-1); pair_of,
-    the read-only (d, d) map from tensor entry (i, j) to the row of its
-    product, and from (d-1, d-1) to the zero row P; and the P div
-    symbol."""
-
-    key = None
-
-    def load(self, lat: Lattice, symmetric: bool) -> "_Scratch":
-        if (lat, symmetric) != self.key:
-            self.key = self.symbol = None  # frees the old symbol first
-            rows, cols = (np.triu_indices(lat.d) if symmetric
-                          else np.indices((lat.d, lat.d)).reshape(2, -1))
-            rows, cols = rows[:-1], cols[:-1]  # (d-1, d-1) is last in both orders
-            pair_of = np.full((lat.d, lat.d), rows.size)  # (d-1, d-1): the zero row
-            pair_of[cols, rows] = np.arange(rows.size)  # the mirror, when u is v
-            pair_of[rows, cols] = np.arange(rows.size)
-            pair_of.flags.writeable = False
-            self.symbol = _project_div_symbol(lat, pair_of)
-            self.pairs = tuple(zip(rows.tolist(), cols.tolist()))
-            self.pair_of = pair_of
-            self.key = (lat, symmetric)
-        return self
-
-
-_scratch = _Scratch()
+@lru_cache(maxsize=1)
+def _layout(lat: Lattice, symmetric: bool):
+    """B's set-up for one (lattice, u is v), read-only and shared by all
+    threads: the factor pairs (i, j), only i <= j when u is v and never
+    (d-1, d-1), and the P div symbol of pair_of, the map from tensor entry
+    (i, j) to the row of its product and from (d-1, d-1) to the zero row
+    P. Only the last layout is kept, and a miss frees it before the next
+    symbol is built."""
+    _layout.cache_clear()  # frees the old symbol first
+    rows, cols = (np.triu_indices(lat.d) if symmetric
+                  else np.indices((lat.d, lat.d)).reshape(2, -1))
+    rows, cols = rows[:-1], cols[:-1]  # (d-1, d-1) is last in both orders
+    pair_of = np.full((lat.d, lat.d), rows.size)  # (d-1, d-1): the zero row
+    pair_of[cols, rows] = np.arange(rows.size)  # the mirror, when u is v
+    pair_of[rows, cols] = np.arange(rows.size)
+    return tuple(zip(rows.tolist(), cols.tolist())), _project_div_symbol(lat, pair_of)
 
 
 def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
@@ -320,7 +307,7 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     each product u_i * v_j is multiplied row by row into them, so no
     factor is copied. The nodes and the weighted heat factors come from
     the cached _volterra_rule of t; the pairs (i, j) and the P div symbol
-    from _scratch, held for the lattice and for whether u_traj is v_traj.
+    from _layout, kept for the lattice and for whether u_traj is v_traj.
     P div maps the isotropic part u_{d-1} v_{d-1} I of the tensor, a
     pressure gradient, to zero, so it is subtracted from the diagonal
     before the transform and the (d-1, d-1) row, then zero, is not formed:
@@ -336,8 +323,7 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     lat = u_traj.lattice
     interp_power = -0.5 * quad.theta
     taus, factors = _volterra_rule(lat, float(t), quad)
-    setup = _scratch.load(lat, u_traj is v_traj)
-    pairs, symbol = setup.pairs, setup.symbol
+    pairs, symbol = _layout(lat, u_traj is v_traj)
     sums = (len(pairs),) + lat.half_shape
     chunks = batches(len(taus), math.prod(sums) * np.dtype(np.complex128).itemsize)
     chunk = (max(c.stop - c.start for c in chunks),)

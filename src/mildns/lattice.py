@@ -345,26 +345,22 @@ class Lattice:
     def inverse(self, c: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Real samples of the Hermitian half array c over the trailing d axes.
 
-        A real inverse transform (irfftn); the other half of a Hermitian
-        array is the conjugate of c, so it is never needed. For
-        coefficients that are not Hermitian the result is not the real
-        part of their inverse transform.
+        A real inverse transform in irfftn's own steps: ifft on each leading
+        axis, then irfft on the last. The other half of a Hermitian array is
+        the conjugate of c, so it is never needed. For coefficients that are
+        not Hermitian the result is not the real part of their inverse.
 
-        With out (float64, the shape of the result), c (complex128) is
-        overwritten: the complex inverse of each leading axis runs in place
-        in c, and the real inverse of the last axis is written into out,
-        which is returned. That is irfftn's own sequence of calls, so the
-        bits are those of a call without out, and irfftn's complex
-        intermediate, the size of c, is never made.
+        Without out each step makes a new array, as irfftn does, and c is
+        left as it was. With out (float64, the shape of the result), c
+        (complex128) is overwritten: each ifft runs in place in c and irfft
+        writes into out, which is returned. Either way the bits are
+        irfftn's; with out, irfftn's complex intermediate is never made.
         """
         if c.shape[-self.d:] != self.half_shape:
             raise DataError(f"coefficients of shape {c.shape} are not a half array "
                             f"{self.half_shape} of this lattice")
-        if out is None:
-            return np.fft.irfftn(c, s=self.spatial_shape,
-                                 axes=tuple(range(-self.d, 0)), norm="forward")
         for axis in range(-self.d, -1):
-            np.fft.ifft(c, self.n, axis=axis, norm="forward", out=c)
+            c = np.fft.ifft(c, self.n, axis=axis, norm="forward", out=None if out is None else c)
         return np.fft.irfft(c, self.n, axis=-1, norm="forward", out=out)
 
     def mode_resolved(self, mode: Sequence[int]) -> bool:

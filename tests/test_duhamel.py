@@ -23,6 +23,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,19 @@ from mildns.multipliers import _project_div_spectral
 def held_B():
     """The arrays of the calling thread's last held request for B."""
     return lattice._held.last["B"][1]
+
+
+def pair_rows(d, pairs):
+    """The (d, d) map that B's symbol is built on, derived from its pairs:
+    tensor entry (i, j) to the row of its product (both mirror entries
+    when only i <= j are formed) and (d-1, d-1) to the zero row
+    len(pairs)."""
+    pair_of = np.full((d, d), len(pairs))
+    for r, (i, j) in enumerate(pairs):
+        pair_of[j, i] = r
+    for r, (i, j) in enumerate(pairs):
+        pair_of[i, j] = r
+    return pair_of
 
 
 def manufactured_integral(gamma, theta, t):
@@ -173,10 +187,11 @@ class TestCachedVolterraRule:
         always-zero row one past the last."""
         lat = make_lattice(d, 8, 2.0 * np.pi)
         for symmetric in (True, False):
-            setup = duhamel._scratch.load(lat, symmetric)
-            pairs, pair_of = setup.pairs, setup.pair_of
-            assert duhamel._scratch.load(lat, symmetric).pair_of is pair_of
-            assert not pair_of.flags.writeable
+            pairs, symbol = duhamel._layout(lat, symmetric)
+            assert duhamel._layout(lat, symmetric)[0] is pairs
+            assert type(pairs) is tuple and all(type(pair) is tuple for pair in pairs)
+            assert not symbol.flags.writeable
+            pair_of = pair_rows(d, pairs)
             assert (d - 1, d - 1) not in pairs
             assert pair_of[d - 1, d - 1] == len(pairs)
             for i in range(d):
@@ -463,7 +478,7 @@ class TestFusedB:
         row_bytes = modes * np.dtype(np.complex128).itemsize
 
         def work(b, symmetric):
-            node_bytes = len(duhamel._scratch.load(u.lattice, symmetric).pairs) * row_bytes
+            node_bytes = len(duhamel._layout(u.lattice, symmetric)[0]) * row_bytes
             assert node_bytes > lattice.BATCH_BYTES
             self.assert_matches_per_node(u, b, mesh[-1:], quad)
             assert lattice._held.flat["B", 2].shape == (modes,)
@@ -576,13 +591,13 @@ class TestCallSetUp:
     @pytest.mark.parametrize("symmetric", [True, False], ids=["u=v", "u!=v"])
     def test_symbol_is_the_project_div_kernel(self, d, n, symmetric):
         lat = make_lattice(d, n, 2.0 * np.pi)
-        setup = duhamel._scratch.load(lat, symmetric)
+        pairs, symbol = duhamel._layout(lat, symmetric)
         rng = np.random.default_rng(d + 2 * symmetric)
-        shape = (len(setup.pairs),) + lat.half_shape
+        shape = (len(pairs),) + lat.half_shape
         acc = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         rows = np.concatenate([acc, np.zeros((1,) + lat.half_shape)])  # the (d-1, d-1) row
-        reference = _project_div_spectral(rows[setup.pair_of], lat)
-        got = duhamel._project_div(acc, lat, setup.symbol)
+        reference = _project_div_spectral(rows[pair_rows(d, pairs)], lat)
+        got = duhamel._project_div(acc, lat, symbol)
         assert got.shape == reference.shape
         assert np.abs(got - reference).max() <= 1e-15 * np.abs(reference).max()
 
@@ -603,15 +618,15 @@ class TestCallSetUp:
 
     def test_symbol_is_cached_and_read_only(self):
         lat = make_lattice(2, 16, 2.0 * np.pi)
-        symbol = duhamel._scratch.load(lat, True).symbol
-        assert duhamel._scratch.load(make_lattice(2, 16, 2.0 * np.pi), True).symbol is symbol
+        symbol = duhamel._layout(lat, True)[1]
+        assert duhamel._layout(make_lattice(2, 16, 2.0 * np.pi), True)[1] is symbol
         assert symbol.shape == (2, 2, 2 * 16 * 9)
         assert not symbol.flags.writeable
-        other_box = duhamel._scratch.load(make_lattice(2, 16, 4.0 * np.pi), True).symbol
+        other_box = duhamel._layout(make_lattice(2, 16, 4.0 * np.pi), True)[1]
         assert other_box.shape == symbol.shape
         npt.assert_array_equal(other_box, 0.5 * symbol)  # P div scales as 1/L
-        assert duhamel._scratch.load(lat, False).symbol.shape == (2, 3, 2 * 16 * 9)
-        assert duhamel._scratch.load(lat, True).symbol is not symbol
+        assert duhamel._layout(lat, False)[1].shape == (2, 3, 2 * 16 * 9)
+        assert duhamel._layout(lat, True)[1] is not symbol
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
     def test_rule_factors_are_the_weighted_heat_kernel(self, d, n):
@@ -708,9 +723,10 @@ class TestCallSetUp:
 
     def test_keeps_the_symbol_and_the_store(self, fresh_thread):
         """After one B(u, u) and one B(u, v) at d = 3, n = 32 a fresh thread
-        keeps the P div symbol and its store, each flat buffer of which is
-        at most BATCH_BYTES, and nothing else: B's products, coefficients
-        and pair sums pass the cap, so they are made per call."""
+        leaves the P div symbol of the process and its own store, each flat
+        buffer of which is at most BATCH_BYTES, and nothing else: B's
+        products, coefficients and pair sums pass the cap, so they are made
+        per call."""
         book = build_exponent_book(d=3, p=3.0, s=0.0, q_tilde=6.0)
         quad = QuadratureSpec(node_count=8, gamma=book.gamma_kato, theta=book.alpha)
         mesh = quadratic_mesh(0.5, 4)
@@ -727,11 +743,101 @@ class TestCallSetUp:
             finally:
                 tracemalloc.stop()
             flat = [buffer.nbytes for buffer in lattice._held.flat.values()]
-            return kept, duhamel._scratch.symbol.nbytes, flat
+            return kept, duhamel._layout(u.lattice, False)[1].nbytes, flat
 
         kept, symbol, flat = fresh_thread(work)
         assert flat and max(flat) <= lattice.BATCH_BYTES
         assert kept <= symbol + sum(flat) + 32 * 1024
+
+    def test_live_threads_share_one_symbol(self):
+        """Three live threads, each after one B(u, u) at d = 3, n = 32, read
+        the symbol of the process, and beyond the main thread they keep at
+        most their stores and 1 MiB: no thread holds a copy of the 4.0 MiB
+        symbol."""
+        book = build_exponent_book(d=3, p=3.0, s=0.0, q_tilde=6.0)
+        quad = QuadratureSpec(node_count=8, gamma=book.gamma_kato, theta=book.alpha)
+        mesh = quadratic_mesh(0.5, 4)
+        (u,) = TestFusedB.band_flows(3, 32, mesh, (7,))
+        t = float(mesh[-1])
+        bilinear_B(u, u, t, quad)  # the rule, the layout and the lattice's caches
+        symbol = duhamel._layout(u.lattice, True)[1]
+        ready, release = threading.Barrier(4, timeout=600), threading.Event()
+        symbols, stores = [], []
+
+        def work():
+            try:
+                bilinear_B(u, u, t, quad)
+                symbols.append(duhamel._layout(u.lattice, True)[1])
+                stores.append(sum(buffer.nbytes for buffer in lattice._held.flat.values()))
+            finally:
+                ready.wait()
+                release.wait(timeout=600)
+
+        threads = [threading.Thread(target=work) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            for thread in threads:
+                thread.start()
+            ready.wait()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            release.set()
+            for thread in threads:
+                thread.join(timeout=600)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(symbols) == 3 and all(s is symbol for s in symbols)
+        assert kept <= sum(stores) + 1024**2
+
+    def test_a_switch_frees_the_old_symbol_first(self, monkeypatch):
+        """A call that brings another layout drops the kept symbol before
+        it builds the next one, so the two never live together."""
+        lat = make_lattice(3, 8, 2.0 * np.pi)
+        old = weakref.ref(duhamel._layout(lat, True)[1])
+        freed = []
+        build = duhamel._project_div_symbol
+
+        def traced(lat, pair_of):
+            freed.append(old() is None)
+            return build(lat, pair_of)
+
+        monkeypatch.setattr(duhamel, "_project_div_symbol", traced)
+        duhamel._layout(lat, False)
+        assert freed == [True]
+
+    def test_threads_switching_layouts_give_the_bits_of_sequential_calls(self):
+        """Four threads, more than the cores, each alternate B(u, u) and
+        B(u, v) under a short switch interval, so the one kept layout is
+        missed and rebuilt beneath them: every result has the bits of a
+        sequential call."""
+        mesh = quadratic_mesh(0.5, 4)
+        u, v = TestFusedB.band_flows(2, 16, mesh, (3, 4))
+        quad = QuadratureSpec(node_count=8, gamma=0.5, theta=0.25)
+        jobs = [(b, float(t)) for t in mesh for b in (u, v)]
+        sequential = [bilinear_B(u, b, t, quad).data for b, t in jobs]
+        results = {}
+
+        def work(k):
+            for r in range(3):
+                for i in range(len(jobs)):
+                    j = (i + k) % len(jobs)
+                    b, t = jobs[j]
+                    results[k, r, j] = bilinear_B(u, b, t, quad).data
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=600)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 4 * 3 * len(jobs)
+        for (_, _, j), got in results.items():
+            npt.assert_array_equal(got, sequential[j])
 
     def test_warm_call_stays_below_the_mapping_threshold(self):
         """Every array a warm call at the picard size makes is freed again
@@ -842,13 +948,23 @@ class TestBilinearErrorEstimate:
                         * lat.cell_volume) for t, c in zip(sub, coarse.data)]
         npt.assert_allclose(bilinear_error_estimate(u, v, quad), want, rtol=1e-13)
 
-    def test_one_trajectory_takes_the_symmetric_path(self, pair_setup):
+    def test_one_trajectory_takes_the_symmetric_path(self, pair_setup, monkeypatch):
         lat, _, mesh, quad, datum = pair_setup
+        layouts = []
+        layout = duhamel._layout
+
+        def recorded(lat, symmetric):
+            layouts.append((lat, symmetric))
+            return layout(lat, symmetric)
+
+        recorded.cache_clear = layout.cache_clear  # which a miss calls by name
+        monkeypatch.setattr(duhamel, "_layout", recorded)
         u = heat_trajectory(datum(5), mesh)
         bilinear_error_estimate(u, u, quad)
-        assert duhamel._scratch.key == (lat, True)
+        assert layouts and set(layouts) == {(lat, True)}
+        layouts.clear()
         bilinear_error_estimate(u, heat_trajectory(datum(5), mesh), quad)
-        assert duhamel._scratch.key == (lat, False)
+        assert layouts and set(layouts) == {(lat, False)}
 
     def test_needs_four_nodes(self, pair_setup):
         lat, _, _, quad, datum = pair_setup

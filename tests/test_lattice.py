@@ -227,15 +227,25 @@ class TestTransforms:
     def test_inverse_into_out_is_irfftn(self, shape, d, n, rng):
         """Given out, inverse overwrites c, fills and returns out, and the
         samples are irfftn's bit for bit: a batch of 16 flows at d = 2,
-        n = 32 and one of 4 nodes at d = 3, n = 16, every Nyquist mode live."""
+        n = 32 and one of 4 nodes at d = 3, n = 16, every Nyquist mode live.
+        Without out they are irfftn's too and c is unchanged, also for the
+        non-contiguous half view of a full grid that the random-band datum
+        passes."""
         lat = make_lattice(d, n, 2.0 * np.pi)
+        axes = tuple(range(-d, 0))
         c = lat.rforward(rng.standard_normal(shape))
         assert np.all(c[..., n // 2] != 0.0) and np.all(c[..., n // 2, :] != 0.0)
-        want = np.fft.irfftn(c, s=(n,) * d, axes=tuple(range(-d, 0)), norm="forward")
+        want = np.fft.irfftn(c, s=(n,) * d, axes=axes, norm="forward")
         npt.assert_array_equal(lat.inverse(c), want)
         out = np.empty(shape)
         assert lat.inverse(c.copy(), out=out) is out
         npt.assert_array_equal(out, want)
+        view = lat.half(np.fft.fftn(rng.standard_normal(shape), axes=axes, norm="forward"))
+        assert not view.flags.c_contiguous
+        before = view.copy()
+        npt.assert_array_equal(lat.inverse(view),
+                               np.fft.irfftn(view, s=(n,) * d, axes=axes, norm="forward"))
+        npt.assert_array_equal(view, before)
 
 
 class TestHeatKernel:
@@ -451,12 +461,11 @@ class TestTransformLayer:
     def test_one_spectral_layout(self):
         """Every coefficient array is a half array: lattice.py reaches
         numpy.fft through the real transforms, the one-axis inverses of
-        Lattice.inverse's in-place path (irfftn's own steps) and fftfreq
-        only, and no module of the package defines or calls a complex
-        forward."""
+        Lattice.inverse (irfftn's own steps) and fftfreq only, and no
+        module of the package defines or calls a complex forward."""
         package = Path(mildns.__file__).parent
         assert fft_functions((package / "lattice.py").read_text()) == {
-            "rfftn", "irfftn", "ifft", "irfft", "fftfreq"}
+            "rfftn", "ifft", "irfft", "fftfreq"}
         offenders = {path.name: forward_uses(path.read_text())
                      for path in sorted(package.glob("*.py"))}
         assert {name: lines for name, lines in offenders.items() if lines} == {}
@@ -548,12 +557,12 @@ class TestHeld:
         assert held("x", *specs) is mine
 
     def test_one_held_buffer_mechanism(self):
-        """Only lattice._Held, the store of held, and duhamel._Scratch, B's
-        set-up, are thread-local: no module keeps buffers of its own."""
+        """Only lattice._Held, the store of held, is thread-local: no module
+        keeps buffers of its own, and what is read-only is shared."""
         package = Path(mildns.__file__).parent
         uses = {(path.name, cls) for path in sorted(package.glob("*.py"))
                 for _, cls in thread_local_uses(path.read_text())}
-        assert uses == {("lattice.py", "_Held"), ("duhamel.py", "_Scratch")}
+        assert uses == {("lattice.py", "_Held")}
 
     @pytest.mark.parametrize("source, uses", [
         ("import threading\nclass A(threading.local):\n    pass", [(2, "A")]),
