@@ -422,8 +422,8 @@ def bilinear_estimate_report(u_traj: Trajectory, v_traj: Trajectory, book: Expon
     target) is the target's own rule. The ratio divides the output norm
     by T^horizon_exponent times the product of input Kato norms. A ratio
     that is not a positive finite float measures no constant (an input or
-    a B that is zero or underflowed, a norm that overflowed) and raises
-    DataError. B's error comes from the interpolation in time between mesh
+    a B that is zero or underflowed, a product of norms that leaves the
+    floats) and raises DataError. B's error comes from the interpolation in time between mesh
     nodes, not from the rule, so doubled quadrature nodes do not see it:
     bilinear_error_estimate measures it, and refine=True is refused.
     """

@@ -283,6 +283,14 @@ def _realized(datum_cfg: dict, lattice, *names: str) -> VectorField:
         return realize_datum(_datum_from_config(datum_cfg), lattice)
 
 
+def _require_normal(value: float, keys, what: str) -> None:
+    """Refuse, naming keys, a value below the normal floats. The norms are
+    exact over the float range, so a norm falls below them only for a datum
+    whose samples do, or at an exponent so large that even the scaled
+    powers of the samples underflow."""
+    require(value >= np.finfo(float).tiny, keys, f"{what} is {value:g}, below the normal floats")
+
+
 def exponent_book(cfg: dict):
     """The uncalibrated book of cfg's d, p, s and q_tilde, the one route
     from a config to a book; a hypothesis it refuses names the four keys."""
@@ -526,8 +534,7 @@ def _run_heat_decay(cfg):
     columns = ["t", "measured_norm", "closed_form", "rel_err"]
     rows = []
     measured = heat_sup(u0, t_grid, 0.0, qt).values
-    require(measured.min() >= np.finfo(float).tiny, ("width", "amplitude", "q_tilde"),
-            f"the heat sup of the datum falls to {measured.min():g}, below the normal floats")
+    _require_normal(measured.min(), ("width", "amplitude", "q_tilde"), "the heat sup of the datum")
     for j, t in enumerate(t_grid):
         sigma = cfg["width"] + t
         closed = (
@@ -555,8 +562,7 @@ def _run_besov_equiv(cfg):
     u0 = _realized(datum, lat, "mode", "d", "n")
     s_b, q = float(cfg["smoothness"]), float(cfg["q"])
     norm = lebesgue_norm(u0, q)
-    require(norm >= np.finfo(float).tiny, ("amplitude", "q"),
-            f"the L^{q:g} norm of the datum is {norm:g}, below the normal floats")
+    _require_normal(norm, ("amplitude", "q"), f"the L^{q:g} norm of the datum")
     with naming("n"):
         report = besov_norm_heat(u0, s_b, q)
     mode_sq = float(
@@ -574,10 +580,7 @@ def _run_besov_equiv(cfg):
     rescaled = _realized({**datum, "amplitude": cfg["amplitude"] * cfg["rescale"]}, lat,
                          "amplitude", "rescale")
     report_scaled = besov_norm_heat(rescaled, s_b, q)
-    # the sums of |u|^q are not scaled, so those of a small datum underflow
-    require(report_scaled.value >= np.finfo(float).tiny, ("amplitude", "rescale"),
-            f"the heat-Besov norm of the rescaled datum is {report_scaled.value:g}, below the "
-            "normal floats")
+    _require_normal(report_scaled.value, ("amplitude", "rescale"), "the rescaled heat-Besov norm")
 
     grid = window_grid(lat)
     columns = ["t", "weighted_value"]
@@ -809,23 +812,14 @@ def _run_scaling(cfg):
     lat = _lattice(cfg)
     with naming("lam"):
         lat_fine = make_lattice(cfg["d"], cfg["n"], cfg["box_len"] / lam)
-        try:
-            horizon_fine = horizon / lam**2
-        except OverflowError:
-            horizon_fine = 0.0
-        if not horizon_fine >= np.finfo(float).tiny:
-            raise ConfigError(f"the rescaled horizon horizon / lam^2 = {horizon_fine:g} "
-                              "is not a normal float")
+    horizon_fine = horizon / (lam * lam)  # lam**2 would raise where lam * lam is inf
+    _require_normal(horizon_fine, ("lam",), "the rescaled horizon horizon / lam^2")
     u0 = _realized(cfg["datum"], lat, "datum")
     _check_window(cfg, u0)
-    u0_scaled = VectorField(lat_fine, lam * u0.data)
+    with naming("lam", "datum"), np.errstate(over="ignore"):  # VectorField refuses an inf
+        u0_scaled = VectorField(lat_fine, lam * u0.data)
     lhs = smallness_lhs(u0, horizon, book, SMALLNESS_CRITICAL).lhs
-    with naming("lam"):
-        try:
-            lhs_scaled = smallness_lhs(u0_scaled, horizon_fine, book, SMALLNESS_CRITICAL).lhs
-        except NumericalError as exc:
-            # u0's own sup is finite, so only the size of lam u0 is left to overflow
-            raise ConfigError(f"|lam u0|^q_tilde overflows: {exc}") from exc
+    lhs_scaled = smallness_lhs(u0_scaled, horizon_fine, book, SMALLNESS_CRITICAL).lhs
     rel = abs(lhs - lhs_scaled) / lhs if lhs > 0 else float("inf")
     columns = ["which", "horizon", "box_len", "lhs"]
     rows = [
@@ -857,9 +851,7 @@ def _run_powerlaw(cfg):
         lp = lebesgue_norm(u0, p)
         with naming("n"):
             rep = besov_norm_heat(u0, s_b, qt)
-        require(min(lp, rep.value) >= np.finfo(float).tiny, keys,
-                f"the L^{p:g} norm {lp:g} or the heat-Besov norm {rep.value:g} of the datum "
-                "is below the normal floats")
+        _require_normal(min(lp, rep.value), keys + ("p", "q_tilde"), "the L^p or heat-Besov norm")
         lp_values.append(lp)
         besov_values.append(rep.value)
         increment = lp - lp_values[-2] if len(lp_values) >= 2 else 0.0

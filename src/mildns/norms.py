@@ -38,8 +38,13 @@ field. heat_sup reduces the batches of flowed rows that _heat_flows yields
 (exp(t Lap) u0, transformed once) itself, because each batch comes on its
 own, possibly coarser, lattice. Each node of a batch gets the bits of a
 batch of one, and each weight t^w is one scalar power (_weighted). At
-r = 4 the reduction squares twice instead of calling pow. A power sum
-that overflows gives inf, with no warning, which the callers refuse.
+r = 4 the reduction squares twice instead of calling pow. The reduction
+is exact over the float range: a node whose unscaled power sums leave the
+floats, or lose digits below the normal floats, is reduced again with its
+samples scaled by a power of two (_lebesgue_rows), so ||c f||_r = |c|
+||f||_r to round-off for every c that keeps the samples of c f normal and
+finite. A norm is inf only when the norm itself passes the largest float,
+which the callers refuse.
 
 Held flow buffers: a full-grid batch of flows is multiplied and
 inverse-transformed in the arrays of lattice.held. The yielded rows are
@@ -239,11 +244,13 @@ class Trajectory:
         return self.times.size
 
     def node_index(self, t: float) -> int:
-        """Index of the mesh node equal to t (relative tolerance 1e-12)."""
+        """Index of the mesh node equal to t (relative tolerance 1e-12): the
+        two nodes around t in the table value_at searches, by bisect."""
         if math.isfinite(t):
-            idx = int(np.argmin(np.abs(self.times - t)))
-            if abs(self.times[idx] - t) <= 1e-12 * max(1.0, abs(t)):
-                return idx
+            hi = bisect_left(self._mesh, t)
+            for idx in range(max(hi - 1, 0), min(hi + 1, len(self._mesh))):
+                if abs(self._mesh[idx] - t) <= 1e-12 * max(1.0, abs(t)):
+                    return idx
         raise MeshError(f"t={t!r} is not a node of the trajectory mesh")
 
     def value_at(self, tau: float, interp_power: float = 0.0) -> np.ndarray:
@@ -516,11 +523,27 @@ def _live_rows(rows: np.ndarray) -> np.ndarray:
     return rows.reshape(len(rows), -1).any(axis=1)
 
 
+# a sum of count terms at or above count * _EXACT lost no digit to a term
+# below the normal floats
+_EXACT = np.finfo(float).tiny * 2.0**53
+
+
 def _lebesgue_rows(nodes: np.ndarray, r, cell_volume: float) -> np.ndarray:
     """The Lebesgue-r norm of each node of nodes (node axis first, then
     the component axis), its component rows aggregated in l2: one
-    reduction for the whole batch, which gives each node the bits of a
-    batch of one.
+    reduction for the whole batch, exact over the float range, which gives
+    each node the bits of a batch of one.
+
+    The power sums are not scaled. A node is redone when a row sum or its
+    l2 aggregate is inf or NaN, or positive but below count * tiny * 2^53
+    (count the number of terms), or when the aggregate is 0 while the node
+    holds a nonzero sample: its samples are scaled by 2^-e, with e the
+    exponent of its largest |sample|, reduced again, and the norm is scaled
+    back by 2^e. Both scalings are exact, so every other node keeps its
+    bits; a batch whose sums are all in range, the common case, makes no
+    further pass over its samples. A norm is still 0 for a nonzero node
+    whose scaled powers all underflow (a huge r), and inf only when the
+    norm itself passes the largest float.
 
     r = 4 squares twice instead of calling pow per sample; every other r
     takes np.abs(x) ** r, and np.inf the grid sup. A row that is
@@ -531,7 +554,7 @@ def _lebesgue_rows(nodes: np.ndarray, r, cell_volume: float) -> np.ndarray:
         raise ConfigError(f"Lebesgue exponent must be in [1, inf], got {r}")
     axes = tuple(range(2, nodes.ndim))
     if r == np.inf:
-        per_row = np.max(np.abs(nodes), axis=axes)
+        sums = per_row = np.max(np.abs(nodes), axis=axes)
     else:
         if r == 4:
             # made per call, not held: a held powers buffer grows to the cap
@@ -542,8 +565,18 @@ def _lebesgue_rows(nodes: np.ndarray, r, cell_volume: float) -> np.ndarray:
             powers *= powers
         else:
             powers = np.abs(nodes) ** r
-        per_row = (np.sum(powers, axis=axes) * cell_volume) ** (1.0 / r)
-    return np.sqrt(np.sum(per_row**2, axis=1))
+        sums = np.sum(powers, axis=axes)
+        per_row = (sums * cell_volume) ** (1.0 / r)
+    squares = np.sum(per_row**2, axis=1)
+    norms = np.sqrt(squares)
+    # a row sum that is inf or NaN makes the aggregate of its node so
+    redo = (((0 < sums) & (sums < math.prod(nodes.shape[2:]) * _EXACT)).any(axis=1)
+            | ~((nodes.shape[1] * _EXACT <= squares) & (squares < np.inf)))
+    for j in np.flatnonzero(redo):
+        e = math.frexp(float(np.max(np.abs(nodes[j]))))[1]
+        if e:  # e = 0: a zero or non-finite node, or one already scaled
+            norms[j] = np.ldexp(_lebesgue_rows(np.ldexp(nodes[j:j + 1], -e), r, cell_volume)[0], e)
+    return norms
 
 
 def _weighted(times, weight: float, norms: np.ndarray) -> np.ndarray:
@@ -571,8 +604,9 @@ def _node_norms(lat: Lattice, data: np.ndarray, s: float, r) -> np.ndarray:
     lattice.batches whose samples fit lattice.BATCH_BYTES. For s != 0 each
     batch goes through one rforward, the |k|^s multiplier (built once per
     call) and one inverse, so no spectrum of more than one batch is held.
-    A dead row stays exactly zero and adds exactly 0.0 to a norm; a power
-    sum that overflows gives inf, with no warning."""
+    A dead row stays exactly zero and adds exactly 0.0 to a norm; the
+    errstate silences the power sums that _lebesgue_rows redoes scaled, and
+    a norm that passes the largest float is inf, with no warning."""
     mult = None if s == 0 else _fractional_multiplier(lat, s)
     norms = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -595,7 +629,8 @@ def weighted_lebesgue(traj: Trajectory, weight: float, r, nodes=None, s=0.0) -> 
     No field is built: the Trajectory constructor has already scanned the
     samples for non-finite values. The values equal lebesgue_norm (s = 0)
     or sobolev_norm of each node's field, times the scalar power t^weight,
-    bit for bit; one that overflows is inf.
+    bit for bit; a value whose t^weight * norm passes the largest float is
+    inf.
     """
     times = traj.times[:nodes]
     return _weighted(times, weight, _node_norms(traj.lattice, traj.data[:len(times)], s, r))
@@ -620,11 +655,12 @@ def heat_sup(u0: Field, t_grid, weight: float, q) -> NormReport:
     module docstring).
 
     A grid that is empty or holds a time that is not positive and finite
-    raises ConfigError naming the first such time. A weighted value that
-    is not finite (a sample or a power that overflowed) raises
-    NumericalError naming t and q. window_ok records whether the grid
-    stayed inside the lattice validity window [Lattice.t_floor,
-    Lattice.t_cap].
+    raises ConfigError naming the first such time. The norms are exact
+    over the float range (_lebesgue_rows), so a weighted value is not
+    finite only when the transformed datum or t^weight * norm passes the
+    largest float; that raises NumericalError naming t and q. window_ok
+    records whether the grid stayed inside the lattice validity window
+    [Lattice.t_floor, Lattice.t_cap].
     """
     lat = u0.lattice
     t_grid = np.asarray(t_grid, dtype=float)
@@ -639,7 +675,8 @@ def heat_sup(u0: Field, t_grid, weight: float, q) -> NormReport:
     finite = np.isfinite(values)
     if not finite.all():
         t = t_grid[int(np.argmin(finite))]
-        raise NumericalError(f"non-finite heat-sup value at t = {t:g}, q = {q:g}")
+        raise NumericalError(f"non-finite heat-sup value at t = {t:g}, q = {q:g}: the transform "
+                             f"or t^{weight:g} times the norm passes the largest float")
     return _sup_report(t_grid, values, _in_window(lat, t_grid[-1], t_grid[0]))
 
 

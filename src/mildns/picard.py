@@ -640,7 +640,9 @@ def regularity_ladder(solution: MildSolution, r_list: Sequence[float]) -> Ladder
     Every r must exceed max(p, q) (check_exponent_floor), so each sup is
     kato_norm(trajectory, q, r). The early_ok flag per r records that the
     weighted values do not peak at the very first node, i.e. the weighted
-    quantity stays bounded toward t -> 0.
+    quantity stays bounded toward t -> 0. A value that is 0 or not finite
+    (an r so large that the scaled powers |u|^r underflow) raises
+    DataError naming r.
     """
     if not solution.trace.converged:
         raise ConfigError("ladder requires a converged solution")
@@ -651,12 +653,12 @@ def regularity_ladder(solution: MildSolution, r_list: Sequence[float]) -> Ladder
     for r in r_list:
         r = float(r)
         report = kato_norm(solution.trajectory, book.q, r)
-        if not np.isfinite(report.values).all():
-            raise DataError(f"non-finite ladder values at r = {r:g}")
+        if not ((0 < report.values) & (report.values < np.inf)).all():
+            raise DataError(f"zero or non-finite ladder values at r = {r:g}")
         r_values.append(r)
         weights.append((book.d / 2.0) * (1.0 / book.q - 1.0 / r))
         sups.append(report.value)
-        early.append(report.argmax_t > first or report.value == 0.0)
+        early.append(report.argmax_t > first)
     return LadderReport(r_values, weights, sups, early)
 
 

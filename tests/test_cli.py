@@ -254,8 +254,11 @@ class TestExitCodes:
         assert "iterations 1" in err
 
     def test_overflowed_heat_sup_exits_3(self, tmp_path, capsys):
-        # amplitude^4 overflows the L^4 sums: refused, not written as inf
-        args = ["heat-decay", "--set", "amplitude=1e100", "--set", "resolution=64",
+        # the norms are exact over the float range, so only t^w times a norm
+        # overflows: on a box of side 1e100 a mode of amplitude 1e250 has an
+        # L^4 norm near 1e300, which t^0.25 near the validity cap carries past
+        # the largest float; refused, not written as inf
+        args = ["besov-equiv", "--set", "box_len=1e100", "--set", "amplitude=1e250",
                 "--out", str(tmp_path)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -268,102 +271,201 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "experiment, settings, code, message",
         [
-            ("scaling", ["lam=1e300"], 2,
-             "config error: config key 'lam': box length 6.28319e-300 is too small"),
-            ("scaling", ["lam=1e100"], 2,
-             "config error: config key 'lam': |lam u0|^q_tilde overflows"),
-            ("beta-integral", ["t=1e300"], 2,
-             f"config error: config keys {BETA_KEYS}: beta integral at t = 1e+300"),
-            ("beta-integral", ["t=1e-300"], 2,
-             f"config error: config keys {BETA_KEYS}: beta integral at t = 1e-300"),
-            ("kernel-decay", ["s_values=[1e300]"], 3,
-             "numerical failure: kernel profile at s = 1e+300"),
-            ("besov-equiv", ["rescale=1e308"], 3, "numerical failure: non-finite heat-sup value"),
-            ("powerlaw", ["decay=1e300"], 2,
-             "config error: config keys 'decay', 'amplitude', 'r_inner_levels[0]', 'r_outer' "
-             "and 'box_len': power_law datum produced non-finite samples"),
-            ("smallness", ["box_len=1e160"], 2,
-             "config error: config keys 'd', 'n' and 'box_len': box length 1e+160 is too large "
-             "for n=32"),
-            ("besov-equiv", ["box_len=1e200"], 2,
-             "config error: config keys 'd', 'n' and 'box_len': box length 1e+200 is too large "
-             "for n=32"),
-            ("solve", ["box_len=1e200"], 2,
-             "config error: config keys 'd', 'n' and 'box_len': box length 1e+200 is too large "
-             "for n=64"),
-            ("besov-equiv", ["smoothness=-1e300"], 2,
-             "config error: config keys 'smoothness', 'mode' and 'box_len': the heat-Besov "
-             "norm 0 or its closed form inf is outside the normal floats"),
-            ("besov-equiv", ["amplitude=1e-320"], 2,
-             "config error: config keys 'amplitude' and 'q': the L^4 norm of the datum is 0"),
-            ("powerlaw", ["n=64", "amplitude=1e-310"], 2,
-             "config error: config keys 'decay', 'amplitude', 'r_inner_levels[0]', 'r_outer' "
-             "and 'box_len': the L^2 norm 0 or the heat-Besov norm 0 of the datum is below "
-             "the normal floats"),
-            ("kernel-decay", ["t=1e6"], 2,
-             "config error: config keys 'resolution', 'box_len', 't' and 'radius_max': t "
-             "1000000 exceeds the lattice validity window L^2/100 = 256"),
-            ("heat-decay", ["width=1e300"], 2,
-             "config error: config keys 'width', 'amplitude' and 'q_tilde': the heat sup of "
-             "the datum falls to 0"),
-            ("solve", ["n=16", "mesh_nodes=8", "quad_nodes=8", "datum.amplitude=1e-170"], 3,
-             "numerical failure: solve summary key 'closed_form_max_rel_err' is NaN"),
-            ("heat-decay", ["q_tilde=1e308"], 2,
-             "config error: config keys 'width', 'amplitude' and 'q_tilde': the heat sup of "
-             "the datum falls to 0"),
-            ("besov-equiv", ["rescale=1e-300"], 2,
-             "config error: config keys 'amplitude' and 'rescale': the heat-Besov norm of the "
-             "rescaled datum is 0, below the normal floats"),
-            ("besov-equiv", ["amplitude=1e10", "rescale=1e300"], 2,
-             "config error: config keys 'amplitude' and 'rescale': single_mode datum produced "
-             "non-finite samples"),
-            ("kernel-decay", ["box_len=1e300"], 2,
-             "config error: config keys 'd', 'resolution', 'box_len' and 'selfsim_factor': box "
-             "length 2e+300 is too large for n=512: the cell volume or the validity window "
-             "overflows"),
-            ("heat-decay", ["width=5e-324"], 2,
-             "config error: config key 'width': gaussian datum produced non-finite samples"),
-            ("besov-equiv", ["n=4"], 2,
-             "config error: config key 'n': the validity cap L^2/100 = 0.394784 leaves no "
-             "dyadic sample above the resolution floor"),
-            ("powerlaw", ["n=8"], 2,
-             "config error: config key 'n': the validity cap L^2/100 = 0.64 leaves no dyadic "
-             "sample above the resolution floor"),
-            ("bilinear", ["pairs=2", "horizons=[1e-300]"], 2, ZERO_RATIO),
-            ("bilinear", ["pairs=2", "horizons=[1e300]"], 2, ZERO_RATIO),
-            ("bilinear", ["pairs=2", "horizons=[1e-300,1.0]"], 2, ZERO_RATIO),
-            ("bilinear", ["pairs=2", "horizons=[5e-324]"], 2,
-             "config error: config key 'horizons': trajectory times must be positive"),
-            ("kernel-decay", ["radius_max=1e300"], 2, f"config error: config keys {RADII_KEYS}: "
-             "radius_count=24 puts 0 radii inside [4.0, 20.0]"),
-            ("kernel-decay", ["radius_min=5e-324"], 2, f"config error: config keys "
-             f"{RADII_KEYS}: radius_count=24 puts 1 radii inside [4.0, 20.0]"),
-            ("ladder", ["r_values=[1e300]"], 2,
-             "config error: config key 'r_values': non-finite ladder values at r = 1e+300"),
-            ("besov-equiv", ["amplitude=1e300"], 3,
-             "numerical failure: non-finite heat-sup value at t = 0.0414966, q = 4"),
-            ("powerlaw", ["n=256", "amplitude=1e300"], 3,
-             "numerical failure: non-finite heat-sup value at t = 0.00105112, q = 4"),
-            ("kernel-decay", ["t=256", "selfsim_factor=3"], 2,
-             "config error: config keys 'tail_lo' and 't': the tail window starts at 4.0, "
-             "inside the kernel's core |x| < 2 sqrt(t) = 32"),
-            ("heat-decay", ["t_min=5e-324"], 2,
-             "config error: config keys 't_min', 't_max' and 'per_octave': need 0 < t_min "
-             "< t_max < inf, t_min normal, got [5e-324, 64.0]"),
+            pytest.param(
+                "scaling", ["lam=1e300"], 2,
+                "config error: config key 'lam': box length 6.28319e-300 is too small",
+                id="scaling-lam",
+            ),
+            pytest.param(
+                "scaling", ["lam=1e150", "datum.amplitude=5e157"], 3,
+                "numerical failure: non-finite heat-sup value at t = 1.10485e-302, q = 4: the "
+                "transform or t^0.25 times the norm passes the largest float",
+                id="scaling-lam-heat-sup",
+            ),
+            pytest.param(
+                "scaling", ["lam=1e150", "datum.amplitude=5e158"], 2,
+                "config error: config keys 'lam' and 'datum': field contains non-finite "
+                "samples",
+                id="scaling-lam-samples",
+            ),
+            pytest.param(
+                "beta-integral", ["t=1e300"], 2,
+                f"config error: config keys {BETA_KEYS}: beta integral at t = 1e+300",
+                id="beta-integral-t-large",
+            ),
+            pytest.param(
+                "beta-integral", ["t=1e-300"], 2,
+                f"config error: config keys {BETA_KEYS}: beta integral at t = 1e-300",
+                id="beta-integral-t-small",
+            ),
+            pytest.param(
+                "kernel-decay", ["s_values=[1e300]"], 3,
+                "numerical failure: kernel profile at s = 1e+300",
+                id="kernel-decay-s",
+            ),
+            pytest.param(
+                "besov-equiv", ["rescale=1e308"], 3,
+                "numerical failure: non-finite heat-sup value",
+                id="besov-equiv-rescale",
+            ),
+            pytest.param(
+                "powerlaw", ["decay=1e300"], 2,
+                "config error: config keys 'decay', 'amplitude', 'r_inner_levels[0]', 'r_outer' "
+                "and 'box_len': power_law datum produced non-finite samples",
+                id="powerlaw-decay",
+            ),
+            pytest.param(
+                "smallness", ["box_len=1e160"], 2,
+                "config error: config keys 'd', 'n' and 'box_len': box length 1e+160 is too large "
+                "for n=32",
+                id="smallness-box",
+            ),
+            pytest.param(
+                "besov-equiv", ["box_len=1e200"], 2,
+                "config error: config keys 'd', 'n' and 'box_len': box length 1e+200 is too large "
+                "for n=32",
+                id="besov-equiv-box",
+            ),
+            pytest.param(
+                "solve", ["box_len=1e200"], 2,
+                "config error: config keys 'd', 'n' and 'box_len': box length 1e+200 is too large "
+                "for n=64",
+                id="solve-box",
+            ),
+            pytest.param(
+                "besov-equiv", ["smoothness=-1e300"], 2,
+                "config error: config keys 'smoothness', 'mode' and 'box_len': the heat-Besov "
+                "norm 0 or its closed form inf is outside the normal floats",
+                id="besov-equiv-smoothness",
+            ),
+            pytest.param(
+                "besov-equiv", ["amplitude=1e-320"], 2,
+                "config error: config keys 'amplitude' and 'q': the L^4 norm of the datum is "
+                "1.96144e-320, below the normal floats",
+                id="besov-equiv-amplitude",
+            ),
+            pytest.param(
+                "powerlaw", ["n=64", "amplitude=1e-310"], 2,
+                "config error: config keys 'decay', 'amplitude', 'r_inner_levels[0]', 'r_outer', "
+                "'box_len', 'p' and 'q_tilde': the L^p or heat-Besov norm is 8.75017e-311, below "
+                "the normal floats",
+                id="powerlaw-amplitude",
+            ),
+            pytest.param(
+                "kernel-decay", ["t=1e6"], 2,
+                "config error: config keys 'resolution', 'box_len', 't' and 'radius_max': t "
+                "1000000 exceeds the lattice validity window L^2/100 = 256",
+                id="kernel-decay-t",
+            ),
+            pytest.param(
+                "heat-decay", ["width=1e308"], 2,
+                "config error: config keys 'width', 'amplitude' and 'q_tilde': the heat sup of "
+                "the datum is 0, below the normal floats",
+                id="heat-decay-width",
+            ),
+            pytest.param(
+                "heat-decay", ["q_tilde=1e308"], 2,
+                "config error: config keys 'width', 'amplitude' and 'q_tilde': the heat sup of "
+                "the datum is 0, below the normal floats",
+                id="heat-decay-q_tilde",
+            ),
+            pytest.param(
+                "besov-equiv", ["rescale=1e-320"], 2,
+                "config error: config keys 'amplitude' and 'rescale': the rescaled heat-Besov "
+                "norm is 9.08587e-321, below the normal floats",
+                id="besov-equiv-rescale-underflow",
+            ),
+            pytest.param(
+                "besov-equiv", ["amplitude=1e10", "rescale=1e300"], 2,
+                "config error: config keys 'amplitude' and 'rescale': single_mode datum produced "
+                "non-finite samples",
+                id="besov-equiv-rescale-overflow",
+            ),
+            pytest.param(
+                "kernel-decay", ["box_len=1e300"], 2,
+                "config error: config keys 'd', 'resolution', 'box_len' and 'selfsim_factor': box "
+                "length 2e+300 is too large for n=512: the cell volume or the validity window "
+                "overflows",
+                id="kernel-decay-box",
+            ),
+            pytest.param(
+                "heat-decay", ["width=5e-324"], 2,
+                "config error: config key 'width': gaussian datum produced non-finite samples",
+                id="heat-decay-width-tiny",
+            ),
+            pytest.param(
+                "besov-equiv", ["n=4"], 2,
+                "config error: config key 'n': the validity cap L^2/100 = 0.394784 leaves no "
+                "dyadic sample above the resolution floor",
+                id="besov-equiv-empty-window",
+            ),
+            pytest.param(
+                "powerlaw", ["n=8"], 2,
+                "config error: config key 'n': the validity cap L^2/100 = 0.64 leaves no dyadic "
+                "sample above the resolution floor",
+                id="powerlaw-empty-window",
+            ),
+            pytest.param(
+                "bilinear", ["pairs=2", "horizons=[1e-300]"], 2,
+                ZERO_RATIO,
+                id="bilinear-tiny-horizon",
+            ),
+            pytest.param(
+                "bilinear", ["pairs=2", "horizons=[1e300]"], 2,
+                ZERO_RATIO,
+                id="bilinear-huge-horizon",
+            ),
+            pytest.param(
+                "bilinear", ["pairs=2", "horizons=[1e-300,1.0]"], 2,
+                ZERO_RATIO,
+                id="bilinear-tiny-first-horizon",
+            ),
+            pytest.param(
+                "bilinear", ["pairs=2", "horizons=[5e-324]"], 2,
+                "config error: config key 'horizons': trajectory times must be positive",
+                id="bilinear-underflowed-horizon",
+            ),
+            pytest.param(
+                "kernel-decay", ["radius_max=1e300"], 2,
+                f"config error: config keys {RADII_KEYS}: "
+                "radius_count=24 puts 0 radii inside [4.0, 20.0]",
+                id="kernel-decay-radius-max",
+            ),
+            pytest.param(
+                "kernel-decay", ["radius_min=5e-324"], 2,
+                f"config error: config keys "
+                f"{RADII_KEYS}: radius_count=24 puts 1 radii inside [4.0, 20.0]",
+                id="kernel-decay-radius-min",
+            ),
+            pytest.param(
+                "ladder", ["r_values=[1e300]"], 2,
+                "config error: config key 'r_values': zero or non-finite ladder values at "
+                "r = 1e+300",
+                id="ladder-r-overflow",
+            ),
+            pytest.param(
+                "besov-equiv", ["amplitude=1e307"], 3,
+                "numerical failure: non-finite heat-sup value at t = 0.0414966, q = 4",
+                id="besov-equiv-amplitude-overflow",
+            ),
+            pytest.param(
+                "powerlaw", ["n=256", "amplitude=1e307"], 3,
+                "numerical failure: non-finite heat-sup value at t = 0.00105112, q = 4",
+                id="powerlaw-amplitude-overflow",
+            ),
+            pytest.param(
+                "kernel-decay", ["t=256", "selfsim_factor=3"], 2,
+                "config error: config keys 'tail_lo' and 't': the tail window starts at 4.0, "
+                "inside the kernel's core |x| < 2 sqrt(t) = 32",
+                id="kernel-decay-tail-in-core",
+            ),
+            pytest.param(
+                "heat-decay", ["t_min=5e-324"], 2,
+                "config error: config keys 't_min', 't_max' and 'per_octave': need 0 < t_min "
+                "< t_max < inf, t_min normal, got [5e-324, 64.0]",
+                id="heat-decay-t_min-subnormal",
+            ),
         ],
-        ids=["scaling-lam", "scaling-lam-heat-sup", "beta-integral-t-large",
-             "beta-integral-t-small", "kernel-decay-s",
-             "besov-equiv-rescale", "powerlaw-decay", "smallness-box", "besov-equiv-box",
-             "solve-box", "besov-equiv-smoothness", "besov-equiv-amplitude",
-             "powerlaw-amplitude", "kernel-decay-t", "heat-decay-width", "solve-nan-summary",
-             "heat-decay-q_tilde", "besov-equiv-rescale-underflow",
-             "besov-equiv-rescale-overflow", "kernel-decay-box", "heat-decay-width-tiny",
-             "besov-equiv-empty-window", "powerlaw-empty-window", "bilinear-tiny-horizon",
-             "bilinear-huge-horizon", "bilinear-tiny-first-horizon",
-             "bilinear-underflowed-horizon", "kernel-decay-radius-max",
-             "kernel-decay-radius-min", "ladder-r-overflow", "besov-equiv-amplitude-overflow",
-             "powerlaw-amplitude-overflow", "kernel-decay-tail-in-core",
-             "heat-decay-t_min-subnormal"],
     )
     def test_overflowing_value_is_refused_cleanly(self, experiment, settings, code, message,
                                                   tmp_path, capsys):
@@ -378,6 +480,65 @@ class TestExitCodes:
         assert err.startswith(message)
         assert "Traceback" not in err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "experiment, settings, key, bound",
+        [
+            pytest.param("scaling", ["lam=1e100"], "rel_difference", 1e-14, id="scaling-lam"),
+            pytest.param("scaling", [f"lam={2.0**300!r}"], "rel_difference", 1e-14,
+                         id="scaling-lam-2-300"),
+            pytest.param("besov-equiv", ["amplitude=1e-80"], "value_scaling_err", 1e-13,
+                         id="besov-equiv-amplitude-small"),
+            pytest.param("besov-equiv", ["amplitude=1e300"], "value_scaling_err", 1e-13,
+                         id="besov-equiv-amplitude-large"),
+            pytest.param("besov-equiv", ["rescale=1e-300"], "value_scaling_err", 1e-13,
+                         id="besov-equiv-rescale-small"),
+            pytest.param("solve", ["n=16", "mesh_nodes=8", "quad_nodes=8",
+                                   "datum.amplitude=1e-170"], "closed_form_max_rel_err", 1e-12,
+                         id="solve-tiny-amplitude"),
+            pytest.param("heat-decay", ["width=1e300"], "fit_residual", 1e-9,
+                         id="heat-decay-wide-datum"),
+        ],
+    )
+    def test_value_past_the_unscaled_power_sums_computes(self, experiment, settings, key,
+                                                         bound, tmp_path):
+        """A run whose sums of |u|^q leave the floats unscaled, which was
+        refused for that alone, computes with no warning: the norms are exact
+        over the float range."""
+        argv = [experiment] + [arg for setting in settings for arg in ("--set", setting)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / f"{experiment}.json").read_text())["summary"]
+        assert summary[key] <= bound
+
+    @pytest.mark.parametrize(
+        "experiment, settings, keys",
+        [
+            pytest.param("besov-equiv", ["amplitude=1e-80"],
+                         ["rel_err", "argmax_t", "argmax_t_rescaled"], id="besov-equiv"),
+            pytest.param("powerlaw", ["n=256", "amplitude=1e-160"],
+                         ["last_increment_ratio", "besov_tail_rel_change"], id="powerlaw-small"),
+            pytest.param("powerlaw", ["n=256", "amplitude=1e300"],
+                         ["last_increment_ratio", "besov_tail_rel_change"], id="powerlaw-large"),
+            pytest.param("heat-decay", ["amplitude=1e100"],
+                         ["fitted_slope", "slope_rel_err", "max_closed_form_rel_err"],
+                         id="heat-decay"),
+        ],
+    )
+    def test_scaled_datum_reads_the_unit_amplitude_summary(self, experiment, settings, keys,
+                                                           tmp_path):
+        """Each summary key that does not scale with the amplitude reads as
+        at amplitude 1, within 1e-9 relative, where the unscaled sums of
+        |u|^q leave the floats."""
+        summaries = []
+        for extra, out in ((settings, tmp_path / "scaled"), (settings[:-1], tmp_path / "unit")):
+            argv = [experiment] + [arg for setting in extra for arg in ("--set", setting)]
+            assert main(argv + ["--out", str(out)]) == 0
+            summaries.append(json.loads((out / f"{experiment}.json").read_text())["summary"])
+        scaled, unit = summaries
+        for key in keys:
+            assert scaled[key] == pytest.approx(unit[key], rel=1e-9), key
 
     @pytest.mark.parametrize(
         "experiment, setting, key",

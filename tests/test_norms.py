@@ -162,12 +162,56 @@ class TestLebesgueNorm:
         spectral_side = np.sqrt(lat2.box_len**2 * np.sum(weight * np.abs(coeff) ** 2))
         npt.assert_allclose(lebesgue_norm(f, 2), spectral_side, rtol=1e-12)
 
-    def test_homogeneity(self, lat2, rng, row0_field):
-        f = row0_field(lat2, rng.standard_normal((16, 16)))
-        npt.assert_allclose(
-            lebesgue_norm(VectorField(lat2, 7.0 * f.data), 4.0), 7.0 * lebesgue_norm(f, 4.0),
-            rtol=1e-13,
-        )
+    def test_homogeneity(self, lat2, lat3, divfree_datum):
+        """||c f||_r = |c| ||f||_r within 1e-15 relative over the float range,
+        at d = 2 and d = 3, through lebesgue_norm, weighted_lebesgue at s = 0
+        and s != 0, and heat_sup (at t^0.25).
+
+        1/3 is not a float, so an r = 3 sum left unscaled, one that lies in
+        range, takes its cube root with a relative error of about |ln S| *
+        (1/3 - fl(1/3)): 1e-14 at S = 1e240 (c = 1e80). The scaled sums of the
+        redone nodes meet 1e-15 at r = 3 too."""
+        times = np.array([0.05, 0.1])
+        for lat in (lat2, lat3):
+            u = divfree_datum(lat, seed=3)
+            data = np.stack([u.data, 0.5 * u.data])
+
+            def norms(c, r):
+                traj = Trajectory(lat, times, c * data)
+                field = VectorField(lat, c * u.data)
+                return np.concatenate([[lebesgue_norm(field, r)],
+                                       weighted_lebesgue(traj, 0.25, r),
+                                       weighted_lebesgue(traj, 0.25, r, s=-0.5),
+                                       heat_sup(field, times, 0.25, r).values])
+
+            for r in (2.0, 3.0, 4.0, np.inf):
+                unit = norms(1.0, r)
+                for c in (1e-300, 1e-200, 1e-80, 1e80, 1e200):
+                    rtol = 2e-14 if r == 3.0 and abs(math.log10(c)) == 80 else 1e-15
+                    npt.assert_allclose(norms(c, r), c * unit, rtol=rtol, err_msg=f"{c}, {r}")
+
+    def test_redone_node_has_the_bits_of_a_batch_of_one(self, lat2, rng):
+        """A batch of nodes at 1e200, 1 and 1e-200 gives each node the bits
+        of a batch of one; the node at 1, whose sums stay in range, keeps
+        the bits of the unscaled reduction, and the others are 1e200 and
+        1e-200 times it within 1e-15."""
+        f = rng.standard_normal((2,) + lat2.spatial_shape)
+        nodes = np.stack([1e200 * f, f, 1e-200 * f])
+        for r in (2.0, 3.0, 4.0, np.inf):
+            with np.errstate(over="ignore"):
+                batch = _lebesgue_rows(nodes, r, lat2.cell_volume)
+                alone = [_lebesgue_rows(node[None], r, lat2.cell_volume)[0] for node in nodes]
+            assert batch.tolist() == alone
+            assert batch[1] == TestLiveComponents.reference_lebesgue(lat2, f, r)
+            npt.assert_allclose(batch[[0, 2]], [1e200 * batch[1], 1e-200 * batch[1]],
+                                rtol=1e-15)
+
+    def test_norm_at_a_huge_exponent_underflows_to_zero(self, lat2, rng):
+        """At r = 1e308 even the scaled powers, all below 1, underflow, so
+        the norm of a nonzero node is 0: the runners refuse it."""
+        f = rng.standard_normal((1, 2) + lat2.spatial_shape)
+        with np.errstate(over="ignore"):
+            assert _lebesgue_rows(f, 1e308, lat2.cell_volume).tolist() == [0.0]
 
 
 class TestSobolevNorm:
@@ -382,7 +426,9 @@ class TestLiveComponents:
         data = np.zeros((2,) + lat2.spatial_shape)
         data[1, 3, 5] = 5e-324
         u0 = VectorField(lat2, data, PHYSICAL)
-        assert lebesgue_norm(u0, np.inf) == self.reference_lebesgue(lat2, data, np.inf)
+        # the norm is exact over the float range: the unscaled l2 aggregate of
+        # the one sample, 5e-324 squared, would underflow to 0
+        assert lebesgue_norm(u0, np.inf) == 5e-324
         grid = window_grid(lat2)
         flows = self.reference_flows(u0, grid)
         shapes = self.count_transforms(monkeypatch)
@@ -525,12 +571,16 @@ class TestHeatSupGrid:
 
 
 class TestHeatSupOverflow:
-    def test_overflowed_value_is_refused(self, lat2):
-        u0 = realize_datum(DatumSpec(kind="gaussian", width=0.1, amplitude=1e100), lat2)
-        with pytest.raises(NumericalError, match=r"t = 0\.01, q = 4"):
-            heat_sup(u0, [0.01, 0.02], 0.0, 4.0)
-        # its squares do not overflow, so the L^2 sup of the same datum stands
-        assert np.isfinite(heat_sup(u0, [0.01, 0.02], 0.0, 2.0).value)
+    def test_overflowed_value_is_refused(self):
+        # the norms are exact over the float range, so only t^w times a norm
+        # passes the largest float: on a box of side 1e100 a mode of amplitude
+        # 1e250 has an L^4 norm near 1e300, which t^0.25 at t = 1e190 carries past
+        lat = make_lattice(2, 16, 1e100)
+        u0 = realize_datum(DatumSpec(kind="single_mode", mode=(1, 1), amplitude=1e250), lat)
+        with pytest.raises(NumericalError, match=r"t = 1e\+190, q = 4: the transform or t\^0\.25"):
+            heat_sup(u0, [1.0, 1e190], 0.25, 4.0)
+        # unweighted, the sup of the same flows stands
+        assert np.isfinite(heat_sup(u0, [1.0, 1e190], 0.0, 4.0).value)
 
 
 def reference_value_at(times, data, tau, interp_power):
@@ -603,6 +653,20 @@ class TestTrajectory:
         assert traj.node_index(0.2) == 1
         with pytest.raises(MeshError, match="not a node"):
             traj.node_index(0.3)
+
+    def test_node_index_bisects_the_mesh_table(self, lat2, divfree_datum, monkeypatch):
+        """node_index finds each node, at either end too, within 1e-12 *
+        max(1, |t|) and no further, from the table value_at bisects: the
+        times array is not read."""
+        mesh = [1e-6, 0.1, 0.2, 0.4, 3.0]
+        traj = heat_trajectory(divfree_datum(lat2, seed=5), mesh)
+        monkeypatch.setattr(traj, "times", None)
+        for j, t in enumerate(mesh):
+            tol = 1e-12 * max(1.0, t)
+            assert traj.node_index(t - 0.5 * tol) == j and traj.node_index(t + 0.5 * tol) == j
+            for off in (t - 2 * tol, t + 2 * tol):
+                with pytest.raises(MeshError, match="not a node"):
+                    traj.node_index(off)
 
     def test_value_at_power_interpolation(self, lat2, divfree_datum):
         """Interpolation is exact for c * t**w trajectories when queried
