@@ -41,6 +41,20 @@ the first mesh node and the exact-node shortcut are the trajectory's own.
 The sums are re-associated against a per-node projection, so B moves at
 round-off, not bit for bit.
 
+The leading nodes of a chunk that the trajectory freezes onto its first
+node (Trajectory.frozen, tau <= t_1) all have the product of the first
+fields. Only the last of them and the nodes after it are formed and
+transformed; its coefficient rows are copied into the slots before it,
+ahead of the kernel multiply and the chunk sum, so the rows, their order
+and the sum are those of a transform of every node. pocketfft transforms
+a row to the same bits alone or in a batch, so B keeps its bits. On the
+quadratic mesh at M = Q = 16 the leading frozen runs of the 16 output
+times are 16, 5, 4, 3, 3, eight of 2 and three of 1 nodes long, so a
+trajectory transforms 222 of its 256 node products. Frozen nodes that
+follow a node that is not frozen (the right half of the rule at t_2 on a
+mesh with t_2 < 2 t_1) are formed and transformed each; so are the nodes
+of a chunk of one node (d = 3, n >= 16 for B(u, v), n >= 32 for B(u, u)).
+
 What B derives from its inputs' shape is built once and kept, in two
 read-only tables that all threads share, so a call redoes none of it:
 
@@ -289,6 +303,16 @@ def _layout(lat: Lattice, symmetric: bool):
     return tuple(zip(rows.tolist(), cols.tolist())), _project_div_symbol(lat, pair_of)
 
 
+def _frozen_head(traj: Trajectory, taus: list) -> int:
+    """The count of the leading nodes of taus that traj freezes onto its
+    first node (Trajectory.frozen): nodes that share one value, so one
+    product and one transform."""
+    head = 0
+    while head < len(taus) and traj.frozen(taus[head]):
+        head += 1
+    return head
+
+
 def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
                quad: QuadratureSpec) -> VectorField:
     """Evaluate B(u, v)(t) by the graded Volterra rule.
@@ -313,10 +337,15 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     before the transform and the (d-1, d-1) row, then zero, is not formed:
     d^2 - 1 rows. When u_traj is v_traj only the rows i <= j are formed;
     u_i * u_j == u_j * u_i in IEEE arithmetic, so that shortcut is exact.
-    value_at is still called for both factors at every node: the
-    interpolation (the frozen value below the first mesh node, the
-    exact-node shortcut) stays the trajectory's own, and the call count is
-    what span tracing expects.
+    The leading nodes of a chunk at or below the first mesh node
+    (_frozen_head) share one product and one transform: only the last of
+    them is formed and transformed, and its coefficient rows fill the
+    slots before it, so (Q - shared) P rows are transformed and B keeps
+    its bits. rforward's result is read, not assumed to be in its out.
+    value_at is still called for both factors at every node, a shared one
+    too: the interpolation (the frozen value below the first mesh node,
+    the exact-node shortcut) stays the trajectory's own, and the call
+    count is what span tracing expects.
     """
     u_traj.check_same_mesh(v_traj)
     u_traj.node_index(t)  # raises MeshError when t is off the mesh
@@ -331,18 +360,26 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
         "B", (chunk + (len(pairs),) + lat.spatial_shape, np.float64),
         (chunk + sums, np.complex128), (chunk + lat.half_shape, np.float64),
         (sums, np.complex128), (lat.spatial_shape, np.float64))
+    frozen = _frozen_head(u_traj, taus)
     acc[...] = 0.0
     for nodes in chunks:
+        # the first `shared` nodes of the chunk take the coefficients of
+        # the frozen node after them
+        shared = max(min(frozen, nodes.stop) - nodes.start - 1, 0)
         for q, tau in enumerate(taus[nodes]):
             a = u_traj.value_at(tau, interp_power)
             b = v_traj.value_at(tau, interp_power)
+            if q < shared:
+                continue
             np.multiply(a[-1], b[-1], out=last)
             for r, (i, j) in enumerate(pairs):
                 np.multiply(a[i], b[j], out=products[q, r])
                 if i == j:
                     products[q, r] -= last
         size = nodes.stop - nodes.start
-        coeff = lat.rforward(products[:size], out=coeff_buf[:size])
+        coeff = coeff_buf[:size]
+        coeff[shared:] = lat.rforward(products[shared:size], out=coeff[shared:])
+        coeff[:shared] = coeff[shared]
         kernel = np.multiply(factors[0][nodes], factors[1][nodes], out=kernel_buf[:size])
         for f in factors[2:]:
             kernel *= f[nodes]

@@ -190,8 +190,8 @@ class Trajectory:
     exact for trajectories of the form c * t**interp_power + c' (linear
     interpolation in the coordinate t**interp_power, or log t when the
     power is zero) -- consistent with the Kato-weight power behavior near
-    t = 0. Below the first node the first field is used unchanged; the
-    trajectory never extrapolates past its last node.
+    t = 0. At or below the first node the first field is used unchanged
+    (frozen); the trajectory never extrapolates past its last node.
 
     value_at reads a per-trajectory table, not the mesh array: the mesh
     as Python floats, searched with bisect, and per interpolation power p
@@ -262,7 +262,7 @@ class Trajectory:
                 raise MeshError(f"tau={float(tau)!r} lies beyond the trajectory "
                                 f"horizon {mesh[-1]!r}")
             raise MeshError(f"tau={float(tau)!r} is not a finite nonnegative time")
-        if tau <= mesh[0]:
+        if self.frozen(tau):
             return self.data[0]
         if tau >= mesh[-1]:
             return self.data[-1]
@@ -279,6 +279,11 @@ class Trajectory:
         out = np.multiply(self.data[lo], 1.0 - lam)
         out += lam * self.data[hi]
         return out
+
+    def frozen(self, tau: float) -> bool:
+        """Whether tau lies at or below the first node, where value_at
+        returns data[0] unchanged: the one rule of the frozen value."""
+        return tau <= self._mesh[0]
 
     @staticmethod
     def _coordinate(t, interp_power):

@@ -680,18 +680,27 @@ def fluctuation_analysis(solution: MildSolution,
 
     Requires a critical book (s = d/p - 1) and every p_tilde above
     max(p, d)/2 (check_exponent_floor). For each p_tilde the smoothness is
-    d/p_tilde - 1.
+    d/p_tilde - 1. A value that is not finite, or zero at a node where the
+    fluctuation has a nonzero sample (a p_tilde so large that the scaled
+    powers underflow), raises DataError naming p_tilde; a node whose
+    samples are all zero, as for Taylor-Green data, whose B vanishes,
+    reads 0.
     """
     book = solution.book
     book.require_critical("fluctuation analysis")
     check_exponent_floor(book, "fluctuation", p_tilde_list)
+    fluctuation = solution.fluctuation
+    live = fluctuation.data.reshape(len(fluctuation), -1).any(axis=1)
     p_values, smooth, sups = [], [], []
     for p_tilde in p_tilde_list:
         p_tilde = float(p_tilde)
         s_tilde = book.d / p_tilde - 1.0
-        report = n_norm(solution.fluctuation, s_tilde, p_tilde)
+        report = n_norm(fluctuation, s_tilde, p_tilde)
         if not np.isfinite(report.values).all():
             raise DataError(f"non-finite fluctuation values at p_tilde = {p_tilde:g}")
+        if (live & (report.values == 0)).any():
+            raise DataError(f"zero fluctuation values of a nonzero fluctuation at p_tilde = "
+                            f"{p_tilde:g}")
         p_values.append(p_tilde)
         smooth.append(s_tilde)
         sups.append(report.value)

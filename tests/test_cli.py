@@ -444,6 +444,12 @@ class TestExitCodes:
                 id="ladder-r-overflow",
             ),
             pytest.param(
+                "fluctuation", ["p_tilde_values=[1e300]"], 2,
+                "config error: config key 'p_tilde_values': zero fluctuation values of a "
+                "nonzero fluctuation at p_tilde = 1e+300",
+                id="fluctuation-p-tilde-underflow",
+            ),
+            pytest.param(
                 "besov-equiv", ["amplitude=1e307"], 3,
                 "numerical failure: non-finite heat-sup value at t = 0.0414966, q = 4",
                 id="besov-equiv-amplitude-overflow",

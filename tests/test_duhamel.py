@@ -375,6 +375,13 @@ def per_node_B(u_traj, v_traj, t, quad):
     return np.fft.ifftn(acc, axes=tuple(range(1, 1 + d)), norm="forward").real
 
 
+def shared_nodes(quad, mesh, t):
+    """How many quadrature nodes of B at t take the transform of another:
+    all but the last of the leading run of nodes at or below mesh[0]."""
+    frozen = np.cumprod(volterra_nodes(quad, t)[0] <= mesh[0]).sum()
+    return max(int(frozen) - 1, 0)
+
+
 class TestSameMesh:
     """Trajectory.check_same_mesh is the one check that two trajectories
     share a lattice and a mesh: the difference and the four Duhamel entry
@@ -523,14 +530,9 @@ class TestFusedB:
         assert calls == [5, 5, 6]
         assert len(held_B()[0]) == 6
 
-    @pytest.mark.parametrize("d, n, p, q_tilde", [(2, 16, 2.0, 4.0), (3, 8, 3.0, 6.0)])
-    def test_transformed_rows_per_call(self, d, n, p, q_tilde, monkeypatch):
-        """One B transforms Q (d(d+1)/2 - 1) product rows when u is v and
-        Q (d^2 - 1) otherwise: the (d-1, d-1) product is never transformed."""
-        book = build_exponent_book(d=d, p=p, s=0.0, q_tilde=q_tilde)
-        quad = QuadratureSpec(node_count=16, gamma=book.gamma_kato, theta=book.alpha)
-        mesh = quadratic_mesh(0.5, 6)
-        u, v = self.band_flows(d, n, mesh, (12, 13))
+    @staticmethod
+    def count_rows(monkeypatch):
+        """The product rows of the rforward calls that follow."""
         rows = []
         rforward = Lattice.rforward
 
@@ -539,10 +541,100 @@ class TestFusedB:
             return rforward(lat, a, out=out)
 
         monkeypatch.setattr(Lattice, "rforward", counted)
+        return rows
+
+    @pytest.mark.parametrize("d, n, p, q_tilde", [(2, 16, 2.0, 4.0), (3, 8, 3.0, 6.0)])
+    def test_transformed_rows_per_call(self, d, n, p, q_tilde, monkeypatch):
+        """One B transforms (Q - shared) (d(d+1)/2 - 1) product rows when u
+        is v and (Q - shared) (d^2 - 1) otherwise: the (d-1, d-1) product is
+        never transformed, and of the leading nodes at or below t_1, which
+        all read the first field, only the last is."""
+        book = build_exponent_book(d=d, p=p, s=0.0, q_tilde=q_tilde)
+        quad = QuadratureSpec(node_count=16, gamma=book.gamma_kato, theta=book.alpha)
+        mesh = quadratic_mesh(0.5, 6)
+        u, v = self.band_flows(d, n, mesh, (12, 13))
+        shared = shared_nodes(quad, mesh, mesh[-1])
+        assert shared >= 1
+        rows = self.count_rows(monkeypatch)
         for b, pair_count in ((u, d * (d + 1) // 2 - 1), (v, d * d - 1)):
             rows.clear()
             bilinear_B(u, b, float(mesh[-1]), quad)
-            assert sum(rows) == quad.node_count * pair_count
+            assert sum(rows) == (quad.node_count - shared) * pair_count
+
+    def test_rows_per_picard_size_trajectory(self, monkeypatch):
+        """At the picard size (d = 2, n = 32, M = Q = 16) B(u, u) over the
+        trajectory transforms 222 of its 256 node products, 2 rows each:
+        the leading frozen runs of the 16 output times are 16, 5, 4, 3, 3,
+        eight of 2 and three of 1 nodes long."""
+        u, mesh, quad = TestCallSetUp.picard_size_flow()
+        runs = [shared_nodes(quad, mesh, t) + 1 for t in mesh]
+        assert runs == [16, 5, 4, 3, 3] + [2] * 8 + [1] * 3
+        rows = self.count_rows(monkeypatch)
+        bilinear_trajectory(u, u, quad)
+        assert sum(rows) == 222 * 2
+
+    @pytest.mark.parametrize("d, n, mesh, at, node_count, cap_nodes", [
+        (2, 16, quadratic_mesh(0.5, 6), slice(None), 16, None),
+        (2, 16, quadratic_mesh(0.5, 6), slice(None), 16, 5),
+        (3, 32, quadratic_mesh(0.5, 4), slice(0, 2), 8, None),
+        (2, 16, quadratic_mesh(0.5, 6), slice(0, 1), 16, None),
+        (2, 16, np.array([0.1, 0.15]), slice(1, 2), 16, None),
+    ], ids=["2d", "2d-chunks-of-5", "3d-n32-one-node-chunks", "all-frozen-at-t1",
+            "frozen-not-leading"])
+    def test_shared_frozen_nodes_keep_the_bits(self, d, n, mesh, at, node_count, cap_nodes,
+                                               monkeypatch):
+        """The leading frozen nodes of a chunk share the transform of the
+        last of them; B(u, u) and B(u, v) keep the bits of the path that
+        transforms every node, and match the per-node loop. The cases: d =
+        3, n = 32, where each chunk holds one node; a cap of 5 B(u, u)
+        nodes, so frozen runs cross chunk boundaries; t_1, where all Q
+        nodes are frozen; and a mesh with t_2 < 2 t_1, where frozen nodes
+        also close the rule, after nodes that are not frozen."""
+        book = build_exponent_book(d=d, p=float(d), s=0.0, q_tilde=2.0 * d)
+        quad = QuadratureSpec(node_count=node_count, gamma=book.gamma_kato, theta=book.alpha)
+        u, v = self.band_flows(d, n, mesh, (14, 15))
+        if cap_nodes is not None:
+            node_bytes = 2 * math.prod(u.lattice.half_shape) * np.dtype(np.complex128).itemsize
+            monkeypatch.setattr(lattice, "BATCH_BYTES", cap_nodes * node_bytes + 1)
+        for t in mesh[at]:
+            for b in (u, v):
+                shared = bilinear_B(u, b, float(t), quad).data
+                with monkeypatch.context() as unshared_path:
+                    unshared_path.setattr(duhamel, "_frozen_head", lambda traj, taus: 0)
+                    npt.assert_array_equal(shared, bilinear_B(u, b, float(t), quad).data)
+            self.assert_matches_per_node(u, u, [t], quad)
+            self.assert_matches_per_node(u, v, [t], quad)
+
+    def test_all_frozen_nodes_make_one_transformed_node(self, monkeypatch):
+        """At t_1 every node of the rule is frozen, so each chunk transforms
+        one node: one call of one node, or one per chunk of a capped batch."""
+        (u,) = self.band_flows(2, 16, quadratic_mesh(0.5, 6), (16,))
+        quad = QuadratureSpec(node_count=16, gamma=0.5, theta=0.5)
+        t = float(u.times[0])
+        assert np.all(volterra_nodes(quad, t)[0] <= t)
+        calls = self.count_rforward(monkeypatch)
+        bilinear_B(u, u, t, quad)
+        assert calls == [1]
+        node_bytes = 2 * math.prod(u.lattice.half_shape) * np.dtype(np.complex128).itemsize
+        monkeypatch.setattr(lattice, "BATCH_BYTES", 7 * node_bytes + 1)
+        calls.clear()
+        bilinear_B(u, u, t, quad)
+        assert calls == [1, 1, 1]
+
+    def test_frozen_nodes_after_a_live_node_are_transformed(self, monkeypatch):
+        """On the mesh [0.1, 0.15] at t = 0.15 the left half of the rule
+        (tau <= t/2) is frozen, and so are the last nodes of the right
+        half, after nodes that are not: only the leading run shares one
+        transform."""
+        mesh = np.array([0.1, 0.15])
+        (u,) = self.band_flows(2, 16, mesh, (17,))
+        quad = QuadratureSpec(node_count=16, gamma=0.5, theta=0.5)
+        frozen = volterra_nodes(quad, 0.15)[0] <= 0.1
+        lead = shared_nodes(quad, mesh, 0.15) + 1
+        assert lead == 8 and frozen[:lead].all() and frozen.sum() > lead
+        calls = self.count_rforward(monkeypatch)
+        bilinear_B(u, u, 0.15, quad)
+        assert calls == [16 - (lead - 1)]
 
     def test_symmetric_shortcut_matches_full_tensor(self):
         """B(u, u) forms only the products i <= j; B(u, copy of u) forms

@@ -550,11 +550,18 @@ class TestHeld:
         fresh_thread(work)
 
     def test_threads_hold_buffers_of_their_own(self, fresh_thread):
-        specs = (((8,), np.float64),)
-        mine = held("x", *specs)
-        theirs = fresh_thread(lambda: held("x", *specs))
-        assert not np.shares_memory(mine[0], theirs[0])
-        assert held("x", *specs) is mine
+        """The calling thread's store is left as it was found, so a later
+        test that compares it with other threads' stores sees no "x"."""
+        store = lattice._held
+        before = dict(store.flat), dict(store.last)
+        try:
+            specs = (((8,), np.float64),)
+            mine = held("x", *specs)
+            theirs = fresh_thread(lambda: held("x", *specs))
+            assert not np.shares_memory(mine[0], theirs[0])
+            assert held("x", *specs) is mine
+        finally:
+            store.flat, store.last = before
 
     def test_one_held_buffer_mechanism(self):
         """Only lattice._Held, the store of held, is thread-local: no module

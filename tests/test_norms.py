@@ -690,6 +690,20 @@ class TestTrajectory:
         traj = heat_trajectory(u, [0.1, 0.2])
         npt.assert_array_equal(traj.value_at(0.01), traj.fields[0].data)
 
+    def test_frozen_is_the_rule_value_at_reads(self, lat2, divfree_datum, monkeypatch):
+        """Trajectory.frozen holds at and below t_1 only, and value_at asks
+        it before returning the first field unchanged."""
+        traj = heat_trajectory(divfree_datum(lat2, seed=8), [0.1, 0.2])
+        taus = (0.0, 0.05, 0.1, float(np.nextafter(0.1, 1.0)), 0.15)
+        assert [traj.frozen(tau) for tau in taus] == [True, True, True, False, False]
+        asked = []
+        frozen = Trajectory.frozen
+        monkeypatch.setattr(Trajectory, "frozen",
+                            lambda self, tau: asked.append(tau) or frozen(self, tau))
+        got = traj.value_at(0.05)
+        assert asked == [0.05]
+        assert np.shares_memory(got, traj.data[0]) and np.array_equal(got, traj.data[0])
+
     def test_value_at_rejects_beyond_horizon(self, lat2, divfree_datum):
         traj = heat_trajectory(divfree_datum(lat2, seed=9), [0.1, 0.2])
         with pytest.raises(MeshError, match="horizon"):
