@@ -37,7 +37,11 @@ every Picard step, only the d(d+1)/2 - 1 rows i <= j: 2 at d = 2, 5 at
 d = 3. Each product u_i(tau_q) v_j(tau_q) is multiplied row by row into
 a buffer, so no factor is copied. The factors come from one
 Trajectory.value_at call per factor and node, so the frozen value below
-the first mesh node and the exact-node shortcut are the trajectory's own.
+the first mesh node and the exact-node shortcut are the trajectory's own
+(and span tracing counts both calls). For B(u, u) the second call at a
+node between mesh nodes repeats the first and costs a lookup, not an
+interpolation: value_at returns the read-only array of its last
+interpolation while that array is alive, as the first factor is.
 The sums are re-associated against a per-node projection, so B moves at
 round-off, not bit for bit.
 
@@ -345,7 +349,10 @@ def bilinear_B(u_traj: Trajectory, v_traj: Trajectory, t: float,
     value_at is still called for both factors at every node, a shared one
     too: the interpolation (the frozen value below the first mesh node,
     the exact-node shortcut) stays the trajectory's own, and the call
-    count is what span tracing expects.
+    count is what span tracing expects. When u_traj is v_traj the second
+    call repeats the first, whose array a still holds, so value_at returns
+    that array (read-only) after one comparison instead of interpolating
+    again.
     """
     u_traj.check_same_mesh(v_traj)
     u_traj.node_index(t)  # raises MeshError when t is off the mesh

@@ -93,6 +93,7 @@ heat_trajectory, which keeps its samples.
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
@@ -184,7 +185,11 @@ class Trajectory:
     float64 array data of shape (M, d, *spatial); fields are VectorField
     views of its rows. The constructor keeps such an array uncopied or
     stacks the samples of a list of vector fields; it scans the samples
-    once and names the node of a non-finite one.
+    once and names the node of a non-finite one. data is a read-only view,
+    so neither it nor a node view that value_at returns can be written
+    through. A caller's array is not copied: its owner can still write to
+    it, but writing to it after construction is not supported (value_at's
+    repeat rule below would return values from before the write).
 
     Values between mesh nodes come from two-point interpolation that is
     exact for trajectories of the form c * t**interp_power + c' (linear
@@ -193,12 +198,21 @@ class Trajectory:
     t = 0. At or below the first node the first field is used unchanged
     (frozen); the trajectory never extrapolates past its last node.
 
-    value_at reads a per-trajectory table, not the mesh array: the mesh
-    as Python floats, searched with bisect, and per interpolation power p
+    value_at reads a per-trajectory table, not the mesh and sample arrays:
+    the mesh as Python floats, searched with bisect, the node views of
+    data, and per interpolation power p
     the coordinates phi(t_j) = t_j**p (np.log(t_j) at p = 0), built on
     first use, each the scalar operation the formula names, so the bits
     are those of a direct evaluation. times is a read-only copy of the
     given mesh, so the table cannot go stale.
+
+    An interpolated value is a new read-only array, and the trajectory
+    remembers its last one by a weak reference: a query with the same tau
+    and power, made while that array is still alive, returns it again
+    instead of interpolating a second time (B(u, u) asks for each factor
+    twice per node). No array is kept alive by the trajectory, and the
+    memo is one tuple, replaced whole, so threads that share a trajectory
+    read either the last interpolation or none.
     """
 
     def __init__(self, lattice: Lattice, times, fields):
@@ -219,7 +233,8 @@ class Trajectory:
             raise DataError(f"trajectory data shape {fields.shape} does not fit the lattice")
         if np.iscomplexobj(fields):
             raise DataError("trajectory samples must be real-valued")
-        self.data = fields.astype(np.float64, copy=False)
+        self.data = fields.astype(np.float64, copy=False).view()
+        self.data.flags.writeable = False
         finite = np.isfinite(self.data).reshape(times.size, -1).all(axis=1)
         if not finite.all():
             j = int(np.argmin(finite))
@@ -229,7 +244,9 @@ class Trajectory:
         self.times = times
         self._mesh = times.tolist()
         self._limit = self._mesh[-1] * (1 + 1e-12)  # past it, tau is beyond the horizon
+        self._rows = list(self.data)  # the node views value_at returns and interpolates
         self._phi = {}  # interpolation power -> [phi(t_j)]
+        self._last = (None, None, None)  # (tau, power, weakref) of the last interpolation
 
     @property
     def fields(self) -> list:
@@ -254,30 +271,39 @@ class Trajectory:
         raise MeshError(f"t={t!r} is not a node of the trajectory mesh")
 
     def value_at(self, tau: float, interp_power: float = 0.0) -> np.ndarray:
-        """Samples at time tau: a view of data[j] at (or frozen onto) node j,
-        else a new array interpolated between the nodes around tau."""
+        """Samples at time tau, read-only: a view of data[j] at (or frozen
+        onto) node j, else an array interpolated between the nodes around
+        tau, the one of the last interpolation when it repeats."""
+        last_tau, last_power, last = self._last
+        if tau == last_tau and interp_power == last_power:
+            out = last()
+            if out is not None:
+                return out
         mesh = self._mesh
         if not 0.0 <= tau <= self._limit:
             if 0.0 < tau < math.inf:
                 raise MeshError(f"tau={float(tau)!r} lies beyond the trajectory "
                                 f"horizon {mesh[-1]!r}")
             raise MeshError(f"tau={float(tau)!r} is not a finite nonnegative time")
+        rows = self._rows
         if self.frozen(tau):
-            return self.data[0]
+            return rows[0]
         if tau >= mesh[-1]:
-            return self.data[-1]
+            return rows[-1]
         hi = bisect_left(mesh, tau)
         lo = hi - 1
         t_lo = mesh[lo]
         if abs(tau - t_lo) <= 1e-14 * t_lo:
-            return self.data[lo]
+            return rows[lo]
         phi = self._phi.get(interp_power)
         if phi is None:
             phi = self._phi[interp_power] = [float(self._coordinate(t, interp_power))
                                              for t in self.times]
         lam = (self._coordinate(tau, interp_power) - phi[lo]) / (phi[hi] - phi[lo])
-        out = np.multiply(self.data[lo], 1.0 - lam)
-        out += lam * self.data[hi]
+        out = np.multiply(rows[lo], 1.0 - lam)
+        out += lam * rows[hi]
+        out.setflags(write=False)
+        self._last = (tau, interp_power, weakref.ref(out))
         return out
 
     def frozen(self, tau: float) -> bool:

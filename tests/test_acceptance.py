@@ -199,19 +199,27 @@ def test_08_smallness_dichotomy(book2, verdict):
     sol = solve_mild(u_small, horizon, book2, mesh_nodes=16, quad=quad, tol=1e-9)
     max_ratio = max(sol.trace.ratios) if sol.trace.ratios else 0.0
 
-    guard_iters = None
-    try:
-        solve_mild(
-            VectorField(lat, 100.0 * u_small.data),
-            horizon,
-            book2,
-            mesh_nodes=16,
-            quad=quad,
-            tol=1e-9,
-            override_smallness=True,
-        )
-    except DivergenceError as exc:
-        guard_iters = exc.trace.iterations
+    def guard_iterations(multiple):
+        """The iterations after which the divergence guard trips on the
+        datum times multiple, or None when it does not."""
+        try:
+            solve_mild(
+                VectorField(lat, multiple * u_small.data),
+                horizon,
+                book2,
+                mesh_nodes=16,
+                quad=quad,
+                tol=1e-9,
+                override_smallness=True,
+            )
+        except DivergenceError as exc:
+            return exc.trace.iterations
+        return None
+
+    # the x100 heat flow alone passes the guard, at iteration 0, before any
+    # B; the x16 one lies inside it, so the guard trips on B's iterates
+    guard_iters = guard_iterations(100.0)
+    inside_iters = guard_iterations(16.0)
     dt = time.perf_counter() - t0
     ok = (
         sol.trace.converged
@@ -219,6 +227,8 @@ def test_08_smallness_dichotomy(book2, verdict):
         and max_ratio < 1.0
         and guard_iters is not None
         and guard_iters <= 20
+        and inside_iters is not None
+        and 1 <= inside_iters <= 20
         and dt < 120.0
     )
     verdict(
@@ -227,7 +237,8 @@ def test_08_smallness_dichotomy(book2, verdict):
         ok,
         f"lhs = delta/2 converges in {sol.trace.iterations} iterations, "
         f"max contraction ratio {max_ratio:.3f} < 1; x100 datum trips the guard "
-        f"after {guard_iters} <= 20 iterations; {dt:.0f}s < 120s",
+        f"after {guard_iters} <= 20 iterations, x16 datum after 1 <= {inside_iters} <= 20; "
+        f"{dt:.0f}s < 120s",
     )
 
 

@@ -747,6 +747,31 @@ class TestCallSetUp:
                                      divergence_free=True), lat)
         return heat_trajectory(u0, mesh), mesh, quad
 
+    @pytest.mark.parametrize("same, interpolations, repeats", [(True, 206, 206), (False, 412, 0)],
+                             ids=["u=v", "u!=v"])
+    def test_each_factor_is_interpolated_once(self, monkeypatch, same, interpolations, repeats):
+        """A picard-size B trajectory asks value_at for both factors at every
+        node, M Q 2 = 512 calls. For B(u, u) the second call at a node
+        between mesh nodes repeats the first and gets its array back, so
+        each of the 206 interpolations is made once; B(u, v) repeats none.
+        The counts follow from the mesh and the rule, not the datum."""
+        u, mesh, quad = self.picard_size_flow()
+        v = u if same else Trajectory(u.lattice, mesh, u.data * 0.5)
+        returned = []
+        value_at = Trajectory.value_at
+
+        def spy(traj, tau, interp_power=0.0):
+            returned.append(value_at(traj, tau, interp_power))
+            return returned[-1]
+
+        monkeypatch.setattr(Trajectory, "value_at", spy)
+        bilinear_trajectory(u, v, quad)
+        new = [a for a in returned
+               if not (np.shares_memory(a, u.data) or np.shares_memory(a, v.data))]
+        assert len(returned) == 512
+        assert len({id(a) for a in new}) == interpolations
+        assert len(new) - interpolations == repeats
+
     def test_buffers_are_held_across_calls(self):
         u, mesh, quad = self.picard_size_flow()
         first = bilinear_B(u, u, float(mesh[-1]), quad).data

@@ -12,8 +12,10 @@ Oracles used here:
 
 import ast
 import math
+import sys
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -727,11 +729,86 @@ class TestTrajectory:
         assert list(traj._phi) == [interp_power]
 
     def test_value_at_shares_no_memory_between_nodes(self, lat2, divfree_datum):
-        traj = heat_trajectory(divfree_datum(lat2, seed=13), [0.1, 0.2, 0.4])
-        first, second = traj.value_at(0.15, -0.25), traj.value_at(0.15, -0.25)
-        assert first is not second
+        """A repeat of a live interpolation returns it, and it is read-only;
+        another tau gives memory of its own, and a dropped interpolation
+        is made again. Neither the samples nor a node view can be written
+        through, while the caller's array stays its owner's."""
+        times = [0.1, 0.2, 0.4]
+        owned = heat_trajectory(divfree_datum(lat2, seed=13), times).data.copy()
+        traj = Trajectory(lat2, times, owned)
+        first = traj.value_at(0.15, -0.25)
+        second = traj.value_at(0.15, -0.25)
+        assert second is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0, 0] = 0.0
         assert not np.shares_memory(first, traj.data)
-        assert not np.shares_memory(first, second)
+        want, dropped = first.copy(), weakref.ref(first)
+        del first, second
+        assert dropped() is None  # the trajectory kept no reference
+        again = traj.value_at(0.15, -0.25)
+        npt.assert_array_equal(again, want)
+        other = traj.value_at(0.3, -0.25)
+        assert not np.shares_memory(other, again)
+        assert not np.shares_memory(other, traj.data)
+        with pytest.raises(ValueError):
+            traj.data[0, 0, 0, 0] = 0.0
+        for node in (0.05, 0.2 * (1 + 5e-15), 0.4):  # frozen, exact-node and last-node views
+            view = traj.value_at(node, -0.25)
+            assert np.shares_memory(view, traj.data)
+            with pytest.raises(ValueError):
+                view[0, 0, 0] = 0.0
+        assert owned.flags.writeable
+        owned[0, 0, 0, 0] = owned[0, 0, 0, 0]
+
+    def test_repeat_gives_the_bits_of_a_fresh_trajectory(self, lat2, divfree_datum):
+        """A repeated query returns the bits that the same query gives on a
+        second trajectory of the same times and samples, which has no
+        interpolation to repeat."""
+        mesh = quadratic_mesh(0.5, 6)
+        traj = heat_trajectory(divfree_datum(lat2, seed=12), mesh)
+        interior = np.linspace(mesh[0], mesh[-1], 23)[1:-1]
+        for interp_power in (-0.25, 0.0):
+            for tau in interior:
+                first = traj.value_at(tau, interp_power)
+                repeat = traj.value_at(tau, interp_power)
+                fresh = Trajectory(lat2, traj.times, traj.data).value_at(tau, interp_power)
+                assert repeat is first
+                npt.assert_array_equal(repeat, fresh)
+
+    def test_two_threads_give_the_bits_of_sequential_calls(self, lat2, divfree_datum):
+        """Two threads query one trajectory at two alternating tau, in
+        opposite phase, each keeping its last two answers alive as B keeps
+        its factors: every answer has the bits of a sequential call."""
+        mesh = quadratic_mesh(0.5, 6)
+        traj = heat_trajectory(divfree_datum(lat2, seed=17), mesh)
+        taus = [0.15, 0.3]
+        sequential = {tau: Trajectory(lat2, mesh, traj.data).value_at(tau, -0.25)
+                      for tau in taus}
+        start = threading.Barrier(2, timeout=60)
+        wrong = []
+
+        def work(order):
+            start.wait()
+            kept = []
+            for tau in order * 2000:
+                kept = [*kept[-1:], traj.value_at(tau, -0.25)]
+                if not np.array_equal(kept[-1], sequential[tau]):
+                    wrong.append(tau)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            threads = [threading.Thread(target=work, args=(order,))
+                       for order in (taus, taus[::-1])]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
     @pytest.mark.parametrize("tau", [np.nan, -1.0, -np.inf, np.inf, np.float64(np.nan)])
     def test_value_at_refuses_nonfinite_or_negative_tau(self, lat2, divfree_datum, tau):

@@ -14,6 +14,7 @@ means the corpus, the estimator, or the quadrature changed.
 import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -253,6 +254,26 @@ class TestCalibration:
         npt.assert_allclose(book2.equiv_constant, 1.0161636211167677, rtol=1e-12)
         npt.assert_allclose(book2.delta, 1.0 / (4.0 * book2.c_hat), rtol=1e-15)
         npt.assert_allclose(book2.sigma, book2.delta * book2.equiv_constant, rtol=1e-15)
+
+    def test_depends_on_the_book_only_through_d_q_q_tilde(self, calibration_file, tmp_path):
+        """Three books of d = 2, q = 2, q_tilde = 4 (critical, s > 0 with
+        p < d, s < 0 with p > d) calibrate to bit-identical constants on the
+        default corpus, and their files differ only in book and digest:
+        the estimates reach the book through the embedding into L^q."""
+        files = {(2, 2.0, 0.0, 4.0): Path(calibration_file)}
+        books = {key: build_exponent_book(*key) for key in
+                 [(2, 2.0, 0.0, 4.0), (2, 1.5, 1.0 / 3.0, 4.0), (2, 4.0, -0.5, 4.0)]}
+        assert {(b.q, b.q_tilde) for b in books.values()} == {(2.0, 4.0)}
+        for key in list(books)[1:]:
+            files[key] = tmp_path / f"{key}.json"
+            calibrate_thresholds(books[key], path=files[key])
+        calibrated = [load_calibration(books[key], str(files[key])) for key in books]
+        payloads = [json.loads(files[key].read_text()) for key in books]
+        constants = ("c_hat", "delta", "sigma", "equiv_constant")
+        for cal, payload in zip(calibrated[1:], payloads[1:]):
+            for name in constants:
+                assert getattr(cal, name) == getattr(calibrated[0], name)
+            assert {k for k in payload if payload[k] != payloads[0][k]} == {"book", "digest"}
 
     def test_byte_identical_recalibration(self, tmp_path):
         book = build_exponent_book(2, 2.0, 0.0, 4.0)
